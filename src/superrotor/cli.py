@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 validation failure, 2 usage or config error,
 3 numerical non-convergence (quadrature flag or drift abort).  Output files
 are written atomically (temp + rename) and are byte-stable for identical
-inputs.  SUPERROTOR_THREADS caps the sweep worker count.
+inputs.
 """
 
 import argparse
@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,16 +53,6 @@ def _atomic_write(path, text):
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     os.replace(tmp, path)
-
-
-def _worker_count():
-    raw = os.environ.get("SUPERROTOR_THREADS", "")
-    if raw.strip():
-        n = int(raw)
-        if n < 1:
-            raise ValueError("SUPERROTOR_THREADS must be a positive integer")
-        return n
-    return min(8, os.cpu_count() or 1)
 
 
 def _load_spec(path):
@@ -249,18 +238,11 @@ def cmd_sweep(args):
             "jmax %d exceeds basis limit %d" % (args.jmax, spec.numerics.j_max)
         )
     js = list(range(args.jmin, args.jmax + 1))
-
-    def one(j):
-        if args.method == "closed_form":
-            return rates.gamma_closed_form(j, j - 2, spec)
-        return rates.gamma_numeric(j, j - 2, spec, kappa_mode=args.kappa)
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = list(pool.map(one, js))
+    table = rates.sweep_rates(js, spec, method=args.method, kappa_mode=args.kappa)
+    rows = table.rows
     flags = []
     if args.method == "quadrature" and not all(r.converged for r in rows):
         flags.append("quadrature not converged")
-    table = rates.RateTable(rows=tuple(rows), method=args.method)
     scale = spec.scales.rate
     _atomic_write(args.out, rates.rate_table_csv(table, rate_scale=scale))
     outputs = [args.out]

@@ -8,10 +8,10 @@ dynamics factorizes into (j, j') sectors.
 """
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import scattering
 from .mathkit import make_rule
@@ -31,9 +31,13 @@ TEMPLATE_MOMENTS = (
 )
 
 DIAG_INTERVAL = 50
-TRACE_TOL = 1e-8
-HERM_TOL = 1e-10
+# a density matrix is accepted while |tr rho - 1| <= TRACE_TOL and
+# max|rho - rho^+| <= HERM_TOL; RotorState and the propagation monitor share
+# these, so drift is reported as NumericalDriftError before a state is built
+TRACE_TOL = 1e-10
+HERM_TOL = 1e-12
 EIG_FLOOR = -1e-9
+STATE_HEADER_BYTES = 32
 
 
 class StepSizeViolation(ValueError):
@@ -103,10 +107,11 @@ class RotorState:
         if mat.shape != (d, d):
             raise ValueError("matrix shape %s does not match dimension %d" % (mat.shape, d))
         scale = max(1.0, float(np.max(np.abs(mat))))
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12 * scale:
+        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL * scale:
             raise ValueError("matrix is not hermitian")
-        if abs(np.trace(mat).real - 1.0) > 1e-10 or abs(np.trace(mat).imag) > 1e-10:
-            raise ValueError("trace deviates from 1 beyond 1e-10")
+        tr = np.trace(mat)
+        if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
+            raise ValueError("trace deviates from 1 beyond %g" % TRACE_TOL)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -131,8 +136,8 @@ def isotropic_state(layout, populations, time=0.0):
     total = math.fsum(float(p) for p in populations.values())
     if any(float(p) < 0 for p in populations.values()):
         raise ValueError("populations must be nonnegative")
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError("populations must sum to 1 within 1e-10")
+    if abs(total - 1.0) > TRACE_TOL:
+        raise ValueError("populations must sum to 1 within %g" % TRACE_TOL)
     mat = np.zeros((layout.dim, layout.dim), dtype=complex)
     for j, p in populations.items():
         sl = layout.block_slice(j)
@@ -143,8 +148,8 @@ def isotropic_state(layout, populations, time=0.0):
 def centrifuge_state(layout, coefficients, time=0.0):
     """Pure superposition of stretched states |jj> with amplitudes c_j."""
     norm = math.fsum(abs(complex(c)) ** 2 for c in coefficients.values())
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError("coefficient norm deviates from 1 beyond 1e-10")
+    if abs(norm - 1.0) > TRACE_TOL:
+        raise ValueError("coefficient norm deviates from 1 beyond %g" % TRACE_TOL)
     vec = np.zeros(layout.dim, dtype=complex)
     for j, c in coefficients.items():
         vec[layout.index(j, j)] = complex(c)
@@ -196,28 +201,31 @@ def _unpack(packed, layout):
 
 @dataclass
 class DissipatorSet:
-    """Quadrature-discretized Lindblad jump family with block-diagonal jumps.
+    """Weighted family of block-diagonal Lindblad operators.
 
-    The continuous (q, n') family is sampled on product quadrature grids; each
-    sample is a valid jump operator, so the discretization itself generates a
-    completely positive flow.  jump_pairs() yields the literal (weight, L)
-    pairs; apply() evaluates the induced map through an algebraically reduced
-    path in which the scalar part of every jump cancels exactly.
+    The generator is
+
+        D rho = collision_weight * sum_k w_k (A_k rho A_k^+ - {A_k^+ A_k, rho}/2).
+
+    Each jump of the quadrature-discretized (q, n') family is c(q) (I + A),
+    with A hermitian and q-independent, so its identity part cancels from the
+    generator exactly and the radial average collapses into
+    collision_weight; the A_k and w_k carry the direction average.  kmat is
+    the anticommutator kernel sum_k w_k A_k^+ A_k.
     """
 
     layout: BasisLayout
     backend: str
     collision_weight: float
-    aniso_scale: float
-    kmat: np.ndarray  # (n_blocks, d_max, d_max), anticommutator kernel
-    templates: np.ndarray = None  # (5, n_blocks, d_max, d_max) for linearized
-    node_aniso: np.ndarray = None  # (n_nodes, n_blocks, d_max, d_max) for spectral
-    sphere_nodes: np.ndarray = None
-    sphere_weights: np.ndarray = None
-    q_nodes: np.ndarray = None
-    q_sqweights: np.ndarray = None  # radial weight per node, |c|^2 excluded
-    c_values: np.ndarray = None
+    weights: np.ndarray  # (n_ops,)
+    ops: np.ndarray  # (n_ops, n_blocks, d_max, d_max), zero-padded blocks
     metadata: dict = field(default_factory=dict)
+    kmat: np.ndarray = field(init=False)  # (n_blocks, d_max, d_max)
+
+    def __post_init__(self):
+        self.kmat = np.einsum(
+            "k,kiba,kibc->iac", self.weights, self.ops.conj(), self.ops, optimize=True
+        )
 
     @property
     def converged(self):
@@ -228,104 +236,70 @@ class DissipatorSet:
         return 2 * self.layout.j_max + 1
 
     @property
-    def n_jumps(self):
-        if self.q_nodes is None:
-            return 0
-        return len(self.q_nodes) * len(self.sphere_weights)
-
-    @property
     def jump_scale(self):
         """Total collision weight; normalizes stationarity and null checks."""
         return max(self.collision_weight, 1e-300)
 
     @classmethod
     def empty(cls, layout):
+        """No jumps; the gas energy shift keeps the linearized model."""
         d_max = 2 * layout.j_max + 1
         n = layout.j_max - layout.j_min + 1
         return cls(
             layout=layout,
-            backend="none",
+            backend="linearized",
             collision_weight=0.0,
-            aniso_scale=0.0,
-            kmat=np.zeros((n, d_max, d_max), dtype=complex),
-            templates=np.zeros((5, n, d_max, d_max), dtype=complex),
+            weights=np.zeros(0),
+            ops=np.zeros((0, n, d_max, d_max), dtype=complex),
             metadata={"converged": True},
         )
 
-    def _node_matrix(self, k):
-        """Full forward shape matrix (identity included) at sphere node k."""
-        if self.node_aniso is not None:
-            blocks = []
-            for i, j in enumerate(self.layout.js):
-                d = 2 * j + 1
-                blocks.append(np.eye(d) + self.node_aniso[k, i, :d, :d])
-            return blocks
-        g = scattering.geometry_factors(self.sphere_nodes[k])
-        blocks = []
-        for i, j in enumerate(self.layout.js):
-            d = 2 * j + 1
-            bbar = np.zeros((d, d), dtype=complex)
-            for a in range(5):
-                bbar += g[a] * self.templates[a, i, :d, :d]
-            blocks.append(np.eye(d) + 0.4 * bbar)
-        return blocks
-
-    def jump_pairs(self):
-        """Yield the literal (weight, jump matrix) pairs, deterministic order.
-
-        Materializes one dense D x D matrix at a time; intended for audits and
-        small layouts, not for the propagation hot path.
-        """
-        if self.n_jumps == 0:
-            return
-        pref = 2.0 * math.pi * self.metadata["density_over_mu"]
-        for k in range(len(self.sphere_weights)):
-            shape = self._node_matrix(k)
-            dense_shape = scipy.linalg.block_diag(*shape)
-            for i in range(len(self.q_nodes)):
-                w = pref * self.q_sqweights[i] * self.sphere_weights[k]
-                yield w, self.c_values[i] * dense_shape
-
     def apply(self, packed):
         """Dissipator action on a packed (n_j, n_j, d, d) block array."""
-        acc = np.zeros_like(packed)
-        if self.templates is not None and self.node_aniso is None:
-            for a in range(5):
-                left = self.templates[a][:, None]
-                right = self.templates[a].conj().transpose(0, 2, 1)[None, :]
-                acc += TEMPLATE_MOMENTS[a] * (left @ packed @ right)
-        elif self.node_aniso is not None:
-            for k in range(len(self.sphere_weights)):
-                blk = self.node_aniso[k]
-                acc += self.sphere_weights[k] * (blk[:, None] @ packed @ blk[None, :])
-        half_k = 0.5 * (self.kmat[:, None] @ packed + packed @ self.kmat[None, :])
-        return (self.aniso_scale * self.collision_weight) * (acc - half_k)
+        acc = -0.5 * (self.kmat[:, None] @ packed + packed @ self.kmat[None, :])
+        for w, op in zip(self.weights, self.ops):
+            acc += w * (op[:, None] @ packed @ op.conj().transpose(0, 2, 1)[None, :])
+        return self.collision_weight * acc
 
 
-def _radial_samples(spec):
-    num = spec.numerics
+def _collision_weight(spec):
+    """2 pi (n_g/mu) Int dq q^3 nu_th(q) |c(q)|^2 on the radial rule."""
     q_th = spec.thermal.thermal_momentum
-    rule = make_rule("half_line", num.quad_order_q)
+    rule = make_rule("half_line", spec.numerics.quad_order_q)
     x = rule.nodes
-    q = q_th * x
-    sqw = (q_th / math.pi**1.5) * rule.weights * x**3
-    c = np.array([scattering.forward_scalar(float(qi), spec) for qi in q])
-    return q, sqw, c
+    c = np.array([scattering.forward_scalar(float(q), spec) for q in q_th * x])
+    radial = float(np.sum((q_th / math.pi**1.5) * rule.weights * x**3 * np.abs(c) ** 2))
+    return 2.0 * math.pi * spec.gas.density / spec.thermal.reduced_mass * radial
 
 
-def _spectral_anisotropy(spec, layout, sphere, kappa_mode):
-    q_ref = spec.thermal.thermal_momentum
-    c_ref = scattering.forward_scalar(q_ref, spec)
+def _jump_family(spec, layout, backend, kappa_mode):
+    """(weights, ops) of the direction-averaged jump family.
+
+    Linearized: A(n') = (2/5) sum_a g_a(n') T_a.  The sphere moments of
+    g_a g_b^* vanish for a != b and equal TEMPLATE_MOMENTS[a] for a = b, so
+    the five templates with weights (2/5)^2 * moment reproduce the node sum
+    exactly.  Spectral: the hermitized anisotropy of the fractional-power
+    amplitude at every sphere node, weighted by the sphere rule.
+    """
     d_max = 2 * layout.j_max + 1
     n_blocks = layout.j_max - layout.j_min + 1
-    aniso = np.zeros((len(sphere.weights), n_blocks, d_max, d_max), dtype=complex)
+    if backend == "linearized":
+        ops = np.zeros((5, n_blocks, d_max, d_max), dtype=complex)
+        for i, j in enumerate(layout.js):
+            ops[:, i, : 2 * j + 1, : 2 * j + 1] = scattering.coupling_templates(
+                j, spec.molecule, kappa_mode
+            )
+        return 0.16 * np.array(TEMPLATE_MOMENTS), ops
+    sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
+    q_ref = spec.thermal.thermal_momentum
+    c_ref = scattering.forward_scalar(q_ref, spec)
+    ops = np.zeros((len(sphere.weights), n_blocks, d_max, d_max), dtype=complex)
     for k, n in enumerate(sphere.nodes):
         for i, j in enumerate(layout.js):
             amp = scattering.forward_amplitude_spectral(j, q_ref, n, spec, kappa_mode=kappa_mode)
             shape = amp.entries / c_ref - np.eye(2 * j + 1)
-            shape = 0.5 * (shape + shape.conj().T)
-            aniso[k, i, : 2 * j + 1, : 2 * j + 1] = shape
-    return aniso
+            ops[k, i, : 2 * j + 1, : 2 * j + 1] = 0.5 * (shape + shape.conj().T)
+    return sphere.weights, ops
 
 
 def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
@@ -334,132 +308,47 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
     backend "linearized" reduces the sphere average to five real coupling
     templates (angular moments exact); "spectral" keeps the fractional-power
     amplitude at every sphere node.  The convergence flag compares the induced
-    map against one with doubled quadrature orders on a dense test state.
+    map against the family rebuilt at doubled radial and sphere orders on a
+    dense probe state.
     """
     num = spec.numerics
     if num.quad_order_q < 24:
         raise ValueError("radial quadrature order below documented minimum 24")
-    sphere = make_rule("sphere", num.quad_order_sphere)
-    if len(sphere.weights) < 26:
+    n_sphere = len(make_rule("sphere", num.quad_order_sphere).weights)
+    if n_sphere < 26:
         raise ValueError("sphere quadrature below documented minimum of 26 nodes")
     if backend not in ("linearized", "spectral"):
         raise ValueError("unknown backend %r" % backend)
 
-    q, sqw, c = _radial_samples(spec)
-    density_over_mu = spec.gas.density / spec.thermal.reduced_mass
-    radial = float(np.sum(sqw * np.abs(c) ** 2))
-    collision_weight = 2.0 * math.pi * density_over_mu * radial
+    def assemble(s):
+        weights, ops = _jump_family(s, layout, backend, kappa_mode)
+        return DissipatorSet(layout, backend, _collision_weight(s), weights, ops)
 
-    d_max = 2 * layout.j_max + 1
-    n_blocks = layout.j_max - layout.j_min + 1
-    meta = {
-        "backend": backend,
-        "kappa_mode": kappa_mode,
-        "quad_order_q": num.quad_order_q,
-        "sphere_nodes": len(sphere.weights),
-        "density_over_mu": density_over_mu,
-    }
-
-    if backend == "linearized":
-        templates = np.zeros((5, n_blocks, d_max, d_max), dtype=complex)
-        for i, j in enumerate(layout.js):
-            t = scattering.coupling_templates(j, spec.molecule, kappa_mode)
-            templates[:, i, : 2 * j + 1, : 2 * j + 1] = t
-        kmat = np.zeros((n_blocks, d_max, d_max), dtype=complex)
-        for a in range(5):
-            kmat += TEMPLATE_MOMENTS[a] * (
-                templates[a].conj().transpose(0, 2, 1) @ templates[a]
-            )
-        dset = DissipatorSet(
-            layout=layout,
-            backend=backend,
-            collision_weight=collision_weight,
-            aniso_scale=0.16,
-            kmat=kmat,
-            templates=templates,
-            sphere_nodes=sphere.nodes,
-            sphere_weights=sphere.weights,
-            q_nodes=q,
-            q_sqweights=sqw,
-            c_values=c,
-            metadata=meta,
+    dset = assemble(spec)
+    fine = assemble(
+        replace(
+            spec,
+            numerics=replace(
+                num, quad_order_q=2 * num.quad_order_q, quad_order_sphere=2 * num.quad_order_sphere
+            ),
         )
-        # sphere moments are exact for the template geometry, so doubling the
-        # angular order is a no-op; the map scales linearly with the radial
-        # integral and the drift reduces to its quadrature error.
-        _, sqw2, c2 = _radial_samples(_with_q_order(spec, 2 * num.quad_order_q))
-        radial2 = float(np.sum(sqw2 * np.abs(c2) ** 2))
-        drift = abs(radial2 / radial - 1.0) if radial > 0 else 0.0
-    else:
-        aniso = _spectral_anisotropy(spec, layout, sphere, kappa_mode)
-        kmat = np.einsum("k,kiab,kibc->iac", sphere.weights, aniso, aniso, optimize=True)
-        dset = DissipatorSet(
-            layout=layout,
-            backend=backend,
-            collision_weight=collision_weight,
-            aniso_scale=1.0,
-            kmat=kmat,
-            node_aniso=aniso,
-            sphere_nodes=sphere.nodes,
-            sphere_weights=sphere.weights,
-            q_nodes=q,
-            q_sqweights=sqw,
-            c_values=c,
-            metadata=meta,
-        )
-        drift = _spectral_drift(spec, layout, dset, kappa_mode)
-
-    meta["order_doubling_drift"] = drift
-    meta["converged"] = drift < 1e-3
-    return dset
-
-
-def _with_q_order(spec, order):
-    from dataclasses import replace
-
-    return replace(spec, numerics=replace(spec.numerics, quad_order_q=order))
-
-
-def _spectral_drift(spec, layout, dset, kappa_mode):
-    from dataclasses import replace
-
-    num = spec.numerics
-    fine_spec = replace(
-        spec,
-        numerics=replace(
-            num,
-            quad_order_q=2 * num.quad_order_q,
-            quad_order_sphere=2 * num.quad_order_sphere,
-        ),
-    )
-    sphere2 = make_rule("sphere", fine_spec.numerics.quad_order_sphere)
-    aniso2 = _spectral_anisotropy(fine_spec, layout, sphere2, kappa_mode)
-    kmat2 = np.einsum("k,kiab,kibc->iac", sphere2.weights, aniso2, aniso2, optimize=True)
-    _, sqw2, c2 = _radial_samples(fine_spec)
-    cw2 = (
-        2.0 * math.pi * dset.metadata["density_over_mu"] * float(np.sum(sqw2 * np.abs(c2) ** 2))
-    )
-    fine = DissipatorSet(
-        layout=layout,
-        backend="spectral",
-        collision_weight=cw2,
-        aniso_scale=1.0,
-        kmat=kmat2,
-        node_aniso=aniso2,
-        sphere_nodes=sphere2.nodes,
-        sphere_weights=sphere2.weights,
-        metadata=dict(dset.metadata),
     )
     probe = centrifuge_state(
         layout, gaussian_profile(layout, 0.5 * (layout.j_min + layout.j_max), 2.0)
     )
     packed = _pack(probe.matrix, layout, dset.d_max)
-    base = dset.apply(packed)
     ref = fine.apply(packed)
     scale = float(np.max(np.abs(ref)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(ref - base))) / scale
+    drift = float(np.max(np.abs(ref - dset.apply(packed)))) / scale if scale > 0.0 else 0.0
+    dset.metadata = {
+        "backend": backend,
+        "kappa_mode": kappa_mode,
+        "quad_order_q": num.quad_order_q,
+        "sphere_nodes": n_sphere,
+        "order_doubling_drift": drift,
+        "converged": drift < 1e-3,
+    }
+    return dset
 
 
 def apply_dissipator(dset, state):
@@ -479,12 +368,14 @@ def _hamiltonian_blocks(spec, layout, backend):
     return blocks
 
 
+def _frequency_spread(h_blocks):
+    eigs = np.concatenate([np.linalg.eigvalsh(h) for h in h_blocks])
+    return float((eigs.max() - eigs.min()) / HBAR)
+
+
 def coherent_frequency_spread(spec, layout, backend="linearized"):
     """Width of the spectrum of (H + H_g)/hbar across the layout."""
-    eigs = []
-    for h in _hamiltonian_blocks(spec, layout, backend):
-        eigs.extend(np.linalg.eigvalsh(h))
-    return float((max(eigs) - min(eigs)) / HBAR)
+    return _frequency_spread(_hamiltonian_blocks(spec, layout, backend))
 
 
 def propagate(rho0, dset, spec, t_final, dt, record_every=None):
@@ -502,10 +393,9 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
         raise ValueError("state layout does not match dissipator layout")
     if t_final <= 0 or dt <= 0:
         raise ValueError("t_final and dt must be positive")
-    backend = dset.backend if dset.backend in ("linearized", "spectral") else "linearized"
 
-    h_blocks = _hamiltonian_blocks(spec, layout, backend)
-    spread = coherent_frequency_spread(spec, layout, backend)
+    h_blocks = _hamiltonian_blocks(spec, layout, dset.backend)
+    spread = _frequency_spread(h_blocks)
     n_steps = max(1, int(round(t_final / dt)))
     dt = t_final / n_steps
     if dt * spread > 0.1 + 1e-12:
@@ -553,60 +443,67 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
         k3 = deriv(packed + (0.5 * dt) * k2)
         k4 = deriv(packed + dt * k3)
         packed = packed + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = rho0.time + step * dt
-        if step % DIAG_INTERVAL == 0 or step == n_steps:
-            _check_drift(snapshot(packed, step * dt), t)
-        if step % record_every == 0 or step == n_steps:
-            traj.append(RotorState(layout, snapshot(packed, step * dt), t))
+        monitor = step % DIAG_INTERVAL == 0 or step == n_steps
+        record = step % record_every == 0 or step == n_steps
+        if monitor or record:
+            t = rho0.time + step * dt
+            dense = snapshot(packed, step * dt)
+            # every recorded frame passes the trace and hermiticity monitor
+            # first, so drift surfaces as NumericalDriftError and never as
+            # the RotorState constructor's ValueError
+            _check_drift(dense, t, positivity=monitor)
+            if record:
+                traj.append(RotorState(layout, dense, t))
     return traj
 
 
-def _check_drift(dense, t):
+def _check_drift(dense, t, positivity=True):
     tr = np.trace(dense)
     if abs(tr - 1.0) > TRACE_TOL:
         raise NumericalDriftError("trace drift %.3g at t=%.6g" % (abs(tr - 1.0), t))
     herm = np.max(np.abs(dense - dense.conj().T))
     if herm > HERM_TOL:
         raise NumericalDriftError("hermiticity drift %.3g at t=%.6g" % (herm, t))
-    low = np.linalg.eigvalsh(dense)[0]
-    if low < EIG_FLOOR:
-        raise NumericalDriftError("negative eigenvalue %.3g at t=%.6g" % (low, t))
+    if positivity:
+        low = np.linalg.eigvalsh(dense)[0]
+        if low < EIG_FLOOR:
+            raise NumericalDriftError("negative eigenvalue %.3g at t=%.6g" % (low, t))
 
 
 def evolve_exact(rho0, dset, spec, t_final):
     """Liouvillian exponentiation cross-check; practical only for D <= 60."""
+    # the only scipy use in the package; importing it here keeps it off the
+    # start-up path of every command
+    import scipy.linalg
+
     layout = rho0.layout
     d = layout.dim
     if d > 60:
         raise ValueError("exact path limited to D <= 60 (D = %d)" % d)
     if dset is None:
         dset = DissipatorSet.empty(layout)
-    backend = dset.backend if dset.backend in ("linearized", "spectral") else "linearized"
-    h = scipy.linalg.block_diag(*_hamiltonian_blocks(spec, layout, backend))
+    h = _block_diag(_hamiltonian_blocks(spec, layout, dset.backend), layout)
     eye = np.eye(d)
+    # row-major vec(A rho B) = kron(A, B^T) vec(rho)
     sup = (-1j / HBAR) * (np.kron(h, eye) - np.kron(eye, h.T))
-
-    cw = dset.aniso_scale * dset.collision_weight
-    if cw != 0.0:
-        kdense = _block_diag_padded(dset.kmat, layout)
-        if dset.node_aniso is not None:
-            for k in range(len(dset.sphere_weights)):
-                a = _block_diag_padded(dset.node_aniso[k], layout)
-                sup += cw * dset.sphere_weights[k] * np.kron(a, a.T)
-        else:
-            for a in range(5):
-                tmpl = _block_diag_padded(dset.templates[a], layout)
-                sup += cw * TEMPLATE_MOMENTS[a] * np.kron(tmpl, tmpl.conj())
-        sup -= 0.5 * cw * (np.kron(kdense, eye) + np.kron(eye, kdense.T))
+    cw = dset.collision_weight
+    for w, op in zip(dset.weights, dset.ops):
+        a = _block_diag(op, layout)
+        sup += cw * w * np.kron(a, a.conj())
+    kdense = _block_diag(dset.kmat, layout)
+    sup -= 0.5 * cw * (np.kron(kdense, eye) + np.kron(eye, kdense.T))
 
     prop = scipy.linalg.expm(sup * t_final)
     vec = prop @ rho0.matrix.reshape(-1)
     return RotorState(layout, vec.reshape(d, d), rho0.time + t_final)
 
 
-def _block_diag_padded(padded_blocks, layout):
-    blocks = [padded_blocks[i, : 2 * j + 1, : 2 * j + 1] for i, j in enumerate(layout.js)]
-    return scipy.linalg.block_diag(*blocks)
+def _block_diag(blocks, layout):
+    """Dense block-diagonal matrix from per-j blocks (padded or exact size)."""
+    dense = np.zeros((layout.dim, layout.dim), dtype=complex)
+    for (j, sl), blk in zip(layout.blocks(), blocks):
+        dense[sl, sl] = blk[: 2 * j + 1, : 2 * j + 1]
+    return dense
 
 
 def alignment_signal(rho, j):
@@ -662,20 +559,29 @@ def write_state_binary(state, path):
     """Dump a state as little-endian binary.
 
     Layout: int64 D, int64 j_min, int64 j_max, float64 time, then D*D
-    complex128 entries row-major.
+    complex128 entries row-major.  The file is written under a temporary
+    name and renamed into place, so readers never see a partial dump.
     """
+    path = os.fspath(path)
+    tmp = "%s.tmp-%d" % (path, os.getpid())
     header = np.array(
         [state.layout.dim, state.layout.j_min, state.layout.j_max], dtype="<i8"
     )
-    with open(path, "wb") as fh:
+    with open(tmp, "wb") as fh:
         fh.write(header.tobytes())
         fh.write(np.array([state.time], dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(state.matrix, dtype="<c16").tobytes())
+    os.replace(tmp, path)
 
 
 def read_state_binary(path):
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < STATE_HEADER_BYTES:
+        raise ValueError(
+            "state file is %d bytes, shorter than its %d-byte header"
+            % (len(raw), STATE_HEADER_BYTES)
+        )
     dim, j_min, j_max = (int(x) for x in np.frombuffer(raw[:24], dtype="<i8"))
     time = float(np.frombuffer(raw[24:32], dtype="<f8")[0])
     layout = BasisLayout(int(j_min), int(j_max))

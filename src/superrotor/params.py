@@ -107,8 +107,6 @@ class NumericsSpec:
     quad_order_circle: int = 64
     b_max: float = 12.0
     b_nodes: int = 8
-    tol_trace: float = 1e-8
-    tol_fit: float = 1e-3
 
     def __post_init__(self):
         if not 0 <= self.j_min <= self.j_max:
@@ -116,9 +114,6 @@ class NumericsSpec:
         for name in ("quad_order_q", "quad_order_sphere", "quad_order_circle", "b_nodes"):
             if getattr(self, name) < 4:
                 raise ValueError(f"numerics.{name} must be >= 4")
-        for name in ("tol_trace", "tol_fit"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"numerics.{name} must lie in (0, 1)")
         if self.b_max <= 0.0:
             raise ValueError("numerics.b_max must be positive")
 

@@ -15,12 +15,7 @@ import numpy as np
 
 from .mathkit import assoc_legendre2, gamma_real, make_rule
 from .params import HBAR
-from .scattering import (
-    coupling_templates,
-    forward_amplitude_spectral,
-    forward_scalar,
-    geometry_factors,
-)
+from .scattering import coupling_templates, forward_amplitude_spectral, forward_scalar
 
 # Validation hook: the negative-control check multiplies the closed-form
 # prefactor through this module constant to prove the acceptance suite can
@@ -249,13 +244,20 @@ def energy_shift_matrix(j, spec, backend="linearized", with_diagnostics=False):
     -2 pi hbar^2 (n_g/mu) Int dq q^2 nu_th(q) Int d^2n herm(F(qn, qn)).
 
     The amplitude factorizes as c(q) times a q-independent hermitian
-    geometry matrix, so the hermitian part is Re(c) times that matrix; the
-    q and direction integrals are evaluated by quadrature on that split.
+    geometry matrix, so the hermitian part is Re(c) times that matrix.  The
+    q integral is a quadrature.  In the linearized model the direction
+    integral of identity + (2/5) sum_a g_a T_a is exactly 4 pi times the
+    identity, because every geometry factor g_a is a degree-2 harmonic with
+    zero sphere average; the shift is then one scalar, equal for every j.
+    The spectral direction integral is a sphere quadrature.
     """
     j = int(j)
     if j < 0:
         raise ValueError("energy_shift_matrix: j must be >= 0")
+    if backend not in ("linearized", "spectral"):
+        raise ValueError(f"unknown backend {backend!r}")
     th = spec.thermal
+    d = 2 * j + 1
 
     def shift_once(order_q, order_sphere):
         q_rule = make_rule("half_line", order_q)
@@ -264,24 +266,17 @@ def energy_shift_matrix(j, spec, backend="linearized", with_diagnostics=False):
         re_c = np.array([forward_scalar(qv, spec).real if qv > 0 else 0.0 for qv in q])
         weight_q = th.thermal_momentum / math.pi**1.5 * np.sum(wx * x**2 * re_c)
 
-        sphere = make_rule("sphere", order_sphere)
-        d = 2 * j + 1
-        geom = np.zeros((d, d), dtype=complex)
-        q_ref = th.thermal_momentum
-        c_ref = forward_scalar(q_ref, spec)
         if backend == "linearized":
-            t = coupling_templates(j, spec.molecule)
-            for n, w in zip(sphere.nodes, sphere.weights):
-                n = n / np.linalg.norm(n)
-                g = geometry_factors(n)
-                geom += w * (np.eye(d) + 0.4 * np.tensordot(g, t, axes=(0, 0)))
-        elif backend == "spectral":
+            geom = 4.0 * math.pi * np.eye(d, dtype=complex)
+        else:
+            sphere = make_rule("sphere", order_sphere)
+            geom = np.zeros((d, d), dtype=complex)
+            q_ref = th.thermal_momentum
+            c_ref = forward_scalar(q_ref, spec)
             for n, w in zip(sphere.nodes, sphere.weights):
                 n = n / np.linalg.norm(n)
                 amp = forward_amplitude_spectral(j, q_ref, n, spec)
                 geom += w * (amp.entries / c_ref)
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
         matrix = -2.0 * math.pi * HBAR**2 * th.density / th.reduced_mass * weight_q * geom
         return 0.5 * (matrix + matrix.conj().T)
 
@@ -301,7 +296,7 @@ def delta_frequency(j, j_prime, spec):
     The gas-shift part is an artifact definition (the underlying short-time
     law names the frequency without defining it); outputs that report it say
     so. In the linearized model the shift is block-scalar and identical
-    across blocks, so the second term vanishes to quadrature precision.
+    across blocks, so the second term vanishes.
     """
     mol = spec.molecule
     free = (mol.rotational_energy(j) - mol.rotational_energy(j_prime)) / HBAR

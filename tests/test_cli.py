@@ -68,8 +68,7 @@ def test_missing_config_file(capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_sweep_deterministic_and_manifest(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SUPERROTOR_THREADS", "2")
+def test_sweep_deterministic_and_manifest(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     man = tmp_path / "m.json"
@@ -188,6 +187,20 @@ def test_propagate_state_file_and_dump(tmp_path, capsys):
     assert manifest["flags"] == []
 
 
+def test_propagate_drift_exits_nonconverged(tmp_path, capsys, monkeypatch):
+    # a dissipator that leaks trace at rate 5e-9 drifts past the state
+    # tolerance mid-run: exit 3 (numerical drift), not 2 (config error)
+    monkeypatch.setattr(lb.DissipatorSet, "apply", lambda self, packed: 5e-9 * packed)
+    code = run_cli(
+        [
+            "propagate", "n1", "--state", "centrifuge:2,4",
+            "--tfinal", "1.0", "--dt", "0.001", "--out", str(tmp_path / "t.csv"),
+        ]
+    )
+    assert code == 3
+    assert "trace drift" in capsys.readouterr().err
+
+
 def test_propagate_bad_state(capsys):
     assert run_cli(["propagate", "n1", "--state", "isotropic",
                     "--tfinal", "0.1", "--dt", "0.01"]) == 2
@@ -222,13 +235,6 @@ def test_validate_negative_control(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr().out
     assert code == 1
     assert "[FAIL] closed-form prefactor" in captured
-
-
-def test_threads_env_guard(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SUPERROTOR_THREADS", "0")
-    code = run_cli(["sweep", "n1", "--jmax", "10", "--out", str(tmp_path / "s.csv")])
-    assert code == 2
-    assert "SUPERROTOR_THREADS" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from superrotor import lindblad as lb
+from superrotor import scattering
+from superrotor.mathkit import make_rule
 from superrotor.params import builtin_config, load_config
 from superrotor.rates import delta_frequency, gamma_closed_form, gamma_numeric
 
@@ -18,6 +21,19 @@ def n1_spec(**changes):
     return load_config(json.dumps(doc))
 
 
+def spectral_spec(**changes):
+    # small anisotropy keeps the fractional-power branch well inside its
+    # domain; reduced sphere and circle orders keep the node stack cheap
+    return n1_spec(
+        set=[("molecule", "alpha_aniso", 0.06)] + list(changes.get("set", [])),
+        numerics={"quad_order_sphere": 30, "quad_order_circle": 32},
+    )
+
+
+def backend_cases(**changes):
+    return [("linearized", n1_spec(**changes)), ("spectral", spectral_spec(**changes))]
+
+
 def random_state(layout, seed=0):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(
@@ -27,9 +43,36 @@ def random_state(layout, seed=0):
     return lb.RotorState(layout, m / np.trace(m).real)
 
 
-def literal_dissipator_action(dset, rho):
+def literal_jumps(spec, layout, backend):
+    """Literal (weight, jump) pairs of the quadrature-discretized (q, n') family.
+
+    Each jump is the dense block-diagonal forward amplitude F(q_i n_k) of
+    the public scattering routines, with weight
+    2 pi (n_g/mu) (q_th/pi^1.5) w_i x_i^3 W_k.  Since F(q, n) = c(q) S(n)
+    (test_forward_is_scalar_times_hermitian), S is evaluated once per
+    sphere node at q_th and rescaled by c(q_i) at each radial node.
+    """
+    amplitude = {
+        "linearized": scattering.forward_amplitude_linearized,
+        "spectral": scattering.forward_amplitude_spectral,
+    }[backend]
+    q_th = spec.thermal.thermal_momentum
+    c_ref = scattering.forward_scalar(q_th, spec)
+    radial = make_rule("half_line", spec.numerics.quad_order_q)
+    sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
+    pref = 2.0 * math.pi * spec.gas.density / spec.thermal.reduced_mass * q_th / math.pi**1.5
+    for n, w_n in zip(sphere.nodes, sphere.weights):
+        shape = scipy.linalg.block_diag(
+            *[amplitude(j, q_th, n, spec).entries / c_ref for j in layout.js]
+        )
+        for x, w_x in zip(radial.nodes, radial.weights):
+            c = scattering.forward_scalar(q_th * x, spec)
+            yield pref * w_x * x**3 * w_n, c * shape
+
+
+def literal_dissipator_action(spec, layout, backend, rho):
     out = np.zeros_like(rho)
-    for w, jump in dset.jump_pairs():
+    for w, jump in literal_jumps(spec, layout, backend):
         gain = jump @ rho @ jump.conj().T
         k = jump.conj().T @ jump
         out += w * (gain - 0.5 * (k @ rho + rho @ k))
@@ -125,7 +168,8 @@ def test_build_dissipator_guards():
         lb.build_dissipator(spec, layout, backend="exactish")
     dset = lb.build_dissipator(spec, layout)
     assert dset.converged
-    assert dset.n_jumps == spec.numerics.quad_order_q * dset.metadata["sphere_nodes"]
+    n_literal = sum(1 for _ in literal_jumps(spec, layout, "linearized"))
+    assert n_literal == spec.numerics.quad_order_q * dset.metadata["sphere_nodes"]
 
 
 def test_apply_matches_literal_jump_sum_linearized():
@@ -134,56 +178,54 @@ def test_apply_matches_literal_jump_sum_linearized():
     dset = lb.build_dissipator(spec, layout)
     state = random_state(layout, seed=7)
     fast = lb.apply_dissipator(dset, state)
-    lit = literal_dissipator_action(dset, state.matrix)
+    lit = literal_dissipator_action(spec, layout, "linearized", state.matrix)
     assert np.max(np.abs(fast - lit)) <= 1e-12 * np.max(np.abs(fast))
 
 
 def test_apply_matches_literal_jump_sum_spectral():
-    spec = n1_spec(
-        set=[("molecule", "alpha_aniso", 0.06)],
-        numerics={"quad_order_sphere": 30, "quad_order_circle": 32},
-    )
+    spec = spectral_spec()
     layout = lb.BasisLayout(1, 3)
     dset = lb.build_dissipator(spec, layout, backend="spectral")
     state = random_state(layout, seed=11)
     fast = lb.apply_dissipator(dset, state)
-    lit = literal_dissipator_action(dset, state.matrix)
+    lit = literal_dissipator_action(spec, layout, "spectral", state.matrix)
     # the literal route carries the uncancelled identity part of every jump,
     # so its roundoff floor sits well above the reduced path's
     assert np.max(np.abs(fast - lit)) <= 1e-8 * np.max(np.abs(fast))
 
 
 def test_dissipator_structural_properties():
-    spec = n1_spec()
     layout = lb.BasisLayout(2, 5)
-    dset = lb.build_dissipator(spec, layout)
     state = random_state(layout, seed=2)
-    action = lb.apply_dissipator(dset, state)
-    assert abs(np.trace(action)) <= 1e-12 * np.max(np.abs(action))
-    assert np.max(np.abs(action - action.conj().T)) <= 1e-13 * np.max(np.abs(action))
-    for j, sl in layout.blocks():
-        assert abs(np.trace(action[sl, sl])) <= 1e-12 * np.max(np.abs(action))
-    with pytest.raises(ValueError, match="layout"):
-        lb.apply_dissipator(dset, random_state(lb.BasisLayout(0, 1)))
+    for backend, spec in backend_cases():
+        dset = lb.build_dissipator(spec, layout, backend=backend)
+        action = lb.apply_dissipator(dset, state)
+        scale = np.max(np.abs(action))
+        assert abs(np.trace(action)) <= 1e-12 * scale, backend
+        assert np.max(np.abs(action - action.conj().T)) <= 1e-13 * scale, backend
+        for j, sl in layout.blocks():
+            assert abs(np.trace(action[sl, sl])) <= 1e-12 * scale, backend
+        with pytest.raises(ValueError, match="layout"):
+            lb.apply_dissipator(dset, random_state(lb.BasisLayout(0, 1)))
 
 
 def test_dissipator_zero_anisotropy_null():
-    spec = n1_spec(set=[("molecule", "alpha_aniso", 0.0)])
     layout = lb.BasisLayout(0, 3)
-    dset = lb.build_dissipator(spec, layout)
     state = random_state(layout, seed=5)
-    action = lb.apply_dissipator(dset, state)
-    assert np.max(np.abs(action)) <= 1e-15 * dset.jump_scale
+    for backend, spec in backend_cases(set=[("molecule", "alpha_aniso", 0.0)]):
+        dset = lb.build_dissipator(spec, layout, backend=backend)
+        action = lb.apply_dissipator(dset, state)
+        assert np.max(np.abs(action)) <= 1e-15 * dset.jump_scale, backend
 
 
 def test_isotropic_states_stationary():
-    spec = n1_spec()
     layout = lb.BasisLayout(3, 6)
-    dset = lb.build_dissipator(spec, layout)
-    for pops in ({3: 1.0}, {6: 1.0}, {3: 0.25, 4: 0.25, 5: 0.25, 6: 0.25}):
-        iso = lb.isotropic_state(layout, pops)
-        action = lb.apply_dissipator(dset, iso)
-        assert np.max(np.abs(action)) <= 1e-10 * dset.jump_scale
+    for backend, spec in backend_cases():
+        dset = lb.build_dissipator(spec, layout, backend=backend)
+        for pops in ({3: 1.0}, {6: 1.0}, {3: 0.25, 4: 0.25, 5: 0.25, 6: 0.25}):
+            iso = lb.isotropic_state(layout, pops)
+            action = lb.apply_dissipator(dset, iso)
+            assert np.max(np.abs(action)) <= 1e-10 * dset.jump_scale, backend
 
 
 def test_corner_decay_matches_rate_module():
@@ -302,10 +344,7 @@ def test_evolve_exact_cross_check():
 
 
 def test_evolve_exact_spectral_backend():
-    spec = n1_spec(
-        set=[("molecule", "alpha_aniso", 0.06)],
-        numerics={"quad_order_sphere": 30, "quad_order_circle": 32},
-    )
+    spec = spectral_spec()
     layout = lb.BasisLayout(1, 3)
     dset = lb.build_dissipator(spec, layout, backend="spectral")
     rho0 = lb.centrifuge_state(layout, {1: 2**-0.5, 3: 2**-0.5})
@@ -376,3 +415,38 @@ def test_state_binary_round_trip(tmp_path):
     with open(path, "rb") as fh:
         header = np.frombuffer(fh.read(24), dtype="<i8")
     assert list(header) == [layout.dim, 3, 5]
+
+def test_state_binary_rejects_truncated_files(tmp_path):
+    path = tmp_path / "state.bin"
+    lb.write_state_binary(random_state(lb.BasisLayout(0, 1), seed=4), path)
+    # written under a temporary name and renamed: nothing else is left behind
+    assert [p.name for p in tmp_path.iterdir()] == ["state.bin"]
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in (0, 10, 24, 31):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(ValueError, match="32-byte header"):
+            lb.read_state_binary(cut)
+    cut.write_bytes(raw[:-16])
+    with pytest.raises(ValueError, match="payload"):
+        lb.read_state_binary(cut)
+
+
+def test_drift_monitor_shares_state_tolerances(monkeypatch):
+    good = np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex)
+    drifted = good * (1.0 + 5e-9)
+    with pytest.raises(ValueError, match="trace"):
+        lb.RotorState(lb.BasisLayout(0, 1), drifted)
+    with pytest.raises(lb.NumericalDriftError, match="trace"):
+        lb._check_drift(drifted, 0.0)
+    lb._check_drift(good, 0.0)
+
+    # a trace leak of 5e-9 per unit time during a run surfaces as
+    # NumericalDriftError whether or not a frame is recorded before the
+    # next monitor step, never as the RotorState constructor's ValueError
+    spec = n1_spec()
+    rho0 = lb.isotropic_state(lb.BasisLayout(2, 2), {2: 1.0})
+    monkeypatch.setattr(lb.DissipatorSet, "apply", lambda self, packed: 5e-9 * packed)
+    for record_every in (1, 1000):
+        with pytest.raises(lb.NumericalDriftError, match="trace"):
+            lb.propagate(rho0, None, spec, 1.0, 0.01, record_every=record_every)

@@ -189,8 +189,10 @@ def test_numerics_validation():
         NumericsSpec(j_min=5, j_max=3)
     with pytest.raises(ValueError, match="quad_order_q"):
         NumericsSpec(quad_order_q=2)
-    with pytest.raises(ValueError, match="tol_trace"):
-        NumericsSpec(tol_trace=2.0)
+    # the tolerances live with the code that applies them, not in the config
+    for key in ("tol_trace", "tol_fit"):
+        with pytest.raises(ValueError, match="unknown key"):
+            load_config(doc(numerics={key: 1e-8}))
 
 
 def test_si_input_lands_on_internal_scales():

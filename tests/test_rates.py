@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superrotor.params import builtin_config, load_config, normalized_document
+from superrotor.mathkit import make_rule
+from superrotor.params import HBAR, builtin_config, load_config, normalized_document
 from superrotor.rates import (
     RateResult,
     a_coefficient,
@@ -17,6 +18,7 @@ from superrotor.rates import (
     signal_decay_rate,
     sweep_rates,
 )
+from superrotor.scattering import coupling_templates, forward_scalar, geometry_factors
 
 # frozen 30-digit mpmath oracles
 CONSTANT = 0.561951028726822104  # Gamma(13/5) Gamma(3/5)^2 sqrt(pi) / 10
@@ -160,6 +162,28 @@ def test_energy_shift_hermitian_and_band_free():
     assert np.max(np.abs(s4 - s4.conj().T)) <= 1e-14 * np.max(np.abs(s4))
     off = s4 - np.diag(np.diag(s4))
     assert np.max(np.abs(off)) <= 1e-12 * np.max(np.abs(np.diag(s4)))
+
+
+def test_energy_shift_linearized_matches_sphere_quadrature():
+    # oracle: the sphere-node sum of identity + (2/5) sum_a g_a T_a that the
+    # closed form 4 pi * identity replaces, on the same radial quadrature
+    spec = n1_spec()
+    th = spec.thermal
+    q_rule = make_rule("half_line", spec.numerics.quad_order_q)
+    x = q_rule.nodes
+    re_c = np.array([forward_scalar(th.thermal_momentum * xv, spec).real for xv in x])
+    weight_q = th.thermal_momentum / math.pi**1.5 * np.sum(q_rule.weights * x**2 * re_c)
+    sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
+    for j in (0, 3, 10):
+        d = 2 * j + 1
+        t = coupling_templates(j, spec.molecule)
+        geom = sum(
+            w * (np.eye(d) + 0.4 * np.tensordot(geometry_factors(n), t, axes=(0, 0)))
+            for n, w in zip(sphere.nodes, sphere.weights)
+        )
+        oracle = -2.0 * math.pi * HBAR**2 * th.density / th.reduced_mass * weight_q * geom
+        shift = energy_shift_matrix(j, spec)
+        assert np.max(np.abs(shift - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
 def test_delta_frequency():
