@@ -16,7 +16,7 @@ import numpy as np
 from . import scattering
 from .mathkit import make_rule
 from .params import HBAR
-from .rates import energy_shift_matrix
+from .rates import energy_shift_matrix, thermal_q_integral
 
 # angular second moments of the five coupling geometry factors:
 # P2(n_z), n_z n_+, n_z n_-, n_+^2, n_-^2 paired with their conjugates.
@@ -212,13 +212,17 @@ class DissipatorSet:
     generator exactly and the radial average collapses into
     collision_weight; the A_k and w_k carry the direction average.  kmat is
     the anticommutator kernel sum_k w_k A_k^+ A_k.
+
+    aniso_mean is the sphere mean (1/4 pi) Int d^2n' A(n') of the anisotropy
+    the family discretizes.  The gas shift is the isotropic shift times
+    I + aniso_mean, so it shares the family's amplitude model and kappa.
     """
 
     layout: BasisLayout
-    backend: str
     collision_weight: float
     weights: np.ndarray  # (n_ops,)
     ops: np.ndarray  # (n_ops, n_blocks, d_max, d_max), zero-padded blocks
+    aniso_mean: np.ndarray  # (n_blocks, d_max, d_max), zero-padded blocks
     metadata: dict = field(default_factory=dict)
     kmat: np.ndarray = field(init=False)  # (n_blocks, d_max, d_max)
 
@@ -242,15 +246,15 @@ class DissipatorSet:
 
     @classmethod
     def empty(cls, layout):
-        """No jumps; the gas energy shift keeps the linearized model."""
+        """No jumps; the gas energy shift is the isotropic one."""
         d_max = 2 * layout.j_max + 1
         n = layout.j_max - layout.j_min + 1
         return cls(
             layout=layout,
-            backend="linearized",
             collision_weight=0.0,
             weights=np.zeros(0),
             ops=np.zeros((0, n, d_max, d_max), dtype=complex),
+            aniso_mean=np.zeros((n, d_max, d_max), dtype=complex),
             metadata={"converged": True},
         )
 
@@ -264,22 +268,19 @@ class DissipatorSet:
 
 def _collision_weight(spec):
     """2 pi (n_g/mu) Int dq q^3 nu_th(q) |c(q)|^2 on the radial rule."""
-    q_th = spec.thermal.thermal_momentum
-    rule = make_rule("half_line", spec.numerics.quad_order_q)
-    x = rule.nodes
-    c = np.array([scattering.forward_scalar(float(q), spec) for q in q_th * x])
-    radial = float(np.sum((q_th / math.pi**1.5) * rule.weights * x**3 * np.abs(c) ** 2))
+    radial = thermal_q_integral(spec, spec.numerics.quad_order_q, 3, lambda c: np.abs(c) ** 2)
     return 2.0 * math.pi * spec.gas.density / spec.thermal.reduced_mass * radial
 
 
 def _jump_family(spec, layout, backend, kappa_mode):
-    """(weights, ops) of the direction-averaged jump family.
+    """(weights, ops, aniso_mean) of the direction-averaged jump family.
 
     Linearized: A(n') = (2/5) sum_a g_a(n') T_a.  The sphere moments of
     g_a g_b^* vanish for a != b and equal TEMPLATE_MOMENTS[a] for a = b, so
     the five templates with weights (2/5)^2 * moment reproduce the node sum
-    exactly.  Spectral: the hermitized anisotropy of the fractional-power
-    amplitude at every sphere node, weighted by the sphere rule.
+    exactly; every g_a has zero sphere mean, so aniso_mean is zero.
+    Spectral: the hermitized anisotropy S(n') - I of the fractional-power
+    shape at every sphere node, weighted by the sphere rule.
     """
     d_max = 2 * layout.j_max + 1
     n_blocks = layout.j_max - layout.j_min + 1
@@ -289,17 +290,22 @@ def _jump_family(spec, layout, backend, kappa_mode):
             ops[:, i, : 2 * j + 1, : 2 * j + 1] = scattering.coupling_templates(
                 j, spec.molecule, kappa_mode
             )
-        return 0.16 * np.array(TEMPLATE_MOMENTS), ops
+        mean = np.zeros((n_blocks, d_max, d_max), dtype=complex)
+        return 0.16 * np.array(TEMPLATE_MOMENTS), ops, mean
+    if backend != "spectral":
+        raise ValueError("unknown backend %r" % backend)
     sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
-    q_ref = spec.thermal.thermal_momentum
-    c_ref = scattering.forward_scalar(q_ref, spec)
     ops = np.zeros((len(sphere.weights), n_blocks, d_max, d_max), dtype=complex)
-    for k, n in enumerate(sphere.nodes):
-        for i, j in enumerate(layout.js):
-            amp = scattering.forward_amplitude_spectral(j, q_ref, n, spec, kappa_mode=kappa_mode)
-            shape = amp.entries / c_ref - np.eye(2 * j + 1)
-            ops[k, i, : 2 * j + 1, : 2 * j + 1] = 0.5 * (shape + shape.conj().T)
-    return sphere.weights, ops
+    for i, j in enumerate(layout.js):
+        d = 2 * j + 1
+        aniso = scattering.spectral_shapes(j, sphere.nodes, spec, kappa_mode) - np.eye(d)
+        ops[:, i, :d, :d] = 0.5 * (aniso + aniso.conj().transpose(0, 2, 1))
+    return sphere.weights, ops, np.tensordot(sphere.weights, ops, axes=1) / (4.0 * math.pi)
+
+
+def _assemble(spec, layout, backend, kappa_mode):
+    family = _jump_family(spec, layout, backend, kappa_mode)
+    return DissipatorSet(layout, _collision_weight(spec), *family)
 
 
 def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
@@ -317,22 +323,12 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
     n_sphere = len(make_rule("sphere", num.quad_order_sphere).weights)
     if n_sphere < 26:
         raise ValueError("sphere quadrature below documented minimum of 26 nodes")
-    if backend not in ("linearized", "spectral"):
-        raise ValueError("unknown backend %r" % backend)
 
-    def assemble(s):
-        weights, ops = _jump_family(s, layout, backend, kappa_mode)
-        return DissipatorSet(layout, backend, _collision_weight(s), weights, ops)
-
-    dset = assemble(spec)
-    fine = assemble(
-        replace(
-            spec,
-            numerics=replace(
-                num, quad_order_q=2 * num.quad_order_q, quad_order_sphere=2 * num.quad_order_sphere
-            ),
-        )
+    dset = _assemble(spec, layout, backend, kappa_mode)
+    fine_num = replace(
+        num, quad_order_q=2 * num.quad_order_q, quad_order_sphere=2 * num.quad_order_sphere
     )
+    fine = _assemble(replace(spec, numerics=fine_num), layout, backend, kappa_mode)
     probe = centrifuge_state(
         layout, gaussian_profile(layout, 0.5 * (layout.j_min + layout.j_max), 2.0)
     )
@@ -359,12 +355,15 @@ def apply_dissipator(dset, state):
     return _unpack(dset.apply(packed), state.layout)
 
 
-def _hamiltonian_blocks(spec, layout, backend):
+def _hamiltonian_blocks(spec, dset):
+    """Blocks of H + H_g with the gas shift H_g(j) = s_iso (I + aniso_mean_j)
+    of the dissipator's own jump family."""
     blocks = []
-    for j in layout.js:
-        h = np.asarray(energy_shift_matrix(j, spec, backend=backend), dtype=complex)
-        h = h + spec.molecule.rotational_energy(j) * np.eye(2 * j + 1)
-        blocks.append(h)
+    for i, j in enumerate(dset.layout.js):
+        d = 2 * j + 1
+        shape = np.eye(d) + dset.aniso_mean[i, :d, :d]
+        h = energy_shift_matrix(j, spec) @ shape
+        blocks.append(h + spec.molecule.rotational_energy(j) * np.eye(d))
     return blocks
 
 
@@ -374,8 +373,9 @@ def _frequency_spread(h_blocks):
 
 
 def coherent_frequency_spread(spec, layout, backend="linearized"):
-    """Width of the spectrum of (H + H_g)/hbar across the layout."""
-    return _frequency_spread(_hamiltonian_blocks(spec, layout, backend))
+    """Width of the spectrum of (H + H_g)/hbar across the layout, with the
+    gas shift of the backend's jump family at exact kappa."""
+    return _frequency_spread(_hamiltonian_blocks(spec, _assemble(spec, layout, backend, "exact")))
 
 
 def propagate(rho0, dset, spec, t_final, dt, record_every=None):
@@ -393,8 +393,10 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
         raise ValueError("state layout does not match dissipator layout")
     if t_final <= 0 or dt <= 0:
         raise ValueError("t_final and dt must be positive")
+    if record_every is not None and record_every < 1:
+        raise ValueError("record_every must be at least 1")
 
-    h_blocks = _hamiltonian_blocks(spec, layout, dset.backend)
+    h_blocks = _hamiltonian_blocks(spec, dset)
     spread = _frequency_spread(h_blocks)
     n_steps = max(1, int(round(t_final / dt)))
     dt = t_final / n_steps
@@ -482,7 +484,7 @@ def evolve_exact(rho0, dset, spec, t_final):
         raise ValueError("exact path limited to D <= 60 (D = %d)" % d)
     if dset is None:
         dset = DissipatorSet.empty(layout)
-    h = _block_diag(_hamiltonian_blocks(spec, layout, dset.backend), layout)
+    h = _block_diag(_hamiltonian_blocks(spec, dset), layout)
     eye = np.eye(d)
     # row-major vec(A rho B) = kron(A, B^T) vec(rho)
     sup = (-1j / HBAR) * (np.kron(h, eye) - np.kron(eye, h.T))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .mathkit import assoc_legendre2, gamma_real, make_rule
 from .params import HBAR
-from .scattering import coupling_templates, forward_amplitude_spectral, forward_scalar
+from .scattering import coupling_templates, forward_scalar, spectral_shapes
 
 # Validation hook: the negative-control check multiplies the closed-form
 # prefactor through this module constant to prove the acceptance suite can
@@ -156,47 +156,30 @@ def _corner_integrand_linearized(j, j_prime, spec, nodes, kappa_mode):
 
 
 def _corner_integrand_spectral(j, j_prime, spec, nodes, kappa_mode):
-    # q-independent geometry part of the spectral forward amplitude,
-    # extracted by dividing out the scalar c(q) at a reference momentum
-    q_ref = spec.thermal.thermal_momentum
-    c_ref = forward_scalar(q_ref, spec)
-
-    def power_matrix(jv, n):
-        amp = forward_amplitude_spectral(jv, q_ref, n, spec, kappa_mode)
-        return amp.entries / c_ref
-
-    out = np.empty(len(nodes))
-    for k, n in enumerate(nodes):
-        n = n / np.linalg.norm(n)
-        term = 0.0
-        mj = power_matrix(j, n)
-        mp = power_matrix(j_prime, n)
-        term += abs(mj[-1, -1] - mp[-1, -1]) ** 2
-        term += float(np.sum(np.abs(mj[:-1, -1]) ** 2))
-        term += float(np.sum(np.abs(mp[:-1, -1]) ** 2))
-        out[k] = term
-    return out
+    # the forward amplitude is c(q) S(n'); the bracket needs the top-corner
+    # columns of the q-independent shapes S
+    mj = spectral_shapes(j, nodes, spec, kappa_mode)
+    mp = spectral_shapes(j_prime, nodes, spec, kappa_mode)
+    return (
+        np.abs(mj[:, -1, -1] - mp[:, -1, -1]) ** 2
+        + np.sum(np.abs(mj[:, :-1, -1]) ** 2, axis=1)
+        + np.sum(np.abs(mp[:, :-1, -1]) ** 2, axis=1)
+    )
 
 
-def _gamma_quadrature_once(j, j_prime, spec, backend, kappa_mode, order_q, order_sphere):
-    th = spec.thermal
-    q_rule = make_rule("half_line", order_q)
-    x, wx = q_rule.nodes, q_rule.weights
-    q = th.thermal_momentum * x
-    # Int dq q^3 nu_th(q) |c(q)|^2 with q = q_th x; the Gaussian weight
-    # already lives in wx
-    c_sq = np.array([abs(forward_scalar(qv, spec)) ** 2 if qv > 0 else 0.0 for qv in q])
-    weight_q = th.thermal_momentum / math.pi**1.5 * np.sum(wx * x**3 * c_sq)
+def thermal_q_integral(spec, order, power, fn):
+    """Thermal radial integral Int dq q^power nu_th(q) fn(c(q)) of the
+    isotropic forward amplitude c(q), on the half-line rule of the given
+    order with q = q_th x: (q_th / pi^1.5) sum_i w_i x_i^power fn(c(q_th x_i)).
 
-    sphere = make_rule("sphere", order_sphere)
-    if backend == "linearized":
-        bracket = _corner_integrand_linearized(j, j_prime, spec, sphere.nodes, kappa_mode)
-    elif backend == "spectral":
-        bracket = _corner_integrand_spectral(j, j_prime, spec, sphere.nodes, kappa_mode)
-    else:
-        raise ValueError(f"unknown amplitude_backend {backend!r}")
-    angular = 2.0 * math.pi * np.sum(sphere.weights * bracket)
-    return th.density / (2.0 * th.reduced_mass) * weight_q * angular
+    Every thermal average here factorizes into this radial integral times
+    a q-independent direction integral: the rates and the jump weights take
+    fn = |c|^2 at power 3, the gas shift fn = Re c at power 2.
+    """
+    q_th = spec.thermal.thermal_momentum
+    rule = make_rule("half_line", order)
+    c = np.array([forward_scalar(q_th * x, spec) for x in rule.nodes])
+    return float(q_th / math.pi**1.5 * np.sum(rule.weights * rule.nodes**power * fn(c)))
 
 
 def gamma_numeric(j, j_prime, spec, amplitude_backend="linearized", kappa_mode="exact"):
@@ -204,18 +187,39 @@ def gamma_numeric(j, j_prime, spec, amplitude_backend="linearized", kappa_mode="
     integral: (n_g/2mu) Int dq q^3 nu_th 2pi Int d^2n' [squared corner-column
     differences of the forward amplitudes].
 
-    The convergence flag in the metadata reports whether doubling either
-    quadrature order moves the value by more than 0.1%.
+    The integrand factorizes into |c(q)|^2 times a q-independent sphere
+    bracket, so the rate is (n_g/2mu) R(n_q) A(n_s) with one radial and one
+    sphere quadrature. The convergence flag in the metadata reports whether
+    doubling either quadrature order moves the value by more than 0.1%.
     """
     j = int(j)
     j_prime = int(j_prime)
     if j < 0 or j_prime < 0:
         raise ValueError("gamma_numeric: j and j_prime must be >= 0")
+    bracket = {
+        "linearized": _corner_integrand_linearized,
+        "spectral": _corner_integrand_spectral,
+    }.get(amplitude_backend)
+    if bracket is None:
+        raise ValueError(f"unknown amplitude_backend {amplitude_backend!r}")
+    th = spec.thermal
     nq = spec.numerics.quad_order_q
     ns = spec.numerics.quad_order_sphere
-    base = _gamma_quadrature_once(j, j_prime, spec, amplitude_backend, kappa_mode, nq, ns)
-    fine_q = _gamma_quadrature_once(j, j_prime, spec, amplitude_backend, kappa_mode, 2 * nq, ns)
-    fine_s = _gamma_quadrature_once(j, j_prime, spec, amplitude_backend, kappa_mode, nq, 2 * ns)
+
+    def radial(order):
+        return thermal_q_integral(spec, order, 3, lambda c: np.abs(c) ** 2)
+
+    def angular(order):
+        sphere = make_rule("sphere", order)
+        return 2.0 * math.pi * np.sum(
+            sphere.weights * bracket(j, j_prime, spec, sphere.nodes, kappa_mode)
+        )
+
+    pref = th.density / (2.0 * th.reduced_mass)
+    r, a = radial(nq), angular(ns)
+    base = pref * r * a
+    fine_q = pref * radial(2 * nq) * a
+    fine_s = pref * r * angular(2 * ns)
     scale = max(abs(base), abs(fine_q), abs(fine_s))
     drift = 0.0 if scale == 0.0 else max(abs(fine_q - base), abs(fine_s - base)) / scale
     meta = {
@@ -238,52 +242,31 @@ def signal_decay_rate(j, spec):
     return gamma_closed_form(j, j - 2, spec)
 
 
-def energy_shift_matrix(j, spec, backend="linearized", with_diagnostics=False):
-    """Gas-induced energy shift block <jm|H_g|jm'> from the hermitian part
-    of the thermally averaged forward amplitude:
-    -2 pi hbar^2 (n_g/mu) Int dq q^2 nu_th(q) Int d^2n herm(F(qn, qn)).
+def energy_shift_matrix(j, spec, with_diagnostics=False):
+    """Isotropic gas-induced energy shift block s_iso * identity.
 
-    The amplitude factorizes as c(q) times a q-independent hermitian
-    geometry matrix, so the hermitian part is Re(c) times that matrix.  The
-    q integral is a quadrature.  In the linearized model the direction
-    integral of identity + (2/5) sum_a g_a T_a is exactly 4 pi times the
-    identity, because every geometry factor g_a is a degree-2 harmonic with
-    zero sphere average; the shift is then one scalar, equal for every j.
-    The spectral direction integral is a sphere quadrature.
+    H_g comes from the hermitian part of the thermally averaged forward
+    amplitude, -2 pi hbar^2 (n_g/mu) Int dq q^2 nu_th(q) Int d^2n
+    herm(F(qn, qn)), with herm(F) = Re c(q) (I + A(n)).  The identity gives
+    this block: the thermal_q_integral of Re c times 4 pi.  The sphere mean
+    of A belongs to the dissipator's jump family (DissipatorSet.aniso_mean),
+    which lindblad adds; it vanishes in the linearized model.  The
+    diagnostics report the radial order-doubling drift.
     """
     j = int(j)
     if j < 0:
         raise ValueError("energy_shift_matrix: j must be >= 0")
-    if backend not in ("linearized", "spectral"):
-        raise ValueError(f"unknown backend {backend!r}")
     th = spec.thermal
-    d = 2 * j + 1
 
-    def shift_once(order_q, order_sphere):
-        q_rule = make_rule("half_line", order_q)
-        x, wx = q_rule.nodes, q_rule.weights
-        q = th.thermal_momentum * x
-        re_c = np.array([forward_scalar(qv, spec).real if qv > 0 else 0.0 for qv in q])
-        weight_q = th.thermal_momentum / math.pi**1.5 * np.sum(wx * x**2 * re_c)
+    def shift_once(order_q):
+        re_c = thermal_q_integral(spec, order_q, 2, np.real)
+        scalar = -2.0 * math.pi * HBAR**2 * th.density / th.reduced_mass * re_c * 4.0 * math.pi
+        return scalar * np.eye(2 * j + 1)
 
-        if backend == "linearized":
-            geom = 4.0 * math.pi * np.eye(d, dtype=complex)
-        else:
-            sphere = make_rule("sphere", order_sphere)
-            geom = np.zeros((d, d), dtype=complex)
-            q_ref = th.thermal_momentum
-            c_ref = forward_scalar(q_ref, spec)
-            for n, w in zip(sphere.nodes, sphere.weights):
-                n = n / np.linalg.norm(n)
-                amp = forward_amplitude_spectral(j, q_ref, n, spec)
-                geom += w * (amp.entries / c_ref)
-        matrix = -2.0 * math.pi * HBAR**2 * th.density / th.reduced_mass * weight_q * geom
-        return 0.5 * (matrix + matrix.conj().T)
-
-    base = shift_once(spec.numerics.quad_order_q, spec.numerics.quad_order_sphere)
+    base = shift_once(spec.numerics.quad_order_q)
     if not with_diagnostics:
         return base
-    fine = shift_once(2 * spec.numerics.quad_order_q, 2 * spec.numerics.quad_order_sphere)
+    fine = shift_once(2 * spec.numerics.quad_order_q)
     scale = max(np.max(np.abs(base)), np.max(np.abs(fine)), 1e-300)
     drift = np.max(np.abs(fine - base)) / scale
     return base, {"converged": bool(drift <= 1e-3), "order_doubling_drift": float(drift)}

@@ -103,9 +103,11 @@ def forward_scalar(q, spec):
     return (q / (2.0 * HBAR)) * gamma_real(0.6) * a**0.4 * EIKONAL_PHASE
 
 
-def _check_unit(v, name):
+def _check_unit(v, name, ndim=1):
+    # a unit 3-vector, or with ndim=2 a (c, 3) stack of them
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
+    norm = np.linalg.norm(v, axis=-1)
+    if v.ndim != ndim or v.shape[-1] != 3 or np.any(np.abs(norm - 1.0) > 1e-9):
         raise ValueError(f"{name} must be a unit 3-vector")
     return v
 
@@ -120,6 +122,12 @@ def circle_basis(n_prime):
     return u, v
 
 
+def _circle_directions(n_prime, phi):
+    """(c, 3) stack of impact directions cos(phi) u + sin(phi) v."""
+    u, v = circle_basis(n_prime)
+    return np.outer(np.cos(phi), u) + np.outer(np.sin(phi), v)
+
+
 def coupling_matrix(j, n_prime, e_b, mol, kappa_mode="exact"):
     """Banded coupling matrix B_j for incoming direction n_prime and impact
     direction e_b (which must be orthogonal to n_prime).
@@ -127,41 +135,46 @@ def coupling_matrix(j, n_prime, e_b, mol, kappa_mode="exact"):
     Entries follow the large-j sublevel-coupling form: the diagonal carries
     P_2 of the scaled projection 2m/(2j+1), the first band P_2^1, the second
     band P_2^2, each contracted with the collision geometry. Hermitian by
-    construction; identically zero when alpha_aniso = 0.
+    construction; identically zero when alpha_aniso = 0. e_b may also be a
+    (c, 3) stack of impact directions around the one n_prime; the entries are
+    then the (c, d, d) stack of their matrices.
     """
     j = int(j)
     if j < 0:
         raise ValueError("coupling_matrix: j must be >= 0")
     n_prime = _check_unit(n_prime, "n_prime")
-    e_b = _check_unit(e_b, "e_b")
-    if abs(float(e_b @ n_prime)) >= 1e-12:
+    stacked = np.ndim(e_b) == 2
+    e = _check_unit(np.atleast_2d(e_b), "e_b", ndim=2)
+    if np.any(np.abs(e @ n_prime) >= 1e-12):
         raise ValueError("coupling_matrix: e_b must be orthogonal to n_prime")
 
     ratio = mol.alpha_aniso / mol.alpha_mean
     d = 2 * j + 1
     m = np.arange(-j, j + 1, dtype=float)
     kap = _kappa_for_mode(j, kappa_mode)
-    out = np.zeros((d, d), dtype=complex)
+    out = np.zeros((len(e), d, d), dtype=complex)
+    e_z, e_xy = e[:, 2], e @ _EXY
+    n_z, n_xy = n_prime[2], complex(_EXY @ n_prime)
 
-    diag_geom = 2.5 * float(e_b @ _EZ) ** 2 + 0.5 * float(n_prime @ _EZ) ** 2 - 1.0
-    out[np.arange(d), np.arange(d)] = (
-        -(ratio / 3.0) * kap * assoc_legendre2(0, 2.0 * m / (2.0 * j + 1.0)) * diag_geom
-    )
+    i = np.arange(d)
+    diag_geom = 2.5 * e_z**2 + 0.5 * n_z**2 - 1.0
+    diag = -(ratio / 3.0) * kap * assoc_legendre2(0, 2.0 * m / (2.0 * j + 1.0))
+    out[:, i, i] = np.multiply.outer(diag_geom, diag)
     if d >= 2:
-        plus = 5.0 * float(e_b @ _EZ) * complex(_EXY @ e_b) + float(n_prime @ _EZ) * complex(
-            _EXY @ n_prime
-        )
+        plus = 5.0 * e_z * e_xy + n_z * n_xy
         i = np.arange(d - 1)
         band1 = (ratio / 18.0) * kap * assoc_legendre2(1, (2.0 * m[:-1] + 1.0) / (2.0 * j + 1.0))
-        out[i, i + 1] = band1 * plus
-        out[i + 1, i] = band1 * np.conj(plus)
+        out[:, i, i + 1] = np.multiply.outer(plus, band1)
+        out[:, i + 1, i] = np.multiply.outer(np.conj(plus), band1)
     if d >= 3:
-        twist = 5.0 * complex(_EXY @ e_b) ** 2 + complex(_EXY @ n_prime) ** 2
+        twist = 5.0 * e_xy**2 + n_xy**2
         i = np.arange(d - 2)
         band2 = -(ratio / 72.0) * kap * assoc_legendre2(2, (2.0 * m[:-2] + 2.0) / (2.0 * j + 1.0))
-        out[i, i + 2] = band2 * twist
-        out[i + 2, i] = band2 * np.conj(twist)
-    return CouplingMatrix(j, n_prime, e_b, out)
+        out[:, i, i + 2] = np.multiply.outer(twist, band2)
+        out[:, i + 2, i] = np.multiply.outer(np.conj(twist), band2)
+    if not stacked:
+        e, out = e[0], out[0]
+    return CouplingMatrix(j, n_prime, e, out)
 
 
 def coupling_templates(j, mol, kappa_mode="exact"):
@@ -220,14 +233,10 @@ def averaged_coupling(j, n_prime, mol, kappa_mode="exact"):
 def averaged_coupling_quadrature(j, n_prime, mol, order=64, kappa_mode="exact"):
     """Circle-quadrature average of the coupling matrix; oracle for the
     analytic backend."""
-    u, v = circle_basis(n_prime)
     rule = make_rule("circle", order)
-    d = 2 * int(j) + 1
-    acc = np.zeros((d, d), dtype=complex)
-    for phi, w in zip(rule.nodes, rule.weights):
-        e_b = math.cos(phi) * u + math.sin(phi) * v
-        acc += w * coupling_matrix(j, n_prime, e_b, mol, kappa_mode).entries
-    return acc / (2.0 * math.pi)
+    e_b = _circle_directions(n_prime, rule.nodes)
+    coup = coupling_matrix(j, n_prime, e_b, mol, kappa_mode).entries
+    return np.tensordot(rule.weights, coup, axes=1) / (2.0 * math.pi)
 
 
 def phase_matrix(j, b, e_b, n_prime, q, spec):
@@ -240,54 +249,55 @@ def phase_matrix(j, b, e_b, n_prime, q, spec):
     return (eikonal_strength(q, spec) / b**5) * (np.eye(d) + coup.entries)
 
 
-def forward_amplitude_linearized(j, q, n_prime, spec, circle_backend="analytic", kappa_mode="exact"):
+def forward_amplitude_linearized(j, q, n_prime, spec, kappa_mode="exact"):
     """Forward amplitude with the fractional matrix power expanded to first
-    order: c(q) * (identity + (2/5) * circle-averaged coupling).
-
-    circle_backend selects the analytic average or its quadrature oracle;
-    the two agree to 1e-12.
+    order: c(q) * (identity + (2/5) * circle-averaged coupling), the average
+    taken analytically (averaged_coupling_quadrature is its oracle).
     """
     j = int(j)
     if j < 0 or q <= 0.0:
         raise ValueError("forward_amplitude_linearized: need j >= 0 and q > 0")
-    if circle_backend == "analytic":
-        bbar = averaged_coupling(j, n_prime, spec.molecule, kappa_mode)
-    elif circle_backend == "quadrature":
-        bbar = averaged_coupling_quadrature(
-            j, n_prime, spec.molecule, spec.numerics.quad_order_circle, kappa_mode
-        )
-    else:
-        raise ValueError(f"unknown circle_backend {circle_backend!r}")
+    bbar = averaged_coupling(j, n_prime, spec.molecule, kappa_mode)
     n_prime = _check_unit(n_prime, "n_prime")
     entries = forward_scalar(q, spec) * (np.eye(2 * j + 1) + 0.4 * bbar)
     return AmplitudeMatrix(j, float(q), n_prime, n_prime, entries)
 
 
+def spectral_shapes(j, nodes, spec, kappa_mode="exact"):
+    """q-independent shapes S(n') of the spectral forward amplitude
+    F(q, n') = c(q) S(n'), for an (n, 3) stack of incoming directions.
+
+    S(n') is the circle average of (identity + B(n', e_b))^{2/5} over the
+    impact directions e_b, each power taken by hermitian eigendecomposition;
+    returns the (n, d, d) stack. Raises when any eigenvalue of identity + B
+    is non-positive: the fractional-power branch only exists inside the
+    weak-anisotropy regime and clamping would silently falsify results.
+    """
+    j = int(j)
+    if j < 0:
+        raise ValueError("spectral_shapes: need j >= 0")
+    rule = make_rule("circle", spec.numerics.quad_order_circle)
+    d = 2 * j + 1
+    out = np.empty((len(nodes), d, d), dtype=complex)
+    for k, n_prime in enumerate(nodes):
+        e_b = _circle_directions(n_prime, rule.nodes)
+        coup = coupling_matrix(j, n_prime, e_b, spec.molecule, kappa_mode).entries
+        lam, vec = np.linalg.eigh(np.eye(d) + coup)
+        if np.any(lam <= 0.0):
+            raise ValueError("anisotropy too large for fractional-power branch")
+        powers = (vec * lam[:, None, :] ** 0.4) @ vec.conj().transpose(0, 2, 1)
+        out[k] = np.tensordot(rule.weights, powers, axes=1) / (2.0 * math.pi)
+    return out
+
+
 def forward_amplitude_spectral(j, q, n_prime, spec, kappa_mode="exact"):
     """Forward amplitude through the exact fractional power of the phase
-    matrix: c(q) times the circle average of (identity + B)^{2/5}, computed
-    per circle node by hermitian eigendecomposition.
-
-    Raises when any eigenvalue of identity + B is non-positive; the
-    fractional-power branch only exists inside the weak-anisotropy regime
-    and clamping would silently falsify results.
-    """
+    matrix: c(q) S(n') with the shape S from spectral_shapes."""
     j = int(j)
     if j < 0 or q <= 0.0:
         raise ValueError("forward_amplitude_spectral: need j >= 0 and q > 0")
     n_prime = _check_unit(n_prime, "n_prime")
-    u, v = circle_basis(n_prime)
-    rule = make_rule("circle", spec.numerics.quad_order_circle)
-    d = 2 * j + 1
-    acc = np.zeros((d, d), dtype=complex)
-    for phi, w in zip(rule.nodes, rule.weights):
-        e_b = math.cos(phi) * u + math.sin(phi) * v
-        coup = coupling_matrix(j, n_prime, e_b, spec.molecule, kappa_mode)
-        lam, vec = np.linalg.eigh(np.eye(d) + coup.entries)
-        if np.any(lam <= 0.0):
-            raise ValueError("anisotropy too large for fractional-power branch")
-        acc += w * ((vec * lam**0.4) @ vec.conj().T)
-    entries = forward_scalar(q, spec) * acc / (2.0 * math.pi)
+    entries = forward_scalar(q, spec) * spectral_shapes(j, n_prime[None], spec, kappa_mode)[0]
     return AmplitudeMatrix(j, float(q), n_prime, n_prime, entries)
 
 
@@ -326,17 +336,14 @@ def _radial_jump_integral(a_phase, c_transverse, pts, bmax_factor, phase_cap=PHA
 
 
 def _schiff_entries(j, q, n_out, n_in, spec, pts):
-    u, v = circle_basis(n_in)
     rule = make_rule("circle", spec.numerics.quad_order_circle)
+    e_b = _circle_directions(n_in, rule.nodes)
     d = 2 * int(j) + 1
     a_q = eikonal_strength(q, spec)
     transfer = (q / HBAR) * (np.asarray(n_out, dtype=float) - np.asarray(n_in, dtype=float))
+    lams, vecs = np.linalg.eigh(np.eye(d) + coupling_matrix(j, n_in, e_b, spec.molecule).entries)
     acc = np.zeros((d, d), dtype=complex)
-    for phi, w in zip(rule.nodes, rule.weights):
-        e_b = math.cos(phi) * u + math.sin(phi) * v
-        coup = coupling_matrix(j, n_in, e_b, spec.molecule)
-        lam, vec = np.linalg.eigh(np.eye(d) + coup.entries)
-        c_t = float(transfer @ e_b)
+    for w, lam, vec, c_t in zip(rule.weights, lams, vecs, e_b @ transfer):
         radial = np.array(
             [_radial_jump_integral(a_q * lv, c_t, pts, spec.numerics.b_max) for lv in lam]
         )

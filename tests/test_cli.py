@@ -161,6 +161,22 @@ def test_propagate_step_size_violation(tmp_path, capsys):
     assert "step-size violation" in capsys.readouterr().err
 
 
+def test_propagate_record_every_guard(tmp_path, capsys):
+    # a non-positive stride is a usage error (exit 2), not a crash or a
+    # silent every-step recording
+    for stride in ("0", "-3"):
+        out = tmp_path / ("t%s.csv" % stride)
+        code = run_cli(
+            [
+                "propagate", "n1", "--state", "centrifuge:2,4", "--tfinal", "0.05",
+                "--dt", "0.005", "--record-every", stride, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "record_every" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_propagate_state_file_and_dump(tmp_path, capsys):
     state_doc = {
         "type": "centrifuge",

@@ -9,7 +9,7 @@ from superrotor import lindblad as lb
 from superrotor import scattering
 from superrotor.mathkit import make_rule
 from superrotor.params import builtin_config, load_config
-from superrotor.rates import delta_frequency, gamma_closed_form, gamma_numeric
+from superrotor.rates import delta_frequency, energy_shift_matrix, gamma_closed_form, gamma_numeric
 
 
 def n1_spec(**changes):
@@ -329,6 +329,29 @@ def test_propagate_guards():
     other = lb.build_dissipator(spec, lb.BasisLayout(0, 1))
     with pytest.raises(ValueError, match="layout"):
         lb.propagate(state, other, spec, 0.1, 0.001)
+    for record_every in (0, -3):
+        with pytest.raises(ValueError, match="record_every"):
+            lb.propagate(state, None, spec, 0.1, 0.001, record_every=record_every)
+
+
+def test_spectral_gas_shift_follows_kappa():
+    # oracle: H_g(j) = -2 pi hbar^2 (n_g/mu) Int dq q^2 nu_th Re c(q) times
+    # the sphere sum of the public spectral shape F(q_th n)/c(q_th) at the
+    # dissipator's kappa; the isotropic factor is energy_shift_matrix / 4 pi
+    spec = spectral_spec()
+    layout = lb.BasisLayout(1, 3)
+    dset = lb.build_dissipator(spec, layout, backend="spectral", kappa_mode="half")
+    q_th = spec.thermal.thermal_momentum
+    c_th = scattering.forward_scalar(q_th, spec)
+    sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
+    for j, h in zip(layout.js, lb._hamiltonian_blocks(spec, dset)):
+        geom = sum(
+            w * scattering.forward_amplitude_spectral(j, q_th, n, spec, "half").entries / c_th
+            for n, w in zip(sphere.nodes, sphere.weights)
+        )
+        oracle = energy_shift_matrix(j, spec)[0, 0] / (4.0 * math.pi) * geom
+        shift = h - spec.molecule.rotational_energy(j) * np.eye(2 * j + 1)
+        assert np.max(np.abs(shift - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_evolve_exact_cross_check():

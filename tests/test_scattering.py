@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from superrotor.mathkit import make_rule
 from superrotor.params import builtin_config, load_config
 from superrotor.scattering import (
     AmplitudeMatrix,
     averaged_coupling,
     averaged_coupling_quadrature,
+    circle_basis,
     coupling_matrix,
     coupling_templates,
     eikonal_strength,
@@ -22,6 +24,7 @@ from superrotor.scattering import (
     scalar_cross_section_bspace,
     scalar_cross_section_closed_form,
     schiff_amplitude_full,
+    spectral_shapes,
 )
 
 # frozen 30-digit oracle: Gamma(3/5)/2 * exp(i 3 pi/10)
@@ -108,10 +111,33 @@ def test_coupling_hermitian_and_banded():
                     assert b[row, col] == 0.0
 
 
+def test_coupling_stack_matches_single_calls():
+    spec = n1_spec()
+    rng = np.random.default_rng(5)
+    for j in (0, 1, 4):
+        for mode in ("exact", "half"):
+            n = random_direction(rng)
+            u, v = circle_basis(n)
+            phis = rng.uniform(0, 2 * math.pi, size=7)
+            stack = np.array([math.cos(p) * u + math.sin(p) * v for p in phis])
+            coup = coupling_matrix(j, n, stack, spec.molecule, mode)
+            assert coup.entries.shape == (7, 2 * j + 1, 2 * j + 1)
+            for e_b, b in zip(stack, coup.entries):
+                single = coupling_matrix(j, n, e_b, spec.molecule, mode).entries
+                np.testing.assert_array_equal(b, single)
+
+
 def test_coupling_orthogonality_guard():
     spec = n1_spec()
+    tilted = np.array([0.0, math.sin(0.01), math.cos(0.01)])
     with pytest.raises(ValueError, match="orthogonal"):
-        coupling_matrix(2, EZ, np.array([0.0, math.sin(0.01), math.cos(0.01)]), spec.molecule)
+        coupling_matrix(2, EZ, tilted, spec.molecule)
+    # one bad row in a stack of impact directions trips the guard
+    with pytest.raises(ValueError, match="orthogonal"):
+        coupling_matrix(2, EZ, np.array([EX, tilted, [0.0, 1.0, 0.0]]), spec.molecule)
+    # the incoming direction stays a single vector
+    with pytest.raises(ValueError, match="n_prime"):
+        coupling_matrix(2, np.array([EZ, EZ]), EX, spec.molecule)
 
 
 def test_phase_matrix_isotropic_identity():
@@ -162,10 +188,43 @@ def test_linearized_backends_agree():
     spec = n1_spec()
     rng = np.random.default_rng(11)
     n = random_direction(rng)
-    a1 = forward_amplitude_linearized(6, 1.3, n, spec, circle_backend="analytic")
-    a2 = forward_amplitude_linearized(6, 1.3, n, spec, circle_backend="quadrature")
+    a1 = forward_amplitude_linearized(6, 1.3, n, spec)
+    bbar = averaged_coupling_quadrature(6, n, spec.molecule, spec.numerics.quad_order_circle)
+    a2 = forward_scalar(1.3, spec) * (np.eye(13) + 0.4 * bbar)
     scale = np.max(np.abs(a1.entries))
-    assert np.max(np.abs(a1.entries - a2.entries)) <= 1e-12 * scale
+    assert np.max(np.abs(a1.entries - a2)) <= 1e-12 * scale
+
+
+def circle_loop_shape(j, n_prime, spec, kappa_mode):
+    """Oracle: S(n') node by node on the circle, one coupling matrix and one
+    eigendecomposition of identity + B per impact direction."""
+    u, v = circle_basis(n_prime)
+    rule = make_rule("circle", spec.numerics.quad_order_circle)
+    d = 2 * j + 1
+    acc = np.zeros((d, d), dtype=complex)
+    for phi, w in zip(rule.nodes, rule.weights):
+        e_b = math.cos(phi) * u + math.sin(phi) * v
+        coup = coupling_matrix(j, n_prime, e_b, spec.molecule, kappa_mode)
+        lam, vec = np.linalg.eigh(np.eye(d) + coup.entries)
+        acc += w * ((vec * lam**0.4) @ vec.conj().T)
+    return acc / (2.0 * math.pi)
+
+
+def test_spectral_shapes_match_circle_loop():
+    # alpha_aniso / alpha_mean = 1 keeps identity + B positive while the
+    # fractional power is far from its linearization
+    spec = eps_spec(2.0 / 3.0)
+    rng = np.random.default_rng(13)
+    nodes = np.array([EZ, EX, N_DIAG] + [random_direction(rng) for _ in range(3)])
+    for j in (0, 1, 3, 6):
+        for mode in ("exact", "half"):
+            shapes = spectral_shapes(j, nodes, spec, mode)
+            assert shapes.shape == (len(nodes), 2 * j + 1, 2 * j + 1)
+            for n, shape in zip(nodes, shapes):
+                oracle = circle_loop_shape(j, n, spec, mode)
+                assert np.max(np.abs(shape - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+            amp = forward_amplitude_spectral(j, 1.3, nodes[2], spec, mode).entries
+            np.testing.assert_array_equal(amp, forward_scalar(1.3, spec) * shapes[2])
 
 
 def test_forward_is_scalar_times_hermitian():
