@@ -216,6 +216,10 @@ class DissipatorSet:
     aniso_mean is the sphere mean (1/4 pi) Int d^2n' A(n') of the anisotropy
     the family discretizes.  The gas shift is the isotropic shift times
     I + aniso_mean, so it shares the family's amplitude model and kappa.
+
+    When every A_k lies on one diagonal m' - m = q_k (the linearized
+    templates), A rho A^+ is an elementwise product of shifted blocks and
+    kmat is diagonal, so apply skips the block matrix products.
     """
 
     layout: BasisLayout
@@ -225,11 +229,13 @@ class DissipatorSet:
     aniso_mean: np.ndarray  # (n_blocks, d_max, d_max), zero-padded blocks
     metadata: dict = field(default_factory=dict)
     kmat: np.ndarray = field(init=False)  # (n_blocks, d_max, d_max)
+    bands: list = field(init=False, repr=False)  # see _single_bands
 
     def __post_init__(self):
         self.kmat = np.einsum(
             "k,kiba,kibc->iac", self.weights, self.ops.conj(), self.ops, optimize=True
         )
+        self.bands = _single_bands(self.collision_weight, self.weights, self.ops, self.kmat)
 
     @property
     def converged(self):
@@ -260,10 +266,47 @@ class DissipatorSet:
 
     def apply(self, packed):
         """Dissipator action on a packed (n_j, n_j, d, d) block array."""
-        acc = -0.5 * (self.kmat[:, None] @ packed + packed @ self.kmat[None, :])
-        for w, op in zip(self.weights, self.ops):
-            acc += w * (op[:, None] @ packed @ op.conj().transpose(0, 2, 1)[None, :])
-        return self.collision_weight * acc
+        if self.bands is None:
+            acc = -0.5 * (self.kmat[:, None] @ packed + packed @ self.kmat[None, :])
+            for w, op in zip(self.weights, self.ops):
+                acc += w * (op[:, None] @ packed @ op.conj().transpose(0, 2, 1)[None, :])
+            return self.collision_weight * acc
+        anti, shifts = self.bands
+        acc = anti * packed
+        for dst, src, gain in shifts:
+            acc[:, :, dst, dst] += gain * packed[:, :, src, src]
+        return acc
+
+
+def _single_bands(collision_weight, weights, ops, kmat):
+    """Elementwise form of the generator when every op's entries lie on one
+    diagonal q, else None.
+
+    Then (A rho A^+)[m, m'] = a[m] rho[m + q, m' + q] a[m']^* with
+    a[m] = A[m, m + q], and kmat is diagonal.  Returns (anti, shifts): anti
+    multiplies rho for the anticommutator, and each (dst, src, gain) adds
+    gain * rho[src, src] to the [dst, dst] corner of every block pair.
+    """
+    d = ops.shape[-1]
+    shifts = []
+    for w, op in zip(weights, ops):
+        rows, cols = np.nonzero(np.any(op != 0, axis=0))
+        offsets = set((cols - rows).tolist())
+        if len(offsets) > 1:
+            return None
+        q = offsets.pop() if offsets else 0
+        if q >= 0:
+            dst, src = slice(0, d - q), slice(q, d)
+        else:
+            dst, src = slice(-q, d), slice(0, d + q)
+        a = np.diagonal(op, offset=q, axis1=1, axis2=2)
+        if not np.any(a.imag):
+            a = a.real
+        gain = (collision_weight * w) * a[:, None, :, None] * a.conj()[None, :, None, :]
+        shifts.append((dst, src, gain))
+    kdiag = np.diagonal(kmat, axis1=1, axis2=2).real
+    anti = (-0.5 * collision_weight) * (kdiag[:, None, :, None] + kdiag[None, :, None, :])
+    return anti, shifts
 
 
 def _collision_weight(spec):

@@ -176,6 +176,8 @@ def test_apply_matches_literal_jump_sum_linearized():
     spec = n1_spec()
     layout = lb.BasisLayout(0, 3)
     dset = lb.build_dissipator(spec, layout)
+    # each template lies on one diagonal, so apply takes the elementwise path
+    assert dset.bands is not None
     state = random_state(layout, seed=7)
     fast = lb.apply_dissipator(dset, state)
     lit = literal_dissipator_action(spec, layout, "linearized", state.matrix)
@@ -186,6 +188,7 @@ def test_apply_matches_literal_jump_sum_spectral():
     spec = spectral_spec()
     layout = lb.BasisLayout(1, 3)
     dset = lb.build_dissipator(spec, layout, backend="spectral")
+    assert dset.bands is None
     state = random_state(layout, seed=11)
     fast = lb.apply_dissipator(dset, state)
     lit = literal_dissipator_action(spec, layout, "spectral", state.matrix)
