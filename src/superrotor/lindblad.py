@@ -229,7 +229,7 @@ class DissipatorSet:
     aniso_mean: np.ndarray  # (n_blocks, d_max, d_max), zero-padded blocks
     metadata: dict = field(default_factory=dict)
     kmat: np.ndarray = field(init=False)  # (n_blocks, d_max, d_max)
-    bands: list = field(init=False, repr=False)  # see _single_bands
+    bands: tuple = field(init=False, repr=False)  # or None; see _single_bands
 
     def __post_init__(self):
         self.kmat = np.einsum(
