@@ -233,6 +233,8 @@ def cmd_sweep(args):
     t0 = time.perf_counter()
     if args.jmin < 2:
         raise ValueError("sweep needs jmin >= 2")
+    if args.jmin > args.jmax:
+        raise ValueError("sweep needs jmin <= jmax (got %d > %d)" % (args.jmin, args.jmax))
     if args.jmax > spec.numerics.j_max:
         raise ValueError(
             "jmax %d exceeds basis limit %d" % (args.jmax, spec.numerics.j_max)
@@ -268,19 +270,24 @@ def cmd_propagate(args):
     t0 = time.perf_counter()
     layout, kind = _parse_state(args.state, args.jwindow)
     rho0 = _build_state(layout, kind)
-    dset = lb.build_dissipator(spec, layout, backend=args.backend, kappa_mode=args.kappa)
-    flags = []
-    if not dset.converged:
-        flags.append("dissipator quadrature not converged")
-
     if args.signal:
         signal_js = [int(x) for x in args.signal.split(",")]
+        for j in signal_js:
+            if not layout.j_min + 2 <= j <= layout.j_max:
+                raise ValueError(
+                    "signal j=%d needs j >= 2 with j and j-2 in layout [%d, %d]"
+                    % (j, layout.j_min, layout.j_max)
+                )
     else:
         signal_js = [
             j
             for j in layout.js
             if j - 2 >= layout.j_min and lb.alignment_signal(rho0, j) > 0
         ]
+    dset = lb.build_dissipator(spec, layout, backend=args.backend, kappa_mode=args.kappa)
+    flags = []
+    if not dset.converged:
+        flags.append("dissipator quadrature not converged")
     try:
         traj = lb.propagate(
             rho0, dset, spec, args.tfinal, args.dt, record_every=args.record_every

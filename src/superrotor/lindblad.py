@@ -5,6 +5,9 @@ rigid-rotor Hamiltonian, H_g the gas-induced energy shift, and D a Lindblad
 dissipator built from forward scattering amplitudes.  Every jump operator is
 block diagonal over j, so block populations are conserved exactly and the
 dynamics factorizes into (j, j') sectors.
+
+Density matrices and jump operators (DissipatorSet.ops, shape (n_ops, D, D))
+are dense D x D matrices on one BasisLayout, with D = layout.dim.
 """
 
 import math
@@ -74,6 +77,10 @@ class BasisLayout:
     def offset(self, j):
         self._check(j)
         return j**2 - self.j_min**2
+
+    @property
+    def block_sizes(self):
+        return [2 * j + 1 for j in self.js]
 
     def block_slice(self, j):
         off = self.offset(j)
@@ -170,35 +177,6 @@ def gaussian_profile(layout, center, width):
     return {j: complex(a) for j, a in zip(layout.js, amp)}
 
 
-def _pad_blocks(blocks, d_max):
-    out = np.zeros((len(blocks), d_max, d_max), dtype=complex)
-    for i, b in enumerate(blocks):
-        d = b.shape[0]
-        out[i, :d, :d] = b
-    return out
-
-
-def _pack(dense, layout, d_max):
-    js = list(layout.js)
-    packed = np.zeros((len(js), len(js), d_max, d_max), dtype=complex)
-    for a, j in enumerate(js):
-        for b, k in enumerate(js):
-            blk = dense[layout.block_slice(j), layout.block_slice(k)]
-            packed[a, b, : blk.shape[0], : blk.shape[1]] = blk
-    return packed
-
-
-def _unpack(packed, layout):
-    dense = np.zeros((layout.dim, layout.dim), dtype=complex)
-    js = list(layout.js)
-    for a, j in enumerate(js):
-        for b, k in enumerate(js):
-            dense[layout.block_slice(j), layout.block_slice(k)] = packed[
-                a, b, : 2 * j + 1, : 2 * k + 1
-            ]
-    return dense
-
-
 @dataclass
 class DissipatorSet:
     """Weighted family of block-diagonal Lindblad operators.
@@ -210,40 +188,41 @@ class DissipatorSet:
     Each jump of the quadrature-discretized (q, n') family is c(q) (I + A),
     with A hermitian and q-independent, so its identity part cancels from the
     generator exactly and the radial average collapses into
-    collision_weight; the A_k and w_k carry the direction average.  kmat is
-    the anticommutator kernel sum_k w_k A_k^+ A_k.
+    collision_weight; the A_k and w_k carry the direction average.  The A_k
+    are dense D x D matrices on the layout, zero outside the diagonal j
+    blocks.  kmat is the anticommutator kernel sum_k w_k A_k^+ A_k.
 
     aniso_mean is the sphere mean (1/4 pi) Int d^2n' A(n') of the anisotropy
     the family discretizes.  The gas shift is the isotropic shift times
     I + aniso_mean, so it shares the family's amplitude model and kappa.
 
     When every A_k lies on one diagonal m' - m = q_k (the linearized
-    templates), A rho A^+ is an elementwise product of shifted blocks and
-    kmat is diagonal, so apply skips the block matrix products.
+    templates), A rho A^+ is an elementwise product of shifted matrices and
+    kmat is diagonal, so apply skips the matrix products.
     """
 
     layout: BasisLayout
     collision_weight: float
     weights: np.ndarray  # (n_ops,)
-    ops: np.ndarray  # (n_ops, n_blocks, d_max, d_max), zero-padded blocks
-    aniso_mean: np.ndarray  # (n_blocks, d_max, d_max), zero-padded blocks
+    ops: np.ndarray  # (n_ops, D, D), block diagonal
+    aniso_mean: np.ndarray  # (D, D), block diagonal
     metadata: dict = field(default_factory=dict)
-    kmat: np.ndarray = field(init=False)  # (n_blocks, d_max, d_max)
+    kmat: np.ndarray = field(init=False)  # (D, D), block diagonal
     bands: tuple = field(init=False, repr=False)  # or None; see _single_bands
 
     def __post_init__(self):
-        self.kmat = np.einsum(
-            "k,kiba,kibc->iac", self.weights, self.ops.conj(), self.ops, optimize=True
-        )
+        # block by block: a dense product would cost D^3 per op
+        self.kmat = np.zeros_like(self.aniso_mean)
+        for _, sl in self.layout.blocks():
+            blk = self.ops[:, sl, sl]
+            self.kmat[sl, sl] = np.einsum(
+                "k,kba,kbc->ac", self.weights, blk.conj(), blk, optimize=True
+            )
         self.bands = _single_bands(self.collision_weight, self.weights, self.ops, self.kmat)
 
     @property
     def converged(self):
         return bool(self.metadata.get("converged", True))
-
-    @property
-    def d_max(self):
-        return 2 * self.layout.j_max + 1
 
     @property
     def jump_scale(self):
@@ -253,28 +232,27 @@ class DissipatorSet:
     @classmethod
     def empty(cls, layout):
         """No jumps; the gas energy shift is the isotropic one."""
-        d_max = 2 * layout.j_max + 1
-        n = layout.j_max - layout.j_min + 1
+        d = layout.dim
         return cls(
             layout=layout,
             collision_weight=0.0,
             weights=np.zeros(0),
-            ops=np.zeros((0, n, d_max, d_max), dtype=complex),
-            aniso_mean=np.zeros((n, d_max, d_max), dtype=complex),
+            ops=np.zeros((0, d, d), dtype=complex),
+            aniso_mean=np.zeros((d, d), dtype=complex),
             metadata={"converged": True},
         )
 
-    def apply(self, packed):
-        """Dissipator action on a packed (n_j, n_j, d, d) block array."""
+    def apply(self, rho):
+        """Dissipator action on a dense D x D density matrix."""
         if self.bands is None:
-            acc = -0.5 * (self.kmat[:, None] @ packed + packed @ self.kmat[None, :])
+            acc = -0.5 * (self.kmat @ rho + rho @ self.kmat)
             for w, op in zip(self.weights, self.ops):
-                acc += w * (op[:, None] @ packed @ op.conj().transpose(0, 2, 1)[None, :])
+                acc += w * (op @ rho @ op.conj().T)
             return self.collision_weight * acc
         anti, shifts = self.bands
-        acc = anti * packed
+        acc = anti * rho
         for dst, src, gain in shifts:
-            acc[:, :, dst, dst] += gain * packed[:, :, src, src]
+            acc[dst, dst] += gain * rho[src, src]
         return acc
 
 
@@ -282,15 +260,17 @@ def _single_bands(collision_weight, weights, ops, kmat):
     """Elementwise form of the generator when every op's entries lie on one
     diagonal q, else None.
 
-    Then (A rho A^+)[m, m'] = a[m] rho[m + q, m' + q] a[m']^* with
-    a[m] = A[m, m + q], and kmat is diagonal.  Returns (anti, shifts): anti
+    Then (A rho A^+)[r, c] = a[r] rho[r + q, c + q] a[c]^* with
+    a[r] = A[r, r + q], and kmat is diagonal.  A block-diagonal op keeps the
+    diagonal q of each block on the diagonal q of the whole matrix, with
+    zeros where it would cross a block edge.  Returns (anti, shifts): anti
     multiplies rho for the anticommutator, and each (dst, src, gain) adds
-    gain * rho[src, src] to the [dst, dst] corner of every block pair.
+    gain * rho[src, src] to rho's [dst, dst] corner.
     """
     d = ops.shape[-1]
     shifts = []
     for w, op in zip(weights, ops):
-        rows, cols = np.nonzero(np.any(op != 0, axis=0))
+        rows, cols = np.nonzero(op)
         offsets = set((cols - rows).tolist())
         if len(offsets) > 1:
             return None
@@ -299,13 +279,13 @@ def _single_bands(collision_weight, weights, ops, kmat):
             dst, src = slice(0, d - q), slice(q, d)
         else:
             dst, src = slice(-q, d), slice(0, d + q)
-        a = np.diagonal(op, offset=q, axis1=1, axis2=2)
+        a = np.diagonal(op, offset=q)
         if not np.any(a.imag):
             a = a.real
-        gain = (collision_weight * w) * a[:, None, :, None] * a.conj()[None, :, None, :]
+        gain = (collision_weight * w) * np.outer(a, a.conj())
         shifts.append((dst, src, gain))
-    kdiag = np.diagonal(kmat, axis1=1, axis2=2).real
-    anti = (-0.5 * collision_weight) * (kdiag[:, None, :, None] + kdiag[None, :, None, :])
+    kdiag = np.diagonal(kmat).real
+    anti = (-0.5 * collision_weight) * (kdiag[:, None] + kdiag[None, :])
     return anti, shifts
 
 
@@ -325,24 +305,19 @@ def _jump_family(spec, layout, backend, kappa_mode):
     Spectral: the hermitized anisotropy S(n') - I of the fractional-power
     shape at every sphere node, weighted by the sphere rule.
     """
-    d_max = 2 * layout.j_max + 1
-    n_blocks = layout.j_max - layout.j_min + 1
+    d = layout.dim
     if backend == "linearized":
-        ops = np.zeros((5, n_blocks, d_max, d_max), dtype=complex)
-        for i, j in enumerate(layout.js):
-            ops[:, i, : 2 * j + 1, : 2 * j + 1] = scattering.coupling_templates(
-                j, spec.molecule, kappa_mode
-            )
-        mean = np.zeros((n_blocks, d_max, d_max), dtype=complex)
-        return 0.16 * np.array(TEMPLATE_MOMENTS), ops, mean
+        ops = np.zeros((5, d, d), dtype=complex)
+        for j, sl in layout.blocks():
+            ops[:, sl, sl] = scattering.coupling_templates(j, spec.molecule, kappa_mode)
+        return 0.16 * np.array(TEMPLATE_MOMENTS), ops, np.zeros((d, d), dtype=complex)
     if backend != "spectral":
         raise ValueError("unknown backend %r" % backend)
     sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
-    ops = np.zeros((len(sphere.weights), n_blocks, d_max, d_max), dtype=complex)
-    for i, j in enumerate(layout.js):
-        d = 2 * j + 1
-        aniso = scattering.spectral_shapes(j, sphere.nodes, spec, kappa_mode) - np.eye(d)
-        ops[:, i, :d, :d] = 0.5 * (aniso + aniso.conj().transpose(0, 2, 1))
+    ops = np.zeros((len(sphere.weights), d, d), dtype=complex)
+    for j, sl in layout.blocks():
+        aniso = scattering.spectral_shapes(j, sphere.nodes, spec, kappa_mode) - np.eye(2 * j + 1)
+        ops[:, sl, sl] = 0.5 * (aniso + aniso.conj().transpose(0, 2, 1))
     return sphere.weights, ops, np.tensordot(sphere.weights, ops, axes=1) / (4.0 * math.pi)
 
 
@@ -375,10 +350,9 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
     probe = centrifuge_state(
         layout, gaussian_profile(layout, 0.5 * (layout.j_min + layout.j_max), 2.0)
     )
-    packed = _pack(probe.matrix, layout, dset.d_max)
-    ref = fine.apply(packed)
+    ref = fine.apply(probe.matrix)
     scale = float(np.max(np.abs(ref)))
-    drift = float(np.max(np.abs(ref - dset.apply(packed)))) / scale if scale > 0.0 else 0.0
+    drift = float(np.max(np.abs(ref - dset.apply(probe.matrix)))) / scale if scale > 0.0 else 0.0
     dset.metadata = {
         "backend": backend,
         "kappa_mode": kappa_mode,
@@ -394,31 +368,34 @@ def apply_dissipator(dset, state):
     """Time-derivative contribution D rho as a dense matrix."""
     if state.layout != dset.layout:
         raise ValueError("state layout does not match dissipator layout")
-    packed = _pack(state.matrix, state.layout, dset.d_max)
-    return _unpack(dset.apply(packed), state.layout)
+    return dset.apply(state.matrix)
 
 
-def _hamiltonian_blocks(spec, dset):
-    """Blocks of H + H_g with the gas shift H_g(j) = s_iso (I + aniso_mean_j)
-    of the dissipator's own jump family."""
-    blocks = []
-    for i, j in enumerate(dset.layout.js):
-        d = 2 * j + 1
-        shape = np.eye(d) + dset.aniso_mean[i, :d, :d]
-        h = energy_shift_matrix(j, spec) @ shape
-        blocks.append(h + spec.molecule.rotational_energy(j) * np.eye(d))
-    return blocks
+def _hamiltonian(spec, dset):
+    """H + H_g split into block scalars and a block-diagonal residual.
+
+    The gas shift H_g(j) = s_iso (I + aniso_mean_j) comes from the
+    dissipator's own jump family.  On block j, H + H_g is the scalar
+    levels[j] = E_j + s_iso plus the D x D residual s_iso aniso_mean, which
+    is zero for the linearized family.
+    """
+    js = dset.layout.js
+    s_iso = np.array([energy_shift_matrix(j, spec)[0, 0] for j in js])
+    levels = s_iso + np.array([spec.molecule.rotational_energy(j) for j in js])
+    residual = np.repeat(s_iso, dset.layout.block_sizes)[:, None] * dset.aniso_mean
+    return levels, residual
 
 
-def _frequency_spread(h_blocks):
-    eigs = np.concatenate([np.linalg.eigvalsh(h) for h in h_blocks])
+def _frequency_spread(layout, levels, residual):
+    blocks = zip(levels, layout.blocks())
+    eigs = np.concatenate([lev + np.linalg.eigvalsh(residual[sl, sl]) for lev, (_, sl) in blocks])
     return float((eigs.max() - eigs.min()) / HBAR)
 
 
 def coherent_frequency_spread(spec, layout, backend="linearized"):
     """Width of the spectrum of (H + H_g)/hbar across the layout, with the
     gas shift of the backend's jump family at exact kappa."""
-    return _frequency_spread(_hamiltonian_blocks(spec, _assemble(spec, layout, backend, "exact")))
+    return _frequency_spread(layout, *_hamiltonian(spec, _assemble(spec, layout, backend, "exact")))
 
 
 def propagate(rho0, dset, spec, t_final, dt, record_every=None):
@@ -439,8 +416,8 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     if record_every is not None and record_every < 1:
         raise ValueError("record_every must be at least 1")
 
-    h_blocks = _hamiltonian_blocks(spec, dset)
-    spread = _frequency_spread(h_blocks)
+    levels, residual = _hamiltonian(spec, dset)
+    spread = _frequency_spread(layout, levels, residual)
     n_steps = max(1, int(round(t_final / dt)))
     dt = t_final / n_steps
     if dt * spread > 0.1 + 1e-12:
@@ -450,49 +427,37 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     if record_every is None:
         record_every = max(1, n_steps // 200)
 
-    d_max = dset.d_max
-    hpad = _pad_blocks(h_blocks, d_max)
-    # When every Hamiltonian block is a scalar (rigid rotor plus block-scalar
-    # gas shift), the coherent rotation commutes with the block-diagonal jumps
-    # and factors out of the flow exactly.  RK4 then only sees the slow
-    # dissipative motion and the fast phases are applied in closed form.
-    scalars = []
-    rotating_frame = True
-    for h in h_blocks:
-        s = complex(np.trace(h)) / h.shape[0]
-        if np.max(np.abs(h - s * np.eye(h.shape[0]))) > 1e-12 * max(1.0, np.max(np.abs(h))):
-            rotating_frame = False
-            break
-        scalars.append(s.real)
-    if rotating_frame:
-        levels = np.array(scalars)
-        omega_blocks = (levels[:, None] - levels[None, :]) / HBAR
+    # RK4 runs in the rotating frame of the block scalars, which commute with
+    # every block-diagonal jump and with the residual, so they factor out of
+    # the flow exactly.  RK4 then sees only the slow dissipative motion and
+    # the residual gas shift, and the fast phases are applied in closed form.
+    omega = (levels[:, None] - levels[None, :]) / HBAR
+    sizes = layout.block_sizes
+    coherent = (-1j / HBAR) * residual if np.any(residual) else None
 
-    def deriv(packed):
-        out = dset.apply(packed)
-        if not rotating_frame:
-            out += (-1j / HBAR) * (hpad[:, None] @ packed - packed @ hpad[None, :])
+    def deriv(rho):
+        out = dset.apply(rho)
+        if coherent is not None:
+            out += coherent @ rho - rho @ coherent
         return out
 
-    def snapshot(packed, elapsed):
-        if rotating_frame:
-            phase = np.exp(-1j * omega_blocks * elapsed)[:, :, None, None]
-            return _unpack(packed * phase, layout)
-        return _unpack(packed, layout)
+    def snapshot(rho, elapsed):
+        phase = np.exp(-1j * omega * elapsed)
+        return rho * np.repeat(np.repeat(phase, sizes, axis=0), sizes, axis=1)
 
-    packed = _pack(rho0.matrix, layout, d_max)
+    rho = rho0.matrix
     traj = [rho0]
     for step in range(1, n_steps + 1):
-        k1 = deriv(packed)
-        k2 = deriv(packed + (0.5 * dt) * k1)
-        k3 = deriv(packed + (0.5 * dt) * k2)
-        k4 = deriv(packed + dt * k3)
-        packed = packed + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = deriv(rho)
+        k2 = deriv(rho + (0.5 * dt) * k1)
+        k3 = deriv(rho + (0.5 * dt) * k2)
+        k4 = deriv(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         monitor = step % DIAG_INTERVAL == 0 or step == n_steps
         record = step % record_every == 0 or step == n_steps
         if monitor or record:
             t = rho0.time + step * dt
-            dense = snapshot(packed, step * dt)
+            dense = snapshot(rho, step * dt)
             # every recorded frame passes the trace and hermiticity monitor
             # first, so drift surfaces as NumericalDriftError and never as
             # the RotorState constructor's ValueError
@@ -527,28 +492,19 @@ def evolve_exact(rho0, dset, spec, t_final):
         raise ValueError("exact path limited to D <= 60 (D = %d)" % d)
     if dset is None:
         dset = DissipatorSet.empty(layout)
-    h = _block_diag(_hamiltonian_blocks(spec, dset), layout)
+    levels, residual = _hamiltonian(spec, dset)
+    h = np.diag(np.repeat(levels, layout.block_sizes)) + residual
     eye = np.eye(d)
     # row-major vec(A rho B) = kron(A, B^T) vec(rho)
     sup = (-1j / HBAR) * (np.kron(h, eye) - np.kron(eye, h.T))
     cw = dset.collision_weight
     for w, op in zip(dset.weights, dset.ops):
-        a = _block_diag(op, layout)
-        sup += cw * w * np.kron(a, a.conj())
-    kdense = _block_diag(dset.kmat, layout)
-    sup -= 0.5 * cw * (np.kron(kdense, eye) + np.kron(eye, kdense.T))
+        sup += cw * w * np.kron(op, op.conj())
+    sup -= 0.5 * cw * (np.kron(dset.kmat, eye) + np.kron(eye, dset.kmat.T))
 
     prop = scipy.linalg.expm(sup * t_final)
     vec = prop @ rho0.matrix.reshape(-1)
     return RotorState(layout, vec.reshape(d, d), rho0.time + t_final)
-
-
-def _block_diag(blocks, layout):
-    """Dense block-diagonal matrix from per-j blocks (padded or exact size)."""
-    dense = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for (j, sl), blk in zip(layout.blocks(), blocks):
-        dense[sl, sl] = blk[: 2 * j + 1, : 2 * j + 1]
-    return dense
 
 
 def alignment_signal(rho, j):

@@ -94,13 +94,11 @@ class ThermalContext:
 class NumericsSpec:
     """Discretization knobs with documented defaults.
 
-    j_min/j_max bound the rotational basis available to sweeps and density
-    matrices. b_max is the outer cutoff of impact-parameter integrals in
-    units of the eikonal phase length a(q)^(1/5); b_nodes is the Gauss node
-    count per adaptive radial panel.
+    j_max bounds the j range of sweeps. b_max is the outer cutoff of
+    impact-parameter integrals in units of the eikonal phase length
+    a(q)^(1/5); b_nodes is the Gauss node count per adaptive radial panel.
     """
 
-    j_min: int = 0
     j_max: int = 1000
     quad_order_q: int = 48
     quad_order_sphere: int = 302
@@ -109,8 +107,8 @@ class NumericsSpec:
     b_nodes: int = 8
 
     def __post_init__(self):
-        if not 0 <= self.j_min <= self.j_max:
-            raise ValueError("numerics: need 0 <= j_min <= j_max")
+        if self.j_max < 0:
+            raise ValueError("numerics.j_max must be >= 0")
         for name in ("quad_order_q", "quad_order_sphere", "quad_order_circle", "b_nodes"):
             if getattr(self, name) < 4:
                 raise ValueError(f"numerics.{name} must be >= 4")
@@ -184,7 +182,7 @@ _MOLECULE_KEYS = {"mass", "moment_of_inertia", "rotational_constant", "alpha_mea
 _GAS_KEYS = {"mass", "temperature", "density", "pressure", "c6"}
 _NUMERICS_KEYS = {f.name for f in fields(NumericsSpec)}
 _UNITS_KEYS = {"system"}
-_NUMERICS_INT = {"j_min", "j_max", "quad_order_q", "quad_order_sphere", "quad_order_circle", "b_nodes"}
+_NUMERICS_INT = {"j_max", "quad_order_q", "quad_order_sphere", "quad_order_circle", "b_nodes"}
 
 
 def _check_section(label, section, allowed):

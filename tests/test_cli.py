@@ -94,6 +94,17 @@ def test_sweep_jmax_guard(tmp_path, capsys):
     assert "exceeds basis limit" in capsys.readouterr().err
 
 
+def test_sweep_rejects_empty_range(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    svg = tmp_path / "s.svg"
+    code = run_cli(
+        ["sweep", "n1", "--jmin", "10", "--jmax", "5", "--out", str(out), "--plot", str(svg)]
+    )
+    assert code == 2
+    assert "jmin <= jmax" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _n1_text():
     from superrotor.params import builtin_config
 
@@ -221,6 +232,21 @@ def test_propagate_bad_state(capsys):
     assert run_cli(["propagate", "n1", "--state", "isotropic",
                     "--tfinal", "0.1", "--dt", "0.01"]) == 2
     assert "jwindow" in capsys.readouterr().err
+
+
+def test_propagate_signal_checked_before_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("propagation started")
+
+    monkeypatch.setattr(lb, "build_dissipator", no_run)
+    out = tmp_path / "traj.csv"
+    # centrifuge:8,10 gives the layout [6, 10]
+    for signal in ("7", "12", "1", "8,7"):
+        code = run_cli(["propagate", "n1", "--state", "centrifuge:8,10", "--tfinal", "0.1",
+                        "--dt", "0.01", "--signal", signal, "--out", str(out)])
+        assert code == 2
+        assert "layout [6, 10]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_filtered(tmp_path, capsys):

@@ -347,7 +347,9 @@ def test_spectral_gas_shift_follows_kappa():
     q_th = spec.thermal.thermal_momentum
     c_th = scattering.forward_scalar(q_th, spec)
     sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
-    for j, h in zip(layout.js, lb._hamiltonian_blocks(spec, dset)):
+    levels, residual = lb._hamiltonian(spec, dset)
+    for level, (j, sl) in zip(levels, layout.blocks()):
+        h = level * np.eye(2 * j + 1) + residual[sl, sl]
         geom = sum(
             w * scattering.forward_amplitude_spectral(j, q_th, n, spec, "half").entries / c_th
             for n, w in zip(sphere.nodes, sphere.weights)
@@ -376,6 +378,23 @@ def test_evolve_exact_spectral_backend():
     rho0 = lb.centrifuge_state(layout, {1: 2**-0.5, 3: 2**-0.5})
     exact = lb.evolve_exact(rho0, dset, spec, 0.5)
     rk4 = lb.propagate(rho0, dset, spec, 0.5, 0.005)[-1]
+    assert np.max(np.abs(exact.matrix - rk4.matrix)) <= 1e-10
+
+
+def test_spectral_rk4_at_step_bound_matches_exact():
+    # the block scalars E_j + s_iso rotate at the full coherent spread; in
+    # their rotating frame RK4 sees only the dissipator and the small
+    # residual shift, so dt near the dt * max|Delta| = 0.1 bound stays exact
+    spec = spectral_spec()
+    layout = lb.BasisLayout(2, 4)
+    dset = lb.build_dissipator(spec, layout, backend="spectral")
+    coherent = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 3.0, 1.0))
+    iso = lb.isotropic_state(layout, {j: 1.0 / 3.0 for j in layout.js})
+    rho0 = lb.RotorState(layout, 0.5 * (coherent.matrix + iso.matrix))
+    dt = 0.099 / lb.coherent_frequency_spread(spec, layout, backend="spectral")
+    t_final = 200 * dt
+    rk4 = lb.propagate(rho0, dset, spec, t_final, dt)[-1]
+    exact = lb.evolve_exact(rho0, dset, spec, t_final)
     assert np.max(np.abs(exact.matrix - rk4.matrix)) <= 1e-10
 
 

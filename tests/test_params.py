@@ -185,14 +185,13 @@ def test_numerics_defaults():
 
 
 def test_numerics_validation():
-    with pytest.raises(ValueError, match="j_min"):
-        NumericsSpec(j_min=5, j_max=3)
     with pytest.raises(ValueError, match="quad_order_q"):
         NumericsSpec(quad_order_q=2)
-    # the tolerances live with the code that applies them, not in the config
-    for key in ("tol_trace", "tol_fit"):
+    # the tolerances live with the code that applies them, not in the config,
+    # and layouts take their j range from the state, not from numerics
+    for key, value in (("tol_trace", 1e-8), ("tol_fit", 1e-8), ("j_min", 5)):
         with pytest.raises(ValueError, match="unknown key"):
-            load_config(doc(numerics={key: 1e-8}))
+            load_config(doc(numerics={key: value}))
 
 
 def test_si_input_lands_on_internal_scales():
