@@ -153,12 +153,14 @@ def _parse_state(arg, layout_arg):
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError("cannot read state %s: %s" % (arg, exc))
+        if not isinstance(doc, dict):
+            raise ValueError("state file %s must hold a JSON object" % arg)
         if doc.get("type") == "centrifuge":
-            coeff = {int(j): _as_complex(c) for j, c in doc["coefficients"].items()}
+            coeff = {int(j): _as_complex(c) for j, c in _state_field(doc, "coefficients").items()}
             kind = ("centrifuge", coeff)
             lo, hi = min(coeff), max(coeff)
         elif doc.get("type") == "isotropic":
-            pops = {int(j): float(p) for j, p in doc["populations"].items()}
+            pops = {int(j): float(p) for j, p in _state_field(doc, "populations").items()}
             kind = ("isotropic", pops)
             lo, hi = min(pops), max(pops)
         else:
@@ -172,6 +174,16 @@ def _parse_state(arg, layout_arg):
             raise ValueError("isotropic builtin needs an explicit --jwindow")
         layout = lb.BasisLayout(max(0, lo - 2), hi)
     return layout, kind
+
+
+def _state_field(doc, name):
+    """The nonempty JSON object a state file holds under name."""
+    if name not in doc:
+        raise ValueError("state file has no %r field" % name)
+    value = doc[name]
+    if not isinstance(value, dict) or not value:
+        raise ValueError("state file field %r must be a nonempty object" % name)
+    return value
 
 
 def _as_complex(v):

@@ -8,6 +8,13 @@ dynamics factorizes into (j, j') sectors.
 
 Density matrices and jump operators (DissipatorSet.ops, shape (n_ops, D, D))
 are dense D x D matrices on one BasisLayout, with D = layout.dim.
+
+When every jump lies on one diagonal q (the linearized templates) the
+generator also keeps Q = m - m' inside each block: every diagonal of a block
+rho_{jj'} is a chain that evolves on its own, and propagate exponentiates the
+chains rho0 occupies exactly.  Dense families (spectral) run RK4.  Unoccupied
+chains stay exactly zero, so frame eigenvalues are taken component by
+component of the nonzero pattern (_min_eigenvalue).
 """
 
 import math
@@ -126,7 +133,7 @@ class RotorState:
         return float(np.sum(np.abs(self.matrix) ** 2))
 
     def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        return _min_eigenvalue(self.matrix)
 
     def block_populations(self):
         return {j: float(np.trace(self.matrix[sl, sl]).real) for j, sl in self.layout.blocks()}
@@ -379,11 +386,11 @@ def _hamiltonian(spec, dset):
     levels[j] = E_j + s_iso plus the D x D residual s_iso aniso_mean, which
     is zero for the linearized family.
     """
-    js = dset.layout.js
-    s_iso = np.array([energy_shift_matrix(j, spec)[0, 0] for j in js])
-    levels = s_iso + np.array([spec.molecule.rotational_energy(j) for j in js])
-    residual = np.repeat(s_iso, dset.layout.block_sizes)[:, None] * dset.aniso_mean
-    return levels, residual
+    layout = dset.layout
+    # s_iso is the same in every block
+    s_iso = energy_shift_matrix(layout.j_min, spec)[0, 0]
+    levels = s_iso + np.array([spec.molecule.rotational_energy(j) for j in layout.js])
+    return levels, s_iso * dset.aniso_mean
 
 
 def _frequency_spread(layout, levels, residual):
@@ -399,12 +406,15 @@ def coherent_frequency_spread(spec, layout, backend="linearized"):
 
 
 def propagate(rho0, dset, spec, t_final, dt, record_every=None):
-    """Fixed-step RK4 integration of the master equation.
+    """Integrate the master equation on a fixed time grid.
 
-    Returns snapshots every record_every steps (initial and final state always
-    included).  Raises StepSizeViolation if dt fails the resolution bound
-    dt * max|Delta| <= 0.1, and NumericalDriftError if trace, hermiticity, or
-    positivity drift past tolerance along the run.
+    Returns snapshots every record_every steps of dt (initial and final state
+    always included).  A single-band family without a residual gas shift
+    (the linearized backend, or no dissipator) is propagated exactly, chain
+    by chain (_chain_flow); any other family by fixed-step RK4.  Raises
+    StepSizeViolation if dt fails the resolution bound dt * max|Delta| <= 0.1,
+    and NumericalDriftError if trace, hermiticity, or positivity drift past
+    tolerance along the run.
     """
     layout = rho0.layout
     if dset is None:
@@ -427,13 +437,15 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     if record_every is None:
         record_every = max(1, n_steps // 200)
 
-    # RK4 runs in the rotating frame of the block scalars, which commute with
-    # every block-diagonal jump and with the residual, so they factor out of
-    # the flow exactly.  RK4 then sees only the slow dissipative motion and
-    # the residual gas shift, and the fast phases are applied in closed form.
+    # both paths run in the rotating frame of the block scalars, which
+    # commute with every block-diagonal jump and with the residual, so they
+    # factor out of the flow exactly.  The dissipator and the residual gas
+    # shift are all that is left, and the fast phases are applied in closed
+    # form to each frame.
     omega = (levels[:, None] - levels[None, :]) / HBAR
     sizes = layout.block_sizes
     coherent = (-1j / HBAR) * residual if np.any(residual) else None
+    flow = _chain_flow(rho0.matrix, dset)
 
     def deriv(rho):
         out = dset.apply(rho)
@@ -448,16 +460,17 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     rho = rho0.matrix
     traj = [rho0]
     for step in range(1, n_steps + 1):
-        k1 = deriv(rho)
-        k2 = deriv(rho + (0.5 * dt) * k1)
-        k3 = deriv(rho + (0.5 * dt) * k2)
-        k4 = deriv(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if flow is None:
+            k1 = deriv(rho)
+            k2 = deriv(rho + (0.5 * dt) * k1)
+            k3 = deriv(rho + (0.5 * dt) * k2)
+            k4 = deriv(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         monitor = step % DIAG_INTERVAL == 0 or step == n_steps
         record = step % record_every == 0 or step == n_steps
         if monitor or record:
             t = rho0.time + step * dt
-            dense = snapshot(rho, step * dt)
+            dense = snapshot(rho if flow is None else flow(step * dt), step * dt)
             # every recorded frame passes the trace and hermiticity monitor
             # first, so drift surfaces as NumericalDriftError and never as
             # the RotorState constructor's ValueError
@@ -465,6 +478,82 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
             if record:
                 traj.append(RotorState(layout, dense, t))
     return traj
+
+
+def _chain_flow(rho0, dset):
+    """Exact rotating-frame flow of the dense matrix rho0, or None.
+
+    When every jump lies on one diagonal q (dset.bands), the generator moves
+    rho[r, c] only to rho[r + q, c + q] inside the same block rho_{jj'}: it
+    keeps j, j' and Q = m - m', so each diagonal of each block is a chain of
+    length <= 2 min(j, j') + 1 that evolves on its own under a pentadiagonal
+    generator.  Chains that rho0 leaves empty stay exactly zero and are
+    skipped.  The occupied chains are diagonalized by one stacked eigh per
+    chain length, and the returned flow(tau) is the D x D matrix at elapsed
+    time tau.
+
+    Returns None, so that RK4 runs, when the family is dense, when it carries
+    a residual gas shift s_iso * aniso_mean (which couples the chains), or
+    when an occupied chain generator is not hermitian to within 1e-14 of its
+    largest entry: eigh reads only one triangle and would be silently wrong.
+    """
+    if dset.bands is None or np.any(dset.aniso_mean):
+        return None
+    anti, shifts = dset.bands
+    dtype = np.result_type(anti, *(gain for _, _, gain in shifts))
+    parts = []
+    for rows, cols in _occupied_chains(dset.layout, rho0):
+        n = rows.shape[1]
+        steps = np.arange(n)
+        gen = np.zeros(rows.shape + (n,), dtype=dtype)
+        gen[:, steps, steps] = anti[rows, cols]
+        for dst, src, gain in shifts:
+            # gain[r - o, c - o] feeds rho[r + q, c + q] into [r, c], o = dst.start;
+            # a partner beyond the chain's end crosses a block edge, where gain is 0
+            q, o = src.start - dst.start, dst.start
+            s = steps[max(0, -q) : n - max(0, q)]
+            gen[:, s, s + q] += gain[rows[:, s] - o, cols[:, s] - o]
+        scale = max(float(np.max(np.abs(gen))), 1e-300)
+        if np.max(np.abs(gen - gen.conj().swapaxes(1, 2))) > 1e-14 * scale:
+            return None
+        lam, vec = np.linalg.eigh(gen)
+        coef = np.einsum("cji,cj->ci", vec.conj(), rho0[rows, cols])
+        parts.append((rows, cols, lam, vec, coef))
+
+    def flow(tau):
+        out = np.zeros_like(rho0, dtype=complex)
+        for rows, cols, lam, vec, coef in parts:
+            out[rows, cols] = np.einsum("cij,cj->ci", vec, np.exp(lam * tau) * coef)
+        return out
+
+    return flow
+
+
+def _occupied_chains(layout, rho):
+    """(rows, cols) index arrays of the chains rho occupies, one pair per
+    chain length, each of shape (n_chains, length).
+
+    A chain is one diagonal of a block rho_{jj'}: the entries (a + s, b + s)
+    of the block, s = 0 .. length - 1, starting on its first row or column.
+    """
+    sizes = np.array(layout.block_sizes)
+    offsets = np.cumsum(sizes) - sizes
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    r, c = np.nonzero(rho)
+    bj, bk = block[r], block[c]
+    diag = (c - offsets[bk]) - (r - offsets[bj])
+    bj, bk, diag = np.unique(np.stack([bj, bk, diag]), axis=1)
+    a = np.maximum(0, -diag)
+    b = a + diag
+    lengths = np.minimum(sizes[bj] - a, sizes[bk] - b)
+    chains = []
+    for n in np.unique(lengths):
+        sel = lengths == n
+        steps = np.arange(n)
+        rows = (offsets[bj[sel]] + a[sel])[:, None] + steps
+        cols = (offsets[bk[sel]] + b[sel])[:, None] + steps
+        chains.append((rows, cols))
+    return chains
 
 
 def _check_drift(dense, t, positivity=True):
@@ -475,9 +564,43 @@ def _check_drift(dense, t, positivity=True):
     if herm > HERM_TOL:
         raise NumericalDriftError("hermiticity drift %.3g at t=%.6g" % (herm, t))
     if positivity:
-        low = np.linalg.eigvalsh(dense)[0]
+        low = _min_eigenvalue(dense)
         if low < EIG_FLOOR:
             raise NumericalDriftError("negative eigenvalue %.3g at t=%.6g" % (low, t))
+
+
+def _min_eigenvalue(mat):
+    """Smallest eigenvalue of a hermitian matrix, component by component.
+
+    The rows split into the connected components of the nonzero pattern;
+    permuted to them the matrix is block diagonal, so its spectrum is the
+    union of the blocks' spectra.  One stacked eigvalsh runs per component
+    size, and a single component is one eigvalsh of the whole matrix.
+    """
+    n = len(mat)
+    linked = mat != 0
+    linked |= linked.T
+    # each row takes the smallest label among itself and its neighbours, then
+    # follows its label's label; the fixed point labels every component by
+    # its smallest row
+    labels = np.arange(n)
+    while True:
+        new = np.minimum(labels, np.where(linked, labels, n).min(axis=1))
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    counts = np.bincount(labels)
+    counts = counts[counts > 0]
+    if len(counts) == 1:
+        return float(np.linalg.eigvalsh(mat)[0])
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(counts) - counts
+    low = np.inf
+    for size in np.unique(counts):
+        idx = order[starts[counts == size][:, None] + np.arange(size)]
+        low = min(low, np.linalg.eigvalsh(mat[idx[:, :, None], idx[:, None, :]])[:, 0].min())
+    return float(low)
 
 
 def evolve_exact(rho0, dset, spec, t_final):

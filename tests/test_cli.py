@@ -216,16 +216,55 @@ def test_propagate_state_file_and_dump(tmp_path, capsys):
 
 def test_propagate_drift_exits_nonconverged(tmp_path, capsys, monkeypatch):
     # a dissipator that leaks trace at rate 5e-9 drifts past the state
-    # tolerance mid-run: exit 3 (numerical drift), not 2 (config error)
-    monkeypatch.setattr(lb.DissipatorSet, "apply", lambda self, packed: 5e-9 * packed)
-    code = run_cli(
-        [
-            "propagate", "n1", "--state", "centrifuge:2,4",
-            "--tfinal", "1.0", "--dt", "0.001", "--out", str(tmp_path / "t.csv"),
-        ]
-    )
-    assert code == 3
-    assert "trace drift" in capsys.readouterr().err
+    # tolerance mid-run: exit 3 (numerical drift), not 2 (config error).
+    # The leak reaches both propagation paths: the chain generator of the
+    # single-band linearized family, and apply once the family is made dense
+    build = lb.build_dissipator
+
+    def leaky_single_band(*args, **kwargs):
+        dset = build(*args, **kwargs)
+        anti, shifts = dset.bands
+        dset.bands = (anti + 5e-9, shifts)
+        return dset
+
+    def leaky_dense(*args, **kwargs):
+        dset = build(*args, **kwargs)
+        dset.bands = None
+        return dset
+
+    monkeypatch.setattr(lb.DissipatorSet, "apply", lambda self, rho: 5e-9 * rho)
+    for leaky in (leaky_single_band, leaky_dense):
+        monkeypatch.setattr(lb, "build_dissipator", leaky)
+        code = run_cli(
+            [
+                "propagate", "n1", "--state", "centrifuge:2,4",
+                "--tfinal", "1.0", "--dt", "0.001", "--out", str(tmp_path / "t.csv"),
+            ]
+        )
+        assert code == 3, leaky.__name__
+        assert "trace drift" in capsys.readouterr().err
+
+
+def run_state_file(tmp_path, doc):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    return run_cli(["propagate", "n1", "--state", str(path), "--tfinal", "0.1",
+                    "--dt", "0.01", "--out", str(tmp_path / "t.csv")])
+
+
+def test_propagate_state_file_missing_field(tmp_path, capsys):
+    assert run_state_file(tmp_path, {"type": "centrifuge"}) == 2
+    assert "no 'coefficients' field" in capsys.readouterr().err
+
+
+def test_propagate_state_file_not_an_object(tmp_path, capsys):
+    assert run_state_file(tmp_path, [{"type": "centrifuge"}]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_propagate_state_file_empty_field(tmp_path, capsys):
+    assert run_state_file(tmp_path, {"type": "isotropic", "populations": {}}) == 2
+    assert "'populations' must be a nonempty object" in capsys.readouterr().err
 
 
 def test_propagate_bad_state(capsys):

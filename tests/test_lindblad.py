@@ -1,9 +1,11 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from superrotor import lindblad as lb
 from superrotor import scattering
@@ -398,6 +400,116 @@ def test_spectral_rk4_at_step_bound_matches_exact():
     assert np.max(np.abs(exact.matrix - rk4.matrix)) <= 1e-10
 
 
+def sparse_mixed_state(layout, rng, rank, support):
+    """Mixture of rank random pure states, each on a random subset of about
+    a fraction support of the basis, so that many chains start empty."""
+    d = layout.dim
+    mat = np.zeros((d, d), dtype=complex)
+    for _ in range(rank):
+        vec = (rng.normal(size=d) + 1j * rng.normal(size=d)) * (rng.random(d) < support)
+        vec[rng.integers(d)] += 1.0
+        mat += rng.random() * np.outer(vec, vec.conj())
+    return lb.RotorState(layout, mat / np.trace(mat).real)
+
+
+def chain_keys(layout):
+    """(j, j', Q = m - m') of every matrix entry."""
+    jm = np.array([(j, m) for j in layout.js for m in range(-j, j + 1)])
+    return jm[:, 0][:, None], jm[:, 0][None, :], jm[:, 1][:, None] - jm[:, 1][None, :]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    j_min=st.integers(0, 3),
+    n_blocks=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 3),
+    support=st.floats(0.05, 1.0),
+    t=st.floats(0.0, 50.0),
+)
+def test_chain_flow_properties(j_min, n_blocks, seed, rank, support, t):
+    spec = n1_spec()
+    layout = lb.BasisLayout(j_min, j_min + n_blocks - 1)
+    dset = lb.build_dissipator(spec, layout)
+    rho0 = sparse_mixed_state(layout, np.random.default_rng(seed), rank, support)
+    out = lb._chain_flow(rho0.matrix, dset)(t)
+    assert abs(np.trace(out) - 1.0) <= 1e-12
+    assert np.max(np.abs(out - out.conj().T)) <= 1e-14
+    assert np.linalg.eigvalsh(out)[0] >= -1e-9
+    for j, sl in layout.blocks():
+        assert abs(np.trace(out[sl, sl]) - np.trace(rho0.matrix[sl, sl])) <= 1e-12
+    # (j, j', Q) is conserved: a sector empty at t = 0 stays exactly zero
+    keys = np.stack(np.broadcast_arrays(*chain_keys(layout)), axis=-1)
+    occupied = {tuple(k) for k in keys[rho0.matrix != 0]}
+    empty = np.array([[tuple(k) not in occupied for k in row] for row in keys])
+    assert np.all(out[empty] == 0)
+
+
+def test_chain_flow_matches_dense_rk4():
+    # the dense oracle is the same family with its band form dropped, so
+    # propagate runs RK4 on DissipatorSet.apply's matrix products
+    spec = n1_spec()
+    layout = lb.BasisLayout(3, 6)
+    dset = lb.build_dissipator(spec, layout)
+    dense = copy.copy(dset)
+    dense.bands = None
+    gaussian = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 4.5, 1.0))
+    for rho0 in (gaussian, random_state(layout, seed=17)):
+        assert lb._chain_flow(rho0.matrix, dset) is not None
+        assert lb._chain_flow(rho0.matrix, dense) is None
+        chain = lb.propagate(rho0, dset, spec, 0.5, 0.001, record_every=50)
+        rk4 = lb.propagate(rho0, dense, spec, 0.5, 0.001, record_every=50)
+        assert len(chain) == len(rk4) == 11
+        for a, b in zip(chain, rk4):
+            assert a.time == b.time
+            assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12
+
+
+def test_non_hermitian_chain_generator_runs_rk4():
+    # unequal weights on the q = +1 and q = -1 templates keep every op on one
+    # band but make the chain generator non-symmetric; eigh would be wrong
+    spec = n1_spec()
+    layout = lb.BasisLayout(2, 4)
+    base = lb.build_dissipator(spec, layout)
+    weights = base.weights * np.array([1.0, 1.5, 0.5, 1.0, 1.0])
+    dset = lb.DissipatorSet(layout, base.collision_weight, weights, base.ops, base.aniso_mean)
+    assert dset.bands is not None
+    rho0 = lb.centrifuge_state(layout, {2: 0.6, 3: 0.5, 4: math.sqrt(1 - 0.61)})
+    assert lb._chain_flow(rho0.matrix, dset) is None
+    exact = lb.evolve_exact(rho0, dset, spec, 0.2)
+    rk4 = lb.propagate(rho0, dset, spec, 0.2, 0.002)[-1]
+    assert np.max(np.abs(exact.matrix - rk4.matrix)) <= 1e-10
+
+
+def test_min_eigenvalue_by_components():
+    rng = np.random.default_rng(23)
+
+    def hermitian(n):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return m + m.conj().T
+
+    path = np.diag(rng.normal(size=6)) + np.diag(rng.normal(size=5), 1)
+    blocks = scipy.linalg.block_diag(
+        hermitian(1), hermitian(3), hermitian(3), path + path.T, hermitian(3), np.zeros((1, 1))
+    )
+    perm = rng.permutation(len(blocks))
+    permuted = blocks[np.ix_(perm, perm)]
+    dense = hermitian(12)
+    zero_row = dense.copy()
+    zero_row[4, :] = 0.0
+    zero_row[:, 4] = 0.0
+    psd_zero_row = random_state(lb.BasisLayout(1, 2), seed=3).matrix.copy()
+    psd_zero_row[2, :] = 0.0
+    psd_zero_row[:, 2] = 0.0
+    # rows {0, 3} and {1, 2} are linked only by [3, 1] in the lower triangle,
+    # the one eigvalsh reads
+    one_sided = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    one_sided[[0, 3, 1, 2], [3, 0, 2, 1]] = 0.5
+    one_sided[3, 1] = 2.0
+    for mat in (dense, blocks, permuted, zero_row, psd_zero_row, one_sided, np.zeros((3, 3))):
+        assert abs(lb._min_eigenvalue(mat) - np.linalg.eigvalsh(mat)[0]) <= 1e-14
+
+
 def test_alignment_signal():
     layout = lb.BasisLayout(8, 12)
     two = lb.centrifuge_state(layout, {10: 2**-0.5, 12: 2**-0.5})
@@ -488,10 +600,21 @@ def test_drift_monitor_shares_state_tolerances(monkeypatch):
 
     # a trace leak of 5e-9 per unit time during a run surfaces as
     # NumericalDriftError whether or not a frame is recorded before the
-    # next monitor step, never as the RotorState constructor's ValueError
+    # next monitor step, never as the RotorState constructor's ValueError.
+    # The leak reaches both propagation paths: the chain generator of a
+    # single-band family, and apply of a dense family (bands None)
     spec = n1_spec()
-    rho0 = lb.isotropic_state(lb.BasisLayout(2, 2), {2: 1.0})
-    monkeypatch.setattr(lb.DissipatorSet, "apply", lambda self, packed: 5e-9 * packed)
-    for record_every in (1, 1000):
-        with pytest.raises(lb.NumericalDriftError, match="trace"):
-            lb.propagate(rho0, None, spec, 1.0, 0.01, record_every=record_every)
+    layout = lb.BasisLayout(2, 2)
+    rho0 = lb.isotropic_state(layout, {2: 1.0})
+    single = lb.DissipatorSet.empty(layout)
+    anti, shifts = single.bands
+    single.bands = (anti + 5e-9, shifts)
+    assert lb._chain_flow(rho0.matrix, single) is not None
+    dense = lb.DissipatorSet.empty(layout)
+    dense.bands = None
+    assert lb._chain_flow(rho0.matrix, dense) is None
+    monkeypatch.setattr(lb.DissipatorSet, "apply", lambda self, rho: 5e-9 * rho)
+    for dset in (single, dense):
+        for record_every in (1, 1000):
+            with pytest.raises(lb.NumericalDriftError, match="trace"):
+                lb.propagate(rho0, dset, spec, 1.0, 0.01, record_every=record_every)
