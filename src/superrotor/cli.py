@@ -156,11 +156,17 @@ def _parse_state(arg, layout_arg):
         if not isinstance(doc, dict):
             raise ValueError("state file %s must hold a JSON object" % arg)
         if doc.get("type") == "centrifuge":
-            coeff = {int(j): _as_complex(c) for j, c in _state_field(doc, "coefficients").items()}
+            coeff = {
+                int(j): _as_complex(c, "coefficients")
+                for j, c in _state_field(doc, "coefficients").items()
+            }
             kind = ("centrifuge", coeff)
             lo, hi = min(coeff), max(coeff)
         elif doc.get("type") == "isotropic":
-            pops = {int(j): float(p) for j, p in _state_field(doc, "populations").items()}
+            pops = {
+                int(j): _as_real(p, "populations")
+                for j, p in _state_field(doc, "populations").items()
+            }
             kind = ("isotropic", pops)
             lo, hi = min(pops), max(pops)
         else:
@@ -186,10 +192,25 @@ def _state_field(doc, name):
     return value
 
 
-def _as_complex(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(float(v[0]), float(v[1]))
+def _as_complex(v, name):
+    """A state file number or [re, im] pair under field name."""
+    try:
+        if isinstance(v, (int, float)):
+            return complex(v)
+        re, im = v
+        return complex(float(re), float(im))
+    except (TypeError, ValueError):
+        raise ValueError(
+            "state file field %r holds %r, not a number or [re, im] pair" % (name, v)
+        ) from None
+
+
+def _as_real(v, name):
+    """A state file number under field name."""
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise ValueError("state file field %r holds %r, not a number" % (name, v)) from None
 
 
 def _build_state(layout, kind):

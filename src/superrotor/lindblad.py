@@ -6,15 +6,16 @@ dissipator built from forward scattering amplitudes.  Every jump operator is
 block diagonal over j, so block populations are conserved exactly and the
 dynamics factorizes into (j, j') sectors.
 
-Density matrices and jump operators (DissipatorSet.ops, shape (n_ops, D, D))
-are dense D x D matrices on one BasisLayout, with D = layout.dim.
-
-When every jump lies on one diagonal q (the linearized templates) the
-generator also keeps Q = m - m' inside each block: every diagonal of a block
-rho_{jj'} is a chain that evolves on its own, and propagate exponentiates the
-chains rho0 occupies exactly.  Dense families (spectral) run RK4.  Unoccupied
-chains stay exactly zero, so frame eigenvalues are taken component by
-component of the nonzero pattern (_min_eigenvalue).
+Density matrices are dense D x D matrices on one BasisLayout, with
+D = layout.dim.  Every jump operator lies on one diagonal m' - m = q and is
+stored as that offset and its diagonal (DissipatorSet): the linearized
+templates each occupy one band, and the spectral family is split into the
+bands of its azimuthal rings, which an exact azimuth average leaves
+uncoupled.  The generator then keeps Q = m - m' inside each block as well:
+every diagonal of a block rho_{jj'} is a chain that evolves on its own, and
+propagate exponentiates the chains rho0 occupies exactly.  Unoccupied chains
+stay exactly zero, so frame eigenvalues are taken component by component of
+the nonzero pattern (_min_eigenvalue).
 """
 
 import math
@@ -39,6 +40,8 @@ TEMPLATE_MOMENTS = (
     32.0 * math.pi / 15.0,
     32.0 * math.pi / 15.0,
 )
+# the diagonal m' - m each template of scattering.coupling_templates lies on
+TEMPLATE_OFFSETS = (0, 1, -1, 2, -2)
 
 DIAG_INTERVAL = 50
 # a density matrix is accepted while |tr rho - 1| <= TRACE_TOL and
@@ -47,6 +50,9 @@ DIAG_INTERVAL = 50
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
 EIG_FLOOR = -1e-9
+# a chain generator is propagated through V diag(lam) V^-1 only while that
+# product reproduces it to this fraction of its largest entry
+EIG_RECON_TOL = 1e-10
 STATE_HEADER_BYTES = 32
 
 
@@ -186,7 +192,7 @@ def gaussian_profile(layout, center, width):
 
 @dataclass
 class DissipatorSet:
-    """Weighted family of block-diagonal Lindblad operators.
+    """Weighted family of single-band, block-diagonal Lindblad operators.
 
     The generator is
 
@@ -195,37 +201,48 @@ class DissipatorSet:
     Each jump of the quadrature-discretized (q, n') family is c(q) (I + A),
     with A hermitian and q-independent, so its identity part cancels from the
     generator exactly and the radial average collapses into
-    collision_weight; the A_k and w_k carry the direction average.  The A_k
-    are dense D x D matrices on the layout, zero outside the diagonal j
-    blocks.  kmat is the anticommutator kernel sum_k w_k A_k^+ A_k.
+    collision_weight; the A_k and w_k carry the direction average.  Every
+    A_k lies on one diagonal m' - m = offsets[k] and is stored as that
+    diagonal, diagonals[k, r] = A_k[r, r + offsets[k]], zero where
+    r + offsets[k] leaves the j block of row r.  kmat is the diagonal of the
+    anticommutator kernel sum_k w_k A_k^+ A_k.
 
-    aniso_mean is the sphere mean (1/4 pi) Int d^2n' A(n') of the anisotropy
-    the family discretizes.  The gas shift is the isotropic shift times
+    aniso_mean is the diagonal of the sphere mean (1/4 pi) Int d^2n' A(n')
+    of the anisotropy the family discretizes, which the azimuth average
+    makes diagonal in m.  The gas shift is the isotropic shift times
     I + aniso_mean, so it shares the family's amplitude model and kappa.
 
-    When every A_k lies on one diagonal m' - m = q_k (the linearized
-    templates), A rho A^+ is an elementwise product of shifted matrices and
-    kmat is diagonal, so apply skips the matrix products.
+    (A rho A^+)[r, c] = a[r] rho[r + q, c + q] a[c]^*, so the ops of one
+    offset q merge into one gain matrix: bands holds (anti, shifts), where
+    anti multiplies rho for the anticommutator and each (dst, src, gain)
+    adds gain * rho[src, src] to rho's [dst, dst] corner, one per distinct q.
     """
 
     layout: BasisLayout
     collision_weight: float
     weights: np.ndarray  # (n_ops,)
-    ops: np.ndarray  # (n_ops, D, D), block diagonal
-    aniso_mean: np.ndarray  # (D, D), block diagonal
+    offsets: np.ndarray  # (n_ops,) int
+    diagonals: np.ndarray  # (n_ops, D)
+    aniso_mean: np.ndarray  # (D,) real
     metadata: dict = field(default_factory=dict)
-    kmat: np.ndarray = field(init=False)  # (D, D), block diagonal
-    bands: tuple = field(init=False, repr=False)  # or None; see _single_bands
+    kmat: np.ndarray = field(init=False)  # (D,) real
+    bands: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        # block by block: a dense product would cost D^3 per op
-        self.kmat = np.zeros_like(self.aniso_mean)
-        for _, sl in self.layout.blocks():
-            blk = self.ops[:, sl, sl]
-            self.kmat[sl, sl] = np.einsum(
-                "k,kba,kbc->ac", self.weights, blk.conj(), blk, optimize=True
-            )
-        self.bands = _single_bands(self.collision_weight, self.weights, self.ops, self.kmat)
+        d = self.layout.dim
+        self.kmat = np.zeros(d)
+        shifts = []
+        for q in np.unique(self.offsets).tolist():
+            if q >= 0:
+                dst, src = slice(0, d - q), slice(q, d)
+            else:
+                dst, src = slice(-q, d), slice(0, d + q)
+            sel = self.offsets == q
+            w, a = self.weights[sel], self.diagonals[sel][:, dst]
+            self.kmat[src] += w @ np.abs(a) ** 2
+            shifts.append((dst, src, self.collision_weight * ((a.T * w) @ a.conj())))
+        anti = (-0.5 * self.collision_weight) * (self.kmat[:, None] + self.kmat[None, :])
+        self.bands = (anti, shifts)
 
     @property
     def converged(self):
@@ -244,56 +261,19 @@ class DissipatorSet:
             layout=layout,
             collision_weight=0.0,
             weights=np.zeros(0),
-            ops=np.zeros((0, d, d), dtype=complex),
-            aniso_mean=np.zeros((d, d), dtype=complex),
+            offsets=np.zeros(0, dtype=int),
+            diagonals=np.zeros((0, d)),
+            aniso_mean=np.zeros(d),
             metadata={"converged": True},
         )
 
     def apply(self, rho):
         """Dissipator action on a dense D x D density matrix."""
-        if self.bands is None:
-            acc = -0.5 * (self.kmat @ rho + rho @ self.kmat)
-            for w, op in zip(self.weights, self.ops):
-                acc += w * (op @ rho @ op.conj().T)
-            return self.collision_weight * acc
         anti, shifts = self.bands
         acc = anti * rho
         for dst, src, gain in shifts:
             acc[dst, dst] += gain * rho[src, src]
         return acc
-
-
-def _single_bands(collision_weight, weights, ops, kmat):
-    """Elementwise form of the generator when every op's entries lie on one
-    diagonal q, else None.
-
-    Then (A rho A^+)[r, c] = a[r] rho[r + q, c + q] a[c]^* with
-    a[r] = A[r, r + q], and kmat is diagonal.  A block-diagonal op keeps the
-    diagonal q of each block on the diagonal q of the whole matrix, with
-    zeros where it would cross a block edge.  Returns (anti, shifts): anti
-    multiplies rho for the anticommutator, and each (dst, src, gain) adds
-    gain * rho[src, src] to rho's [dst, dst] corner.
-    """
-    d = ops.shape[-1]
-    shifts = []
-    for w, op in zip(weights, ops):
-        rows, cols = np.nonzero(op)
-        offsets = set((cols - rows).tolist())
-        if len(offsets) > 1:
-            return None
-        q = offsets.pop() if offsets else 0
-        if q >= 0:
-            dst, src = slice(0, d - q), slice(q, d)
-        else:
-            dst, src = slice(-q, d), slice(0, d + q)
-        a = np.diagonal(op, offset=q)
-        if not np.any(a.imag):
-            a = a.real
-        gain = (collision_weight * w) * np.outer(a, a.conj())
-        shifts.append((dst, src, gain))
-    kdiag = np.diagonal(kmat).real
-    anti = (-0.5 * collision_weight) * (kdiag[:, None] + kdiag[None, :])
-    return anti, shifts
 
 
 def _collision_weight(spec):
@@ -303,29 +283,62 @@ def _collision_weight(spec):
 
 
 def _jump_family(spec, layout, backend, kappa_mode):
-    """(weights, ops, aniso_mean) of the direction-averaged jump family.
+    """(weights, offsets, diagonals, aniso_mean) of the direction-averaged
+    jump family.
 
     Linearized: A(n') = (2/5) sum_a g_a(n') T_a.  The sphere moments of
     g_a g_b^* vanish for a != b and equal TEMPLATE_MOMENTS[a] for a = b, so
     the five templates with weights (2/5)^2 * moment reproduce the node sum
     exactly; every g_a has zero sphere mean, so aniso_mean is zero.
     Spectral: the hermitized anisotropy S(n') - I of the fractional-power
-    shape at every sphere node, weighted by the sphere rule.
+    shape.  A rotation about z conjugates it, A(R_z(phi) n') =
+    U_z(phi) A(n') U_z(phi)^+, so band q of A picks up exp(i q phi), and the
+    exact azimuth average of A rho A^+ keeps sum_q A^(q) rho A^(q)^+ with
+    A^(q) band q of A at phi = 0.  The jumps are those bands on the rings
+    of the sphere rule, each weighted by its ring's 2 pi w_theta, and
+    aniso_mean is the band-0 (diagonal) mean.
     """
-    d = layout.dim
     if backend == "linearized":
-        ops = np.zeros((5, d, d), dtype=complex)
-        for j, sl in layout.blocks():
-            ops[:, sl, sl] = scattering.coupling_templates(j, spec.molecule, kappa_mode)
-        return 0.16 * np.array(TEMPLATE_MOMENTS), ops, np.zeros((d, d), dtype=complex)
+        # template a is band TEMPLATE_OFFSETS[a] of the templates' sum
+        def coupling(j):
+            return scattering.coupling_templates(j, spec.molecule, kappa_mode).sum(axis=0)[None]
+
+        ops = _band_diagonals(layout, coupling, TEMPLATE_OFFSETS)
+        weights = 0.16 * np.array(TEMPLATE_MOMENTS)
+        return weights, np.array(TEMPLATE_OFFSETS), ops, np.zeros(layout.dim)
     if backend != "spectral":
         raise ValueError("unknown backend %r" % backend)
-    sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
-    ops = np.zeros((len(sphere.weights), d, d), dtype=complex)
+    ring = make_rule("ring", spec.numerics.quad_order_sphere)
+
+    def anisotropy(j):
+        aniso = scattering.spectral_shapes(j, ring.nodes, spec, kappa_mode) - np.eye(2 * j + 1)
+        return 0.5 * (aniso + aniso.conj().transpose(0, 2, 1))
+
+    offsets = np.arange(-2 * layout.j_max, 2 * layout.j_max + 1)
+    ops = _band_diagonals(layout, anisotropy, offsets)
+    weights = np.repeat(ring.weights, len(offsets))
+    offsets = np.tile(offsets, len(ring.weights))
+    aniso_mean = (weights[offsets == 0] @ ops[offsets == 0]).real / (4.0 * math.pi)
+    return weights, offsets, ops, aniso_mean
+
+
+def _band_diagonals(layout, blocks, offsets):
+    """(n * len(offsets), D) diagonals of the bands of n block matrices.
+
+    blocks(j) is the (n, 2j + 1, 2j + 1) stack of block j; row k * len(offsets)
+    + i holds band offsets[i] of matrix k, entry r being M_k[r, r + q] of the
+    block holding row r, and zero where the band leaves that block.
+    """
+    out = None
     for j, sl in layout.blocks():
-        aniso = scattering.spectral_shapes(j, sphere.nodes, spec, kappa_mode) - np.eye(2 * j + 1)
-        ops[:, sl, sl] = 0.5 * (aniso + aniso.conj().transpose(0, 2, 1))
-    return sphere.weights, ops, np.tensordot(sphere.weights, ops, axes=1) / (4.0 * math.pi)
+        mats = blocks(j)
+        if out is None:
+            out = np.zeros((len(mats), len(offsets), layout.dim), dtype=mats.dtype)
+        for i, q in enumerate(offsets):
+            band = np.diagonal(mats, offset=q, axis1=1, axis2=2)
+            start = sl.start + max(0, -q)
+            out[:, i, start : start + band.shape[1]] = band
+    return out.reshape(-1, layout.dim)
 
 
 def _assemble(spec, layout, backend, kappa_mode):
@@ -338,9 +351,10 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
 
     backend "linearized" reduces the sphere average to five real coupling
     templates (angular moments exact); "spectral" keeps the fractional-power
-    amplitude at every sphere node.  The convergence flag compares the induced
-    map against the family rebuilt at doubled radial and sphere orders on a
-    dense probe state.
+    amplitude on every ring (polar node) of the sphere rule and averages the
+    azimuth exactly.  The convergence flag compares the induced map against
+    the family rebuilt at doubled radial and sphere orders on a dense probe
+    state.
     """
     num = spec.numerics
     if num.quad_order_q < 24:
@@ -383,8 +397,8 @@ def _hamiltonian(spec, dset):
 
     The gas shift H_g(j) = s_iso (I + aniso_mean_j) comes from the
     dissipator's own jump family.  On block j, H + H_g is the scalar
-    levels[j] = E_j + s_iso plus the D x D residual s_iso aniso_mean, which
-    is zero for the linearized family.
+    levels[j] = E_j + s_iso plus the residual s_iso aniso_mean, returned as
+    the (D,) diagonal it is; it is zero for the linearized family.
     """
     layout = dset.layout
     # s_iso is the same in every block
@@ -394,8 +408,7 @@ def _hamiltonian(spec, dset):
 
 
 def _frequency_spread(layout, levels, residual):
-    blocks = zip(levels, layout.blocks())
-    eigs = np.concatenate([lev + np.linalg.eigvalsh(residual[sl, sl]) for lev, (_, sl) in blocks])
+    eigs = np.repeat(levels, layout.block_sizes) + residual
     return float((eigs.max() - eigs.min()) / HBAR)
 
 
@@ -406,15 +419,15 @@ def coherent_frequency_spread(spec, layout, backend="linearized"):
 
 
 def propagate(rho0, dset, spec, t_final, dt, record_every=None):
-    """Integrate the master equation on a fixed time grid.
+    """Evolve rho0 exactly and sample it on a fixed time grid.
 
     Returns snapshots every record_every steps of dt (initial and final state
-    always included).  A single-band family without a residual gas shift
-    (the linearized backend, or no dissipator) is propagated exactly, chain
-    by chain (_chain_flow); any other family by fixed-step RK4.  Raises
-    StepSizeViolation if dt fails the resolution bound dt * max|Delta| <= 0.1,
-    and NumericalDriftError if trace, hermiticity, or positivity drift past
-    tolerance along the run.
+    always included), each evaluated in closed form from the chain flow
+    (_chain_flow).  dt sets only the output grid and the monitor cadence,
+    but it must still resolve the fastest coherent frequency: a coarser grid
+    would alias the coherences it samples, so StepSizeViolation is raised
+    when dt * max|Delta| > 0.1.  NumericalDriftError is raised if trace,
+    hermiticity, or positivity drift past tolerance along the run.
     """
     layout = rho0.layout
     if dset is None:
@@ -437,40 +450,26 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     if record_every is None:
         record_every = max(1, n_steps // 200)
 
-    # both paths run in the rotating frame of the block scalars, which
-    # commute with every block-diagonal jump and with the residual, so they
-    # factor out of the flow exactly.  The dissipator and the residual gas
-    # shift are all that is left, and the fast phases are applied in closed
-    # form to each frame.
+    # the flow runs in the rotating frame of the block scalars, which
+    # commute with every block-diagonal jump and with the diagonal residual,
+    # so they factor out exactly.  The dissipator and the residual gas shift
+    # are all that is left, and the fast phases are applied in closed form to
+    # each frame.
     omega = (levels[:, None] - levels[None, :]) / HBAR
     sizes = layout.block_sizes
-    coherent = (-1j / HBAR) * residual if np.any(residual) else None
-    flow = _chain_flow(rho0.matrix, dset)
-
-    def deriv(rho):
-        out = dset.apply(rho)
-        if coherent is not None:
-            out += coherent @ rho - rho @ coherent
-        return out
+    flow = _chain_flow(rho0.matrix, dset, residual)
 
     def snapshot(rho, elapsed):
         phase = np.exp(-1j * omega * elapsed)
         return rho * np.repeat(np.repeat(phase, sizes, axis=0), sizes, axis=1)
 
-    rho = rho0.matrix
     traj = [rho0]
     for step in range(1, n_steps + 1):
-        if flow is None:
-            k1 = deriv(rho)
-            k2 = deriv(rho + (0.5 * dt) * k1)
-            k3 = deriv(rho + (0.5 * dt) * k2)
-            k4 = deriv(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         monitor = step % DIAG_INTERVAL == 0 or step == n_steps
         record = step % record_every == 0 or step == n_steps
         if monitor or record:
             t = rho0.time + step * dt
-            dense = snapshot(rho if flow is None else flow(step * dt), step * dt)
+            dense = snapshot(flow(step * dt), step * dt)
             # every recorded frame passes the trace and hermiticity monitor
             # first, so drift surfaces as NumericalDriftError and never as
             # the RotorState constructor's ValueError
@@ -480,26 +479,27 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     return traj
 
 
-def _chain_flow(rho0, dset):
-    """Exact rotating-frame flow of the dense matrix rho0, or None.
+def _chain_flow(rho0, dset, residual):
+    """Exact rotating-frame flow of the dense matrix rho0.
 
-    When every jump lies on one diagonal q (dset.bands), the generator moves
-    rho[r, c] only to rho[r + q, c + q] inside the same block rho_{jj'}: it
-    keeps j, j' and Q = m - m', so each diagonal of each block is a chain of
-    length <= 2 min(j, j') + 1 that evolves on its own under a pentadiagonal
-    generator.  Chains that rho0 leaves empty stay exactly zero and are
-    skipped.  The occupied chains are diagonalized by one stacked eigh per
-    chain length, and the returned flow(tau) is the D x D matrix at elapsed
-    time tau.
+    Every jump lies on one diagonal q (dset.bands) and the residual gas
+    shift is diagonal, so the generator moves rho[r, c] only to
+    rho[r + q, c + q] inside the same block rho_{jj'}: it keeps j, j' and
+    Q = m - m', and each diagonal of each block is a chain of length
+    <= 2 min(j, j') + 1 that evolves on its own.  The residual adds
+    -i (R_r - R_c) / hbar to the chain's diagonal, so the chain generator
+    is not hermitian in general.  Chains that rho0 leaves empty stay exactly
+    zero and are skipped.  The occupied chains are diagonalized by one
+    stacked eig per chain length, and the returned flow(tau) is the D x D
+    matrix at elapsed time tau.
 
-    Returns None, so that RK4 runs, when the family is dense, when it carries
-    a residual gas shift s_iso * aniso_mean (which couples the chains), or
-    when an occupied chain generator is not hermitian to within 1e-14 of its
-    largest entry: eigh reads only one triangle and would be silently wrong.
+    Raises NumericalDriftError when V diag(lam) V^-1 misses a chain
+    generator by more than EIG_RECON_TOL of its largest entry: the
+    eigenvectors are then too ill-conditioned to propagate with.
     """
-    if dset.bands is None or np.any(dset.aniso_mean):
-        return None
     anti, shifts = dset.bands
+    if np.any(residual):
+        anti = anti + (-1j / HBAR) * (residual[:, None] - residual[None, :])
     dtype = np.result_type(anti, *(gain for _, _, gain in shifts))
     parts = []
     for rows, cols in _occupied_chains(dset.layout, rho0):
@@ -511,13 +511,21 @@ def _chain_flow(rho0, dset):
             # gain[r - o, c - o] feeds rho[r + q, c + q] into [r, c], o = dst.start;
             # a partner beyond the chain's end crosses a block edge, where gain is 0
             q, o = src.start - dst.start, dst.start
-            s = steps[max(0, -q) : n - max(0, q)]
+            s = steps[max(0, -q) : max(0, n - max(0, q))]
             gen[:, s, s + q] += gain[rows[:, s] - o, cols[:, s] - o]
+        lam, vec = np.linalg.eig(gen)
+        try:
+            inv = np.linalg.inv(vec)
+        except np.linalg.LinAlgError:
+            raise NumericalDriftError("chain generator has no eigenbasis") from None
         scale = max(float(np.max(np.abs(gen))), 1e-300)
-        if np.max(np.abs(gen - gen.conj().swapaxes(1, 2))) > 1e-14 * scale:
-            return None
-        lam, vec = np.linalg.eigh(gen)
-        coef = np.einsum("cji,cj->ci", vec.conj(), rho0[rows, cols])
+        miss = float(np.max(np.abs((vec * lam[:, None, :]) @ inv - gen))) / scale
+        # written so that a NaN from an overflowing inverse counts as a miss
+        if not miss <= EIG_RECON_TOL:
+            raise NumericalDriftError(
+                "chain generator eigendecomposition misses it by %.3g of its scale" % miss
+            )
+        coef = np.einsum("cij,cj->ci", inv, rho0[rows, cols])
         parts.append((rows, cols, lam, vec, coef))
 
     def flow(tau):
@@ -616,14 +624,16 @@ def evolve_exact(rho0, dset, spec, t_final):
     if dset is None:
         dset = DissipatorSet.empty(layout)
     levels, residual = _hamiltonian(spec, dset)
-    h = np.diag(np.repeat(levels, layout.block_sizes)) + residual
+    h = np.diag(np.repeat(levels, layout.block_sizes) + residual)
+    kmat = np.diag(dset.kmat)
     eye = np.eye(d)
     # row-major vec(A rho B) = kron(A, B^T) vec(rho)
     sup = (-1j / HBAR) * (np.kron(h, eye) - np.kron(eye, h.T))
     cw = dset.collision_weight
-    for w, op in zip(dset.weights, dset.ops):
+    for w, q, a in zip(dset.weights, dset.offsets.tolist(), dset.diagonals):
+        op = np.diag(a[max(0, -q) : d - max(0, q)], q)
         sup += cw * w * np.kron(op, op.conj())
-    sup -= 0.5 * cw * (np.kron(dset.kmat, eye) + np.kron(eye, dset.kmat.T))
+    sup -= 0.5 * cw * (np.kron(kmat, eye) + np.kron(eye, kmat))
 
     prop = scipy.linalg.expm(sup * t_final)
     vec = prop @ rho0.matrix.reshape(-1)

@@ -14,7 +14,7 @@ import numpy as np
 # double-precision resolution of the integrals handled here.
 HALFLINE_CUT = 7.0
 
-_DOMAINS = ("interval", "half_line", "circle", "sphere")
+_DOMAINS = ("interval", "half_line", "circle", "sphere", "ring")
 
 
 def assoc_legendre2(k, x):
@@ -64,6 +64,9 @@ class QuadratureRule:
                     trigonometric polynomials of degree < node count
       sphere     -- product Gauss(cos theta) x uniform(phi) rule; nodes are
                     unit vectors of shape (N, 3); weights sum to 4*pi
+      ring       -- the sphere rule's Gauss(cos theta) nodes at phi = 0,
+                    weights 2*pi*w_theta summing to 4*pi; exact on the sphere
+                    for integrands invariant under rotations about z
     """
 
     domain: str
@@ -96,30 +99,41 @@ def _circle_rule(order):
     return phi, w
 
 
-def _sphere_rule(order):
-    # order is a target node count. A product rule with n_theta Gauss nodes
-    # in cos(theta) and 2*n_theta uniform azimuths integrates spherical
-    # harmonics up to degree min(2*n_theta - 1, 2*n_theta - 1) exactly, far
-    # beyond the degree-4 integrands met here. Requesting 302 nodes yields
-    # the 13 x 26 = 338-node rule.
+def _ring_rule(order):
+    # The polar half of the sphere rule of the same order: its n_theta Gauss
+    # nodes in cos(theta), placed at phi = 0, each weighted by the full
+    # azimuth 2*pi*w_theta. Integrands invariant under rotations about z
+    # (or made so by an exact azimuth average) need nothing more.
     n_theta = int(np.ceil(np.sqrt(order / 2.0)))
-    n_phi = 2 * n_theta
     ct, wt = np.polynomial.legendre.leggauss(n_theta)
+    nodes = np.stack([np.sqrt(1.0 - ct * ct), np.zeros_like(ct), ct], axis=-1)
+    return nodes, 2.0 * np.pi * wt
+
+
+def _sphere_rule(order):
+    # order is a target node count. The rings of _ring_rule times 2*n_theta
+    # uniform azimuths: exact for polynomials of degree 2*n_theta - 1 in
+    # cos(theta) and for azimuthal charges below 2*n_theta. Spectral shapes
+    # carry charges up to 4j, so this rule aliases them once
+    # 4*j_max >= 2*n_theta; the dissipator and the rates average the
+    # azimuth exactly on the rings instead and do not depend on it.
+    # Requesting 302 nodes yields the 13 x 26 = 338-node rule.
+    ring, ring_w = _ring_rule(order)
+    n_phi = 2 * len(ring_w)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    ct2, ph2 = np.meshgrid(ct, phi, indexing="ij")
-    st2 = np.sqrt(1.0 - ct2 * ct2)
+    st, ct = ring[:, 0:1], ring[:, 2:3]
     nodes = np.stack(
-        [st2 * np.cos(ph2), st2 * np.sin(ph2), ct2 + 0.0 * ph2], axis=-1
+        [st * np.cos(phi), st * np.sin(phi), ct + 0.0 * phi], axis=-1
     ).reshape(-1, 3)
-    weights = np.repeat(wt, n_phi) * (2.0 * np.pi / n_phi)
-    return nodes, weights
+    return nodes, np.repeat(ring_w / n_phi, n_phi)
 
 
 def make_rule(domain, order):
     """Build a QuadratureRule for one of the supported domains.
 
     order must be >= 4. For the sphere the order is interpreted as a
-    minimum total node count (see _sphere_rule).
+    minimum total node count (see _sphere_rule); the ring rule of an order
+    holds the polar nodes of the sphere rule of that order.
     """
     if domain not in _DOMAINS:
         raise ValueError(f"make_rule: unknown domain tag {domain!r}")
@@ -131,6 +145,7 @@ def make_rule(domain, order):
         "half_line": _half_line_rule,
         "circle": _circle_rule,
         "sphere": _sphere_rule,
+        "ring": _ring_rule,
     }[domain]
     nodes, weights = builder(order)
     return QuadratureRule(domain, nodes, weights)

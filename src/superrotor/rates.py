@@ -189,8 +189,12 @@ def gamma_numeric(j, j_prime, spec, amplitude_backend="linearized", kappa_mode="
 
     The integrand factorizes into |c(q)|^2 times a q-independent sphere
     bracket, so the rate is (n_g/2mu) R(n_q) A(n_s) with one radial and one
-    sphere quadrature. The convergence flag in the metadata reports whether
-    doubling either quadrature order moves the value by more than 0.1%.
+    sphere quadrature. Both brackets are invariant under rotations about z
+    (the linearized one reads only n_z and n_x^2 + n_y^2, the spectral one
+    the moduli of a column that such a rotation rephases), so the sphere
+    quadrature sums them on the rings of the sphere rule only. The
+    convergence flag in the metadata reports whether doubling either
+    quadrature order moves the value by more than 0.1%.
     """
     j = int(j)
     j_prime = int(j_prime)
@@ -210,9 +214,9 @@ def gamma_numeric(j, j_prime, spec, amplitude_backend="linearized", kappa_mode="
         return thermal_q_integral(spec, order, 3, lambda c: np.abs(c) ** 2)
 
     def angular(order):
-        sphere = make_rule("sphere", order)
+        ring = make_rule("ring", order)
         return 2.0 * math.pi * np.sum(
-            sphere.weights * bracket(j, j_prime, spec, sphere.nodes, kappa_mode)
+            ring.weights * bracket(j, j_prime, spec, ring.nodes, kappa_mode)
         )
 
     pref = th.density / (2.0 * th.reduced_mass)

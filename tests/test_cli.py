@@ -215,34 +215,26 @@ def test_propagate_state_file_and_dump(tmp_path, capsys):
 
 
 def test_propagate_drift_exits_nonconverged(tmp_path, capsys, monkeypatch):
-    # a dissipator that leaks trace at rate 5e-9 drifts past the state
-    # tolerance mid-run: exit 3 (numerical drift), not 2 (config error).
-    # The leak reaches both propagation paths: the chain generator of the
-    # single-band linearized family, and apply once the family is made dense
+    # a dissipator whose chain generator leaks trace at rate 5e-9 drifts
+    # past the state tolerance mid-run: exit 3 (numerical drift), not 2
+    # (config error)
     build = lb.build_dissipator
 
-    def leaky_single_band(*args, **kwargs):
+    def leaky(*args, **kwargs):
         dset = build(*args, **kwargs)
         anti, shifts = dset.bands
         dset.bands = (anti + 5e-9, shifts)
         return dset
 
-    def leaky_dense(*args, **kwargs):
-        dset = build(*args, **kwargs)
-        dset.bands = None
-        return dset
-
-    monkeypatch.setattr(lb.DissipatorSet, "apply", lambda self, rho: 5e-9 * rho)
-    for leaky in (leaky_single_band, leaky_dense):
-        monkeypatch.setattr(lb, "build_dissipator", leaky)
-        code = run_cli(
-            [
-                "propagate", "n1", "--state", "centrifuge:2,4",
-                "--tfinal", "1.0", "--dt", "0.001", "--out", str(tmp_path / "t.csv"),
-            ]
-        )
-        assert code == 3, leaky.__name__
-        assert "trace drift" in capsys.readouterr().err
+    monkeypatch.setattr(lb, "build_dissipator", leaky)
+    code = run_cli(
+        [
+            "propagate", "n1", "--state", "centrifuge:2,4",
+            "--tfinal", "1.0", "--dt", "0.001", "--out", str(tmp_path / "t.csv"),
+        ]
+    )
+    assert code == 3
+    assert "trace drift" in capsys.readouterr().err
 
 
 def run_state_file(tmp_path, doc):
@@ -265,6 +257,18 @@ def test_propagate_state_file_not_an_object(tmp_path, capsys):
 def test_propagate_state_file_empty_field(tmp_path, capsys):
     assert run_state_file(tmp_path, {"type": "isotropic", "populations": {}}) == 2
     assert "'populations' must be a nonempty object" in capsys.readouterr().err
+
+
+def test_propagate_state_file_null_coefficient(tmp_path, capsys):
+    doc = {"type": "centrifuge", "coefficients": {"2": None}}
+    assert run_state_file(tmp_path, doc) == 2
+    assert "field 'coefficients' holds None" in capsys.readouterr().err
+
+
+def test_propagate_state_file_nested_population(tmp_path, capsys):
+    doc = {"type": "isotropic", "populations": {"2": [1, 2]}}
+    assert run_state_file(tmp_path, doc) == 2
+    assert "field 'populations' holds [1, 2]" in capsys.readouterr().err
 
 
 def test_propagate_bad_state(capsys):

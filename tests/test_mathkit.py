@@ -117,6 +117,24 @@ def test_sphere_rule():
     assert abs(np.sum(w * n[:, 0] * n[:, 2])) < 1e-13
 
 
+def test_ring_rule():
+    # the polar nodes of the sphere rule of the same order, at phi = 0, each
+    # carrying its full azimuth
+    for order in (30, 302):
+        ring, sphere = make_rule("ring", order), make_rule("sphere", order)
+        n_phi = 2 * len(ring)
+        assert len(sphere) == len(ring) * n_phi
+        np.testing.assert_allclose(ring.nodes, sphere.nodes[::n_phi], atol=1e-15)
+        np.testing.assert_allclose(
+            ring.weights, sphere.weights.reshape(len(ring), n_phi).sum(axis=1), rtol=1e-13
+        )
+    n, w = ring.nodes, ring.weights
+    assert np.all(n[:, 1] == 0.0)
+    assert np.sum(w) == pytest.approx(4 * math.pi, rel=1e-13)
+    p2 = assoc_legendre2(0, n[:, 2])
+    assert np.sum(w * p2**2) == pytest.approx(4 * math.pi / 5, rel=1e-12)
+
+
 def test_rule_validation():
     with pytest.raises(ValueError):
         make_rule("segment", 8)

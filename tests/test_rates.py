@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superrotor import rates
 from superrotor.mathkit import make_rule
 from superrotor.params import HBAR, builtin_config, load_config, normalized_document
 from superrotor.rates import (
@@ -120,6 +121,30 @@ def test_gamma_numeric_spectral_backend_small_anisotropy():
     lin = gamma_numeric(4, 2, spec, amplitude_backend="linearized").gamma
     spc = gamma_numeric(4, 2, spec, amplitude_backend="spectral").gamma
     assert spc == pytest.approx(lin, rel=5e-3)
+
+
+@pytest.mark.parametrize("kappa", ["exact", "half"])
+@pytest.mark.parametrize("backend", ["linearized", "spectral"])
+def test_gamma_numeric_rings_match_sphere_rule(backend, kappa):
+    # oracle: the bracket summed over every node of the sphere rule; the
+    # rings carry the same integral because both brackets are invariant
+    # under rotations about z
+    doc = json.loads(builtin_config("n1"))
+    doc["molecule"]["alpha_aniso"] = 0.06
+    doc["numerics"] = {"quad_order_sphere": 30, "quad_order_circle": 32}
+    spec = load_config(json.dumps(doc))
+    bracket = {
+        "linearized": rates._corner_integrand_linearized,
+        "spectral": rates._corner_integrand_spectral,
+    }[backend]
+    sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
+    angular = 2.0 * math.pi * np.sum(sphere.weights * bracket(4, 2, spec, sphere.nodes, kappa))
+    radial = rates.thermal_q_integral(
+        spec, spec.numerics.quad_order_q, 3, lambda c: np.abs(c) ** 2
+    )
+    oracle = spec.thermal.density / (2.0 * spec.thermal.reduced_mass) * radial * angular
+    got = gamma_numeric(4, 2, spec, amplitude_backend=backend, kappa_mode=kappa).gamma
+    assert abs(got - oracle) <= 1e-12 * oracle
 
 
 def test_gamma_numeric_validation():
