@@ -70,7 +70,7 @@ def _spec_echo(spec):
     return json.loads(normalized_document(spec))
 
 
-def rate_plot_svg(js, values, ylabel="Gamma_j"):
+def rate_plot_svg(js, values):
     """Minimal self-contained SVG: one polyline on log-log axes."""
     js = np.asarray(js, dtype=float)
     values = np.asarray(values, dtype=float)

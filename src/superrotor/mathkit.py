@@ -4,6 +4,7 @@ Only the degree-2 Legendre family is provided: nothing else is needed for
 the anisotropy algebra, and a smaller surface is easier to keep correct.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,17 +130,24 @@ def _sphere_rule(order):
 
 
 def make_rule(domain, order):
-    """Build a QuadratureRule for one of the supported domains.
+    """Return the QuadratureRule of one of the supported domains.
 
     order must be >= 4. For the sphere the order is interpreted as a
     minimum total node count (see _sphere_rule); the ring rule of an order
-    holds the polar nodes of the sphere rule of that order.
+    holds the polar nodes of the sphere rule of that order. Each (domain,
+    order) rule is built once per process and shared: its nodes and weights
+    are read-only.
     """
     if domain not in _DOMAINS:
         raise ValueError(f"make_rule: unknown domain tag {domain!r}")
     order = int(order)
     if order < 4:
         raise ValueError("make_rule: order must be >= 4")
+    return _shared_rule(domain, order)
+
+
+@functools.cache
+def _shared_rule(domain, order):
     builder = {
         "interval": _interval_rule,
         "half_line": _half_line_rule,
@@ -148,4 +156,6 @@ def make_rule(domain, order):
         "ring": _ring_rule,
     }[domain]
     nodes, weights = builder(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(domain, nodes, weights)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .mathkit import assoc_legendre2, gamma_real, make_rule
 from .params import HBAR
-from .scattering import coupling_templates, forward_scalar, spectral_shapes
+from .scattering import forward_scalar, spectral_shapes, template_bands
 
 # Validation hook: the negative-control check multiplies the closed-form
 # prefactor through this module constant to prove the acceptance suite can
@@ -71,9 +71,8 @@ def _p2sq_guarded(k, x):
     # arguments outside [-1, 1] correspond to empty m-sums of the underlying
     # rate integral and contribute zero (occurs only for the second band at
     # j or j' = 0)
-    if abs(x) > 1.0:
-        return 0.0
-    return float(assoc_legendre2(k, x)) ** 2
+    inside = np.abs(x) <= 1.0
+    return np.where(inside, np.square(assoc_legendre2(k, np.where(inside, x, 0.0))), 0.0)
 
 
 def a_coefficient(j, j_prime):
@@ -82,15 +81,16 @@ def a_coefficient(j, j_prime):
     Five Legendre terms: the squared diagonal difference plus one first-band
     and one second-band term for each of j and j'. Symmetric under j <-> j';
     grouping the band terms pairwise keeps the symmetry exact in floating
-    point.
+    point. j and j_prime may be integers (returns a float) or equal-shape
+    integer arrays (returns the array of coefficients).
     """
-    j = int(j)
-    j_prime = int(j_prime)
-    if j < 0 or j_prime < 0:
+    j = np.asarray(j, dtype=np.int64)
+    j_prime = np.asarray(j_prime, dtype=np.int64)
+    if np.any(j < 0) or np.any(j_prime < 0):
         raise ValueError("a_coefficient: j and j_prime must be >= 0")
     top_j = 2.0 * j / (2.0 * j + 1.0)
     top_jp = 2.0 * j_prime / (2.0 * j_prime + 1.0)
-    diff = (float(assoc_legendre2(0, top_j)) - float(assoc_legendre2(0, top_jp))) ** 2
+    diff = np.square(assoc_legendre2(0, top_j) - assoc_legendre2(0, top_jp))
     band1 = (
         _p2sq_guarded(1, (2.0 * j - 1.0) / (2.0 * j + 1.0)) / 6.0
         + _p2sq_guarded(1, (2.0 * j_prime - 1.0) / (2.0 * j_prime + 1.0)) / 6.0
@@ -99,7 +99,33 @@ def a_coefficient(j, j_prime):
         _p2sq_guarded(2, (2.0 * j - 2.0) / (2.0 * j + 1.0)) / 24.0
         + _p2sq_guarded(2, (2.0 * j_prime - 2.0) / (2.0 * j_prime + 1.0)) / 24.0
     )
-    return diff + band1 + band2
+    out = diff + band1 + band2
+    return out if np.ndim(out) else float(out)
+
+
+def _closed_form_rates(pairs, spec):
+    # RateResult rows for (j, j') pairs: one prefactor, one a_coefficient pass
+    th = spec.thermal
+    mol = spec.molecule
+    constant = gamma_real(2.6) * gamma_real(0.6) ** 2 * math.sqrt(math.pi) / 10.0
+    aniso = (mol.alpha_aniso / (30.0 * mol.alpha_mean)) ** 2
+    strength = (
+        3.0 * math.pi * th.reduced_mass * spec.gas.c6 / (8.0 * HBAR * th.thermal_momentum)
+    ) ** 0.8
+    prefactor = (
+        _PREFACTOR_SCALE
+        * constant
+        * th.density
+        * th.thermal_momentum**3
+        / (th.reduced_mass * HBAR**2)
+        * aniso
+        * strength
+    )
+    coeffs = a_coefficient([j for j, _ in pairs], [jp for _, jp in pairs]).tolist()
+    return [
+        RateResult(j, jp, prefactor * coeff, "closed_form", coeff)
+        for (j, jp), coeff in zip(pairs, coeffs)
+    ]
 
 
 def gamma_closed_form(j, j_prime, spec):
@@ -109,62 +135,53 @@ def gamma_closed_form(j, j_prime, spec):
             * (alpha_aniso/(30 alpha_mean))^2
             * (3 pi mu C_6 / (8 hbar q_th))^{4/5} * A_{jj'}.
     """
-    th = spec.thermal
-    mol = spec.molecule
-    coeff = a_coefficient(j, j_prime)
-    constant = gamma_real(2.6) * gamma_real(0.6) ** 2 * math.sqrt(math.pi) / 10.0
-    aniso = (mol.alpha_aniso / (30.0 * mol.alpha_mean)) ** 2
-    strength = (
-        3.0 * math.pi * th.reduced_mass * spec.gas.c6 / (8.0 * HBAR * th.thermal_momentum)
-    ) ** 0.8
-    gamma = (
-        _PREFACTOR_SCALE
-        * constant
-        * th.density
-        * th.thermal_momentum**3
-        / (th.reduced_mass * HBAR**2)
-        * aniso
-        * strength
-        * coeff
-    )
-    return RateResult(int(j), int(j_prime), gamma, "closed_form", coeff)
+    return _closed_form_rates([(int(j), int(j_prime))], spec)[0]
 
 
-def _corner_integrand_linearized(j, j_prime, spec, nodes, kappa_mode):
+def _corner_coefficients(j, spec, kappa_mode):
+    # the top-corner column of block j's templates: the diagonal corner, the
+    # first-band and the second-band neighbor; the j = 0 block has no band
+    # partners (empty m-sums)
+    diag, band1, band2 = template_bands(j, spec.molecule, kappa_mode)
+    if j == 0:
+        return diag[-1], 0.0, 0.0
+    return diag[-1], band1[-1], band2[-1]
+
+
+def _corner_integrand_linearized(j, j_prime, spec, kappa_mode):
     # The forward amplitude is c(q) * (identity + (2/5) averaged coupling),
     # and the rate integrand touches only the top-corner column of each
-    # block: the diagonal corner, the first-band neighbor and the
-    # second-band neighbor. Their template coefficients suffice.
-    def corner(jv):
-        t = coupling_templates(jv, spec.molecule, kappa_mode)
-        top = 2 * jv
-        t0 = t[0][top, top]
-        # the j = 0 block has no band partners (empty m-sums)
-        b1 = t[1][top - 1, top] if jv >= 1 else 0.0
-        b2 = t[3][top - 2, top] if jv >= 1 else 0.0
-        return t0, b1, b2
-    t0j, b1j, b2j = corner(j)
-    t0p, b1p, b2p = corner(j_prime)
-    nz = nodes[:, 2]
-    n_plus_sq = nodes[:, 0] ** 2 + nodes[:, 1] ** 2
-    p2 = assoc_legendre2(0, np.clip(nz, -1.0, 1.0))
-    return 0.16 * (
-        (t0j - t0p) ** 2 * p2**2
-        + (b1j**2 + b1p**2) * nz**2 * n_plus_sq
-        + (b2j**2 + b2p**2) * n_plus_sq**2
-    )
+    # block, so three template coefficients per block suffice. Returns the
+    # bracket as a function of an (n, 3) stack of sphere nodes.
+    t0j, b1j, b2j = _corner_coefficients(j, spec, kappa_mode)
+    t0p, b1p, b2p = _corner_coefficients(j_prime, spec, kappa_mode)
+
+    def bracket(nodes):
+        nz = nodes[:, 2]
+        n_plus_sq = nodes[:, 0] ** 2 + nodes[:, 1] ** 2
+        p2 = assoc_legendre2(0, np.clip(nz, -1.0, 1.0))
+        return 0.16 * (
+            (t0j - t0p) ** 2 * p2**2
+            + (b1j**2 + b1p**2) * nz**2 * n_plus_sq
+            + (b2j**2 + b2p**2) * n_plus_sq**2
+        )
+
+    return bracket
 
 
-def _corner_integrand_spectral(j, j_prime, spec, nodes, kappa_mode):
+def _corner_integrand_spectral(j, j_prime, spec, kappa_mode):
     # the forward amplitude is c(q) S(n'); the bracket needs the top-corner
-    # columns of the q-independent shapes S
-    mj = spectral_shapes(j, nodes, spec, kappa_mode)
-    mp = spectral_shapes(j_prime, nodes, spec, kappa_mode)
-    return (
-        np.abs(mj[:, -1, -1] - mp[:, -1, -1]) ** 2
-        + np.sum(np.abs(mj[:, :-1, -1]) ** 2, axis=1)
-        + np.sum(np.abs(mp[:, :-1, -1]) ** 2, axis=1)
-    )
+    # columns of the q-independent shapes S at the given nodes
+    def bracket(nodes):
+        mj = spectral_shapes(j, nodes, spec, kappa_mode)
+        mp = spectral_shapes(j_prime, nodes, spec, kappa_mode)
+        return (
+            np.abs(mj[:, -1, -1] - mp[:, -1, -1]) ** 2
+            + np.sum(np.abs(mj[:, :-1, -1]) ** 2, axis=1)
+            + np.sum(np.abs(mp[:, :-1, -1]) ** 2, axis=1)
+        )
+
+    return bracket
 
 
 def thermal_q_integral(spec, order, power, fn):
@@ -182,6 +199,49 @@ def thermal_q_integral(spec, order, power, fn):
     return float(q_th / math.pi**1.5 * np.sum(rule.weights * rule.nodes**power * fn(c)))
 
 
+def _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode):
+    # RateResult rows for (j, j') pairs. The radial brackets R(n_q), R(2 n_q)
+    # and the ring rules do not depend on the pair and are evaluated once;
+    # each pair adds its ring brackets A(n_s), A(2 n_s) and its own
+    # order-doubling drift.
+    integrand = {
+        "linearized": _corner_integrand_linearized,
+        "spectral": _corner_integrand_spectral,
+    }.get(amplitude_backend)
+    if integrand is None:
+        raise ValueError(f"unknown amplitude_backend {amplitude_backend!r}")
+    th = spec.thermal
+    nq = spec.numerics.quad_order_q
+    ns = spec.numerics.quad_order_sphere
+    pref = th.density / (2.0 * th.reduced_mass)
+    r, r_fine = (
+        thermal_q_integral(spec, order, 3, lambda c: np.abs(c) ** 2) for order in (nq, 2 * nq)
+    )
+    rings = make_rule("ring", ns), make_rule("ring", 2 * ns)
+    coeffs = a_coefficient([j for j, _ in pairs], [jp for _, jp in pairs]).tolist()
+    rows = []
+    for (j, j_prime), coeff in zip(pairs, coeffs):
+        bracket = integrand(j, j_prime, spec, kappa_mode)
+        a, a_fine = (
+            2.0 * math.pi * np.sum(ring.weights * bracket(ring.nodes)) for ring in rings
+        )
+        base = pref * r * a
+        fine_q = pref * r_fine * a
+        fine_s = pref * r * a_fine
+        scale = max(abs(base), abs(fine_q), abs(fine_s))
+        drift = 0.0 if scale == 0.0 else max(abs(fine_q - base), abs(fine_s - base)) / scale
+        meta = {
+            "converged": bool(drift <= 1e-3),
+            "order_q": nq,
+            "order_sphere": ns,
+            "order_doubling_drift": drift,
+            "backend": amplitude_backend,
+            "kappa_mode": kappa_mode,
+        }
+        rows.append(RateResult(j, j_prime, base, "quadrature", coeff, meta))
+    return rows
+
+
 def gamma_numeric(j, j_prime, spec, amplitude_backend="linearized", kappa_mode="exact"):
     """Pair decay rate by direct quadrature of the forward-amplitude rate
     integral: (n_g/2mu) Int dq q^3 nu_th 2pi Int d^2n' [squared corner-column
@@ -194,47 +254,14 @@ def gamma_numeric(j, j_prime, spec, amplitude_backend="linearized", kappa_mode="
     the moduli of a column that such a rotation rephases), so the sphere
     quadrature sums them on the rings of the sphere rule only. The
     convergence flag in the metadata reports whether doubling either
-    quadrature order moves the value by more than 0.1%.
+    quadrature order moves the value by more than 0.1%. This is the
+    one-pair case of the quadrature sweep (sweep_rates).
     """
     j = int(j)
     j_prime = int(j_prime)
     if j < 0 or j_prime < 0:
         raise ValueError("gamma_numeric: j and j_prime must be >= 0")
-    bracket = {
-        "linearized": _corner_integrand_linearized,
-        "spectral": _corner_integrand_spectral,
-    }.get(amplitude_backend)
-    if bracket is None:
-        raise ValueError(f"unknown amplitude_backend {amplitude_backend!r}")
-    th = spec.thermal
-    nq = spec.numerics.quad_order_q
-    ns = spec.numerics.quad_order_sphere
-
-    def radial(order):
-        return thermal_q_integral(spec, order, 3, lambda c: np.abs(c) ** 2)
-
-    def angular(order):
-        ring = make_rule("ring", order)
-        return 2.0 * math.pi * np.sum(
-            ring.weights * bracket(j, j_prime, spec, ring.nodes, kappa_mode)
-        )
-
-    pref = th.density / (2.0 * th.reduced_mass)
-    r, a = radial(nq), angular(ns)
-    base = pref * r * a
-    fine_q = pref * radial(2 * nq) * a
-    fine_s = pref * r * angular(2 * ns)
-    scale = max(abs(base), abs(fine_q), abs(fine_s))
-    drift = 0.0 if scale == 0.0 else max(abs(fine_q - base), abs(fine_s - base)) / scale
-    meta = {
-        "converged": bool(drift <= 1e-3),
-        "order_q": nq,
-        "order_sphere": ns,
-        "order_doubling_drift": drift,
-        "backend": amplitude_backend,
-        "kappa_mode": kappa_mode,
-    }
-    return RateResult(j, j_prime, base, "quadrature", a_coefficient(j, j_prime), meta)
+    return _quadrature_rates([(j, j_prime)], spec, amplitude_backend, kappa_mode)[0]
 
 
 def signal_decay_rate(j, spec):
@@ -277,19 +304,17 @@ def energy_shift_matrix(j, spec, with_diagnostics=False):
 
 
 def delta_frequency(j, j_prime, spec):
-    """Coherence oscillation frequency: free rotor spacing plus the corner
-    gas-shift difference, (E_j - E_j')/hbar + (s_j - s_j')/hbar.
+    """Coherence oscillation frequency (E_j - E_j')/hbar of the free rotor.
 
-    The gas-shift part is an artifact definition (the underlying short-time
-    law names the frequency without defining it); outputs that report it say
-    so. In the linearized model the shift is block-scalar and identical
-    across blocks, so the second term vanishes.
+    The gas shift would add (s_j - s_j')/hbar, the corner difference of the
+    energy_shift_matrix blocks. That shift is the same isotropic scalar
+    s_iso in every block, so the difference cancels exactly and is not
+    computed. (The frequency is an artifact definition: the underlying
+    short-time law names it without defining it; outputs that report it
+    say so.)
     """
     mol = spec.molecule
-    free = (mol.rotational_energy(j) - mol.rotational_energy(j_prime)) / HBAR
-    s_j = energy_shift_matrix(j, spec)[-1, -1].real
-    s_jp = energy_shift_matrix(j_prime, spec)[-1, -1].real
-    return free + (s_j - s_jp) / HBAR
+    return (mol.rotational_energy(j) - mol.rotational_energy(j_prime)) / HBAR
 
 
 def sweep_rates(j_range, spec, method="closed_form", amplitude_backend="linearized",
@@ -298,20 +323,24 @@ def sweep_rates(j_range, spec, method="closed_form", amplitude_backend="lineariz
 
     method selects closed_form or quadrature rows; every j must lie within
     the numerics basis limits and be >= 2 (the j-2 partner must exist).
+    Every factor that does not depend on j (the closed-form prefactor, the
+    radial quadrature brackets, the quadrature rules) is evaluated once per
+    sweep.
     """
     if method not in ("closed_form", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    rows = []
+    pairs = []
     for j in j_range:
         j = int(j)
         if j < 2:
             raise ValueError("sweep_rates: j values must be >= 2")
         if j > spec.numerics.j_max:
             raise ValueError(f"sweep_rates: j={j} exceeds basis limit {spec.numerics.j_max}")
-        if method == "closed_form":
-            rows.append(gamma_closed_form(j, j - 2, spec))
-        else:
-            rows.append(gamma_numeric(j, j - 2, spec, amplitude_backend, kappa_mode))
+        pairs.append((j, j - 2))
+    if method == "closed_form":
+        rows = _closed_form_rates(pairs, spec)
+    else:
+        rows = _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode)
     return RateTable(tuple(rows), method)
 
 

@@ -177,35 +177,45 @@ def coupling_matrix(j, n_prime, e_b, mol, kappa_mode="exact"):
     return CouplingMatrix(j, n_prime, e, out)
 
 
+def template_bands(j, mol, kappa_mode="exact"):
+    """The three band vectors of coupling_templates for block j.
+
+    Returns (diag, band1, band2): the diagonal of T_1 (length d = 2j + 1),
+    the first superdiagonal of T_2 (length d - 1) and the second
+    superdiagonal of T_4 (length d - 2, empty for j = 0). Every other
+    template entry is zero or a transpose of these, so an O(d) reader
+    such as the rate bracket needs nothing else.
+    """
+    j = int(j)
+    if j < 0:
+        raise ValueError("coupling_templates: j must be >= 0")
+    ratio = mol.alpha_aniso / mol.alpha_mean
+    m = np.arange(-j, j + 1, dtype=float)
+    kap = _kappa_for_mode(j, kappa_mode)
+    diag = (ratio / 6.0) * kap * assoc_legendre2(0, 2.0 * m / (2.0 * j + 1.0))
+    band1 = -(ratio / 12.0) * kap * assoc_legendre2(1, (2.0 * m[:-1] + 1.0) / (2.0 * j + 1.0))
+    band2 = (ratio / 48.0) * kap * assoc_legendre2(2, (2.0 * m[:-2] + 2.0) / (2.0 * j + 1.0))
+    return diag, band1, band2
+
+
 def coupling_templates(j, mol, kappa_mode="exact"):
     """Geometry-independent band templates of the circle-averaged coupling.
 
     Returns an array of five real banded matrices T_1..T_5 such that the
     average of the coupling matrix over the impact-direction circle equals
     sum_a g_a(n') T_a with g from geometry_factors. T_3 and T_5 are the
-    transposes of T_2 and T_4, making the assembled matrix hermitian.
+    transposes of T_2 and T_4, making the assembled matrix hermitian. The
+    band entries come from template_bands.
     """
-    j = int(j)
-    if j < 0:
-        raise ValueError("coupling_templates: j must be >= 0")
-    ratio = mol.alpha_aniso / mol.alpha_mean
-    d = 2 * j + 1
-    m = np.arange(-j, j + 1, dtype=float)
-    kap = _kappa_for_mode(j, kappa_mode)
+    diag, band1, band2 = template_bands(j, mol, kappa_mode)
+    d = len(diag)
+    i = np.arange(d)
     t = np.zeros((5, d, d))
-    t[0][np.arange(d), np.arange(d)] = (
-        (ratio / 6.0) * kap * assoc_legendre2(0, 2.0 * m / (2.0 * j + 1.0))
-    )
-    if d >= 2:
-        i = np.arange(d - 1)
-        band1 = -(ratio / 12.0) * kap * assoc_legendre2(1, (2.0 * m[:-1] + 1.0) / (2.0 * j + 1.0))
-        t[1][i, i + 1] = band1
-        t[2] = t[1].T
-    if d >= 3:
-        i = np.arange(d - 2)
-        band2 = (ratio / 48.0) * kap * assoc_legendre2(2, (2.0 * m[:-2] + 2.0) / (2.0 * j + 1.0))
-        t[3][i, i + 2] = band2
-        t[4] = t[3].T
+    t[0][i, i] = diag
+    t[1][i[:-1], i[:-1] + 1] = band1
+    t[2] = t[1].T
+    t[3][i[:-2], i[:-2] + 2] = band2
+    t[4] = t[3].T
     return t
 
 

@@ -140,3 +140,22 @@ def test_rule_validation():
         make_rule("segment", 8)
     with pytest.raises(ValueError):
         make_rule("interval", 3)
+
+
+def test_make_rule_shared_read_only():
+    # one rule per (domain, order), shared by every caller: its arrays must
+    # be read-only so that no caller can corrupt another's quadrature
+    for domain, order in (("half_line", 48), ("ring", 302), ("sphere", 30), ("circle", 16)):
+        first, again = make_rule(domain, order), make_rule(domain, float(order))
+        np.testing.assert_array_equal(first.nodes, again.nodes)
+        np.testing.assert_array_equal(first.weights, again.weights)
+        with pytest.raises(ValueError):
+            first.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            first.weights[0] = 0.0
+    # the arguments are checked on every call, not only on the first
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            make_rule("segment", 8)
+        with pytest.raises(ValueError):
+            make_rule("interval", 3)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from superrotor.rates import (
     signal_decay_rate,
     sweep_rates,
 )
-from superrotor.scattering import coupling_templates, forward_scalar, geometry_factors
+from superrotor.scattering import (
+    coupling_templates,
+    forward_scalar,
+    geometry_factors,
+    spectral_shapes,
+)
 
 # frozen 30-digit mpmath oracles
 CONSTANT = 0.561951028726822104  # Gamma(13/5) Gamma(3/5)^2 sqrt(pi) / 10
@@ -138,13 +144,129 @@ def test_gamma_numeric_rings_match_sphere_rule(backend, kappa):
         "spectral": rates._corner_integrand_spectral,
     }[backend]
     sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
-    angular = 2.0 * math.pi * np.sum(sphere.weights * bracket(4, 2, spec, sphere.nodes, kappa))
+    angular = 2.0 * math.pi * np.sum(sphere.weights * bracket(4, 2, spec, kappa)(sphere.nodes))
     radial = rates.thermal_q_integral(
         spec, spec.numerics.quad_order_q, 3, lambda c: np.abs(c) ** 2
     )
     oracle = spec.thermal.density / (2.0 * spec.thermal.reduced_mass) * radial * angular
     got = gamma_numeric(4, 2, spec, amplitude_backend=backend, kappa_mode=kappa).gamma
     assert abs(got - oracle) <= 1e-12 * oracle
+
+
+def per_pair_oracle(j, jp, spec, backend, kappa):
+    # the per-pair quadrature the shared sweep route replaces: both radial
+    # brackets and both ring sums recomputed for this pair alone, the
+    # linearized corner read off the full (5, d, d) templates
+    def corner(jv):
+        t = coupling_templates(jv, spec.molecule, kappa)
+        top = 2 * jv
+        if jv == 0:
+            return t[0][0, 0], 0.0, 0.0
+        return t[0][top, top], t[1][top - 1, top], t[3][top - 2, top]
+
+    def bracket(nodes):
+        if backend == "spectral":
+            mj, mp = (spectral_shapes(jv, nodes, spec, kappa) for jv in (j, jp))
+            return (
+                np.abs(mj[:, -1, -1] - mp[:, -1, -1]) ** 2
+                + np.sum(np.abs(mj[:, :-1, -1]) ** 2, axis=1)
+                + np.sum(np.abs(mp[:, :-1, -1]) ** 2, axis=1)
+            )
+        (t0j, b1j, b2j), (t0p, b1p, b2p) = corner(j), corner(jp)
+        nz = nodes[:, 2]
+        n_plus_sq = nodes[:, 0] ** 2 + nodes[:, 1] ** 2
+        p2 = 1.5 * nz**2 - 0.5
+        return 0.16 * (
+            (t0j - t0p) ** 2 * p2**2
+            + (b1j**2 + b1p**2) * nz**2 * n_plus_sq
+            + (b2j**2 + b2p**2) * n_plus_sq**2
+        )
+
+    def radial(order):
+        return rates.thermal_q_integral(spec, order, 3, lambda c: np.abs(c) ** 2)
+
+    def angular(order):
+        ring = make_rule("ring", order)
+        return 2.0 * math.pi * np.sum(ring.weights * bracket(ring.nodes))
+
+    nq, ns = spec.numerics.quad_order_q, spec.numerics.quad_order_sphere
+    pref = spec.thermal.density / (2.0 * spec.thermal.reduced_mass)
+    base = pref * radial(nq) * angular(ns)
+    fine = (pref * radial(2 * nq) * angular(ns), pref * radial(nq) * angular(2 * ns))
+    drift = max(abs(f - base) for f in fine) / max(abs(base), *(abs(f) for f in fine))
+    return base, drift, drift <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "backend,kappa,js",
+    [
+        ("linearized", "exact", [2, 3, 10, 37, 100]),
+        ("linearized", "half", [2, 3, 10, 37, 100]),
+        ("spectral", "exact", [2, 3, 4, 5]),
+        ("spectral", "half", [2, 3, 4, 5]),
+    ],
+)
+def test_sweep_quadrature_matches_per_pair_oracle(backend, kappa, js):
+    spec = n1_spec() if backend == "linearized" else modified_n1(
+        set=[("molecule", "alpha_aniso", 0.03)]
+    )
+    table = sweep_rates(js, spec, method="quadrature", amplitude_backend=backend,
+                        kappa_mode=kappa)
+    for j, row in zip(js, table.rows):
+        gamma, drift, converged = per_pair_oracle(j, j - 2, spec, backend, kappa)
+        single = gamma_numeric(j, j - 2, spec, amplitude_backend=backend, kappa_mode=kappa)
+        for res in (row, single):
+            assert (res.j, res.j_prime) == (j, j - 2)
+            assert abs(res.gamma - gamma) <= 1e-14 * gamma
+            assert abs(res.metadata["order_doubling_drift"] - drift) <= 1e-12
+            assert res.converged == converged
+
+
+def test_quadrature_sweep_radial_once(monkeypatch):
+    # the radial bracket does not depend on j: a sweep evaluates c(q) once
+    # per radial node of the base and the doubled order, not once per row
+    spec = n1_spec()
+    calls = []
+
+    def counted(q, spec):
+        calls.append(q)
+        return forward_scalar(q, spec)
+
+    monkeypatch.setattr(rates, "forward_scalar", counted)
+    table = sweep_rates(range(2, 101), spec, method="quadrature")
+    assert len(table) == 99
+    assert spec.numerics.quad_order_q == 48
+    assert len(calls) <= 48 + 96
+
+
+def test_gamma_numeric_large_j_memory():
+    # the corner coefficients are read from O(d) band vectors, never from
+    # the (5, d, d) templates (153 MB at j = 1000)
+    spec = n1_spec()
+    tracemalloc.start()
+    try:
+        res = gamma_numeric(1000, 998, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged and res.gamma > 0.0
+    assert peak < 8 * 2**20
+
+
+def test_a_coefficient_arrays_match_scalars():
+    # one function serves scalars and arrays with identical values, and a
+    # closed-form sweep row is the scalar closed-form rate exactly
+    js = np.arange(0, 60)
+    jps = js[::-1]
+    coeffs = a_coefficient(js, jps)
+    assert coeffs.shape == js.shape
+    for j, jp, coeff in zip(js.tolist(), jps.tolist(), coeffs.tolist()):
+        assert a_coefficient(j, jp) == coeff
+        assert isinstance(a_coefficient(j, jp), float)
+    spec = n1_spec()
+    for row in sweep_rates(range(2, 40), spec).rows:
+        single = gamma_closed_form(row.j, row.j_prime, spec)
+        assert (row.gamma, row.a_coefficient) == (single.gamma, single.a_coefficient)
 
 
 def test_gamma_numeric_validation():
