@@ -8,14 +8,14 @@ dynamics factorizes into (j, j') sectors.
 
 Density matrices are dense D x D matrices on one BasisLayout, with
 D = layout.dim.  Every jump operator lies on one diagonal m' - m = q and is
-stored as that offset and its diagonal (DissipatorSet): the linearized
+stored only as that offset and its diagonal (DissipatorSet): the linearized
 templates each occupy one band, and the spectral family is split into the
 bands of its azimuthal rings, which an exact azimuth average leaves
 uncoupled.  The generator then keeps Q = m - m' inside each block as well:
 every diagonal of a block rho_{jj'} is a chain that evolves on its own, and
-propagate exponentiates the chains rho0 occupies exactly.  Unoccupied chains
-stay exactly zero, so frame eigenvalues are taken component by component of
-the nonzero pattern (_min_eigenvalue).
+propagate exponentiates the chains rho0 occupies exactly, block scalars
+included.  Unoccupied chains stay exactly zero, so frame eigenvalues are
+taken component by component of the nonzero pattern (_min_eigenvalue).
 """
 
 import math
@@ -213,9 +213,9 @@ class DissipatorSet:
     I + aniso_mean, so it shares the family's amplitude model and kappa.
 
     (A rho A^+)[r, c] = a[r] rho[r + q, c + q] a[c]^*, so the ops of one
-    offset q merge into one gain matrix: bands holds (anti, shifts), where
-    anti multiplies rho for the anticommutator and each (dst, src, gain)
-    adds gain * rho[src, src] to rho's [dst, dst] corner, one per distinct q.
+    offset q carry rho[r + q, c + q] into [r, c] with the gain G_q[r, c] =
+    collision_weight * sum_{k: q_k = q} w_k a_k[r] a_k[c]^*.  No gain is
+    stored: apply forms each G_q per call, and _chain_flow at chain entries.
     """
 
     layout: BasisLayout
@@ -226,23 +226,23 @@ class DissipatorSet:
     aniso_mean: np.ndarray  # (D,) real
     metadata: dict = field(default_factory=dict)
     kmat: np.ndarray = field(init=False)  # (D,) real
-    bands: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.kmat = np.zeros(self.layout.dim)
+        for _, dst, src, w, a in self._offset_groups():
+            self.kmat[src] += w @ np.abs(a[:, dst]) ** 2
+
+    def _offset_groups(self):
+        """(q, dst, src, w, a) per distinct offset q: the weights and (n_q, D)
+        diagonals of its ops; G_q carries rho[src, src] into rho[dst, dst]."""
         d = self.layout.dim
-        self.kmat = np.zeros(d)
-        shifts = []
         for q in np.unique(self.offsets).tolist():
+            sel = self.offsets == q
             if q >= 0:
                 dst, src = slice(0, d - q), slice(q, d)
             else:
                 dst, src = slice(-q, d), slice(0, d + q)
-            sel = self.offsets == q
-            w, a = self.weights[sel], self.diagonals[sel][:, dst]
-            self.kmat[src] += w @ np.abs(a) ** 2
-            shifts.append((dst, src, self.collision_weight * ((a.T * w) @ a.conj())))
-        anti = (-0.5 * self.collision_weight) * (self.kmat[:, None] + self.kmat[None, :])
-        self.bands = (anti, shifts)
+            yield q, dst, src, self.weights[sel], self.diagonals[sel]
 
     @property
     def converged(self):
@@ -269,10 +269,11 @@ class DissipatorSet:
 
     def apply(self, rho):
         """Dissipator action on a dense D x D density matrix."""
-        anti, shifts = self.bands
-        acc = anti * rho
-        for dst, src, gain in shifts:
-            acc[dst, dst] += gain * rho[src, src]
+        cw = self.collision_weight
+        acc = (-0.5 * cw) * (self.kmat[:, None] + self.kmat[None, :]) * rho
+        for _, dst, src, w, a in self._offset_groups():
+            a = a[:, dst]
+            acc[dst, dst] += cw * ((a.T * w) @ a.conj()) * rho[src, src]
         return acc
 
 
@@ -299,51 +300,49 @@ def _jump_family(spec, layout, backend, kappa_mode):
     aniso_mean is the band-0 (diagonal) mean.
     """
     if backend == "linearized":
-        # template a is band TEMPLATE_OFFSETS[a] of the templates' sum
-        def coupling(j):
-            return scattering.coupling_templates(j, spec.molecule, kappa_mode).sum(axis=0)[None]
+        # T_3 and T_5 are the transposes of T_2 and T_4, so bands -1 and -2
+        # read the same vectors as bands +1 and +2
+        def bands(j):
+            diag, band1, band2 = scattering.template_bands(j, spec.molecule, kappa_mode)
+            return [v[None] for v in (diag, band1, band1, band2, band2)]
 
-        ops = _band_diagonals(layout, coupling, TEMPLATE_OFFSETS)
+        ops = _band_diagonals(layout, TEMPLATE_OFFSETS, bands)
         weights = 0.16 * np.array(TEMPLATE_MOMENTS)
         return weights, np.array(TEMPLATE_OFFSETS), ops, np.zeros(layout.dim)
     if backend != "spectral":
         raise ValueError("unknown backend %r" % backend)
     ring = make_rule("ring", spec.numerics.quad_order_sphere)
 
-    def anisotropy(j):
-        aniso = scattering.spectral_shapes(j, ring.nodes, spec, kappa_mode) - np.eye(2 * j + 1)
-        return 0.5 * (aniso + aniso.conj().transpose(0, 2, 1))
-
     offsets = np.arange(-2 * layout.j_max, 2 * layout.j_max + 1)
-    ops = _band_diagonals(layout, anisotropy, offsets)
+
+    def bands(j):
+        aniso = scattering.spectral_shapes(j, ring.nodes, spec, kappa_mode) - np.eye(2 * j + 1)
+        aniso = 0.5 * (aniso + aniso.conj().transpose(0, 2, 1))
+        return [np.diagonal(aniso, q, axis1=1, axis2=2) for q in offsets]
+
+    ops = _band_diagonals(layout, offsets, bands)
     weights = np.repeat(ring.weights, len(offsets))
     offsets = np.tile(offsets, len(ring.weights))
     aniso_mean = (weights[offsets == 0] @ ops[offsets == 0]).real / (4.0 * math.pi)
     return weights, offsets, ops, aniso_mean
 
 
-def _band_diagonals(layout, blocks, offsets):
+def _band_diagonals(layout, offsets, bands):
     """(n * len(offsets), D) diagonals of the bands of n block matrices.
 
-    blocks(j) is the (n, 2j + 1, 2j + 1) stack of block j; row k * len(offsets)
+    bands(j) lists, for each q in offsets, the (n, 2j + 1 - |q|) band q of
+    the n matrices of block j (empty where |q| > 2j).  Row k * len(offsets)
     + i holds band offsets[i] of matrix k, entry r being M_k[r, r + q] of the
     block holding row r, and zero where the band leaves that block.
     """
     out = None
     for j, sl in layout.blocks():
-        mats = blocks(j)
-        if out is None:
-            out = np.zeros((len(mats), len(offsets), layout.dim), dtype=mats.dtype)
-        for i, q in enumerate(offsets):
-            band = np.diagonal(mats, offset=q, axis1=1, axis2=2)
+        for i, (q, band) in enumerate(zip(offsets, bands(j))):
+            if out is None:
+                out = np.zeros((len(band), len(offsets), layout.dim), dtype=band.dtype)
             start = sl.start + max(0, -q)
             out[:, i, start : start + band.shape[1]] = band
     return out.reshape(-1, layout.dim)
-
-
-def _assemble(spec, layout, backend, kappa_mode):
-    family = _jump_family(spec, layout, backend, kappa_mode)
-    return DissipatorSet(layout, _collision_weight(spec), *family)
 
 
 def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
@@ -363,11 +362,13 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
     if n_sphere < 26:
         raise ValueError("sphere quadrature below documented minimum of 26 nodes")
 
-    dset = _assemble(spec, layout, backend, kappa_mode)
     fine_num = replace(
         num, quad_order_q=2 * num.quad_order_q, quad_order_sphere=2 * num.quad_order_sphere
     )
-    fine = _assemble(replace(spec, numerics=fine_num), layout, backend, kappa_mode)
+    dset, fine = (
+        DissipatorSet(layout, _collision_weight(s), *_jump_family(s, layout, backend, kappa_mode))
+        for s in (spec, replace(spec, numerics=fine_num))
+    )
     probe = centrifuge_state(
         layout, gaussian_profile(layout, 0.5 * (layout.j_min + layout.j_max), 2.0)
     )
@@ -412,10 +413,10 @@ def _frequency_spread(layout, levels, residual):
     return float((eigs.max() - eigs.min()) / HBAR)
 
 
-def coherent_frequency_spread(spec, layout, backend="linearized"):
-    """Width of the spectrum of (H + H_g)/hbar across the layout, with the
-    gas shift of the backend's jump family at exact kappa."""
-    return _frequency_spread(layout, *_hamiltonian(spec, _assemble(spec, layout, backend, "exact")))
+def coherent_frequency_spread(spec, dset):
+    """Width of the spectrum of (H + H_g)/hbar across dset's layout, with the
+    gas shift of dset's jump family."""
+    return _frequency_spread(dset.layout, *_hamiltonian(spec, dset))
 
 
 def propagate(rho0, dset, spec, t_final, dt, record_every=None):
@@ -450,26 +451,14 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     if record_every is None:
         record_every = max(1, n_steps // 200)
 
-    # the flow runs in the rotating frame of the block scalars, which
-    # commute with every block-diagonal jump and with the diagonal residual,
-    # so they factor out exactly.  The dissipator and the residual gas shift
-    # are all that is left, and the fast phases are applied in closed form to
-    # each frame.
-    omega = (levels[:, None] - levels[None, :]) / HBAR
-    sizes = layout.block_sizes
-    flow = _chain_flow(rho0.matrix, dset, residual)
-
-    def snapshot(rho, elapsed):
-        phase = np.exp(-1j * omega * elapsed)
-        return rho * np.repeat(np.repeat(phase, sizes, axis=0), sizes, axis=1)
-
+    flow = _chain_flow(rho0.matrix, dset, levels, residual)
     traj = [rho0]
     for step in range(1, n_steps + 1):
         monitor = step % DIAG_INTERVAL == 0 or step == n_steps
         record = step % record_every == 0 or step == n_steps
         if monitor or record:
             t = rho0.time + step * dt
-            dense = snapshot(flow(step * dt), step * dt)
+            dense = flow(step * dt)
             # every recorded frame passes the trace and hermiticity monitor
             # first, so drift surfaces as NumericalDriftError and never as
             # the RotorState constructor's ValueError
@@ -479,40 +468,46 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     return traj
 
 
-def _chain_flow(rho0, dset, residual):
-    """Exact rotating-frame flow of the dense matrix rho0.
+def _chain_flow(rho0, dset, levels, residual):
+    """Exact flow of the dense matrix rho0 under H + H_g and dset.
 
-    Every jump lies on one diagonal q (dset.bands) and the residual gas
-    shift is diagonal, so the generator moves rho[r, c] only to
-    rho[r + q, c + q] inside the same block rho_{jj'}: it keeps j, j' and
-    Q = m - m', and each diagonal of each block is a chain of length
-    <= 2 min(j, j') + 1 that evolves on its own.  The residual adds
-    -i (R_r - R_c) / hbar to the chain's diagonal, so the chain generator
-    is not hermitian in general.  Chains that rho0 leaves empty stay exactly
-    zero and are skipped.  The occupied chains are diagonalized by one
-    stacked eig per chain length, and the returned flow(tau) is the D x D
-    matrix at elapsed time tau.
+    Every jump lies on one diagonal q and the residual gas shift is
+    diagonal, so the generator moves rho[r, c] only to rho[r + q, c + q]
+    inside the same block rho_{jj'}: it keeps j, j' and Q = m - m', and each
+    diagonal of each block is a chain of length <= 2 min(j, j') + 1 that
+    evolves on its own.  Its generator is built at its entries from kmat,
+    the gains G_q (DissipatorSet) and the residual, which adds
+    -i (R_r - R_c) / hbar to its diagonal, so it is not hermitian in general.
+    Chains that rho0 leaves empty stay exactly zero and are skipped; the
+    occupied ones are diagonalized by one stacked eig per chain length.  The
+    block scalars E_j + s_iso (levels) are constant along a chain and commute
+    with its generator: -i (levels[j] - levels[j']) / hbar joins its
+    eigenvalues.  flow(tau) is the D x D matrix at elapsed time tau.
 
     Raises NumericalDriftError when V diag(lam) V^-1 misses a chain
     generator by more than EIG_RECON_TOL of its largest entry: the
     eigenvectors are then too ill-conditioned to propagate with.
     """
-    anti, shifts = dset.bands
-    if np.any(residual):
-        anti = anti + (-1j / HBAR) * (residual[:, None] - residual[None, :])
-    dtype = np.result_type(anti, *(gain for _, _, gain in shifts))
+    cw = dset.collision_weight
+    coherent = bool(np.any(residual))
+    # generators stay real unless the residual shift makes them complex
+    dtype = np.result_type(dset.diagonals, 1j if coherent else 0.0)
+    groups = list(dset._offset_groups())
+    scalars = np.repeat(levels, dset.layout.block_sizes)
     parts = []
     for rows, cols in _occupied_chains(dset.layout, rho0):
         n = rows.shape[1]
         steps = np.arange(n)
         gen = np.zeros(rows.shape + (n,), dtype=dtype)
-        gen[:, steps, steps] = anti[rows, cols]
-        for dst, src, gain in shifts:
-            # gain[r - o, c - o] feeds rho[r + q, c + q] into [r, c], o = dst.start;
-            # a partner beyond the chain's end crosses a block edge, where gain is 0
-            q, o = src.start - dst.start, dst.start
+        gen[:, steps, steps] = (-0.5 * cw) * (dset.kmat[rows] + dset.kmat[cols])
+        if coherent:
+            gen[:, steps, steps] += (-1j / HBAR) * (residual[rows] - residual[cols])
+        for q, _, _, w, a in groups:
+            # G_q[r, c] feeds rho[r + q, c + q] into [r, c]; a partner beyond
+            # the chain's end crosses a block edge, where a is 0
             s = steps[max(0, -q) : max(0, n - max(0, q))]
-            gen[:, s, s + q] += gain[rows[:, s] - o, cols[:, s] - o]
+            r, c = rows[:, s], cols[:, s]
+            gen[:, s, s + q] += cw * (a[:, r] * w[:, None, None] * a[:, c].conj()).sum(axis=0)
         lam, vec = np.linalg.eig(gen)
         try:
             inv = np.linalg.inv(vec)
@@ -525,6 +520,7 @@ def _chain_flow(rho0, dset, residual):
             raise NumericalDriftError(
                 "chain generator eigendecomposition misses it by %.3g of its scale" % miss
             )
+        lam = lam - (1j / HBAR) * (scalars[rows[:, :1]] - scalars[cols[:, :1]])
         coef = np.einsum("cij,cj->ci", inv, rho0[rows, cols])
         parts.append((rows, cols, lam, vec, coef))
 

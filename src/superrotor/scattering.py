@@ -188,7 +188,7 @@ def template_bands(j, mol, kappa_mode="exact"):
     """
     j = int(j)
     if j < 0:
-        raise ValueError("coupling_templates: j must be >= 0")
+        raise ValueError("template_bands: j must be >= 0")
     ratio = mol.alpha_aniso / mol.alpha_mean
     m = np.arange(-j, j + 1, dtype=float)
     kap = _kappa_for_mode(j, kappa_mode)

@@ -226,7 +226,7 @@ def criterion_block_population_conservation(spec=None):
     ]
     g_min = min(gammas)
     t_final = 3.0 / g_min if g_min > 0 else 1.0
-    spread = lb.coherent_frequency_spread(spec, layout)
+    spread = lb.coherent_frequency_spread(spec, dset)
     dt = 0.099 / spread if spread > 0 else t_final / 100
     traj = lb.propagate(rho0, dset, spec, t_final, dt, record_every=10**9)
     pops0 = rho0.block_populations()

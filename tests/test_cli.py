@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -222,8 +223,7 @@ def test_propagate_drift_exits_nonconverged(tmp_path, capsys, monkeypatch):
 
     def leaky(*args, **kwargs):
         dset = build(*args, **kwargs)
-        anti, shifts = dset.bands
-        dset.bands = (anti + 5e-9, shifts)
+        dset.kmat = dset.kmat - 5e-9 / dset.collision_weight
         return dset
 
     monkeypatch.setattr(lb, "build_dissipator", leaky)
@@ -335,6 +335,27 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "gamma =" in proc.stdout
     assert out.exists()
+
+
+def test_cli_paths_do_not_import_scipy(tmp_path):
+    # scipy adds about 29 MB of RSS to every process; only the evolve_exact
+    # cross-check imports it
+    script = "\n".join([
+        "import sys",
+        "from superrotor.cli import main",
+        "assert main(['propagate', 'n1', '--state', 'centrifuge:2,4', '--tfinal', '0.01',"
+        " '--dt', '0.001', '--out', 't.csv']) == 0",
+        "assert main(['sweep', 'n1', '--jmax', '12', '--method', 'quadrature',"
+        " '--out', 's.csv']) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = os.path.dirname(os.path.dirname(lb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_shipped_configs_load(tmp_path):

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,10 +192,8 @@ def test_apply_matches_literal_jump_sum_linearized():
     spec = n1_spec()
     layout = lb.BasisLayout(0, 3)
     dset = lb.build_dissipator(spec, layout)
-    # each template is one op on its own diagonal; apply takes one shifted
-    # product per diagonal
+    # each template is one op on its own diagonal
     assert dset.offsets.tolist() == list(lb.TEMPLATE_OFFSETS)
-    assert len(dset.bands[1]) == 5
     state = random_state(layout, seed=7)
     fast = lb.apply_dissipator(dset, state)
     lit = literal_dissipator_action(spec, layout, "linearized", state.matrix)
@@ -204,11 +204,10 @@ def test_apply_matches_literal_jump_sum_spectral():
     spec = spectral_spec()
     layout = lb.BasisLayout(1, 3)
     dset = lb.build_dissipator(spec, layout, backend="spectral")
-    # one op per ring and band q in [-2 j_max, 2 j_max], merged per band
+    # one op per ring and band q in [-2 j_max, 2 j_max]
     n_rings = len(make_rule("ring", spec.numerics.quad_order_sphere))
     assert len(dset.offsets) == n_rings * 13
     assert sorted({int(q) for q in dset.offsets}) == list(range(-6, 7))
-    assert len(dset.bands[1]) == 13
     state = random_state(layout, seed=11)
     fast = lb.apply_dissipator(dset, state)
     # the literal family's shapes carry azimuthal charges up to 4 j_max, so
@@ -237,6 +236,33 @@ def test_spectral_apply_keeps_sectors():
         out = dset.apply(rho)
         assert np.max(np.abs(out[inside])) > 0
         assert np.all(out[~inside] == 0), sector
+
+
+def built_and_retained(build):
+    """build()'s result and the bytes it leaves allocated (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dissipator_keeps_only_its_diagonals():
+    # no gain matrix is stored: a linearized family on j in [20, 40]
+    # (D = 1281) keeps its five diagonals (51 kB), not a D^2 gain per offset
+    spec = n1_spec()
+    lb.build_dissipator(spec, lb.BasisLayout(2, 3))  # builds the shared rules
+    dset, kept = built_and_retained(lambda: lb.build_dissipator(spec, lb.BasisLayout(20, 40)))
+    assert kept < 2 * 2**20
+    assert not hasattr(dset, "bands")
+    spec = spectral_spec()
+    lb.build_dissipator(spec, lb.BasisLayout(1, 2), backend="spectral")
+    dset, kept = built_and_retained(
+        lambda: lb.build_dissipator(spec, lb.BasisLayout(6, 10), backend="spectral")
+    )
+    assert kept < 2 * dset.diagonals.nbytes
+    arrays = [v for v in vars(dset).values() if isinstance(v, np.ndarray)]
+    assert max(a.nbytes for a in arrays) == dset.diagonals.nbytes
 
 
 def test_dissipator_structural_properties():
@@ -366,7 +392,7 @@ def test_propagate_guards():
     spec = n1_spec()
     layout = lb.BasisLayout(2, 6)
     state = random_state(layout, seed=1)
-    spread = lb.coherent_frequency_spread(spec, layout)
+    spread = lb.coherent_frequency_spread(spec, lb.DissipatorSet.empty(layout))
     with pytest.raises(lb.StepSizeViolation, match="step-size violation"):
         lb.propagate(state, None, spec, 1.0, 0.5 / spread)
     with pytest.raises(ValueError, match="positive"):
@@ -425,16 +451,17 @@ def test_evolve_exact_spectral_backend():
 
 def test_spectral_propagate_at_step_bound_matches_exact():
     # the block scalars E_j + s_iso rotate at the full coherent spread and
-    # are applied in closed form; the chains carry the dissipator and the
-    # residual shift, so a mixed state sampled near the dt * max|Delta| = 0.1
-    # bound still lands on the Liouvillian exponential
+    # enter each chain's eigenvalues in closed form; the chain generators
+    # carry the dissipator and the residual shift, so a mixed state sampled
+    # near the dt * max|Delta| = 0.1 bound still lands on the Liouvillian
+    # exponential
     spec = spectral_spec()
     layout = lb.BasisLayout(2, 4)
     dset = lb.build_dissipator(spec, layout, backend="spectral")
     coherent = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 3.0, 1.0))
     iso = lb.isotropic_state(layout, {j: 1.0 / 3.0 for j in layout.js})
     rho0 = lb.RotorState(layout, 0.5 * (coherent.matrix + iso.matrix))
-    dt = 0.099 / lb.coherent_frequency_spread(spec, layout, backend="spectral")
+    dt = 0.099 / lb.coherent_frequency_spread(spec, dset)
     t_final = 200 * dt
     chain = lb.propagate(rho0, dset, spec, t_final, dt)[-1]
     exact = lb.evolve_exact(rho0, dset, spec, t_final)
@@ -473,7 +500,7 @@ def test_chain_flow_properties(j_min, n_blocks, seed, rank, support, t):
     layout = lb.BasisLayout(j_min, j_min + n_blocks - 1)
     dset = lb.build_dissipator(spec, layout)
     rho0 = sparse_mixed_state(layout, np.random.default_rng(seed), rank, support)
-    out = lb._chain_flow(rho0.matrix, dset, np.zeros(layout.dim))(t)
+    out = lb._chain_flow(rho0.matrix, dset, np.zeros(n_blocks), np.zeros(layout.dim))(t)
     assert abs(np.trace(out) - 1.0) <= 1e-12
     assert np.max(np.abs(out - out.conj().T)) <= 1e-14
     assert np.linalg.eigvalsh(out)[0] >= -1e-9
@@ -579,18 +606,18 @@ def test_band_beyond_chain_length():
 
 
 def test_ill_conditioned_chain_generator_raises_drift():
-    # gains 1 on band +1 and delta on band -1 make the main-diagonal chain of
-    # the j = 1 block tridiag(delta, 0, 1): eigenvalues 0 and +-sqrt(2 delta),
-    # a Jordan block at delta = 0.  Its eigenvectors cannot carry the flow
+    # unit ops on bands +1 and -1 with weights 1 and delta, and no
+    # anticommutator, make the main-diagonal chain of the j = 1 block
+    # tridiag(delta, 0, 1): eigenvalues 0 and +-sqrt(2 delta), a Jordan block
+    # at delta = 0.  Its eigenvectors cannot carry the flow
     spec = n1_spec()
     layout = lb.BasisLayout(1, 1)
     rho0 = lb.isotropic_state(layout, {1: 1.0})
+    diagonals = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     for delta, message in ((0.0, "no eigenbasis"), (1e-20, "misses it")):
-        dset = lb.DissipatorSet.empty(layout)
-        anti, _ = dset.bands
-        up = (slice(0, 2), slice(1, 3), np.ones((2, 2)))
-        down = (slice(1, 3), slice(0, 2), np.full((2, 2), delta))
-        dset.bands = (anti, [up, down])
+        weights = np.array([1.0, delta])
+        dset = lb.DissipatorSet(layout, 1.0, weights, np.array([1, -1]), diagonals, np.zeros(3))
+        dset.kmat = np.zeros(3)
         with pytest.raises(lb.NumericalDriftError, match=message):
             lb.propagate(rho0, dset, spec, 0.1, 0.01)
 
@@ -718,9 +745,8 @@ def test_drift_monitor_shares_state_tolerances():
     spec = n1_spec()
     layout = lb.BasisLayout(2, 2)
     rho0 = lb.isotropic_state(layout, {2: 1.0})
-    leaky = lb.DissipatorSet.empty(layout)
-    anti, shifts = leaky.bands
-    leaky.bands = (anti + 5e-9, shifts)
+    leaky = replace(lb.DissipatorSet.empty(layout), collision_weight=1.0)
+    leaky.kmat = np.full(layout.dim, -5e-9)
     for record_every in (1, 1000):
         with pytest.raises(lb.NumericalDriftError, match="trace"):
             lb.propagate(rho0, leaky, spec, 1.0, 0.01, record_every=record_every)

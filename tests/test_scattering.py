@@ -285,6 +285,8 @@ def test_templates_pair_with_geometry():
     np.testing.assert_array_equal(t[4], t[3].T)
     g = geometry_factors(N_DIAG)
     assert g[2] == np.conj(g[1]) and g[4] == np.conj(g[3])
+    with pytest.raises(ValueError, match="template_bands"):
+        coupling_templates(-1, spec.molecule)
 
 
 def test_schiff_isotropic_forward_matches_closed_form():
