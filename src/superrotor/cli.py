@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lindblad as lb
-from . import rates, validation
+from . import rates
 from .params import builtin_config, load_config, normalized_document
 
 EXIT_OK = 0
@@ -68,6 +67,18 @@ def _load_spec(path):
 
 def _spec_echo(spec):
     return json.loads(normalized_document(spec))
+
+
+def _finish(args, spec, outputs, t0, flags):
+    """Write the run manifest if asked, print each flag, and map flags to
+    the exit code."""
+    if args.manifest:
+        RunManifest(
+            args.command, _spec_echo(spec), outputs, time.perf_counter() - t0, flags
+        ).write(args.manifest)
+    for f in flags:
+        print("flag: %s" % f, file=sys.stderr)
+    return EXIT_NONCONVERGED if flags else EXIT_OK
 
 
 def rate_plot_svg(js, values):
@@ -129,7 +140,7 @@ def rate_plot_svg(js, values):
 
 
 def _parse_state(arg, layout_arg):
-    """Resolve --state into (layout, RotorState builder input)."""
+    """Resolve --state into ((j_min, j_max) of the layout, _build_state input)."""
     if arg.startswith("centrifuge:"):
         js = [int(x) for x in arg.split(":", 1)[1].split(",") if x.strip()]
         if not js:
@@ -174,12 +185,10 @@ def _parse_state(arg, layout_arg):
 
     if layout_arg:
         a, b = (int(x) for x in layout_arg.split(","))
-        layout = lb.BasisLayout(a, b)
-    else:
-        if lo is None:
-            raise ValueError("isotropic builtin needs an explicit --jwindow")
-        layout = lb.BasisLayout(max(0, lo - 2), hi)
-    return layout, kind
+        return (a, b), kind
+    if lo is None:
+        raise ValueError("isotropic builtin needs an explicit --jwindow")
+    return (max(0, lo - 2), hi), kind
 
 
 def _state_field(doc, name):
@@ -213,7 +222,12 @@ def _as_real(v, name):
         raise ValueError("state file field %r holds %r, not a number" % (name, v)) from None
 
 
-def _build_state(layout, kind):
+def _build_state(bounds, kind):
+    # lindblad is imported here and in cmd_propagate only, so the rates and
+    # sweep commands never load it
+    from . import lindblad as lb
+
+    layout = lb.BasisLayout(*bounds)
     tag, payload = kind
     if tag == "centrifuge":
         total = math.fsum(abs(c) ** 2 for c in payload.values())
@@ -249,29 +263,14 @@ def cmd_rates(args):
     table = rates.RateTable(rows=(res,), method=res.method)
     _atomic_write(args.out, rates.rate_table_csv(table, rate_scale=scale))
     print("wrote %s" % args.out)
-    if args.manifest:
-        manifest = RunManifest(
-            "rates", _spec_echo(spec), [args.out], time.perf_counter() - t0, flags
-        )
-        manifest.write(args.manifest)
-    if flags:
-        for f in flags:
-            print("flag: %s" % f, file=sys.stderr)
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return _finish(args, spec, [args.out], t0, flags)
 
 
 def cmd_sweep(args):
     spec = _load_spec(args.config)
     t0 = time.perf_counter()
-    if args.jmin < 2:
-        raise ValueError("sweep needs jmin >= 2")
     if args.jmin > args.jmax:
         raise ValueError("sweep needs jmin <= jmax (got %d > %d)" % (args.jmin, args.jmax))
-    if args.jmax > spec.numerics.j_max:
-        raise ValueError(
-            "jmax %d exceeds basis limit %d" % (args.jmax, spec.numerics.j_max)
-        )
     js = list(range(args.jmin, args.jmax + 1))
     table = rates.sweep_rates(js, spec, method=args.method, kappa_mode=args.kappa)
     rows = table.rows
@@ -287,22 +286,16 @@ def cmd_sweep(args):
         _atomic_write(args.plot, svg)
         outputs.append(args.plot)
         print("wrote %s" % args.plot)
-    if args.manifest:
-        RunManifest(
-            "sweep", _spec_echo(spec), outputs, time.perf_counter() - t0, flags
-        ).write(args.manifest)
-    if flags:
-        for f in flags:
-            print("flag: %s" % f, file=sys.stderr)
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return _finish(args, spec, outputs, t0, flags)
 
 
 def cmd_propagate(args):
+    from . import lindblad as lb
+
     spec = _load_spec(args.config)
     t0 = time.perf_counter()
-    layout, kind = _parse_state(args.state, args.jwindow)
-    rho0 = _build_state(layout, kind)
+    rho0 = _build_state(*_parse_state(args.state, args.jwindow))
+    layout = rho0.layout
     if args.signal:
         signal_js = [int(x) for x in args.signal.split(",")]
         for j in signal_js:
@@ -358,18 +351,12 @@ def cmd_propagate(args):
         lb.write_state_binary(traj[-1], args.dump)
         outputs.append(args.dump)
         print("wrote %s" % args.dump)
-    if args.manifest:
-        RunManifest(
-            "propagate", _spec_echo(spec), outputs, time.perf_counter() - t0, flags
-        ).write(args.manifest)
-    if flags:
-        for f in flags:
-            print("flag: %s" % f, file=sys.stderr)
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return _finish(args, spec, outputs, t0, flags)
 
 
 def cmd_validate(args):
+    from . import validation
+
     spec = _load_spec(args.config) if args.config else None
     t0 = time.perf_counter()
     names = None

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import scattering
-from .mathkit import make_rule
+from .mathkit import make_rule, order_doubling_drift
 from .params import HBAR
 from .rates import energy_shift_matrix, thermal_q_integral
 
@@ -44,9 +44,7 @@ TEMPLATE_MOMENTS = (
 TEMPLATE_OFFSETS = (0, 1, -1, 2, -2)
 
 DIAG_INTERVAL = 50
-# a density matrix is accepted while |tr rho - 1| <= TRACE_TOL and
-# max|rho - rho^+| <= HERM_TOL; RotorState and the propagation monitor share
-# these, so drift is reported as NumericalDriftError before a state is built
+# tolerances of check_density_matrix
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
 EIG_FLOOR = -1e-9
@@ -126,12 +124,7 @@ class RotorState:
         d = self.layout.dim
         if mat.shape != (d, d):
             raise ValueError("matrix shape %s does not match dimension %d" % (mat.shape, d))
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL * scale:
-            raise ValueError("matrix is not hermitian")
-        tr = np.trace(mat)
-        if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
-            raise ValueError("trace deviates from 1 beyond %g" % TRACE_TOL)
+        check_density_matrix(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -147,6 +140,20 @@ class RotorState:
     def corner_coherence(self, j, j_prime):
         """Matrix element <jj| rho |j'j'> between stretched states."""
         return complex(self.matrix[self.layout.index(j, j), self.layout.index(j_prime, j_prime)])
+
+
+def check_density_matrix(mat):
+    """Raise ValueError unless mat is a density matrix to tolerance:
+    |tr mat - 1| <= TRACE_TOL and max|mat - mat^+| <= HERM_TOL * max(1, max|mat|).
+
+    Each comparison is written as `not x <= tol`, so a NaN or inf entry fails.
+    """
+    trace_dev = abs(np.trace(mat) - 1.0)
+    if not trace_dev <= TRACE_TOL:
+        raise ValueError("trace drift %.3g exceeds %g" % (trace_dev, TRACE_TOL))
+    herm = np.max(np.abs(mat - mat.conj().T))
+    if not herm <= HERM_TOL * max(1.0, float(np.max(np.abs(mat)))):
+        raise ValueError("matrix is not hermitian: drift %.3g" % herm)
 
 
 def isotropic_state(layout, populations, time=0.0):
@@ -186,7 +193,13 @@ def gaussian_profile(layout, center, width):
         raise ValueError("width must be positive")
     js = np.array(list(layout.js), dtype=float)
     amp = np.exp(-((js - center) ** 2) / (4.0 * width**2))
-    amp /= math.sqrt(float(np.sum(amp**2)))
+    norm = math.sqrt(float(np.sum(amp**2)))
+    if not norm > 0.0:
+        raise ValueError(
+            "gaussian profile at center %g has no weight on j window [%d, %d]"
+            % (center, layout.j_min, layout.j_max)
+        )
+    amp /= norm
     return {j: complex(a) for j, a in zip(layout.js, amp)}
 
 
@@ -372,25 +385,16 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
     probe = centrifuge_state(
         layout, gaussian_profile(layout, 0.5 * (layout.j_min + layout.j_max), 2.0)
     )
-    ref = fine.apply(probe.matrix)
-    scale = float(np.max(np.abs(ref)))
-    drift = float(np.max(np.abs(ref - dset.apply(probe.matrix)))) / scale if scale > 0.0 else 0.0
+    drift, converged = order_doubling_drift(dset.apply(probe.matrix), fine.apply(probe.matrix))
     dset.metadata = {
         "backend": backend,
         "kappa_mode": kappa_mode,
         "quad_order_q": num.quad_order_q,
         "sphere_nodes": n_sphere,
         "order_doubling_drift": drift,
-        "converged": drift < 1e-3,
+        "converged": converged,
     }
     return dset
-
-
-def apply_dissipator(dset, state):
-    """Time-derivative contribution D rho as a dense matrix."""
-    if state.layout != dset.layout:
-        raise ValueError("state layout does not match dissipator layout")
-    return dset.apply(state.matrix)
 
 
 def _hamiltonian(spec, dset):
@@ -427,8 +431,10 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     (_chain_flow).  dt sets only the output grid and the monitor cadence,
     but it must still resolve the fastest coherent frequency: a coarser grid
     would alias the coherences it samples, so StepSizeViolation is raised
-    when dt * max|Delta| > 0.1.  NumericalDriftError is raised if trace,
-    hermiticity, or positivity drift past tolerance along the run.
+    when dt * max|Delta| > 0.1.  Every sampled frame is a RotorState, so a
+    frame that fails check_density_matrix raises NumericalDriftError; so
+    does one whose smallest eigenvalue falls below EIG_FLOOR on a monitor
+    step (every DIAG_INTERVAL steps and the last).
     """
     layout = rho0.layout
     if dset is None:
@@ -458,13 +464,16 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
         record = step % record_every == 0 or step == n_steps
         if monitor or record:
             t = rho0.time + step * dt
-            dense = flow(step * dt)
-            # every recorded frame passes the trace and hermiticity monitor
-            # first, so drift surfaces as NumericalDriftError and never as
-            # the RotorState constructor's ValueError
-            _check_drift(dense, t, positivity=monitor)
+            try:
+                frame = RotorState(layout, flow(step * dt), t)
+            except ValueError as exc:
+                raise NumericalDriftError("%s at t=%.6g" % (exc, t)) from None
+            if monitor:
+                low = frame.min_eigenvalue()
+                if not low >= EIG_FLOOR:
+                    raise NumericalDriftError("negative eigenvalue %.3g at t=%.6g" % (low, t))
             if record:
-                traj.append(RotorState(layout, dense, t))
+                traj.append(frame)
     return traj
 
 
@@ -558,19 +567,6 @@ def _occupied_chains(layout, rho):
         cols = (offsets[bk[sel]] + b[sel])[:, None] + steps
         chains.append((rows, cols))
     return chains
-
-
-def _check_drift(dense, t, positivity=True):
-    tr = np.trace(dense)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NumericalDriftError("trace drift %.3g at t=%.6g" % (abs(tr - 1.0), t))
-    herm = np.max(np.abs(dense - dense.conj().T))
-    if herm > HERM_TOL:
-        raise NumericalDriftError("hermiticity drift %.3g at t=%.6g" % (herm, t))
-    if positivity:
-        low = _min_eigenvalue(dense)
-        if low < EIG_FLOOR:
-            raise NumericalDriftError("negative eigenvalue %.3g at t=%.6g" % (low, t))
 
 
 def _min_eigenvalue(mat):

@@ -14,6 +14,9 @@ import numpy as np
 # Truncating at HALFLINE_CUT leaves a tail below exp(-49) ~ 5e-22, under
 # double-precision resolution of the integrals handled here.
 HALFLINE_CUT = 7.0
+# a quadrature value is converged while doubling its order moves it by at
+# most this fraction of the largest magnitude among the values compared
+ORDER_DOUBLING_TOL = 1e-3
 
 _DOMAINS = ("interval", "half_line", "circle", "sphere", "ring")
 
@@ -38,6 +41,20 @@ def assoc_legendre2(k, x):
     else:
         raise ValueError("assoc_legendre2: k must be 0, 1 or 2")
     return out if out.ndim else float(out)
+
+
+def order_doubling_drift(base, *fine):
+    """(drift, converged) of a quadrature value against its order-doubled
+    values: max |f - base| over the fine values f, divided by the largest
+    entry magnitude among base and all f (drift 0 when they all vanish).
+    Values may be scalars or equal-shape arrays.  A non-finite value gives
+    a NaN drift, which is never converged.
+    """
+    base = np.asarray(base)
+    diff = np.max([np.max(np.abs(np.asarray(f) - base)) for f in fine])
+    scale = np.max([np.max(np.abs(v)) for v in (base, *fine)])
+    drift = 0.0 if scale == 0.0 else float(diff) / float(scale)
+    return drift, bool(drift <= ORDER_DOUBLING_TOL)
 
 
 def gamma_real(x):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathkit import assoc_legendre2, gamma_real, make_rule
+from .mathkit import assoc_legendre2, gamma_real, make_rule, order_doubling_drift
 from .params import HBAR
 from .scattering import forward_scalar, spectral_shapes, template_bands
 
@@ -226,12 +226,9 @@ def _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode):
             2.0 * math.pi * np.sum(ring.weights * bracket(ring.nodes)) for ring in rings
         )
         base = pref * r * a
-        fine_q = pref * r_fine * a
-        fine_s = pref * r * a_fine
-        scale = max(abs(base), abs(fine_q), abs(fine_s))
-        drift = 0.0 if scale == 0.0 else max(abs(fine_q - base), abs(fine_s - base)) / scale
+        drift, converged = order_doubling_drift(base, pref * r_fine * a, pref * r * a_fine)
         meta = {
-            "converged": bool(drift <= 1e-3),
+            "converged": converged,
             "order_q": nq,
             "order_sphere": ns,
             "order_doubling_drift": drift,
@@ -254,8 +251,9 @@ def gamma_numeric(j, j_prime, spec, amplitude_backend="linearized", kappa_mode="
     the moduli of a column that such a rotation rephases), so the sphere
     quadrature sums them on the rings of the sphere rule only. The
     convergence flag in the metadata reports whether doubling either
-    quadrature order moves the value by more than 0.1%. This is the
-    one-pair case of the quadrature sweep (sweep_rates).
+    quadrature order moves the value by at most 0.1%
+    (mathkit.order_doubling_drift). This is the one-pair case of the
+    quadrature sweep (sweep_rates).
     """
     j = int(j)
     j_prime = int(j_prime)
@@ -297,10 +295,8 @@ def energy_shift_matrix(j, spec, with_diagnostics=False):
     base = shift_once(spec.numerics.quad_order_q)
     if not with_diagnostics:
         return base
-    fine = shift_once(2 * spec.numerics.quad_order_q)
-    scale = max(np.max(np.abs(base)), np.max(np.abs(fine)), 1e-300)
-    drift = np.max(np.abs(fine - base)) / scale
-    return base, {"converged": bool(drift <= 1e-3), "order_doubling_drift": float(drift)}
+    drift, converged = order_doubling_drift(base, shift_once(2 * spec.numerics.quad_order_q))
+    return base, {"converged": converged, "order_doubling_drift": drift}
 
 
 def delta_frequency(j, j_prime, spec):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathkit import assoc_legendre2, gamma_real, make_rule
+from .mathkit import assoc_legendre2, gamma_real, make_rule, order_doubling_drift
 from .params import HBAR
 
 # branch phase of the 2/5-power radial integrals, exp(i 3 pi / 10)
@@ -366,8 +366,8 @@ def schiff_amplitude_full(j, q, n_out, n_in, spec):
 
     Integrates the matrix exponential of the phase (via eigendecomposition)
     against the transverse plane-wave factor. The converged flag reports
-    whether doubling the radial node count moves the result by more than 1%;
-    intended for small j at desk scale.
+    whether doubling the radial node count moves the result by at most 0.1%
+    (mathkit.order_doubling_drift); intended for small j at desk scale.
     """
     j = int(j)
     if j < 0 or q <= 0.0:
@@ -376,9 +376,8 @@ def schiff_amplitude_full(j, q, n_out, n_in, spec):
     n_out = _check_unit(n_out, "n_out")
     base = _schiff_entries(j, q, n_out, n_in, spec, spec.numerics.b_nodes)
     fine = _schiff_entries(j, q, n_out, n_in, spec, 2 * spec.numerics.b_nodes)
-    scale = np.linalg.norm(fine)
-    drift = np.linalg.norm(fine - base) / scale if scale > 0.0 else 0.0
-    return AmplitudeMatrix(j, float(q), n_in, n_out, fine, converged=bool(drift <= 0.01))
+    _, converged = order_doubling_drift(base, fine)
+    return AmplitudeMatrix(j, float(q), n_in, n_out, fine, converged=converged)
 
 
 def scalar_cross_section_closed_form(q, spec):

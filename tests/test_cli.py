@@ -189,6 +189,20 @@ def test_propagate_record_every_guard(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_propagate_gaussian_outside_window(tmp_path, capsys):
+    # a profile with no weight on the layout used to become an all-NaN state
+    out = tmp_path / "t.csv"
+    code = run_cli(
+        [
+            "propagate", "n1", "--state", "gaussian:1000,0.1", "--jwindow", "2,4",
+            "--tfinal", "0.01", "--dt", "0.001", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "center 1000 has no weight on j window [2, 4]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_propagate_state_file_and_dump(tmp_path, capsys):
     state_doc = {
         "type": "centrifuge",
@@ -348,6 +362,27 @@ def test_cli_paths_do_not_import_scipy(tmp_path):
         "assert main(['sweep', 'n1', '--jmax', '12', '--method', 'quadrature',"
         " '--out', 's.csv']) == 0",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = os.path.dirname(os.path.dirname(lb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_rate_commands_do_not_import_propagation(tmp_path):
+    # rates and sweep run in short-lived processes; lindblad and validation
+    # cost them import time they never use
+    script = "\n".join([
+        "import sys",
+        "from superrotor.cli import main",
+        "assert main(['rates', 'n1', '--j', '10', '--jprime', '8', '--out', 'r.csv']) == 0",
+        "assert main(['sweep', 'n1', '--jmax', '12', '--method', 'quadrature',"
+        " '--out', 's.csv']) == 0",
+        "print(sorted(m for m in ('superrotor.lindblad', 'superrotor.validation')"
+        " if m in sys.modules))",
     ])
     src = os.path.dirname(os.path.dirname(lb.__file__))
     proc = subprocess.run(

@@ -171,6 +171,8 @@ def test_gaussian_profile():
     assert max(prof, key=lambda j: abs(prof[j])) == 8
     with pytest.raises(ValueError):
         lb.gaussian_profile(layout, 8.0, 0.0)
+    with pytest.raises(ValueError, match=r"center 1000 .* window \[4, 12\]"):
+        lb.gaussian_profile(layout, 1000.0, 0.1)
 
 
 def test_build_dissipator_guards():
@@ -195,7 +197,7 @@ def test_apply_matches_literal_jump_sum_linearized():
     # each template is one op on its own diagonal
     assert dset.offsets.tolist() == list(lb.TEMPLATE_OFFSETS)
     state = random_state(layout, seed=7)
-    fast = lb.apply_dissipator(dset, state)
+    fast = dset.apply(state.matrix)
     lit = literal_dissipator_action(spec, layout, "linearized", state.matrix)
     assert np.max(np.abs(fast - lit)) <= 1e-12 * np.max(np.abs(fast))
 
@@ -209,7 +211,7 @@ def test_apply_matches_literal_jump_sum_spectral():
     assert len(dset.offsets) == n_rings * 13
     assert sorted({int(q) for q in dset.offsets}) == list(range(-6, 7))
     state = random_state(layout, seed=11)
-    fast = lb.apply_dissipator(dset, state)
+    fast = dset.apply(state.matrix)
     # the literal family's shapes carry azimuthal charges up to 4 j_max, so
     # the oracle needs 4 j_max + 1 azimuths on the same polar nodes to
     # average them exactly.  The literal route carries the uncancelled
@@ -270,14 +272,12 @@ def test_dissipator_structural_properties():
     state = random_state(layout, seed=2)
     for backend, spec in backend_cases():
         dset = lb.build_dissipator(spec, layout, backend=backend)
-        action = lb.apply_dissipator(dset, state)
+        action = dset.apply(state.matrix)
         scale = np.max(np.abs(action))
         assert abs(np.trace(action)) <= 1e-12 * scale, backend
         assert np.max(np.abs(action - action.conj().T)) <= 1e-13 * scale, backend
         for j, sl in layout.blocks():
             assert abs(np.trace(action[sl, sl])) <= 1e-12 * scale, backend
-        with pytest.raises(ValueError, match="layout"):
-            lb.apply_dissipator(dset, random_state(lb.BasisLayout(0, 1)))
 
 
 def test_dissipator_zero_anisotropy_null():
@@ -285,7 +285,7 @@ def test_dissipator_zero_anisotropy_null():
     state = random_state(layout, seed=5)
     for backend, spec in backend_cases(set=[("molecule", "alpha_aniso", 0.0)]):
         dset = lb.build_dissipator(spec, layout, backend=backend)
-        action = lb.apply_dissipator(dset, state)
+        action = dset.apply(state.matrix)
         assert np.max(np.abs(action)) <= 1e-15 * dset.jump_scale, backend
 
 
@@ -295,7 +295,7 @@ def test_isotropic_states_stationary():
         dset = lb.build_dissipator(spec, layout, backend=backend)
         for pops in ({3: 1.0}, {6: 1.0}, {3: 0.25, 4: 0.25, 5: 0.25, 6: 0.25}):
             iso = lb.isotropic_state(layout, pops)
-            action = lb.apply_dissipator(dset, iso)
+            action = dset.apply(iso.matrix)
             assert np.max(np.abs(action)) <= 1e-10 * dset.jump_scale, backend
 
 
@@ -305,7 +305,7 @@ def test_corner_decay_matches_rate_module():
     for mode in ("half", "exact"):
         dset = lb.build_dissipator(spec, layout, kappa_mode=mode)
         rho = lb.centrifuge_state(layout, {8: 2**-0.5, 10: 2**-0.5})
-        action = lb.apply_dissipator(dset, rho)
+        action = dset.apply(rho.matrix)
         idx = (layout.index(10, 10), layout.index(8, 8))
         rate = -(action[idx] / rho.corner_coherence(10, 8)).real
         oracle = gamma_numeric(10, 8, spec, kappa_mode=mode).gamma
@@ -735,9 +735,15 @@ def test_drift_monitor_shares_state_tolerances():
     drifted = good * (1.0 + 5e-9)
     with pytest.raises(ValueError, match="trace"):
         lb.RotorState(lb.BasisLayout(0, 1), drifted)
-    with pytest.raises(lb.NumericalDriftError, match="trace"):
-        lb._check_drift(drifted, 0.0)
-    lb._check_drift(good, 0.0)
+    with pytest.raises(ValueError, match="trace"):
+        lb.check_density_matrix(drifted)
+    lb.check_density_matrix(good)
+    skewed = good.copy()
+    skewed[0, 1] = 2 * lb.HERM_TOL
+    with pytest.raises(ValueError, match="hermitian"):
+        lb.check_density_matrix(skewed)
+    skewed[0, 1] = 0.5 * lb.HERM_TOL
+    lb.check_density_matrix(skewed)
 
     # a trace leak of 5e-9 per unit time in the chain generator surfaces as
     # NumericalDriftError whether or not a frame is recorded before the
@@ -750,3 +756,24 @@ def test_drift_monitor_shares_state_tolerances():
     for record_every in (1, 1000):
         with pytest.raises(lb.NumericalDriftError, match="trace"):
             lb.propagate(rho0, leaky, spec, 1.0, 0.01, record_every=record_every)
+
+
+def test_non_finite_matrices_are_not_density_matrices(monkeypatch):
+    layout = lb.BasisLayout(0, 1)
+    good = np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex)
+    for bad in (np.full((4, 4), np.nan), np.full((4, 4), np.inf)):
+        with pytest.raises(ValueError):
+            lb.RotorState(layout, bad)
+    off = good.copy()
+    off[0, 1] = off[1, 0] = np.nan
+    with pytest.raises(ValueError, match="hermitian"):
+        lb.check_density_matrix(off)
+
+    # a NaN frame between monitor steps is reported as drift, not recorded
+    spec = n1_spec()
+    rho0 = lb.RotorState(layout, good)
+    monkeypatch.setattr(
+        lb, "_chain_flow", lambda *args: lambda tau: np.full((4, 4), np.nan, dtype=complex)
+    )
+    with pytest.raises(lb.NumericalDriftError, match="trace drift nan .* at t=0.01"):
+        lb.propagate(rho0, None, spec, 1.0, 0.01, record_every=1)

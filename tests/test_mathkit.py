@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import lpmv
 
-from superrotor.mathkit import assoc_legendre2, gamma_real, make_rule
+from superrotor import lindblad, rates, scattering
+from superrotor.mathkit import (
+    ORDER_DOUBLING_TOL,
+    assoc_legendre2,
+    gamma_real,
+    make_rule,
+    order_doubling_drift,
+)
+from superrotor.params import builtin_config, load_config
 
 # Frozen from a 30-digit mpmath run kept outside the package.
 GAMMA_3_5 = 1.48919224881281710239433338832
@@ -159,3 +168,69 @@ def test_make_rule_shared_read_only():
             make_rule("segment", 8)
         with pytest.raises(ValueError):
             make_rule("interval", 3)
+
+
+def test_order_doubling_drift_rule():
+    drift, converged = order_doubling_drift(2.0, 2.01)
+    assert drift == pytest.approx(0.01 / 2.01, rel=1e-12) and not converged
+    assert order_doubling_drift(0.0, 0.0) == (0.0, True)
+    drift, converged = order_doubling_drift(np.ones(3), np.ones(3), 1.0005 * np.ones(3))
+    assert drift == pytest.approx(0.0005 / 1.0005, rel=1e-12) and converged
+    # a non-finite value anywhere is never converged
+    for fine in ((1.0, np.nan), (np.nan, 1.0), (1.0, np.inf)):
+        drift, converged = order_doubling_drift(1.0, *fine)
+        assert math.isnan(drift) and not converged
+
+
+def _n1(alpha_aniso=None):
+    doc = json.loads(builtin_config("n1"))
+    if alpha_aniso is not None:
+        doc["molecule"]["alpha_aniso"] = alpha_aniso
+    return load_config(json.dumps(doc))
+
+
+def _gamma_site():
+    res = rates.gamma_numeric(10, 8, _n1())
+    return res.converged, res.metadata["order_doubling_drift"]
+
+
+def _shift_site():
+    _, diag = rates.energy_shift_matrix(4, _n1(), with_diagnostics=True)
+    return diag["converged"], diag["order_doubling_drift"]
+
+
+def _dissipator_site():
+    dset = lindblad.build_dissipator(_n1(), lindblad.BasisLayout(2, 4))
+    return dset.converged, dset.metadata["order_doubling_drift"]
+
+
+def _schiff_site():
+    ez = np.array([0.0, 0.0, 1.0])
+    return scattering.schiff_amplitude_full(0, 1.0, ez, ez, _n1(alpha_aniso=0.0)).converged, None
+
+
+@pytest.mark.parametrize(
+    "module,site",
+    [
+        (rates, _gamma_site),
+        (rates, _shift_site),
+        (lindblad, _dissipator_site),
+        (scattering, _schiff_site),
+    ],
+    ids=["gamma_numeric", "energy_shift_matrix", "build_dissipator", "schiff_amplitude_full"],
+)
+def test_order_doubling_sites_share_one_rule(monkeypatch, module, site):
+    seen = []
+
+    def spy(*values):
+        seen.append(order_doubling_drift(*values))
+        return seen[-1]
+
+    monkeypatch.setattr(module, "order_doubling_drift", spy)
+    converged, reported = site()
+    assert len(seen) == 1
+    drift, flag = seen[0]
+    assert type(drift) is float and type(converged) is bool
+    assert converged == flag == (drift <= ORDER_DOUBLING_TOL)
+    if reported is not None:
+        assert type(reported) is float and reported == drift
