@@ -32,6 +32,7 @@ class RunManifest:
     outputs: list = field(default_factory=list)
     wall_time_s: float = 0.0
     flags: list = field(default_factory=list)
+    diagnostics: dict = field(default_factory=dict)
 
     def write(self, path):
         for out in self.outputs:
@@ -43,6 +44,7 @@ class RunManifest:
             "outputs": list(self.outputs),
             "wall_time_s": round(self.wall_time_s, 3),
             "flags": list(self.flags),
+            "diagnostics": dict(self.diagnostics),
         }
         _atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
@@ -69,12 +71,17 @@ def _spec_echo(spec):
     return json.loads(normalized_document(spec))
 
 
-def _finish(args, spec, outputs, t0, flags):
+def _finish(args, spec, outputs, t0, flags, diagnostics=None):
     """Write the run manifest if asked, print each flag, and map flags to
     the exit code."""
     if args.manifest:
         RunManifest(
-            args.command, _spec_echo(spec), outputs, time.perf_counter() - t0, flags
+            args.command,
+            _spec_echo(spec),
+            outputs,
+            time.perf_counter() - t0,
+            flags,
+            diagnostics or {},
         ).write(args.manifest)
     for f in flags:
         print("flag: %s" % f, file=sys.stderr)
@@ -330,7 +337,7 @@ def cmd_propagate(args):
     print("wrote %s (%d frames, D = %d)" % (args.out, len(traj), layout.dim))
 
     for j in signal_js:
-        samples = [(s.time, lb.alignment_signal(s, j)) for s in traj]
+        samples = list(zip(traj.times, traj.signal(j)))
         closed = 2.0 * rates.gamma_closed_form(j, j - 2, spec).gamma
         try:
             fitted = lb.extract_decay_rate(samples)
@@ -344,14 +351,15 @@ def cmd_propagate(args):
             )
         else:
             print("signal j=%d: fitted Gamma = %.6g, closed form 0" % (j, fitted))
-    drift = float(np.max(np.abs(traj[-1].matrix - traj[0].matrix)))
+    # entries outside the occupied chains are zero in every frame
+    drift = float(np.max(np.abs(traj.values[-1] - traj.values[0])))
     print("max |rho(t_final) - rho(0)| = %.3g" % drift)
 
     if args.dump:
         lb.write_state_binary(traj[-1], args.dump)
         outputs.append(args.dump)
         print("wrote %s" % args.dump)
-    return _finish(args, spec, outputs, t0, flags)
+    return _finish(args, spec, outputs, t0, flags, traj.diagnostics)
 
 
 def cmd_validate(args):

@@ -6,7 +6,7 @@ dissipator built from forward scattering amplitudes.  Every jump operator is
 block diagonal over j, so block populations are conserved exactly and the
 dynamics factorizes into (j, j') sectors.
 
-Density matrices are dense D x D matrices on one BasisLayout, with
+A RotorState is a dense D x D density matrix on one BasisLayout, with
 D = layout.dim.  Every jump operator lies on one diagonal m' - m = q and is
 stored only as that offset and its diagonal (DissipatorSet): the linearized
 templates each occupy one band, and the spectral family is split into the
@@ -14,13 +14,19 @@ bands of its azimuthal rings, which an exact azimuth average leaves
 uncoupled.  The generator then keeps Q = m - m' inside each block as well:
 every diagonal of a block rho_{jj'} is a chain that evolves on its own, and
 propagate exponentiates the chains rho0 occupies exactly, block scalars
-included.  Unoccupied chains stay exactly zero, so frame eigenvalues are
-taken component by component of the nonzero pattern (_min_eigenvalue).
+included.  Unoccupied chains stay exactly zero, so each frame of a
+Trajectory is the vector of its occupied-chain entries.  Frames are checked
+on those entries, and their columns (trace, purity, smallest eigenvalue,
+signals, block populations) are computed from them; the connected
+components that the smallest eigenvalue is taken over are found once per
+run (_EntryPattern).  Only a caller that asks for a RotorState frame (such
+as the --dump of the CLI) builds a D x D matrix.
 """
 
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -143,17 +149,26 @@ class RotorState:
 
 
 def check_density_matrix(mat):
-    """Raise ValueError unless mat is a density matrix to tolerance:
-    |tr mat - 1| <= TRACE_TOL and max|mat - mat^+| <= HERM_TOL * max(1, max|mat|).
+    """Raise ValueError unless the dense matrix mat is a density matrix to
+    tolerance (_check_density)."""
+    _check_density(np.trace(mat), np.max(np.abs(mat - mat.conj().T)), np.max(np.abs(mat)))
 
-    Each comparison is written as `not x <= tol`, so a NaN or inf entry fails.
+
+def _check_density(trace, herm, largest):
+    """The density-matrix rule: raise ValueError unless |trace - 1| <=
+    TRACE_TOL and the hermiticity deviation herm = max|rho - rho^+| <=
+    HERM_TOL * max(1, largest), largest = max|rho|.
+
+    Each comparison is written as `not x <= tol`, so a NaN or inf entry
+    fails.  Returns (|trace - 1|, herm).
     """
-    trace_dev = abs(np.trace(mat) - 1.0)
+    trace_dev = float(abs(trace - 1.0))
     if not trace_dev <= TRACE_TOL:
         raise ValueError("trace drift %.3g exceeds %g" % (trace_dev, TRACE_TOL))
-    herm = np.max(np.abs(mat - mat.conj().T))
-    if not herm <= HERM_TOL * max(1.0, float(np.max(np.abs(mat)))):
+    herm = float(herm)
+    if not herm <= HERM_TOL * max(1.0, float(largest)):
         raise ValueError("matrix is not hermitian: drift %.3g" % herm)
+    return trace_dev, herm
 
 
 def isotropic_state(layout, populations, time=0.0):
@@ -426,14 +441,15 @@ def coherent_frequency_spread(spec, dset):
 def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     """Evolve rho0 exactly and sample it on a fixed time grid.
 
-    Returns snapshots every record_every steps of dt (initial and final state
-    always included), each evaluated in closed form from the chain flow
-    (_chain_flow).  dt sets only the output grid and the monitor cadence,
-    but it must still resolve the fastest coherent frequency: a coarser grid
-    would alias the coherences it samples, so StepSizeViolation is raised
-    when dt * max|Delta| > 0.1.  Every sampled frame is a RotorState, so a
-    frame that fails check_density_matrix raises NumericalDriftError; so
-    does one whose smallest eigenvalue falls below EIG_FLOOR on a monitor
+    Returns the Trajectory of frames every record_every steps of dt (initial
+    and final state always included), each evaluated in closed form on the
+    entries of the chains rho0 occupies (_chain_flow).  dt sets only the
+    output grid and the monitor cadence, but it must still resolve the
+    fastest coherent frequency: a coarser grid would alias the coherences it
+    samples, so StepSizeViolation is raised when dt * max|Delta| > 0.1.
+    Every evaluated frame is checked on its entries by the density-matrix
+    rule (_check_density), and one that fails raises NumericalDriftError;
+    so does one whose smallest eigenvalue falls below EIG_FLOOR on a monitor
     step (every DIAG_INTERVAL steps and the last).
     """
     layout = rho0.layout
@@ -457,28 +473,105 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     if record_every is None:
         record_every = max(1, n_steps // 200)
 
-    flow = _chain_flow(rho0.matrix, dset, levels, residual)
-    traj = [rho0]
+    rows, cols, flow = _chain_flow(rho0.matrix, dset, levels, residual)
+    pattern = _EntryPattern(layout.dim, rows, cols)
+    n_frames = 1 + n_steps // record_every + (n_steps % record_every > 0)
+    times = np.empty(n_frames)
+    values = np.empty((n_frames, len(rows)), dtype=complex)
+    times[0], values[0] = rho0.time, rho0.matrix[rows, cols]
+    recorded = 1
+    worst_trace = worst_herm = 0.0
+    lowest = math.inf
     for step in range(1, n_steps + 1):
         monitor = step % DIAG_INTERVAL == 0 or step == n_steps
         record = step % record_every == 0 or step == n_steps
         if monitor or record:
             t = rho0.time + step * dt
+            frame = flow(step * dt)
             try:
-                frame = RotorState(layout, flow(step * dt), t)
+                trace_dev, herm = pattern.check(frame)
             except ValueError as exc:
                 raise NumericalDriftError("%s at t=%.6g" % (exc, t)) from None
+            worst_trace, worst_herm = max(worst_trace, trace_dev), max(worst_herm, herm)
             if monitor:
-                low = frame.min_eigenvalue()
+                low = float(pattern.min_eigenvalues(frame[None])[0])
                 if not low >= EIG_FLOOR:
                     raise NumericalDriftError("negative eigenvalue %.3g at t=%.6g" % (low, t))
+                lowest = min(lowest, low)
             if record:
-                traj.append(frame)
-    return traj
+                times[recorded], values[recorded] = t, frame
+                recorded += 1
+    diagnostics = {
+        "steps": n_steps,
+        "dt_max_delta": dt * spread,
+        "max_trace_deviation": worst_trace,
+        "max_hermiticity_deviation": worst_herm,
+        "min_eigenvalue": lowest,
+    }
+    return Trajectory(layout, pattern, times, values, diagnostics)
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """The frames of one propagate run, each kept as its entry values.
+
+    Frame k is the density matrix at times[k] that holds values[k] at the
+    entries (pattern.rows, pattern.cols) and zero elsewhere: the occupied
+    chains, which hold every entry the flow can reach.  The columns below
+    are computed from the entries for every frame at once.  len, indexing,
+    slicing and iteration give the frames as RotorStates, which builds each
+    one's D x D matrix.  diagnostics holds the step count, dt * max|Delta|,
+    and the worst |tr - 1|, hermiticity deviation and smallest eigenvalue
+    over the frames propagate checked.
+    """
+
+    layout: BasisLayout
+    pattern: "_EntryPattern"
+    times: np.ndarray  # (n,)
+    values: np.ndarray  # (n, N)
+    diagnostics: dict = field(default_factory=dict)
+
+    def __len__(self):
+        return len(self.times)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return RotorState(self.layout, self.pattern.dense(self.values[k]), float(self.times[k]))
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def trace(self):
+        return self.pattern.diagonal(self.values).sum(axis=-1).real
+
+    def purity(self):
+        return np.sum(np.abs(self.values) ** 2, axis=-1)
+
+    def min_eigenvalues(self):
+        return self.pattern.min_eigenvalues(self.values)
+
+    def block_populations(self):
+        """(n, number of blocks) populations, blocks in layout.js order."""
+        diag = self.pattern.diagonal(self.values)
+        return np.stack([diag[:, sl].sum(axis=-1).real for _, sl in self.layout.blocks()], -1)
+
+    def corner_coherence(self, j, j_prime):
+        """(n,) matrix elements <jj| rho |j'j'> between stretched states."""
+        return self._entry(self.layout.index(j, j), self.layout.index(j_prime, j_prime))
+
+    def signal(self, j):
+        """(n,) alignment signals |<jj| rho |j-2,j-2>|^2 (alignment_signal)."""
+        return np.abs(self._entry(*_signal_entry(self.layout, j))) ** 2
+
+    def _entry(self, r, c):
+        k = self.pattern.find(r, c)
+        return np.zeros(len(self), dtype=complex) if k is None else self.values[:, k]
 
 
 def _chain_flow(rho0, dset, levels, residual):
-    """Exact flow of the dense matrix rho0 under H + H_g and dset.
+    """Exact flow of the dense matrix rho0 under H + H_g and dset, on the
+    entries of the chains rho0 occupies.
 
     Every jump lies on one diagonal q and the residual gas shift is
     diagonal, so the generator moves rho[r, c] only to rho[r + q, c + q]
@@ -491,11 +584,15 @@ def _chain_flow(rho0, dset, levels, residual):
     occupied ones are diagonalized by one stacked eig per chain length.  The
     block scalars E_j + s_iso (levels) are constant along a chain and commute
     with its generator: -i (levels[j] - levels[j']) / hbar joins its
-    eigenvalues.  flow(tau) is the D x D matrix at elapsed time tau.
+    eigenvalues.
 
-    Raises NumericalDriftError when V diag(lam) V^-1 misses a chain
-    generator by more than EIG_RECON_TOL of its largest entry: the
-    eigenvectors are then too ill-conditioned to propagate with.
+    Returns (rows, cols, flow): the (N,) row and column indices of the
+    occupied chain entries, chain after chain, and flow(tau), the (N,)
+    values there at elapsed time tau.
+
+    Raises NumericalDriftError when a chain generator is not finite, or when
+    V diag(lam) V^-1 misses it by more than EIG_RECON_TOL of its largest
+    entry: the eigenvectors are then too ill-conditioned to propagate with.
     """
     cw = dset.collision_weight
     coherent = bool(np.any(residual))
@@ -503,8 +600,9 @@ def _chain_flow(rho0, dset, levels, residual):
     dtype = np.result_type(dset.diagonals, 1j if coherent else 0.0)
     groups = list(dset._offset_groups())
     scalars = np.repeat(levels, dset.layout.block_sizes)
+    chains = _occupied_chains(dset.layout, rho0)
     parts = []
-    for rows, cols in _occupied_chains(dset.layout, rho0):
+    for rows, cols in chains:
         n = rows.shape[1]
         steps = np.arange(n)
         gen = np.zeros(rows.shape + (n,), dtype=dtype)
@@ -517,6 +615,8 @@ def _chain_flow(rho0, dset, levels, residual):
             s = steps[max(0, -q) : max(0, n - max(0, q))]
             r, c = rows[:, s], cols[:, s]
             gen[:, s, s + q] += cw * (a[:, r] * w[:, None, None] * a[:, c].conj()).sum(axis=0)
+        if not np.all(np.isfinite(gen)):
+            raise NumericalDriftError("chain generator is not finite")
         lam, vec = np.linalg.eig(gen)
         try:
             inv = np.linalg.inv(vec)
@@ -531,15 +631,21 @@ def _chain_flow(rho0, dset, levels, residual):
             )
         lam = lam - (1j / HBAR) * (scalars[rows[:, :1]] - scalars[cols[:, :1]])
         coef = np.einsum("cij,cj->ci", inv, rho0[rows, cols])
-        parts.append((rows, cols, lam, vec, coef))
+        parts.append((lam, vec, coef))
 
     def flow(tau):
-        out = np.zeros_like(rho0, dtype=complex)
-        for rows, cols, lam, vec, coef in parts:
-            out[rows, cols] = np.einsum("cij,cj->ci", vec, np.exp(lam * tau) * coef)
-        return out
+        return np.concatenate(
+            [
+                np.einsum("cij,cj->ci", vec, np.exp(lam * tau) * coef).ravel()
+                for lam, vec, coef in parts
+            ]
+        )
 
-    return flow
+    return (
+        np.concatenate([rows.ravel() for rows, _ in chains]),
+        np.concatenate([cols.ravel() for _, cols in chains]),
+        flow,
+    )
 
 
 def _occupied_chains(layout, rho):
@@ -548,11 +654,14 @@ def _occupied_chains(layout, rho):
 
     A chain is one diagonal of a block rho_{jj'}: the entries (a + s, b + s)
     of the block, s = 0 .. length - 1, starting on its first row or column.
+    A chain counts as occupied when it or its transpose holds a nonzero
+    entry, so the chains' entries form a pattern equal to its transpose.
     """
     sizes = np.array(layout.block_sizes)
     offsets = np.cumsum(sizes) - sizes
     block = np.repeat(np.arange(len(sizes)), sizes)
-    r, c = np.nonzero(rho)
+    nonzero = rho != 0
+    r, c = np.nonzero(nonzero | nonzero.T)
     bj, bk = block[r], block[c]
     diag = (c - offsets[bk]) - (r - offsets[bj])
     bj, bk, diag = np.unique(np.stack([bj, bk, diag]), axis=1)
@@ -569,38 +678,117 @@ def _occupied_chains(layout, rho):
     return chains
 
 
-def _min_eigenvalue(mat):
-    """Smallest eigenvalue of a hermitian matrix, component by component.
+class _EntryPattern:
+    """Entries (rows, cols) of D x D matrices, a pattern equal to its
+    transpose; a matrix on it is the (N,) vector of its values there.
 
-    The rows split into the connected components of the nonzero pattern;
-    permuted to them the matrix is block diagonal, so its spectrum is the
-    union of the blocks' spectra.  One stacked eigvalsh runs per component
-    size, and a single component is one eigvalsh of the whole matrix.
+    Each reduction the frames need is taken on that vector: the main
+    diagonal (diag), the transposed partner of every entry (partner) for
+    hermiticity, and the connected components of the rows (components) for
+    the smallest eigenvalue.  Each is found once per pattern.
     """
-    n = len(mat)
+
+    def __init__(self, dim, rows, cols):
+        self.dim, self.rows, self.cols = dim, rows, cols
+        self.diag = np.flatnonzero(rows == cols)
+
+    def find(self, r, c):
+        """Index of entry (r, c), or None when the pattern lacks it."""
+        hit = np.flatnonzero((self.rows == r) & (self.cols == c))
+        return int(hit[0]) if len(hit) else None
+
+    @cached_property
+    def partner(self):
+        keys = self.rows * self.dim + self.cols
+        order = np.argsort(keys)
+        return order[np.searchsorted(keys, self.cols * self.dim + self.rows, sorter=order)]
+
+    def dense(self, values):
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[self.rows, self.cols] = values
+        return out
+
+    def diagonal(self, values):
+        """(..., D) main diagonals of values (..., N)."""
+        out = np.zeros(values.shape[:-1] + (self.dim,), dtype=values.dtype)
+        out[..., self.rows[self.diag]] = values[..., self.diag]
+        return out
+
+    def check(self, values):
+        """_check_density of the matrix with entry values (N,)."""
+        herm = np.max(np.abs(values - values[self.partner].conj()))
+        return _check_density(self.diagonal(values).sum(), herm, np.max(np.abs(values)))
+
+    @cached_property
+    def components(self):
+        """(groups, empty): groups lists (n, size, entries, flat) per
+        component size, the pattern's n components of that many rows and
+        where each of their entries goes in the (n, size, size) stack of
+        their submatrices, flattened; empty tells whether some row holds no
+        entry.
+
+        Components are ordered by their smallest row, and rows ascend
+        inside each; rows that hold no entry are left out.
+        """
+        rows, cols = self.rows, self.cols
+        # each row takes the smallest label among itself and its neighbours,
+        # then follows its label's label; the fixed point labels every
+        # component by its smallest row
+        labels = np.arange(self.dim)
+        while True:
+            new = labels.copy()
+            np.minimum.at(new, rows, labels[cols])
+            new = new[new]
+            if np.array_equal(new, labels):
+                break
+            labels = new
+        held = np.bincount(rows, minlength=self.dim) > 0
+        order = np.argsort(labels, kind="stable")
+        order = order[held[order]]
+        counts = np.bincount(labels[order])
+        counts = counts[counts > 0]
+        starts = np.cumsum(counts) - counts
+        # size[r]: rows in r's component; slot[r] = k * size + i for the
+        # i-th row of the k-th component of that size
+        size, slot = np.zeros(self.dim, dtype=int), np.zeros(self.dim, dtype=int)
+        sizes = np.unique(counts).tolist()
+        for s in sizes:
+            idx = order[starts[counts == s][:, None] + np.arange(s)]
+            size[idx] = s
+            slot[idx] = np.arange(idx.size).reshape(idx.shape)
+        groups = []
+        for s in sizes:
+            ent = np.flatnonzero(size[rows] == s)
+            flat = slot[rows[ent]] * s + slot[cols[ent]] % s
+            groups.append((np.count_nonzero(counts == s), s, ent, flat))
+        return groups, not held.all()
+
+    def min_eigenvalues(self, values):
+        """(F,) smallest eigenvalue of each of the F hermitian matrices
+        values (F, N), component by component.
+
+        Permuted to the components, each matrix is block diagonal, so its
+        spectrum is the union of the blocks' spectra, and a row that holds
+        no entry adds the eigenvalue 0.  One stacked eigvalsh runs per
+        component size, over all F matrices at once.
+        """
+        groups, empty = self.components
+        low = np.full(len(values), 0.0 if empty else np.inf)
+        for n, s, ent, flat in groups:
+            stack = np.zeros((len(values), n * s * s), dtype=values.dtype)
+            stack[:, flat] = values[:, ent]
+            eig = np.linalg.eigvalsh(stack.reshape(-1, s, s))[:, 0]
+            low = np.minimum(low, eig.reshape(len(values), n).min(axis=1))
+        return low
+
+
+def _min_eigenvalue(mat):
+    """Smallest eigenvalue of a dense hermitian matrix, on the components
+    of its nonzero pattern made symmetric (_EntryPattern.min_eigenvalues)."""
     linked = mat != 0
-    linked |= linked.T
-    # each row takes the smallest label among itself and its neighbours, then
-    # follows its label's label; the fixed point labels every component by
-    # its smallest row
-    labels = np.arange(n)
-    while True:
-        new = np.minimum(labels, np.where(linked, labels, n).min(axis=1))
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    counts = np.bincount(labels)
-    counts = counts[counts > 0]
-    if len(counts) == 1:
-        return float(np.linalg.eigvalsh(mat)[0])
-    order = np.argsort(labels, kind="stable")
-    starts = np.cumsum(counts) - counts
-    low = np.inf
-    for size in np.unique(counts):
-        idx = order[starts[counts == size][:, None] + np.arange(size)]
-        low = min(low, np.linalg.eigvalsh(mat[idx[:, :, None], idx[:, None, :]])[:, 0].min())
-    return float(low)
+    rows, cols = np.nonzero(linked | linked.T)
+    pattern = _EntryPattern(len(mat), rows, cols)
+    return float(pattern.min_eigenvalues(mat[rows, cols][None])[0])
 
 
 def evolve_exact(rho0, dset, spec, t_final):
@@ -634,11 +822,14 @@ def evolve_exact(rho0, dset, spec, t_final):
 
 def alignment_signal(rho, j):
     """Squared coherence |<jj| rho |j-2,j-2>|^2 probed by Raman scattering."""
+    return float(abs(complex(rho.matrix[_signal_entry(rho.layout, j)])) ** 2)
+
+
+def _signal_entry(layout, j):
+    """(row, column) of <jj| rho |j-2,j-2>, the alignment signal's entry."""
     if j < 2:
         raise ValueError("alignment signal needs j >= 2")
-    rho.layout._check(j)
-    rho.layout._check(j - 2)
-    return float(abs(rho.corner_coherence(j, j - 2)) ** 2)
+    return layout.index(j, j), layout.index(j - 2, j - 2)
 
 
 def extract_decay_rate(samples, with_residual=False):
@@ -666,18 +857,20 @@ def extract_decay_rate(samples, with_residual=False):
 
 
 def trajectory_csv(trajectory, signal_js=()):
-    """CSV rendering with columns t,trace,purity,min_eig,signal_j<j>..."""
+    """CSV rendering of a Trajectory with columns
+    t,trace,purity,min_eig,signal_j<j>..."""
     cols = ["t", "trace", "purity", "min_eig"] + ["signal_j%d" % j for j in signal_js]
-    lines = [",".join(cols)]
-    for state in trajectory:
-        row = [
-            state.time,
-            float(np.trace(state.matrix).real),
-            state.purity(),
-            state.min_eigenvalue(),
+    table = np.column_stack(
+        [
+            trajectory.times,
+            trajectory.trace(),
+            trajectory.purity(),
+            trajectory.min_eigenvalues(),
         ]
-        row.extend(alignment_signal(state, j) for j in signal_js)
-        lines.append(",".join("%.11e" % x for x in row))
+        + [trajectory.signal(j) for j in signal_js]
+    )
+    lines = [",".join(cols)]
+    lines.extend(",".join("%.11e" % x for x in row) for row in table.tolist())
     return "\n".join(lines) + "\n"
 
 

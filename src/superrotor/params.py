@@ -41,8 +41,16 @@ class MoleculeSpec:
             raise ValueError("molecule.moment_of_inertia must be positive")
         if self.alpha_mean <= 0.0:
             raise ValueError("molecule.alpha_mean must be positive")
-        if not math.isfinite(self.alpha_aniso / self.alpha_mean):
+        ratio = self.alpha_aniso / self.alpha_mean
+        if not math.isfinite(ratio):
             raise ValueError("molecule polarizability ratio must be finite")
+        # the rates take the square of the ratio; a float multiply overflows
+        # to inf where ** would raise OverflowError
+        if not math.isfinite(ratio * ratio):
+            raise ValueError(
+                "molecule.alpha_aniso %g is too large: its squared ratio to "
+                "alpha_mean overflows" % self.alpha_aniso
+            )
 
     @property
     def epsilon(self):

@@ -213,10 +213,8 @@ def criterion_block_population_conservation(spec=None):
     t_final = 3.0 / g_min if g_min > 0 else 1.0
     spread = lb.coherent_frequency_spread(spec, dset)
     dt = 0.099 / spread if spread > 0 else t_final / 100
-    traj = lb.propagate(rho0, dset, spec, t_final, dt, record_every=10**9)
-    pops0 = rho0.block_populations()
-    pops1 = traj[-1].block_populations()
-    drift = max(abs(pops1[j] - pops0[j]) for j in layout.js)
+    pops = lb.propagate(rho0, dset, spec, t_final, dt, record_every=10**9).block_populations()
+    drift = float(np.max(np.abs(pops[-1] - pops[0])))
     return CriterionResult(
         name="block-population conservation",
         passed=drift <= 1e-8,
@@ -233,10 +231,8 @@ def _fit_pair(spec, j, j_prime):
     gamma = rates.gamma_closed_form(j, j_prime, spec).gamma
     window = 0.03 / gamma if gamma > 0 else 0.1
     traj = lb.propagate(rho0, dset, spec, window, window / 80, record_every=1)
-    fit = lb.extract_decay_rate(
-        [(s.time, abs(s.corner_coherence(j, j_prime))) for s in traj]
-    )
-    fit_sig = lb.extract_decay_rate([(s.time, lb.alignment_signal(s, j)) for s in traj])
+    fit = lb.extract_decay_rate(list(zip(traj.times, np.abs(traj.corner_coherence(j, j_prime)))))
+    fit_sig = lb.extract_decay_rate(list(zip(traj.times, traj.signal(j))))
     err = abs(fit - gamma) / gamma if gamma > 0 else abs(fit)
     err_sig = abs(fit_sig - 2 * gamma) / (2 * gamma) if gamma > 0 else abs(fit_sig)
     return gamma, fit, err, fit_sig, err_sig

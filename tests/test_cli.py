@@ -251,6 +251,65 @@ def test_propagate_drift_exits_nonconverged(tmp_path, capsys, monkeypatch):
     assert "trace drift" in capsys.readouterr().err
 
 
+def test_propagate_non_finite_generator_exits_nonconverged(tmp_path, capsys, monkeypatch):
+    # an inf in kmat makes every chain generator non-finite: exit 3
+    # (numerical drift), not a config error from inside eig
+    build = lb.build_dissipator
+
+    def broken(*args, **kwargs):
+        dset = build(*args, **kwargs)
+        dset.kmat = np.full_like(dset.kmat, np.inf)
+        return dset
+
+    monkeypatch.setattr(lb, "build_dissipator", broken)
+    out = tmp_path / "t.csv"
+    code = run_cli(
+        [
+            "propagate", "n1", "--state", "centrifuge:2,4",
+            "--tfinal", "0.05", "--dt", "0.001", "--out", str(out),
+        ]
+    )
+    assert code == 3
+    assert "chain generator is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_anisotropy_is_a_config_error(tmp_path, capsys):
+    doc = json.loads(_n1_text())
+    doc["molecule"]["alpha_aniso"] = 1e300
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(doc))
+    for argv in (
+        ["rates", str(cfg), "--j", "4", "--jprime", "2", "--out", str(tmp_path / "r.csv")],
+        ["propagate", str(cfg), "--state", "centrifuge:2,4", "--tfinal", "0.05",
+         "--dt", "0.001", "--out", str(tmp_path / "t.csv")],
+    ):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "alpha_aniso" in err
+        assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_propagate_manifest_diagnostics(tmp_path, capsys):
+    # the worst deviations propagate saw over its checked frames reach the
+    # run manifest
+    man = tmp_path / "m.json"
+    code = run_cli(
+        [
+            "propagate", "n1", "--state", "centrifuge:8,10", "--tfinal", "0.1",
+            "--dt", "0.001", "--out", str(tmp_path / "t.csv"), "--manifest", str(man),
+        ]
+    )
+    assert code == 0
+    diag = json.loads(man.read_text())["diagnostics"]
+    assert diag["steps"] == 100
+    assert 0.0 < diag["dt_max_delta"] <= 0.1
+    assert 0.0 <= diag["max_trace_deviation"] <= lb.TRACE_TOL
+    assert 0.0 <= diag["max_hermiticity_deviation"] <= lb.HERM_TOL
+    assert lb.EIG_FLOOR <= diag["min_eigenvalue"] <= 1e-12
+
+
 def run_state_file(tmp_path, doc):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(doc))

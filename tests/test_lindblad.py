@@ -500,7 +500,11 @@ def test_chain_flow_properties(j_min, n_blocks, seed, rank, support, t):
     layout = lb.BasisLayout(j_min, j_min + n_blocks - 1)
     dset = lb.build_dissipator(spec, layout)
     rho0 = sparse_mixed_state(layout, np.random.default_rng(seed), rank, support)
-    out = lb._chain_flow(rho0.matrix, dset, np.zeros(n_blocks), np.zeros(layout.dim))(t)
+    rows, cols, flow = lb._chain_flow(
+        rho0.matrix, dset, np.zeros(n_blocks), np.zeros(layout.dim)
+    )
+    out = np.zeros((layout.dim, layout.dim), dtype=complex)
+    out[rows, cols] = flow(t)
     assert abs(np.trace(out) - 1.0) <= 1e-12
     assert np.max(np.abs(out - out.conj().T)) <= 1e-14
     assert np.linalg.eigvalsh(out)[0] >= -1e-9
@@ -651,6 +655,96 @@ def test_min_eigenvalue_by_components():
         assert abs(lb._min_eigenvalue(mat) - np.linalg.eigvalsh(mat)[0]) <= 1e-14
 
 
+def assert_columns_match_frames(traj, signal_js):
+    """Every Trajectory column equals the same value from the D x D frames."""
+    frames = list(traj)
+    layout = traj.layout
+    assert len(frames) == len(traj) and [f.time for f in frames] == traj.times.tolist()
+    dense = [
+        (np.trace(f.matrix).real, f.purity(), f.min_eigenvalue()) for f in frames
+    ]
+    np.testing.assert_allclose(
+        np.column_stack([traj.trace(), traj.purity(), traj.min_eigenvalues()]),
+        dense, rtol=0, atol=1e-14,
+    )
+    pops = np.array([[f.block_populations()[j] for j in layout.js] for f in frames])
+    np.testing.assert_allclose(traj.block_populations(), pops, rtol=0, atol=1e-14)
+    for j in signal_js:
+        want = [lb.alignment_signal(f, j) for f in frames]
+        np.testing.assert_allclose(traj.signal(j), want, rtol=0, atol=1e-14)
+        want = [f.corner_coherence(j, j - 2) for f in frames]
+        np.testing.assert_allclose(traj.corner_coherence(j, j - 2), want, rtol=0, atol=1e-14)
+    # frames outside the pattern are zero, so the entries hold every matrix
+    for f, values in zip(frames, traj.values):
+        assert np.count_nonzero(f.matrix) == np.count_nonzero(values)
+        np.testing.assert_array_equal(f.matrix[traj.pattern.rows, traj.pattern.cols], values)
+    assert [f.time for f in traj[-3:]] == traj.times[-3:].tolist()
+    np.testing.assert_array_equal(traj[-1].matrix, frames[-1].matrix)
+
+
+def test_trajectory_columns_match_dense_frames():
+    spec = n1_spec()
+    # the propagate-linearized input: a Gaussian wavepacket on j in [8, 15]
+    layout = lb.BasisLayout(8, 15)
+    dset = lb.build_dissipator(spec, layout)
+    rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 11.5, 2.0))
+    traj = lb.propagate(rho0, dset, spec, 0.1, 0.001)
+    assert len(traj) == 101
+    assert_columns_match_frames(traj, range(10, 16))
+
+    # a full spectral state: every chain occupied, one component
+    sspec = spectral_spec()
+    layout = lb.BasisLayout(2, 4)
+    rho0 = random_state(layout, seed=31)
+    traj = lb.propagate(rho0, lb.build_dissipator(sspec, layout, "spectral"), sspec, 4.0, 0.1)
+    groups, empty = traj.pattern.components
+    assert len(traj.pattern.rows) == layout.dim**2 and not empty
+    assert [(n, s) for n, s, _, _ in groups] == [(1, layout.dim)]
+    assert_columns_match_frames(traj, [4])
+
+    # an isotropic state on blocks 3 and 5 only: the other blocks' rows
+    # hold no entry and add the eigenvalue 0
+    layout = lb.BasisLayout(2, 6)
+    rho0 = lb.isotropic_state(layout, {3: 0.6, 5: 0.4})
+    traj = lb.propagate(rho0, lb.build_dissipator(spec, layout), spec, 0.5, 0.01)
+    assert traj.pattern.components[1]
+    assert np.all(traj.min_eigenvalues() == 0.0)
+    assert_columns_match_frames(traj, [4, 5, 6])
+
+
+def test_entry_pattern_is_its_own_transpose():
+    # rho0 may hold an entry whose transpose is exactly zero (hermitian to
+    # HERM_TOL); both chains are kept so every entry has its partner
+    spec = n1_spec()
+    layout = lb.BasisLayout(1, 2)
+    mat = np.diag(np.full(layout.dim, 1.0 / layout.dim)).astype(complex)
+    mat[0, 2] = 0.5 * lb.HERM_TOL
+    rho0 = lb.RotorState(layout, mat)
+    traj = lb.propagate(rho0, lb.build_dissipator(spec, layout), spec, 0.5, 0.01)
+    pattern = traj.pattern
+    np.testing.assert_array_equal(pattern.rows[pattern.partner], pattern.cols)
+    np.testing.assert_array_equal(pattern.cols[pattern.partner], pattern.rows)
+    assert pattern.find(2, 0) is not None and traj.values[0, pattern.find(2, 0)] == 0
+    assert traj.diagnostics["max_hermiticity_deviation"] <= lb.HERM_TOL
+
+
+def test_propagate_memory_scales_with_chains():
+    # 51 frames at D = 1281 were 51 dense D x D matrices (about 1.3 GB);
+    # on the occupied chains propagate stays below four of them
+    spec = n1_spec()
+    layout = lb.BasisLayout(20, 40)
+    dset = lb.build_dissipator(spec, layout)
+    rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 30.0, 5.0))
+    tracemalloc.start()
+    try:
+        traj = lb.propagate(rho0, dset, spec, 0.01, 0.0002)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 51
+    assert peak < 4 * 16 * layout.dim**2
+
+
 def test_alignment_signal():
     layout = lb.BasisLayout(8, 12)
     two = lb.centrifuge_state(layout, {10: 2**-0.5, 12: 2**-0.5})
@@ -753,8 +847,10 @@ def test_drift_monitor_shares_state_tolerances():
     rho0 = lb.isotropic_state(layout, {2: 1.0})
     leaky = replace(lb.DissipatorSet.empty(layout), collision_weight=1.0)
     leaky.kmat = np.full(layout.dim, -5e-9)
-    for record_every in (1, 1000):
-        with pytest.raises(lb.NumericalDriftError, match="trace"):
+    # the first checked frame past TRACE_TOL: every step, or the monitor
+    # step at t = 0.5
+    for record_every, t in ((1, "0.02"), (1000, "0.5")):
+        with pytest.raises(lb.NumericalDriftError, match="trace drift .* at t=%s$" % t):
             lb.propagate(rho0, leaky, spec, 1.0, 0.01, record_every=record_every)
 
 
@@ -772,8 +868,11 @@ def test_non_finite_matrices_are_not_density_matrices(monkeypatch):
     # a NaN frame between monitor steps is reported as drift, not recorded
     spec = n1_spec()
     rho0 = lb.RotorState(layout, good)
+    diagonal = np.arange(4)
     monkeypatch.setattr(
-        lb, "_chain_flow", lambda *args: lambda tau: np.full((4, 4), np.nan, dtype=complex)
+        lb,
+        "_chain_flow",
+        lambda *args: (diagonal, diagonal, lambda tau: np.full(4, np.nan, dtype=complex)),
     )
     with pytest.raises(lb.NumericalDriftError, match="trace drift nan .* at t=0.01"):
         lb.propagate(rho0, None, spec, 1.0, 0.01, record_every=1)

@@ -82,6 +82,19 @@ def test_qth_definition():
     assert ctx.thermal_momentum == pytest.approx(1.0, rel=1e-15)
 
 
+def test_squared_polarizability_ratio_must_be_finite():
+    # the rates square alpha_aniso / alpha_mean; a ratio whose square
+    # overflows is rejected when the molecule is built
+    for aniso in (1e300, -1e300, 1e155):
+        with pytest.raises(ValueError, match="alpha_aniso"):
+            MoleculeSpec(mass=2.0, moment_of_inertia=1.0, alpha_mean=1.0, alpha_aniso=aniso)
+    mol = MoleculeSpec(mass=2.0, moment_of_inertia=1.0, alpha_mean=1.0, alpha_aniso=1e150)
+    assert math.isfinite((mol.alpha_aniso / mol.alpha_mean) ** 2)
+    with pytest.raises(ValueError, match="alpha_aniso"):
+        load_config(doc(molecule={"mass": 2.0, "moment_of_inertia": 10.0, "alpha_mean": 1.0,
+                                  "alpha_aniso": 1e300}))
+
+
 def test_rotational_energy():
     mol = MoleculeSpec(mass=2.0, moment_of_inertia=10.0, alpha_mean=1.0, alpha_aniso=0.1)
     assert mol.rotational_energy(0) == 0.0
