@@ -159,6 +159,8 @@ def _parse_state(arg, layout_arg):
         if len(fieldsv) != 2:
             raise ValueError("gaussian state takes center,width")
         center, width = float(fieldsv[0]), float(fieldsv[1])
+        if not (math.isfinite(center) and math.isfinite(width)):
+            raise ValueError("gaussian state needs a finite center and width")
         kind = ("gaussian", (center, width))
         lo = max(0, int(math.floor(center - 2 * width)))
         hi = int(math.ceil(center + 2 * width))
@@ -238,6 +240,7 @@ def _build_state(bounds, kind):
     tag, payload = kind
     if tag == "centrifuge":
         total = math.fsum(abs(c) ** 2 for c in payload.values())
+        _check_total(total, "coefficients")
         coeff = {j: c / math.sqrt(total) for j, c in payload.items()}
         return lb.centrifuge_state(layout, coeff)
     if tag == "gaussian":
@@ -246,7 +249,15 @@ def _build_state(bounds, kind):
         js = list(layout.js)
         payload = {j: 1.0 / len(js) for j in js}
     total = math.fsum(payload.values())
+    _check_total(total, "populations")
     return lb.isotropic_state(layout, {j: p / total for j, p in payload.items()})
+
+
+def _check_total(total, name):
+    """A state is normalized by the total of its field name; a total that is
+    not positive (all zero, or NaN) cannot be."""
+    if not total > 0:
+        raise ValueError("state field %r has total %g and cannot be normalized" % (name, total))
 
 
 def cmd_rates(args):
@@ -368,8 +379,10 @@ def cmd_validate(args):
     spec = _load_spec(args.config) if args.config else None
     t0 = time.perf_counter()
     names = None
-    if args.only:
+    if args.only is not None:
         names = [n.strip() for n in args.only.split(",") if n.strip()]
+        if not names:
+            raise ValueError("--only %r names no criterion" % args.only)
         known = {name for name, _ in validation.CRITERIA}
         unknown = [n for n in names if n not in known]
         if unknown:

@@ -21,6 +21,10 @@ signals, block populations) are computed from them; the connected
 components that the smallest eigenvalue is taken over are found once per
 run (_EntryPattern).  Only a caller that asks for a RotorState frame (such
 as the --dump of the CLI) builds a D x D matrix.
+
+The dissipator's action is defined once, as the generators of its chains
+(_chain_generators): propagate exponentiates them, and DissipatorSet.apply
+multiplies them into the chains of a dense matrix.
 """
 
 import math
@@ -86,10 +90,6 @@ class BasisLayout:
     @property
     def dim(self):
         return (self.j_max + 1) ** 2 - self.j_min**2
-
-    def block_dim(self, j):
-        self._check(j)
-        return 2 * j + 1
 
     def offset(self, j):
         self._check(j)
@@ -243,7 +243,9 @@ class DissipatorSet:
     (A rho A^+)[r, c] = a[r] rho[r + q, c + q] a[c]^*, so the ops of one
     offset q carry rho[r + q, c + q] into [r, c] with the gain G_q[r, c] =
     collision_weight * sum_{k: q_k = q} w_k a_k[r] a_k[c]^*.  No gain is
-    stored: apply forms each G_q per call, and _chain_flow at chain entries.
+    stored or formed densely: _chain_generators evaluates kmat and the G_q
+    at the entries of the chains asked for, and both apply and _chain_flow
+    act through it.
     """
 
     layout: BasisLayout
@@ -256,21 +258,19 @@ class DissipatorSet:
     kmat: np.ndarray = field(init=False)  # (D,) real
 
     def __post_init__(self):
-        self.kmat = np.zeros(self.layout.dim)
-        for _, dst, src, w, a in self._offset_groups():
-            self.kmat[src] += w @ np.abs(a[:, dst]) ** 2
+        d = self.layout.dim
+        self.kmat = np.zeros(d)
+        for q, w, a in self._offset_groups():
+            # row r of an op on offset q holds its entry in column r + q
+            lo, hi = max(0, -q), d - max(0, q)
+            self.kmat[lo + q : hi + q] += w @ np.abs(a[:, lo:hi]) ** 2
 
     def _offset_groups(self):
-        """(q, dst, src, w, a) per distinct offset q: the weights and (n_q, D)
-        diagonals of its ops; G_q carries rho[src, src] into rho[dst, dst]."""
-        d = self.layout.dim
+        """(q, w, a) per distinct offset q: the weights and (n_q, D)
+        diagonals of its ops."""
         for q in np.unique(self.offsets).tolist():
             sel = self.offsets == q
-            if q >= 0:
-                dst, src = slice(0, d - q), slice(q, d)
-            else:
-                dst, src = slice(-q, d), slice(0, d + q)
-            yield q, dst, src, self.weights[sel], self.diagonals[sel]
+            yield q, self.weights[sel], self.diagonals[sel]
 
     @property
     def converged(self):
@@ -296,13 +296,18 @@ class DissipatorSet:
         )
 
     def apply(self, rho):
-        """Dissipator action on a dense D x D density matrix."""
-        cw = self.collision_weight
-        acc = (-0.5 * cw) * (self.kmat[:, None] + self.kmat[None, :]) * rho
-        for _, dst, src, w, a in self._offset_groups():
-            a = a[:, dst]
-            acc[dst, dst] += cw * ((a.T * w) @ a.conj()) * rho[src, src]
-        return acc
+        """Dissipator action on a dense D x D matrix, chain by chain.
+
+        Each chain rho occupies (_occupied_chains) is multiplied by its
+        generator (_chain_generators); the generator keeps every chain, so
+        the chains rho leaves empty give exactly zero and the result is
+        exact for any matrix, hermitian or not.
+        """
+        out = np.zeros(rho.shape, dtype=np.result_type(rho, self.diagonals, 1j))
+        for rows, cols in _occupied_chains(self.layout, rho):
+            gen = _chain_generators(self, rows, cols)
+            out[rows, cols] = (gen @ rho[rows, cols][..., None])[..., 0]
+        return out
 
 
 def _collision_weight(spec):
@@ -457,8 +462,12 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
         dset = DissipatorSet.empty(layout)
     if dset.layout != layout:
         raise ValueError("state layout does not match dissipator layout")
+    if not (math.isfinite(t_final) and math.isfinite(dt)):
+        raise ValueError("t_final and dt must be finite (got %g, %g)" % (t_final, dt))
     if t_final <= 0 or dt <= 0:
         raise ValueError("t_final and dt must be positive")
+    if not math.isfinite(t_final / dt):
+        raise ValueError("t_final / dt is not finite (got %g / %g)" % (t_final, dt))
     if record_every is not None and record_every < 1:
         raise ValueError("record_every must be at least 1")
 
@@ -577,9 +586,9 @@ def _chain_flow(rho0, dset, levels, residual):
     diagonal, so the generator moves rho[r, c] only to rho[r + q, c + q]
     inside the same block rho_{jj'}: it keeps j, j' and Q = m - m', and each
     diagonal of each block is a chain of length <= 2 min(j, j') + 1 that
-    evolves on its own.  Its generator is built at its entries from kmat,
-    the gains G_q (DissipatorSet) and the residual, which adds
-    -i (R_r - R_c) / hbar to its diagonal, so it is not hermitian in general.
+    evolves on its own.  Its generator is the dissipator's
+    (_chain_generators) plus the residual, which adds -i (R_r - R_c) / hbar
+    to its diagonal, so it is not hermitian in general.
     Chains that rho0 leaves empty stay exactly zero and are skipped; the
     occupied ones are diagonalized by one stacked eig per chain length.  The
     block scalars E_j + s_iso (levels) are constant along a chain and commute
@@ -594,27 +603,16 @@ def _chain_flow(rho0, dset, levels, residual):
     V diag(lam) V^-1 misses it by more than EIG_RECON_TOL of its largest
     entry: the eigenvectors are then too ill-conditioned to propagate with.
     """
-    cw = dset.collision_weight
     coherent = bool(np.any(residual))
-    # generators stay real unless the residual shift makes them complex
-    dtype = np.result_type(dset.diagonals, 1j if coherent else 0.0)
-    groups = list(dset._offset_groups())
     scalars = np.repeat(levels, dset.layout.block_sizes)
     chains = _occupied_chains(dset.layout, rho0)
     parts = []
     for rows, cols in chains:
-        n = rows.shape[1]
-        steps = np.arange(n)
-        gen = np.zeros(rows.shape + (n,), dtype=dtype)
-        gen[:, steps, steps] = (-0.5 * cw) * (dset.kmat[rows] + dset.kmat[cols])
+        gen = _chain_generators(dset, rows, cols)
         if coherent:
+            steps = np.arange(rows.shape[1])
+            gen = gen.astype(complex)
             gen[:, steps, steps] += (-1j / HBAR) * (residual[rows] - residual[cols])
-        for q, _, _, w, a in groups:
-            # G_q[r, c] feeds rho[r + q, c + q] into [r, c]; a partner beyond
-            # the chain's end crosses a block edge, where a is 0
-            s = steps[max(0, -q) : max(0, n - max(0, q))]
-            r, c = rows[:, s], cols[:, s]
-            gen[:, s, s + q] += cw * (a[:, r] * w[:, None, None] * a[:, c].conj()).sum(axis=0)
         if not np.all(np.isfinite(gen)):
             raise NumericalDriftError("chain generator is not finite")
         lam, vec = np.linalg.eig(gen)
@@ -646,6 +644,29 @@ def _chain_flow(rho0, dset, levels, residual):
         np.concatenate([cols.ravel() for _, cols in chains]),
         flow,
     )
+
+
+def _chain_generators(dset, rows, cols):
+    """(n_chains, n, n) generators of the dissipator dset on the chains of
+    length n whose entries are (rows, cols) (_occupied_chains): the only
+    definition of the dissipator's action in the package.
+
+    Entry [i, i] is -collision_weight (kmat[r] + kmat[c]) / 2 at the chain's
+    i-th entry (r, c), and entry [i, i + q] the gain G_q[r, c]
+    (DissipatorSet), which feeds rho[r + q, c + q] into [r, c].  Real for a
+    real family.
+    """
+    cw = dset.collision_weight
+    n = rows.shape[1]
+    steps = np.arange(n)
+    gen = np.zeros(rows.shape + (n,), dtype=np.result_type(dset.diagonals, 0.0))
+    gen[:, steps, steps] = (-0.5 * cw) * (dset.kmat[rows] + dset.kmat[cols])
+    for q, w, a in dset._offset_groups():
+        # a partner beyond the chain's end crosses a block edge, where a is 0
+        s = steps[max(0, -q) : max(0, n - max(0, q))]
+        r, c = rows[:, s], cols[:, s]
+        gen[:, s, s + q] += cw * (a[:, r] * w[:, None, None] * a[:, c].conj()).sum(axis=0)
+    return gen
 
 
 def _occupied_chains(layout, rho):
@@ -789,35 +810,6 @@ def _min_eigenvalue(mat):
     rows, cols = np.nonzero(linked | linked.T)
     pattern = _EntryPattern(len(mat), rows, cols)
     return float(pattern.min_eigenvalues(mat[rows, cols][None])[0])
-
-
-def evolve_exact(rho0, dset, spec, t_final):
-    """Liouvillian exponentiation cross-check; practical only for D <= 60."""
-    # the only scipy use in the package; importing it here keeps it off the
-    # start-up path of every command
-    import scipy.linalg
-
-    layout = rho0.layout
-    d = layout.dim
-    if d > 60:
-        raise ValueError("exact path limited to D <= 60 (D = %d)" % d)
-    if dset is None:
-        dset = DissipatorSet.empty(layout)
-    levels, residual = _hamiltonian(spec, dset)
-    h = np.diag(np.repeat(levels, layout.block_sizes) + residual)
-    kmat = np.diag(dset.kmat)
-    eye = np.eye(d)
-    # row-major vec(A rho B) = kron(A, B^T) vec(rho)
-    sup = (-1j / HBAR) * (np.kron(h, eye) - np.kron(eye, h.T))
-    cw = dset.collision_weight
-    for w, q, a in zip(dset.weights, dset.offsets.tolist(), dset.diagonals):
-        op = np.diag(a[max(0, -q) : d - max(0, q)], q)
-        sup += cw * w * np.kron(op, op.conj())
-    sup -= 0.5 * cw * (np.kron(kmat, eye) + np.kron(eye, kmat))
-
-    prop = scipy.linalg.expm(sup * t_final)
-    vec = prop @ rho0.matrix.reshape(-1)
-    return RotorState(layout, vec.reshape(d, d), rho0.time + t_final)
 
 
 def alignment_signal(rho, j):

@@ -148,10 +148,6 @@ class UnitScales:
     def rate(self):
         return 1.0 / self.time
 
-    @property
-    def cross_section(self):
-        return self.length**2
-
 
 @dataclass(frozen=True)
 class SystemSpec:

@@ -58,14 +58,6 @@ class RateTable:
     def __len__(self):
         return len(self.rows)
 
-    @property
-    def monotone_beyond_peak(self):
-        """True when Gamma_j decreases monotonically past its maximum row."""
-        gammas = [r.gamma for r in self.rows]
-        peak = int(np.argmax(gammas))
-        tail = gammas[peak:]
-        return all(b < a for a, b in zip(tail, tail[1:]))
-
 
 def _p2sq_guarded(k, x):
     # arguments outside [-1, 1] correspond to empty m-sums of the underlying
@@ -297,20 +289,6 @@ def energy_shift_matrix(j, spec, with_diagnostics=False):
         return base
     drift, converged = order_doubling_drift(base, shift_once(2 * spec.numerics.quad_order_q))
     return base, {"converged": converged, "order_doubling_drift": drift}
-
-
-def delta_frequency(j, j_prime, spec):
-    """Coherence oscillation frequency (E_j - E_j')/hbar of the free rotor.
-
-    The gas shift would add (s_j - s_j')/hbar, the corner difference of the
-    energy_shift_matrix blocks. That shift is the same isotropic scalar
-    s_iso in every block, so the difference cancels exactly and is not
-    computed. (The frequency is an artifact definition: the underlying
-    short-time law names it without defining it; outputs that report it
-    say so.)
-    """
-    mol = spec.molecule
-    return (mol.rotational_energy(j) - mol.rotational_energy(j_prime)) / HBAR
 
 
 def sweep_rates(j_range, spec, method="closed_form", amplitude_backend="linearized",

