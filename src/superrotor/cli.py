@@ -312,7 +312,11 @@ def cmd_propagate(args):
 
     spec = _load_spec(args.config)
     t0 = time.perf_counter()
-    rho0 = _build_state(*_parse_state(args.state, args.jwindow))
+    bounds, kind = _parse_state(args.state, args.jwindow)
+    if bounds[1] > spec.numerics.j_max:
+        limit = (bounds[1], spec.numerics.j_max)
+        raise ValueError("propagate: j=%d exceeds basis limit %d" % limit)
+    rho0 = _build_state(bounds, kind)
     layout = rho0.layout
     if args.signal:
         signal_js = [int(x) for x in args.signal.split(",")]

@@ -6,21 +6,22 @@ dissipator built from forward scattering amplitudes.  Every jump operator is
 block diagonal over j, so block populations are conserved exactly and the
 dynamics factorizes into (j, j') sectors.
 
-A RotorState is a dense D x D density matrix on one BasisLayout, with
-D = layout.dim.  Every jump operator lies on one diagonal m' - m = q and is
-stored only as that offset and its diagonal (DissipatorSet): the linearized
-templates each occupy one band, and the spectral family is split into the
-bands of its azimuthal rings, which an exact azimuth average leaves
-uncoupled.  The generator then keeps Q = m - m' inside each block as well:
-every diagonal of a block rho_{jj'} is a chain that evolves on its own, and
-propagate exponentiates the chains rho0 occupies exactly, block scalars
-included.  Unoccupied chains stay exactly zero, so each frame of a
-Trajectory is the vector of its occupied-chain entries.  Frames are checked
-on those entries, and their columns (trace, purity, smallest eigenvalue,
-signals, block populations) are computed from them; the connected
-components that the smallest eigenvalue is taken over are found once per
-run (_EntryPattern).  Only a caller that asks for a RotorState frame (such
-as the --dump of the CLI) builds a D x D matrix.
+Every jump operator lies on one diagonal m' - m = q and is stored only as
+that offset and its diagonal (DissipatorSet): the linearized templates each
+occupy one band, and the spectral family is split into the bands of its
+azimuthal rings, which an exact azimuth average leaves uncoupled.  The
+generator then keeps Q = m - m' inside each block as well: every diagonal of
+a block rho_{jj'} is a chain that evolves on its own.
+
+A density matrix on a BasisLayout (D = layout.dim) is kept as its values on
+the chains it occupies, with their entry pattern (_EntryPattern): a
+RotorState is one such vector, and a Trajectory one per frame on the pattern
+of its initial state, since unoccupied chains stay exactly zero.  propagate
+exponentiates the occupied chains exactly, block scalars included.  The
+density-matrix check and every column (trace, purity, smallest eigenvalue,
+signals, block populations) are computed from the entries, for a state and
+a trajectory alike.  Only RotorState.matrix (as for the --dump of the CLI),
+DissipatorSet.apply and write_state_binary build a D x D matrix.
 
 The dissipator's action is defined once, as the generators of its chains
 (_chain_generators): propagate exponentiates them, and DissipatorSet.apply
@@ -54,7 +55,7 @@ TEMPLATE_MOMENTS = (
 TEMPLATE_OFFSETS = (0, 1, -1, 2, -2)
 
 DIAG_INTERVAL = 50
-# tolerances of check_density_matrix
+# tolerances of the density-matrix rule (_check_density)
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
 EIG_FLOOR = -1e-9
@@ -119,39 +120,74 @@ class BasisLayout:
 
 @dataclass(frozen=True, eq=False)
 class RotorState:
-    """Immutable density-matrix snapshot on a BasisLayout."""
+    """Immutable density matrix on a BasisLayout: values (N,) at the entries
+    of pattern, the chains it occupies, and zero elsewhere, checked by the
+    density-matrix rule (_EntryPattern.check).  Each column is the one-frame
+    case of the Trajectory column; matrix, the read-only D x D array, is
+    built on first use.
+    """
 
     layout: BasisLayout
-    matrix: np.ndarray
+    pattern: "_EntryPattern"
+    values: np.ndarray  # (N,)
     time: float = 0.0
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex, order="C")
-        d = self.layout.dim
+        values = np.array(self.values, dtype=complex)
+        if values.shape != self.pattern.rows.shape:
+            raise ValueError("values shape %s does not match the pattern" % (values.shape,))
+        self.pattern.check(values)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_entries(cls, layout, rows, cols, values, time=0.0):
+        """State with values at the entries (rows, cols), zero elsewhere."""
+        values = np.asarray(values, dtype=complex)
+        held = values != 0
+        rows, cols = np.asarray(rows)[held], np.asarray(cols)[held]
+        chains = _occupied_chains(layout, rows, cols)
+        flat = [np.concatenate([c[k].ravel() for c in chains] or [np.zeros(0, int)])
+                for k in (0, 1)]
+        pattern = _EntryPattern(layout.dim, *flat, chains)
+        out = np.zeros(len(pattern.rows), dtype=complex)
+        out[pattern.locate(rows, cols)] = values[held]
+        return cls(layout, pattern, out, time)
+
+    @classmethod
+    def from_matrix(cls, layout, matrix, time=0.0):
+        """State of the dense D x D matrix (from_entries of its nonzeros)."""
+        mat = np.asarray(matrix, dtype=complex)
+        d = layout.dim
         if mat.shape != (d, d):
             raise ValueError("matrix shape %s does not match dimension %d" % (mat.shape, d))
-        check_density_matrix(mat)
+        rows, cols = np.nonzero(mat)
+        return cls.from_entries(layout, rows, cols, mat[rows, cols], time)
+
+    @cached_property
+    def matrix(self):
+        mat = np.zeros((self.layout.dim,) * 2, dtype=complex)
+        mat[self.pattern.rows, self.pattern.cols] = self.values
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        return mat
+
+    @cached_property
+    def _frame(self):
+        """The one-frame Trajectory of this state."""
+        return Trajectory(self.layout, self.pattern, np.array([self.time]), self.values[None])
 
     def purity(self):
-        return float(np.sum(np.abs(self.matrix) ** 2))
+        return float(self._frame.purity()[0])
 
     def min_eigenvalue(self):
-        return _min_eigenvalue(self.matrix)
+        return float(self._frame.min_eigenvalues()[0])
 
     def block_populations(self):
-        return {j: float(np.trace(self.matrix[sl, sl]).real) for j, sl in self.layout.blocks()}
+        return dict(zip(self.layout.js, self._frame.block_populations()[0].tolist()))
 
     def corner_coherence(self, j, j_prime):
         """Matrix element <jj| rho |j'j'> between stretched states."""
-        return complex(self.matrix[self.layout.index(j, j), self.layout.index(j_prime, j_prime)])
-
-
-def check_density_matrix(mat):
-    """Raise ValueError unless the dense matrix mat is a density matrix to
-    tolerance (_check_density)."""
-    _check_density(np.trace(mat), np.max(np.abs(mat - mat.conj().T)), np.max(np.abs(mat)))
+        return complex(self._frame.corner_coherence(j, j_prime)[0])
 
 
 def _check_density(trace, herm, largest):
@@ -173,18 +209,15 @@ def _check_density(trace, herm, largest):
 
 def isotropic_state(layout, populations, time=0.0):
     """Diagonal state with population p_j spread evenly over each block."""
-    for j in populations:
-        layout._check(j)
     total = math.fsum(float(p) for p in populations.values())
     if any(float(p) < 0 for p in populations.values()):
         raise ValueError("populations must be nonnegative")
     if abs(total - 1.0) > TRACE_TOL:
         raise ValueError("populations must sum to 1 within %g" % TRACE_TOL)
-    mat = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for j, p in populations.items():
-        sl = layout.block_slice(j)
-        mat[sl, sl] = np.eye(2 * j + 1) * (float(p) / (2 * j + 1))
-    return RotorState(layout, mat, time)
+    diag = np.concatenate([np.r_[layout.block_slice(j)] for j in populations])
+    values = np.repeat([float(p) / (2 * j + 1) for j, p in populations.items()],
+                       [2 * j + 1 for j in populations])
+    return RotorState.from_entries(layout, diag, diag, values, time)
 
 
 def centrifuge_state(layout, coefficients, time=0.0):
@@ -192,10 +225,12 @@ def centrifuge_state(layout, coefficients, time=0.0):
     norm = math.fsum(abs(complex(c)) ** 2 for c in coefficients.values())
     if abs(norm - 1.0) > TRACE_TOL:
         raise ValueError("coefficient norm deviates from 1 beyond %g" % TRACE_TOL)
-    vec = np.zeros(layout.dim, dtype=complex)
-    for j, c in coefficients.items():
-        vec[layout.index(j, j)] = complex(c)
-    return RotorState(layout, np.outer(vec, vec.conj()), time)
+    idx = np.array([layout.index(j, j) for j in coefficients])
+    amp = np.array([complex(c) for c in coefficients.values()])
+    rows, cols = np.meshgrid(idx, idx, indexing="ij")
+    return RotorState.from_entries(
+        layout, rows.ravel(), cols.ravel(), np.outer(amp, amp.conj()).ravel(), time
+    )
 
 
 def gaussian_profile(layout, center, width):
@@ -304,7 +339,7 @@ class DissipatorSet:
         exact for any matrix, hermitian or not.
         """
         out = np.zeros(rho.shape, dtype=np.result_type(rho, self.diagonals, 1j))
-        for rows, cols in _occupied_chains(self.layout, rho):
+        for rows, cols in _occupied_chains(self.layout, *np.nonzero(rho)):
             gen = _chain_generators(self, rows, cols)
             out[rows, cols] = (gen @ rho[rows, cols][..., None])[..., 0]
         return out
@@ -448,10 +483,11 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
 
     Returns the Trajectory of frames every record_every steps of dt (initial
     and final state always included), each evaluated in closed form on the
-    entries of the chains rho0 occupies (_chain_flow).  dt sets only the
-    output grid and the monitor cadence, but it must still resolve the
-    fastest coherent frequency: a coarser grid would alias the coherences it
-    samples, so StepSizeViolation is raised when dt * max|Delta| > 0.1.
+    entries of the chains rho0 occupies (rho0.pattern, _chain_flow).  dt
+    sets only the output grid and the monitor cadence, but it must still
+    resolve the fastest coherent frequency: a coarser grid would alias the
+    coherences it samples, so StepSizeViolation is raised when
+    dt * max|Delta| > 0.1.
     Every evaluated frame is checked on its entries by the density-matrix
     rule (_check_density), and one that fails raises NumericalDriftError;
     so does one whose smallest eigenvalue falls below EIG_FLOOR on a monitor
@@ -482,12 +518,12 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     if record_every is None:
         record_every = max(1, n_steps // 200)
 
-    rows, cols, flow = _chain_flow(rho0.matrix, dset, levels, residual)
-    pattern = _EntryPattern(layout.dim, rows, cols)
+    flow = _chain_flow(rho0, dset, levels, residual)
+    pattern = rho0.pattern
     n_frames = 1 + n_steps // record_every + (n_steps % record_every > 0)
     times = np.empty(n_frames)
-    values = np.empty((n_frames, len(rows)), dtype=complex)
-    times[0], values[0] = rho0.time, rho0.matrix[rows, cols]
+    values = np.empty((n_frames, len(pattern.rows)), dtype=complex)
+    times[0], values[0] = rho0.time, rho0.values
     recorded = 1
     worst_trace = worst_herm = 0.0
     lowest = math.inf
@@ -528,10 +564,10 @@ class Trajectory:
     entries (pattern.rows, pattern.cols) and zero elsewhere: the occupied
     chains, which hold every entry the flow can reach.  The columns below
     are computed from the entries for every frame at once.  len, indexing,
-    slicing and iteration give the frames as RotorStates, which builds each
-    one's D x D matrix.  diagnostics holds the step count, dt * max|Delta|,
-    and the worst |tr - 1|, hermiticity deviation and smallest eigenvalue
-    over the frames propagate checked.
+    slicing and iteration give the frames as RotorStates on the same
+    pattern, with no D x D matrix built.  diagnostics holds the step count,
+    dt * max|Delta|, and the worst |tr - 1|, hermiticity deviation and
+    smallest eigenvalue over the frames propagate checked.
     """
 
     layout: BasisLayout
@@ -546,10 +582,7 @@ class Trajectory:
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        return RotorState(self.layout, self.pattern.dense(self.values[k]), float(self.times[k]))
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
+        return RotorState(self.layout, self.pattern, self.values[k], float(self.times[k]))
 
     def trace(self):
         return self.pattern.diagonal(self.values).sum(axis=-1).real
@@ -567,20 +600,17 @@ class Trajectory:
 
     def corner_coherence(self, j, j_prime):
         """(n,) matrix elements <jj| rho |j'j'> between stretched states."""
-        return self._entry(self.layout.index(j, j), self.layout.index(j_prime, j_prime))
+        k = self.pattern.locate(self.layout.index(j, j), self.layout.index(j_prime, j_prime))
+        return np.zeros(len(self), dtype=complex) if k < 0 else self.values[:, k]
 
     def signal(self, j):
         """(n,) alignment signals |<jj| rho |j-2,j-2>|^2 (alignment_signal)."""
-        return np.abs(self._entry(*_signal_entry(self.layout, j))) ** 2
-
-    def _entry(self, r, c):
-        k = self.pattern.find(r, c)
-        return np.zeros(len(self), dtype=complex) if k is None else self.values[:, k]
+        return np.abs(self.corner_coherence(j, j - 2)) ** 2
 
 
 def _chain_flow(rho0, dset, levels, residual):
-    """Exact flow of the dense matrix rho0 under H + H_g and dset, on the
-    entries of the chains rho0 occupies.
+    """Exact flow of the RotorState rho0 under H + H_g and dset, on the
+    entries of the chains rho0 occupies (rho0.pattern).
 
     Every jump lies on one diagonal q and the residual gas shift is
     diagonal, so the generator moves rho[r, c] only to rho[r + q, c + q]
@@ -588,16 +618,14 @@ def _chain_flow(rho0, dset, levels, residual):
     diagonal of each block is a chain of length <= 2 min(j, j') + 1 that
     evolves on its own.  Its generator is the dissipator's
     (_chain_generators) plus the residual, which adds -i (R_r - R_c) / hbar
-    to its diagonal, so it is not hermitian in general.
-    Chains that rho0 leaves empty stay exactly zero and are skipped; the
-    occupied ones are diagonalized by one stacked eig per chain length.  The
-    block scalars E_j + s_iso (levels) are constant along a chain and commute
-    with its generator: -i (levels[j] - levels[j']) / hbar joins its
-    eigenvalues.
+    to its diagonal, so it is not hermitian in general.  Chains that rho0
+    leaves empty stay exactly zero and are not in its pattern; the occupied
+    ones are diagonalized by one stacked eig per chain length.  The block
+    scalars E_j + s_iso (levels) are constant along a chain and commute with
+    its generator: -i (levels[j] - levels[j']) / hbar joins its eigenvalues.
 
-    Returns (rows, cols, flow): the (N,) row and column indices of the
-    occupied chain entries, chain after chain, and flow(tau), the (N,)
-    values there at elapsed time tau.
+    Returns flow(tau), the (N,) values at rho0's pattern entries at elapsed
+    time tau.
 
     Raises NumericalDriftError when a chain generator is not finite, or when
     V diag(lam) V^-1 misses it by more than EIG_RECON_TOL of its largest
@@ -605,9 +633,8 @@ def _chain_flow(rho0, dset, levels, residual):
     """
     coherent = bool(np.any(residual))
     scalars = np.repeat(levels, dset.layout.block_sizes)
-    chains = _occupied_chains(dset.layout, rho0)
     parts = []
-    for rows, cols in chains:
+    for rows, cols in rho0.pattern.chains:
         gen = _chain_generators(dset, rows, cols)
         if coherent:
             steps = np.arange(rows.shape[1])
@@ -628,8 +655,8 @@ def _chain_flow(rho0, dset, levels, residual):
                 "chain generator eigendecomposition misses it by %.3g of its scale" % miss
             )
         lam = lam - (1j / HBAR) * (scalars[rows[:, :1]] - scalars[cols[:, :1]])
-        coef = np.einsum("cij,cj->ci", inv, rho0[rows, cols])
-        parts.append((lam, vec, coef))
+        chain0 = rho0.values[rho0.pattern.locate(rows, cols)]
+        parts.append((lam, vec, np.einsum("cij,cj->ci", inv, chain0)))
 
     def flow(tau):
         return np.concatenate(
@@ -639,11 +666,7 @@ def _chain_flow(rho0, dset, levels, residual):
             ]
         )
 
-    return (
-        np.concatenate([rows.ravel() for rows, _ in chains]),
-        np.concatenate([cols.ravel() for _, cols in chains]),
-        flow,
-    )
+    return flow
 
 
 def _chain_generators(dset, rows, cols):
@@ -669,20 +692,19 @@ def _chain_generators(dset, rows, cols):
     return gen
 
 
-def _occupied_chains(layout, rho):
-    """(rows, cols) index arrays of the chains rho occupies, one pair per
-    chain length, each of shape (n_chains, length).
+def _occupied_chains(layout, rows, cols):
+    """(rows, cols) index arrays of the chains that hold the entries (rows,
+    cols), one pair per chain length, each of shape (n_chains, length).
 
     A chain is one diagonal of a block rho_{jj'}: the entries (a + s, b + s)
     of the block, s = 0 .. length - 1, starting on its first row or column.
-    A chain counts as occupied when it or its transpose holds a nonzero
-    entry, so the chains' entries form a pattern equal to its transpose.
+    A chain counts as occupied when it or its transpose holds one of the
+    entries, so the chains' entries form a pattern equal to its transpose.
     """
     sizes = np.array(layout.block_sizes)
     offsets = np.cumsum(sizes) - sizes
     block = np.repeat(np.arange(len(sizes)), sizes)
-    nonzero = rho != 0
-    r, c = np.nonzero(nonzero | nonzero.T)
+    r, c = np.concatenate([rows, cols]), np.concatenate([cols, rows])
     bj, bk = block[r], block[c]
     diag = (c - offsets[bk]) - (r - offsets[bj])
     bj, bk, diag = np.unique(np.stack([bj, bk, diag]), axis=1)
@@ -693,9 +715,9 @@ def _occupied_chains(layout, rho):
     for n in np.unique(lengths):
         sel = lengths == n
         steps = np.arange(n)
-        rows = (offsets[bj[sel]] + a[sel])[:, None] + steps
-        cols = (offsets[bk[sel]] + b[sel])[:, None] + steps
-        chains.append((rows, cols))
+        chain_rows = (offsets[bj[sel]] + a[sel])[:, None] + steps
+        chain_cols = (offsets[bk[sel]] + b[sel])[:, None] + steps
+        chains.append((chain_rows, chain_cols))
     return chains
 
 
@@ -706,28 +728,24 @@ class _EntryPattern:
     Each reduction the frames need is taken on that vector: the main
     diagonal (diag), the transposed partner of every entry (partner) for
     hermiticity, and the connected components of the rows (components) for
-    the smallest eigenvalue.  Each is found once per pattern.
+    the smallest eigenvalue.  Each is found once per pattern.  chains lists
+    the (rows, cols) groups of _occupied_chains when the pattern holds their
+    entries, chain after chain (RotorState.from_entries).
     """
 
-    def __init__(self, dim, rows, cols):
-        self.dim, self.rows, self.cols = dim, rows, cols
+    def __init__(self, dim, rows, cols, chains=()):
+        self.dim, self.rows, self.cols, self.chains = dim, rows, cols, chains
         self.diag = np.flatnonzero(rows == cols)
+        keys = rows * dim + cols
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
+        self.partner = self.locate(cols, rows)
 
-    def find(self, r, c):
-        """Index of entry (r, c), or None when the pattern lacks it."""
-        hit = np.flatnonzero((self.rows == r) & (self.cols == c))
-        return int(hit[0]) if len(hit) else None
-
-    @cached_property
-    def partner(self):
-        keys = self.rows * self.dim + self.cols
-        order = np.argsort(keys)
-        return order[np.searchsorted(keys, self.cols * self.dim + self.rows, sorter=order)]
-
-    def dense(self, values):
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[self.rows, self.cols] = values
-        return out
+    def locate(self, rows, cols):
+        """Indices of the entries (rows, cols); -1 where the pattern lacks one."""
+        want = np.asarray(rows) * self.dim + np.asarray(cols)
+        at = np.minimum(np.searchsorted(self._keys, want), len(self._keys) - 1)
+        return np.where(self._keys[at] == want, self._order[at], -1)
 
     def diagonal(self, values):
         """(..., D) main diagonals of values (..., N)."""
@@ -737,8 +755,10 @@ class _EntryPattern:
 
     def check(self, values):
         """_check_density of the matrix with entry values (N,)."""
-        herm = np.max(np.abs(values - values[self.partner].conj()))
-        return _check_density(self.diagonal(values).sum(), herm, np.max(np.abs(values)))
+        herm = np.max(np.abs(values - values[self.partner].conj()), initial=0.0)
+        return _check_density(
+            self.diagonal(values).sum(), herm, np.max(np.abs(values), initial=0.0)
+        )
 
     @cached_property
     def components(self):
@@ -803,25 +823,9 @@ class _EntryPattern:
         return low
 
 
-def _min_eigenvalue(mat):
-    """Smallest eigenvalue of a dense hermitian matrix, on the components
-    of its nonzero pattern made symmetric (_EntryPattern.min_eigenvalues)."""
-    linked = mat != 0
-    rows, cols = np.nonzero(linked | linked.T)
-    pattern = _EntryPattern(len(mat), rows, cols)
-    return float(pattern.min_eigenvalues(mat[rows, cols][None])[0])
-
-
 def alignment_signal(rho, j):
     """Squared coherence |<jj| rho |j-2,j-2>|^2 probed by Raman scattering."""
-    return float(abs(complex(rho.matrix[_signal_entry(rho.layout, j)])) ** 2)
-
-
-def _signal_entry(layout, j):
-    """(row, column) of <jj| rho |j-2,j-2>, the alignment signal's entry."""
-    if j < 2:
-        raise ValueError("alignment signal needs j >= 2")
-    return layout.index(j, j), layout.index(j - 2, j - 2)
+    return float(rho._frame.signal(j)[0])
 
 
 def extract_decay_rate(samples, with_residual=False):
@@ -878,10 +882,12 @@ def write_state_binary(state, path):
     header = np.array(
         [state.layout.dim, state.layout.j_min, state.layout.j_max], dtype="<i8"
     )
+    # built before the temporary file exists, so a failure leaves no file
+    payload = np.ascontiguousarray(state.matrix, dtype="<c16")
     with open(tmp, "wb") as fh:
         fh.write(header.tobytes())
         fh.write(np.array([state.time], dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.matrix, dtype="<c16").tobytes())
+        fh.write(payload)
     os.replace(tmp, path)
 
 
@@ -901,4 +907,4 @@ def read_state_binary(path):
     mat = np.frombuffer(raw[32:], dtype="<c16")
     if mat.size != dim * dim:
         raise ValueError("payload size does not match header dimension")
-    return RotorState(layout, mat.reshape(dim, dim).copy(), time)
+    return RotorState.from_matrix(layout, mat.reshape(dim, dim), time)

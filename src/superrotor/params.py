@@ -102,9 +102,10 @@ class ThermalContext:
 class NumericsSpec:
     """Discretization knobs with documented defaults.
 
-    j_max bounds the j range of sweeps. b_max is the outer cutoff of
-    impact-parameter integrals in units of the eikonal phase length
-    a(q)^(1/5); b_nodes is the Gauss node count per adaptive radial panel.
+    j_max bounds the j range of sweeps and of propagate layouts. b_max is
+    the outer cutoff of impact-parameter integrals in units of the eikonal
+    phase length a(q)^(1/5); b_nodes is the Gauss node count per adaptive
+    radial panel.
     """
 
     j_max: int = 1000

@@ -334,7 +334,7 @@ def criterion_zero_anisotropy_null(spec=None):
         size=(layout.dim, layout.dim)
     )
     m = m @ m.conj().T
-    state = lb.RotorState(layout, m / np.trace(m).real)
+    state = lb.RotorState.from_matrix(layout, m / np.trace(m).real)
     action = float(np.max(np.abs(dset.apply(state.matrix))))
     q = spec.thermal.thermal_momentum
     n = np.array([0.6, 0.0, 0.8])

@@ -375,6 +375,26 @@ def test_propagate_malformed_numbers_are_config_errors(tmp_path, state, times):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "state,window", [("isotropic", ["--jwindow", "0,1001"]), ("gaussian:5,1e8", [])]
+)
+def test_propagate_layout_beyond_basis_limit_is_config_error(tmp_path, state, window):
+    # numerics.j_max (1000 for n1) bounds the layout before any state is
+    # built: the isotropic window used to die allocating its dense state, and
+    # the Gaussian would build a profile over 2e8 blocks
+    src = os.path.dirname(os.path.dirname(lb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "superrotor.cli", "propagate", "n1", "--state", state]
+        + window + ["--tfinal", "0.1", "--dt", "0.001", "--out", str(tmp_path / "t.csv")],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and "exceeds basis limit 1000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_propagate_bad_state(capsys):
     assert run_cli(["propagate", "n1", "--state", "isotropic",
                     "--tfinal", "0.1", "--dt", "0.01"]) == 2

@@ -43,7 +43,7 @@ def random_state(layout, seed=0):
         size=(layout.dim, layout.dim)
     )
     m = m @ m.conj().T
-    return lb.RotorState(layout, m / np.trace(m).real)
+    return lb.RotorState.from_matrix(layout, m / np.trace(m).real)
 
 
 def product_rule(spec, n_phi):
@@ -115,17 +115,17 @@ def test_layout_indexing():
 def test_rotor_state_validation():
     layout = lb.BasisLayout(0, 1)
     good = np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex)
-    state = lb.RotorState(layout, good)
+    state = lb.RotorState.from_matrix(layout, good)
     assert state.purity() == pytest.approx(0.28)
     assert state.min_eigenvalue() == pytest.approx(0.2)
     bad_herm = good.copy()
     bad_herm[0, 1] = 0.1
     with pytest.raises(ValueError, match="hermitian"):
-        lb.RotorState(layout, bad_herm)
+        lb.RotorState.from_matrix(layout, bad_herm)
     with pytest.raises(ValueError, match="trace"):
-        lb.RotorState(layout, 2 * good)
+        lb.RotorState.from_matrix(layout, 2 * good)
     with pytest.raises(ValueError, match="shape"):
-        lb.RotorState(layout, np.eye(3, dtype=complex) / 3)
+        lb.RotorState.from_matrix(layout, np.eye(3, dtype=complex) / 3)
 
 
 def test_centrifuge_state_examples():
@@ -495,7 +495,7 @@ def test_spectral_propagate_at_step_bound_matches_exact():
     dset = lb.build_dissipator(spec, layout, backend="spectral")
     coherent = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 3.0, 1.0))
     iso = lb.isotropic_state(layout, {j: 1.0 / 3.0 for j in layout.js})
-    rho0 = lb.RotorState(layout, 0.5 * (coherent.matrix + iso.matrix))
+    rho0 = lb.RotorState.from_matrix(layout, 0.5 * (coherent.matrix + iso.matrix))
     dt = 0.099 / lb.coherent_frequency_spread(spec, dset)
     t_final = 200 * dt
     chain = lb.propagate(rho0, dset, spec, t_final, dt)[-1]
@@ -512,7 +512,7 @@ def sparse_mixed_state(layout, rng, rank, support):
         vec = (rng.normal(size=d) + 1j * rng.normal(size=d)) * (rng.random(d) < support)
         vec[rng.integers(d)] += 1.0
         mat += rng.random() * np.outer(vec, vec.conj())
-    return lb.RotorState(layout, mat / np.trace(mat).real)
+    return lb.RotorState.from_matrix(layout, mat / np.trace(mat).real)
 
 
 def chain_keys(layout):
@@ -535,11 +535,9 @@ def test_chain_flow_properties(j_min, n_blocks, seed, rank, support, t):
     layout = lb.BasisLayout(j_min, j_min + n_blocks - 1)
     dset = lb.build_dissipator(spec, layout)
     rho0 = sparse_mixed_state(layout, np.random.default_rng(seed), rank, support)
-    rows, cols, flow = lb._chain_flow(
-        rho0.matrix, dset, np.zeros(n_blocks), np.zeros(layout.dim)
-    )
+    flow = lb._chain_flow(rho0, dset, np.zeros(n_blocks), np.zeros(layout.dim))
     out = np.zeros((layout.dim, layout.dim), dtype=complex)
-    out[rows, cols] = flow(t)
+    out[rho0.pattern.rows, rho0.pattern.cols] = flow(t)
     assert abs(np.trace(out) - 1.0) <= 1e-12
     assert np.max(np.abs(out - out.conj().T)) <= 1e-14
     assert np.linalg.eigvalsh(out)[0] >= -1e-9
@@ -590,7 +588,7 @@ def evolve_exact(rho0, dset, spec, t_final):
         kmat += w * op.conj().T @ op
     sup -= 0.5 * (np.kron(kmat, eye) + np.kron(eye, kmat.T))
     vec = scipy.linalg.expm(sup * t_final) @ rho0.matrix.reshape(-1)
-    return lb.RotorState(layout, vec.reshape(d, d), rho0.time + t_final)
+    return lb.RotorState.from_matrix(layout, vec.reshape(d, d), rho0.time + t_final)
 
 
 def rk4_frames(rho0, dset, spec, t_final, dt, record_every):
@@ -729,28 +727,31 @@ def test_min_eigenvalue_by_components():
     one_sided[[0, 3, 1, 2], [3, 0, 2, 1]] = 0.5
     one_sided[3, 1] = 2.0
     for mat in (dense, blocks, permuted, zero_row, psd_zero_row, one_sided, np.zeros((3, 3))):
-        assert abs(lb._min_eigenvalue(mat) - np.linalg.eigvalsh(mat)[0]) <= 1e-14
+        linked = mat != 0
+        rows, cols = np.nonzero(linked | linked.T)
+        pattern = lb._EntryPattern(len(mat), rows, cols)
+        low = pattern.min_eigenvalues(mat[rows, cols][None])[0]
+        assert abs(low - np.linalg.eigvalsh(mat)[0]) <= 1e-14
 
 
 def assert_columns_match_frames(traj, signal_js):
-    """Every Trajectory column equals the same value from the D x D frames."""
+    """Every Trajectory column equals the same value computed by plain numpy
+    on the D x D frames."""
     frames = list(traj)
     layout = traj.layout
     assert len(frames) == len(traj) and [f.time for f in frames] == traj.times.tolist()
-    dense = [
-        (np.trace(f.matrix).real, f.purity(), f.min_eigenvalue()) for f in frames
-    ]
+    mats = [f.matrix for f in frames]
+    dense = [(np.trace(m).real, np.sum(np.abs(m) ** 2), np.linalg.eigvalsh(m)[0]) for m in mats]
     np.testing.assert_allclose(
         np.column_stack([traj.trace(), traj.purity(), traj.min_eigenvalues()]),
         dense, rtol=0, atol=1e-14,
     )
-    pops = np.array([[f.block_populations()[j] for j in layout.js] for f in frames])
+    pops = np.array([[np.trace(m[sl, sl]).real for _, sl in layout.blocks()] for m in mats])
     np.testing.assert_allclose(traj.block_populations(), pops, rtol=0, atol=1e-14)
     for j in signal_js:
-        want = [lb.alignment_signal(f, j) for f in frames]
-        np.testing.assert_allclose(traj.signal(j), want, rtol=0, atol=1e-14)
-        want = [f.corner_coherence(j, j - 2) for f in frames]
-        np.testing.assert_allclose(traj.corner_coherence(j, j - 2), want, rtol=0, atol=1e-14)
+        corner = [m[layout.index(j, j), layout.index(j - 2, j - 2)] for m in mats]
+        np.testing.assert_allclose(traj.signal(j), np.abs(corner) ** 2, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(traj.corner_coherence(j, j - 2), corner, rtol=0, atol=1e-14)
     # frames outside the pattern are zero, so the entries hold every matrix
     for f, values in zip(frames, traj.values):
         assert np.count_nonzero(f.matrix) == np.count_nonzero(values)
@@ -796,12 +797,12 @@ def test_entry_pattern_is_its_own_transpose():
     layout = lb.BasisLayout(1, 2)
     mat = np.diag(np.full(layout.dim, 1.0 / layout.dim)).astype(complex)
     mat[0, 2] = 0.5 * lb.HERM_TOL
-    rho0 = lb.RotorState(layout, mat)
+    rho0 = lb.RotorState.from_matrix(layout, mat)
     traj = lb.propagate(rho0, lb.build_dissipator(spec, layout), spec, 0.5, 0.01)
     pattern = traj.pattern
     np.testing.assert_array_equal(pattern.rows[pattern.partner], pattern.cols)
     np.testing.assert_array_equal(pattern.cols[pattern.partner], pattern.rows)
-    assert pattern.find(2, 0) is not None and traj.values[0, pattern.find(2, 0)] == 0
+    assert pattern.locate(2, 0) >= 0 and traj.values[0, pattern.locate(2, 0)] == 0
     assert traj.diagnostics["max_hermiticity_deviation"] <= lb.HERM_TOL
 
 
@@ -820,6 +821,30 @@ def test_propagate_memory_scales_with_chains():
         tracemalloc.stop()
     assert len(traj) == 51
     assert peak < 4 * 16 * layout.dim**2
+
+
+def test_initial_state_memory_scales_with_chains():
+    # rho0 is built from its nonzero entries, on the chains they occupy: at
+    # j in [20, 40] (D = 1281) building it stays below one dense complex
+    # D x D matrix, 26 MB
+    layout = lb.BasisLayout(20, 40)
+    tracemalloc.start()
+    try:
+        rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 30.0, 5.0))
+        iso = lb.isotropic_state(layout, {j: 1.0 / 21 for j in layout.js})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * layout.dim**2
+    assert len(rho0.values) < 0.05 * layout.dim**2
+    assert len(iso.values) == layout.dim
+    # the dense matrix, built on demand, is the outer product of the amplitudes
+    amp = np.zeros(layout.dim, dtype=complex)
+    for j, c in lb.gaussian_profile(layout, 30.0, 5.0).items():
+        amp[layout.index(j, j)] = c
+    np.testing.assert_array_equal(rho0.matrix, np.outer(amp, amp.conj()))
+    with pytest.raises(ValueError):
+        rho0.matrix[0, 0] = 1.0
 
 
 def test_alignment_signal():
@@ -885,6 +910,20 @@ def test_state_binary_round_trip(tmp_path):
         header = np.frombuffer(fh.read(24), dtype="<i8")
     assert list(header) == [layout.dim, 3, 5]
 
+
+def test_state_binary_failed_build_leaves_no_file(tmp_path, monkeypatch):
+    # the dense payload is built before the temporary file is opened
+    state = random_state(lb.BasisLayout(0, 1), seed=4)
+
+    def fail(self):
+        raise MemoryError("no room for the dense matrix")
+
+    monkeypatch.setattr(lb.RotorState, "matrix", property(fail))
+    with pytest.raises(MemoryError):
+        lb.write_state_binary(state, tmp_path / "state.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_state_binary_rejects_truncated_files(tmp_path):
     path = tmp_path / "state.bin"
     lb.write_state_binary(random_state(lb.BasisLayout(0, 1), seed=4), path)
@@ -902,19 +941,18 @@ def test_state_binary_rejects_truncated_files(tmp_path):
 
 
 def test_drift_monitor_shares_state_tolerances():
+    layout = lb.BasisLayout(0, 1)
     good = np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex)
     drifted = good * (1.0 + 5e-9)
     with pytest.raises(ValueError, match="trace"):
-        lb.RotorState(lb.BasisLayout(0, 1), drifted)
-    with pytest.raises(ValueError, match="trace"):
-        lb.check_density_matrix(drifted)
-    lb.check_density_matrix(good)
+        lb.RotorState.from_matrix(layout, drifted)
+    lb.RotorState.from_matrix(layout, good)
     skewed = good.copy()
     skewed[0, 1] = 2 * lb.HERM_TOL
     with pytest.raises(ValueError, match="hermitian"):
-        lb.check_density_matrix(skewed)
+        lb.RotorState.from_matrix(layout, skewed)
     skewed[0, 1] = 0.5 * lb.HERM_TOL
-    lb.check_density_matrix(skewed)
+    lb.RotorState.from_matrix(layout, skewed)
 
     # a trace leak of 5e-9 per unit time in the chain generator surfaces as
     # NumericalDriftError whether or not a frame is recorded before the
@@ -936,20 +974,19 @@ def test_non_finite_matrices_are_not_density_matrices(monkeypatch):
     good = np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex)
     for bad in (np.full((4, 4), np.nan), np.full((4, 4), np.inf)):
         with pytest.raises(ValueError):
-            lb.RotorState(layout, bad)
+            lb.RotorState.from_matrix(layout, bad)
     off = good.copy()
     off[0, 1] = off[1, 0] = np.nan
     with pytest.raises(ValueError, match="hermitian"):
-        lb.check_density_matrix(off)
+        lb.RotorState.from_matrix(layout, off)
 
     # a NaN frame between monitor steps is reported as drift, not recorded
     spec = n1_spec()
-    rho0 = lb.RotorState(layout, good)
-    diagonal = np.arange(4)
+    rho0 = lb.RotorState.from_matrix(layout, good)
+    np.testing.assert_array_equal(rho0.pattern.rows, np.arange(4))
+    np.testing.assert_array_equal(rho0.pattern.cols, np.arange(4))
     monkeypatch.setattr(
-        lb,
-        "_chain_flow",
-        lambda *args: (diagonal, diagonal, lambda tau: np.full(4, np.nan, dtype=complex)),
+        lb, "_chain_flow", lambda *args: lambda tau: np.full(4, np.nan, dtype=complex)
     )
     with pytest.raises(lb.NumericalDriftError, match="trace drift nan .* at t=0.01"):
         lb.propagate(rho0, None, spec, 1.0, 0.01, record_every=1)
