@@ -400,12 +400,13 @@ def cmd_propagate(args):
         else:
             print("signal j=%d: fitted Gamma = %.6g, closed form 0" % (j, fitted))
     # entries outside the occupied chains are zero in every frame
-    drift = float(np.max(np.abs(traj.values[-1] - traj.values[0])))
+    last = traj[-1]
+    drift = float(np.max(np.abs(last.values - rho0.values)))
     print("max |rho(t_final) - rho(0)| = %.3g" % drift)
 
     if args.dump:
         try:
-            lb.write_state_binary(traj[-1], args.dump)
+            lb.write_state_binary(last, args.dump)
         except OSError as exc:
             raise OutputError(args.dump, exc.strerror or exc) from None
         outputs.append(args.dump)

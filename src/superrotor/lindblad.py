@@ -15,13 +15,10 @@ a block rho_{jj'} is a chain that evolves on its own.
 
 A density matrix on a BasisLayout (D = layout.dim) is kept as its values on
 the chains it occupies, with their entry pattern (_EntryPattern): a
-RotorState is one such vector, and a Trajectory one per frame on the pattern
-of its initial state, since unoccupied chains stay exactly zero.  propagate
-exponentiates the occupied chains exactly, block scalars included.  The
-density-matrix check and every column (trace, purity, smallest eigenvalue,
-signals, block populations) are computed from the entries, for a state and
-a trajectory alike.  Only RotorState.matrix (as for the --dump of the CLI),
-DissipatorSet.apply and write_state_binary build a D x D matrix.
+RotorState is one such vector.  propagate exponentiates the chains of its
+initial state exactly, block scalars included; the others stay exactly zero.
+Only RotorState.matrix (as for the --dump of the CLI), DissipatorSet.apply
+and write_state_binary build a D x D matrix.
 
 The dissipator's action is defined once, as the generators of its chains
 (_chain_generators): propagate exponentiates them, and _chain_action
@@ -29,17 +26,19 @@ multiplies them into a matrix's entries, for the convergence probe of
 build_dissipator and for DissipatorSet.apply, which gathers and scatters the
 entries of a dense matrix.
 
-Frames are evaluated and reduced FRAME_CHUNK at a time: propagate visits only
-the steps it checks or records, evaluates each chunk of them with one batched
-product per chain length, and checks its frames in time order; the Trajectory
-columns (trace, purity, smallest eigenvalue, block populations) work through
-the frames chunk by chunk with the arithmetic of a single frame.  So a run
-holds its recorded frames plus temporaries for FRAME_CHUNK frames.
+propagate evaluates only the steps it checks or records, FRAME_CHUNK at a
+time with one batched product per chain length, and reduces each chunk once,
+in time order: _reduce (trace, purity, block populations, stretched corners)
+and _EntryPattern.min_eigenvalues give every column, and the density-matrix
+check reads its trace from them.  A RotorState takes the same reduction of
+its one frame.  A Trajectory keeps the columns and the flow, not the frames,
+and evaluates an indexed frame again.
 """
 
 import contextlib
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -69,7 +68,7 @@ DIAG_INTERVAL = 50
 FRAME_CHUNK = 16
 # a propagate run evaluates at most this many frames (monitor and recorded)
 MAX_EVALUATED_FRAMES = 10**6
-# tolerances of the density-matrix rule (_check_density)
+# tolerances of the density-matrix rule (_EntryPattern.check)
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
 EIG_FLOOR = -1e-9
@@ -136,9 +135,8 @@ class BasisLayout:
 class RotorState:
     """Immutable density matrix on a BasisLayout: values (N,) at the entries
     of pattern, the chains it occupies, and zero elsewhere, checked by the
-    density-matrix rule (_EntryPattern.check).  Each column is the one-frame
-    case of the Trajectory column; matrix, the read-only D x D array, is
-    built on first use.
+    density-matrix rule (_EntryPattern.check).  Its columns are _reduce of
+    values[None]; matrix, the read-only D x D array, is built on first use.
     """
 
     layout: BasisLayout
@@ -150,9 +148,9 @@ class RotorState:
         values = np.array(self.values, dtype=complex)
         if values.shape != self.pattern.rows.shape:
             raise ValueError("values shape %s does not match the pattern" % (values.shape,))
-        self.pattern.check(values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        self.pattern.check(values, self._columns["trace"][0])
 
     @classmethod
     def from_entries(cls, layout, rows, cols, values, time=0.0):
@@ -183,39 +181,22 @@ class RotorState:
         return mat
 
     @cached_property
-    def _frame(self):
-        """The one-frame Trajectory of this state."""
-        return Trajectory(self.layout, self.pattern, np.array([self.time]), self.values[None])
+    def _columns(self):
+        return _reduce(self.layout, self.pattern, self.values[None])
 
     def purity(self):
-        return float(self._frame.purity()[0])
+        return float(self._columns["purity"][0])
 
     def min_eigenvalue(self):
-        return float(self._frame.min_eigenvalues()[0])
+        return float(self.pattern.min_eigenvalues(self.values[None])[0])
 
     def block_populations(self):
-        return dict(zip(self.layout.js, self._frame.block_populations()[0].tolist()))
+        return dict(zip(self.layout.js, self._columns["populations"][0].tolist()))
 
     def corner_coherence(self, j, j_prime):
         """Matrix element <jj| rho |j'j'> between stretched states."""
-        return complex(self._frame.corner_coherence(j, j_prime)[0])
-
-
-def _check_density(trace, herm, largest):
-    """The density-matrix rule: raise ValueError unless |trace - 1| <=
-    TRACE_TOL and the hermiticity deviation herm = max|rho - rho^+| <=
-    HERM_TOL * max(1, largest), largest = max|rho|.
-
-    Each comparison is written as `not x <= tol`, so a NaN or inf entry
-    fails.  Returns (|trace - 1|, herm).
-    """
-    trace_dev = float(abs(trace - 1.0))
-    if not trace_dev <= TRACE_TOL:
-        raise ValueError("trace drift %.3g exceeds %g" % (trace_dev, TRACE_TOL))
-    herm = float(herm)
-    if not herm <= HERM_TOL * max(1.0, float(largest)):
-        raise ValueError("matrix is not hermitian: drift %.3g" % herm)
-    return trace_dev, herm
+        block = self.layout.js.index
+        return complex(self._columns["corners"][0, block(j), block(j_prime)])
 
 
 def isotropic_state(layout, populations, time=0.0):
@@ -513,7 +494,7 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     coherences it samples, so StepSizeViolation is raised when
     dt * max|Delta| > 0.1.
     Every evaluated frame is checked on its entries by the density-matrix
-    rule (_check_density), and one that fails raises NumericalDriftError;
+    rule (_EntryPattern.check), and one that fails raises NumericalDriftError;
     so does one whose smallest eigenvalue falls below EIG_FLOOR on a monitor
     step (every DIAG_INTERVAL steps and the last).  Only the monitor and
     recorded steps are evaluated, FRAME_CHUNK at a time and checked in time
@@ -571,30 +552,30 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     monitor = (steps % DIAG_INTERVAL == 0) | (steps == n_steps)
     record = (steps % record_every == 0) | (steps == n_steps)
 
-    flow = _chain_flow(rho0, dset, levels, residual)
+    flow, miss = _chain_flow(rho0, dset, levels, residual)
     pattern = rho0.pattern
-    times = np.concatenate([[rho0.time], rho0.time + steps[record] * dt])
-    values = np.empty((len(times), len(pattern.rows)), dtype=complex)
-    values[0] = rho0.values
-    recorded = 1
+    elapsed = np.concatenate([[0.0], steps[record] * dt])
+    recorded = [dict(rho0._columns, min_eig=pattern.min_eigenvalues(rho0.values[None]))]
     worst_trace = worst_herm = 0.0
     lowest = math.inf
     for start in range(0, len(steps), FRAME_CHUNK):
         chunk = slice(start, start + FRAME_CHUNK)
-        elapsed = steps[chunk] * dt
-        frames = flow(elapsed)
+        taus = steps[chunk] * dt
+        frames = flow(taus)
+        columns = _reduce(layout, pattern, frames)
         failure, checked = None, []
-        for frame, t in zip(frames, rho0.time + elapsed):
+        for frame, trace, t in zip(frames, columns["trace"], rho0.time + taus):
             try:
-                checked.append(pattern.check(frame))
+                checked.append(pattern.check(frame, trace))
             except ValueError as exc:
                 failure = NumericalDriftError("%s at t=%.6g" % (exc, t))
                 break
         # the frames before a failed check are finite; the first negative
         # eigenvalue among their monitor steps comes earlier in time
+        columns["min_eig"] = pattern.min_eigenvalues(frames[: len(checked)])
         mon = monitor[chunk][: len(checked)]
-        lows = pattern.min_eigenvalues(frames[: len(checked)][mon]).tolist()
-        for low, t in zip(lows, rho0.time + elapsed[: len(checked)][mon]):
+        lows = columns["min_eig"][mon].tolist()
+        for low, t in zip(lows, rho0.time + taus[: len(checked)][mon]):
             if not low >= EIG_FLOOR:
                 raise NumericalDriftError("negative eigenvalue %.3g at t=%.6g" % (low, t))
         if failure is not None:
@@ -602,37 +583,43 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
         lowest = min([lowest] + lows)
         worst_trace = max([worst_trace] + [dev for dev, _ in checked])
         worst_herm = max([worst_herm] + [herm for _, herm in checked])
-        kept = frames[record[chunk]]
-        values[recorded : recorded + len(kept)] = kept
-        recorded += len(kept)
+        recorded.append({name: col[record[chunk]] for name, col in columns.items()})
+    columns = {name: np.concatenate([c[name] for c in recorded]) for name in recorded[0]}
+    for col in columns.values():
+        col.setflags(write=False)
     diagnostics = {
         "steps": n_steps,
         "dt_max_delta": dt * spread,
         "max_trace_deviation": worst_trace,
         "max_hermiticity_deviation": worst_herm,
         "min_eigenvalue": lowest,
+        "chains": sum(len(rows) for rows, _ in pattern.chains),
+        "entries": len(pattern.rows),
+        "largest_chain": max(rows.shape[1] for rows, _ in pattern.chains),
+        "reconstruction_miss": miss,
     }
-    return Trajectory(layout, pattern, times, values, diagnostics)
+    return Trajectory(layout, pattern, rho0.time + elapsed, elapsed, columns, flow, diagnostics)
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """The frames of one propagate run, each kept as its entry values.
+    """The columns of one propagate run's frames and the flow that
+    evaluates them, without the frames.
 
-    Frame k is the density matrix at times[k] that holds values[k] at the
-    entries (pattern.rows, pattern.cols) and zero elsewhere: the occupied
-    chains, which hold every entry the flow can reach.  The columns below
-    are computed from the entries, FRAME_CHUNK frames at a time.  len,
-    indexing, slicing and iteration give the frames as RotorStates on the
-    same pattern, with no D x D matrix built.  diagnostics holds the step count,
-    dt * max|Delta|, and the worst |tr - 1|, hermiticity deviation and
-    smallest eigenvalue over the frames propagate checked.
+    Frame k, at times[k], holds flow(elapsed[k:k + 1])[0] on pattern (the
+    occupied chains, which hold every entry the flow can reach) and zero
+    elsewhere.  columns holds its reduction (_reduce) and smallest
+    eigenvalue ("min_eig").  len, indexing, slicing and iteration evaluate
+    frames again, as checked RotorStates.  diagnostics holds what propagate
+    saw: the worst deviations over the checked frames, and the chains.
     """
 
     layout: BasisLayout
     pattern: "_EntryPattern"
     times: np.ndarray  # (n,)
-    values: np.ndarray  # (n, N)
+    elapsed: np.ndarray  # (n,) time since the initial state, flow's argument
+    columns: dict  # name -> (n, ...) array, read-only
+    flow: Callable  # elapsed times (F,) -> frames (F, N)
     diagnostics: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -641,42 +628,51 @@ class Trajectory:
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        return RotorState(self.layout, self.pattern, self.values[k], float(self.times[k]))
+        k = range(len(self))[k]
+        values = self.flow(self.elapsed[k : k + 1])[0]
+        return RotorState(self.layout, self.pattern, values, float(self.times[k]))
 
     def trace(self):
-        return _by_chunks(lambda v: self.pattern.diagonal(v).sum(axis=-1).real, self.values)
+        return self.columns["trace"].real
 
     def purity(self):
-        return _by_chunks(lambda v: np.sum(np.abs(v) ** 2, axis=-1), self.values)
+        return self.columns["purity"]
 
     def min_eigenvalues(self):
-        return self.pattern.min_eigenvalues(self.values)
+        return self.columns["min_eig"]
 
     def block_populations(self):
         """(n, number of blocks) populations, blocks in layout.js order."""
-
-        def pops(v):
-            diag = self.pattern.diagonal(v)
-            return np.stack([diag[:, sl].sum(axis=-1).real for _, sl in self.layout.blocks()], -1)
-
-        return _by_chunks(pops, self.values)
+        return self.columns["populations"]
 
     def corner_coherence(self, j, j_prime):
         """(n,) matrix elements <jj| rho |j'j'> between stretched states."""
-        k = self.pattern.locate(self.layout.index(j, j), self.layout.index(j_prime, j_prime))
-        return np.zeros(len(self), dtype=complex) if k < 0 else self.values[:, k]
+        return self.columns["corners"][:, self.layout.js.index(j), self.layout.js.index(j_prime)]
 
     def signal(self, j):
         """(n,) alignment signals |<jj| rho |j-2,j-2>|^2 (alignment_signal)."""
         return np.abs(self.corner_coherence(j, j - 2)) ** 2
 
 
-def _by_chunks(fn, values):
-    """fn(values) for the frames values (F, ...), taken FRAME_CHUNK frames at
-    a time; fn must treat every frame alone, so the result is the same."""
-    return np.concatenate(
-        [fn(values[i : i + FRAME_CHUNK]) for i in range(0, max(len(values), 1), FRAME_CHUNK)]
-    )
+def _reduce(layout, pattern, values):
+    """The columns of the F matrices with entry values (F, N) on pattern,
+    each with the arithmetic of a single matrix: trace (complex), purity,
+    block populations (F, B) and corners (F, B, B), <jj| rho |j'j'> for
+    blocks j, j' in layout.js order.  The smallest eigenvalue, an eigvalsh,
+    is pattern.min_eigenvalues.
+    """
+    diag = np.zeros((len(values), pattern.dim), dtype=values.dtype)
+    diag[:, pattern.rows[pattern.diag]] = values[:, pattern.diag]
+    stretched = np.cumsum(layout.block_sizes) - 1  # |jj>, the last row of block j
+    at = pattern.locate(stretched[:, None], stretched[None, :])
+    corners = np.zeros(values.shape[:1] + at.shape, dtype=values.dtype)
+    corners[:, at >= 0] = values[:, at[at >= 0]]
+    return {
+        "trace": diag.sum(axis=-1),
+        "purity": np.sum(np.abs(values) ** 2, axis=-1),
+        "populations": np.stack([diag[:, sl].sum(axis=-1).real for _, sl in layout.blocks()], -1),
+        "corners": corners,
+    }
 
 
 def _chain_flow(rho0, dset, levels, residual):
@@ -696,7 +692,8 @@ def _chain_flow(rho0, dset, levels, residual):
     its generator: -i (levels[j] - levels[j']) / hbar joins its eigenvalues.
 
     Returns flow(taus), the (F, N) values at rho0's pattern entries at the
-    F elapsed times taus, with one batched product per chain length.
+    F elapsed times taus with one batched product per chain length, and the
+    worst reconstruction miss (below).
 
     Raises NumericalDriftError when a chain generator is not finite, or when
     V diag(lam) V^-1 misses it by more than EIG_RECON_TOL of its largest
@@ -705,6 +702,7 @@ def _chain_flow(rho0, dset, levels, residual):
     coherent = bool(np.any(residual))
     scalars = np.repeat(levels, dset.layout.block_sizes)
     parts = []
+    worst_miss = 0.0
     for rows, cols in rho0.pattern.chains:
         gen = _chain_generators(dset, rows, cols)
         if coherent:
@@ -725,6 +723,7 @@ def _chain_flow(rho0, dset, levels, residual):
             raise NumericalDriftError(
                 "chain generator eigendecomposition misses it by %.3g of its scale" % miss
             )
+        worst_miss = max(worst_miss, miss)
         lam = lam - (1j / HBAR) * (scalars[rows[:, :1]] - scalars[cols[:, :1]])
         chain0 = rho0.values[rho0.pattern.locate(rows, cols)]
         parts.append((lam, vec, np.einsum("cij,cj->ci", inv, chain0)))
@@ -748,7 +747,7 @@ def _chain_flow(rho0, dset, levels, residual):
             start += coef.size
         return out
 
-    return flow
+    return flow, worst_miss
 
 
 def _chain_generators(dset, rows, cols):
@@ -810,12 +809,12 @@ class _EntryPattern:
     """Entries (rows, cols) of D x D matrices, a pattern equal to its
     transpose; a matrix on it is the (N,) vector of its values there.
 
-    Each reduction the frames need is taken on that vector: the main
-    diagonal (diag), the transposed partner of every entry (partner) for
-    hermiticity, and the connected components of the rows (components) for
-    the smallest eigenvalue.  Each is found once per pattern.  chains lists
-    the (rows, cols) groups of _occupied_chains when the pattern holds their
-    entries, chain after chain (of_chains).
+    _reduce and check read it through the entries on the main diagonal
+    (diag), the transposed partner of every entry (partner) for hermiticity
+    and the connected components of the rows (components) for the smallest
+    eigenvalue, each found once per pattern.  chains lists the (rows, cols)
+    groups of _occupied_chains when the pattern holds their entries, chain
+    after chain (of_chains).
     """
 
     def __init__(self, dim, rows, cols, chains=()):
@@ -841,18 +840,22 @@ class _EntryPattern:
         at = np.minimum(np.searchsorted(self._keys, want), len(self._keys) - 1)
         return np.where(self._keys[at] == want, self._order[at], -1)
 
-    def diagonal(self, values):
-        """(..., D) main diagonals of values (..., N)."""
-        out = np.zeros(values.shape[:-1] + (self.dim,), dtype=values.dtype)
-        out[..., self.rows[self.diag]] = values[..., self.diag]
-        return out
-
-    def check(self, values):
-        """_check_density of the matrix with entry values (N,)."""
-        herm = np.max(np.abs(values - values[self.partner].conj()), initial=0.0)
-        return _check_density(
-            self.diagonal(values).sum(), herm, np.max(np.abs(values), initial=0.0)
-        )
+    def check(self, values, trace):
+        """The density-matrix rule on the matrix with entry values (N,) and
+        trace (_reduce): ValueError unless |trace - 1| <= TRACE_TOL and herm =
+        max|rho - rho^+| <= HERM_TOL * max(1, max|rho|), each written as
+        `not x <= tol` so that a NaN or inf entry fails.  Returns
+        (|trace - 1|, herm).
+        """
+        trace_dev = float(abs(trace - 1.0))
+        if not trace_dev <= TRACE_TOL:
+            raise ValueError("trace drift %.3g exceeds %g" % (trace_dev, TRACE_TOL))
+        # an inf entry less its partner is NaN, which the comparison rejects
+        with np.errstate(invalid="ignore"):
+            herm = float(np.max(np.abs(values - values[self.partner].conj()), initial=0.0))
+        if not herm <= HERM_TOL * max(1.0, float(np.max(np.abs(values), initial=0.0))):
+            raise ValueError("matrix is not hermitian: drift %.3g" % herm)
+        return trace_dev, herm
 
     @cached_property
     def components(self):
@@ -905,25 +908,21 @@ class _EntryPattern:
         Permuted to the components, each matrix is block diagonal, so its
         spectrum is the union of the blocks' spectra, and a row that holds
         no entry adds the eigenvalue 0.  One stacked eigvalsh runs per
-        component size, over FRAME_CHUNK matrices at a time.
+        component size, over the F matrices at once.
         """
         groups, empty = self.components
-
-        def lowest(part):
-            low = np.full(len(part), 0.0 if empty else np.inf)
-            for n, s, ent, flat in groups:
-                stack = np.zeros((len(part), n * s * s), dtype=part.dtype)
-                stack[:, flat] = part[:, ent]
-                eig = np.linalg.eigvalsh(stack.reshape(-1, s, s))[:, 0]
-                low = np.minimum(low, eig.reshape(len(part), n).min(axis=1))
-            return low
-
-        return _by_chunks(lowest, values)
+        low = np.full(len(values), 0.0 if empty else np.inf)
+        for n, s, ent, flat in groups:
+            stack = np.zeros((len(values), n * s * s), dtype=values.dtype)
+            stack[:, flat] = values[:, ent]
+            eig = np.linalg.eigvalsh(stack.reshape(-1, s, s))[:, 0]
+            low = np.minimum(low, eig.reshape(len(values), n).min(axis=1))
+        return low
 
 
 def alignment_signal(rho, j):
     """Squared coherence |<jj| rho |j-2,j-2>|^2 probed by Raman scattering."""
-    return float(rho._frame.signal(j)[0])
+    return abs(rho.corner_coherence(j, j - 2)) ** 2
 
 
 def extract_decay_rate(samples, with_residual=False):

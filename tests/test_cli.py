@@ -293,8 +293,8 @@ def test_huge_anisotropy_is_a_config_error(tmp_path, capsys):
 
 
 def test_propagate_manifest_diagnostics(tmp_path, capsys):
-    # the worst deviations propagate saw over its checked frames reach the
-    # run manifest
+    # the worst deviations propagate saw over its checked frames, and the
+    # shape of the chains it propagated, reach the run manifest
     man = tmp_path / "m.json"
     code = run_cli(
         [
@@ -309,6 +309,9 @@ def test_propagate_manifest_diagnostics(tmp_path, capsys):
     assert 0.0 <= diag["max_trace_deviation"] <= lb.TRACE_TOL
     assert 0.0 <= diag["max_hermiticity_deviation"] <= lb.HERM_TOL
     assert lb.EIG_FLOOR <= diag["min_eigenvalue"] <= 1e-12
+    # the stretched corners of blocks 8 and 10 occupy four chains
+    assert (diag["chains"], diag["entries"], diag["largest_chain"]) == (4, 72, 21)
+    assert 0.0 <= diag["reconstruction_miss"] <= lb.EIG_RECON_TOL
 
 
 def run_state_file(tmp_path, doc):

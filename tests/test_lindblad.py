@@ -541,7 +541,7 @@ def test_chain_flow_properties(j_min, n_blocks, seed, rank, support, t):
     layout = lb.BasisLayout(j_min, j_min + n_blocks - 1)
     dset = lb.build_dissipator(spec, layout)
     rho0 = sparse_mixed_state(layout, np.random.default_rng(seed), rank, support)
-    flow = lb._chain_flow(rho0, dset, np.zeros(n_blocks), np.zeros(layout.dim))
+    flow, _ = lb._chain_flow(rho0, dset, np.zeros(n_blocks), np.zeros(layout.dim))
     out = np.zeros((layout.dim, layout.dim), dtype=complex)
     out[rho0.pattern.rows, rho0.pattern.cols] = flow(np.array([t]))[0]
     assert abs(np.trace(out) - 1.0) <= 1e-12
@@ -742,7 +742,7 @@ def test_min_eigenvalue_by_components():
 
 def assert_columns_match_frames(traj, signal_js):
     """Every Trajectory column equals the same value computed by plain numpy
-    on the D x D frames."""
+    on the D x D frames, evaluated again by indexing."""
     frames = list(traj)
     layout = traj.layout
     assert len(frames) == len(traj) and [f.time for f in frames] == traj.times.tolist()
@@ -758,10 +758,7 @@ def assert_columns_match_frames(traj, signal_js):
         corner = [m[layout.index(j, j), layout.index(j - 2, j - 2)] for m in mats]
         np.testing.assert_allclose(traj.signal(j), np.abs(corner) ** 2, rtol=0, atol=1e-14)
         np.testing.assert_allclose(traj.corner_coherence(j, j - 2), corner, rtol=0, atol=1e-14)
-    # frames outside the pattern are zero, so the entries hold every matrix
-    for f, values in zip(frames, traj.values):
-        assert np.count_nonzero(f.matrix) == np.count_nonzero(values)
-        np.testing.assert_array_equal(f.matrix[traj.pattern.rows, traj.pattern.cols], values)
+    np.testing.assert_array_equal(traj.times, traj.times[0] + traj.elapsed)
     assert [f.time for f in traj[-3:]] == traj.times[-3:].tolist()
     np.testing.assert_array_equal(traj[-1].matrix, frames[-1].matrix)
 
@@ -808,7 +805,7 @@ def test_entry_pattern_is_its_own_transpose():
     pattern = traj.pattern
     np.testing.assert_array_equal(pattern.rows[pattern.partner], pattern.cols)
     np.testing.assert_array_equal(pattern.cols[pattern.partner], pattern.rows)
-    assert pattern.locate(2, 0) >= 0 and traj.values[0, pattern.locate(2, 0)] == 0
+    assert pattern.locate(2, 0) >= 0 and rho0.values[pattern.locate(2, 0)] == 0
     assert traj.diagnostics["max_hermiticity_deviation"] <= lb.HERM_TOL
 
 
@@ -829,23 +826,27 @@ def test_propagate_memory_scales_with_chains():
     assert peak < 4 * 16 * layout.dim**2
 
 
-def test_trajectory_csv_memory_is_chunked():
-    # the columns are taken FRAME_CHUNK frames at a time: the CSV of 251
-    # frames at j in [20, 40] stays below a quarter of the frames (96 MB);
-    # reducing all frames at once peaked at 145 MB
+def test_propagate_and_csv_hold_no_frames():
+    # propagate reduces each chunk of frames to its columns as it checks
+    # them, and the CSV reads those columns: at j in [20, 40] the 251 frames
+    # would take 95.7 MB, and keeping them peaked at 138 MB
+    spec = n1_spec()
     layout = lb.BasisLayout(20, 40)
+    dset = lb.build_dissipator(spec, layout)
     rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 30.0, 5.0))
-    values = np.repeat(rho0.values[None], 251, axis=0)
-    traj = lb.Trajectory(layout, rho0.pattern, np.arange(251) * 2e-4, values)
-    rho0.pattern.components  # found once per pattern, as by propagate
     tracemalloc.start()
     try:
+        traj = lb.propagate(rho0, dset, spec, 0.05, 0.0002)
         text = lb.trajectory_csv(traj, signal_js=range(22, 41))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(text.splitlines()) == 252
-    assert peak < values.nbytes / 4
+    assert len(traj) == 251 and len(text.splitlines()) == 252
+    assert peak < len(traj) * len(rho0.values) * 16
+
+
+def frame_values(traj, ks):
+    return np.array([traj[k].values for k in ks])
 
 
 def test_chunked_frames_match_every_step_run():
@@ -860,15 +861,44 @@ def test_chunked_frames_match_every_step_run():
     sparse = lb.propagate(rho0, dset, spec, 0.04, 0.0002, record_every=7)
     steps = np.r_[0:201:7, 200]
     np.testing.assert_array_equal(sparse.times, every.times[steps])
-    np.testing.assert_allclose(sparse.values, every.values[steps], rtol=0, atol=1e-14)
-    # the sparse run checks the steps it records and the monitor steps
+    sparse_frames = frame_values(sparse, range(len(sparse)))
+    np.testing.assert_allclose(sparse_frames, frame_values(every, steps), rtol=0, atol=1e-14)
+    # the sparse run checks the steps it records and the monitor steps, in
+    # two chunks of FRAME_CHUNK frames
     evaluated = sorted(set(range(7, 201, 7)) | {50, 100, 150, 200})
-    checks = [every.pattern.check(every.values[k]) for k in evaluated]
+    assert len(evaluated) == 2 * lb.FRAME_CHUNK
+    checks = []
+    for taus in np.split(every.elapsed[evaluated], 2):
+        frames = every.flow(taus)
+        traces = lb._reduce(layout, every.pattern, frames)["trace"]
+        checks += [every.pattern.check(f, trace) for f, trace in zip(frames, traces)]
     assert sparse.diagnostics == dict(
         every.diagnostics,
         max_trace_deviation=max(dev for dev, _ in checks),
         max_hermiticity_deviation=max(herm for _, herm in checks),
     )
+    # a start at t0 != 0 re-evaluates each frame at the same elapsed time
+    late = lb.propagate(replace(rho0, time=0.3), dset, spec, 0.04, 0.0002, record_every=7)
+    np.testing.assert_array_equal(late.elapsed, sparse.elapsed)
+    np.testing.assert_array_equal(late.times, 0.3 + sparse.elapsed)
+    assert [f.time for f in late] == late.times.tolist()
+    late_frames = frame_values(late, range(len(late)))
+    np.testing.assert_allclose(late_frames, sparse_frames, rtol=0, atol=1e-14)
+
+
+def test_propagate_reports_chain_shape():
+    # the propagate-linearized input: every ordered block pair (j, j') holds
+    # one stretched corner, on the chain Q = j - j' of 2 min(j, j') + 1 entries
+    spec = n1_spec()
+    layout = lb.BasisLayout(8, 15)
+    rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 11.5, 2.0))
+    traj = lb.propagate(rho0, lb.build_dissipator(spec, layout), spec, 0.01, 0.001)
+    diag = traj.diagnostics
+    assert diag["chains"] == 64
+    assert diag["largest_chain"] == 31
+    assert diag["entries"] == len(traj.pattern.rows)
+    assert diag["entries"] == sum(2 * min(j, k) + 1 for j in layout.js for k in layout.js)
+    assert 0.0 <= diag["reconstruction_miss"] <= lb.EIG_RECON_TOL
 
 
 def test_initial_state_memory_scales_with_chains():
@@ -1035,7 +1065,7 @@ def test_non_finite_matrices_are_not_density_matrices(monkeypatch):
     np.testing.assert_array_equal(rho0.pattern.cols, np.arange(4))
     monkeypatch.setattr(
         lb, "_chain_flow",
-        lambda *args: lambda taus: np.full((len(taus), 4), np.nan, dtype=complex),
+        lambda *args: (lambda taus: np.full((len(taus), 4), np.nan, dtype=complex), 0.0),
     )
     with pytest.raises(lb.NumericalDriftError, match="trace drift nan .* at t=0.01"):
         lb.propagate(rho0, None, spec, 1.0, 0.01, record_every=1)
