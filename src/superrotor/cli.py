@@ -6,6 +6,10 @@ are written atomically (temp + rename) and are byte-stable for identical
 inputs; an output path that cannot be written is a usage error, found before
 any computation where the path names a directory or other non-regular file,
 or lies in a missing directory.
+
+This module, params and rates import only the standard library, so rates
+and closed-form sweep run without numpy; propagate, validate and the
+quadrature route load their numeric modules when they run.
 """
 
 import argparse
@@ -16,8 +20,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import rates
 from .params import builtin_config, load_config, normalized_document
@@ -120,35 +122,34 @@ def _finish(args, spec, outputs, t0, flags, diagnostics=None):
 
 def rate_plot_svg(js, values):
     """Minimal self-contained SVG: one polyline on log-log axes."""
-    js = np.asarray(js, dtype=float)
-    values = np.asarray(values, dtype=float)
-    logplot = bool(np.all(values > 0) and np.all(js > 0))
-    x = np.log10(js) if logplot else js
-    y = np.log10(values) if logplot else values
+    js = [float(v) for v in js]
+    values = [float(v) for v in values]
+    logplot = all(v > 0 for v in values) and all(v > 0 for v in js)
+    x = [math.log10(v) for v in js] if logplot else js
+    y = [math.log10(v) for v in values] if logplot else values
+    x_min, x_max, y_min, y_max = min(x), max(x), min(y), max(y)
     width, height = 640.0, 480.0
     left, right, top, bottom = 70.0, 20.0, 20.0, 50.0
-    xspan = (x.max() - x.min()) or 1.0
-    yspan = (y.max() - y.min()) or 1.0
-    px = left + (x - x.min()) / xspan * (width - left - right)
-    py = height - bottom - (y - y.min()) / yspan * (height - top - bottom)
-    points = " ".join("%.2f,%.2f" % (a, b) for a, b in zip(px, py))
+    xspan = (x_max - x_min) or 1.0
+    yspan = (y_max - y_min) or 1.0
 
     def xtick(v):
-        return left + (v - x.min()) / xspan * (width - left - right)
+        return left + (v - x_min) / xspan * (width - left - right)
 
     def ytick(v):
-        return height - bottom - (v - y.min()) / yspan * (height - top - bottom)
+        return height - bottom - (v - y_min) / yspan * (height - top - bottom)
 
+    points = " ".join("%.2f,%.2f" % (xtick(a), ytick(b)) for a, b in zip(x, y))
     ticks = []
     if logplot:
-        for d in range(int(math.floor(x.min())), int(math.ceil(x.max())) + 1):
-            if x.min() - 1e-9 <= d <= x.max() + 1e-9:
+        for d in range(int(math.floor(x_min)), int(math.ceil(x_max)) + 1):
+            if x_min - 1e-9 <= d <= x_max + 1e-9:
                 ticks.append(
                     '<text x="%.1f" y="%.1f" font-size="12" text-anchor="middle">1e%d</text>'
                     % (xtick(d), height - bottom + 18, d)
                 )
-        for d in range(int(math.floor(y.min())), int(math.ceil(y.max())) + 1):
-            if y.min() - 1e-9 <= d <= y.max() + 1e-9:
+        for d in range(int(math.floor(y_min)), int(math.ceil(y_max)) + 1):
+            if y_min - 1e-9 <= d <= y_max + 1e-9:
                 ticks.append(
                     '<text x="%.1f" y="%.1f" font-size="12" text-anchor="end">1e%d</text>'
                     % (left - 6, ytick(d) + 4, d)
@@ -399,10 +400,8 @@ def cmd_propagate(args):
             )
         else:
             print("signal j=%d: fitted Gamma = %.6g, closed form 0" % (j, fitted))
-    # entries outside the occupied chains are zero in every frame
     last = traj[-1]
-    drift = float(np.max(np.abs(last.values - rho0.values)))
-    print("max |rho(t_final) - rho(0)| = %.3g" % drift)
+    print("max |rho(t_final) - rho(0)| = %.3g" % last.max_deviation(rho0))
 
     if args.dump:
         try:

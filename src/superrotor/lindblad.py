@@ -198,6 +198,13 @@ class RotorState:
         block = self.layout.js.index
         return complex(self._columns["corners"][0, block(j), block(j_prime)])
 
+    def max_deviation(self, other):
+        """max |rho - other| over all matrix entries, for a state other on
+        this state's pattern: entries outside its chains are zero in both."""
+        if other.pattern is not self.pattern:
+            raise ValueError("max_deviation needs two states on one entry pattern")
+        return float(np.max(np.abs(self.values - other.values)))
+
 
 def isotropic_state(layout, populations, time=0.0):
     """Diagonal state with population p_j spread evenly over each block."""

@@ -1,7 +1,8 @@
-"""Special functions and quadrature rules used throughout the package.
+"""Quadrature rules, the real gamma function and the order-doubling rule.
 
-Only the degree-2 Legendre family is provided: nothing else is needed for
-the anisotropy algebra, and a smaller surface is easier to keep correct.
+The degree-2 Legendre family the anisotropy algebra needs lives in rates
+(rates.assoc_legendre2), beside the closed form that must load without
+numpy.
 """
 
 import functools
@@ -19,28 +20,6 @@ HALFLINE_CUT = 7.0
 ORDER_DOUBLING_TOL = 1e-3
 
 _DOMAINS = ("interval", "half_line", "circle", "sphere", "ring")
-
-
-def assoc_legendre2(k, x):
-    """Associated Legendre function P_2^k(x) for k in {0, 1, 2}, |x| <= 1.
-
-    The k=1 member is returned in magnitude form, 3*x*sqrt(1-x^2), without
-    the Condon-Shortley phase. Every quantity built from these values is
-    either squared or sign-symmetric, so the phase convention cannot be
-    observed downstream; a dedicated test asserts exactly that.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0):
-        raise ValueError("assoc_legendre2: argument outside [-1, 1]")
-    if k == 0:
-        out = (3.0 * x * x - 1.0) / 2.0
-    elif k == 1:
-        out = 3.0 * x * np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    elif k == 2:
-        out = 3.0 * (1.0 - x * x)
-    else:
-        raise ValueError("assoc_legendre2: k must be 0, 1 or 2")
-    return out if out.ndim else float(out)
 
 
 def order_doubling_drift(base, *fine):

@@ -1,4 +1,4 @@
-"""Physical system definition, unit handling and the thermal momentum density.
+"""Physical system definition and unit handling.
 
 All computation elsewhere in the package happens in an internal unit system
 with hbar = 1. SI input is additionally rescaled so that the collision
@@ -10,8 +10,6 @@ quantity within a few orders of magnitude of unity. Normalized input
 import json
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 # internal unit system pins hbar = 1
 HBAR = 1.0
@@ -58,10 +56,9 @@ class MoleculeSpec:
         return 2.0 * self.alpha_aniso / (3.0 * self.alpha_mean)
 
     def rotational_energy(self, j):
-        """Free-rotor level j(j+1) hbar^2 / (2 I) in internal energy units."""
-        j = np.asarray(j, dtype=float)
-        out = HBAR**2 * j * (j + 1.0) / (2.0 * self.moment_of_inertia)
-        return out if out.ndim else float(out)
+        """Free-rotor level j(j+1) hbar^2 / (2 I) of one j, in internal
+        energy units."""
+        return HBAR**2 * j * (j + 1.0) / (2.0 * self.moment_of_inertia)
 
 
 @dataclass(frozen=True)
@@ -167,19 +164,6 @@ def derive_thermal(mol, gas):
     mu = gas.mass * mol.mass / (gas.mass + mol.mass)
     q_th = math.sqrt(2.0 * mu * gas.thermal_energy)
     return ThermalContext(mu, q_th, gas.density, mol, gas)
-
-
-def nu_th(q, ctx):
-    """Thermal density of relative momenta, exp(-q^2/q_th^2)/(sqrt(pi) q_th)^3.
-
-    Normalized with respect to d^3q; accepts scalars or arrays, q >= 0.
-    """
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0.0):
-        raise ValueError("nu_th: momentum magnitude must be >= 0")
-    qth = ctx.thermal_momentum
-    out = np.exp(-((q / qth) ** 2)) / (math.sqrt(math.pi) * qth) ** 3
-    return out if out.ndim else float(out)
 
 
 _TOP_KEYS = {"molecule", "gas", "numerics", "units", "comment"}

@@ -6,16 +6,18 @@ forward-amplitude rate integral. The quadrature route is the oracle for the
 closed form; with the kappa -> 1/2 override they agree to well below a
 percent, and the residual difference at small j measures the closed form's
 large-j character.
+
+The closed form is scalar arithmetic, and this module imports only the
+standard library: the rates and closed-form sweep commands run without
+numpy. The quadrature route, energy_shift_matrix and thermal_q_integral
+import numpy, mathkit and scattering when called, and look their helpers up
+on those modules at each call.
 """
 
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .mathkit import assoc_legendre2, gamma_real, make_rule, order_doubling_drift
 from .params import HBAR
-from .scattering import forward_scalar, spectral_shapes, template_bands
 
 # Validation hook: the negative-control check multiplies the closed-form
 # prefactor through this module constant to prove the acceptance suite can
@@ -59,12 +61,37 @@ class RateTable:
         return len(self.rows)
 
 
+def assoc_legendre2(k, x):
+    """Associated Legendre function P_2^k(x) for k in {0, 1, 2}, |x| <= 1.
+
+    x is a float or a float array: plain arithmetic serves both, so the
+    closed form and the array callers (the coupling templates, the rate
+    bracket) share this one definition. The k=1 member is returned in
+    magnitude form, 3*x*sqrt(1-x^2), without the Condon-Shortley phase.
+    Every quantity built from these values is either squared or
+    sign-symmetric, so the phase convention cannot be observed downstream;
+    a dedicated test asserts exactly that.
+    """
+    outside = abs(x) > 1.0
+    if outside.any() if hasattr(outside, "any") else outside:
+        raise ValueError("assoc_legendre2: argument outside [-1, 1]")
+    if k == 0:
+        return (3.0 * x * x - 1.0) / 2.0
+    if k == 1:
+        return 3.0 * x * (1.0 - x * x) ** 0.5
+    if k == 2:
+        return 3.0 * (1.0 - x * x)
+    raise ValueError("assoc_legendre2: k must be 0, 1 or 2")
+
+
 def _p2sq_guarded(k, x):
     # arguments outside [-1, 1] correspond to empty m-sums of the underlying
     # rate integral and contribute zero (occurs only for the second band at
     # j or j' = 0)
-    inside = np.abs(x) <= 1.0
-    return np.where(inside, np.square(assoc_legendre2(k, np.where(inside, x, 0.0))), 0.0)
+    if abs(x) > 1.0:
+        return 0.0
+    p = assoc_legendre2(k, x)
+    return p * p
 
 
 def a_coefficient(j, j_prime):
@@ -73,16 +100,15 @@ def a_coefficient(j, j_prime):
     Five Legendre terms: the squared diagonal difference plus one first-band
     and one second-band term for each of j and j'. Symmetric under j <-> j';
     grouping the band terms pairwise keeps the symmetry exact in floating
-    point. j and j_prime may be integers (returns a float) or equal-shape
-    integer arrays (returns the array of coefficients).
+    point. j and j_prime are integers; returns a float.
     """
-    j = np.asarray(j, dtype=np.int64)
-    j_prime = np.asarray(j_prime, dtype=np.int64)
-    if np.any(j < 0) or np.any(j_prime < 0):
+    j = int(j)
+    j_prime = int(j_prime)
+    if j < 0 or j_prime < 0:
         raise ValueError("a_coefficient: j and j_prime must be >= 0")
     top_j = 2.0 * j / (2.0 * j + 1.0)
     top_jp = 2.0 * j_prime / (2.0 * j_prime + 1.0)
-    diff = np.square(assoc_legendre2(0, top_j) - assoc_legendre2(0, top_jp))
+    diff = assoc_legendre2(0, top_j) - assoc_legendre2(0, top_jp)
     band1 = (
         _p2sq_guarded(1, (2.0 * j - 1.0) / (2.0 * j + 1.0)) / 6.0
         + _p2sq_guarded(1, (2.0 * j_prime - 1.0) / (2.0 * j_prime + 1.0)) / 6.0
@@ -91,15 +117,14 @@ def a_coefficient(j, j_prime):
         _p2sq_guarded(2, (2.0 * j - 2.0) / (2.0 * j + 1.0)) / 24.0
         + _p2sq_guarded(2, (2.0 * j_prime - 2.0) / (2.0 * j_prime + 1.0)) / 24.0
     )
-    out = diff + band1 + band2
-    return out if np.ndim(out) else float(out)
+    return diff * diff + band1 + band2
 
 
 def _closed_form_rates(pairs, spec):
-    # RateResult rows for (j, j') pairs: one prefactor, one a_coefficient pass
+    # RateResult rows for (j, j') pairs: one prefactor for all of them
     th = spec.thermal
     mol = spec.molecule
-    constant = gamma_real(2.6) * gamma_real(0.6) ** 2 * math.sqrt(math.pi) / 10.0
+    constant = math.gamma(2.6) * math.gamma(0.6) ** 2 * math.sqrt(math.pi) / 10.0
     aniso = (mol.alpha_aniso / (30.0 * mol.alpha_mean)) ** 2
     strength = (
         3.0 * math.pi * th.reduced_mass * spec.gas.c6 / (8.0 * HBAR * th.thermal_momentum)
@@ -113,11 +138,11 @@ def _closed_form_rates(pairs, spec):
         * aniso
         * strength
     )
-    coeffs = a_coefficient([j for j, _ in pairs], [jp for _, jp in pairs]).tolist()
-    return [
-        RateResult(j, jp, prefactor * coeff, "closed_form", coeff)
-        for (j, jp), coeff in zip(pairs, coeffs)
-    ]
+    rows = []
+    for j, jp in pairs:
+        coeff = a_coefficient(j, jp)
+        rows.append(RateResult(j, jp, prefactor * coeff, "closed_form", coeff))
+    return rows
 
 
 def gamma_closed_form(j, j_prime, spec):
@@ -134,7 +159,9 @@ def _corner_coefficients(j, spec, kappa_mode):
     # the top-corner column of block j's templates: the diagonal corner, the
     # first-band and the second-band neighbor; the j = 0 block has no band
     # partners (empty m-sums)
-    diag, band1, band2 = template_bands(j, spec.molecule, kappa_mode)
+    from . import scattering
+
+    diag, band1, band2 = scattering.template_bands(j, spec.molecule, kappa_mode)
     if j == 0:
         return diag[-1], 0.0, 0.0
     return diag[-1], band1[-1], band2[-1]
@@ -151,7 +178,7 @@ def _corner_integrand_linearized(j, j_prime, spec, kappa_mode):
     def bracket(nodes):
         nz = nodes[:, 2]
         n_plus_sq = nodes[:, 0] ** 2 + nodes[:, 1] ** 2
-        p2 = assoc_legendre2(0, np.clip(nz, -1.0, 1.0))
+        p2 = assoc_legendre2(0, nz.clip(-1.0, 1.0))
         return 0.16 * (
             (t0j - t0p) ** 2 * p2**2
             + (b1j**2 + b1p**2) * nz**2 * n_plus_sq
@@ -164,13 +191,15 @@ def _corner_integrand_linearized(j, j_prime, spec, kappa_mode):
 def _corner_integrand_spectral(j, j_prime, spec, kappa_mode):
     # the forward amplitude is c(q) S(n'); the bracket needs the top-corner
     # columns of the q-independent shapes S at the given nodes
+    from . import scattering
+
     def bracket(nodes):
-        mj = spectral_shapes(j, nodes, spec, kappa_mode)
-        mp = spectral_shapes(j_prime, nodes, spec, kappa_mode)
+        mj = scattering.spectral_shapes(j, nodes, spec, kappa_mode)
+        mp = scattering.spectral_shapes(j_prime, nodes, spec, kappa_mode)
         return (
-            np.abs(mj[:, -1, -1] - mp[:, -1, -1]) ** 2
-            + np.sum(np.abs(mj[:, :-1, -1]) ** 2, axis=1)
-            + np.sum(np.abs(mp[:, :-1, -1]) ** 2, axis=1)
+            abs(mj[:, -1, -1] - mp[:, -1, -1]) ** 2
+            + (abs(mj[:, :-1, -1]) ** 2).sum(axis=1)
+            + (abs(mp[:, :-1, -1]) ** 2).sum(axis=1)
         )
 
     return bracket
@@ -185,9 +214,13 @@ def thermal_q_integral(spec, order, power, fn):
     a q-independent direction integral: the rates and the jump weights take
     fn = |c|^2 at power 3, the gas shift fn = Re c at power 2.
     """
+    import numpy as np
+
+    from . import mathkit, scattering
+
     q_th = spec.thermal.thermal_momentum
-    rule = make_rule("half_line", order)
-    c = np.array([forward_scalar(q_th * x, spec) for x in rule.nodes])
+    rule = mathkit.make_rule("half_line", order)
+    c = np.array([scattering.forward_scalar(q_th * x, spec) for x in rule.nodes])
     return float(q_th / math.pi**1.5 * np.sum(rule.weights * rule.nodes**power * fn(c)))
 
 
@@ -202,23 +235,26 @@ def _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode):
     }.get(amplitude_backend)
     if integrand is None:
         raise ValueError(f"unknown amplitude_backend {amplitude_backend!r}")
+    from . import mathkit
+
     th = spec.thermal
     nq = spec.numerics.quad_order_q
     ns = spec.numerics.quad_order_sphere
     pref = th.density / (2.0 * th.reduced_mass)
     r, r_fine = (
-        thermal_q_integral(spec, order, 3, lambda c: np.abs(c) ** 2) for order in (nq, 2 * nq)
+        thermal_q_integral(spec, order, 3, lambda c: abs(c) ** 2) for order in (nq, 2 * nq)
     )
-    rings = make_rule("ring", ns), make_rule("ring", 2 * ns)
-    coeffs = a_coefficient([j for j, _ in pairs], [jp for _, jp in pairs]).tolist()
+    rings = mathkit.make_rule("ring", ns), mathkit.make_rule("ring", 2 * ns)
     rows = []
-    for (j, j_prime), coeff in zip(pairs, coeffs):
+    for j, j_prime in pairs:
         bracket = integrand(j, j_prime, spec, kappa_mode)
         a, a_fine = (
-            2.0 * math.pi * np.sum(ring.weights * bracket(ring.nodes)) for ring in rings
+            2.0 * math.pi * (ring.weights * bracket(ring.nodes)).sum() for ring in rings
         )
         base = pref * r * a
-        drift, converged = order_doubling_drift(base, pref * r_fine * a, pref * r * a_fine)
+        drift, converged = mathkit.order_doubling_drift(
+            base, pref * r_fine * a, pref * r * a_fine
+        )
         meta = {
             "converged": converged,
             "order_q": nq,
@@ -227,7 +263,9 @@ def _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode):
             "backend": amplitude_backend,
             "kappa_mode": kappa_mode,
         }
-        rows.append(RateResult(j, j_prime, base, "quadrature", coeff, meta))
+        rows.append(
+            RateResult(j, j_prime, base, "quadrature", a_coefficient(j, j_prime), meta)
+        )
     return rows
 
 
@@ -277,6 +315,10 @@ def energy_shift_matrix(j, spec, with_diagnostics=False):
     j = int(j)
     if j < 0:
         raise ValueError("energy_shift_matrix: j must be >= 0")
+    import numpy as np
+
+    from . import mathkit
+
     th = spec.thermal
 
     def shift_once(order_q):
@@ -287,7 +329,9 @@ def energy_shift_matrix(j, spec, with_diagnostics=False):
     base = shift_once(spec.numerics.quad_order_q)
     if not with_diagnostics:
         return base
-    drift, converged = order_doubling_drift(base, shift_once(2 * spec.numerics.quad_order_q))
+    drift, converged = mathkit.order_doubling_drift(
+        base, shift_once(2 * spec.numerics.quad_order_q)
+    )
     return base, {"converged": converged, "order_doubling_drift": drift}
 
 

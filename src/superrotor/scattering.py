@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathkit import assoc_legendre2, gamma_real, make_rule, order_doubling_drift
+from .mathkit import gamma_real, make_rule, order_doubling_drift
 from .params import HBAR
+from .rates import assoc_legendre2
 
 # branch phase of the 2/5-power radial integrals, exp(i 3 pi / 10)
 EIKONAL_PHASE = complex(math.cos(0.3 * math.pi), math.sin(0.3 * math.pi))

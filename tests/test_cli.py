@@ -617,11 +617,17 @@ def test_package_runs_without_scipy(tmp_path):
 
 def test_rate_commands_do_not_import_propagation(tmp_path):
     # rates and sweep run in short-lived processes; lindblad and validation
-    # cost them import time they never use
+    # cost them import time they never use, and the closed-form commands
+    # need neither numpy nor the quadrature modules
     script = "\n".join([
         "import sys",
+        "import superrotor.params, superrotor.rates",
         "from superrotor.cli import main",
         "assert main(['rates', 'n1', '--j', '10', '--jprime', '8', '--out', 'r.csv']) == 0",
+        "assert main(['sweep', 'n1', '--jmax', '1000', '--out', 'c.csv',"
+        " '--plot', 'c.svg']) == 0",
+        "print('closed form loaded', sorted(m for m in ('numpy', 'superrotor.mathkit',"
+        " 'superrotor.scattering') if m in sys.modules))",
         "assert main(['sweep', 'n1', '--jmax', '12', '--method', 'quadrature',"
         " '--out', 's.csv']) == 0",
         "print(sorted(m for m in ('superrotor.lindblad', 'superrotor.validation')"
@@ -633,7 +639,10 @@ def test_rate_commands_do_not_import_propagation(tmp_path):
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    lines = proc.stdout.splitlines()
+    assert "closed form loaded []" in lines
+    assert lines[-1] == "[]"
+    assert (tmp_path / "s.csv").read_text().count("quadrature") == 11
 
 
 def test_shipped_configs_load(tmp_path):

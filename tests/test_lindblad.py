@@ -424,6 +424,11 @@ def test_propagate_isotropic_fixed_point():
     iso = lb.isotropic_state(layout, {3: 0.5, 4: 0.3, 5: 0.2})
     traj = lb.propagate(iso, dset, spec, 1.0, 0.01)
     assert np.max(np.abs(traj[-1].matrix - iso.matrix)) <= 1e-8
+    # the chain-entry deviation the CLI prints is the dense one
+    last = traj[-1]
+    assert last.max_deviation(iso) == np.max(np.abs(last.matrix - iso.matrix))
+    with pytest.raises(ValueError):
+        last.max_deviation(lb.centrifuge_state(layout, {3: 0.6, 5: 0.8}))
 
 
 def test_propagate_guards():

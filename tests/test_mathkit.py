@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import lpmv
 
-from superrotor import lindblad, rates, scattering
+from superrotor import lindblad, mathkit, rates, scattering
 from superrotor.mathkit import (
     ORDER_DOUBLING_TOL,
-    assoc_legendre2,
     gamma_real,
     make_rule,
     order_doubling_drift,
 )
+from superrotor.rates import assoc_legendre2
 from superrotor.params import builtin_config, load_config
 
 # Frozen from a 30-digit mpmath run kept outside the package.
@@ -212,8 +212,8 @@ def _schiff_site():
 @pytest.mark.parametrize(
     "module,site",
     [
-        (rates, _gamma_site),
-        (rates, _shift_site),
+        (mathkit, _gamma_site),
+        (mathkit, _shift_site),
         (lindblad, _dissipator_site),
         (scattering, _schiff_site),
     ],

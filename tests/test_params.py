@@ -13,7 +13,6 @@ from superrotor.params import (
     derive_thermal,
     load_config,
     normalized_document,
-    nu_th,
 )
 
 
@@ -99,6 +98,21 @@ def test_rotational_energy():
     mol = MoleculeSpec(mass=2.0, moment_of_inertia=10.0, alpha_mean=1.0, alpha_aniso=0.1)
     assert mol.rotational_energy(0) == 0.0
     assert mol.rotational_energy(10) == pytest.approx(110.0 / 20.0, rel=1e-15)
+
+
+def nu_th(q, ctx):
+    """Thermal density of relative momenta, exp(-q^2/q_th^2)/(sqrt(pi) q_th)^3.
+
+    Normalized with respect to d^3q; accepts scalars or arrays, q >= 0. The
+    rate modules fold exp(-q^2) into the half-line rule instead; this is the
+    oracle for that normalization.
+    """
+    q = np.asarray(q, dtype=float)
+    if np.any(q < 0.0):
+        raise ValueError("nu_th: momentum magnitude must be >= 0")
+    qth = ctx.thermal_momentum
+    out = np.exp(-((q / qth) ** 2)) / (math.sqrt(math.pi) * qth) ** 3
+    return out if out.ndim else float(out)
 
 
 def test_nu_th_at_origin():

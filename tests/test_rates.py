@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superrotor import rates
+from superrotor import rates, scattering
 from superrotor.mathkit import make_rule
 from superrotor.params import HBAR, builtin_config, load_config, normalized_document
 from superrotor.rates import (
@@ -231,7 +231,7 @@ def test_quadrature_sweep_radial_once(monkeypatch):
         calls.append(q)
         return forward_scalar(q, spec)
 
-    monkeypatch.setattr(rates, "forward_scalar", counted)
+    monkeypatch.setattr(scattering, "forward_scalar", counted)
     table = sweep_rates(range(2, 101), spec, method="quadrature")
     assert len(table) == 99
     assert spec.numerics.quad_order_q == 48
@@ -252,16 +252,8 @@ def test_gamma_numeric_large_j_memory():
     assert peak < 8 * 2**20
 
 
-def test_a_coefficient_arrays_match_scalars():
-    # one function serves scalars and arrays with identical values, and a
-    # closed-form sweep row is the scalar closed-form rate exactly
-    js = np.arange(0, 60)
-    jps = js[::-1]
-    coeffs = a_coefficient(js, jps)
-    assert coeffs.shape == js.shape
-    for j, jp, coeff in zip(js.tolist(), jps.tolist(), coeffs.tolist()):
-        assert a_coefficient(j, jp) == coeff
-        assert isinstance(a_coefficient(j, jp), float)
+def test_closed_form_sweep_rows_match_scalars():
+    # a closed-form sweep row is the single-pair closed-form rate exactly
     spec = n1_spec()
     for row in sweep_rates(range(2, 40), spec).rows:
         single = gamma_closed_form(row.j, row.j_prime, spec)
