@@ -8,8 +8,9 @@ any computation where the path names a directory or other non-regular file,
 or lies in a missing directory.
 
 This module, params and rates import only the standard library, so rates
-and closed-form sweep run without numpy; propagate, validate and the
-quadrature route load their numeric modules when they run.
+and sweep run without numpy: the closed form is plain arithmetic, and the
+quadrature route reads mathkit's rules as Python floats.  propagate and
+validate load numpy and their numeric modules when they run.
 """
 
 import argparse

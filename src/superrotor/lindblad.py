@@ -357,7 +357,7 @@ def _chain_action(dset, pattern, values):
 
 def _collision_weight(spec):
     """2 pi (n_g/mu) Int dq q^3 nu_th(q) |c(q)|^2 on the radial rule."""
-    radial = thermal_q_integral(spec, spec.numerics.quad_order_q, 3, lambda c: np.abs(c) ** 2)
+    radial = thermal_q_integral(spec, spec.numerics.quad_order_q, 3, lambda c: abs(c) ** 2)
     return 2.0 * math.pi * spec.gas.density / spec.thermal.reduced_mass * radial
 
 
@@ -617,7 +617,8 @@ class Trajectory:
     occupied chains, which hold every entry the flow can reach) and zero
     elsewhere.  columns holds its reduction (_reduce) and smallest
     eigenvalue ("min_eig").  len, indexing, slicing and iteration evaluate
-    frames again, as checked RotorStates.  diagnostics holds what propagate
+    frames again, as checked RotorStates; slicing and iteration call flow
+    on FRAME_CHUNK frames at a time.  diagnostics holds what propagate
     saw: the worst deviations over the checked frames, and the chains.
     """
 
@@ -634,10 +635,18 @@ class Trajectory:
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        k = range(len(self))[k]
-        values = self.flow(self.elapsed[k : k + 1])[0]
-        return RotorState(self.layout, self.pattern, values, float(self.times[k]))
+            return list(self._frames(range(*k.indices(len(self)))))
+        return next(self._frames([range(len(self))[k]]))
+
+    def __iter__(self):
+        return self._frames(range(len(self)))
+
+    def _frames(self, ks):
+        # the frames ks as checked RotorStates, FRAME_CHUNK per flow call
+        for start in range(0, len(ks), FRAME_CHUNK):
+            chunk = ks[start : start + FRAME_CHUNK]
+            for k, values in zip(chunk, self.flow(self.elapsed[list(chunk)])):
+                yield RotorState(self.layout, self.pattern, values, float(self.times[k]))
 
     def trace(self):
         return self.columns["trace"].real

@@ -1,5 +1,10 @@
 """Quadrature rules, the real gamma function and the order-doubling rule.
 
+This module imports only the standard library. A rule is built once per
+process as Python floats (gauss_legendre and the domain builders), which
+the scalar quadrature route of rates reads directly; array callers read the
+same floats as read-only numpy arrays, built on first access.
+
 The degree-2 Legendre family the anisotropy algebra needs lives in rates
 (rates.assoc_legendre2), beside the closed form that must load without
 numpy.
@@ -8,8 +13,6 @@ numpy.
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # Half-line rules integrate against the weight exp(-q^2) on [0, inf).
 # Truncating at HALFLINE_CUT leaves a tail below exp(-49) ~ 5e-22, under
@@ -22,6 +25,12 @@ ORDER_DOUBLING_TOL = 1e-3
 _DOMAINS = ("interval", "half_line", "circle", "sphere", "ring")
 
 
+def _peak(value):
+    # largest magnitude of a scalar or of an array's entries
+    mag = abs(value)
+    return float(mag.max()) if hasattr(mag, "max") else float(mag)
+
+
 def order_doubling_drift(base, *fine):
     """(drift, converged) of a quadrature value against its order-doubled
     values: max |f - base| over the fine values f, divided by the largest
@@ -29,10 +38,13 @@ def order_doubling_drift(base, *fine):
     Values may be scalars or equal-shape arrays.  A non-finite value gives
     a NaN drift, which is never converged.
     """
-    base = np.asarray(base)
-    diff = np.max([np.max(np.abs(np.asarray(f) - base)) for f in fine])
-    scale = np.max([np.max(np.abs(v)) for v in (base, *fine)])
-    drift = 0.0 if scale == 0.0 else float(diff) / float(scale)
+    diffs = [_peak(f - base) for f in fine]
+    scales = [_peak(v) for v in (base, *fine)]
+    diff, scale = max(diffs), max(scales)
+    if math.isnan(sum(diffs) + sum(scales)):
+        drift = math.nan
+    else:
+        drift = 0.0 if scale == 0.0 else diff / scale
     return drift, bool(drift <= ORDER_DOUBLING_TOL)
 
 
@@ -49,9 +61,57 @@ def gamma_real(x):
     return math.gamma(x)
 
 
+@functools.cache
+def gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on [-1, 1]: (nodes, weights), two
+    tuples of floats with the nodes ascending.
+
+    Newton's method on the three-term recurrence of P_n (Hale & Townsend,
+    SIAM J. Sci. Comput. 35 (2013) A652), from Tricomi's first-order node
+    estimate, one root per symmetric pair. Each weight is
+    2 / ((1 - x)(1 + x) P_n'(x)^2) at the converged node; the factored
+    1 - x^2 keeps the edge weights accurate to a few 1e-13.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("gauss_legendre: n must be >= 1")
+    nodes = [0.0] * n
+    weights = [0.0] * n
+    for k in range((n + 1) // 2):
+        # the k-th largest root, near cos(pi (k + 3/4) / (n + 1/2))
+        x = (1.0 - (n - 1) / (8.0 * n**3)) * math.cos(math.pi * (k + 0.75) / (n + 0.5))
+        for _ in range(100):
+            step = _legendre_newton(n, x)[0]
+            x -= step
+            if abs(step) <= 1e-15:
+                break
+        else:
+            raise ArithmeticError(f"gauss_legendre: Newton failed at n={n}")
+        if 2 * k + 1 == n:
+            x = 0.0
+        w = 2.0 / ((1.0 - x) * (1.0 + x) * _legendre_newton(n, x)[1] ** 2)
+        nodes[k], nodes[n - 1 - k] = -x, x
+        weights[k] = weights[n - 1 - k] = w
+    return tuple(nodes), tuple(weights)
+
+
+def _legendre_newton(n, x):
+    # (P_n(x) / P_n'(x), P_n'(x)) from the three-term recurrence
+    p_prev, p = 1.0, x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    dp = n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+    return p / dp, dp
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights bound to a semantic domain.
+
+    node_floats and weight_floats hold the rule as tuples of Python floats
+    (a node of the sphere or the ring is an (x, y, z) tuple); nodes and
+    weights are the same values as read-only numpy arrays, built on first
+    access.
 
     domain:
       interval   -- Gauss-Legendre on [-1, 1]; weights sum to 2
@@ -67,16 +127,27 @@ class QuadratureRule:
     """
 
     domain: str
-    nodes: np.ndarray
-    weights: np.ndarray
+    node_floats: tuple
+    weight_floats: tuple
 
     def __len__(self):
-        return len(self.weights)
+        return len(self.weight_floats)
+
+    @functools.cached_property
+    def nodes(self):
+        return _read_only(self.node_floats)
+
+    @functools.cached_property
+    def weights(self):
+        return _read_only(self.weight_floats)
 
 
-def _interval_rule(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+def _read_only(values):
+    import numpy as np
+
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 def _half_line_rule(order):
@@ -84,16 +155,15 @@ def _half_line_rule(order):
     # with the Gaussian weight folded in. Unlike folded Gauss-Hermite, the
     # node clustering at q = 0 resolves fractional powers of q: the moment
     # q^(21/5) is reproduced to ~1e-13 relative at order 48.
-    x, w = np.polynomial.legendre.leggauss(order)
-    q = 0.5 * (x + 1.0) * HALFLINE_CUT
-    wq = 0.5 * HALFLINE_CUT * w * np.exp(-q * q)
+    x, w = gauss_legendre(order)
+    q = [0.5 * (xi + 1.0) * HALFLINE_CUT for xi in x]
+    wq = [0.5 * HALFLINE_CUT * wi * math.exp(-qi * qi) for qi, wi in zip(q, w)]
     return q, wq
 
 
 def _circle_rule(order):
-    phi = 2.0 * np.pi * np.arange(order) / order
-    w = np.full(order, 2.0 * np.pi / order)
-    return phi, w
+    phi = [2.0 * math.pi * k / order for k in range(order)]
+    return phi, [2.0 * math.pi / order] * order
 
 
 def _ring_rule(order):
@@ -101,10 +171,10 @@ def _ring_rule(order):
     # nodes in cos(theta), placed at phi = 0, each weighted by the full
     # azimuth 2*pi*w_theta. Integrands invariant under rotations about z
     # (or made so by an exact azimuth average) need nothing more.
-    n_theta = int(np.ceil(np.sqrt(order / 2.0)))
-    ct, wt = np.polynomial.legendre.leggauss(n_theta)
-    nodes = np.stack([np.sqrt(1.0 - ct * ct), np.zeros_like(ct), ct], axis=-1)
-    return nodes, 2.0 * np.pi * wt
+    n_theta = math.ceil(math.sqrt(order / 2.0))
+    ct, wt = gauss_legendre(n_theta)
+    nodes = [(math.sqrt(1.0 - c * c), 0.0, c) for c in ct]
+    return nodes, [2.0 * math.pi * w for w in wt]
 
 
 def _sphere_rule(order):
@@ -117,12 +187,9 @@ def _sphere_rule(order):
     # Requesting 302 nodes yields the 13 x 26 = 338-node rule.
     ring, ring_w = _ring_rule(order)
     n_phi = 2 * len(ring_w)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    st, ct = ring[:, 0:1], ring[:, 2:3]
-    nodes = np.stack(
-        [st * np.cos(phi), st * np.sin(phi), ct + 0.0 * phi], axis=-1
-    ).reshape(-1, 3)
-    return nodes, np.repeat(ring_w / n_phi, n_phi)
+    phi = [2.0 * math.pi * k / n_phi for k in range(n_phi)]
+    nodes = [(st * math.cos(p), st * math.sin(p), ct) for st, _, ct in ring for p in phi]
+    return nodes, [w / n_phi for w in ring_w for _ in phi]
 
 
 def make_rule(domain, order):
@@ -131,8 +198,8 @@ def make_rule(domain, order):
     order must be >= 4. For the sphere the order is interpreted as a
     minimum total node count (see _sphere_rule); the ring rule of an order
     holds the polar nodes of the sphere rule of that order. Each (domain,
-    order) rule is built once per process and shared: its nodes and weights
-    are read-only.
+    order) rule is built once per process and shared: its floats are
+    tuples and its arrays read-only.
     """
     if domain not in _DOMAINS:
         raise ValueError(f"make_rule: unknown domain tag {domain!r}")
@@ -145,13 +212,11 @@ def make_rule(domain, order):
 @functools.cache
 def _shared_rule(domain, order):
     builder = {
-        "interval": _interval_rule,
+        "interval": gauss_legendre,
         "half_line": _half_line_rule,
         "circle": _circle_rule,
         "sphere": _sphere_rule,
         "ring": _ring_rule,
     }[domain]
     nodes, weights = builder(order)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureRule(domain, nodes, weights)
+    return QuadratureRule(domain, tuple(nodes), tuple(weights))

@@ -7,17 +7,24 @@ closed form; with the kappa -> 1/2 override they agree to well below a
 percent, and the residual difference at small j measures the closed form's
 large-j character.
 
-The closed form is scalar arithmetic, and this module imports only the
-standard library: the rates and closed-form sweep commands run without
-numpy. The quadrature route, energy_shift_matrix and thermal_q_integral
-import numpy, mathkit and scattering when called, and look their helpers up
-on those modules at each call.
+This module imports only the standard library, so the rates and sweep
+commands run without numpy on the closed form and on the linearized
+quadrature route: that route reads the quadrature rules of mathkit as
+Python floats and evaluates the isotropic forward amplitude (forward_scalar)
+and the templates' top-corner band values (template_band) here, beside the
+degree-2 Legendre family they are built from. scattering re-exports these
+scalar pieces. The spectral backend imports numpy and scattering when
+called, energy_shift_matrix numpy; the quadrature route looks mathkit's
+helpers up on that module at each call.
 """
 
 import math
 from dataclasses import dataclass, field
 
 from .params import HBAR
+
+# branch phase of the 2/5-power radial integrals, exp(i 3 pi / 10)
+EIKONAL_PHASE = complex(math.cos(0.3 * math.pi), math.sin(0.3 * math.pi))
 
 # Validation hook: the negative-control check multiplies the closed-form
 # prefactor through this module constant to prove the acceptance suite can
@@ -94,6 +101,68 @@ def _p2sq_guarded(k, x):
     return p * p
 
 
+def kappa(j):
+    """Angular prefactor sqrt(j(j+1)/((2j-1)(2j+3))), defined as 0 at j = 0.
+
+    The j = 0 numerator vanishes, so the negative denominator is never
+    evaluated; the j = 0 block carries no anisotropic coupling. For j >= 1
+    the value decreases monotonically toward the large-j limit 1/2.
+    """
+    j = int(j)
+    if j < 0:
+        raise ValueError("kappa: j must be >= 0")
+    if j == 0:
+        return 0.0
+    return math.sqrt(j * (j + 1.0) / ((2.0 * j - 1.0) * (2.0 * j + 3.0)))
+
+
+def _kappa_for_mode(j, kappa_mode):
+    # "half" replaces the prefactor by its large-j limit for every j,
+    # matching the approximation baked into the closed-form rate
+    if kappa_mode == "exact":
+        return kappa(j)
+    if kappa_mode == "half":
+        return 0.5
+    raise ValueError(f"unknown kappa_mode {kappa_mode!r}")
+
+
+# the k-th band of the templates is (ratio / _BAND_DIVISORS[k]) kappa P_2^k
+_BAND_DIVISORS = (6.0, -12.0, 48.0)
+
+
+def template_band(k, j, m, mol, kappa_mode="exact"):
+    """Entry of band k (0 diagonal, 1 first, 2 second superdiagonal) of
+    block j's coupling templates in row m, a float or a float array.
+
+    (ratio / D_k) kappa_j P_2^k((2m + k)/(2j + 1)) with D = 6, -12, 48 and
+    ratio = alpha_aniso / alpha_mean: the diagonal of T_1, the first
+    superdiagonal of T_2 and the second superdiagonal of T_4
+    (scattering.template_bands reads whole bands, the rate route one row).
+    """
+    ratio = mol.alpha_aniso / mol.alpha_mean
+    kap = _kappa_for_mode(j, kappa_mode)
+    x = (2.0 * m + k) / (2.0 * j + 1.0)
+    return (ratio / _BAND_DIVISORS[k]) * kap * assoc_legendre2(k, x)
+
+
+def eikonal_strength(q, spec):
+    """Radial phase strength a(q) = 3 pi mu C_6 / (8 hbar q).
+
+    The eikonal phase of the isotropic potential is a(q)/b^5 at impact
+    parameter b, via the trajectory kernel Int dz (b^2+z^2)^-3 = 3 pi/(8 b^5).
+    """
+    if q <= 0.0:
+        raise ValueError("eikonal_strength: q must be positive")
+    th = spec.thermal
+    return 3.0 * math.pi * th.reduced_mass * spec.gas.c6 / (8.0 * HBAR * q)
+
+
+def forward_scalar(q, spec):
+    """Isotropic forward amplitude c(q) = (q/2hbar) Gamma(3/5) a(q)^{2/5} e^{i3pi/10}."""
+    a = eikonal_strength(q, spec)
+    return (q / (2.0 * HBAR)) * math.gamma(0.6) * a**0.4 * EIKONAL_PHASE
+
+
 def a_coefficient(j, j_prime):
     """Dimensionless rotational-state factor of the closed-form rate.
 
@@ -156,53 +225,58 @@ def gamma_closed_form(j, j_prime, spec):
 
 
 def _corner_coefficients(j, spec, kappa_mode):
-    # the top-corner column of block j's templates: the diagonal corner, the
-    # first-band and the second-band neighbor; the j = 0 block has no band
-    # partners (empty m-sums)
-    from . import scattering
-
-    diag, band1, band2 = scattering.template_bands(j, spec.molecule, kappa_mode)
+    # the top-corner column of block j's templates: the diagonal corner
+    # (row j), the first-band (row j - 1) and the second-band (row j - 2)
+    # neighbor; the j = 0 block has no band partners (empty m-sums)
+    mol = spec.molecule
+    corner = template_band(0, j, float(j), mol, kappa_mode)
     if j == 0:
-        return diag[-1], 0.0, 0.0
-    return diag[-1], band1[-1], band2[-1]
+        return corner, 0.0, 0.0
+    return (corner, template_band(1, j, j - 1.0, mol, kappa_mode),
+            template_band(2, j, j - 2.0, mol, kappa_mode))
 
 
 def _corner_integrand_linearized(j, j_prime, spec, kappa_mode):
     # The forward amplitude is c(q) * (identity + (2/5) averaged coupling),
     # and the rate integrand touches only the top-corner column of each
     # block, so three template coefficients per block suffice. Returns the
-    # bracket as a function of an (n, 3) stack of sphere nodes.
+    # direction integral 2 pi sum_i w_i bracket(n_i) on a given rule, read
+    # from the rule's floats.
     t0j, b1j, b2j = _corner_coefficients(j, spec, kappa_mode)
     t0p, b1p, b2p = _corner_coefficients(j_prime, spec, kappa_mode)
+    diag = (t0j - t0p) ** 2
+    band1 = b1j**2 + b1p**2
+    band2 = b2j**2 + b2p**2
 
-    def bracket(nodes):
-        nz = nodes[:, 2]
-        n_plus_sq = nodes[:, 0] ** 2 + nodes[:, 1] ** 2
-        p2 = assoc_legendre2(0, nz.clip(-1.0, 1.0))
-        return 0.16 * (
-            (t0j - t0p) ** 2 * p2**2
-            + (b1j**2 + b1p**2) * nz**2 * n_plus_sq
-            + (b2j**2 + b2p**2) * n_plus_sq**2
-        )
+    def angular(rule):
+        total = 0.0
+        for w, (x, y, z) in zip(rule.weight_floats, rule.node_floats):
+            n_plus_sq = x * x + y * y
+            p2 = assoc_legendre2(0, z)
+            total += w * (
+                0.16 * (diag * p2 * p2 + band1 * z * z * n_plus_sq + band2 * n_plus_sq * n_plus_sq)
+            )
+        return 2.0 * math.pi * total
 
-    return bracket
+    return angular
 
 
 def _corner_integrand_spectral(j, j_prime, spec, kappa_mode):
     # the forward amplitude is c(q) S(n'); the bracket needs the top-corner
-    # columns of the q-independent shapes S at the given nodes
+    # columns of the q-independent shapes S at the rule's nodes
     from . import scattering
 
-    def bracket(nodes):
-        mj = scattering.spectral_shapes(j, nodes, spec, kappa_mode)
-        mp = scattering.spectral_shapes(j_prime, nodes, spec, kappa_mode)
-        return (
+    def angular(rule):
+        mj = scattering.spectral_shapes(j, rule.nodes, spec, kappa_mode)
+        mp = scattering.spectral_shapes(j_prime, rule.nodes, spec, kappa_mode)
+        bracket = (
             abs(mj[:, -1, -1] - mp[:, -1, -1]) ** 2
             + (abs(mj[:, :-1, -1]) ** 2).sum(axis=1)
             + (abs(mp[:, :-1, -1]) ** 2).sum(axis=1)
         )
+        return 2.0 * math.pi * float((rule.weights * bracket).sum())
 
-    return bracket
+    return angular
 
 
 def thermal_q_integral(spec, order, power, fn):
@@ -212,22 +286,23 @@ def thermal_q_integral(spec, order, power, fn):
 
     Every thermal average here factorizes into this radial integral times
     a q-independent direction integral: the rates and the jump weights take
-    fn = |c|^2 at power 3, the gas shift fn = Re c at power 2.
+    fn = |c|^2 at power 3, the gas shift fn = Re c at power 2.  fn maps one
+    complex value; the sum runs over the rule's floats.
     """
-    import numpy as np
-
-    from . import mathkit, scattering
+    from . import mathkit
 
     q_th = spec.thermal.thermal_momentum
     rule = mathkit.make_rule("half_line", order)
-    c = np.array([scattering.forward_scalar(q_th * x, spec) for x in rule.nodes])
-    return float(q_th / math.pi**1.5 * np.sum(rule.weights * rule.nodes**power * fn(c)))
+    total = 0.0
+    for x, w in zip(rule.node_floats, rule.weight_floats):
+        total += w * x**power * fn(forward_scalar(q_th * x, spec))
+    return float(q_th / math.pi**1.5 * total)
 
 
 def _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode):
     # RateResult rows for (j, j') pairs. The radial brackets R(n_q), R(2 n_q)
     # and the ring rules do not depend on the pair and are evaluated once;
-    # each pair adds its ring brackets A(n_s), A(2 n_s) and its own
+    # each pair adds its ring integrals A(n_s), A(2 n_s) and its own
     # order-doubling drift.
     integrand = {
         "linearized": _corner_integrand_linearized,
@@ -247,10 +322,8 @@ def _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode):
     rings = mathkit.make_rule("ring", ns), mathkit.make_rule("ring", 2 * ns)
     rows = []
     for j, j_prime in pairs:
-        bracket = integrand(j, j_prime, spec, kappa_mode)
-        a, a_fine = (
-            2.0 * math.pi * (ring.weights * bracket(ring.nodes)).sum() for ring in rings
-        )
+        angular = integrand(j, j_prime, spec, kappa_mode)
+        a, a_fine = (angular(ring) for ring in rings)
         base = pref * r * a
         drift, converged = mathkit.order_doubling_drift(
             base, pref * r_fine * a, pref * r * a_fine
@@ -322,7 +395,7 @@ def energy_shift_matrix(j, spec, with_diagnostics=False):
     th = spec.thermal
 
     def shift_once(order_q):
-        re_c = thermal_q_integral(spec, order_q, 2, np.real)
+        re_c = thermal_q_integral(spec, order_q, 2, lambda c: c.real)
         scalar = -2.0 * math.pi * HBAR**2 * th.density / th.reduced_mass * re_c * 4.0 * math.pi
         return scalar * np.eye(2 * j + 1)
 

@@ -7,7 +7,10 @@ coupling matrices and evaluates the matrix-valued eikonal amplitudes three
 ways: a linearized forward closed form, a spectral (fractional matrix power)
 forward evaluation, and the full angle-resolved impact-parameter integral.
 
-Everything runs in internal units with hbar = 1.
+Everything runs in internal units with hbar = 1. The scalar pieces the
+numpy-free rate route shares with this module (kappa, eikonal_strength,
+forward_scalar and the template band values) are defined in rates and
+re-exported here.
 """
 
 import math
@@ -17,10 +20,14 @@ import numpy as np
 
 from .mathkit import gamma_real, make_rule, order_doubling_drift
 from .params import HBAR
-from .rates import assoc_legendre2
-
-# branch phase of the 2/5-power radial integrals, exp(i 3 pi / 10)
-EIKONAL_PHASE = complex(math.cos(0.3 * math.pi), math.sin(0.3 * math.pi))
+from .rates import (
+    _kappa_for_mode,
+    assoc_legendre2,
+    eikonal_strength,
+    forward_scalar,
+    kappa,
+    template_band,
+)
 
 # beyond this accumulated eikonal phase the unimodular exponential is treated
 # as averaging to zero (unitarity-saturated core of the collision)
@@ -59,49 +66,6 @@ class AmplitudeMatrix:
     @property
     def dim(self):
         return 2 * self.j + 1
-
-
-def kappa(j):
-    """Angular prefactor sqrt(j(j+1)/((2j-1)(2j+3))), defined as 0 at j = 0.
-
-    The j = 0 numerator vanishes, so the negative denominator is never
-    evaluated; the j = 0 block carries no anisotropic coupling. For j >= 1
-    the value decreases monotonically toward the large-j limit 1/2.
-    """
-    j = int(j)
-    if j < 0:
-        raise ValueError("kappa: j must be >= 0")
-    if j == 0:
-        return 0.0
-    return math.sqrt(j * (j + 1.0) / ((2.0 * j - 1.0) * (2.0 * j + 3.0)))
-
-
-def _kappa_for_mode(j, kappa_mode):
-    # "half" replaces the prefactor by its large-j limit for every j,
-    # matching the approximation baked into the closed-form rate
-    if kappa_mode == "exact":
-        return kappa(j)
-    if kappa_mode == "half":
-        return 0.5
-    raise ValueError(f"unknown kappa_mode {kappa_mode!r}")
-
-
-def eikonal_strength(q, spec):
-    """Radial phase strength a(q) = 3 pi mu C_6 / (8 hbar q).
-
-    The eikonal phase of the isotropic potential is a(q)/b^5 at impact
-    parameter b, via the trajectory kernel Int dz (b^2+z^2)^-3 = 3 pi/(8 b^5).
-    """
-    if q <= 0.0:
-        raise ValueError("eikonal_strength: q must be positive")
-    th = spec.thermal
-    return 3.0 * math.pi * th.reduced_mass * spec.gas.c6 / (8.0 * HBAR * q)
-
-
-def forward_scalar(q, spec):
-    """Isotropic forward amplitude c(q) = (q/2hbar) Gamma(3/5) a(q)^{2/5} e^{i3pi/10}."""
-    a = eikonal_strength(q, spec)
-    return (q / (2.0 * HBAR)) * gamma_real(0.6) * a**0.4 * EIKONAL_PHASE
 
 
 def _check_unit(v, name, ndim=1):
@@ -190,12 +154,10 @@ def template_bands(j, mol, kappa_mode="exact"):
     j = int(j)
     if j < 0:
         raise ValueError("template_bands: j must be >= 0")
-    ratio = mol.alpha_aniso / mol.alpha_mean
     m = np.arange(-j, j + 1, dtype=float)
-    kap = _kappa_for_mode(j, kappa_mode)
-    diag = (ratio / 6.0) * kap * assoc_legendre2(0, 2.0 * m / (2.0 * j + 1.0))
-    band1 = -(ratio / 12.0) * kap * assoc_legendre2(1, (2.0 * m[:-1] + 1.0) / (2.0 * j + 1.0))
-    band2 = (ratio / 48.0) * kap * assoc_legendre2(2, (2.0 * m[:-2] + 2.0) / (2.0 * j + 1.0))
+    diag = template_band(0, j, m, mol, kappa_mode)
+    band1 = template_band(1, j, m[:-1], mol, kappa_mode)
+    band2 = template_band(2, j, m[:-2], mol, kappa_mode)
     return diag, band1, band2
 
 
@@ -307,7 +269,8 @@ def _radial_jump_integral(a_phase, c_transverse, pts, bmax_factor, phase_cap=PHA
     mag = abs(a_phase)
     b_min = (mag / phase_cap) ** 0.2
     b_max = bmax_factor * mag**0.2
-    xg, wg = np.polynomial.legendre.leggauss(pts)
+    rule = make_rule("interval", pts)
+    xg, wg = rule.nodes, rule.weights
     xs = 0.5 * (xg + 1.0) * b_min
     ws = 0.5 * b_min * wg
     total = np.sum(ws * (-xs) * np.exp(-1j * c_transverse * xs))
@@ -383,7 +346,8 @@ def scalar_cross_section_bspace(q, spec, pts=None):
     a_q = eikonal_strength(q, spec)
     b_min = (a_q / PHASE_CAP) ** 0.2
     b_max = spec.numerics.b_max * a_q**0.2
-    xg, wg = np.polynomial.legendre.leggauss(pts)
+    rule = make_rule("interval", pts)
+    xg, wg = rule.nodes, rule.weights
     # unitarity-saturated core: |e^{iPhi} - 1|^2 averages to 2
     total = b_min**2
     b = b_min

@@ -66,7 +66,8 @@ def _zero_aniso(spec):
 
 def _head_piece(a, trig, points=64):
     s_max = (math.pi / a) ** 0.6
-    x, w = np.polynomial.legendre.leggauss(points)
+    rule = make_rule("interval", points)
+    x, w = rule.nodes, rule.weights
     s = 0.5 * (x + 1.0) * s_max
     ws = 0.5 * s_max * w
     u = s ** (5.0 / 3.0)
@@ -76,7 +77,8 @@ def _head_piece(a, trig, points=64):
 
 
 def _tail_piece(a, trig, half_periods=SINE_HALF_PERIODS, points=12):
-    x, w = np.polynomial.legendre.leggauss(points)
+    rule = make_rule("interval", points)
+    x, w = rule.nodes, rule.weights
     terms = []
     for k in range(1, half_periods + 1):
         u0 = k * math.pi / a

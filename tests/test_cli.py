@@ -617,8 +617,9 @@ def test_package_runs_without_scipy(tmp_path):
 
 def test_rate_commands_do_not_import_propagation(tmp_path):
     # rates and sweep run in short-lived processes; lindblad and validation
-    # cost them import time they never use, and the closed-form commands
-    # need neither numpy nor the quadrature modules
+    # cost them import time they never use, the closed-form commands need
+    # neither numpy nor the quadrature modules, and the linearized
+    # quadrature route runs on mathkit's floats without numpy or scattering
     script = "\n".join([
         "import sys",
         "import superrotor.params, superrotor.rates",
@@ -630,6 +631,12 @@ def test_rate_commands_do_not_import_propagation(tmp_path):
         " 'superrotor.scattering') if m in sys.modules))",
         "assert main(['sweep', 'n1', '--jmax', '12', '--method', 'quadrature',"
         " '--out', 's.csv']) == 0",
+        "assert main(['rates', 'n1', '--j', '10', '--jprime', '8', '--method', 'quadrature',"
+        " '--out', 'q.csv']) == 0",
+        "assert main(['sweep', 'n1', '--jmax', '100', '--method', 'quadrature',"
+        " '--out', 'h.csv']) == 0",
+        "print('quadrature loaded', sorted(m for m in ('numpy', 'superrotor.scattering')"
+        " if m in sys.modules))",
         "print(sorted(m for m in ('superrotor.lindblad', 'superrotor.validation')"
         " if m in sys.modules))",
     ])
@@ -641,8 +648,42 @@ def test_rate_commands_do_not_import_propagation(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "closed form loaded []" in lines
+    assert "quadrature loaded []" in lines
     assert lines[-1] == "[]"
     assert (tmp_path / "s.csv").read_text().count("quadrature") == 11
+    assert (tmp_path / "h.csv").read_text().count("quadrature") == 99
+
+
+# spectral gamma_numeric(4, 2) on n1 with alpha_aniso = 0.03, as computed
+# when the quadrature rules came from numpy's leggauss
+SPECTRAL_GAMMA_4_2 = 6.941052661164971e-07
+
+
+def test_spectral_rate_after_numpy_free_commands(tmp_path):
+    # the spectral backend loads numpy and scattering on its first call, in
+    # a process whose rate commands ran without them
+    script = "\n".join([
+        "import json, sys",
+        "from superrotor import params, rates",
+        "from superrotor.cli import main",
+        "assert main(['sweep', 'n1', '--jmax', '20', '--method', 'quadrature',"
+        " '--out', 'h.csv']) == 0",
+        "assert 'numpy' not in sys.modules",
+        "doc = json.loads(params.builtin_config('n1'))",
+        "doc['molecule']['alpha_aniso'] = 0.03",
+        "spec = params.load_config(json.dumps(doc))",
+        "res = rates.gamma_numeric(4, 2, spec, amplitude_backend='spectral')",
+        "print(repr(float(res.gamma)), res.converged)",
+    ])
+    src = os.path.dirname(os.path.dirname(lb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    gamma, converged = proc.stdout.splitlines()[-1].split()
+    assert converged == "True"
+    assert abs(float(gamma) - SPECTRAL_GAMMA_4_2) <= 1e-12 * SPECTRAL_GAMMA_4_2
 
 
 def test_shipped_configs_load(tmp_path):

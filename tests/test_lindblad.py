@@ -891,6 +891,35 @@ def test_chunked_frames_match_every_step_run():
     np.testing.assert_allclose(late_frames, sparse_frames, rtol=0, atol=1e-14)
 
 
+def test_sliced_and_iterated_frames_match_indexed():
+    # slicing and iteration evaluate FRAME_CHUNK frames per flow call; the
+    # batched product may round differently from a single frame's
+    spec = n1_spec()
+    layout = lb.BasisLayout(8, 15)
+    rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 11.5, 2.0))
+    traj = lb.propagate(rho0, lb.build_dissipator(spec, layout), spec, 0.04, 0.0002,
+                        record_every=3)
+    n = len(traj)
+    assert n > 2 * lb.FRAME_CHUNK
+    indexed = [traj[k] for k in range(n)]
+    scale = max(np.max(np.abs(f.values)) for f in indexed)
+    calls = []
+    counted = replace(traj, flow=lambda taus: calls.append(len(taus)) or traj.flow(taus))
+    for ks, frames in (
+        (range(n), counted[:]),
+        (range(n), list(counted)),
+        (range(n - 1, 2, -5), counted[-1:2:-5]),
+    ):
+        assert [f.time for f in frames] == [indexed[k].time for k in ks]
+        for k, frame in zip(ks, frames):
+            assert np.max(np.abs(frame.values - indexed[k].values)) <= 1e-14 * scale
+
+    def chunks(count):
+        return [min(lb.FRAME_CHUNK, count - s) for s in range(0, count, lb.FRAME_CHUNK)]
+
+    assert calls == 2 * chunks(n) + chunks(len(range(n - 1, 2, -5)))
+
+
 def test_propagate_reports_chain_shape():
     # the propagate-linearized input: every ordered block pair (j, j') holds
     # one stretched corner, on the chain Q = j - j' of 2 min(j, j') + 1 entries

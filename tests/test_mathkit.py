@@ -1,6 +1,8 @@
 import json
 import math
+import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from superrotor import lindblad, mathkit, rates, scattering
 from superrotor.mathkit import (
     ORDER_DOUBLING_TOL,
     gamma_real,
+    gauss_legendre,
     make_rule,
     order_doubling_drift,
 )
@@ -72,6 +75,63 @@ def test_gamma_domain_error():
 @given(st.floats(min_value=0.1, max_value=20.0))
 def test_gamma_recurrence(x):
     assert gamma_real(x + 1.0) == pytest.approx(x * gamma_real(x), rel=1e-12)
+
+
+GAUSS_ORDERS = (4, 8, 13, 16, 18, 48, 96)
+
+
+@pytest.mark.parametrize("n", GAUSS_ORDERS)
+def test_gauss_legendre_matches_mpmath(n):
+    # 30-digit Golub-Welsch oracle: nodes to 1e-15, weights to 5e-13 relative
+    with mpmath.workdps(30):
+        x_ref, w_ref = mpmath.mp.gauss_quadrature(n, "legendre")
+        ref = sorted(zip(x_ref, w_ref))
+    x, w = gauss_legendre(n)
+    assert list(x) == sorted(x) and len(x) == len(w) == n
+    assert max(abs(xi - float(xr)) for xi, (xr, _) in zip(x, ref)) <= 1e-15
+    assert max(abs(float(wi / wr - 1)) for wi, (_, wr) in zip(w, ref)) <= 5e-13
+
+
+@pytest.mark.parametrize("n", GAUSS_ORDERS)
+def test_gauss_legendre_matches_numpy(n):
+    x, w = gauss_legendre(n)
+    x_np, w_np = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(x, x_np, rtol=2e-12, atol=0)
+    np.testing.assert_allclose(w, w_np, rtol=2e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 13, 18, 48, 96))
+def test_gauss_legendre_exact_through_degree_2n_minus_1(n):
+    x, w = gauss_legendre(n)
+    for k in range(2 * n):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        got = math.fsum(wi * xi**k for xi, wi in zip(x, w))
+        assert abs(got - want) <= 1e-14, (n, k)
+    # x^(2n) is missed by exactly the Gauss remainder
+    # 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^2)
+    got = math.fsum(wi * xi ** (2 * n) for xi, wi in zip(x, w))
+    miss = 2 ** (2 * n + 1) * math.factorial(n) ** 4 / (
+        (2 * n + 1) * math.factorial(2 * n) ** 2
+    )
+    assert abs(2.0 / (2 * n + 1) - got - miss) <= 1e-14
+
+
+def test_one_gauss_legendre_rule_in_src():
+    src = pathlib.Path(mathkit.__file__).parent
+    assert not [p.name for p in src.glob("*.py") if "leggauss" in p.read_text()]
+    assert make_rule("interval", 13).node_floats == gauss_legendre(13)[0]
+    assert make_rule("interval", 13).weight_floats == gauss_legendre(13)[1]
+
+
+def test_rule_arrays_are_its_floats():
+    # array callers and the scalar rate route read the same values
+    for domain, order in (("interval", 8), ("half_line", 48), ("ring", 302), ("sphere", 30),
+                          ("circle", 16)):
+        rule = make_rule(domain, order)
+        assert rule.nodes.tolist() == [list(n) if isinstance(n, tuple) else n
+                                       for n in rule.node_floats]
+        assert rule.weights.tolist() == list(rule.weight_floats)
+        assert len(rule) == len(rule.weight_floats) == len(rule.nodes)
 
 
 def test_interval_rule_exactness():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superrotor import rates, scattering
+from superrotor import rates
 from superrotor.mathkit import make_rule
 from superrotor.params import HBAR, builtin_config, load_config, normalized_document
 from superrotor.rates import (
@@ -138,12 +138,12 @@ def test_gamma_numeric_rings_match_sphere_rule(backend, kappa):
     doc["molecule"]["alpha_aniso"] = 0.06
     doc["numerics"] = {"quad_order_sphere": 30, "quad_order_circle": 32}
     spec = load_config(json.dumps(doc))
-    bracket = {
+    integrand = {
         "linearized": rates._corner_integrand_linearized,
         "spectral": rates._corner_integrand_spectral,
     }[backend]
     sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
-    angular = 2.0 * math.pi * np.sum(sphere.weights * bracket(4, 2, spec, kappa)(sphere.nodes))
+    angular = integrand(4, 2, spec, kappa)(sphere)
     radial = rates.thermal_q_integral(
         spec, spec.numerics.quad_order_q, 3, lambda c: np.abs(c) ** 2
     )
@@ -231,11 +231,11 @@ def test_quadrature_sweep_radial_once(monkeypatch):
         calls.append(q)
         return forward_scalar(q, spec)
 
-    monkeypatch.setattr(scattering, "forward_scalar", counted)
+    monkeypatch.setattr(rates, "forward_scalar", counted)
     table = sweep_rates(range(2, 101), spec, method="quadrature")
     assert len(table) == 99
     assert spec.numerics.quad_order_q == 48
-    assert len(calls) <= 48 + 96
+    assert 0 < len(calls) <= 48 + 96
 
 
 def test_gamma_numeric_large_j_memory():
