@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 validation failure, 2 usage or config error,
 3 numerical non-convergence (quadrature flag or drift abort).  Output files
 are written atomically (temp + rename) and are byte-stable for identical
 inputs; an output path that cannot be written is a usage error, found before
-any computation where the path names a directory or other non-regular file,
-or lies in a missing directory.
+any computation where the path is empty, names the same file as another
+output option, names a directory or other non-regular file, or lies in a
+missing directory.
 
 This module, params and rates import only the standard library, so rates
 and sweep run without numpy: the closed form is plain arithmetic, and the
@@ -20,7 +21,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import rates
 from .params import builtin_config, load_config, normalized_document
@@ -31,14 +31,20 @@ EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
 
 
-@dataclass
 class RunManifest:
-    command: str
-    spec_echo: dict
-    outputs: list = field(default_factory=list)
-    wall_time_s: float = 0.0
-    flags: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, command, spec_echo, outputs=None, wall_time_s=0.0, flags=None,
+                 diagnostics=None):
+        self.command = command
+        self.spec_echo = spec_echo
+        self.outputs = [] if outputs is None else outputs
+        self.wall_time_s = wall_time_s
+        self.flags = [] if flags is None else flags
+        self.diagnostics = {} if diagnostics is None else diagnostics
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def write(self, path):
         for out in self.outputs:
@@ -63,13 +69,21 @@ class OutputError(Exception):
 
 
 def _check_outputs(*paths):
-    """Raise OutputError for an output path (None: not asked for) that lies
-    in a directory that does not exist, or names something other than a
-    regular file: the rename of an atomic write would replace a device node
-    or FIFO, and fails on a directory."""
+    """Raise OutputError for an output path (None: not asked for) that is
+    empty, names the same file as another output of the command, lies in a
+    directory that does not exist, or names something other than a regular
+    file: the rename of an atomic write would replace a device node or FIFO,
+    and fails on a directory."""
+    seen = set()
     for path in paths:
         if path is None:
             continue
+        if not path:
+            raise OutputError("''", "empty path")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise OutputError(path, "named by two output options")
+        seen.add(real)
         parent = os.path.dirname(path) or "."
         if os.path.exists(path) and not os.path.isfile(path):
             raise OutputError(path, "not a regular file")

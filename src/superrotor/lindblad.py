@@ -38,15 +38,13 @@ and evaluates an indexed frame again.
 import contextlib
 import math
 import os
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import scattering
 from .mathkit import make_rule, order_doubling_drift
-from .params import HBAR
+from .params import HBAR, Frozen, record
 from .rates import energy_shift_matrix, thermal_q_integral
 
 # angular second moments of the five coupling geometry factors:
@@ -86,16 +84,15 @@ class NumericalDriftError(RuntimeError):
     """Trace, hermiticity, or positivity drifted past tolerance mid-run."""
 
 
-@dataclass(frozen=True)
-class BasisLayout:
+class BasisLayout(record("BasisLayout", "j_min j_max")):
     """Contiguous block basis |jm>, j in [j_min, j_max], m in [-j, j]."""
 
-    j_min: int
-    j_max: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.j_min < 0 or self.j_max < self.j_min:
+    def __new__(cls, j_min, j_max):
+        if j_min < 0 or j_max < j_min:
             raise ValueError("need 0 <= j_min <= j_max")
+        return super().__new__(cls, j_min, j_max)
 
     @property
     def js(self):
@@ -131,26 +128,20 @@ class BasisLayout:
             raise ValueError("j=%d outside layout [%d, %d]" % (j, self.j_min, self.j_max))
 
 
-@dataclass(frozen=True, eq=False)
-class RotorState:
+class RotorState(Frozen):
     """Immutable density matrix on a BasisLayout: values (N,) at the entries
     of pattern, the chains it occupies, and zero elsewhere, checked by the
     density-matrix rule (_EntryPattern.check).  Its columns are _reduce of
     values[None]; matrix, the read-only D x D array, is built on first use.
     """
 
-    layout: BasisLayout
-    pattern: "_EntryPattern"
-    values: np.ndarray  # (N,)
-    time: float = 0.0
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=complex)
-        if values.shape != self.pattern.rows.shape:
+    def __init__(self, layout, pattern, values, time=0.0):
+        values = np.array(values, dtype=complex)  # (N,)
+        if values.shape != pattern.rows.shape:
             raise ValueError("values shape %s does not match the pattern" % (values.shape,))
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        self.pattern.check(values, self._columns["trace"][0])
+        vars(self).update(layout=layout, pattern=pattern, values=values, time=time)
+        pattern.check(values, self._columns["trace"][0])
 
     @classmethod
     def from_entries(cls, layout, rows, cols, values, time=0.0):
@@ -252,7 +243,6 @@ def gaussian_profile(layout, center, width):
     return {j: complex(a) for j, a in zip(layout.js, amp)}
 
 
-@dataclass
 class DissipatorSet:
     """Weighted family of single-band, block-diagonal Lindblad operators.
 
@@ -282,18 +272,17 @@ class DissipatorSet:
     act through it.
     """
 
-    layout: BasisLayout
-    collision_weight: float
-    weights: np.ndarray  # (n_ops,)
-    offsets: np.ndarray  # (n_ops,) int
-    diagonals: np.ndarray  # (n_ops, D)
-    aniso_mean: np.ndarray  # (D,) real
-    metadata: dict = field(default_factory=dict)
-    kmat: np.ndarray = field(init=False)  # (D,) real
-
-    def __post_init__(self):
-        d = self.layout.dim
-        self.kmat = np.zeros(d)
+    def __init__(self, layout, collision_weight, weights, offsets, diagonals, aniso_mean,
+                 metadata=None):
+        self.layout = layout
+        self.collision_weight = collision_weight
+        self.weights = weights  # (n_ops,)
+        self.offsets = offsets  # (n_ops,) int
+        self.diagonals = diagonals  # (n_ops, D)
+        self.aniso_mean = aniso_mean  # (D,) real
+        self.metadata = {} if metadata is None else metadata
+        d = layout.dim
+        self.kmat = np.zeros(d)  # (D,) real
         for q, w, a in self._offset_groups():
             # row r of an op on offset q holds its entry in column r + q
             lo, hi = max(0, -q), d - max(0, q)
@@ -440,12 +429,12 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
     if n_sphere < 26:
         raise ValueError("sphere quadrature below documented minimum of 26 nodes")
 
-    fine_num = replace(
-        num, quad_order_q=2 * num.quad_order_q, quad_order_sphere=2 * num.quad_order_sphere
+    fine_num = num._replace(
+        quad_order_q=2 * num.quad_order_q, quad_order_sphere=2 * num.quad_order_sphere
     )
     dset, fine = (
         DissipatorSet(layout, _collision_weight(s), *_jump_family(s, layout, backend, kappa_mode))
-        for s in (spec, replace(spec, numerics=fine_num))
+        for s in (spec, spec._replace(numerics=fine_num))
     )
     probe = centrifuge_state(
         layout, gaussian_profile(layout, 0.5 * (layout.j_min + layout.j_max), 2.0)
@@ -608,8 +597,7 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     return Trajectory(layout, pattern, rho0.time + elapsed, elapsed, columns, flow, diagnostics)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(Frozen):
     """The columns of one propagate run's frames and the flow that
     evaluates them, without the frames.
 
@@ -622,13 +610,16 @@ class Trajectory:
     saw: the worst deviations over the checked frames, and the chains.
     """
 
-    layout: BasisLayout
-    pattern: "_EntryPattern"
-    times: np.ndarray  # (n,)
-    elapsed: np.ndarray  # (n,) time since the initial state, flow's argument
-    columns: dict  # name -> (n, ...) array, read-only
-    flow: Callable  # elapsed times (F,) -> frames (F, N)
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, layout, pattern, times, elapsed, columns, flow, diagnostics=None):
+        vars(self).update(
+            layout=layout,
+            pattern=pattern,
+            times=times,  # (n,)
+            elapsed=elapsed,  # (n,) time since the initial state, flow's argument
+            columns=columns,  # name -> (n, ...) array, read-only
+            flow=flow,  # elapsed times (F,) -> frames (F, N)
+            diagnostics={} if diagnostics is None else diagnostics,
+        )
 
     def __len__(self):
         return len(self.times)

@@ -12,7 +12,8 @@ numpy.
 
 import functools
 import math
-from dataclasses import dataclass
+
+from .params import Frozen
 
 # Half-line rules integrate against the weight exp(-q^2) on [0, inf).
 # Truncating at HALFLINE_CUT leaves a tail below exp(-49) ~ 5e-22, under
@@ -104,8 +105,7 @@ def _legendre_newton(n, x):
     return p / dp, dp
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(Frozen):
     """Nodes and weights bound to a semantic domain.
 
     node_floats and weight_floats hold the rule as tuples of Python floats
@@ -126,12 +126,22 @@ class QuadratureRule:
                     for integrands invariant under rotations about z
     """
 
-    domain: str
-    node_floats: tuple
-    weight_floats: tuple
+    def __init__(self, domain, node_floats, weight_floats):
+        vars(self).update(domain=domain, node_floats=node_floats, weight_floats=weight_floats)
 
     def __len__(self):
         return len(self.weight_floats)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):
+        return self.domain, self.node_floats, self.weight_floats
 
     @functools.cached_property
     def nodes(self):

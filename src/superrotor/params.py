@@ -9,7 +9,7 @@ quantity within a few orders of magnitude of unity. Normalized input
 
 import json
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 # internal unit system pins hbar = 1
 HBAR = 1.0
@@ -18,8 +18,30 @@ HBAR_SI = 1.054571817e-34  # J s (2019 SI exact)
 KB_SI = 1.380649e-23  # J / K (2019 SI exact)
 
 
-@dataclass(frozen=True)
-class MoleculeSpec:
+def record(typename, field_names):
+    """namedtuple base of a value record whose subclass validates in __new__.
+
+    Its _make builds through the class, so _replace validates the copy as
+    the constructor does.
+    """
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class Frozen:
+    """Base of the immutable plain classes: __init__ sets the fields through
+    vars(self), and assigning or deleting an attribute afterwards raises
+    AttributeError.  functools.cached_property still fills vars(self)."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of %s" % (name, type(self).__name__))
+
+
+class MoleculeSpec(record("MoleculeSpec", "mass moment_of_inertia alpha_mean alpha_aniso")):
     """Linear-rotor molecule, stored in internal units.
 
     Polarizabilities enter every observable only through the ratio
@@ -27,19 +49,16 @@ class MoleculeSpec:
     config supplied.
     """
 
-    mass: float
-    moment_of_inertia: float
-    alpha_mean: float
-    alpha_aniso: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mass <= 0.0:
+    def __new__(cls, mass, moment_of_inertia, alpha_mean, alpha_aniso):
+        if mass <= 0.0:
             raise ValueError("molecule.mass must be positive")
-        if self.moment_of_inertia <= 0.0:
+        if moment_of_inertia <= 0.0:
             raise ValueError("molecule.moment_of_inertia must be positive")
-        if self.alpha_mean <= 0.0:
+        if alpha_mean <= 0.0:
             raise ValueError("molecule.alpha_mean must be positive")
-        ratio = self.alpha_aniso / self.alpha_mean
+        ratio = alpha_aniso / alpha_mean
         if not math.isfinite(ratio):
             raise ValueError("molecule polarizability ratio must be finite")
         # the rates take the square of the ratio; a float multiply overflows
@@ -47,8 +66,9 @@ class MoleculeSpec:
         if not math.isfinite(ratio * ratio):
             raise ValueError(
                 "molecule.alpha_aniso %g is too large: its squared ratio to "
-                "alpha_mean overflows" % self.alpha_aniso
+                "alpha_mean overflows" % alpha_aniso
             )
+        return super().__new__(cls, mass, moment_of_inertia, alpha_mean, alpha_aniso)
 
     @property
     def epsilon(self):
@@ -61,42 +81,42 @@ class MoleculeSpec:
         return HBAR**2 * j * (j + 1.0) / (2.0 * self.moment_of_inertia)
 
 
-@dataclass(frozen=True)
-class GasSpec:
+class GasSpec(record("GasSpec", "mass thermal_energy density c6")):
     """Thermal buffer gas in internal units; thermal_energy is k_B T."""
 
-    mass: float
-    thermal_energy: float
-    density: float
-    c6: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("mass", "thermal_energy", "density", "c6"):
-            if getattr(self, name) <= 0.0:
+    def __new__(cls, mass, thermal_energy, density, c6):
+        self = super().__new__(cls, mass, thermal_energy, density, c6)
+        for name, value in zip(self._fields, self):
+            if value <= 0.0:
                 raise ValueError(f"gas.{name} must be positive")
+        return self
 
     @property
     def pressure(self):
         return self.density * self.thermal_energy
 
 
-@dataclass(frozen=True)
-class ThermalContext:
+class ThermalContext(
+    record("ThermalContext", "reduced_mass thermal_momentum density molecule gas")
+):
     """Reduced collision system derived from a molecule and a gas."""
 
-    reduced_mass: float
-    thermal_momentum: float
-    density: float
-    molecule: MoleculeSpec
-    gas: GasSpec
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.reduced_mass <= 0.0 or self.thermal_momentum <= 0.0:
+    def __new__(cls, reduced_mass, thermal_momentum, density, molecule, gas):
+        if reduced_mass <= 0.0 or thermal_momentum <= 0.0:
             raise ValueError("thermal context requires positive mu and q_th")
+        return super().__new__(cls, reduced_mass, thermal_momentum, density, molecule, gas)
 
 
-@dataclass(frozen=True)
-class NumericsSpec:
+class NumericsSpec(
+    record(
+        "NumericsSpec",
+        "j_max quad_order_q quad_order_sphere quad_order_circle b_max b_nodes",
+    )
+):
     """Discretization knobs with documented defaults.
 
     j_max bounds the j range of sweeps and of propagate layouts. b_max is
@@ -105,14 +125,13 @@ class NumericsSpec:
     radial panel.
     """
 
-    j_max: int = 1000
-    quad_order_q: int = 48
-    quad_order_sphere: int = 302
-    quad_order_circle: int = 64
-    b_max: float = 12.0
-    b_nodes: int = 8
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, j_max=1000, quad_order_q=48, quad_order_sphere=302,
+                quad_order_circle=64, b_max=12.0, b_nodes=8):
+        self = super().__new__(
+            cls, j_max, quad_order_q, quad_order_sphere, quad_order_circle, b_max, b_nodes
+        )
         if self.j_max < 0:
             raise ValueError("numerics.j_max must be >= 0")
         for name in ("quad_order_q", "quad_order_sphere", "quad_order_circle", "b_nodes"):
@@ -120,15 +139,13 @@ class NumericsSpec:
                 raise ValueError(f"numerics.{name} must be >= 4")
         if self.b_max <= 0.0:
             raise ValueError("numerics.b_max must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class UnitScales:
+class UnitScales(namedtuple("UnitScales", "mass momentum action", defaults=(1.0, 1.0, 1.0))):
     """Multiply an internal value by the matching attribute to recover input units."""
 
-    mass: float = 1.0
-    momentum: float = 1.0
-    action: float = 1.0
+    __slots__ = ()
 
     @property
     def length(self):
@@ -147,16 +164,12 @@ class UnitScales:
         return 1.0 / self.time
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(
+    namedtuple("SystemSpec", "molecule gas numerics thermal scales unit_system")
+):
     """Fully resolved system: physics in internal units plus the unit map."""
 
-    molecule: MoleculeSpec
-    gas: GasSpec
-    numerics: NumericsSpec
-    thermal: ThermalContext
-    scales: UnitScales
-    unit_system: str
+    __slots__ = ()
 
 
 def derive_thermal(mol, gas):
@@ -169,7 +182,7 @@ def derive_thermal(mol, gas):
 _TOP_KEYS = {"molecule", "gas", "numerics", "units", "comment"}
 _MOLECULE_KEYS = {"mass", "moment_of_inertia", "rotational_constant", "alpha_mean", "alpha_aniso"}
 _GAS_KEYS = {"mass", "temperature", "density", "pressure", "c6"}
-_NUMERICS_KEYS = {f.name for f in fields(NumericsSpec)}
+_NUMERICS_KEYS = set(NumericsSpec._fields)
 _UNITS_KEYS = {"system"}
 _NUMERICS_INT = {"j_max", "quad_order_q", "quad_order_sphere", "quad_order_circle", "b_nodes"}
 
@@ -310,7 +323,7 @@ def normalized_document(spec, numerics=True):
         },
     }
     if numerics:
-        doc["numerics"] = {f.name: getattr(spec.numerics, f.name) for f in fields(NumericsSpec)}
+        doc["numerics"] = spec.numerics._asdict()
     return json.dumps(doc, indent=2)
 
 

@@ -19,9 +19,8 @@ helpers up on that module at each call.
 """
 
 import math
-from dataclasses import dataclass, field
 
-from .params import HBAR
+from .params import HBAR, Frozen, record
 
 # branch phase of the 2/5-power radial integrals, exp(i 3 pi / 10)
 EIKONAL_PHASE = complex(math.cos(0.3 * math.pi), math.sin(0.3 * math.pi))
@@ -32,21 +31,17 @@ EIKONAL_PHASE = complex(math.cos(0.3 * math.pi), math.sin(0.3 * math.pi))
 _PREFACTOR_SCALE = 1.0
 
 
-@dataclass(frozen=True)
-class RateResult:
+class RateResult(record("RateResult", "j j_prime gamma method a_coefficient metadata")):
     """One computed pair rate; gamma_signal is the alignment-signal rate
     2*gamma valid when j_prime = j - 2."""
 
-    j: int
-    j_prime: int
-    gamma: float
-    method: str
-    a_coefficient: float
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.gamma < 0.0 or self.a_coefficient < 0.0:
+    def __new__(cls, j, j_prime, gamma, method, a_coefficient, metadata=None):
+        if gamma < 0.0 or a_coefficient < 0.0:
             raise ValueError("rates are non-negative by construction")
+        metadata = {} if metadata is None else metadata
+        return super().__new__(cls, j, j_prime, gamma, method, a_coefficient, metadata)
 
     @property
     def gamma_signal(self):
@@ -57,15 +52,25 @@ class RateResult:
         return bool(self.metadata.get("converged", True))
 
 
-@dataclass(frozen=True)
-class RateTable:
+class RateTable(Frozen):
     """Ordered collection of RateResult rows from a sweep."""
 
-    rows: tuple
-    method: str
+    def __init__(self, rows, method):
+        vars(self).update(rows=rows, method=method)
 
     def __len__(self):
         return len(self.rows)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):
+        return self.rows, self.method
 
 
 def assoc_legendre2(k, x):

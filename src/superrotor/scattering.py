@@ -14,12 +14,11 @@ re-exported here.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mathkit import gamma_real, make_rule, order_doubling_drift
-from .params import HBAR
+from .params import HBAR, Frozen
 from .rates import (
     _kappa_for_mode,
     assoc_legendre2,
@@ -37,31 +36,25 @@ _EZ = np.array([0.0, 0.0, 1.0])
 _EXY = np.array([1.0, 1j, 0.0])  # e_x + i e_y
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
+class CouplingMatrix(Frozen):
     """Banded anisotropy matrix for one j block at fixed collision geometry."""
 
-    j: int
-    n_prime: np.ndarray
-    e_b: np.ndarray
-    entries: np.ndarray
+    def __init__(self, j, n_prime, e_b, entries):
+        vars(self).update(j=j, n_prime=n_prime, e_b=e_b, entries=entries)
 
 
-@dataclass(frozen=True)
-class AmplitudeMatrix:
+class AmplitudeMatrix(Frozen):
     """Matrix-valued scattering amplitude on one j block.
 
     Entries are indexed by (m, m') with m running -j..j; values carry length
     units of the internal system (multiply by UnitScales.length for SI).
     """
 
-    j: int
-    q: float
-    n_in: np.ndarray
-    n_out: np.ndarray
-    entries: np.ndarray
-    units: str = "internal length (hbar = mu = q_th = 1 for SI input)"
-    converged: bool = True
+    def __init__(self, j, q, n_in, n_out, entries,
+                 units="internal length (hbar = mu = q_th = 1 for SI input)", converged=True):
+        vars(self).update(
+            j=j, q=q, n_in=n_in, n_out=n_out, entries=entries, units=units, converged=converged
+        )
 
     @property
     def dim(self):

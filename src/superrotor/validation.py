@@ -10,7 +10,6 @@ shifted value.
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,13 +21,18 @@ from .params import builtin_config, load_config
 SINE_HALF_PERIODS = 48
 
 
-@dataclass
 class CriterionResult:
-    name: str
-    passed: bool
-    summary: str
-    runtime: float = 0.0
-    detail: dict = field(default_factory=dict)
+    def __init__(self, name, passed, summary, runtime=0.0, detail=None):
+        self.name = name
+        self.passed = passed
+        self.summary = summary
+        self.runtime = runtime
+        self.detail = {} if detail is None else detail
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def as_dict(self):
         return {
@@ -53,7 +57,7 @@ def _default_spec():
 
 
 def _zero_aniso(spec):
-    return replace(spec, molecule=replace(spec.molecule, alpha_aniso=0.0))
+    return spec._replace(molecule=spec.molecule._replace(alpha_aniso=0.0))
 
 
 # -- oscillatory radial integrals ------------------------------------------
@@ -130,8 +134,8 @@ def criterion_closed_form_prefactor(spec=None):
 def criterion_quadrature_vs_closed_form(spec=None):
     """Linearized quadrature in kappa-half mode matches the closed form to 0.5%."""
     spec = spec or _default_spec()
-    spec = replace(
-        spec, numerics=replace(spec.numerics, quad_order_q=48, quad_order_sphere=302)
+    spec = spec._replace(
+        numerics=spec.numerics._replace(quad_order_q=48, quad_order_sphere=302)
     )
     devs = {}
     worst = 0.0
@@ -289,8 +293,8 @@ def criterion_linearization_scaling(spec=None):
     base = _default_spec()
 
     def gap(eps):
-        mol = replace(base.molecule, alpha_aniso=1.5 * eps)
-        s = replace(base, molecule=mol)
+        mol = base.molecule._replace(alpha_aniso=1.5 * eps)
+        s = base._replace(molecule=mol)
         q = s.thermal.thermal_momentum
         n = np.array([0.6, 0.0, 0.8])
         lin = scattering.forward_amplitude_linearized(3, q, n, s)

@@ -431,6 +431,19 @@ PROPAGATE_24 = [
         # violation once it is built
         ["propagate", "n1", "--state", "gaussian:30,5", "--jwindow", "20,40",
          "--tfinal", "0.05", "--dt", "0.01", "--out", "missing/t.csv"],
+        # two options naming one file would leave only the last write
+        ["propagate", "n1", "--state", "gaussian:30,5", "--jwindow", "20,40",
+         "--tfinal", "0.05", "--dt", "0.01", "--out", "t.csv", "--dump", "t.csv"],
+        ["sweep", "n1", "--jmax", "6", "--out", "s.csv", "--plot", "s.csv", "--manifest", "s.csv"],
+        ["sweep", "n1", "--jmax", "6", "--out", "s.csv", "--plot", "./s.csv"],
+        ["rates", "n1", "--j", "4", "--jprime", "2", "--out", "r.csv", "--manifest", "r.csv"],
+        ["validate", "--json", "v.json", "--manifest", "dirout/../v.json"],
+        # an empty path would be skipped, or fail after the run
+        ["rates", "n1", "--j", "4", "--jprime", "2", "--manifest", ""],
+        ["rates", "n1", "--j", "4", "--jprime", "2", "--out", ""],
+        ["sweep", "n1", "--jmax", "6", "--plot", ""],
+        PROPAGATE_24 + ["--dump", ""],
+        ["validate", "--json", ""],
     ],
 )
 def test_unwritable_output_is_usage_error(tmp_path, args):
@@ -583,17 +596,18 @@ def test_cli_paths_do_not_import_scipy(tmp_path):
 
 
 def test_package_runs_without_scipy(tmp_path):
-    # scipy is a test dependency only: with every scipy import failing, each
+    # scipy is a test dependency only, and the package defines no
+    # dataclasses: with every scipy and dataclasses import failing, each
     # module imports and validate, a spectral propagate and a quadrature
     # sweep all run
     root = os.path.dirname(os.path.dirname(os.path.dirname(lb.__file__)))
     script = "\n".join([
         "import importlib, pkgutil, sys",
-        "class NoScipy:",
+        "class Blocked:",
         "    def find_spec(self, name, path=None, target=None):",
-        "        if name.split('.')[0] == 'scipy':",
-        "            raise ImportError('scipy is blocked')",
-        "sys.meta_path.insert(0, NoScipy())",
+        "        if name.split('.')[0] in ('scipy', 'dataclasses'):",
+        "            raise ImportError('%s is blocked' % name)",
+        "sys.meta_path.insert(0, Blocked())",
         "import superrotor",
         "for mod in pkgutil.iter_modules(superrotor.__path__):",
         "    importlib.import_module('superrotor.' + mod.name)",
@@ -619,7 +633,9 @@ def test_rate_commands_do_not_import_propagation(tmp_path):
     # rates and sweep run in short-lived processes; lindblad and validation
     # cost them import time they never use, the closed-form commands need
     # neither numpy nor the quadrature modules, and the linearized
-    # quadrature route runs on mathkit's floats without numpy or scattering
+    # quadrature route runs on mathkit's floats without numpy or scattering.
+    # No record class generates methods at import, so none of them loads
+    # dataclasses or, through it, inspect
     script = "\n".join([
         "import sys",
         "import superrotor.params, superrotor.rates",
@@ -637,6 +653,8 @@ def test_rate_commands_do_not_import_propagation(tmp_path):
         " '--out', 'h.csv']) == 0",
         "print('quadrature loaded', sorted(m for m in ('numpy', 'superrotor.scattering')"
         " if m in sys.modules))",
+        "print('record machinery loaded', sorted(m for m in ('dataclasses', 'inspect')"
+        " if m in sys.modules))",
         "print(sorted(m for m in ('superrotor.lindblad', 'superrotor.validation')"
         " if m in sys.modules))",
     ])
@@ -649,6 +667,7 @@ def test_rate_commands_do_not_import_propagation(tmp_path):
     lines = proc.stdout.splitlines()
     assert "closed form loaded []" in lines
     assert "quadrature loaded []" in lines
+    assert "record machinery loaded []" in lines
     assert lines[-1] == "[]"
     assert (tmp_path / "s.csv").read_text().count("quadrature") == 11
     assert (tmp_path / "h.csv").read_text().count("quadrature") == 99

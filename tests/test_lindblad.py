@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -883,7 +882,8 @@ def test_chunked_frames_match_every_step_run():
         max_hermiticity_deviation=max(herm for _, herm in checks),
     )
     # a start at t0 != 0 re-evaluates each frame at the same elapsed time
-    late = lb.propagate(replace(rho0, time=0.3), dset, spec, 0.04, 0.0002, record_every=7)
+    late_rho0 = lb.RotorState(rho0.layout, rho0.pattern, rho0.values, time=0.3)
+    late = lb.propagate(late_rho0, dset, spec, 0.04, 0.0002, record_every=7)
     np.testing.assert_array_equal(late.elapsed, sparse.elapsed)
     np.testing.assert_array_equal(late.times, 0.3 + sparse.elapsed)
     assert [f.time for f in late] == late.times.tolist()
@@ -904,7 +904,10 @@ def test_sliced_and_iterated_frames_match_indexed():
     indexed = [traj[k] for k in range(n)]
     scale = max(np.max(np.abs(f.values)) for f in indexed)
     calls = []
-    counted = replace(traj, flow=lambda taus: calls.append(len(taus)) or traj.flow(taus))
+    counted = lb.Trajectory(
+        traj.layout, traj.pattern, traj.times, traj.elapsed, traj.columns,
+        lambda taus: calls.append(len(taus)) or traj.flow(taus), traj.diagnostics,
+    )
     for ks, frames in (
         (range(n), counted[:]),
         (range(n), list(counted)),
@@ -1072,7 +1075,10 @@ def test_drift_monitor_shares_state_tolerances():
     spec = n1_spec()
     layout = lb.BasisLayout(2, 2)
     rho0 = lb.isotropic_state(layout, {2: 1.0})
-    leaky = replace(lb.DissipatorSet.empty(layout), collision_weight=1.0)
+    d = layout.dim
+    leaky = lb.DissipatorSet(
+        layout, 1.0, np.zeros(0), np.zeros(0, dtype=int), np.zeros((0, d)), np.zeros(d)
+    )
     leaky.kmat = np.full(layout.dim, -5e-9)
     # the first checked frame past TRACE_TOL: every step, or the monitor
     # step at t = 0.5

@@ -1,9 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from superrotor import lindblad, scattering
 from superrotor.mathkit import make_rule
 from superrotor.params import (
     GasSpec,
@@ -14,6 +16,7 @@ from superrotor.params import (
     load_config,
     normalized_document,
 )
+from superrotor.rates import RateResult, RateTable
 
 
 def doc(**sections):
@@ -249,3 +252,96 @@ def test_si_normalized_round_trip_dimensionless_groups():
     group_b = [s.thermal.density * s.thermal.thermal_momentum**3 / s.thermal.reduced_mass
                for s in (spec_si, spec_rt)]
     assert group_b[0] == pytest.approx(group_b[1], rel=1e-12)
+
+
+def n1_records():
+    spec = load_config(builtin_config("n1"))
+    return {
+        "molecule": spec.molecule,
+        "gas": spec.gas,
+        "thermal": spec.thermal,
+        "numerics": spec.numerics,
+        "rate": RateResult(4, 2, 0.25, "closed_form", 0.5),
+        "layout": lindblad.BasisLayout(2, 4),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, fields, message",
+    [
+        ("molecule", {"mass": 0.0}, "molecule.mass must be positive"),
+        ("molecule", {"moment_of_inertia": -1.0}, "molecule.moment_of_inertia must be positive"),
+        ("molecule", {"alpha_mean": 0.0}, "molecule.alpha_mean must be positive"),
+        ("molecule", {"alpha_aniso": math.inf}, "molecule polarizability ratio must be finite"),
+        (
+            "molecule",
+            {"alpha_aniso": 1e200},
+            "molecule.alpha_aniso 1e+200 is too large: its squared ratio to alpha_mean overflows",
+        ),
+        ("gas", {"mass": 0.0}, "gas.mass must be positive"),
+        ("gas", {"thermal_energy": -1.0}, "gas.thermal_energy must be positive"),
+        ("gas", {"density": 0.0}, "gas.density must be positive"),
+        ("gas", {"c6": 0.0}, "gas.c6 must be positive"),
+        ("thermal", {"reduced_mass": 0.0}, "thermal context requires positive mu and q_th"),
+        ("thermal", {"thermal_momentum": -1.0}, "thermal context requires positive mu and q_th"),
+        ("numerics", {"j_max": -1}, "numerics.j_max must be >= 0"),
+        ("numerics", {"quad_order_sphere": 3}, "numerics.quad_order_sphere must be >= 4"),
+        ("numerics", {"b_nodes": 2}, "numerics.b_nodes must be >= 4"),
+        ("numerics", {"b_max": 0.0}, "numerics.b_max must be positive"),
+        ("rate", {"gamma": -1.0}, "rates are non-negative by construction"),
+        ("rate", {"a_coefficient": -0.5}, "rates are non-negative by construction"),
+        ("layout", {"j_min": -1}, "need 0 <= j_min <= j_max"),
+        ("layout", {"j_max": 1}, "need 0 <= j_min <= j_max"),
+    ],
+)
+def test_records_validate_construction_and_changed_copies(name, fields, message):
+    record = n1_records()[name]
+    exact = "^%s$" % re.escape(message)
+    with pytest.raises(ValueError, match=exact):
+        type(record)(**dict(record._asdict(), **fields))
+    with pytest.raises(ValueError, match=exact):
+        record._replace(**fields)
+
+
+def test_valid_changed_copy_keeps_the_other_fields():
+    spec = load_config(builtin_config("n1"))
+    coarse = spec._replace(numerics=spec.numerics._replace(quad_order_q=24))
+    assert type(coarse.numerics) is NumericsSpec
+    assert coarse.numerics == NumericsSpec(quad_order_q=24)
+    assert coarse.molecule is spec.molecule and coarse.gas is spec.gas
+
+
+def test_config_loaded_twice_gives_equal_specs():
+    for text in (builtin_config("n1"), si_doc()):
+        first, second = load_config(text), load_config(text)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+    assert load_config(builtin_config("n1")) != load_config(si_doc())
+
+
+def test_record_fields_are_read_only():
+    spec = load_config(builtin_config("n1"))
+    for record in (spec, spec.molecule, spec.gas, spec.thermal, spec.numerics, spec.scales):
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
+    layout = lindblad.BasisLayout(2, 4)
+    state = lindblad.isotropic_state(layout, {2: 0.5, 4: 0.5})
+    dset = lindblad.build_dissipator(spec, layout)
+    trajectory = lindblad.propagate(state, dset, spec, 0.01, 0.001)
+    ez = np.array([0.0, 0.0, 1.0])
+    frozen = [
+        (state, "time"),
+        (trajectory, "flow"),
+        (make_rule("interval", 8), "weight_floats"),
+        (RateTable((), "closed_form"), "rows"),
+        (scattering.coupling_matrix(2, ez, np.array([1.0, 0.0, 0.0]), spec.molecule), "entries"),
+        (scattering.forward_amplitude_linearized(2, 1.0, ez, spec), "entries"),
+    ]
+    for obj, name in frozen:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
