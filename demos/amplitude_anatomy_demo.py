@@ -44,7 +44,7 @@ def main():
     coup = coupling_matrix(j, [0.0, 0.0, 1.0], e_b, spec.molecule)
     print("coupling matrix band pattern for j = %d (|entries| > 1e-12):" % j)
     for r in range(2 * j + 1):
-        marks = "".join("x" if abs(coup.entries[r, s]) > 1e-12 else "."
+        marks = "".join("x" if abs(coup[r, s]) > 1e-12 else "."
                         for s in range(2 * j + 1))
         print("    " + marks)
     print("  with e_b in the equatorial plane only m and m+-2 couple;")

@@ -31,36 +31,6 @@ EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
 
 
-class RunManifest:
-    def __init__(self, command, spec_echo, outputs=None, wall_time_s=0.0, flags=None,
-                 diagnostics=None):
-        self.command = command
-        self.spec_echo = spec_echo
-        self.outputs = [] if outputs is None else outputs
-        self.wall_time_s = wall_time_s
-        self.flags = [] if flags is None else flags
-        self.diagnostics = {} if diagnostics is None else diagnostics
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def write(self, path):
-        for out in self.outputs:
-            if not os.path.exists(out):
-                raise RuntimeError("manifest lists missing output %s" % out)
-        doc = {
-            "command": self.command,
-            "spec": self.spec_echo,
-            "outputs": list(self.outputs),
-            "wall_time_s": round(self.wall_time_s, 3),
-            "flags": list(self.flags),
-            "diagnostics": dict(self.diagnostics),
-        }
-        _atomic_write(path, json.dumps(doc, indent=2) + "\n")
-
-
 class OutputError(Exception):
     """An output file that cannot be written (exit 2)."""
 
@@ -118,18 +88,29 @@ def _spec_echo(spec):
     return json.loads(normalized_document(spec))
 
 
+def _write_manifest(path, command, spec_echo, outputs, t0, flags, diagnostics=None):
+    """Write the run manifest: the command, its spec, the outputs it wrote
+    (each must exist), the wall time since t0, its flags and diagnostics."""
+    for out in outputs:
+        if not os.path.exists(out):
+            raise RuntimeError("manifest lists missing output %s" % out)
+    doc = {
+        "command": command,
+        "spec": spec_echo,
+        "outputs": list(outputs),
+        "wall_time_s": round(time.perf_counter() - t0, 3),
+        "flags": list(flags),
+        "diagnostics": dict(diagnostics or {}),
+    }
+    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+
+
 def _finish(args, spec, outputs, t0, flags, diagnostics=None):
     """Write the run manifest if asked, print each flag, and map flags to
     the exit code."""
     if args.manifest:
-        RunManifest(
-            args.command,
-            _spec_echo(spec),
-            outputs,
-            time.perf_counter() - t0,
-            flags,
-            diagnostics or {},
-        ).write(args.manifest)
+        _write_manifest(args.manifest, args.command, _spec_echo(spec), outputs, t0, flags,
+                        diagnostics)
     for f in flags:
         print("flag: %s" % f, file=sys.stderr)
     return EXIT_NONCONVERGED if flags else EXIT_OK
@@ -325,8 +306,7 @@ def cmd_rates(args):
     print("method = %s" % res.method)
     if spec.unit_system == "SI":
         print("units = 1/s")
-    table = rates.RateTable(rows=(res,), method=res.method)
-    _atomic_write(args.out, rates.rate_table_csv(table, rate_scale=scale))
+    _atomic_write(args.out, rates.rate_table_csv([res], rate_scale=scale))
     print("wrote %s" % args.out)
     return _finish(args, spec, [args.out], t0, flags)
 
@@ -338,13 +318,12 @@ def cmd_sweep(args):
     if args.jmin > args.jmax:
         raise ValueError("sweep needs jmin <= jmax (got %d > %d)" % (args.jmin, args.jmax))
     js = list(range(args.jmin, args.jmax + 1))
-    table = rates.sweep_rates(js, spec, method=args.method, kappa_mode=args.kappa)
-    rows = table.rows
+    rows = rates.sweep_rates(js, spec, method=args.method, kappa_mode=args.kappa)
     flags = []
     if args.method == "quadrature" and not all(r.converged for r in rows):
         flags.append("quadrature not converged")
     scale = spec.scales.rate
-    _atomic_write(args.out, rates.rate_table_csv(table, rate_scale=scale))
+    _atomic_write(args.out, rates.rate_table_csv(rows, rate_scale=scale))
     outputs = [args.out]
     print("wrote %s (%d rows)" % (args.out, len(rows)))
     if args.plot:
@@ -453,9 +432,7 @@ def cmd_validate(args):
     if args.manifest:
         echo = _spec_echo(spec) if spec else {"builtin": "n1"}
         failed = [r.name for r in results if not r.passed]
-        RunManifest(
-            "validate", echo, outputs, time.perf_counter() - t0, failed
-        ).write(args.manifest)
+        _write_manifest(args.manifest, "validate", echo, outputs, t0, failed)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
 

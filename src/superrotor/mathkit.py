@@ -1,4 +1,4 @@
-"""Quadrature rules, the real gamma function and the order-doubling rule.
+"""Quadrature rules and the order-doubling rule.
 
 This module imports only the standard library. A rule is built once per
 process as Python floats (gauss_legendre and the domain builders), which
@@ -47,19 +47,6 @@ def order_doubling_drift(base, *fine):
     else:
         drift = 0.0 if scale == 0.0 else diff / scale
     return drift, bool(drift <= ORDER_DOUBLING_TOL)
-
-
-def gamma_real(x):
-    """Real gamma function for x > 0.
-
-    Delegates to math.gamma, which is well below 1e-12 relative error on
-    the range used here; the accuracy is pinned by tests against an
-    integral-representation oracle.
-    """
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("gamma_real: requires x > 0")
-    return math.gamma(x)
 
 
 @functools.cache

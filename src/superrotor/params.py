@@ -301,7 +301,7 @@ def load_config(text):
     return SystemSpec(molecule, gas, numerics, thermal, scales, system)
 
 
-def normalized_document(spec, numerics=True):
+def normalized_document(spec):
     """Render the internal state of a SystemSpec as a normalized-units config.
 
     Feeding the result back through load_config reproduces every derived
@@ -321,9 +321,8 @@ def normalized_document(spec, numerics=True):
             "density": spec.gas.density,
             "c6": spec.gas.c6,
         },
+        "numerics": spec.numerics._asdict(),
     }
-    if numerics:
-        doc["numerics"] = spec.numerics._asdict()
     return json.dumps(doc, indent=2)
 
 

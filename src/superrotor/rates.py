@@ -20,7 +20,7 @@ helpers up on that module at each call.
 
 import math
 
-from .params import HBAR, Frozen, record
+from .params import HBAR, record
 
 # branch phase of the 2/5-power radial integrals, exp(i 3 pi / 10)
 EIKONAL_PHASE = complex(math.cos(0.3 * math.pi), math.sin(0.3 * math.pi))
@@ -51,26 +51,10 @@ class RateResult(record("RateResult", "j j_prime gamma method a_coefficient meta
     def converged(self):
         return bool(self.metadata.get("converged", True))
 
-
-class RateTable(Frozen):
-    """Ordered collection of RateResult rows from a sweep."""
-
-    def __init__(self, rows, method):
-        vars(self).update(rows=rows, method=method)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
     def __hash__(self):
-        return hash(self._key())
-
-    def _key(self):
-        return self.rows, self.method
+        # the metadata dict cannot hash and stays out: records that compare
+        # equal have equal value fields, so they hash equal
+        return hash(self[:5])
 
 
 def assoc_legendre2(k, x):
@@ -415,7 +399,8 @@ def energy_shift_matrix(j, spec, with_diagnostics=False):
 
 def sweep_rates(j_range, spec, method="closed_form", amplitude_backend="linearized",
                 kappa_mode="exact"):
-    """Alignment-decay table Gamma_j = 2 gamma_{j,j-2} over the given j values.
+    """Alignment-decay rows Gamma_j = 2 gamma_{j,j-2} over the given j values:
+    a tuple of RateResult, one per j.
 
     method selects closed_form or quadrature rows; every j must lie within
     the numerics basis limits and be >= 2 (the j-2 partner must exist).
@@ -437,19 +422,17 @@ def sweep_rates(j_range, spec, method="closed_form", amplitude_backend="lineariz
         rows = _closed_form_rates(pairs, spec)
     else:
         rows = _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode)
-    return RateTable(tuple(rows), method)
+    return tuple(rows)
 
 
-def rate_table_csv(results, rate_scale=1.0):
-    """Render rate rows as CSV (12 significant digits, LF endings).
+def rate_table_csv(rows, rate_scale=1.0):
+    """Render RateResult rows as CSV (12 significant digits, LF endings).
 
     rate_scale converts internal rates to the config's unit system; pass
     UnitScales.rate for SI output.
     """
-    if isinstance(results, RateTable):
-        results = results.rows
     lines = ["j,j_prime,gamma,Gamma_signal,a_coeff,method"]
-    for r in results:
+    for r in rows:
         lines.append(
             f"{r.j},{r.j_prime},{r.gamma * rate_scale:.11e},"
             f"{r.gamma_signal * rate_scale:.11e},{r.a_coefficient:.11e},{r.method}"

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .mathkit import gamma_real, make_rule, order_doubling_drift
+from .mathkit import make_rule, order_doubling_drift
 from .params import HBAR, Frozen
 from .rates import (
     _kappa_for_mode,
@@ -34,13 +34,6 @@ PHASE_CAP = 50.0
 
 _EZ = np.array([0.0, 0.0, 1.0])
 _EXY = np.array([1.0, 1j, 0.0])  # e_x + i e_y
-
-
-class CouplingMatrix(Frozen):
-    """Banded anisotropy matrix for one j block at fixed collision geometry."""
-
-    def __init__(self, j, n_prime, e_b, entries):
-        vars(self).update(j=j, n_prime=n_prime, e_b=e_b, entries=entries)
 
 
 class AmplitudeMatrix(Frozen):
@@ -93,9 +86,10 @@ def coupling_matrix(j, n_prime, e_b, mol, kappa_mode="exact"):
     Entries follow the large-j sublevel-coupling form: the diagonal carries
     P_2 of the scaled projection 2m/(2j+1), the first band P_2^1, the second
     band P_2^2, each contracted with the collision geometry. Hermitian by
-    construction; identically zero when alpha_aniso = 0. e_b may also be a
-    (c, 3) stack of impact directions around the one n_prime; the entries are
-    then the (c, d, d) stack of their matrices.
+    construction; identically zero when alpha_aniso = 0. Returns the (d, d)
+    complex array, d = 2j + 1. e_b may also be a (c, 3) stack of impact
+    directions around the one n_prime; the result is then the (c, d, d)
+    stack of their matrices.
     """
     j = int(j)
     if j < 0:
@@ -130,9 +124,7 @@ def coupling_matrix(j, n_prime, e_b, mol, kappa_mode="exact"):
         band2 = -(ratio / 72.0) * kap * assoc_legendre2(2, (2.0 * m[:-2] + 2.0) / (2.0 * j + 1.0))
         out[:, i, i + 2] = np.multiply.outer(twist, band2)
         out[:, i + 2, i] = np.multiply.outer(np.conj(twist), band2)
-    if not stacked:
-        e, out = e[0], out[0]
-    return CouplingMatrix(j, n_prime, e, out)
+    return out if stacked else out[0]
 
 
 def template_bands(j, mol, kappa_mode="exact"):
@@ -229,7 +221,7 @@ def spectral_shapes(j, nodes, spec, kappa_mode="exact"):
     out = np.empty((len(nodes), d, d), dtype=complex)
     for k, n_prime in enumerate(nodes):
         e_b = _circle_directions(n_prime, rule.nodes)
-        coup = coupling_matrix(j, n_prime, e_b, spec.molecule, kappa_mode).entries
+        coup = coupling_matrix(j, n_prime, e_b, spec.molecule, kappa_mode)
         lam, vec = np.linalg.eigh(np.eye(d) + coup)
         if np.any(lam <= 0.0):
             raise ValueError("anisotropy too large for fractional-power branch")
@@ -249,6 +241,17 @@ def forward_amplitude_spectral(j, q, n_prime, spec, kappa_mode="exact"):
     return AmplitudeMatrix(j, float(q), n_prime, n_prime, entries)
 
 
+def _phase_panels(rule, b, b_max, mag, slope=0.0):
+    """(nodes, weights) of the interval rule mapped onto each panel of
+    [b, b_max]. A panel starting at b is pi / (5 mag / b^6 + slope) wide,
+    cut at b_max, so the phase a/b^5 of strength |a| = mag plus a plane-wave
+    phase of the given slope advance by at most pi across it."""
+    while b < b_max:
+        db = min(math.pi / (5.0 * mag / b**6 + slope), b_max - b)
+        yield 0.5 * (rule.nodes + 1.0) * db + b, 0.5 * db * rule.weights
+        b += db
+
+
 def _radial_jump_integral(a_phase, c_transverse, pts, bmax_factor, phase_cap=PHASE_CAP):
     """Int_0^inf db b e^{-i c b} (e^{i a/b^5} - 1) for one eigenchannel.
 
@@ -263,20 +266,13 @@ def _radial_jump_integral(a_phase, c_transverse, pts, bmax_factor, phase_cap=PHA
     b_min = (mag / phase_cap) ** 0.2
     b_max = bmax_factor * mag**0.2
     rule = make_rule("interval", pts)
-    xg, wg = rule.nodes, rule.weights
-    xs = 0.5 * (xg + 1.0) * b_min
-    ws = 0.5 * b_min * wg
+    xs = 0.5 * (rule.nodes + 1.0) * b_min
+    ws = 0.5 * b_min * rule.weights
     total = np.sum(ws * (-xs) * np.exp(-1j * c_transverse * xs))
-    b = b_min
-    while b < b_max:
-        rate = 5.0 * mag / b**6 + abs(c_transverse)
-        db = min(math.pi / rate, b_max - b)
-        xs = 0.5 * (xg + 1.0) * db + b
-        ws = 0.5 * db * wg
+    for xs, ws in _phase_panels(rule, b_min, b_max, mag, abs(c_transverse)):
         total += np.sum(
             ws * xs * np.exp(-1j * c_transverse * xs) * (np.exp(1j * a_phase / xs**5) - 1.0)
         )
-        b += db
     if abs(c_transverse) * b_max < 0.5:
         # leading tail of the phase expansion; only meaningful while the
         # plane-wave factor is still slow out at b_max
@@ -290,7 +286,7 @@ def _schiff_entries(j, q, n_out, n_in, spec, pts):
     d = 2 * int(j) + 1
     a_q = eikonal_strength(q, spec)
     transfer = (q / HBAR) * (np.asarray(n_out, dtype=float) - np.asarray(n_in, dtype=float))
-    lams, vecs = np.linalg.eigh(np.eye(d) + coupling_matrix(j, n_in, e_b, spec.molecule).entries)
+    lams, vecs = np.linalg.eigh(np.eye(d) + coupling_matrix(j, n_in, e_b, spec.molecule))
     acc = np.zeros((d, d), dtype=complex)
     for w, lam, vec, c_t in zip(rule.weights, lams, vecs, e_b @ transfer):
         radial = np.array(
@@ -322,7 +318,7 @@ def schiff_amplitude_full(j, q, n_out, n_in, spec):
 def scalar_cross_section_closed_form(q, spec):
     """Isotropic elastic cross section 2 pi Gamma(3/5) sin(3pi/10) a(q)^{2/5}."""
     a_q = eikonal_strength(q, spec)
-    return 2.0 * math.pi * gamma_real(0.6) * math.sin(0.3 * math.pi) * a_q**0.4
+    return 2.0 * math.pi * math.gamma(0.6) * math.sin(0.3 * math.pi) * a_q**0.4
 
 
 def scalar_cross_section_bspace(q, spec, pts=None):
@@ -339,18 +335,10 @@ def scalar_cross_section_bspace(q, spec, pts=None):
     a_q = eikonal_strength(q, spec)
     b_min = (a_q / PHASE_CAP) ** 0.2
     b_max = spec.numerics.b_max * a_q**0.2
-    rule = make_rule("interval", pts)
-    xg, wg = rule.nodes, rule.weights
     # unitarity-saturated core: |e^{iPhi} - 1|^2 averages to 2
     total = b_min**2
-    b = b_min
-    while b < b_max:
-        rate = 5.0 * a_q / b**6
-        db = min(math.pi / rate, b_max - b)
-        xs = 0.5 * (xg + 1.0) * db + b
-        ws = 0.5 * db * wg
+    for xs, ws in _phase_panels(make_rule("interval", pts), b_min, b_max, a_q):
         total += np.sum(ws * xs * (2.0 - 2.0 * np.cos(a_q / xs**5)))
-        b += db
     # tail: 2 - 2 cos(a/b^5) ~ a^2/b^10
     total += a_q**2 / (8.0 * b_max**8)
     return 2.0 * math.pi * total

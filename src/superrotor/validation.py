@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lindblad as lb
 from . import rates, scattering
-from .mathkit import gamma_real, make_rule
+from .mathkit import make_rule
 from .params import builtin_config, load_config
 
 SINE_HALF_PERIODS = 48
@@ -119,7 +119,7 @@ def sine_sq_integral_b(a):
 def criterion_closed_form_prefactor(spec=None):
     """gamma/A equals Gamma(13/5) Gamma(3/5)^2 sqrt(pi)/10 to 1e-9."""
     base = _default_spec()
-    expected = gamma_real(2.6) * gamma_real(0.6) ** 2 * math.sqrt(math.pi) / 10.0
+    expected = math.gamma(2.6) * math.gamma(0.6) ** 2 * math.sqrt(math.pi) / 10.0
     res = rates.gamma_closed_form(10, 8, base)
     measured = res.gamma / res.a_coefficient
     err = abs(measured - expected)
@@ -313,7 +313,7 @@ def criterion_linearization_scaling(spec=None):
 
 def criterion_radial_integral_table(spec=None):
     """Oscillatory quadrature reproduces both radial sine integrals at a = 1."""
-    g35 = gamma_real(0.6)
+    g35 = math.gamma(0.6)
     ref1 = 0.5 * g35 * math.cos(0.3 * math.pi)
     ref2 = 0.25 * g35 * math.sin(0.3 * math.pi)
     v1 = sine_integral_b(1.0)

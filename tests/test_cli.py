@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -84,6 +85,32 @@ def test_sweep_deterministic_and_manifest(tmp_path, capsys):
     assert manifest["flags"] == []
     assert manifest["spec"]["units"]["system"] == "normalized"
     assert manifest["outputs"] == [str(out1)]
+
+
+RATE_CLI_REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "rate-cli"
+
+
+def test_rate_cli_outputs_match_benchmark_refs(tmp_path, monkeypatch, capsys):
+    # the benchmark's rate-cli jobs, byte for byte against its stored outputs
+    monkeypatch.chdir(tmp_path)
+    pairs = ((10, 8), (12, 10), (15, 13), (20, 18), (25, 23), (9, 6), (40, 37), (100, 98))
+    outputs = []
+    for j, jp in pairs:
+        name = "rates-%d-%d.csv" % (j, jp)
+        assert run_cli(["rates", "n1", "--j", str(j), "--jprime", str(jp), "--out", name]) == 0
+        outputs.append(name)
+    argv = ["sweep", "n1", "--jmax", "1000", "--out", "sweep.csv", "--plot", "sweep.svg"]
+    assert run_cli(argv) == 0
+    outputs += ["sweep.csv", "sweep.svg"]
+    for kappa in ("exact", "half"):
+        name = "quadrature-%s.csv" % kappa
+        argv = ["sweep", "n1", "--jmax", "100", "--method", "quadrature", "--kappa", kappa,
+                "--out", name]
+        assert run_cli(argv) == 0
+        outputs.append(name)
+    capsys.readouterr()
+    for name in outputs:
+        assert (tmp_path / name).read_bytes() == (RATE_CLI_REFS / name).read_bytes(), name
 
 
 def test_sweep_jmax_guard(tmp_path, capsys):
@@ -706,8 +733,6 @@ def test_spectral_rate_after_numpy_free_commands(tmp_path):
 
 
 def test_shipped_configs_load(tmp_path):
-    import pathlib
-
     root = pathlib.Path(__file__).resolve().parents[1] / "configs"
     for name in ("n1.json", "nitrogen_helium_si.json"):
         out = tmp_path / ("%s.csv" % name)

@@ -5,13 +5,11 @@ import pathlib
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.special import lpmv
 
 from superrotor import lindblad, mathkit, rates, scattering
 from superrotor.mathkit import (
     ORDER_DOUBLING_TOL,
-    gamma_real,
     gauss_legendre,
     make_rule,
     order_doubling_drift,
@@ -59,22 +57,11 @@ def test_legendre_phase_convention_unobservable():
 
 
 def test_gamma_values():
-    assert gamma_real(0.6) == pytest.approx(GAMMA_3_5, rel=1e-14)
-    assert gamma_real(2.6) == pytest.approx(GAMMA_13_5, rel=1e-14)
-    assert gamma_real(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma_real(5) == pytest.approx(24.0, rel=1e-15)
-
-
-def test_gamma_domain_error():
-    with pytest.raises(ValueError):
-        gamma_real(0.0)
-    with pytest.raises(ValueError):
-        gamma_real(-1.3)
-
-
-@given(st.floats(min_value=0.1, max_value=20.0))
-def test_gamma_recurrence(x):
-    assert gamma_real(x + 1.0) == pytest.approx(x * gamma_real(x), rel=1e-12)
+    # the closed forms take Gamma(3/5) and Gamma(13/5) from math.gamma
+    assert math.gamma(0.6) == pytest.approx(GAMMA_3_5, rel=1e-14)
+    assert math.gamma(2.6) == pytest.approx(GAMMA_13_5, rel=1e-14)
+    assert math.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+    assert math.gamma(5) == pytest.approx(24.0, rel=1e-15)
 
 
 GAUSS_ORDERS = (4, 8, 13, 16, 18, 48, 96)

@@ -16,7 +16,7 @@ from superrotor.params import (
     load_config,
     normalized_document,
 )
-from superrotor.rates import RateResult, RateTable
+from superrotor.rates import RateResult
 
 
 def doc(**sections):
@@ -336,8 +336,6 @@ def test_record_fields_are_read_only():
         (state, "time"),
         (trajectory, "flow"),
         (make_rule("interval", 8), "weight_floats"),
-        (RateTable((), "closed_form"), "rows"),
-        (scattering.coupling_matrix(2, ez, np.array([1.0, 0.0, 0.0]), spec.molecule), "entries"),
         (scattering.forward_amplitude_linearized(2, 1.0, ez, spec), "entries"),
     ]
     for obj, name in frozen:

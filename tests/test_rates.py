@@ -209,9 +209,9 @@ def test_sweep_quadrature_matches_per_pair_oracle(backend, kappa, js):
     spec = n1_spec() if backend == "linearized" else modified_n1(
         set=[("molecule", "alpha_aniso", 0.03)]
     )
-    table = sweep_rates(js, spec, method="quadrature", amplitude_backend=backend,
-                        kappa_mode=kappa)
-    for j, row in zip(js, table.rows):
+    rows = sweep_rates(js, spec, method="quadrature", amplitude_backend=backend,
+                       kappa_mode=kappa)
+    for j, row in zip(js, rows):
         gamma, drift, converged = per_pair_oracle(j, j - 2, spec, backend, kappa)
         single = gamma_numeric(j, j - 2, spec, amplitude_backend=backend, kappa_mode=kappa)
         for res in (row, single):
@@ -232,8 +232,8 @@ def test_quadrature_sweep_radial_once(monkeypatch):
         return forward_scalar(q, spec)
 
     monkeypatch.setattr(rates, "forward_scalar", counted)
-    table = sweep_rates(range(2, 101), spec, method="quadrature")
-    assert len(table) == 99
+    rows = sweep_rates(range(2, 101), spec, method="quadrature")
+    assert len(rows) == 99
     assert spec.numerics.quad_order_q == 48
     assert 0 < len(calls) <= 48 + 96
 
@@ -255,7 +255,7 @@ def test_gamma_numeric_large_j_memory():
 def test_closed_form_sweep_rows_match_scalars():
     # a closed-form sweep row is the single-pair closed-form rate exactly
     spec = n1_spec()
-    for row in sweep_rates(range(2, 40), spec).rows:
+    for row in sweep_rates(range(2, 40), spec):
         single = gamma_closed_form(row.j, row.j_prime, spec)
         assert (row.gamma, row.a_coefficient) == (single.gamma, single.a_coefficient)
 
@@ -338,26 +338,25 @@ def test_delta_frequency():
     assert delta_frequency(10, 8, spec) == pytest.approx(1.9, rel=1e-6)
 
 
-def monotone_beyond_peak(table):
+def monotone_beyond_peak(rows):
     """True when Gamma_j decreases monotonically past its maximum row."""
-    gammas = [r.gamma for r in table.rows]
+    gammas = [r.gamma for r in rows]
     tail = gammas[int(np.argmax(gammas)) :]
     return all(b < a for a, b in zip(tail, tail[1:]))
 
 
 def test_sweep_rates_shape_and_positivity():
     spec = n1_spec()
-    table = sweep_rates(range(10, 201), spec)
-    assert len(table) == 191
-    assert all(r.gamma > 0.0 for r in table.rows)
-    assert monotone_beyond_peak(table)
+    rows = sweep_rates(range(10, 201), spec)
+    assert len(rows) == 191
+    assert all(r.gamma > 0.0 for r in rows)
+    assert monotone_beyond_peak(rows)
 
 
 def test_sweep_rates_loglog_slope():
     spec = n1_spec()
     js = np.array([200, 320, 500, 800, 1000])
-    table = sweep_rates(js, spec)
-    signals = np.array([r.gamma_signal for r in table.rows])
+    signals = np.array([r.gamma_signal for r in sweep_rates(js, spec)])
     slope = np.polyfit(np.log(js), np.log(signals), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.05)
 
@@ -366,7 +365,7 @@ def test_sweep_rates_method_agreement():
     spec = n1_spec(quad_order_q=32, quad_order_sphere=200)
     closed = sweep_rates([4, 8, 12, 20], spec, method="closed_form")
     quad = sweep_rates([4, 8, 12, 20], spec, method="quadrature", kappa_mode="half")
-    for a, b in zip(closed.rows, quad.rows):
+    for a, b in zip(closed, quad):
         assert b.gamma == pytest.approx(a.gamma, rel=5e-3)
 
 
@@ -388,10 +387,22 @@ def test_rate_result_invariants():
     assert res.converged
 
 
+def test_rate_records_hash_by_value():
+    spec = n1_spec()
+    first, second = gamma_numeric(10, 8, spec), gamma_numeric(10, 8, spec)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert hash(gamma_closed_form(10, 8, spec)) == hash(gamma_closed_form(10, 8, spec))
+    for method in ("closed_form", "quadrature"):
+        rows = sweep_rates(range(2, 30), spec, method=method)
+        assert len(set(rows)) == len(rows) == 28
+        assert set(rows) == set(sweep_rates(range(2, 30), spec, method=method))
+
+
 def test_rate_table_csv_format_and_determinism():
     spec = n1_spec()
-    table = sweep_rates([2, 3, 4], spec)
-    text = rate_table_csv(table)
+    rows = sweep_rates([2, 3, 4], spec)
+    text = rate_table_csv(rows)
     again = rate_table_csv(sweep_rates([2, 3, 4], spec))
     assert text == again
     lines = text.splitlines()
@@ -402,7 +413,7 @@ def test_rate_table_csv_format_and_determinism():
     assert first[5] == "closed_form"
     # 12 significant digits in scientific notation
     assert "e" in first[2] and len(first[2].split("e")[0].replace("-", "").replace(".", "")) == 12
-    scaled = rate_table_csv(table, rate_scale=2.0)
+    scaled = rate_table_csv(rows, rate_scale=2.0)
     assert float(scaled.splitlines()[1].split(",")[2]) == pytest.approx(
         2.0 * float(first[2]), rel=1e-10
     )

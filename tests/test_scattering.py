@@ -52,7 +52,7 @@ def averaged_coupling_quadrature(j, n_prime, mol, order=64, kappa_mode="exact"):
     u, v = circle_basis(n_prime)
     rule = make_rule("circle", order)
     e_b = np.cos(rule.nodes)[:, None] * u + np.sin(rule.nodes)[:, None] * v
-    coup = coupling_matrix(j, n_prime, e_b, mol, kappa_mode).entries
+    coup = coupling_matrix(j, n_prime, e_b, mol, kappa_mode)
     return np.tensordot(rule.weights, coup, axes=1) / (2.0 * math.pi)
 
 
@@ -80,7 +80,7 @@ def test_kappa_monotone_to_half():
 def test_coupling_zero_anisotropy():
     spec = eps_spec(0.0)
     coup = coupling_matrix(4, N_DIAG, *_basis_vec(N_DIAG), mol=spec.molecule)
-    assert np.max(np.abs(coup.entries)) == 0.0
+    assert np.max(np.abs(coup)) == 0.0
 
 
 def _basis_vec(n):
@@ -95,8 +95,7 @@ def test_coupling_axial_example():
     doc = json.loads(builtin_config("n1"))
     doc["molecule"]["alpha_aniso"] = 3.0
     spec = load_config(json.dumps(doc))
-    coup = coupling_matrix(1, EZ, EX, spec.molecule)
-    b = coup.entries
+    b = coupling_matrix(1, EZ, EX, spec.molecule)
     assert b[1, 1] == pytest.approx(-kappa(1) / 4.0, rel=1e-12)
     assert abs(b[0, 1]) < 1e-15 and abs(b[1, 2]) < 1e-15
 
@@ -111,7 +110,7 @@ def test_coupling_hermitian_and_banded():
         u, v = circle_basis(n)
         phi = rng.uniform(0, 2 * math.pi)
         e_b = math.cos(phi) * u + math.sin(phi) * v
-        b = coupling_matrix(j, n, e_b, spec.molecule).entries
+        b = coupling_matrix(j, n, e_b, spec.molecule)
         assert np.max(np.abs(b - b.conj().T)) <= 1e-14 * max(1.0, np.max(np.abs(b)))
         for row in range(2 * j + 1):
             for col in range(2 * j + 1):
@@ -129,9 +128,10 @@ def test_coupling_stack_matches_single_calls():
             phis = rng.uniform(0, 2 * math.pi, size=7)
             stack = np.array([math.cos(p) * u + math.sin(p) * v for p in phis])
             coup = coupling_matrix(j, n, stack, spec.molecule, mode)
-            assert coup.entries.shape == (7, 2 * j + 1, 2 * j + 1)
-            for e_b, b in zip(stack, coup.entries):
-                single = coupling_matrix(j, n, e_b, spec.molecule, mode).entries
+            assert coup.shape == (7, 2 * j + 1, 2 * j + 1)
+            for e_b, b in zip(stack, coup):
+                single = coupling_matrix(j, n, e_b, spec.molecule, mode)
+                assert single.shape == (2 * j + 1, 2 * j + 1)
                 np.testing.assert_array_equal(b, single)
 
 
@@ -198,7 +198,7 @@ def circle_loop_shape(j, n_prime, spec, kappa_mode):
     for phi, w in zip(rule.nodes, rule.weights):
         e_b = math.cos(phi) * u + math.sin(phi) * v
         coup = coupling_matrix(j, n_prime, e_b, spec.molecule, kappa_mode)
-        lam, vec = np.linalg.eigh(np.eye(d) + coup.entries)
+        lam, vec = np.linalg.eigh(np.eye(d) + coup)
         acc += w * ((vec * lam**0.4) @ vec.conj().T)
     return acc / (2.0 * math.pi)
 
