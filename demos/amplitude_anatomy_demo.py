@@ -57,8 +57,8 @@ def main():
     previous = None
     for aniso in (0.25, 0.5, 1.0, 2.0):
         s = spec_with_aniso(aniso)
-        lin = forward_amplitude_linearized(j, q, [0, 0, 1], s).entries
-        spe = forward_amplitude_spectral(j, q, [0, 0, 1], s).entries
+        lin = forward_amplitude_linearized(j, q, [0, 0, 1], s)
+        spe = forward_amplitude_spectral(j, q, [0, 0, 1], s)
         gap = float(np.max(np.abs(spe - lin)))
         ratio = gap / previous if previous else float("nan")
         print("%10.4f %12.4e %12.4f" % (s.molecule.epsilon, gap, ratio))

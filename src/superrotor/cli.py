@@ -220,7 +220,10 @@ def _parse_state(arg, layout_arg):
             raise ValueError("state file needs type centrifuge or isotropic")
 
     if layout_arg:
-        a, b = (int(x) for x in layout_arg.split(","))
+        try:
+            a, b = (int(x) for x in layout_arg.split(","))
+        except ValueError:
+            raise ValueError("--jwindow takes 'jmin,jmax' (got %r)" % layout_arg) from None
         return (a, b), kind
     if lo is None:
         raise ValueError("isotropic builtin needs an explicit --jwindow")

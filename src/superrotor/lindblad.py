@@ -42,10 +42,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import scattering
 from .mathkit import make_rule, order_doubling_drift
 from .params import HBAR, Frozen, record
-from .rates import energy_shift_matrix, thermal_q_integral
+from .rates import TEMPLATE_OFFSETS, energy_shift_matrix, template_bands, thermal_q_integral
 
 # angular second moments of the five coupling geometry factors:
 # P2(n_z), n_z n_+, n_z n_-, n_+^2, n_-^2 paired with their conjugates.
@@ -58,8 +57,6 @@ TEMPLATE_MOMENTS = (
     32.0 * math.pi / 15.0,
     32.0 * math.pi / 15.0,
 )
-# the diagonal m' - m each template of scattering.coupling_templates lies on
-TEMPLATE_OFFSETS = (0, 1, -1, 2, -2)
 
 DIAG_INTERVAL = 50
 # frames evaluated, checked or reduced at once
@@ -367,17 +364,17 @@ def _jump_family(spec, layout, backend, kappa_mode):
     aniso_mean is the band-0 (diagonal) mean.
     """
     if backend == "linearized":
-        # T_3 and T_5 are the transposes of T_2 and T_4, so bands -1 and -2
-        # read the same vectors as bands +1 and +2
         def bands(j):
-            diag, band1, band2 = scattering.template_bands(j, spec.molecule, kappa_mode)
-            return [v[None] for v in (diag, band1, band1, band2, band2)]
+            vectors = template_bands(j, spec.molecule, kappa_mode)
+            return [vectors[abs(q)][None] for q in TEMPLATE_OFFSETS]
 
         ops = _band_diagonals(layout, TEMPLATE_OFFSETS, bands)
         weights = 0.16 * np.array(TEMPLATE_MOMENTS)
         return weights, np.array(TEMPLATE_OFFSETS), ops, np.zeros(layout.dim)
     if backend != "spectral":
         raise ValueError("unknown backend %r" % backend)
+    from . import scattering
+
     ring = make_rule("ring", spec.numerics.quad_order_sphere)
 
     offsets = np.arange(-2 * layout.j_max, 2 * layout.j_max + 1)

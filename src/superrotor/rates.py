@@ -14,8 +14,8 @@ Python floats and evaluates the isotropic forward amplitude (forward_scalar)
 and the templates' top-corner band values (template_band) here, beside the
 degree-2 Legendre family they are built from. scattering re-exports these
 scalar pieces. The spectral backend imports numpy and scattering when
-called, energy_shift_matrix numpy; the quadrature route looks mathkit's
-helpers up on that module at each call.
+called, template_bands and energy_shift_matrix numpy; the quadrature route
+looks mathkit's helpers up on that module at each call.
 """
 
 import math
@@ -126,12 +126,42 @@ def template_band(k, j, m, mol, kappa_mode="exact"):
     (ratio / D_k) kappa_j P_2^k((2m + k)/(2j + 1)) with D = 6, -12, 48 and
     ratio = alpha_aniso / alpha_mean: the diagonal of T_1, the first
     superdiagonal of T_2 and the second superdiagonal of T_4
-    (scattering.template_bands reads whole bands, the rate route one row).
+    (template_bands reads whole bands, the rate route one row).
     """
     ratio = mol.alpha_aniso / mol.alpha_mean
     kap = _kappa_for_mode(j, kappa_mode)
     x = (2.0 * m + k) / (2.0 * j + 1.0)
     return (ratio / _BAND_DIVISORS[k]) * kap * assoc_legendre2(k, x)
+
+
+# the diagonal m' - m = k each template T_1..T_5 lies on; T_3 and T_5 are
+# the transposes of T_2 and T_4, so diagonal k holds band |k| of
+# template_bands
+TEMPLATE_OFFSETS = (0, 1, -1, 2, -2)
+
+
+def template_bands(j, mol, kappa_mode="exact"):
+    """The three band vectors of block j's coupling templates.
+
+    The circle average of the coupling matrix is sum_a g_a(n') T_a with the
+    direction factors g of scattering.geometry_factors and five real banded
+    templates: T_1 diagonal, T_2 and T_4 on the first and second
+    superdiagonal, T_3 and T_5 their transposes. Returns (diag, band1,
+    band2): the diagonal of T_1 (length d = 2j + 1), the first superdiagonal
+    of T_2 (length d - 1) and the second superdiagonal of T_4 (length d - 2,
+    empty for j = 0). Every other template entry is zero or a transpose of
+    these, so the amplitudes and the dissipator need nothing else.
+    """
+    j = int(j)
+    if j < 0:
+        raise ValueError("template_bands: j must be >= 0")
+    import numpy as np
+
+    m = np.arange(-j, j + 1, dtype=float)
+    diag = template_band(0, j, m, mol, kappa_mode)
+    band1 = template_band(1, j, m[:-1], mol, kappa_mode)
+    band2 = template_band(2, j, m[:-2], mol, kappa_mode)
+    return diag, band1, band2
 
 
 def eikonal_strength(q, spec):

@@ -6,11 +6,13 @@ Waals potential whose orientation dependence couples magnetic sublevels with
 coupling matrices and evaluates the matrix-valued eikonal amplitudes three
 ways: a linearized forward closed form, a spectral (fractional matrix power)
 forward evaluation, and the full angle-resolved impact-parameter integral.
+Each amplitude is a plain (2j + 1, 2j + 1) complex array indexed by (m, m')
+with m running -j..j, in internal length units (multiply by
+UnitScales.length for SI).
 
-Everything runs in internal units with hbar = 1. The scalar pieces the
-numpy-free rate route shares with this module (kappa, eikonal_strength,
-forward_scalar and the template band values) are defined in rates and
-re-exported here.
+Everything runs in internal units with hbar = 1. The pieces the numpy-free
+rate route shares with this module (kappa, eikonal_strength, forward_scalar
+and the template bands) are defined in rates and re-exported here.
 """
 
 import math
@@ -18,40 +20,22 @@ import math
 import numpy as np
 
 from .mathkit import make_rule, order_doubling_drift
-from .params import HBAR, Frozen
+from .params import HBAR
 from .rates import (
+    TEMPLATE_OFFSETS,
     _kappa_for_mode,
     assoc_legendre2,
     eikonal_strength,
     forward_scalar,
     kappa,
-    template_band,
+    template_bands,
 )
 
 # beyond this accumulated eikonal phase the unimodular exponential is treated
 # as averaging to zero (unitarity-saturated core of the collision)
 PHASE_CAP = 50.0
 
-_EZ = np.array([0.0, 0.0, 1.0])
 _EXY = np.array([1.0, 1j, 0.0])  # e_x + i e_y
-
-
-class AmplitudeMatrix(Frozen):
-    """Matrix-valued scattering amplitude on one j block.
-
-    Entries are indexed by (m, m') with m running -j..j; values carry length
-    units of the internal system (multiply by UnitScales.length for SI).
-    """
-
-    def __init__(self, j, q, n_in, n_out, entries,
-                 units="internal length (hbar = mu = q_th = 1 for SI input)", converged=True):
-        vars(self).update(
-            j=j, q=q, n_in=n_in, n_out=n_out, entries=entries, units=units, converged=converged
-        )
-
-    @property
-    def dim(self):
-        return 2 * self.j + 1
 
 
 def _check_unit(v, name, ndim=1):
@@ -127,49 +111,10 @@ def coupling_matrix(j, n_prime, e_b, mol, kappa_mode="exact"):
     return out if stacked else out[0]
 
 
-def template_bands(j, mol, kappa_mode="exact"):
-    """The three band vectors of coupling_templates for block j.
-
-    Returns (diag, band1, band2): the diagonal of T_1 (length d = 2j + 1),
-    the first superdiagonal of T_2 (length d - 1) and the second
-    superdiagonal of T_4 (length d - 2, empty for j = 0). Every other
-    template entry is zero or a transpose of these, so an O(d) reader
-    such as the rate bracket needs nothing else.
-    """
-    j = int(j)
-    if j < 0:
-        raise ValueError("template_bands: j must be >= 0")
-    m = np.arange(-j, j + 1, dtype=float)
-    diag = template_band(0, j, m, mol, kappa_mode)
-    band1 = template_band(1, j, m[:-1], mol, kappa_mode)
-    band2 = template_band(2, j, m[:-2], mol, kappa_mode)
-    return diag, band1, band2
-
-
-def coupling_templates(j, mol, kappa_mode="exact"):
-    """Geometry-independent band templates of the circle-averaged coupling.
-
-    Returns an array of five real banded matrices T_1..T_5 such that the
-    average of the coupling matrix over the impact-direction circle equals
-    sum_a g_a(n') T_a with g from geometry_factors. T_3 and T_5 are the
-    transposes of T_2 and T_4, making the assembled matrix hermitian. The
-    band entries come from template_bands.
-    """
-    diag, band1, band2 = template_bands(j, mol, kappa_mode)
-    d = len(diag)
-    i = np.arange(d)
-    t = np.zeros((5, d, d))
-    t[0][i, i] = diag
-    t[1][i[:-1], i[:-1] + 1] = band1
-    t[2] = t[1].T
-    t[3][i[:-2], i[:-2] + 2] = band2
-    t[4] = t[3].T
-    return t
-
-
 def geometry_factors(n):
-    """Direction factors pairing with coupling_templates: [P2(n_z), n_z n_+,
-    n_z n_-, n_+^2, n_-^2] with n_+- = n_x +- i n_y."""
+    """Direction factors g_1..g_5 pairing with the templates T_1..T_5 of
+    rates.template_bands: [P2(n_z), n_z n_+, n_z n_-, n_+^2, n_-^2] with
+    n_+- = n_x +- i n_y."""
     n = _check_unit(n, "n")
     n_plus = n[0] + 1j * n[1]
     n_minus = n[0] - 1j * n[1]
@@ -177,30 +122,24 @@ def geometry_factors(n):
     return np.array([p2, n[2] * n_plus, n[2] * n_minus, n_plus**2, n_minus**2])
 
 
-def averaged_coupling(j, n_prime, mol, kappa_mode="exact"):
-    """Analytic average of the coupling matrix over the impact-plane circle.
-
-    Derived from the circle identities for quadratic e_b contractions; a
-    circle quadrature of coupling_matrix reproduces it to 1e-12 (the tests'
-    oracle).
-    """
-    g = geometry_factors(n_prime)
-    t = coupling_templates(j, mol, kappa_mode)
-    return np.tensordot(g, t, axes=(0, 0))
-
-
 def forward_amplitude_linearized(j, q, n_prime, spec, kappa_mode="exact"):
     """Forward amplitude with the fractional matrix power expanded to first
-    order: c(q) * (identity + (2/5) * circle-averaged coupling), the average
-    taken analytically (averaged_coupling).
+    order: c(q) (identity + (2/5) sum_a g_a(n') T_a), the analytic circle
+    average of the coupling. T_a is band |k| of rates.template_bands on
+    the diagonal k = TEMPLATE_OFFSETS[a], so the sum places g_a times that
+    band there. Returns the (2j + 1, 2j + 1) array.
     """
     j = int(j)
     if j < 0 or q <= 0.0:
         raise ValueError("forward_amplitude_linearized: need j >= 0 and q > 0")
-    bbar = averaged_coupling(j, n_prime, spec.molecule, kappa_mode)
-    n_prime = _check_unit(n_prime, "n_prime")
-    entries = forward_scalar(q, spec) * (np.eye(2 * j + 1) + 0.4 * bbar)
-    return AmplitudeMatrix(j, float(q), n_prime, n_prime, entries)
+    g = geometry_factors(n_prime)
+    bands = template_bands(j, spec.molecule, kappa_mode)
+    d = 2 * j + 1
+    bbar = np.zeros((d, d), dtype=complex)
+    for g_a, k in zip(g, TEMPLATE_OFFSETS):
+        i = np.arange(d - abs(k))
+        bbar[i + max(0, -k), i + max(0, k)] = g_a * bands[abs(k)]
+    return forward_scalar(q, spec) * (np.eye(d) + 0.4 * bbar)
 
 
 def spectral_shapes(j, nodes, spec, kappa_mode="exact"):
@@ -232,13 +171,13 @@ def spectral_shapes(j, nodes, spec, kappa_mode="exact"):
 
 def forward_amplitude_spectral(j, q, n_prime, spec, kappa_mode="exact"):
     """Forward amplitude through the exact fractional power of the phase
-    matrix: c(q) S(n') with the shape S from spectral_shapes."""
+    matrix: the (2j + 1, 2j + 1) array c(q) S(n') with the shape S from
+    spectral_shapes."""
     j = int(j)
     if j < 0 or q <= 0.0:
         raise ValueError("forward_amplitude_spectral: need j >= 0 and q > 0")
     n_prime = _check_unit(n_prime, "n_prime")
-    entries = forward_scalar(q, spec) * spectral_shapes(j, n_prime[None], spec, kappa_mode)[0]
-    return AmplitudeMatrix(j, float(q), n_prime, n_prime, entries)
+    return forward_scalar(q, spec) * spectral_shapes(j, n_prime[None], spec, kappa_mode)[0]
 
 
 def _phase_panels(rule, b, b_max, mag, slope=0.0):
@@ -300,9 +239,10 @@ def schiff_amplitude_full(j, q, n_out, n_in, spec):
     """Full angle-resolved eikonal amplitude by 2D impact-parameter quadrature.
 
     Integrates the matrix exponential of the phase (via eigendecomposition)
-    against the transverse plane-wave factor. The converged flag reports
-    whether doubling the radial node count moves the result by at most 0.1%
-    (mathkit.order_doubling_drift); intended for small j at desk scale.
+    against the transverse plane-wave factor. Returns (entries, converged):
+    the (2j + 1, 2j + 1) array at the doubled radial node count, and whether
+    doubling moved the result by at most 0.1% (mathkit.order_doubling_drift);
+    intended for small j at desk scale.
     """
     j = int(j)
     if j < 0 or q <= 0.0:
@@ -312,7 +252,7 @@ def schiff_amplitude_full(j, q, n_out, n_in, spec):
     base = _schiff_entries(j, q, n_out, n_in, spec, spec.numerics.b_nodes)
     fine = _schiff_entries(j, q, n_out, n_in, spec, 2 * spec.numerics.b_nodes)
     _, converged = order_doubling_drift(base, fine)
-    return AmplitudeMatrix(j, float(q), n_in, n_out, fine, converged=converged)
+    return fine, converged
 
 
 def scalar_cross_section_closed_form(q, spec):

@@ -533,6 +533,15 @@ def test_propagate_bad_state(capsys):
     assert "jwindow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", ["5", "5,x", "1,2,3"])
+def test_propagate_malformed_jwindow(window, tmp_path, capsys):
+    code = run_cli(["propagate", "n1", "--state", "centrifuge:2,4", "--jwindow", window,
+                    "--tfinal", "0.1", "--dt", "0.01", "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "config error: --jwindow takes 'jmin,jmax' (got %r)" % window in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_propagate_signal_checked_before_run(tmp_path, capsys, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("propagation started")
@@ -654,6 +663,32 @@ def test_package_runs_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def test_linearized_propagate_does_not_import_scattering(tmp_path):
+    # the linearized dissipator reads the template bands of rates; only the
+    # spectral family loads scattering, for its fractional-power shapes
+    root = os.path.dirname(os.path.dirname(os.path.dirname(lb.__file__)))
+    script = "\n".join([
+        "import sys",
+        "from superrotor.cli import main",
+        "assert main(['propagate', 'n1', '--state', 'centrifuge:2,4', '--tfinal', '0.01',"
+        " '--dt', '0.001', '--out', 'l.csv']) == 0",
+        "print('linearized', 'superrotor.scattering' in sys.modules)",
+        "assert main(['propagate', %r, '--state', 'centrifuge:2,4', '--jwindow', '2,4',"
+        " '--backend', 'spectral', '--tfinal', '4', '--dt', '0.1', '--out', 's.csv']) == 0"
+        % os.path.join(root, "perfbench", "spectral_chain.json"),
+        "print('spectral', 'superrotor.scattering' in sys.modules)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "linearized False" in lines
+    assert lines[-1] == "spectral True"
 
 
 def test_rate_commands_do_not_import_propagation(tmp_path):

@@ -78,7 +78,7 @@ def literal_jumps(spec, layout, backend, sphere=None):
     pref = 2.0 * math.pi * spec.gas.density / spec.thermal.reduced_mass * q_th / math.pi**1.5
     for n, w_n in zip(*sphere):
         shape = scipy.linalg.block_diag(
-            *[amplitude(j, q_th, n, spec).entries / c_ref for j in layout.js]
+            *[amplitude(j, q_th, n, spec) / c_ref for j in layout.js]
         )
         for x, w_x in zip(radial.nodes, radial.weights):
             c = scattering.forward_scalar(q_th * x, spec)
@@ -466,7 +466,7 @@ def test_spectral_gas_shift_follows_kappa():
     for level, (j, sl) in zip(levels, layout.blocks()):
         h = level * np.eye(2 * j + 1) + np.diag(residual[sl])
         geom = sum(
-            w * scattering.forward_amplitude_spectral(j, q_th, n, spec, "half").entries / c_th
+            w * scattering.forward_amplitude_spectral(j, q_th, n, spec, "half") / c_th
             for n, w in zip(sphere.nodes, sphere.weights)
         )
         oracle = energy_shift_matrix(j, spec)[0, 0] / (4.0 * math.pi) * geom
@@ -692,6 +692,24 @@ def test_band_beyond_chain_length():
     exact = evolve_exact(rho0, dset, spec, 2.0)
     assert np.max(np.abs(exact.matrix - chain.matrix)) <= 1e-10
     assert np.max(np.abs(chain.matrix - rho0.matrix)) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "backend,window,aniso",
+    [("linearized", (2, 8), None), ("linearized", (20, 30), None), ("spectral", (2, 4), 1.0)],
+)
+def test_transposed_chain_generator_is_conjugate(backend, window, aniso):
+    # the dissipator maps rho^+ to D(rho)^+, so the generator of the chain
+    # holding the transposed entries is the conjugate of the chain's own
+    spec = n1_spec() if aniso is None else spectral_spec(set=[("molecule", "alpha_aniso", aniso)])
+    layout = lb.BasisLayout(*window)
+    dset = lb.build_dissipator(spec, layout, backend=backend)
+    rows, cols = np.indices((layout.dim, layout.dim)).reshape(2, -1)
+    for chain_rows, chain_cols in lb._occupied_chains(layout, rows, cols):
+        gen = lb._chain_generators(dset, chain_rows, chain_cols)
+        transposed = lb._chain_generators(dset, chain_cols, chain_rows)
+        scale = np.max(np.abs(gen))
+        assert np.max(np.abs(transposed - gen.conj())) <= 1e-14 * scale
 
 
 def test_ill_conditioned_chain_generator_raises_drift():

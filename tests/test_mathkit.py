@@ -253,7 +253,8 @@ def _dissipator_site():
 
 def _schiff_site():
     ez = np.array([0.0, 0.0, 1.0])
-    return scattering.schiff_amplitude_full(0, 1.0, ez, ez, _n1(alpha_aniso=0.0)).converged, None
+    _, converged = scattering.schiff_amplitude_full(0, 1.0, ez, ez, _n1(alpha_aniso=0.0))
+    return converged, None
 
 
 @pytest.mark.parametrize(

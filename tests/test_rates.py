@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from amplitude_oracles import coupling_templates
 from superrotor import rates
 from superrotor.mathkit import make_rule
 from superrotor.params import HBAR, builtin_config, load_config, normalized_document
@@ -19,12 +20,7 @@ from superrotor.rates import (
     signal_decay_rate,
     sweep_rates,
 )
-from superrotor.scattering import (
-    coupling_templates,
-    forward_scalar,
-    geometry_factors,
-    spectral_shapes,
-)
+from superrotor.scattering import forward_scalar, geometry_factors, spectral_shapes
 
 # frozen 30-digit mpmath oracles
 CONSTANT = 0.561951028726822104  # Gamma(13/5) Gamma(3/5)^2 sqrt(pi) / 10
