@@ -350,7 +350,10 @@ def cmd_propagate(args):
     rho0 = _build_state(bounds, kind)
     layout = rho0.layout
     if args.signal:
-        signal_js = [int(x) for x in args.signal.split(",")]
+        try:
+            signal_js = [int(x) for x in args.signal.split(",")]
+        except ValueError:
+            raise ValueError("--signal takes 'j1,j2,...' (got %r)" % args.signal) from None
         for j in signal_js:
             if not layout.j_min + 2 <= j <= layout.j_max:
                 raise ValueError(

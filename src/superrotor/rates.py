@@ -214,9 +214,7 @@ def _closed_form_rates(pairs, spec):
     mol = spec.molecule
     constant = math.gamma(2.6) * math.gamma(0.6) ** 2 * math.sqrt(math.pi) / 10.0
     aniso = (mol.alpha_aniso / (30.0 * mol.alpha_mean)) ** 2
-    strength = (
-        3.0 * math.pi * th.reduced_mass * spec.gas.c6 / (8.0 * HBAR * th.thermal_momentum)
-    ) ** 0.8
+    strength = eikonal_strength(th.thermal_momentum, spec) ** 0.8
     prefactor = (
         _PREFACTOR_SCALE
         * constant

@@ -3,9 +3,11 @@
 The long-range interaction seen by a fast-spinning linear rotor is a van der
 Waals potential whose orientation dependence couples magnetic sublevels with
 |m - m'| <= 2 inside a fixed j block. This module builds those banded
-coupling matrices and evaluates the matrix-valued eikonal amplitudes three
-ways: a linearized forward closed form, a spectral (fractional matrix power)
-forward evaluation, and the full angle-resolved impact-parameter integral.
+coupling matrices, B_j = sum_a h_a(n', e_b) T_a over the templates T_a of
+rates.template_bands, and evaluates the matrix-valued eikonal amplitudes
+three ways: a linearized forward closed form (the circle average of h_a is
+geometry_factors(n')), a spectral (fractional matrix power) forward
+evaluation, and the full angle-resolved impact-parameter integral.
 Each amplitude is a plain (2j + 1, 2j + 1) complex array indexed by (m, m')
 with m running -j..j, in internal length units (multiply by
 UnitScales.length for SI).
@@ -23,7 +25,6 @@ from .mathkit import make_rule, order_doubling_drift
 from .params import HBAR
 from .rates import (
     TEMPLATE_OFFSETS,
-    _kappa_for_mode,
     assoc_legendre2,
     eikonal_strength,
     forward_scalar,
@@ -63,17 +64,44 @@ def _circle_directions(n_prime, phi):
     return np.outer(np.cos(phi), u) + np.outer(np.sin(phi), v)
 
 
+def _place_bands(coeffs, bands):
+    """(c, d, d) stack of sum_a coeffs[a] T_a: coefficient a times band |k|
+    of rates.template_bands on the diagonal k = TEMPLATE_OFFSETS[a], for
+    coeffs a (5, c) stack ordered as TEMPLATE_OFFSETS."""
+    d = len(bands[0])
+    out = np.zeros((len(coeffs[0]), d, d), dtype=complex)
+    flat = out.reshape(len(out), d * d)
+    for c_a, k in zip(coeffs, TEMPLATE_OFFSETS):
+        # diagonal k is every (d + 1)-th flat entry from k, or from -k d below
+        start = k if k >= 0 else -k * d
+        stop = start + (d - abs(k)) * (d + 1)
+        flat[:, start : stop : d + 1] = np.multiply.outer(c_a, bands[abs(k)])
+    return out
+
+
+def _collision_factors(n_prime, e):
+    """Collision-geometry factors h_a(n', e_b) for a (c, 3) stack e of impact
+    directions, ordered as TEMPLATE_OFFSETS: h_0 = -(5 e_z^2 + n_z^2 - 2),
+    h_+1 = -(2/3)(5 e_z e_+ + n_z n_+), h_+2 = -(2/3)(5 e_+^2 + n_+^2) and
+    h_-1, h_-2 their conjugates, with e_+ = e_x + i e_y and n_+ likewise.
+    Their circle average over e_b is geometry_factors(n')."""
+    e_z, e_plus = e[:, 2], e @ _EXY
+    n_z, n_plus = n_prime[2], complex(_EXY @ n_prime)
+    h1 = -(2.0 / 3.0) * (5.0 * e_z * e_plus + n_z * n_plus)
+    h2 = -(2.0 / 3.0) * (5.0 * e_plus**2 + n_plus**2)
+    return [-(5.0 * e_z**2 + n_z**2 - 2.0), h1, h1.conj(), h2, h2.conj()]
+
+
 def coupling_matrix(j, n_prime, e_b, mol, kappa_mode="exact"):
     """Banded coupling matrix B_j for incoming direction n_prime and impact
     direction e_b (which must be orthogonal to n_prime).
 
-    Entries follow the large-j sublevel-coupling form: the diagonal carries
-    P_2 of the scaled projection 2m/(2j+1), the first band P_2^1, the second
-    band P_2^2, each contracted with the collision geometry. Hermitian by
-    construction; identically zero when alpha_aniso = 0. Returns the (d, d)
-    complex array, d = 2j + 1. e_b may also be a (c, 3) stack of impact
-    directions around the one n_prime; the result is then the (c, d, d)
-    stack of their matrices.
+    B_j = sum_a h_a(n', e_b) T_a: the collision-geometry factors of
+    _collision_factors on the templates of rates.template_bands. Hermitian
+    by construction; identically zero when alpha_aniso = 0. Returns the
+    (d, d) complex array, d = 2j + 1. e_b may also be a (c, 3) stack of
+    impact directions around the one n_prime; the result is then the
+    (c, d, d) stack of their matrices.
     """
     j = int(j)
     if j < 0:
@@ -84,30 +112,7 @@ def coupling_matrix(j, n_prime, e_b, mol, kappa_mode="exact"):
     if np.any(np.abs(e @ n_prime) >= 1e-12):
         raise ValueError("coupling_matrix: e_b must be orthogonal to n_prime")
 
-    ratio = mol.alpha_aniso / mol.alpha_mean
-    d = 2 * j + 1
-    m = np.arange(-j, j + 1, dtype=float)
-    kap = _kappa_for_mode(j, kappa_mode)
-    out = np.zeros((len(e), d, d), dtype=complex)
-    e_z, e_xy = e[:, 2], e @ _EXY
-    n_z, n_xy = n_prime[2], complex(_EXY @ n_prime)
-
-    i = np.arange(d)
-    diag_geom = 2.5 * e_z**2 + 0.5 * n_z**2 - 1.0
-    diag = -(ratio / 3.0) * kap * assoc_legendre2(0, 2.0 * m / (2.0 * j + 1.0))
-    out[:, i, i] = np.multiply.outer(diag_geom, diag)
-    if d >= 2:
-        plus = 5.0 * e_z * e_xy + n_z * n_xy
-        i = np.arange(d - 1)
-        band1 = (ratio / 18.0) * kap * assoc_legendre2(1, (2.0 * m[:-1] + 1.0) / (2.0 * j + 1.0))
-        out[:, i, i + 1] = np.multiply.outer(plus, band1)
-        out[:, i + 1, i] = np.multiply.outer(np.conj(plus), band1)
-    if d >= 3:
-        twist = 5.0 * e_xy**2 + n_xy**2
-        i = np.arange(d - 2)
-        band2 = -(ratio / 72.0) * kap * assoc_legendre2(2, (2.0 * m[:-2] + 2.0) / (2.0 * j + 1.0))
-        out[:, i, i + 2] = np.multiply.outer(twist, band2)
-        out[:, i + 2, i] = np.multiply.outer(np.conj(twist), band2)
+    out = _place_bands(_collision_factors(n_prime, e), template_bands(j, mol, kappa_mode))
     return out if stacked else out[0]
 
 
@@ -125,21 +130,14 @@ def geometry_factors(n):
 def forward_amplitude_linearized(j, q, n_prime, spec, kappa_mode="exact"):
     """Forward amplitude with the fractional matrix power expanded to first
     order: c(q) (identity + (2/5) sum_a g_a(n') T_a), the analytic circle
-    average of the coupling. T_a is band |k| of rates.template_bands on
-    the diagonal k = TEMPLATE_OFFSETS[a], so the sum places g_a times that
-    band there. Returns the (2j + 1, 2j + 1) array.
+    average of the coupling matrix. Returns the (2j + 1, 2j + 1) array.
     """
     j = int(j)
     if j < 0 or q <= 0.0:
         raise ValueError("forward_amplitude_linearized: need j >= 0 and q > 0")
     g = geometry_factors(n_prime)
-    bands = template_bands(j, spec.molecule, kappa_mode)
-    d = 2 * j + 1
-    bbar = np.zeros((d, d), dtype=complex)
-    for g_a, k in zip(g, TEMPLATE_OFFSETS):
-        i = np.arange(d - abs(k))
-        bbar[i + max(0, -k), i + max(0, k)] = g_a * bands[abs(k)]
-    return forward_scalar(q, spec) * (np.eye(d) + 0.4 * bbar)
+    bbar = _place_bands(g[:, None], template_bands(j, spec.molecule, kappa_mode))[0]
+    return forward_scalar(q, spec) * (np.eye(2 * j + 1) + 0.4 * bbar)
 
 
 def spectral_shapes(j, nodes, spec, kappa_mode="exact"):

@@ -1,17 +1,61 @@
-"""Dense oracles of the circle-averaged coupling.
+"""Oracles of the coupling matrix and its circle average.
 
-The package assembles the linearized forward amplitude from the three band
-vectors of rates.template_bands. These helpers keep the dense form of the
-same sum: five (d, d) templates T_1..T_5 and their contraction
-sum_a g_a(n') T_a with scattering.geometry_factors. test_scattering checks
-that contraction against a circle quadrature of coupling_matrix to 1e-12,
-and the rate and energy-shift oracles of test_rates read the templates.
+The package assembles the coupling matrix and the linearized forward
+amplitude from the three band vectors of rates.template_bands. These helpers
+keep independent forms of the same quantities:
+- coupling_matrix_explicit writes each band of B_j out from P_2^k of the
+  scaled projection, with its own divisors and geometry contractions;
+- coupling_templates and averaged_coupling are the dense five-template form
+  sum_a g_a(n') T_a with scattering.geometry_factors.
+
+test_scattering checks coupling_matrix against the explicit form to 1e-14
+and the contraction against a circle quadrature of coupling_matrix to
+1e-12; the rate and energy-shift oracles of test_rates read the templates.
 """
 
 import numpy as np
 
-from superrotor.rates import template_bands
+from superrotor.rates import _kappa_for_mode, assoc_legendre2, template_bands
 from superrotor.scattering import geometry_factors
+
+_EXY = np.array([1.0, 1j, 0.0])  # e_x + i e_y
+
+
+def coupling_matrix_explicit(j, n_prime, e_b, mol, kappa_mode="exact"):
+    """Coupling matrix B_j for a unit n_prime and a (c, 3) stack e_b of impact
+    directions orthogonal to it, as the (c, d, d) stack.
+
+    The diagonal carries P_2 of the scaled projection 2m/(2j+1), the first
+    band P_2^1, the second band P_2^2, each contracted with the collision
+    geometry.
+    """
+    n_prime = np.asarray(n_prime, dtype=float)
+    e = np.asarray(e_b, dtype=float)
+    ratio = mol.alpha_aniso / mol.alpha_mean
+    d = 2 * j + 1
+    m = np.arange(-j, j + 1, dtype=float)
+    kap = _kappa_for_mode(j, kappa_mode)
+    out = np.zeros((len(e), d, d), dtype=complex)
+    e_z, e_xy = e[:, 2], e @ _EXY
+    n_z, n_xy = n_prime[2], complex(_EXY @ n_prime)
+
+    i = np.arange(d)
+    diag_geom = 2.5 * e_z**2 + 0.5 * n_z**2 - 1.0
+    diag = -(ratio / 3.0) * kap * assoc_legendre2(0, 2.0 * m / (2.0 * j + 1.0))
+    out[:, i, i] = np.multiply.outer(diag_geom, diag)
+    if d >= 2:
+        plus = 5.0 * e_z * e_xy + n_z * n_xy
+        i = np.arange(d - 1)
+        band1 = (ratio / 18.0) * kap * assoc_legendre2(1, (2.0 * m[:-1] + 1.0) / (2.0 * j + 1.0))
+        out[:, i, i + 1] = np.multiply.outer(plus, band1)
+        out[:, i + 1, i] = np.multiply.outer(np.conj(plus), band1)
+    if d >= 3:
+        twist = 5.0 * e_xy**2 + n_xy**2
+        i = np.arange(d - 2)
+        band2 = -(ratio / 72.0) * kap * assoc_legendre2(2, (2.0 * m[:-2] + 2.0) / (2.0 * j + 1.0))
+        out[:, i, i + 2] = np.multiply.outer(twist, band2)
+        out[:, i + 2, i] = np.multiply.outer(np.conj(twist), band2)
+    return out
 
 
 def coupling_templates(j, mol, kappa_mode="exact"):

@@ -549,11 +549,14 @@ def test_propagate_signal_checked_before_run(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lb, "build_dissipator", no_run)
     out = tmp_path / "traj.csv"
     # centrifuge:8,10 gives the layout [6, 10]
-    for signal in ("7", "12", "1", "8,7"):
+    outside = "layout [6, 10]"
+    malformed = "config error: --signal takes 'j1,j2,...' (got %r)"
+    for signal, message in (("7", outside), ("12", outside), ("1", outside), ("8,7", outside),
+                            ("4,x", malformed % "4,x"), ("4,", malformed % "4,")):
         code = run_cli(["propagate", "n1", "--state", "centrifuge:8,10", "--tfinal", "0.1",
                         "--dt", "0.01", "--signal", signal, "--out", str(out)])
         assert code == 2
-        assert "layout [6, 10]" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     assert not out.exists()
 
 

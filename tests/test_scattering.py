@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from amplitude_oracles import averaged_coupling, coupling_templates
+from amplitude_oracles import averaged_coupling, coupling_matrix_explicit, coupling_templates
 from superrotor.mathkit import make_rule
 from superrotor.params import builtin_config, load_config
 from superrotor.scattering import (
+    _collision_factors,
     circle_basis,
     coupling_matrix,
     eikonal_strength,
@@ -131,6 +132,34 @@ def test_coupling_stack_matches_single_calls():
                 single = coupling_matrix(j, n, e_b, spec.molecule, mode)
                 assert single.shape == (2 * j + 1, 2 * j + 1)
                 np.testing.assert_array_equal(b, single)
+
+
+def test_coupling_matches_explicit_oracle():
+    # coupling_matrix is sum_a h_a T_a over rates.template_bands; the oracle
+    # writes each band out from P_2^k with its own divisors and contractions
+    spec = n1_spec()
+    rng = np.random.default_rng(23)
+    for j in (0, 1, 2, 5, 40):
+        for mode in ("exact", "half"):
+            n = random_direction(rng)
+            u, v = circle_basis(n)
+            phis = rng.uniform(0, 2 * math.pi, size=5)
+            stack = np.array([math.cos(p) * u + math.sin(p) * v for p in phis])
+            oracle = coupling_matrix_explicit(j, n, stack, spec.molecule, mode)
+            scale = np.max(np.abs(oracle))
+            coup = coupling_matrix(j, n, stack, spec.molecule, mode)
+            assert np.max(np.abs(coup - oracle)) <= 1e-14 * scale
+            single = coupling_matrix(j, n, stack[0], spec.molecule, mode)
+            assert np.max(np.abs(single - oracle[0])) <= 1e-14 * scale
+    # the circle average of the collision-geometry factors is the
+    # linearization g(n'); the 16-node rule is exact for these degree-2
+    # trigonometric polynomials
+    rule = make_rule("circle", 16)
+    for n in [EZ, N_DIAG] + [random_direction(rng) for _ in range(5)]:
+        u, v = circle_basis(n)
+        e_b = np.cos(rule.nodes)[:, None] * u + np.sin(rule.nodes)[:, None] * v
+        avg = np.array(_collision_factors(n, e_b)) @ rule.weights / (2.0 * math.pi)
+        assert np.max(np.abs(avg - geometry_factors(n))) <= 1e-14
 
 
 def test_coupling_orthogonality_guard():
