@@ -354,6 +354,8 @@ def cmd_propagate(args):
             signal_js = [int(x) for x in args.signal.split(",")]
         except ValueError:
             raise ValueError("--signal takes 'j1,j2,...' (got %r)" % args.signal) from None
+        if len(set(signal_js)) < len(signal_js):
+            raise ValueError("--signal repeats a level (got %r)" % args.signal)
         for j in signal_js:
             if not layout.j_min + 2 <= j <= layout.j_max:
                 raise ValueError(
@@ -400,12 +402,11 @@ def cmd_propagate(args):
             )
         else:
             print("signal j=%d: fitted Gamma = %.6g, closed form 0" % (j, fitted))
-    last = traj[-1]
-    print("max |rho(t_final) - rho(0)| = %.3g" % last.max_deviation(rho0))
+    print("max |rho(t_final) - rho(0)| = %.3g" % traj.final.max_deviation(rho0))
 
     if args.dump:
         try:
-            lb.write_state_binary(last, args.dump)
+            lb.write_state_binary(traj.final, args.dump)
         except OSError as exc:
             raise OutputError(args.dump, exc.strerror or exc) from None
         outputs.append(args.dump)

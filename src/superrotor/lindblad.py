@@ -31,8 +31,8 @@ time with one batched product per chain length, and reduces each chunk once,
 in time order: _reduce (trace, purity, block populations, stretched corners)
 and _EntryPattern.min_eigenvalues give every column, and the density-matrix
 check reads its trace from them.  A RotorState takes the same reduction of
-its one frame.  A Trajectory keeps the columns and the flow, not the frames,
-and evaluates an indexed frame again.
+its one frame.  A Trajectory keeps the columns and the last frame, as a
+RotorState, and frees the flow and every other frame.
 """
 
 import contextlib
@@ -479,19 +479,19 @@ def coherent_frequency_spread(spec, dset):
 def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     """Evolve rho0 exactly and sample it on a fixed time grid.
 
-    Returns the Trajectory of frames every record_every steps of dt (initial
-    and final state always included), each evaluated in closed form on the
-    entries of the chains rho0 occupies (rho0.pattern, _chain_flow).  dt
-    sets only the output grid and the monitor cadence, but it must still
-    resolve the fastest coherent frequency: a coarser grid would alias the
-    coherences it samples, so StepSizeViolation is raised when
-    dt * max|Delta| > 0.1.
-    Every evaluated frame is checked on its entries by the density-matrix
-    rule (_EntryPattern.check), and one that fails raises NumericalDriftError;
-    so does one whose smallest eigenvalue falls below EIG_FLOOR on a monitor
-    step (every DIAG_INTERVAL steps and the last).  Only the monitor and
+    Returns the Trajectory of the columns of the frames every record_every
+    steps of dt (initial and final state always included), each evaluated
+    in closed form on the entries of the chains rho0 occupies (rho0.pattern,
+    _chain_flow), and of the final frame.  dt sets only the output grid and
+    the monitor cadence, but it must still resolve the fastest coherent
+    frequency: a coarser grid would alias the coherences it samples, so
+    StepSizeViolation is raised when dt * max|Delta| > 0.1.
+    Only the monitor steps (every DIAG_INTERVAL steps and the last) and the
     recorded steps are evaluated, FRAME_CHUNK at a time and checked in time
-    order, so the first frame that fails is the one reported; a run that
+    order, so the first frame that fails is the one reported.  Every
+    evaluated frame is checked on its entries by the density-matrix rule
+    (_EntryPattern.check), and one that fails raises NumericalDriftError;
+    so does one whose smallest eigenvalue falls below EIG_FLOOR.  A run that
     would evaluate more than MAX_EVALUATED_FRAMES frames raises ValueError.
     """
     layout = rho0.layout
@@ -542,12 +542,11 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     )
     steps.sort()
     steps = steps[np.r_[True, steps[1:] != steps[:-1]]]
-    monitor = (steps % DIAG_INTERVAL == 0) | (steps == n_steps)
     record = (steps % record_every == 0) | (steps == n_steps)
 
     flow, miss = _chain_flow(rho0, dset, levels, residual)
     pattern = rho0.pattern
-    elapsed = np.concatenate([[0.0], steps[record] * dt])
+    times = rho0.time + np.concatenate([[0.0], steps[record] * dt])
     recorded = [dict(rho0._columns, min_eig=pattern.min_eigenvalues(rho0.values[None]))]
     worst_trace = worst_herm = 0.0
     lowest = math.inf
@@ -564,11 +563,10 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
                 failure = NumericalDriftError("%s at t=%.6g" % (exc, t))
                 break
         # the frames before a failed check are finite; the first negative
-        # eigenvalue among their monitor steps comes earlier in time
+        # eigenvalue among them comes earlier in time
         columns["min_eig"] = pattern.min_eigenvalues(frames[: len(checked)])
-        mon = monitor[chunk][: len(checked)]
-        lows = columns["min_eig"][mon].tolist()
-        for low, t in zip(lows, rho0.time + taus[: len(checked)][mon]):
+        lows = columns["min_eig"].tolist()
+        for low, t in zip(lows, rho0.time + taus):
             if not low >= EIG_FLOOR:
                 raise NumericalDriftError("negative eigenvalue %.3g at t=%.6g" % (low, t))
         if failure is not None:
@@ -577,6 +575,8 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
         worst_trace = max([worst_trace] + [dev for dev, _ in checked])
         worst_herm = max([worst_herm] + [herm for _, herm in checked])
         recorded.append({name: col[record[chunk]] for name, col in columns.items()})
+    # the last evaluated frame is the last step, n_steps
+    final = RotorState(layout, pattern, frames[-1], float(rho0.time + taus[-1]))
     columns = {name: np.concatenate([c[name] for c in recorded]) for name in recorded[0]}
     for col in columns.values():
         col.setflags(write=False)
@@ -591,50 +591,32 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
         "largest_chain": max(rows.shape[1] for rows, _ in pattern.chains),
         "reconstruction_miss": miss,
     }
-    return Trajectory(layout, pattern, rho0.time + elapsed, elapsed, columns, flow, diagnostics)
+    return Trajectory(layout, times, columns, final, diagnostics)
 
 
 class Trajectory(Frozen):
-    """The columns of one propagate run's frames and the flow that
-    evaluates them, without the frames.
+    """The columns of one propagate run's recorded frames and its final
+    state, without the other frames.
 
-    Frame k, at times[k], holds flow(elapsed[k:k + 1])[0] on pattern (the
-    occupied chains, which hold every entry the flow can reach) and zero
-    elsewhere.  columns holds its reduction (_reduce) and smallest
-    eigenvalue ("min_eig").  len, indexing, slicing and iteration evaluate
-    frames again, as checked RotorStates; slicing and iteration call flow
-    on FRAME_CHUNK frames at a time.  diagnostics holds what propagate
-    saw: the worst deviations over the checked frames, and the chains.
+    columns holds the reduction (_reduce) and smallest eigenvalue
+    ("min_eig") of frame k, at times[k]; len counts the frames.  final is
+    the last frame, the checked RotorState whose reduction is the last row
+    of columns, on the pattern of the chains the run occupied.  diagnostics
+    holds what propagate saw: the worst deviations and the lowest smallest
+    eigenvalue over the evaluated frames, and the chains.
     """
 
-    def __init__(self, layout, pattern, times, elapsed, columns, flow, diagnostics=None):
+    def __init__(self, layout, times, columns, final, diagnostics=None):
         vars(self).update(
             layout=layout,
-            pattern=pattern,
             times=times,  # (n,)
-            elapsed=elapsed,  # (n,) time since the initial state, flow's argument
             columns=columns,  # name -> (n, ...) array, read-only
-            flow=flow,  # elapsed times (F,) -> frames (F, N)
+            final=final,  # RotorState at times[-1]
             diagnostics={} if diagnostics is None else diagnostics,
         )
 
     def __len__(self):
         return len(self.times)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return list(self._frames(range(*k.indices(len(self)))))
-        return next(self._frames([range(len(self))[k]]))
-
-    def __iter__(self):
-        return self._frames(range(len(self)))
-
-    def _frames(self, ks):
-        # the frames ks as checked RotorStates, FRAME_CHUNK per flow call
-        for start in range(0, len(ks), FRAME_CHUNK):
-            chunk = ks[start : start + FRAME_CHUNK]
-            for k, values in zip(chunk, self.flow(self.elapsed[list(chunk)])):
-                yield RotorState(self.layout, self.pattern, values, float(self.times[k]))
 
     def trace(self):
         return self.columns["trace"].real

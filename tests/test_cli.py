@@ -551,8 +551,10 @@ def test_propagate_signal_checked_before_run(tmp_path, capsys, monkeypatch):
     # centrifuge:8,10 gives the layout [6, 10]
     outside = "layout [6, 10]"
     malformed = "config error: --signal takes 'j1,j2,...' (got %r)"
+    repeated = "config error: --signal repeats a level (got %r)"
     for signal, message in (("7", outside), ("12", outside), ("1", outside), ("8,7", outside),
-                            ("4,x", malformed % "4,x"), ("4,", malformed % "4,")):
+                            ("4,x", malformed % "4,x"), ("4,", malformed % "4,"),
+                            ("4,4", repeated % "4,4"), ("10,8,10", repeated % "10,8,10")):
         code = run_cli(["propagate", "n1", "--state", "centrifuge:8,10", "--tfinal", "0.1",
                         "--dt", "0.01", "--signal", signal, "--out", str(out)])
         assert code == 2

@@ -351,14 +351,14 @@ def test_propagate_unitary_limit():
     spec = n1_spec()
     layout = lb.BasisLayout(2, 4)
     state = random_state(layout, seed=9)
-    traj = lb.propagate(state, None, spec, 0.5, 0.005)
-    assert traj[-1].purity() == pytest.approx(state.purity(), abs=1e-8)
+    final = lb.propagate(state, None, spec, 0.5, 0.005).final
+    assert final.purity() == pytest.approx(state.purity(), abs=1e-8)
     np.testing.assert_allclose(
-        np.diag(traj[-1].matrix).real, np.diag(state.matrix).real, atol=1e-10
+        np.diag(final.matrix).real, np.diag(state.matrix).real, atol=1e-10
     )
     empty = lb.DissipatorSet.empty(layout)
     traj2 = lb.propagate(state, empty, spec, 0.5, 0.005)
-    np.testing.assert_allclose(traj2[-1].matrix, traj[-1].matrix, atol=1e-12)
+    np.testing.assert_allclose(traj2.final.matrix, final.matrix, atol=1e-12)
 
 
 def test_propagate_coherence_rotates_at_delta():
@@ -366,9 +366,8 @@ def test_propagate_coherence_rotates_at_delta():
     layout = lb.BasisLayout(2, 4)
     rho0 = lb.centrifuge_state(layout, {2: 2**-0.5, 4: 2**-0.5})
     traj = lb.propagate(rho0, None, spec, 0.02, 0.001, record_every=1)
-    phases = np.unwrap([np.angle(s.corner_coherence(4, 2)) for s in traj])
-    times = [s.time for s in traj]
-    slope = np.polyfit(times, phases, 1)[0]
+    phases = np.unwrap(np.angle(traj.corner_coherence(4, 2)))
+    slope = np.polyfit(traj.times, phases, 1)[0]
     mol = spec.molecule
     delta = (mol.rotational_energy(4) - mol.rotational_energy(2)) / HBAR
     assert -slope == pytest.approx(delta, rel=1e-8)
@@ -382,9 +381,9 @@ def test_propagate_two_level_fit():
     gamma = gamma_closed_form(10, 8, spec).gamma
     window = 0.03 / gamma
     traj = lb.propagate(rho0, dset, spec, window, window / 80, record_every=1)
-    fit = lb.extract_decay_rate([(s.time, abs(s.corner_coherence(10, 8))) for s in traj])
+    fit = lb.extract_decay_rate(list(zip(traj.times, np.abs(traj.corner_coherence(10, 8)))))
     assert fit == pytest.approx(gamma, rel=0.02)
-    fit_sig = lb.extract_decay_rate([(s.time, lb.alignment_signal(s, 10)) for s in traj])
+    fit_sig = lb.extract_decay_rate(list(zip(traj.times, traj.signal(10))))
     assert fit_sig == pytest.approx(2 * gamma, rel=0.02)
 
 
@@ -396,9 +395,9 @@ def test_propagate_short_time_law():
     gamma = gamma_closed_form(6, 4, spec).gamma
     t_end = 0.05 / gamma
     traj = lb.propagate(rho0, dset, spec, t_end, t_end / 50, record_every=1)
-    for s in traj[1:]:
-        expected = 0.5 * (1.0 - gamma * s.time)
-        assert abs(s.corner_coherence(6, 4)) == pytest.approx(expected, rel=5e-3)
+    for t, corner in zip(traj.times[1:], traj.corner_coherence(6, 4)[1:]):
+        expected = 0.5 * (1.0 - gamma * t)
+        assert abs(corner) == pytest.approx(expected, rel=5e-3)
 
 
 def test_propagate_conservation_and_positivity():
@@ -407,13 +406,11 @@ def test_propagate_conservation_and_positivity():
     dset = lb.build_dissipator(spec, layout)
     rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 6.0, 1.2))
     traj = lb.propagate(rho0, dset, spec, 2.0, 0.01)
-    pops0 = rho0.block_populations()
-    for state in traj:
-        pops = state.block_populations()
-        assert max(abs(pops[j] - pops0[j]) for j in layout.js) <= 1e-8
-        assert state.min_eigenvalue() >= -1e-9
-    purities = [s.purity() for s in traj]
-    assert all(b <= a + 1e-8 for a, b in zip(purities, purities[1:]))
+    pops0 = list(rho0.block_populations().values())
+    assert np.max(np.abs(traj.block_populations() - pops0)) <= 1e-8
+    assert np.all(traj.min_eigenvalues() >= -1e-9)
+    purities = traj.purity()
+    assert np.all(purities[1:] <= purities[:-1] + 1e-8)
 
 
 def test_propagate_isotropic_fixed_point():
@@ -421,10 +418,9 @@ def test_propagate_isotropic_fixed_point():
     layout = lb.BasisLayout(3, 5)
     dset = lb.build_dissipator(spec, layout)
     iso = lb.isotropic_state(layout, {3: 0.5, 4: 0.3, 5: 0.2})
-    traj = lb.propagate(iso, dset, spec, 1.0, 0.01)
-    assert np.max(np.abs(traj[-1].matrix - iso.matrix)) <= 1e-8
+    last = lb.propagate(iso, dset, spec, 1.0, 0.01).final
+    assert np.max(np.abs(last.matrix - iso.matrix)) <= 1e-8
     # the chain-entry deviation the CLI prints is the dense one
-    last = traj[-1]
     assert last.max_deviation(iso) == np.max(np.abs(last.matrix - iso.matrix))
     with pytest.raises(ValueError):
         last.max_deviation(lb.centrifuge_state(layout, {3: 0.6, 5: 0.8}))
@@ -480,7 +476,7 @@ def test_evolve_exact_cross_check():
     dset = lb.build_dissipator(spec, layout)
     rho0 = lb.centrifuge_state(layout, {2: 0.6, 3: 0.5, 4: math.sqrt(1 - 0.61)})
     exact = evolve_exact(rho0, dset, spec, 0.2)
-    chain = lb.propagate(rho0, dset, spec, 0.2, 0.002)[-1]
+    chain = lb.propagate(rho0, dset, spec, 0.2, 0.002).final
     assert np.max(np.abs(exact.matrix - chain.matrix)) <= 1e-10
 
 
@@ -490,7 +486,7 @@ def test_evolve_exact_spectral_backend():
     dset = lb.build_dissipator(spec, layout, backend="spectral")
     rho0 = lb.centrifuge_state(layout, {1: 2**-0.5, 3: 2**-0.5})
     exact = evolve_exact(rho0, dset, spec, 0.5)
-    chain = lb.propagate(rho0, dset, spec, 0.5, 0.005)[-1]
+    chain = lb.propagate(rho0, dset, spec, 0.5, 0.005).final
     assert np.max(np.abs(exact.matrix - chain.matrix)) <= 1e-10
 
 
@@ -508,7 +504,7 @@ def test_spectral_propagate_at_step_bound_matches_exact():
     rho0 = lb.RotorState.from_matrix(layout, 0.5 * (coherent.matrix + iso.matrix))
     dt = 0.099 / lb.coherent_frequency_spread(spec, dset)
     t_final = 200 * dt
-    chain = lb.propagate(rho0, dset, spec, t_final, dt)[-1]
+    chain = lb.propagate(rho0, dset, spec, t_final, dt).final
     exact = evolve_exact(rho0, dset, spec, t_final)
     assert np.max(np.abs(exact.matrix - chain.matrix)) <= 1e-10
 
@@ -601,6 +597,15 @@ def evolve_exact(rho0, dset, spec, t_final):
     return lb.RotorState.from_matrix(layout, vec.reshape(d, d), rho0.time + t_final)
 
 
+def frames_again(rho0, dset, spec, times):
+    """The frames of a propagate run from rho0 under dset at times, as
+    RotorStates: the run's chain flow evaluated again at times - rho0.time,
+    in one batched call."""
+    flow = lb._chain_flow(rho0, dset, *lb._hamiltonian(spec, dset))[0]
+    values = flow(np.asarray(times) - rho0.time)
+    return [lb.RotorState(rho0.layout, rho0.pattern, v, float(t)) for v, t in zip(values, times)]
+
+
 def rk4_frames(rho0, dset, spec, t_final, dt, record_every):
     """Fixed-step RK4 oracle on the matrix products of the dense jumps.
 
@@ -643,9 +648,10 @@ def test_chain_flow_matches_dense_rk4():
     dset = lb.build_dissipator(spec, layout)
     gaussian = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 4.5, 1.0))
     for rho0 in (gaussian, random_state(layout, seed=17)):
-        chain = lb.propagate(rho0, dset, spec, 0.5, 0.001, record_every=50)
+        traj = lb.propagate(rho0, dset, spec, 0.5, 0.001, record_every=50)
         rk4 = rk4_frames(rho0, dset, spec, 0.5, 0.001, record_every=50)
-        assert len(chain) == len(rk4) == 11
+        assert len(traj) == len(rk4) == 11
+        chain = frames_again(rho0, dset, spec, traj.times)
         for k, (a, b) in enumerate(zip(chain, rk4)):
             assert a.time == pytest.approx(50 * k * 0.001)
             assert np.max(np.abs(a.matrix - b)) <= 1e-12
@@ -678,7 +684,7 @@ def test_non_hermitian_chain_generator_propagates_exactly():
     dset = unequal_weights_family(spec, layout)
     rho0 = lb.centrifuge_state(layout, {2: 0.6, 3: 0.5, 4: math.sqrt(1 - 0.61)})
     exact = evolve_exact(rho0, dset, spec, 0.2)
-    chain = lb.propagate(rho0, dset, spec, 0.2, 0.002)[-1]
+    chain = lb.propagate(rho0, dset, spec, 0.2, 0.002).final
     assert np.max(np.abs(exact.matrix - chain.matrix)) <= 1e-10
 
 
@@ -688,7 +694,7 @@ def test_band_beyond_chain_length():
     spec = n1_spec()
     dset = band_beyond_chain_family()
     rho0 = random_state(dset.layout, seed=29)
-    chain = lb.propagate(rho0, dset, spec, 2.0, 0.01)[-1]
+    chain = lb.propagate(rho0, dset, spec, 2.0, 0.01).final
     exact = evolve_exact(rho0, dset, spec, 2.0)
     assert np.max(np.abs(exact.matrix - chain.matrix)) <= 1e-10
     assert np.max(np.abs(chain.matrix - rho0.matrix)) > 1e-3
@@ -762,12 +768,11 @@ def test_min_eigenvalue_by_components():
         assert abs(low - np.linalg.eigvalsh(mat)[0]) <= 1e-14
 
 
-def assert_columns_match_frames(traj, signal_js):
+def assert_columns_match_frames(traj, rho0, dset, spec, signal_js):
     """Every Trajectory column equals the same value computed by plain numpy
-    on the D x D frames, evaluated again by indexing."""
-    frames = list(traj)
+    on the D x D frames, evaluated again by the run's chain flow."""
+    frames = frames_again(rho0, dset, spec, traj.times)
     layout = traj.layout
-    assert len(frames) == len(traj) and [f.time for f in frames] == traj.times.tolist()
     mats = [f.matrix for f in frames]
     dense = [(np.trace(m).real, np.sum(np.abs(m) ** 2), np.linalg.eigvalsh(m)[0]) for m in mats]
     np.testing.assert_allclose(
@@ -780,9 +785,9 @@ def assert_columns_match_frames(traj, signal_js):
         corner = [m[layout.index(j, j), layout.index(j - 2, j - 2)] for m in mats]
         np.testing.assert_allclose(traj.signal(j), np.abs(corner) ** 2, rtol=0, atol=1e-14)
         np.testing.assert_allclose(traj.corner_coherence(j, j - 2), corner, rtol=0, atol=1e-14)
-    np.testing.assert_array_equal(traj.times, traj.times[0] + traj.elapsed)
-    assert [f.time for f in traj[-3:]] == traj.times[-3:].tolist()
-    np.testing.assert_array_equal(traj[-1].matrix, frames[-1].matrix)
+    # the batched product may round differently for another set of frames
+    assert traj.final.time == frames[-1].time
+    np.testing.assert_allclose(traj.final.values, frames[-1].values, rtol=0, atol=1e-14)
 
 
 def test_trajectory_columns_match_dense_frames():
@@ -793,26 +798,28 @@ def test_trajectory_columns_match_dense_frames():
     rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 11.5, 2.0))
     traj = lb.propagate(rho0, dset, spec, 0.1, 0.001)
     assert len(traj) == 101
-    assert_columns_match_frames(traj, range(10, 16))
+    assert_columns_match_frames(traj, rho0, dset, spec, range(10, 16))
 
     # a full spectral state: every chain occupied, one component
     sspec = spectral_spec()
     layout = lb.BasisLayout(2, 4)
     rho0 = random_state(layout, seed=31)
-    traj = lb.propagate(rho0, lb.build_dissipator(sspec, layout, "spectral"), sspec, 4.0, 0.1)
-    groups, empty = traj.pattern.components
-    assert len(traj.pattern.rows) == layout.dim**2 and not empty
+    dset = lb.build_dissipator(sspec, layout, "spectral")
+    traj = lb.propagate(rho0, dset, sspec, 4.0, 0.1)
+    groups, empty = traj.final.pattern.components
+    assert len(traj.final.pattern.rows) == layout.dim**2 and not empty
     assert [(n, s) for n, s, _, _ in groups] == [(1, layout.dim)]
-    assert_columns_match_frames(traj, [4])
+    assert_columns_match_frames(traj, rho0, dset, sspec, [4])
 
     # an isotropic state on blocks 3 and 5 only: the other blocks' rows
     # hold no entry and add the eigenvalue 0
     layout = lb.BasisLayout(2, 6)
     rho0 = lb.isotropic_state(layout, {3: 0.6, 5: 0.4})
-    traj = lb.propagate(rho0, lb.build_dissipator(spec, layout), spec, 0.5, 0.01)
-    assert traj.pattern.components[1]
+    dset = lb.build_dissipator(spec, layout)
+    traj = lb.propagate(rho0, dset, spec, 0.5, 0.01)
+    assert traj.final.pattern.components[1]
     assert np.all(traj.min_eigenvalues() == 0.0)
-    assert_columns_match_frames(traj, [4, 5, 6])
+    assert_columns_match_frames(traj, rho0, dset, spec, [4, 5, 6])
 
 
 def test_entry_pattern_is_its_own_transpose():
@@ -824,7 +831,7 @@ def test_entry_pattern_is_its_own_transpose():
     mat[0, 2] = 0.5 * lb.HERM_TOL
     rho0 = lb.RotorState.from_matrix(layout, mat)
     traj = lb.propagate(rho0, lb.build_dissipator(spec, layout), spec, 0.5, 0.01)
-    pattern = traj.pattern
+    pattern = traj.final.pattern
     np.testing.assert_array_equal(pattern.rows[pattern.partner], pattern.cols)
     np.testing.assert_array_equal(pattern.cols[pattern.partner], pattern.rows)
     assert pattern.locate(2, 0) >= 0 and rho0.values[pattern.locate(2, 0)] == 0
@@ -851,7 +858,9 @@ def test_propagate_memory_scales_with_chains():
 def test_propagate_and_csv_hold_no_frames():
     # propagate reduces each chunk of frames to its columns as it checks
     # them, and the CSV reads those columns: at j in [20, 40] the 251 frames
-    # would take 95.7 MB, and keeping them peaked at 138 MB
+    # would take 95.7 MB, and keeping them peaked at 138 MB.  The returned
+    # Trajectory keeps the columns and the final frame, not the flow and its
+    # chain eigenvectors (23 MB)
     spec = n1_spec()
     layout = lb.BasisLayout(20, 40)
     dset = lb.build_dissipator(spec, layout)
@@ -859,16 +868,34 @@ def test_propagate_and_csv_hold_no_frames():
     tracemalloc.start()
     try:
         traj = lb.propagate(rho0, dset, spec, 0.05, 0.0002)
+        held, _ = tracemalloc.get_traced_memory()
         text = lb.trajectory_csv(traj, signal_js=range(22, 41))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(traj) == 251 and len(text.splitlines()) == 252
     assert peak < len(traj) * len(rho0.values) * 16
+    assert held < 4e6
 
 
-def frame_values(traj, ks):
-    return np.array([traj[k].values for k in ks])
+def test_final_state_is_the_last_row():
+    # the final state is the last evaluated frame itself, not a new
+    # evaluation, so its reduction is the last row of the columns bit for bit
+    layout = lb.BasisLayout(8, 15)
+    gaussian = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 11.5, 2.0))
+    full = random_state(lb.BasisLayout(2, 4), seed=31)
+    for rho0, spec, backend, t_final, record_every in (
+        (gaussian, n1_spec(), "linearized", 0.04, 7),
+        (full, spectral_spec(), "spectral", 4.0, None),
+    ):
+        dset = lb.build_dissipator(spec, rho0.layout, backend)
+        traj = lb.propagate(rho0, dset, spec, t_final, t_final / 200, record_every=record_every)
+        final = traj.final
+        assert isinstance(final, lb.RotorState) and final.pattern is rho0.pattern
+        assert final.time == traj.times[-1]
+        for name, col in final._columns.items():
+            np.testing.assert_array_equal(col[0], traj.columns[name][-1])
+        assert final.min_eigenvalue() == traj.min_eigenvalues()[-1]
 
 
 def test_chunked_frames_match_every_step_run():
@@ -883,62 +910,35 @@ def test_chunked_frames_match_every_step_run():
     sparse = lb.propagate(rho0, dset, spec, 0.04, 0.0002, record_every=7)
     steps = np.r_[0:201:7, 200]
     np.testing.assert_array_equal(sparse.times, every.times[steps])
-    sparse_frames = frame_values(sparse, range(len(sparse)))
-    np.testing.assert_allclose(sparse_frames, frame_values(every, steps), rtol=0, atol=1e-14)
+    for name, col in sparse.columns.items():
+        np.testing.assert_allclose(col, every.columns[name][steps], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sparse.final.values, every.final.values, rtol=0, atol=1e-14)
     # the sparse run checks the steps it records and the monitor steps, in
-    # two chunks of FRAME_CHUNK frames
+    # two chunks of FRAME_CHUNK frames, and takes the smallest eigenvalue
+    # of each
     evaluated = sorted(set(range(7, 201, 7)) | {50, 100, 150, 200})
     assert len(evaluated) == 2 * lb.FRAME_CHUNK
-    checks = []
-    for taus in np.split(every.elapsed[evaluated], 2):
-        frames = every.flow(taus)
-        traces = lb._reduce(layout, every.pattern, frames)["trace"]
-        checks += [every.pattern.check(f, trace) for f, trace in zip(frames, traces)]
+    pattern = rho0.pattern
+    checks, lows = [], []
+    for taus in np.split(every.times[evaluated], 2):
+        frames = np.array([f.values for f in frames_again(rho0, dset, spec, taus)])
+        traces = lb._reduce(layout, pattern, frames)["trace"]
+        checks += [pattern.check(f, trace) for f, trace in zip(frames, traces)]
+        lows += pattern.min_eigenvalues(frames).tolist()
     assert sparse.diagnostics == dict(
         every.diagnostics,
         max_trace_deviation=max(dev for dev, _ in checks),
         max_hermiticity_deviation=max(herm for _, herm in checks),
+        min_eigenvalue=min(lows),
     )
-    # a start at t0 != 0 re-evaluates each frame at the same elapsed time
+    # a start at t0 != 0 evaluates each frame at the same elapsed time
     late_rho0 = lb.RotorState(rho0.layout, rho0.pattern, rho0.values, time=0.3)
     late = lb.propagate(late_rho0, dset, spec, 0.04, 0.0002, record_every=7)
-    np.testing.assert_array_equal(late.elapsed, sparse.elapsed)
-    np.testing.assert_array_equal(late.times, 0.3 + sparse.elapsed)
-    assert [f.time for f in late] == late.times.tolist()
-    late_frames = frame_values(late, range(len(late)))
-    np.testing.assert_allclose(late_frames, sparse_frames, rtol=0, atol=1e-14)
-
-
-def test_sliced_and_iterated_frames_match_indexed():
-    # slicing and iteration evaluate FRAME_CHUNK frames per flow call; the
-    # batched product may round differently from a single frame's
-    spec = n1_spec()
-    layout = lb.BasisLayout(8, 15)
-    rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 11.5, 2.0))
-    traj = lb.propagate(rho0, lb.build_dissipator(spec, layout), spec, 0.04, 0.0002,
-                        record_every=3)
-    n = len(traj)
-    assert n > 2 * lb.FRAME_CHUNK
-    indexed = [traj[k] for k in range(n)]
-    scale = max(np.max(np.abs(f.values)) for f in indexed)
-    calls = []
-    counted = lb.Trajectory(
-        traj.layout, traj.pattern, traj.times, traj.elapsed, traj.columns,
-        lambda taus: calls.append(len(taus)) or traj.flow(taus), traj.diagnostics,
-    )
-    for ks, frames in (
-        (range(n), counted[:]),
-        (range(n), list(counted)),
-        (range(n - 1, 2, -5), counted[-1:2:-5]),
-    ):
-        assert [f.time for f in frames] == [indexed[k].time for k in ks]
-        for k, frame in zip(ks, frames):
-            assert np.max(np.abs(frame.values - indexed[k].values)) <= 1e-14 * scale
-
-    def chunks(count):
-        return [min(lb.FRAME_CHUNK, count - s) for s in range(0, count, lb.FRAME_CHUNK)]
-
-    assert calls == 2 * chunks(n) + chunks(len(range(n - 1, 2, -5)))
+    np.testing.assert_array_equal(late.times, 0.3 + sparse.times)
+    assert late.final.time == late.times[-1]
+    for name, col in late.columns.items():
+        np.testing.assert_allclose(col, sparse.columns[name], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(late.final.values, sparse.final.values, rtol=0, atol=1e-14)
 
 
 def test_propagate_reports_chain_shape():
@@ -951,7 +951,7 @@ def test_propagate_reports_chain_shape():
     diag = traj.diagnostics
     assert diag["chains"] == 64
     assert diag["largest_chain"] == 31
-    assert diag["entries"] == len(traj.pattern.rows)
+    assert diag["entries"] == len(traj.final.pattern.rows)
     assert diag["entries"] == sum(2 * min(j, k) + 1 for j in layout.js for k in layout.js)
     assert 0.0 <= diag["reconstruction_miss"] <= lb.EIG_RECON_TOL
 
@@ -1103,6 +1103,35 @@ def test_drift_monitor_shares_state_tolerances():
     for record_every, t in ((1, "0.02"), (1000, "0.5")):
         with pytest.raises(lb.NumericalDriftError, match="trace drift .* at t=%s$" % t):
             lb.propagate(rho0, leaky, spec, 1.0, 0.01, record_every=record_every)
+
+
+def test_min_eigenvalue_diagnostic_covers_every_frame():
+    # with every step recorded, every evaluated frame is a row of the
+    # columns; the monitor steps alone (every 50th) missed the lowest
+    spec = n1_spec()
+    layout = lb.BasisLayout(2, 6)
+    rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 4.0, 1.0))
+    traj = lb.propagate(rho0, lb.build_dissipator(spec, layout), spec, 0.2, 0.002,
+                        record_every=1)
+    assert traj.diagnostics["min_eigenvalue"] == np.min(traj.min_eigenvalues()[1:])
+
+
+def test_negative_eigenvalue_off_the_monitor_steps_raises(monkeypatch):
+    # a frame between monitor steps whose smallest eigenvalue is below
+    # EIG_FLOOR (trace 1, hermitian) is drift, not a recorded row
+    spec = n1_spec()
+    layout = lb.BasisLayout(0, 1)
+    rho0 = lb.RotorState.from_matrix(layout, np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex))
+    bad = np.array([0.4, 0.2, 0.4 + 1e-6, -1e-6], dtype=complex)
+
+    def flow(taus):
+        out = np.tile(rho0.values, (len(taus), 1))
+        out[np.isclose(taus, 0.03)] = bad
+        return out
+
+    monkeypatch.setattr(lb, "_chain_flow", lambda *args: (flow, 0.0))
+    with pytest.raises(lb.NumericalDriftError, match="negative eigenvalue -1e-06 at t=0.03$"):
+        lb.propagate(rho0, None, spec, 1.0, 0.01, record_every=1)
 
 
 def test_non_finite_matrices_are_not_density_matrices(monkeypatch):

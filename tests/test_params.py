@@ -333,7 +333,7 @@ def test_record_fields_are_read_only():
     trajectory = lindblad.propagate(state, dset, spec, 0.01, 0.001)
     frozen = [
         (state, "time"),
-        (trajectory, "flow"),
+        (trajectory, "final"),
         (make_rule("interval", 8), "weight_floats"),
     ]
     for obj, name in frozen:
