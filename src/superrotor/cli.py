@@ -176,18 +176,25 @@ def rate_plot_svg(js, values):
 def _parse_state(arg, layout_arg):
     """Resolve --state into ((j_min, j_max) of the layout, _build_state input)."""
     if arg.startswith("centrifuge:"):
-        js = [int(x) for x in arg.split(":", 1)[1].split(",") if x.strip()]
-        if not js:
-            raise ValueError("centrifuge state needs at least one j")
+        form = "--state takes 'centrifuge:j1,j2,...' with integers j >= 0 (got %r)" % arg
+        try:
+            js = [int(x) for x in arg.split(":", 1)[1].split(",") if x.strip()]
+        except ValueError:
+            raise ValueError(form) from None
+        if not js or min(js) < 0:
+            raise ValueError(form)
         kind = ("centrifuge", {j: 1.0 / math.sqrt(len(js)) for j in js})
         lo, hi = min(js), max(js)
     elif arg.startswith("gaussian:"):
-        fieldsv = arg.split(":", 1)[1].split(",")
-        if len(fieldsv) != 2:
-            raise ValueError("gaussian state takes center,width")
-        center, width = float(fieldsv[0]), float(fieldsv[1])
-        if not (math.isfinite(center) and math.isfinite(width)):
-            raise ValueError("gaussian state needs a finite center and width")
+        form = ("--state takes 'gaussian:center,width' with finite width > 0 and "
+                "center + 2 width >= 0 (got %r)" % arg)
+        try:
+            center, width = (float(x) for x in arg.split(":", 1)[1].split(","))
+        except ValueError:
+            raise ValueError(form) from None
+        # the window [center - 2 width, center + 2 width] must hold some j >= 0
+        if not (math.isfinite(center) and 0 < width < math.inf and center + 2 * width >= 0):
+            raise ValueError(form)
         kind = ("gaussian", (center, width))
         lo = max(0, int(math.floor(center - 2 * width)))
         hi = int(math.ceil(center + 2 * width))

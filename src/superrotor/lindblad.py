@@ -7,11 +7,11 @@ block diagonal over j, so block populations are conserved exactly and the
 dynamics factorizes into (j, j') sectors.
 
 Every jump operator lies on one diagonal m' - m = q and is stored only as
-that offset and its diagonal (DissipatorSet): the linearized templates each
-occupy one band, and the spectral family is split into the bands of its
-azimuthal rings, which an exact azimuth average leaves uncoupled.  The
-generator then keeps Q = m - m' inside each block as well: every diagonal of
-a block rho_{jj'} is a chain that evolves on its own.
+that diagonal, in the group of its band q (DissipatorSet): the linearized
+templates each occupy one band, and the spectral family is split into the
+bands of its azimuthal rings, which an exact azimuth average leaves
+uncoupled.  The generator then keeps Q = m - m' inside each block as well:
+every diagonal of a block rho_{jj'} is a chain that evolves on its own.
 
 A density matrix on a BasisLayout (D = layout.dim) is kept as its values on
 the chains it occupies, with their entry pattern (_EntryPattern): a
@@ -46,17 +46,11 @@ from .mathkit import make_rule, order_doubling_drift
 from .params import HBAR, Frozen, record
 from .rates import TEMPLATE_OFFSETS, energy_shift_matrix, template_bands, thermal_q_integral
 
-# angular second moments of the five coupling geometry factors:
-# P2(n_z), n_z n_+, n_z n_-, n_+^2, n_-^2 paired with their conjugates.
-# Cross moments vanish by azimuthal charge, so the circle-averaged coupling
-# contributes one Lindblad channel per template.
-TEMPLATE_MOMENTS = (
-    4.0 * math.pi / 5.0,
-    8.0 * math.pi / 15.0,
-    8.0 * math.pi / 15.0,
-    32.0 * math.pi / 15.0,
-    32.0 * math.pi / 15.0,
-)
+# angular second moments of the coupling geometry factor of band q, by |q|:
+# P2(n_z), n_z n_+-, n_+-^2 paired with their conjugates.  Cross moments
+# vanish by azimuthal charge, so the circle-averaged coupling contributes
+# one Lindblad channel per template.
+TEMPLATE_MOMENTS = (4.0 * math.pi / 5.0, 8.0 * math.pi / 15.0, 32.0 * math.pi / 15.0)
 
 DIAG_INTERVAL = 50
 # frames evaluated, checked or reduced at once
@@ -251,19 +245,21 @@ class DissipatorSet:
     with A hermitian and q-independent, so its identity part cancels from the
     generator exactly and the radial average collapses into
     collision_weight; the A_k and w_k carry the direction average.  Every
-    A_k lies on one diagonal m' - m = offsets[k] and is stored as that
-    diagonal, diagonals[k, r] = A_k[r, r + offsets[k]], zero where
-    r + offsets[k] leaves the j block of row r.  kmat is the diagonal of the
-    anticommutator kernel sum_k w_k A_k^+ A_k.
+    A_k lies on one diagonal m' - m = q, and the family is stored band by
+    band: offsets (Q,) lists the distinct q in ascending order, and the n
+    ops of band q = offsets[i] are their weights[i] (n,) and diagonals[i]
+    (n, D), diagonals[i, k, r] = A_k[r, r + q], zero where r + q leaves the
+    j block of row r.  kmat is the diagonal of the anticommutator kernel
+    sum_k w_k A_k^+ A_k.
 
     aniso_mean is the diagonal of the sphere mean (1/4 pi) Int d^2n' A(n')
     of the anisotropy the family discretizes, which the azimuth average
     makes diagonal in m.  The gas shift is the isotropic shift times
     I + aniso_mean, so it shares the family's amplitude model and kappa.
 
-    (A rho A^+)[r, c] = a[r] rho[r + q, c + q] a[c]^*, so the ops of one
-    offset q carry rho[r + q, c + q] into [r, c] with the gain G_q[r, c] =
-    collision_weight * sum_{k: q_k = q} w_k a_k[r] a_k[c]^*.  No gain is
+    (A rho A^+)[r, c] = a[r] rho[r + q, c + q] a[c]^*, so the ops of band q
+    carry rho[r + q, c + q] into [r, c] with the gain G_q[r, c] =
+    collision_weight * sum_{k in band q} w_k a_k[r] a_k[c]^*.  No gain is
     stored or formed densely: _chain_generators evaluates kmat and the G_q
     at the entries of the chains asked for, and both apply and _chain_flow
     act through it.
@@ -273,24 +269,17 @@ class DissipatorSet:
                  metadata=None):
         self.layout = layout
         self.collision_weight = collision_weight
-        self.weights = weights  # (n_ops,)
-        self.offsets = offsets  # (n_ops,) int
-        self.diagonals = diagonals  # (n_ops, D)
+        self.weights = weights  # (Q, n) real
+        self.offsets = offsets  # (Q,) int, ascending
+        self.diagonals = diagonals  # (Q, n, D)
         self.aniso_mean = aniso_mean  # (D,) real
         self.metadata = {} if metadata is None else metadata
         d = layout.dim
         self.kmat = np.zeros(d)  # (D,) real
-        for q, w, a in self._offset_groups():
-            # row r of an op on offset q holds its entry in column r + q
+        for q, w, a in zip(offsets.tolist(), weights, diagonals):
+            # row r of an op on band q holds its entry in column r + q
             lo, hi = max(0, -q), d - max(0, q)
             self.kmat[lo + q : hi + q] += w @ np.abs(a[:, lo:hi]) ** 2
-
-    def _offset_groups(self):
-        """(q, w, a) per distinct offset q: the weights and (n_q, D)
-        diagonals of its ops."""
-        for q in sorted(set(self.offsets.tolist())):
-            sel = self.offsets == q
-            yield q, self.weights[sel], self.diagonals[sel]
 
     @property
     def converged(self):
@@ -308,9 +297,9 @@ class DissipatorSet:
         return cls(
             layout=layout,
             collision_weight=0.0,
-            weights=np.zeros(0),
+            weights=np.zeros((0, 0)),
             offsets=np.zeros(0, dtype=int),
-            diagonals=np.zeros((0, d)),
+            diagonals=np.zeros((0, 0, d)),
             aniso_mean=np.zeros(d),
             metadata={"converged": True},
         )
@@ -349,28 +338,31 @@ def _collision_weight(spec):
 
 def _jump_family(spec, layout, backend, kappa_mode):
     """(weights, offsets, diagonals, aniso_mean) of the direction-averaged
-    jump family.
+    jump family, grouped by band as DissipatorSet stores it.
 
     Linearized: A(n') = (2/5) sum_a g_a(n') T_a.  The sphere moments of
-    g_a g_b^* vanish for a != b and equal TEMPLATE_MOMENTS[a] for a = b, so
-    the five templates with weights (2/5)^2 * moment reproduce the node sum
-    exactly; every g_a has zero sphere mean, so aniso_mean is zero.
+    g_a g_b^* vanish for a != b and equal TEMPLATE_MOMENTS[|q_a|] for a = b,
+    so the five templates, one op per band, with weights (2/5)^2 * moment
+    reproduce the node sum exactly; every g_a has zero sphere mean, so
+    aniso_mean is zero.
     Spectral: the hermitized anisotropy S(n') - I of the fractional-power
     shape.  A rotation about z conjugates it, A(R_z(phi) n') =
     U_z(phi) A(n') U_z(phi)^+, so band q of A picks up exp(i q phi), and the
     exact azimuth average of A rho A^+ keeps sum_q A^(q) rho A^(q)^+ with
     A^(q) band q of A at phi = 0.  The jumps are those bands on the rings
-    of the sphere rule, each weighted by its ring's 2 pi w_theta, and
-    aniso_mean is the band-0 (diagonal) mean.
+    of the sphere rule, one op per ring in each of the 4 j_max + 1 bands,
+    weighted by its ring's 2 pi w_theta, and aniso_mean is the band-0
+    (diagonal) mean.
     """
     if backend == "linearized":
+        offsets = np.array(sorted(TEMPLATE_OFFSETS))
+
         def bands(j):
             vectors = template_bands(j, spec.molecule, kappa_mode)
-            return [vectors[abs(q)][None] for q in TEMPLATE_OFFSETS]
+            return [vectors[abs(q)][None] for q in offsets]
 
-        ops = _band_diagonals(layout, TEMPLATE_OFFSETS, bands)
-        weights = 0.16 * np.array(TEMPLATE_MOMENTS)
-        return weights, np.array(TEMPLATE_OFFSETS), ops, np.zeros(layout.dim)
+        weights = 0.16 * np.array([TEMPLATE_MOMENTS[abs(q)] for q in offsets])[:, None]
+        return weights, offsets, _band_diagonals(layout, offsets, bands), np.zeros(layout.dim)
     if backend != "spectral":
         raise ValueError("unknown backend %r" % backend)
     from . import scattering
@@ -385,28 +377,28 @@ def _jump_family(spec, layout, backend, kappa_mode):
         return [np.diagonal(aniso, q, axis1=1, axis2=2) for q in offsets]
 
     ops = _band_diagonals(layout, offsets, bands)
-    weights = np.repeat(ring.weights, len(offsets))
-    offsets = np.tile(offsets, len(ring.weights))
-    aniso_mean = (weights[offsets == 0] @ ops[offsets == 0]).real / (4.0 * math.pi)
+    weights = np.broadcast_to(ring.weights, (len(offsets), len(ring)))
+    # band 0 sits in the middle of the ascending offsets
+    aniso_mean = (ring.weights @ ops[2 * layout.j_max]).real / (4.0 * math.pi)
     return weights, offsets, ops, aniso_mean
 
 
 def _band_diagonals(layout, offsets, bands):
-    """(n * len(offsets), D) diagonals of the bands of n block matrices.
+    """(len(offsets), n, D) diagonals of the bands of n block matrices.
 
     bands(j) lists, for each q in offsets, the (n, 2j + 1 - |q|) band q of
-    the n matrices of block j (empty where |q| > 2j).  Row k * len(offsets)
-    + i holds band offsets[i] of matrix k, entry r being M_k[r, r + q] of the
-    block holding row r, and zero where the band leaves that block.
+    the n matrices of block j (empty where |q| > 2j).  Entry [i, k, r] is
+    M_k[r, r + offsets[i]] of the block holding row r, and zero where the
+    band leaves that block.
     """
     out = None
     for j, sl in layout.blocks():
         for i, (q, band) in enumerate(zip(offsets, bands(j))):
             if out is None:
-                out = np.zeros((len(band), len(offsets), layout.dim), dtype=band.dtype)
+                out = np.zeros((len(offsets), len(band), layout.dim), dtype=band.dtype)
             start = sl.start + max(0, -q)
-            out[:, i, start : start + band.shape[1]] = band
-    return out.reshape(-1, layout.dim)
+            out[i, :, start : start + band.shape[1]] = band
+    return out
 
 
 def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
@@ -751,7 +743,7 @@ def _chain_generators(dset, rows, cols):
     steps = np.arange(n)
     gen = np.zeros(rows.shape + (n,), dtype=np.result_type(dset.diagonals, 0.0))
     gen[:, steps, steps] = (-0.5 * cw) * (dset.kmat[rows] + dset.kmat[cols])
-    for q, w, a in dset._offset_groups():
+    for q, w, a in zip(dset.offsets.tolist(), dset.weights, dset.diagonals):
         # a partner beyond the chain's end crosses a block edge, where a is 0
         s = steps[max(0, -q) : max(0, n - max(0, q))]
         r, c = rows[:, s], cols[:, s]

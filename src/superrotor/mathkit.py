@@ -119,17 +119,6 @@ class QuadratureRule(Frozen):
     def __len__(self):
         return len(self.weight_floats)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def _key(self):
-        return self.domain, self.node_floats, self.weight_floats
-
     @functools.cached_property
     def nodes(self):
         return _read_only(self.node_floats)

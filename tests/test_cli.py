@@ -542,6 +542,29 @@ def test_propagate_malformed_jwindow(window, tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_propagate_malformed_state(tmp_path, capsys, monkeypatch):
+    # each input is rejected with the option's form before any layout is
+    # built; they used to leak int()'s message or the layout's own checks
+    def no_layout(*args, **kwargs):
+        raise AssertionError("layout built")
+
+    monkeypatch.setattr(lb, "BasisLayout", no_layout)
+    out = tmp_path / "t.csv"
+    centrifuge = "config error: --state takes 'centrifuge:j1,j2,...' with integers j >= 0 (got %r)"
+    gaussian = ("config error: --state takes 'gaussian:center,width' with finite width > 0 "
+                "and center + 2 width >= 0 (got %r)")
+    for state, form in (("centrifuge:a", centrifuge), ("centrifuge:-2,4", centrifuge),
+                        ("centrifuge:", centrifuge), ("gaussian:5,-1", gaussian),
+                        ("gaussian:-9,1", gaussian), ("gaussian:5,0", gaussian),
+                        ("gaussian:5", gaussian), ("gaussian:x,1", gaussian),
+                        ("gaussian:inf,1", gaussian)):
+        code = run_cli(["propagate", "n1", "--state", state, "--tfinal", "0.1", "--dt", "0.01",
+                        "--out", str(out)])
+        assert code == 2
+        assert form % state in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_propagate_signal_checked_before_run(tmp_path, capsys, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("propagation started")

@@ -193,8 +193,9 @@ def test_apply_matches_literal_jump_sum_linearized():
     spec = n1_spec()
     layout = lb.BasisLayout(0, 3)
     dset = lb.build_dissipator(spec, layout)
-    # each template is one op on its own diagonal
-    assert dset.offsets.tolist() == list(lb.TEMPLATE_OFFSETS)
+    # each template is one op on its own band, the bands in ascending order
+    assert dset.offsets.tolist() == sorted(lb.TEMPLATE_OFFSETS)
+    assert dset.weights.shape == (5, 1) and dset.diagonals.shape == (5, 1, layout.dim)
     state = random_state(layout, seed=7)
     fast = dset.apply(state.matrix)
     lit = literal_dissipator_action(spec, layout, "linearized", state.matrix)
@@ -205,10 +206,11 @@ def test_apply_matches_literal_jump_sum_spectral():
     spec = spectral_spec()
     layout = lb.BasisLayout(1, 3)
     dset = lb.build_dissipator(spec, layout, backend="spectral")
-    # one op per ring and band q in [-2 j_max, 2 j_max]
+    # one op per ring in each band q in [-2 j_max, 2 j_max]
     n_rings = len(make_rule("ring", spec.numerics.quad_order_sphere))
-    assert len(dset.offsets) == n_rings * 13
-    assert sorted({int(q) for q in dset.offsets}) == list(range(-6, 7))
+    assert dset.offsets.tolist() == list(range(-6, 7))
+    assert dset.weights.shape == (13, n_rings)
+    assert dset.diagonals.shape == (13, n_rings, layout.dim)
     state = random_state(layout, seed=11)
     fast = dset.apply(state.matrix)
     # the literal family's shapes carry azimuthal charges up to 4 j_max, so
@@ -559,11 +561,12 @@ def test_chain_flow_properties(j_min, n_blocks, seed, rank, support, t):
 def dense_jumps(dset):
     """(collision_weight * w_k, A_k) with A_k the dense D x D jump."""
     d = dset.layout.dim
-    for w, q, a in zip(dset.weights, dset.offsets.tolist(), dset.diagonals):
-        op = np.zeros((d, d), dtype=complex)
-        rows = np.arange(max(0, -q), d - max(0, q))
-        op[rows, rows + q] = a[rows]
-        yield dset.collision_weight * w, op
+    for q, band_weights, band in zip(dset.offsets.tolist(), dset.weights, dset.diagonals):
+        for w, a in zip(band_weights, band):
+            op = np.zeros((d, d), dtype=complex)
+            rows = np.arange(max(0, -q), d - max(0, q))
+            op[rows, rows + q] = a[rows]
+            yield dset.collision_weight * w, op
 
 
 def dense_action(dset, rho):
@@ -658,11 +661,11 @@ def test_chain_flow_matches_dense_rk4():
 
 
 def unequal_weights_family(spec, layout):
-    """The linearized family with unequal weights on its q = +1 and q = -1
+    """The linearized family with unequal weights on its q = -1 and q = +1
     templates: every op stays on one band, but the chain generators are not
     symmetric."""
     base = lb.build_dissipator(spec, layout)
-    weights = base.weights * np.array([1.0, 1.5, 0.5, 1.0, 1.0])
+    weights = base.weights * np.array([1.0, 0.5, 1.0, 1.5, 1.0])[:, None]
     return lb.DissipatorSet(
         layout, base.collision_weight, weights, base.offsets, base.diagonals, base.aniso_mean
     )
@@ -673,7 +676,9 @@ def band_beyond_chain_family():
     (the Q = +-3 diagonals) have no partner q steps along."""
     diagonal = np.array([0.3, -0.2, 0.0, 0.0, 0.0])
     layout = lb.BasisLayout(2, 2)
-    return lb.DissipatorSet(layout, 1.0, np.ones(1), np.array([3]), diagonal[None], np.zeros(5))
+    return lb.DissipatorSet(
+        layout, 1.0, np.ones((1, 1)), np.array([3]), diagonal[None, None], np.zeros(5)
+    )
 
 
 def test_non_hermitian_chain_generator_propagates_exactly():
@@ -700,22 +705,48 @@ def test_band_beyond_chain_length():
     assert np.max(np.abs(chain.matrix - rho0.matrix)) > 1e-3
 
 
+def twisted_family(dset, alpha):
+    """dset's jumps conjugated by exp(-i alpha J_z^2): band q gains the phase
+    exp(i alpha q (2m + q)) at row m.  Every op stays on its band and the
+    family stays hermitian, but its chain generators are complex.  A rotation
+    about z, exp(-i alpha J_z), would give each band only the constant phase
+    exp(i alpha q), which cancels from every gain."""
+    layout = dset.layout
+    m = np.concatenate([np.arange(-j, j + 1) for j in layout.js])
+    q = dset.offsets[:, None, None]
+    twisted = dset.diagonals * np.exp(1j * alpha * q * (2 * m + q))
+    return lb.DissipatorSet(
+        layout, dset.collision_weight, dset.weights, dset.offsets, twisted, dset.aniso_mean
+    )
+
+
 @pytest.mark.parametrize(
     "backend,window,aniso",
-    [("linearized", (2, 8), None), ("linearized", (20, 30), None), ("spectral", (2, 4), 1.0)],
+    [("linearized", (2, 8), None), ("linearized", (20, 30), None), ("spectral", (2, 4), 1.0),
+     ("twisted", (2, 8), None)],
 )
 def test_transposed_chain_generator_is_conjugate(backend, window, aniso):
     # the dissipator maps rho^+ to D(rho)^+, so the generator of the chain
-    # holding the transposed entries is the conjugate of the chain's own
+    # holding the transposed entries is the conjugate of the chain's own.
+    # The generators of the linearized and spectral families are real
+    # there; only the twisted family's complex ones tell the conjugate from
+    # the transpose
     spec = n1_spec() if aniso is None else spectral_spec(set=[("molecule", "alpha_aniso", aniso)])
     layout = lb.BasisLayout(*window)
-    dset = lb.build_dissipator(spec, layout, backend=backend)
+    if backend == "twisted":
+        dset = twisted_family(lb.build_dissipator(spec, layout), 0.3)
+    else:
+        dset = lb.build_dissipator(spec, layout, backend=backend)
     rows, cols = np.indices((layout.dim, layout.dim)).reshape(2, -1)
+    imag = 0.0
     for chain_rows, chain_cols in lb._occupied_chains(layout, rows, cols):
         gen = lb._chain_generators(dset, chain_rows, chain_cols)
         transposed = lb._chain_generators(dset, chain_cols, chain_rows)
         scale = np.max(np.abs(gen))
         assert np.max(np.abs(transposed - gen.conj())) <= 1e-14 * scale
+        imag = max(imag, np.max(np.abs(gen.imag)) / scale)
+    if backend == "twisted":
+        assert imag > 0.1
 
 
 def test_ill_conditioned_chain_generator_raises_drift():
@@ -726,10 +757,10 @@ def test_ill_conditioned_chain_generator_raises_drift():
     spec = n1_spec()
     layout = lb.BasisLayout(1, 1)
     rho0 = lb.isotropic_state(layout, {1: 1.0})
-    diagonals = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    diagonals = np.array([[[0.0, 1.0, 1.0]], [[1.0, 1.0, 0.0]]])
     for delta, message in ((0.0, "no eigenbasis"), (1e-20, "misses it")):
-        weights = np.array([1.0, delta])
-        dset = lb.DissipatorSet(layout, 1.0, weights, np.array([1, -1]), diagonals, np.zeros(3))
+        weights = np.array([[delta], [1.0]])
+        dset = lb.DissipatorSet(layout, 1.0, weights, np.array([-1, 1]), diagonals, np.zeros(3))
         dset.kmat = np.zeros(3)
         with pytest.raises(lb.NumericalDriftError, match=message):
             lb.propagate(rho0, dset, spec, 0.1, 0.01)
@@ -1095,7 +1126,7 @@ def test_drift_monitor_shares_state_tolerances():
     rho0 = lb.isotropic_state(layout, {2: 1.0})
     d = layout.dim
     leaky = lb.DissipatorSet(
-        layout, 1.0, np.zeros(0), np.zeros(0, dtype=int), np.zeros((0, d)), np.zeros(d)
+        layout, 1.0, np.zeros((0, 0)), np.zeros(0, dtype=int), np.zeros((0, 0, d)), np.zeros(d)
     )
     leaky.kmat = np.full(layout.dim, -5e-9)
     # the first checked frame past TRACE_TOL: every step, or the monitor
