@@ -176,12 +176,12 @@ def rate_plot_svg(js, values):
 def _parse_state(arg, layout_arg):
     """Resolve --state into ((j_min, j_max) of the layout, _build_state input)."""
     if arg.startswith("centrifuge:"):
-        form = "--state takes 'centrifuge:j1,j2,...' with integers j >= 0 (got %r)" % arg
+        form = "--state takes 'centrifuge:j1,j2,...' with distinct integers j >= 0 (got %r)" % arg
         try:
             js = [int(x) for x in arg.split(":", 1)[1].split(",") if x.strip()]
         except ValueError:
             raise ValueError(form) from None
-        if not js or min(js) < 0:
+        if not js or min(js) < 0 or len(set(js)) < len(js):
             raise ValueError(form)
         kind = ("centrifuge", {j: 1.0 / math.sqrt(len(js)) for j in js})
         lo, hi = min(js), max(js)

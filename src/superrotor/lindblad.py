@@ -26,9 +26,9 @@ multiplies them into a matrix's entries, for the convergence probe of
 build_dissipator and for DissipatorSet.apply, which gathers and scatters the
 entries of a dense matrix.
 
-propagate evaluates only the steps it checks or records, FRAME_CHUNK at a
-time with one batched product per chain length, and reduces each chunk once,
-in time order: _reduce (trace, purity, block populations, stretched corners)
+propagate evaluates only the steps it records, FRAME_CHUNK at a time with
+one batched product per chain length, and reduces each chunk once, in time
+order: _reduce (trace, purity, block populations, stretched corners)
 and _EntryPattern.min_eigenvalues give every column, and the density-matrix
 check reads its trace from them.  A RotorState takes the same reduction of
 its one frame.  A Trajectory keeps the columns and the last frame, as a
@@ -52,10 +52,9 @@ from .rates import TEMPLATE_OFFSETS, energy_shift_matrix, template_bands, therma
 # one Lindblad channel per template.
 TEMPLATE_MOMENTS = (4.0 * math.pi / 5.0, 8.0 * math.pi / 15.0, 32.0 * math.pi / 15.0)
 
-DIAG_INTERVAL = 50
 # frames evaluated, checked or reduced at once
 FRAME_CHUNK = 16
-# a propagate run evaluates at most this many frames (monitor and recorded)
+# a propagate run evaluates, and records, at most this many frames
 MAX_EVALUATED_FRAMES = 10**6
 # tolerances of the density-matrix rule (_EntryPattern.check)
 TRACE_TOL = 1e-10
@@ -474,17 +473,19 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     Returns the Trajectory of the columns of the frames every record_every
     steps of dt (initial and final state always included), each evaluated
     in closed form on the entries of the chains rho0 occupies (rho0.pattern,
-    _chain_flow), and of the final frame.  dt sets only the output grid and
-    the monitor cadence, but it must still resolve the fastest coherent
-    frequency: a coarser grid would alias the coherences it samples, so
-    StepSizeViolation is raised when dt * max|Delta| > 0.1.
-    Only the monitor steps (every DIAG_INTERVAL steps and the last) and the
-    recorded steps are evaluated, FRAME_CHUNK at a time and checked in time
-    order, so the first frame that fails is the one reported.  Every
-    evaluated frame is checked on its entries by the density-matrix rule
-    (_EntryPattern.check), and one that fails raises NumericalDriftError;
-    so does one whose smallest eigenvalue falls below EIG_FLOOR.  A run that
-    would evaluate more than MAX_EVALUATED_FRAMES frames raises ValueError.
+    _chain_flow), and of the final frame.  dt sets only the output grid, but
+    it must still resolve the fastest coherent frequency: a coarser grid
+    would alias the coherences it samples, so StepSizeViolation is raised
+    when dt * max|Delta| > 0.1.  The diagnostic recorded_spacing_max_delta,
+    record_every * dt * max|Delta|, tells whether the recorded frames alias.
+    Only the recorded steps are evaluated, FRAME_CHUNK at a time and checked
+    in time order, so the first frame that fails is the one reported: no
+    frame feeds another, so a step that is not recorded changes no output.
+    Every evaluated frame is checked on its entries by the density-matrix
+    rule (_EntryPattern.check), and one that fails raises
+    NumericalDriftError; so does one whose smallest eigenvalue falls below
+    EIG_FLOOR.  A run that would record more than MAX_EVALUATED_FRAMES
+    frames raises ValueError.
     """
     layout = rho0.layout
     if dset is None:
@@ -512,33 +513,19 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
         record_every = max(1, n_steps // 200)
     # a record_every beyond n_steps records the last step only, as n_steps does
     record_every = min(record_every, n_steps)
-    # the monitor steps, the recorded steps and the last one, counted and
-    # listed from strided ranges: n_steps itself may be far too large to list
-    evaluated = (
-        n_steps // DIAG_INTERVAL
-        + n_steps // record_every
-        - n_steps // math.lcm(DIAG_INTERVAL, record_every)
-        + (n_steps % DIAG_INTERVAL != 0 and n_steps % record_every != 0)
-    )
+    # every record_every-th step and the last one, counted before they are
+    # listed: n_steps itself may be far too large to list
+    evaluated = -(-n_steps // record_every)
     if evaluated > MAX_EVALUATED_FRAMES:
         raise ValueError(
             "propagate would evaluate %d frames, more than %d; raise dt or record_every"
             % (evaluated, MAX_EVALUATED_FRAMES)
         )
-    steps = np.concatenate(
-        [
-            np.arange(DIAG_INTERVAL, n_steps + 1, DIAG_INTERVAL),
-            np.arange(record_every, n_steps + 1, record_every),
-            [n_steps],
-        ]
-    )
-    steps.sort()
-    steps = steps[np.r_[True, steps[1:] != steps[:-1]]]
-    record = (steps % record_every == 0) | (steps == n_steps)
+    steps = np.append(np.arange(record_every, n_steps, record_every), n_steps)
 
     flow, miss = _chain_flow(rho0, dset, levels, residual)
     pattern = rho0.pattern
-    times = rho0.time + np.concatenate([[0.0], steps[record] * dt])
+    times = rho0.time + np.concatenate([[0.0], steps * dt])
     recorded = [dict(rho0._columns, min_eig=pattern.min_eigenvalues(rho0.values[None]))]
     worst_trace = worst_herm = 0.0
     lowest = math.inf
@@ -566,7 +553,7 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
         lowest = min([lowest] + lows)
         worst_trace = max([worst_trace] + [dev for dev, _ in checked])
         worst_herm = max([worst_herm] + [herm for _, herm in checked])
-        recorded.append({name: col[record[chunk]] for name, col in columns.items()})
+        recorded.append(columns)
     # the last evaluated frame is the last step, n_steps
     final = RotorState(layout, pattern, frames[-1], float(rho0.time + taus[-1]))
     columns = {name: np.concatenate([c[name] for c in recorded]) for name in recorded[0]}
@@ -575,6 +562,7 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     diagnostics = {
         "steps": n_steps,
         "dt_max_delta": dt * spread,
+        "recorded_spacing_max_delta": record_every * (dt * spread),
         "max_trace_deviation": worst_trace,
         "max_hermiticity_deviation": worst_herm,
         "min_eigenvalue": lowest,
@@ -667,7 +655,11 @@ def _chain_flow(rho0, dset, levels, residual):
     leaves empty stay exactly zero and are not in its pattern; the occupied
     ones are diagonalized by one stacked eig per chain length.  The block
     scalars E_j + s_iso (levels) are constant along a chain and commute with
-    its generator: -i (levels[j] - levels[j']) / hbar joins its eigenvalues.
+    its generator, so they act as the unitary U = exp(-i levels tau / hbar)
+    per block: flow forms p_j = exp(-i levels[j] tau / hbar) once per block
+    and frame and multiplies chain (j, j') by p_j conj(p_j') after the
+    dissipative exponential.  A phase factor of modulus one keeps the
+    spectrum of each frame, however large levels * tau / hbar grows.
 
     Returns flow(taus), the (F, N) values at rho0's pattern entries at the
     F elapsed times taus with one batched product per chain length, and the
@@ -678,7 +670,7 @@ def _chain_flow(rho0, dset, levels, residual):
     entry: the eigenvectors are then too ill-conditioned to propagate with.
     """
     coherent = bool(np.any(residual))
-    scalars = np.repeat(levels, dset.layout.block_sizes)
+    block = np.repeat(np.arange(len(levels)), dset.layout.block_sizes)
     parts = []
     worst_miss = 0.0
     for rows, cols in rho0.pattern.chains:
@@ -702,14 +694,15 @@ def _chain_flow(rho0, dset, levels, residual):
                 "chain generator eigendecomposition misses it by %.3g of its scale" % miss
             )
         worst_miss = max(worst_miss, miss)
-        lam = lam - (1j / HBAR) * (scalars[rows[:, :1]] - scalars[cols[:, :1]])
         chain0 = rho0.values[rho0.pattern.locate(rows, cols)]
-        parts.append((lam, vec, np.einsum("cij,cj->ci", inv, chain0)))
+        coef = np.einsum("cij,cj->ci", inv, chain0)
+        parts.append((lam, vec, coef, block[rows[:, 0]], block[cols[:, 0]]))
 
     def flow(taus):
         out = np.empty((len(taus), len(rho0.values)), dtype=complex)
+        p = np.exp((-1j / HBAR) * np.multiply.outer(taus, levels))  # (F, blocks)
         start = 0
-        for lam, vec, coef in parts:
+        for lam, vec, coef, bj, bk in parts:
             # (chains, length, F) amplitudes, then every frame of every chain
             # of this length in one product.  Real eigenvectors (the
             # linearized family, the one that reaches large j) multiply the
@@ -721,6 +714,7 @@ def _chain_flow(rho0, dset, levels, residual):
                 chains = (vec @ amp.view(float)).view(complex)
             else:
                 chains = np.einsum("cij,cjf->cif", vec, amp)
+            chains *= (p[:, bj] * p[:, bk].conj()).T[:, None, :]
             out[:, start : start + coef.size] = chains.reshape(coef.size, -1).T
             start += coef.size
         return out

@@ -333,6 +333,8 @@ def test_propagate_manifest_diagnostics(tmp_path, capsys):
     diag = json.loads(man.read_text())["diagnostics"]
     assert diag["steps"] == 100
     assert 0.0 < diag["dt_max_delta"] <= 0.1
+    # every step is recorded, so the recorded frames are dt apart
+    assert diag["recorded_spacing_max_delta"] == diag["dt_max_delta"]
     assert 0.0 <= diag["max_trace_deviation"] <= lb.TRACE_TOL
     assert 0.0 <= diag["max_hermiticity_deviation"] <= lb.HERM_TOL
     assert lb.EIG_FLOOR <= diag["min_eigenvalue"] <= 1e-12
@@ -496,11 +498,12 @@ def test_failed_write_leaves_no_temporary(tmp_path):
 
 
 def test_propagate_too_many_frames_is_config_error(tmp_path):
-    # 1e10 steps of 1e-7 pass the step-size guard; the run used to loop over
-    # every step and never end
+    # 1e10 steps of 1e-7 pass the step-size guard; recording every one of
+    # them is 1e10 frames, and the run used to loop over every step and
+    # never end
     proc = run_module(
         ["propagate", "n1", "--state", "centrifuge:2,4", "--tfinal", "1e3", "--dt", "1e-7",
-         "--out", "t.csv"],
+         "--record-every", "1", "--out", "t.csv"],
         tmp_path, timeout=60,
     )
     assert proc.returncode == 2, proc.stderr
@@ -544,17 +547,20 @@ def test_propagate_malformed_jwindow(window, tmp_path, capsys):
 
 def test_propagate_malformed_state(tmp_path, capsys, monkeypatch):
     # each input is rejected with the option's form before any layout is
-    # built; they used to leak int()'s message or the layout's own checks
+    # built; they used to leak int()'s message or the layout's own checks,
+    # and a repeated level propagated the state of the levels named once
     def no_layout(*args, **kwargs):
         raise AssertionError("layout built")
 
     monkeypatch.setattr(lb, "BasisLayout", no_layout)
     out = tmp_path / "t.csv"
-    centrifuge = "config error: --state takes 'centrifuge:j1,j2,...' with integers j >= 0 (got %r)"
+    centrifuge = ("config error: --state takes 'centrifuge:j1,j2,...' with distinct integers "
+                  "j >= 0 (got %r)")
     gaussian = ("config error: --state takes 'gaussian:center,width' with finite width > 0 "
                 "and center + 2 width >= 0 (got %r)")
     for state, form in (("centrifuge:a", centrifuge), ("centrifuge:-2,4", centrifuge),
-                        ("centrifuge:", centrifuge), ("gaussian:5,-1", gaussian),
+                        ("centrifuge:", centrifuge), ("centrifuge:4,4", centrifuge),
+                        ("centrifuge:2,4,2", centrifuge), ("gaussian:5,-1", gaussian),
                         ("gaussian:-9,1", gaussian), ("gaussian:5,0", gaussian),
                         ("gaussian:5", gaussian), ("gaussian:x,1", gaussian),
                         ("gaussian:inf,1", gaussian)):

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,11 @@ def n1_spec(**changes):
     if "numerics" in changes:
         doc["numerics"] = changes["numerics"]
     return load_config(json.dumps(doc))
+
+
+def si_spec():
+    root = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    return load_config((root / "nitrogen_helium_si.json").read_text())
 
 
 def spectral_spec(**changes):
@@ -930,9 +936,8 @@ def test_final_state_is_the_last_row():
 
 
 def test_chunked_frames_match_every_step_run():
-    # record_every=7 over 200 steps: the monitor steps (every 50th) fall off
-    # the record grid, so the evaluated chunks mix monitored and recorded
-    # frames
+    # record_every=7 over 200 steps: the last step falls off the record grid
+    # and is evaluated as well, in the second chunk
     spec = n1_spec()
     layout = lb.BasisLayout(8, 15)
     dset = lb.build_dissipator(spec, layout)
@@ -944,20 +949,20 @@ def test_chunked_frames_match_every_step_run():
     for name, col in sparse.columns.items():
         np.testing.assert_allclose(col, every.columns[name][steps], rtol=0, atol=1e-14)
     np.testing.assert_allclose(sparse.final.values, every.final.values, rtol=0, atol=1e-14)
-    # the sparse run checks the steps it records and the monitor steps, in
-    # two chunks of FRAME_CHUNK frames, and takes the smallest eigenvalue
-    # of each
-    evaluated = sorted(set(range(7, 201, 7)) | {50, 100, 150, 200})
-    assert len(evaluated) == 2 * lb.FRAME_CHUNK
+    # the sparse run checks exactly the steps it records, in chunks of
+    # FRAME_CHUNK frames, and takes the smallest eigenvalue of each
+    evaluated = sorted(set(range(7, 201, 7)) | {200})
+    assert len(evaluated) == len(sparse) - 1 > lb.FRAME_CHUNK
     pattern = rho0.pattern
     checks, lows = [], []
-    for taus in np.split(every.times[evaluated], 2):
+    for taus in np.split(every.times[evaluated], [lb.FRAME_CHUNK]):
         frames = np.array([f.values for f in frames_again(rho0, dset, spec, taus)])
         traces = lb._reduce(layout, pattern, frames)["trace"]
         checks += [pattern.check(f, trace) for f, trace in zip(frames, traces)]
         lows += pattern.min_eigenvalues(frames).tolist()
     assert sparse.diagnostics == dict(
         every.diagnostics,
+        recorded_spacing_max_delta=7 * every.diagnostics["dt_max_delta"],
         max_trace_deviation=max(dev for dev, _ in checks),
         max_hermiticity_deviation=max(herm for _, herm in checks),
         min_eigenvalue=min(lows),
@@ -970,6 +975,44 @@ def test_chunked_frames_match_every_step_run():
     for name, col in late.columns.items():
         np.testing.assert_allclose(col, sparse.columns[name], rtol=0, atol=1e-14)
     np.testing.assert_allclose(late.final.values, sparse.final.values, rtol=0, atol=1e-14)
+
+
+def test_block_phases_keep_the_spectrum_at_large_phase():
+    # at the SI conditions E_j tau / hbar reaches 1e9 rad long before
+    # gamma t = 3.  Folded into the chain eigenvalues, such phases moved the
+    # smallest eigenvalue to -2.5e-9 at j in [20, 24]; applied as one phase
+    # of modulus one per block they leave every |entry| and the spectrum
+    # as without the levels
+    spec = si_spec()
+    layout = lb.BasisLayout(20, 24)
+    rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 22.0, 1.0))
+    dset = lb.build_dissipator(spec, layout)
+    levels, residual = lb._hamiltonian(spec, dset)
+    taus = np.array([1e9, 2e9]) * HBAR / levels[-1]
+    frames = lb._chain_flow(rho0, dset, levels, residual)[0](taus)
+    still = lb._chain_flow(rho0, dset, 0.0 * levels, residual)[0](taus)
+    assert np.all(rho0.pattern.min_eigenvalues(frames) >= lb.EIG_FLOOR)
+    np.testing.assert_allclose(np.abs(frames), np.abs(still), rtol=0, atol=1e-15)
+
+
+def test_propagate_reaches_gamma_t_3_at_si_conditions():
+    # gaussian:30,5 on j in [20, 40], with dt at the step-size guard: 2.5e12
+    # steps, of which the default grid records every (n_steps // 200)-th
+    spec = si_spec()
+    t_final, dt = 4.23e10, 0.0166
+    assert gamma_closed_form(30, 28, spec).gamma * t_final == pytest.approx(3.0, rel=0.01)
+    layout = lb.BasisLayout(20, 40)
+    rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 30.0, 5.0))
+    traj = lb.propagate(rho0, lb.build_dissipator(spec, layout), spec, t_final, dt)
+    diag = traj.diagnostics
+    assert len(traj) <= 1000
+    assert diag["max_trace_deviation"] <= 1e-14
+    assert diag["max_hermiticity_deviation"] <= 1e-14
+    assert -diag["min_eigenvalue"] <= 1e-14
+    # the recorded frames sit 1e9 rad of the fastest coherence apart
+    record_every = diag["steps"] // 200
+    assert diag["recorded_spacing_max_delta"] == record_every * diag["dt_max_delta"]
+    assert diag["recorded_spacing_max_delta"] > 1e9
 
 
 def test_propagate_reports_chain_shape():
@@ -1119,8 +1162,8 @@ def test_drift_monitor_shares_state_tolerances():
     lb.RotorState.from_matrix(layout, skewed)
 
     # a trace leak of 5e-9 per unit time in the chain generator surfaces as
-    # NumericalDriftError whether or not a frame is recorded before the
-    # next monitor step, never as the RotorState constructor's ValueError
+    # NumericalDriftError at the first recorded frame past the tolerance,
+    # never as the RotorState constructor's ValueError
     spec = n1_spec()
     layout = lb.BasisLayout(2, 2)
     rho0 = lb.isotropic_state(layout, {2: 1.0})
@@ -1129,16 +1172,16 @@ def test_drift_monitor_shares_state_tolerances():
         layout, 1.0, np.zeros((0, 0)), np.zeros(0, dtype=int), np.zeros((0, 0, d)), np.zeros(d)
     )
     leaky.kmat = np.full(layout.dim, -5e-9)
-    # the first checked frame past TRACE_TOL: every step, or the monitor
-    # step at t = 0.5
-    for record_every, t in ((1, "0.02"), (1000, "0.5")):
+    # the first checked frame past TRACE_TOL: every step, or the only
+    # recorded step, the last one at t = 1
+    for record_every, t in ((1, "0.02"), (1000, "1")):
         with pytest.raises(lb.NumericalDriftError, match="trace drift .* at t=%s$" % t):
             lb.propagate(rho0, leaky, spec, 1.0, 0.01, record_every=record_every)
 
 
 def test_min_eigenvalue_diagnostic_covers_every_frame():
-    # with every step recorded, every evaluated frame is a row of the
-    # columns; the monitor steps alone (every 50th) missed the lowest
+    # every evaluated frame is a row of the columns, and the lowest of them
+    # is the diagnostic
     spec = n1_spec()
     layout = lb.BasisLayout(2, 6)
     rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 4.0, 1.0))
@@ -1147,9 +1190,9 @@ def test_min_eigenvalue_diagnostic_covers_every_frame():
     assert traj.diagnostics["min_eigenvalue"] == np.min(traj.min_eigenvalues()[1:])
 
 
-def test_negative_eigenvalue_off_the_monitor_steps_raises(monkeypatch):
-    # a frame between monitor steps whose smallest eigenvalue is below
-    # EIG_FLOOR (trace 1, hermitian) is drift, not a recorded row
+def test_negative_eigenvalue_on_a_recorded_step_raises(monkeypatch):
+    # a recorded frame whose smallest eigenvalue is below EIG_FLOOR (trace
+    # 1, hermitian) is drift, not a row of the trajectory
     spec = n1_spec()
     layout = lb.BasisLayout(0, 1)
     rho0 = lb.RotorState.from_matrix(layout, np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex))
@@ -1176,7 +1219,7 @@ def test_non_finite_matrices_are_not_density_matrices(monkeypatch):
     with pytest.raises(ValueError, match="hermitian"):
         lb.RotorState.from_matrix(layout, off)
 
-    # a NaN frame between monitor steps is reported as drift, not recorded
+    # a NaN frame is reported as drift, not recorded
     spec = n1_spec()
     rho0 = lb.RotorState.from_matrix(layout, good)
     np.testing.assert_array_equal(rho0.pattern.rows, np.arange(4))
