@@ -30,7 +30,7 @@ def spec_with_aniso(alpha_aniso):
 
 def main():
     spec = spec_with_aniso(1.0)  # epsilon = 2/3, small enough for both routes
-    q = spec.thermal.thermal_momentum
+    q = spec.thermal_momentum
 
     c = forward_scalar(q, spec)
     print("scalar forward amplitude at q = q_th:")

@@ -19,7 +19,7 @@ from superrotor.lindblad import (
     propagate,
 )
 from superrotor.params import builtin_config, load_config
-from superrotor.rates import signal_decay_rate
+from superrotor.rates import gamma_closed_form
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
     # half-kappa coupling matches the closed form level by level
     dset = build_dissipator(spec, layout, kappa_mode="half")
 
-    closed = signal_decay_rate(j_hi, spec)
+    closed = gamma_closed_form(j_hi, j_lo, spec)
     gamma_sig = closed.gamma_signal
 
     # keep gamma*t small so single-exponential contamination stays ~1%

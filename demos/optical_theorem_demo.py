@@ -35,7 +35,7 @@ def isotropic_spec():
 
 def main():
     spec = isotropic_spec()
-    q_th = spec.thermal.thermal_momentum
+    q_th = spec.thermal_momentum
 
     print("isotropic molecule, three cross-section routes")
     print("%8s %12s %12s %12s %10s %10s" %

@@ -9,14 +9,14 @@ import os
 import sys
 
 from superrotor.params import builtin_config, load_config
-from superrotor.rates import a_coefficient, rate_table_csv, signal_decay_rate
+from superrotor.rates import a_coefficient, gamma_closed_form, rate_table_csv
 
 
 def main():
     spec = load_config(builtin_config("n1"))
 
     js = [2, 4, 8, 16, 32, 64, 128, 256, 512]
-    rows = [signal_decay_rate(j, spec) for j in js]
+    rows = [gamma_closed_form(j, j - 2, spec) for j in js]
 
     print("alignment decay rates, normalized benchmark gas")
     print("%6s %14s %14s %10s" % ("j", "gamma(j,j-2)", "Gamma_j", "j*A"))

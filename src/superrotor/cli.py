@@ -61,16 +61,24 @@ def _check_outputs(*paths):
             raise OutputError(path, "no directory %s" % parent)
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, *chunks):
+    """Write chunks to path, the package's only file writer: str chunks as
+    UTF-8, any other through the buffer protocol, so an array is not copied.
+    The file is written under a temporary name and renamed into place, so
+    readers never see a partial file; any failure removes the temporary, and
+    an OSError is an OutputError."""
     tmp = "%s.tmp-%d" % (path, os.getpid())
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except OSError as exc:
+        raise OutputError(path, exc.strerror or exc) from None
+    finally:
+        # after the rename no temporary is left to remove
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise OutputError(path, exc.strerror or exc) from None
 
 
 def _load_spec(path):
@@ -173,8 +181,18 @@ def rate_plot_svg(js, values):
     return "\n".join(parts) + "\n"
 
 
-def _parse_state(arg, layout_arg):
-    """Resolve --state into ((j_min, j_max) of the layout, _build_state input)."""
+def _read_state(arg, window_arg, j_max):
+    """The RotorState that --state names, on the layout of --jwindow or of
+    the state's default window [min - 2, max] of its levels.
+
+    In order: parse the state, fix the window, check it against the basis
+    limit j_max, normalize the parsed weights once (a Gaussian profile
+    normalizes itself) and build the state.  Every level is a distinct
+    integer >= 0 inside the window."""
+    # centrifuge amplitudes or isotropic populations by level; None for a
+    # Gaussian, and for the builtin isotropic state until the window gives
+    # its levels
+    weights = None
     if arg.startswith("centrifuge:"):
         form = "--state takes 'centrifuge:j1,j2,...' with distinct integers j >= 0 (got %r)" % arg
         try:
@@ -183,8 +201,7 @@ def _parse_state(arg, layout_arg):
             raise ValueError(form) from None
         if not js or min(js) < 0 or len(set(js)) < len(js):
             raise ValueError(form)
-        kind = ("centrifuge", {j: 1.0 / math.sqrt(len(js)) for j in js})
-        lo, hi = min(js), max(js)
+        kind, weights = "centrifuge", dict.fromkeys(js, 1.0)
     elif arg.startswith("gaussian:"):
         form = ("--state takes 'gaussian:center,width' with finite width > 0 and "
                 "center + 2 width >= 0 (got %r)" % arg)
@@ -195,12 +212,11 @@ def _parse_state(arg, layout_arg):
         # the window [center - 2 width, center + 2 width] must hold some j >= 0
         if not (math.isfinite(center) and 0 < width < math.inf and center + 2 * width >= 0):
             raise ValueError(form)
-        kind = ("gaussian", (center, width))
+        kind = "gaussian"
         lo = max(0, int(math.floor(center - 2 * width)))
         hi = int(math.ceil(center + 2 * width))
     elif arg == "isotropic":
-        kind = ("isotropic", None)
-        lo = hi = None
+        kind = "isotropic"
     else:
         try:
             with open(arg, "r", encoding="utf-8") as fh:
@@ -209,42 +225,71 @@ def _parse_state(arg, layout_arg):
             raise ValueError("cannot read state %s: %s" % (arg, exc))
         if not isinstance(doc, dict):
             raise ValueError("state file %s must hold a JSON object" % arg)
-        if doc.get("type") == "centrifuge":
-            coeff = {
-                int(j): _as_complex(c, "coefficients")
-                for j, c in _state_field(doc, "coefficients").items()
-            }
-            kind = ("centrifuge", coeff)
-            lo, hi = min(coeff), max(coeff)
-        elif doc.get("type") == "isotropic":
-            pops = {
-                int(j): _as_real(p, "populations")
-                for j, p in _state_field(doc, "populations").items()
-            }
-            kind = ("isotropic", pops)
-            lo, hi = min(pops), max(pops)
+        kind = doc.get("type")
+        if kind == "centrifuge":
+            weights = _state_field(doc, "coefficients", _as_complex)
+        elif kind == "isotropic":
+            weights = _state_field(doc, "populations", _as_real)
         else:
             raise ValueError("state file needs type centrifuge or isotropic")
+    if weights is not None:
+        lo, hi = max(0, min(weights) - 2), max(weights)
 
-    if layout_arg:
+    if window_arg is not None:
+        form = ("--jwindow takes 'jmin,jmax' (got %r) with integers 0 <= jmin <= jmax "
+                "around every level of --state" % window_arg)
         try:
-            a, b = (int(x) for x in layout_arg.split(","))
+            lo, hi = (int(x) for x in window_arg.split(","))
         except ValueError:
-            raise ValueError("--jwindow takes 'jmin,jmax' (got %r)" % layout_arg) from None
-        return (a, b), kind
-    if lo is None:
-        raise ValueError("isotropic builtin needs an explicit --jwindow")
-    return (max(0, lo - 2), hi), kind
+            raise ValueError(form) from None
+        if not 0 <= lo <= hi or (weights and not lo <= min(weights) <= max(weights) <= hi):
+            raise ValueError(form)
+    elif arg == "isotropic":
+        raise ValueError("--state isotropic takes its levels from --jwindow 'jmin,jmax'")
+    if hi > j_max:
+        raise ValueError("propagate: j=%d exceeds basis limit %d" % (hi, j_max))
+
+    if kind == "centrifuge":
+        total = math.fsum(abs(c) ** 2 for c in weights.values())
+        _check_total(total, "coefficients")
+        weights = {j: c / math.sqrt(total) for j, c in weights.items()}
+    elif kind == "isotropic":
+        if weights is None:
+            weights = dict.fromkeys(range(lo, hi + 1), 1.0)
+        total = math.fsum(weights.values())
+        _check_total(total, "populations")
+        weights = {j: p / total for j, p in weights.items()}
+
+    # lindblad is imported here and in cmd_propagate only, so the rates and
+    # sweep commands never load it
+    from . import lindblad as lb
+
+    layout = lb.BasisLayout(lo, hi)
+    if kind == "gaussian":
+        return lb.centrifuge_state(layout, lb.gaussian_profile(layout, center, width))
+    if kind == "centrifuge":
+        return lb.centrifuge_state(layout, weights)
+    return lb.isotropic_state(layout, weights)
 
 
-def _state_field(doc, name):
-    """The nonempty JSON object a state file holds under name."""
+def _state_field(doc, name, read):
+    """The levels and values of the nonempty JSON object a state file holds
+    under name: each key a distinct integer level j >= 0, each value read
+    by read(value, name)."""
     if name not in doc:
         raise ValueError("state file has no %r field" % name)
-    value = doc[name]
-    if not isinstance(value, dict) or not value:
+    field = doc[name]
+    if not isinstance(field, dict) or not field:
         raise ValueError("state file field %r must be a nonempty object" % name)
-    return value
+    values = {}
+    for key, value in field.items():
+        if not key.isdecimal() or int(key) in values:
+            raise ValueError(
+                "state file field %r takes distinct integer levels j >= 0 as keys (got %r)"
+                % (name, key)
+            )
+        values[int(key)] = read(value, name)
+    return values
 
 
 def _as_complex(v, name):
@@ -266,28 +311,6 @@ def _as_real(v, name):
         return float(v)
     except (TypeError, ValueError):
         raise ValueError("state file field %r holds %r, not a number" % (name, v)) from None
-
-
-def _build_state(bounds, kind):
-    # lindblad is imported here and in cmd_propagate only, so the rates and
-    # sweep commands never load it
-    from . import lindblad as lb
-
-    layout = lb.BasisLayout(*bounds)
-    tag, payload = kind
-    if tag == "centrifuge":
-        total = math.fsum(abs(c) ** 2 for c in payload.values())
-        _check_total(total, "coefficients")
-        coeff = {j: c / math.sqrt(total) for j, c in payload.items()}
-        return lb.centrifuge_state(layout, coeff)
-    if tag == "gaussian":
-        return lb.centrifuge_state(layout, lb.gaussian_profile(layout, *payload))
-    if payload is None:
-        js = list(layout.js)
-        payload = {j: 1.0 / len(js) for j in js}
-    total = math.fsum(payload.values())
-    _check_total(total, "populations")
-    return lb.isotropic_state(layout, {j: p / total for j, p in payload.items()})
 
 
 def _check_total(total, name):
@@ -350,11 +373,7 @@ def cmd_propagate(args):
     _check_outputs(args.out, args.dump, args.manifest)
     spec = _load_spec(args.config)
     t0 = time.perf_counter()
-    bounds, kind = _parse_state(args.state, args.jwindow)
-    if bounds[1] > spec.numerics.j_max:
-        limit = (bounds[1], spec.numerics.j_max)
-        raise ValueError("propagate: j=%d exceeds basis limit %d" % limit)
-    rho0 = _build_state(bounds, kind)
+    rho0 = _read_state(args.state, args.jwindow, spec.numerics.j_max)
     layout = rho0.layout
     if args.signal:
         try:
@@ -373,7 +392,7 @@ def cmd_propagate(args):
         signal_js = [
             j
             for j in layout.js
-            if j - 2 >= layout.j_min and lb.alignment_signal(rho0, j) > 0
+            if j - 2 >= layout.j_min and rho0.corner_coherence(j, j - 2) != 0
         ]
     dset = lb.build_dissipator(spec, layout, backend=args.backend, kappa_mode=args.kappa)
     flags = []
@@ -412,10 +431,7 @@ def cmd_propagate(args):
     print("max |rho(t_final) - rho(0)| = %.3g" % traj.final.max_deviation(rho0))
 
     if args.dump:
-        try:
-            lb.write_state_binary(traj.final, args.dump)
-        except OSError as exc:
-            raise OutputError(args.dump, exc.strerror or exc) from None
+        _atomic_write(args.dump, *lb.state_dump(traj.final))
         outputs.append(args.dump)
         print("wrote %s" % args.dump)
     return _finish(args, spec, outputs, t0, flags, traj.diagnostics)

@@ -17,8 +17,8 @@ A density matrix on a BasisLayout (D = layout.dim) is kept as its values on
 the chains it occupies, with their entry pattern (_EntryPattern): a
 RotorState is one such vector.  propagate exponentiates the chains of its
 initial state exactly, block scalars included; the others stay exactly zero.
-Only RotorState.matrix (as for the --dump of the CLI), DissipatorSet.apply
-and write_state_binary build a D x D matrix.
+Only RotorState.matrix (as for the --dump of the CLI, through state_dump)
+and DissipatorSet.apply build a D x D matrix.
 
 The dissipator's action is defined once, as the generators of its chains
 (_chain_generators): propagate exponentiates them, and _chain_action
@@ -35,9 +35,8 @@ its one frame.  A Trajectory keeps the columns and the last frame, as a
 RotorState, and frees the flow and every other frame.
 """
 
-import contextlib
 import math
-import os
+import struct
 from functools import cached_property
 
 import numpy as np
@@ -63,7 +62,8 @@ EIG_FLOOR = -1e-9
 # a chain generator is propagated through V diag(lam) V^-1 only while that
 # product reproduces it to this fraction of its largest entry
 EIG_RECON_TOL = 1e-10
-STATE_HEADER_BYTES = 32
+# header of a state dump: int64 D, int64 j_min, int64 j_max, float64 time
+STATE_HEADER = struct.Struct("<3qd")
 
 
 class StepSizeViolation(ValueError):
@@ -332,7 +332,7 @@ def _chain_action(dset, pattern, values):
 def _collision_weight(spec):
     """2 pi (n_g/mu) Int dq q^3 nu_th(q) |c(q)|^2 on the radial rule."""
     radial = thermal_q_integral(spec, spec.numerics.quad_order_q, 3, lambda c: abs(c) ** 2)
-    return 2.0 * math.pi * spec.gas.density / spec.thermal.reduced_mass * radial
+    return 2.0 * math.pi * spec.gas.density / spec.reduced_mass * radial
 
 
 def _jump_family(spec, layout, backend, kappa_mode):
@@ -616,7 +616,8 @@ class Trajectory(Frozen):
         return self.columns["corners"][:, self.layout.js.index(j), self.layout.js.index(j_prime)]
 
     def signal(self, j):
-        """(n,) alignment signals |<jj| rho |j-2,j-2>|^2 (alignment_signal)."""
+        """(n,) alignment signals |<jj| rho |j-2,j-2>|^2, the squared corner
+        coherences that Raman scattering probes."""
         return np.abs(self.corner_coherence(j, j - 2)) ** 2
 
 
@@ -892,11 +893,6 @@ class _EntryPattern:
         return low
 
 
-def alignment_signal(rho, j):
-    """Squared coherence |<jj| rho |j-2,j-2>|^2 probed by Raman scattering."""
-    return abs(rho.corner_coherence(j, j - 2)) ** 2
-
-
 def extract_decay_rate(samples, with_residual=False):
     """Log-linear least-squares decay rate of positive samples.
 
@@ -939,47 +935,29 @@ def trajectory_csv(trajectory, signal_js=()):
     return "\n".join(lines) + "\n"
 
 
-def write_state_binary(state, path):
-    """Dump a state as little-endian binary.
-
-    Layout: int64 D, int64 j_min, int64 j_max, float64 time, then D*D
-    complex128 entries row-major.  The file is written under a temporary
-    name and renamed into place, so readers never see a partial dump; an
-    OSError removes the temporary file and propagates.
-    """
-    path = os.fspath(path)
-    tmp = "%s.tmp-%d" % (path, os.getpid())
-    header = np.array(
-        [state.layout.dim, state.layout.j_min, state.layout.j_max], dtype="<i8"
-    )
-    # built before the temporary file exists, so a failure leaves no file
-    payload = np.ascontiguousarray(state.matrix, dtype="<c16")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header.tobytes())
-            fh.write(np.array([state.time], dtype="<f8").tobytes())
-            fh.write(payload)
-        os.replace(tmp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+def state_dump(state):
+    """The little-endian binary dump of a state as (header bytes, payload
+    array), both built before any file is opened: int64 D, int64 j_min,
+    int64 j_max, float64 time, then the D*D complex128 entries row-major.
+    The payload is the state's matrix itself, not a copy."""
+    layout = state.layout
+    header = STATE_HEADER.pack(layout.dim, layout.j_min, layout.j_max, state.time)
+    return header, np.ascontiguousarray(state.matrix, dtype="<c16")
 
 
 def read_state_binary(path):
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < STATE_HEADER_BYTES:
+    if len(raw) < STATE_HEADER.size:
         raise ValueError(
             "state file is %d bytes, shorter than its %d-byte header"
-            % (len(raw), STATE_HEADER_BYTES)
+            % (len(raw), STATE_HEADER.size)
         )
-    dim, j_min, j_max = (int(x) for x in np.frombuffer(raw[:24], dtype="<i8"))
-    time = float(np.frombuffer(raw[24:32], dtype="<f8")[0])
-    layout = BasisLayout(int(j_min), int(j_max))
+    dim, j_min, j_max, time = STATE_HEADER.unpack_from(raw)
+    layout = BasisLayout(j_min, j_max)
     if layout.dim != dim:
         raise ValueError("header dimension %d inconsistent with j range" % dim)
-    mat = np.frombuffer(raw[32:], dtype="<c16")
-    if mat.size != dim * dim:
+    if len(raw) != STATE_HEADER.size + 16 * dim * dim:
         raise ValueError("payload size does not match header dimension")
+    mat = np.frombuffer(raw, dtype="<c16", offset=STATE_HEADER.size)
     return RotorState.from_matrix(layout, mat.reshape(dim, dim), time)

@@ -98,19 +98,6 @@ class GasSpec(record("GasSpec", "mass thermal_energy density c6")):
         return self.density * self.thermal_energy
 
 
-class ThermalContext(
-    record("ThermalContext", "reduced_mass thermal_momentum density molecule gas")
-):
-    """Reduced collision system derived from a molecule and a gas."""
-
-    __slots__ = ()
-
-    def __new__(cls, reduced_mass, thermal_momentum, density, molecule, gas):
-        if reduced_mass <= 0.0 or thermal_momentum <= 0.0:
-            raise ValueError("thermal context requires positive mu and q_th")
-        return super().__new__(cls, reduced_mass, thermal_momentum, density, molecule, gas)
-
-
 class NumericsSpec(
     record(
         "NumericsSpec",
@@ -164,19 +151,24 @@ class UnitScales(namedtuple("UnitScales", "mass momentum action", defaults=(1.0,
         return 1.0 / self.time
 
 
-class SystemSpec(
-    namedtuple("SystemSpec", "molecule gas numerics thermal scales unit_system")
-):
-    """Fully resolved system: physics in internal units plus the unit map."""
+class SystemSpec(namedtuple("SystemSpec", "molecule gas numerics scales unit_system")):
+    """Fully resolved system: physics in internal units plus the unit map.
+
+    The collision quantities are read from the molecule and the gas it
+    holds, so a copy made with _replace derives them from its own fields.
+    """
 
     __slots__ = ()
 
+    @property
+    def reduced_mass(self):
+        """Collision reduced mass mu = m_g M / (m_g + M)."""
+        return self.gas.mass * self.molecule.mass / (self.gas.mass + self.molecule.mass)
 
-def derive_thermal(mol, gas):
-    """Reduced mass mu = m_g M / (m_g + M) and q_th = sqrt(2 mu k_B T)."""
-    mu = gas.mass * mol.mass / (gas.mass + mol.mass)
-    q_th = math.sqrt(2.0 * mu * gas.thermal_energy)
-    return ThermalContext(mu, q_th, gas.density, mol, gas)
+    @property
+    def thermal_momentum(self):
+        """Thermal momentum q_th = sqrt(2 mu k_B T)."""
+        return math.sqrt(2.0 * self.reduced_mass * self.gas.thermal_energy)
 
 
 _TOP_KEYS = {"molecule", "gas", "numerics", "units", "comment"}
@@ -297,8 +289,7 @@ def load_config(text):
     for key, value in num_doc.items():
         kwargs[key] = int(value) if key in _NUMERICS_INT else float(value)
     numerics = NumericsSpec(**kwargs)
-    thermal = derive_thermal(molecule, gas)
-    return SystemSpec(molecule, gas, numerics, thermal, scales, system)
+    return SystemSpec(molecule, gas, numerics, scales, system)
 
 
 def normalized_document(spec):

@@ -172,8 +172,7 @@ def eikonal_strength(q, spec):
     """
     if q <= 0.0:
         raise ValueError("eikonal_strength: q must be positive")
-    th = spec.thermal
-    return 3.0 * math.pi * th.reduced_mass * spec.gas.c6 / (8.0 * HBAR * q)
+    return 3.0 * math.pi * spec.reduced_mass * spec.gas.c6 / (8.0 * HBAR * q)
 
 
 def forward_scalar(q, spec):
@@ -210,17 +209,17 @@ def a_coefficient(j, j_prime):
 
 def _closed_form_rates(pairs, spec):
     # RateResult rows for (j, j') pairs: one prefactor for all of them
-    th = spec.thermal
     mol = spec.molecule
+    q_th = spec.thermal_momentum
     constant = math.gamma(2.6) * math.gamma(0.6) ** 2 * math.sqrt(math.pi) / 10.0
     aniso = (mol.alpha_aniso / (30.0 * mol.alpha_mean)) ** 2
-    strength = eikonal_strength(th.thermal_momentum, spec) ** 0.8
+    strength = eikonal_strength(q_th, spec) ** 0.8
     prefactor = (
         _PREFACTOR_SCALE
         * constant
-        * th.density
-        * th.thermal_momentum**3
-        / (th.reduced_mass * HBAR**2)
+        * spec.gas.density
+        * q_th**3
+        / (spec.reduced_mass * HBAR**2)
         * aniso
         * strength
     )
@@ -308,7 +307,7 @@ def thermal_q_integral(spec, order, power, fn):
     """
     from . import mathkit
 
-    q_th = spec.thermal.thermal_momentum
+    q_th = spec.thermal_momentum
     rule = mathkit.make_rule("half_line", order)
     total = 0.0
     for x, w in zip(rule.node_floats, rule.weight_floats):
@@ -329,10 +328,9 @@ def _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode):
         raise ValueError(f"unknown amplitude_backend {amplitude_backend!r}")
     from . import mathkit
 
-    th = spec.thermal
     nq = spec.numerics.quad_order_q
     ns = spec.numerics.quad_order_sphere
-    pref = th.density / (2.0 * th.reduced_mass)
+    pref = spec.gas.density / (2.0 * spec.reduced_mass)
     r, r_fine = (
         thermal_q_integral(spec, order, 3, lambda c: abs(c) ** 2) for order in (nq, 2 * nq)
     )
@@ -382,15 +380,6 @@ def gamma_numeric(j, j_prime, spec, amplitude_backend="linearized", kappa_mode="
     return _quadrature_rates([(j, j_prime)], spec, amplitude_backend, kappa_mode)[0]
 
 
-def signal_decay_rate(j, spec):
-    """Alignment-signal rate Gamma_j = 2 gamma_{j,j-2}; read it off the
-    gamma_signal field of the returned pair rate."""
-    j = int(j)
-    if j < 2:
-        raise ValueError("signal_decay_rate: needs j >= 2")
-    return gamma_closed_form(j, j - 2, spec)
-
-
 def energy_shift_matrix(j, spec, with_diagnostics=False):
     """Isotropic gas-induced energy shift block s_iso * identity.
 
@@ -409,11 +398,10 @@ def energy_shift_matrix(j, spec, with_diagnostics=False):
 
     from . import mathkit
 
-    th = spec.thermal
-
     def shift_once(order_q):
         re_c = thermal_q_integral(spec, order_q, 2, lambda c: c.real)
-        scalar = -2.0 * math.pi * HBAR**2 * th.density / th.reduced_mass * re_c * 4.0 * math.pi
+        scalar = (-2.0 * math.pi * HBAR**2 * spec.gas.density / spec.reduced_mass
+                  * re_c * 4.0 * math.pi)
         return scalar * np.eye(2 * j + 1)
 
     base = shift_once(spec.numerics.quad_order_q)

@@ -153,12 +153,15 @@ def spectral_shapes(j, nodes, spec, kappa_mode="exact"):
     j = int(j)
     if j < 0:
         raise ValueError("spectral_shapes: need j >= 0")
+    nodes = _check_unit(nodes, "nodes", ndim=2)
     rule = make_rule("circle", spec.numerics.quad_order_circle)
+    bands = template_bands(j, spec.molecule, kappa_mode)
     d = 2 * j + 1
     out = np.empty((len(nodes), d, d), dtype=complex)
     for k, n_prime in enumerate(nodes):
+        # the impact directions are orthogonal to n_prime by construction
         e_b = _circle_directions(n_prime, rule.nodes)
-        coup = coupling_matrix(j, n_prime, e_b, spec.molecule, kappa_mode)
+        coup = _place_bands(_collision_factors(n_prime, e_b), bands)
         lam, vec = np.linalg.eigh(np.eye(d) + coup)
         if np.any(lam <= 0.0):
             raise ValueError("anisotropy too large for fractional-power branch")
@@ -223,7 +226,8 @@ def _schiff_entries(j, q, n_out, n_in, spec, pts):
     d = 2 * int(j) + 1
     a_q = eikonal_strength(q, spec)
     transfer = (q / HBAR) * (np.asarray(n_out, dtype=float) - np.asarray(n_in, dtype=float))
-    lams, vecs = np.linalg.eigh(np.eye(d) + coupling_matrix(j, n_in, e_b, spec.molecule))
+    coup = _place_bands(_collision_factors(n_in, e_b), template_bands(j, spec.molecule))
+    lams, vecs = np.linalg.eigh(np.eye(d) + coup)
     acc = np.zeros((d, d), dtype=complex)
     for w, lam, vec, c_t in zip(rule.weights, lams, vecs, e_b @ transfer):
         radial = np.array(

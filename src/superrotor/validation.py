@@ -264,7 +264,7 @@ def criterion_propagator_rate_consistency(spec=None):
 def criterion_optical_theorem(spec=None):
     """Isotropic full amplitude: optical theorem and forward closed form."""
     spec = _zero_aniso(spec or _default_spec())
-    q = spec.thermal.thermal_momentum
+    q = spec.thermal_momentum
     ez = np.array([0.0, 0.0, 1.0])
     amp, converged = scattering.schiff_amplitude_full(0, q, ez, ez, spec)
     f0 = complex(amp[0, 0])
@@ -295,7 +295,7 @@ def criterion_linearization_scaling(spec=None):
     def gap(eps):
         mol = base.molecule._replace(alpha_aniso=1.5 * eps)
         s = base._replace(molecule=mol)
-        q = s.thermal.thermal_momentum
+        q = s.thermal_momentum
         n = np.array([0.6, 0.0, 0.8])
         lin = scattering.forward_amplitude_linearized(3, q, n, s)
         spc = scattering.forward_amplitude_spectral(3, q, n, s)
@@ -342,7 +342,7 @@ def criterion_zero_anisotropy_null(spec=None):
     m = m @ m.conj().T
     state = lb.RotorState.from_matrix(layout, m / np.trace(m).real)
     action = float(np.max(np.abs(dset.apply(state.matrix))))
-    q = spec.thermal.thermal_momentum
+    q = spec.thermal_momentum
     n = np.array([0.6, 0.0, 0.8])
     lin = scattering.forward_amplitude_linearized(3, q, n, spec)
     spc = scattering.forward_amplitude_spectral(3, q, n, spec)

@@ -365,6 +365,25 @@ def test_propagate_state_file_empty_field(tmp_path, capsys):
     assert "'populations' must be a nonempty object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["coefficients", "populations"])
+@pytest.mark.parametrize(
+    "levels, key", [(("4", "04"), "04"), (("4.0",), "4.0"), (("-1", "2"), "-1")],
+    ids=["repeated", "fraction", "negative"],
+)
+def test_propagate_state_file_levels_are_distinct_integers(tmp_path, capsys, field, levels,
+                                                           key):
+    # "4" and "04" used to merge into one level and propagate the pure
+    # state |44> with exit 0; "4.0" and "-1" leaked int()'s message or the
+    # layout's own check
+    kind = "centrifuge" if field == "coefficients" else "isotropic"
+    doc = {"type": kind, field: {level: 0.5 for level in levels}}
+    assert run_state_file(tmp_path, doc) == 2
+    message = ("config error: state file field %r takes distinct integer levels j >= 0 "
+               "as keys (got %r)" % (field, key))
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_propagate_state_file_null_coefficient(tmp_path, capsys):
     doc = {"type": "centrifuge", "coefficients": {"2": None}}
     assert run_state_file(tmp_path, doc) == 2
@@ -486,14 +505,18 @@ def test_unwritable_output_is_usage_error(tmp_path, args):
 
 
 def test_failed_write_leaves_no_temporary(tmp_path):
-    # past the path check, a failing rename still removes the temporary file
+    # past the path check, a failing rename still removes the temporary
+    # file, for text and for a binary dump alike, and so does a failure
+    # while writing that is not an OSError
     target = tmp_path / "dirout"
     target.mkdir()
     with pytest.raises(OutputError, match="cannot write"):
         _atomic_write(str(target), "text")
     rho = lb.isotropic_state(lb.BasisLayout(0, 1), {0: 0.5, 1: 0.5})
-    with pytest.raises(OSError):
-        lb.write_state_binary(rho, target)
+    with pytest.raises(OutputError, match="cannot write"):
+        _atomic_write(str(target), *lb.state_dump(rho))
+    with pytest.raises(TypeError):
+        _atomic_write(str(tmp_path / "t.csv"), "text", None)
     assert [p.name for p in tmp_path.iterdir()] == ["dirout"]
 
 
@@ -542,6 +565,28 @@ def test_propagate_malformed_jwindow(window, tmp_path, capsys):
                     "--tfinal", "0.1", "--dt", "0.01", "--out", str(tmp_path / "t.csv")])
     assert code == 2
     assert "config error: --jwindow takes 'jmin,jmax' (got %r)" % window in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "state, window", [("centrifuge:2,4", "5,3"), ("isotropic", "-1,3"),
+                      ("centrifuge:8,10", "2,5"), ("centrifuge:2,4", "3,6")]
+)
+def test_propagate_jwindow_out_of_range(state, window, tmp_path, capsys, monkeypatch):
+    # a reversed or negative window, or one that leaves out a level of the
+    # state, used to fail in the layout ("need 0 <= j_min <= j_max",
+    # "j=8 outside layout [2, 5]") without naming the option
+    def no_layout(*args, **kwargs):
+        raise AssertionError("layout built")
+
+    monkeypatch.setattr(lb, "BasisLayout", no_layout)
+    # "--jwindow -1,3" would be an unknown option to argparse
+    code = run_cli(["propagate", "n1", "--state", state, "--jwindow=" + window,
+                    "--tfinal", "0.1", "--dt", "0.01", "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    message = ("config error: --jwindow takes 'jmin,jmax' (got %r) with integers "
+               "0 <= jmin <= jmax around every level of --state" % window)
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from superrotor import lindblad as lb
 from superrotor import scattering
+from superrotor.cli import _atomic_write
 from superrotor.mathkit import make_rule
 from superrotor.params import HBAR, builtin_config, load_config
 from superrotor.rates import energy_shift_matrix, gamma_closed_form, gamma_numeric
@@ -75,13 +76,13 @@ def literal_jumps(spec, layout, backend, sphere=None):
         "linearized": scattering.forward_amplitude_linearized,
         "spectral": scattering.forward_amplitude_spectral,
     }[backend]
-    q_th = spec.thermal.thermal_momentum
+    q_th = spec.thermal_momentum
     c_ref = scattering.forward_scalar(q_th, spec)
     radial = make_rule("half_line", spec.numerics.quad_order_q)
     if sphere is None:
         rule = make_rule("sphere", spec.numerics.quad_order_sphere)
         sphere = rule.nodes, rule.weights
-    pref = 2.0 * math.pi * spec.gas.density / spec.thermal.reduced_mass * q_th / math.pi**1.5
+    pref = 2.0 * math.pi * spec.gas.density / spec.reduced_mass * q_th / math.pi**1.5
     for n, w_n in zip(*sphere):
         shape = scipy.linalg.block_diag(
             *[amplitude(j, q_th, n, spec) / c_ref for j in layout.js]
@@ -463,7 +464,7 @@ def test_spectral_gas_shift_follows_kappa():
     spec = spectral_spec()
     layout = lb.BasisLayout(1, 3)
     dset = lb.build_dissipator(spec, layout, backend="spectral", kappa_mode="half")
-    q_th = spec.thermal.thermal_momentum
+    q_th = spec.thermal_momentum
     c_th = scattering.forward_scalar(q_th, spec)
     sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
     levels, residual = lb._hamiltonian(spec, dset)
@@ -1055,16 +1056,17 @@ def test_initial_state_memory_scales_with_chains():
 
 
 def test_alignment_signal():
+    # the signal of level j is the squared stretched corner of block (j, j - 2)
     layout = lb.BasisLayout(8, 12)
     two = lb.centrifuge_state(layout, {10: 2**-0.5, 12: 2**-0.5})
-    assert lb.alignment_signal(two, 12) == pytest.approx(0.25, abs=1e-14)
-    assert lb.alignment_signal(two, 10) == 0.0
+    assert abs(two.corner_coherence(12, 10)) ** 2 == pytest.approx(0.25, abs=1e-14)
+    assert two.corner_coherence(10, 8) == 0.0
     iso = lb.isotropic_state(layout, {10: 1.0})
-    assert lb.alignment_signal(iso, 10) == 0.0
+    assert iso.corner_coherence(10, 8) == 0.0
     with pytest.raises(ValueError):
-        lb.alignment_signal(two, 9)  # j-2 = 7 outside layout
+        two.corner_coherence(9, 7)  # j-2 = 7 outside layout
     with pytest.raises(ValueError):
-        lb.alignment_signal(two, 1)
+        two.corner_coherence(1, -1)
 
 
 def test_extract_decay_rate():
@@ -1106,7 +1108,10 @@ def test_state_binary_round_trip(tmp_path):
     layout = lb.BasisLayout(3, 5)
     state = random_state(layout, seed=21)
     path = tmp_path / "state.bin"
-    lb.write_state_binary(state, path)
+    header, payload = lb.state_dump(state)
+    # the payload is the state's own matrix, not a copy
+    assert np.shares_memory(payload, state.matrix)
+    _atomic_write(str(path), header, payload)
     back = lb.read_state_binary(path)
     assert back.layout == layout
     assert back.time == state.time
@@ -1119,7 +1124,7 @@ def test_state_binary_round_trip(tmp_path):
 
 
 def test_state_binary_failed_build_leaves_no_file(tmp_path, monkeypatch):
-    # the dense payload is built before the temporary file is opened
+    # the dense payload is built before the writer opens any file
     state = random_state(lb.BasisLayout(0, 1), seed=4)
 
     def fail(self):
@@ -1127,13 +1132,13 @@ def test_state_binary_failed_build_leaves_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(lb.RotorState, "matrix", property(fail))
     with pytest.raises(MemoryError):
-        lb.write_state_binary(state, tmp_path / "state.bin")
+        _atomic_write(str(tmp_path / "state.bin"), *lb.state_dump(state))
     assert list(tmp_path.iterdir()) == []
 
 
 def test_state_binary_rejects_truncated_files(tmp_path):
     path = tmp_path / "state.bin"
-    lb.write_state_binary(random_state(lb.BasisLayout(0, 1), seed=4), path)
+    _atomic_write(str(path), *lb.state_dump(random_state(lb.BasisLayout(0, 1), seed=4)))
     # written under a temporary name and renamed: nothing else is left behind
     assert [p.name for p in tmp_path.iterdir()] == ["state.bin"]
     raw = path.read_bytes()
@@ -1142,9 +1147,11 @@ def test_state_binary_rejects_truncated_files(tmp_path):
         cut.write_bytes(raw[:size])
         with pytest.raises(ValueError, match="32-byte header"):
             lb.read_state_binary(cut)
-    cut.write_bytes(raw[:-16])
-    with pytest.raises(ValueError, match="payload"):
-        lb.read_state_binary(cut)
+    # a payload cut inside an entry used to leak numpy's buffer message
+    for size in (len(raw) - 16, len(raw) - 3, len(raw) + 1):
+        cut.write_bytes((raw + b"\0")[:size])
+        with pytest.raises(ValueError, match="payload size does not match"):
+            lb.read_state_binary(cut)
 
 
 def test_drift_monitor_shares_state_tolerances():

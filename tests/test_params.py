@@ -12,7 +12,6 @@ from superrotor.params import (
     MoleculeSpec,
     NumericsSpec,
     builtin_config,
-    derive_thermal,
     load_config,
     normalized_document,
 )
@@ -48,9 +47,9 @@ def si_doc(**gas_overrides):
 
 def test_builtin_n1_resolves():
     spec = load_config(builtin_config("n1"))
-    assert spec.thermal.reduced_mass == pytest.approx(1.0, rel=1e-15)
-    assert spec.thermal.thermal_momentum == pytest.approx(1.0, rel=1e-15)
-    assert spec.thermal.density == 1.0
+    assert spec.reduced_mass == pytest.approx(1.0, rel=1e-15)
+    assert spec.thermal_momentum == pytest.approx(1.0, rel=1e-15)
+    assert spec.gas.density == 1.0
     assert spec.molecule.epsilon == pytest.approx(20.0, rel=1e-15)
     assert spec.gas.pressure == pytest.approx(0.5, rel=1e-15)
     # c6 chosen so the eikonal strength 3 pi mu c6 / (8 hbar q_th) is 1
@@ -62,26 +61,40 @@ def test_builtin_unknown_name():
         builtin_config("n2")
 
 
+def system(mol, gas):
+    """The n1 spec with the given molecule and gas."""
+    return load_config(builtin_config("n1"))._replace(molecule=mol, gas=gas)
+
+
 def test_equal_masses_halve_reduced_mass():
     mol = MoleculeSpec(mass=1.0, moment_of_inertia=1.0, alpha_mean=1.0, alpha_aniso=0.1)
     gas = GasSpec(mass=1.0, thermal_energy=1.0, density=1.0, c6=1.0)
-    ctx = derive_thermal(mol, gas)
-    assert ctx.reduced_mass == pytest.approx(0.5, rel=1e-15)
-    assert ctx.thermal_momentum == pytest.approx(1.0, rel=1e-15)
+    spec = system(mol, gas)
+    assert spec.reduced_mass == pytest.approx(0.5, rel=1e-15)
+    assert spec.thermal_momentum == pytest.approx(1.0, rel=1e-15)
 
 
 def test_heavy_rotor_limit():
     mol = MoleculeSpec(mass=1e12, moment_of_inertia=1.0, alpha_mean=1.0, alpha_aniso=0.1)
     gas = GasSpec(mass=1.0, thermal_energy=0.5, density=1.0, c6=1.0)
-    ctx = derive_thermal(mol, gas)
-    assert ctx.reduced_mass == pytest.approx(1.0, rel=1e-11)
+    assert system(mol, gas).reduced_mass == pytest.approx(1.0, rel=1e-11)
 
 
 def test_qth_definition():
     mol = MoleculeSpec(mass=2.0, moment_of_inertia=1.0, alpha_mean=1.0, alpha_aniso=0.1)
     gas = GasSpec(mass=2.0, thermal_energy=0.5, density=1.0, c6=1.0)
-    ctx = derive_thermal(mol, gas)
-    assert ctx.thermal_momentum == pytest.approx(1.0, rel=1e-15)
+    assert system(mol, gas).thermal_momentum == pytest.approx(1.0, rel=1e-15)
+
+
+def test_changed_copy_derives_its_collision_quantities():
+    # mu and q_th are read from the copy's own molecule and gas; a stored
+    # copy of them kept mu = 1 after the molecule's mass changed
+    spec = load_config(builtin_config("n1"))
+    heavy = spec._replace(molecule=spec.molecule._replace(mass=50.0))
+    assert heavy.reduced_mass == 100 / 52
+    assert heavy.thermal_momentum == math.sqrt(100 / 52)
+    hot = spec._replace(gas=spec.gas._replace(thermal_energy=2.0))
+    assert (hot.reduced_mass, hot.thermal_momentum) == (1.0, 2.0)
 
 
 def test_squared_polarizability_ratio_must_be_finite():
@@ -103,7 +116,7 @@ def test_rotational_energy():
     assert mol.rotational_energy(10) == pytest.approx(110.0 / 20.0, rel=1e-15)
 
 
-def nu_th(q, ctx):
+def nu_th(q, spec):
     """Thermal density of relative momenta, exp(-q^2/q_th^2)/(sqrt(pi) q_th)^3.
 
     Normalized with respect to d^3q; accepts scalars or arrays, q >= 0. The
@@ -113,22 +126,22 @@ def nu_th(q, ctx):
     q = np.asarray(q, dtype=float)
     if np.any(q < 0.0):
         raise ValueError("nu_th: momentum magnitude must be >= 0")
-    qth = ctx.thermal_momentum
+    qth = spec.thermal_momentum
     out = np.exp(-((q / qth) ** 2)) / (math.sqrt(math.pi) * qth) ** 3
     return out if out.ndim else float(out)
 
 
 def test_nu_th_at_origin():
     spec = load_config(builtin_config("n1"))
-    assert nu_th(0.0, spec.thermal) == pytest.approx(math.pi ** (-1.5), rel=1e-7)
+    assert nu_th(0.0, spec) == pytest.approx(math.pi ** (-1.5), rel=1e-7)
 
 
 def test_nu_th_rejects_negative_momentum():
     spec = load_config(builtin_config("n1"))
     with pytest.raises(ValueError):
-        nu_th(-0.1, spec.thermal)
+        nu_th(-0.1, spec)
     with pytest.raises(ValueError):
-        nu_th(np.array([0.5, -2.0]), spec.thermal)
+        nu_th(np.array([0.5, -2.0]), spec)
 
 
 @pytest.mark.parametrize("order", [32, 48, 64])
@@ -137,7 +150,7 @@ def test_nu_th_normalization(order):
     rule = make_rule("half_line", order)
     q, w = rule.nodes, rule.weights
     # exp(-q^2) already lives in the weights; divide it back out of nu_th
-    density = nu_th(q, spec.thermal) * np.exp(q * q)
+    density = nu_th(q, spec) * np.exp(q * q)
     total = np.sum(w * 4.0 * math.pi * q**2 * density)
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -146,9 +159,9 @@ def test_nu_th_second_moment():
     spec = load_config(builtin_config("n1"))
     rule = make_rule("half_line", 48)
     q, w = rule.nodes, rule.weights
-    density = nu_th(q, spec.thermal) * np.exp(q * q)
+    density = nu_th(q, spec) * np.exp(q * q)
     mean_q2 = np.sum(w * 4.0 * math.pi * q**4 * density)
-    assert mean_q2 == pytest.approx(1.5 * spec.thermal.thermal_momentum**2, rel=1e-8)
+    assert mean_q2 == pytest.approx(1.5 * spec.thermal_momentum**2, rel=1e-8)
 
 
 def test_gas_state_consistent_pair_accepted():
@@ -226,30 +239,28 @@ def test_numerics_validation():
 
 def test_si_input_lands_on_internal_scales():
     spec = load_config(si_doc())
-    assert spec.thermal.reduced_mass == pytest.approx(1.0, rel=1e-14)
-    assert spec.thermal.thermal_momentum == pytest.approx(1.0, rel=1e-14)
+    assert spec.reduced_mass == pytest.approx(1.0, rel=1e-14)
+    assert spec.thermal_momentum == pytest.approx(1.0, rel=1e-14)
     assert spec.gas.thermal_energy == pytest.approx(0.5, rel=1e-14)
     # the unit map must invert back to the SI inputs
     assert spec.gas.mass * spec.scales.mass == pytest.approx(6.65e-27, rel=1e-14)
     kb_t = 1.380649e-23 * 295.0
     assert spec.gas.thermal_energy * spec.scales.energy == pytest.approx(kb_t, rel=1e-14)
     n_si = 10.0 / kb_t
-    assert spec.thermal.density / spec.scales.length**3 == pytest.approx(n_si, rel=1e-10)
+    assert spec.gas.density / spec.scales.length**3 == pytest.approx(n_si, rel=1e-10)
 
 
 def test_si_normalized_round_trip_dimensionless_groups():
     spec_si = load_config(si_doc())
     spec_rt = load_config(normalized_document(spec_si))
     for spec in (spec_si, spec_rt):
-        assert spec.thermal.thermal_momentum == pytest.approx(
-            spec_si.thermal.thermal_momentum, rel=1e-12
-        )
+        assert spec.thermal_momentum == pytest.approx(spec_si.thermal_momentum, rel=1e-12)
     group_a = [
-        3 * math.pi * s.thermal.reduced_mass * s.gas.c6 / (8 * s.thermal.thermal_momentum)
+        3 * math.pi * s.reduced_mass * s.gas.c6 / (8 * s.thermal_momentum)
         for s in (spec_si, spec_rt)
     ]
     assert group_a[0] == pytest.approx(group_a[1], rel=1e-12)
-    group_b = [s.thermal.density * s.thermal.thermal_momentum**3 / s.thermal.reduced_mass
+    group_b = [s.gas.density * s.thermal_momentum**3 / s.reduced_mass
                for s in (spec_si, spec_rt)]
     assert group_b[0] == pytest.approx(group_b[1], rel=1e-12)
 
@@ -259,7 +270,6 @@ def n1_records():
     return {
         "molecule": spec.molecule,
         "gas": spec.gas,
-        "thermal": spec.thermal,
         "numerics": spec.numerics,
         "rate": RateResult(4, 2, 0.25, "closed_form", 0.5),
         "layout": lindblad.BasisLayout(2, 4),
@@ -282,8 +292,8 @@ def n1_records():
         ("gas", {"thermal_energy": -1.0}, "gas.thermal_energy must be positive"),
         ("gas", {"density": 0.0}, "gas.density must be positive"),
         ("gas", {"c6": 0.0}, "gas.c6 must be positive"),
-        ("thermal", {"reduced_mass": 0.0}, "thermal context requires positive mu and q_th"),
-        ("thermal", {"thermal_momentum": -1.0}, "thermal context requires positive mu and q_th"),
+        ("numerics", {"quad_order_q": 3}, "numerics.quad_order_q must be >= 4"),
+        ("numerics", {"quad_order_circle": 2}, "numerics.quad_order_circle must be >= 4"),
         ("numerics", {"j_max": -1}, "numerics.j_max must be >= 0"),
         ("numerics", {"quad_order_sphere": 3}, "numerics.quad_order_sphere must be >= 4"),
         ("numerics", {"b_nodes": 2}, "numerics.b_nodes must be >= 4"),
@@ -321,7 +331,7 @@ def test_config_loaded_twice_gives_equal_specs():
 
 def test_record_fields_are_read_only():
     spec = load_config(builtin_config("n1"))
-    for record in (spec, spec.molecule, spec.gas, spec.thermal, spec.numerics, spec.scales):
+    for record in (spec, spec.molecule, spec.gas, spec.numerics, spec.scales):
         name = record._fields[0]
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
@@ -332,6 +342,7 @@ def test_record_fields_are_read_only():
     dset = lindblad.build_dissipator(spec, layout)
     trajectory = lindblad.propagate(state, dset, spec, 0.01, 0.001)
     frozen = [
+        (spec, "reduced_mass"),
         (state, "time"),
         (trajectory, "final"),
         (make_rule("interval", 8), "weight_floats"),

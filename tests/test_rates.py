@@ -17,7 +17,6 @@ from superrotor.rates import (
     gamma_closed_form,
     gamma_numeric,
     rate_table_csv,
-    signal_decay_rate,
     sweep_rates,
 )
 from superrotor.scattering import forward_scalar, geometry_factors, spectral_shapes
@@ -143,7 +142,7 @@ def test_gamma_numeric_rings_match_sphere_rule(backend, kappa):
     radial = rates.thermal_q_integral(
         spec, spec.numerics.quad_order_q, 3, lambda c: np.abs(c) ** 2
     )
-    oracle = spec.thermal.density / (2.0 * spec.thermal.reduced_mass) * radial * angular
+    oracle = spec.gas.density / (2.0 * spec.reduced_mass) * radial * angular
     got = gamma_numeric(4, 2, spec, amplitude_backend=backend, kappa_mode=kappa).gamma
     assert abs(got - oracle) <= 1e-12 * oracle
 
@@ -185,7 +184,7 @@ def per_pair_oracle(j, jp, spec, backend, kappa):
         return 2.0 * math.pi * np.sum(ring.weights * bracket(ring.nodes))
 
     nq, ns = spec.numerics.quad_order_q, spec.numerics.quad_order_sphere
-    pref = spec.thermal.density / (2.0 * spec.thermal.reduced_mass)
+    pref = spec.gas.density / (2.0 * spec.reduced_mass)
     base = pref * radial(nq) * angular(ns)
     fine = (pref * radial(2 * nq) * angular(ns), pref * radial(nq) * angular(2 * ns))
     drift = max(abs(f - base) for f in fine) / max(abs(base), *(abs(f) for f in fine))
@@ -265,17 +264,17 @@ def test_gamma_numeric_validation():
 
 
 def test_signal_decay_rate():
+    # the alignment-signal rate Gamma_j is gamma_signal of the pair (j, j - 2)
     spec = n1_spec()
-    res = signal_decay_rate(10, spec)
+    res = gamma_closed_form(10, 8, spec)
     assert res.gamma_signal == pytest.approx(GAMMA_SIGNAL_10_N1, rel=1e-12)
-    assert res.j_prime == 8
     with pytest.raises(ValueError):
-        signal_decay_rate(1, spec)
+        gamma_closed_form(1, -1, spec)
 
 
 def test_signal_rate_large_j_limit():
     spec = n1_spec()
-    targets = [signal_decay_rate(j, spec).gamma_signal * j for j in (100, 300, 900)]
+    targets = [gamma_closed_form(j, j - 2, spec).gamma_signal * j for j in (100, 300, 900)]
     limit = 2.0 * CONSTANT * 6.0
     errs = [abs(t / limit - 1.0) for t in targets]
     assert errs[2] < errs[1] < errs[0]
@@ -302,11 +301,10 @@ def test_energy_shift_linearized_matches_sphere_quadrature():
     # oracle: the sphere-node sum of identity + (2/5) sum_a g_a T_a that the
     # closed form 4 pi * identity replaces, on the same radial quadrature
     spec = n1_spec()
-    th = spec.thermal
     q_rule = make_rule("half_line", spec.numerics.quad_order_q)
     x = q_rule.nodes
-    re_c = np.array([forward_scalar(th.thermal_momentum * xv, spec).real for xv in x])
-    weight_q = th.thermal_momentum / math.pi**1.5 * np.sum(q_rule.weights * x**2 * re_c)
+    re_c = np.array([forward_scalar(spec.thermal_momentum * xv, spec).real for xv in x])
+    weight_q = spec.thermal_momentum / math.pi**1.5 * np.sum(q_rule.weights * x**2 * re_c)
     sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
     for j in (0, 3, 10):
         d = 2 * j + 1
@@ -315,7 +313,8 @@ def test_energy_shift_linearized_matches_sphere_quadrature():
             w * (np.eye(d) + 0.4 * np.tensordot(geometry_factors(n), t, axes=(0, 0)))
             for n, w in zip(sphere.nodes, sphere.weights)
         )
-        oracle = -2.0 * math.pi * HBAR**2 * th.density / th.reduced_mass * weight_q * geom
+        pref = -2.0 * math.pi * HBAR**2 * spec.gas.density / spec.reduced_mass
+        oracle = pref * weight_q * geom
         shift = energy_shift_matrix(j, spec)
         assert np.max(np.abs(shift - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
