@@ -523,7 +523,7 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
         )
     steps = np.append(np.arange(record_every, n_steps, record_every), n_steps)
 
-    flow, miss = _chain_flow(rho0, dset, levels, residual)
+    flow, decomposition = _chain_flow(rho0, dset, levels, residual)
     pattern = rho0.pattern
     times = rho0.time + np.concatenate([[0.0], steps * dt])
     recorded = [dict(rho0._columns, min_eig=pattern.min_eigenvalues(rho0.values[None]))]
@@ -569,7 +569,7 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
         "chains": sum(len(rows) for rows, _ in pattern.chains),
         "entries": len(pattern.rows),
         "largest_chain": max(rows.shape[1] for rows, _ in pattern.chains),
-        "reconstruction_miss": miss,
+        **decomposition,
     }
     return Trajectory(layout, times, columns, final, diagnostics)
 
@@ -654,17 +654,24 @@ def _chain_flow(rho0, dset, levels, residual):
     (_chain_generators) plus the residual, which adds -i (R_r - R_c) / hbar
     to its diagonal, so it is not hermitian in general.  Chains that rho0
     leaves empty stay exactly zero and are not in its pattern; the occupied
-    ones are diagonalized by one stacked eig per chain length.  The block
-    scalars E_j + s_iso (levels) are constant along a chain and commute with
-    its generator, so they act as the unitary U = exp(-i levels tau / hbar)
-    per block: flow forms p_j = exp(-i levels[j] tau / hbar) once per block
-    and frame and multiplies chain (j, j') by p_j conj(p_j') after the
-    dissipative exponential.  A phase factor of modulus one keeps the
-    spectrum of each frame, however large levels * tau / hbar grows.
+    ones are diagonalized by one stacked eigendecomposition per chain
+    length: eigh when the stack is real and equal to its transpose (every
+    linearized chain without a residual), whose orthonormal eigenvectors V
+    give the coefficients V^T x0, and otherwise eig, with the coefficients
+    V^-1 x0 (complex or non-symmetric stacks: the spectral family, a
+    residual).  The block scalars E_j + s_iso (levels) are constant along a
+    chain and commute with its generator, so they act as the unitary
+    U = exp(-i levels tau / hbar) per block: flow forms
+    p_j = exp(-i levels[j] tau / hbar) once per block and frame and
+    multiplies chain (j, j') by p_j conj(p_j') after the dissipative
+    exponential.  A phase factor of modulus one keeps the spectrum of each
+    frame, however large levels * tau / hbar grows.
 
     Returns flow(taus), the (F, N) values at rho0's pattern entries at the
     F elapsed times taus with one batched product per chain length, and the
-    worst reconstruction miss (below).
+    diagnostics of the decomposition: the worst reconstruction miss (below)
+    as reconstruction_miss, and the chains that took eigh and eig as
+    chains_eigh and chains_eig.
 
     Raises NumericalDriftError when a chain generator is not finite, or when
     V diag(lam) V^-1 misses it by more than EIG_RECON_TOL of its largest
@@ -673,7 +680,7 @@ def _chain_flow(rho0, dset, levels, residual):
     coherent = bool(np.any(residual))
     block = np.repeat(np.arange(len(levels)), dset.layout.block_sizes)
     parts = []
-    worst_miss = 0.0
+    diagnostics = {"reconstruction_miss": 0.0, "chains_eigh": 0, "chains_eig": 0}
     for rows, cols in rho0.pattern.chains:
         gen = _chain_generators(dset, rows, cols)
         if coherent:
@@ -682,11 +689,17 @@ def _chain_flow(rho0, dset, levels, residual):
             gen[:, steps, steps] += (-1j / HBAR) * (residual[rows] - residual[cols])
         if not np.all(np.isfinite(gen)):
             raise NumericalDriftError("chain generator is not finite")
-        lam, vec = np.linalg.eig(gen)
-        try:
-            inv = np.linalg.inv(vec)
-        except np.linalg.LinAlgError:
-            raise NumericalDriftError("chain generator has no eigenbasis") from None
+        if _real_symmetric(gen):
+            lam, vec = np.linalg.eigh(gen)
+            inv = vec.transpose(0, 2, 1)
+            diagnostics["chains_eigh"] += len(gen)
+        else:
+            lam, vec = np.linalg.eig(gen)
+            try:
+                inv = np.linalg.inv(vec)
+            except np.linalg.LinAlgError:
+                raise NumericalDriftError("chain generator has no eigenbasis") from None
+            diagnostics["chains_eig"] += len(gen)
         scale = max(float(np.max(np.abs(gen))), 1e-300)
         miss = float(np.max(np.abs((vec * lam[:, None, :]) @ inv - gen))) / scale
         # written so that a NaN from an overflowing inverse counts as a miss
@@ -694,7 +707,7 @@ def _chain_flow(rho0, dset, levels, residual):
             raise NumericalDriftError(
                 "chain generator eigendecomposition misses it by %.3g of its scale" % miss
             )
-        worst_miss = max(worst_miss, miss)
+        diagnostics["reconstruction_miss"] = max(diagnostics["reconstruction_miss"], miss)
         chain0 = rho0.values[rho0.pattern.locate(rows, cols)]
         coef = np.einsum("cij,cj->ci", inv, chain0)
         parts.append((lam, vec, coef, block[rows[:, 0]], block[cols[:, 0]]))
@@ -720,7 +733,13 @@ def _chain_flow(rho0, dset, levels, residual):
             start += coef.size
         return out
 
-    return flow, worst_miss
+    return flow, diagnostics
+
+
+def _real_symmetric(gen):
+    """Whether the (n_chains, n, n) stack gen is real and bitwise equal to
+    its transpose, so that eigh diagonalizes it."""
+    return gen.dtype.kind == "f" and np.array_equal(gen, gen.transpose(0, 2, 1))
 
 
 def _chain_generators(dset, rows, cols):

@@ -50,18 +50,24 @@ def _check_unit(v, name, ndim=1):
 
 def circle_basis(n_prime):
     """Orthonormal pair (u, v) spanning the plane perpendicular to n_prime."""
-    n_prime = _check_unit(n_prime, "n_prime")
-    helper = np.array([1.0, 0.0, 0.0]) if abs(n_prime[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(n_prime, helper)
-    u /= np.linalg.norm(u)
-    v = np.cross(n_prime, u)
-    return u, v
+    u, v = _circle_bases(_check_unit(n_prime, "n_prime")[None])
+    return u[0], v[0]
 
 
-def _circle_directions(n_prime, phi):
-    """(c, 3) stack of impact directions cos(phi) u + sin(phi) v."""
-    u, v = circle_basis(n_prime)
-    return np.outer(np.cos(phi), u) + np.outer(np.sin(phi), v)
+def _circle_bases(nodes):
+    """(n, 3) stacks (u, v): circle_basis of each row of the (n, 3) stack
+    of unit vectors nodes."""
+    helper = np.where(np.abs(nodes[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    u = np.cross(nodes, helper)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    return u, np.cross(nodes, u)
+
+
+def _circle_directions(nodes, phi):
+    """(n, c, 3) stack of impact directions cos(phi) u + sin(phi) v around
+    each row of the (n, 3) stack nodes."""
+    u, v = _circle_bases(nodes)
+    return np.cos(phi)[:, None] * u[:, None, :] + np.sin(phi)[:, None] * v[:, None, :]
 
 
 def _place_bands(coeffs, bands):
@@ -80,13 +86,15 @@ def _place_bands(coeffs, bands):
 
 
 def _collision_factors(n_prime, e):
-    """Collision-geometry factors h_a(n', e_b) for a (c, 3) stack e of impact
-    directions, ordered as TEMPLATE_OFFSETS: h_0 = -(5 e_z^2 + n_z^2 - 2),
-    h_+1 = -(2/3)(5 e_z e_+ + n_z n_+), h_+2 = -(2/3)(5 e_+^2 + n_+^2) and
-    h_-1, h_-2 their conjugates, with e_+ = e_x + i e_y and n_+ likewise.
+    """Collision-geometry factors h_a(n', e_b) for a (..., c, 3) stack e of
+    impact directions around the (..., 3) incoming directions n_prime, each
+    of shape (..., c) and ordered as TEMPLATE_OFFSETS:
+    h_0 = -(5 e_z^2 + n_z^2 - 2), h_+1 = -(2/3)(5 e_z e_+ + n_z n_+),
+    h_+2 = -(2/3)(5 e_+^2 + n_+^2) and h_-1, h_-2 their conjugates, with
+    e_+ = e_x + i e_y and n_+ likewise.
     Their circle average over e_b is geometry_factors(n')."""
-    e_z, e_plus = e[:, 2], e @ _EXY
-    n_z, n_plus = n_prime[2], complex(_EXY @ n_prime)
+    e_z, e_plus = e[..., 2], e @ _EXY
+    n_z, n_plus = n_prime[..., 2, None], (n_prime @ _EXY)[..., None]
     h1 = -(2.0 / 3.0) * (5.0 * e_z * e_plus + n_z * n_plus)
     h2 = -(2.0 / 3.0) * (5.0 * e_plus**2 + n_plus**2)
     return [-(5.0 * e_z**2 + n_z**2 - 2.0), h1, h1.conj(), h2, h2.conj()]
@@ -146,27 +154,34 @@ def spectral_shapes(j, nodes, spec, kappa_mode="exact"):
 
     S(n') is the circle average of (identity + B(n', e_b))^{2/5} over the
     impact directions e_b, each power taken by hermitian eigendecomposition;
-    returns the (n, d, d) stack. Raises when any eigenvalue of identity + B
-    is non-positive: the fractional-power branch only exists inside the
-    weak-anisotropy regime and clamping would silently falsify results.
+    returns the (n, d, d) stack. B is quadratic in e_b, so the node phi + pi
+    of the uniform circle rule repeats the node phi: an even
+    quad_order_circle sums the first half of the circle at twice the
+    weight, an odd one the whole circle. Each incoming direction takes one
+    eigh of its own stack of circle nodes. Raises when any eigenvalue of
+    identity + B is non-positive: the fractional-power branch only exists
+    inside the weak-anisotropy regime and clamping would silently falsify
+    results.
     """
     j = int(j)
     if j < 0:
         raise ValueError("spectral_shapes: need j >= 0")
     nodes = _check_unit(nodes, "nodes", ndim=2)
     rule = make_rule("circle", spec.numerics.quad_order_circle)
+    phi, weights = rule.nodes, rule.weights
+    if len(phi) % 2 == 0:
+        phi, weights = phi[: len(phi) // 2], 2.0 * weights[: len(phi) // 2]
+    # (5, n, c): the impact directions are orthogonal to each node by construction
+    coeffs = np.array(_collision_factors(nodes, _circle_directions(nodes, phi)))
     bands = template_bands(j, spec.molecule, kappa_mode)
     d = 2 * j + 1
     out = np.empty((len(nodes), d, d), dtype=complex)
-    for k, n_prime in enumerate(nodes):
-        # the impact directions are orthogonal to n_prime by construction
-        e_b = _circle_directions(n_prime, rule.nodes)
-        coup = _place_bands(_collision_factors(n_prime, e_b), bands)
-        lam, vec = np.linalg.eigh(np.eye(d) + coup)
+    for k in range(len(nodes)):
+        lam, vec = np.linalg.eigh(np.eye(d) + _place_bands(coeffs[:, k], bands))
         if np.any(lam <= 0.0):
             raise ValueError("anisotropy too large for fractional-power branch")
         powers = (vec * lam[:, None, :] ** 0.4) @ vec.conj().transpose(0, 2, 1)
-        out[k] = np.tensordot(rule.weights, powers, axes=1) / (2.0 * math.pi)
+        out[k] = np.tensordot(weights, powers, axes=1) / (2.0 * math.pi)
     return out
 
 
@@ -222,7 +237,7 @@ def _radial_jump_integral(a_phase, c_transverse, pts, bmax_factor, phase_cap=PHA
 
 def _schiff_entries(j, q, n_out, n_in, spec, pts):
     rule = make_rule("circle", spec.numerics.quad_order_circle)
-    e_b = _circle_directions(n_in, rule.nodes)
+    e_b = _circle_directions(n_in[None], rule.nodes)[0]
     d = 2 * int(j) + 1
     a_q = eikonal_strength(q, spec)
     transfer = (q / HBAR) * (np.asarray(n_out, dtype=float) - np.asarray(n_in, dtype=float))

@@ -341,6 +341,8 @@ def test_propagate_manifest_diagnostics(tmp_path, capsys):
     # the stretched corners of blocks 8 and 10 occupy four chains
     assert (diag["chains"], diag["entries"], diag["largest_chain"]) == (4, 72, 21)
     assert 0.0 <= diag["reconstruction_miss"] <= lb.EIG_RECON_TOL
+    # the linearized chain generators are real and symmetric: each takes eigh
+    assert (diag["chains_eigh"], diag["chains_eig"]) == (4, 0)
 
 
 def run_state_file(tmp_path, doc):

@@ -1029,6 +1029,55 @@ def test_propagate_reports_chain_shape():
     assert diag["entries"] == len(traj.final.pattern.rows)
     assert diag["entries"] == sum(2 * min(j, k) + 1 for j in layout.js for k in layout.js)
     assert 0.0 <= diag["reconstruction_miss"] <= lb.EIG_RECON_TOL
+    # the linearized chain generators are real and symmetric: all take eigh
+    assert (diag["chains_eigh"], diag["chains_eig"]) == (64, 0)
+
+
+def test_eigh_chains_match_eig_oracle(monkeypatch):
+    # the same run with every chain forced through eig and inv: the columns
+    # and the final state agree to 1e-14
+    spec = n1_spec()
+    layout = lb.BasisLayout(20, 30)
+    dset = lb.build_dissipator(spec, layout)
+    rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 25.0, 3.0))
+    traj = lb.propagate(rho0, dset, spec, 0.05, 0.0005)
+    monkeypatch.setattr(lb, "_real_symmetric", lambda gen: False)
+    oracle = lb.propagate(rho0, dset, spec, 0.05, 0.0005)
+    assert (traj.diagnostics["chains_eigh"], traj.diagnostics["chains_eig"]) == (121, 0)
+    assert (oracle.diagnostics["chains_eigh"], oracle.diagnostics["chains_eig"]) == (0, 121)
+    np.testing.assert_array_equal(traj.times, oracle.times)
+    for name, column in traj.columns.items():
+        assert np.max(np.abs(column - oracle.columns[name])) <= 1e-14, name
+    assert np.max(np.abs(traj.final.values - oracle.final.values)) <= 1e-14
+    assert traj.diagnostics["reconstruction_miss"] <= lb.EIG_RECON_TOL
+
+
+def test_complex_or_non_symmetric_chains_take_eig():
+    # eigh takes only real stacks equal to their transpose: a family with
+    # unequal q = +-1 weights, a complex (twisted) family, a residual gas
+    # shift on the linearized family and the spectral family all take eig
+    spec = n1_spec()
+    layout = lb.BasisLayout(2, 4)
+    rho0 = lb.centrifuge_state(layout, {2: 0.6, 3: 0.5, 4: math.sqrt(1 - 0.61)})
+    linearized = lb.build_dissipator(spec, layout)
+    levels = lb._hamiltonian(spec, linearized)[0]
+    residual = 1e-3 * np.arange(layout.dim)
+    cases = [
+        (unequal_weights_family(spec, layout), np.zeros(layout.dim)),
+        (twisted_family(linearized, 0.3), np.zeros(layout.dim)),
+        (linearized, residual),
+        (linearized, np.zeros(layout.dim)),
+    ]
+    counts = []
+    for dset, shift in cases:
+        _, diag = lb._chain_flow(rho0, dset, levels, shift)
+        assert diag["reconstruction_miss"] <= lb.EIG_RECON_TOL
+        counts.append((diag["chains_eigh"], diag["chains_eig"]))
+    assert counts == [(0, 9), (0, 9), (0, 9), (9, 0)]
+    spectral = spectral_spec()
+    dset = lb.build_dissipator(spectral, layout, backend="spectral")
+    diag = lb.propagate(rho0, dset, spectral, 0.5, 0.005).diagnostics
+    assert (diag["chains_eigh"], diag["chains_eig"]) == (0, 9)
 
 
 def test_initial_state_memory_scales_with_chains():
@@ -1210,7 +1259,7 @@ def test_negative_eigenvalue_on_a_recorded_step_raises(monkeypatch):
         out[np.isclose(taus, 0.03)] = bad
         return out
 
-    monkeypatch.setattr(lb, "_chain_flow", lambda *args: (flow, 0.0))
+    monkeypatch.setattr(lb, "_chain_flow", lambda *args: (flow, {}))
     with pytest.raises(lb.NumericalDriftError, match="negative eigenvalue -1e-06 at t=0.03$"):
         lb.propagate(rho0, None, spec, 1.0, 0.01, record_every=1)
 
@@ -1233,7 +1282,7 @@ def test_non_finite_matrices_are_not_density_matrices(monkeypatch):
     np.testing.assert_array_equal(rho0.pattern.cols, np.arange(4))
     monkeypatch.setattr(
         lb, "_chain_flow",
-        lambda *args: (lambda taus: np.full((len(taus), 4), np.nan, dtype=complex), 0.0),
+        lambda *args: (lambda taus: np.full((len(taus), 4), np.nan, dtype=complex), {}),
     )
     with pytest.raises(lb.NumericalDriftError, match="trace drift nan .* at t=0.01"):
         lb.propagate(rho0, None, spec, 1.0, 0.01, record_every=1)

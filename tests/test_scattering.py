@@ -230,21 +230,40 @@ def circle_loop_shape(j, n_prime, spec, kappa_mode):
     return acc / (2.0 * math.pi)
 
 
-def test_spectral_shapes_match_circle_loop():
+def test_spectral_shapes_match_circle_loop(monkeypatch):
     # alpha_aniso / alpha_mean = 1 keeps identity + B positive while the
-    # fractional power is far from its linearization
-    spec = eps_spec(2.0 / 3.0)
+    # fractional power is far from its linearization.  An even circle order
+    # (the default 64, and 20) sums half of the circle nodes, an odd one all
+    # of them; the oracle always loops over the whole circle
     rng = np.random.default_rng(13)
     nodes = np.array([EZ, EX, N_DIAG] + [random_direction(rng) for _ in range(3)])
-    for j in (0, 1, 3, 6):
-        for mode in ("exact", "half"):
-            shapes = spectral_shapes(j, nodes, spec, mode)
-            assert shapes.shape == (len(nodes), 2 * j + 1, 2 * j + 1)
-            for n, shape in zip(nodes, shapes):
-                oracle = circle_loop_shape(j, n, spec, mode)
-                assert np.max(np.abs(shape - oracle)) <= 1e-13 * np.max(np.abs(oracle))
-            amp = forward_amplitude_spectral(j, 1.3, nodes[2], spec, mode)
-            np.testing.assert_array_equal(amp, forward_scalar(1.3, spec) * shapes[2])
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def recorded_eigh(a):
+        stacks.append(a.shape)
+        return eigh(a)
+
+    for circle in ({}, {"quad_order_circle": 20}, {"quad_order_circle": 7},
+                   {"quad_order_circle": 33}):
+        spec = eps_spec(2.0 / 3.0, **circle)
+        n_circle = spec.numerics.quad_order_circle
+        circle_nodes = n_circle // 2 if n_circle % 2 == 0 else n_circle
+        for j in (0, 1, 3, 6):
+            for mode in ("exact", "half"):
+                stacks.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "eigh", recorded_eigh)
+                    shapes = spectral_shapes(j, nodes, spec, mode)
+                # one eigh per incoming direction, of that direction's circle nodes
+                d = 2 * j + 1
+                assert stacks == [(circle_nodes, d, d)] * len(nodes)
+                assert shapes.shape == (len(nodes), d, d)
+                for n, shape in zip(nodes, shapes):
+                    oracle = circle_loop_shape(j, n, spec, mode)
+                    assert np.max(np.abs(shape - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+                amp = forward_amplitude_spectral(j, 1.3, nodes[2], spec, mode)
+                np.testing.assert_array_equal(amp, forward_scalar(1.3, spec) * shapes[2])
 
 
 def test_forward_is_scalar_times_hermitian():
