@@ -30,6 +30,8 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
 
+KAPPA_HELP = "kappa of the quadrature route; the closed form, its kappa -> 1/2 limit, ignores it"
+
 
 class OutputError(Exception):
     """An output file that cannot be written (exit 2)."""
@@ -478,7 +480,7 @@ def build_parser():
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--jprime", type=int, required=True)
     p.add_argument("--method", choices=("closed_form", "quadrature"), default="closed_form")
-    p.add_argument("--kappa", choices=("exact", "half"), default="exact")
+    p.add_argument("--kappa", choices=("exact", "half"), default="exact", help=KAPPA_HELP)
     p.add_argument("--out", default="rates.csv")
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_rates)
@@ -488,7 +490,7 @@ def build_parser():
     p.add_argument("--jmin", type=int, default=2)
     p.add_argument("--jmax", type=int, required=True)
     p.add_argument("--method", choices=("closed_form", "quadrature"), default="closed_form")
-    p.add_argument("--kappa", choices=("exact", "half"), default="exact")
+    p.add_argument("--kappa", choices=("exact", "half"), default="exact", help=KAPPA_HELP)
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--plot", help="optional SVG output path")
     p.add_argument("--manifest")

@@ -28,11 +28,12 @@ entries of a dense matrix.
 
 propagate evaluates only the steps it records, FRAME_CHUNK at a time with
 one batched product per chain length, and reduces each chunk once, in time
-order: _reduce (trace, purity, block populations, stretched corners)
-and _EntryPattern.min_eigenvalues give every column, and the density-matrix
-check reads its trace from them.  A RotorState takes the same reduction of
-its one frame.  A Trajectory keeps the columns and the last frame, as a
-RotorState, and frees the flow and every other frame.
+order: _reduce gives every column (trace, purity, block populations,
+stretched corners) and applies the density-matrix rule, hermitian with unit
+trace and no eigenvalue below EIG_FLOOR, to the whole chunk at once
+(_EntryPattern.check).  A RotorState is a chunk of one frame and takes the
+same reduction and rule.  A Trajectory keeps the columns and the last frame,
+as a RotorState, and frees the flow and every other frame.
 """
 
 import math
@@ -59,6 +60,8 @@ MAX_EVALUATED_FRAMES = 10**6
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
 EIG_FLOOR = -1e-9
+# dt * max|Delta| above this is a step-size violation (propagate)
+STEP_GUARD = 0.1
 # a chain generator is propagated through V diag(lam) V^-1 only while that
 # product reproduces it to this fraction of its largest entry
 EIG_RECON_TOL = 1e-10
@@ -72,6 +75,10 @@ class StepSizeViolation(ValueError):
 
 class NumericalDriftError(RuntimeError):
     """Trace, hermiticity, or positivity drifted past tolerance mid-run."""
+
+
+class _DensityRuleError(ValueError):
+    """Frame `frame` of a batch fails the density-matrix rule."""
 
 
 class BasisLayout(record("BasisLayout", "j_min j_max")):
@@ -120,9 +127,10 @@ class BasisLayout(record("BasisLayout", "j_min j_max")):
 
 class RotorState(Frozen):
     """Immutable density matrix on a BasisLayout: values (N,) at the entries
-    of pattern, the chains it occupies, and zero elsewhere, checked by the
-    density-matrix rule (_EntryPattern.check).  Its columns are _reduce of
-    values[None]; matrix, the read-only D x D array, is built on first use.
+    of pattern, the chains it occupies, and zero elsewhere.  Its columns are
+    _reduce of values[None], which raises ValueError unless the state obeys
+    the density-matrix rule (_EntryPattern.check); matrix, the read-only
+    D x D array, is built on first use.
     """
 
     def __init__(self, layout, pattern, values, time=0.0):
@@ -130,8 +138,8 @@ class RotorState(Frozen):
         if values.shape != pattern.rows.shape:
             raise ValueError("values shape %s does not match the pattern" % (values.shape,))
         values.setflags(write=False)
-        vars(self).update(layout=layout, pattern=pattern, values=values, time=time)
-        pattern.check(values, self._columns["trace"][0])
+        vars(self).update(layout=layout, pattern=pattern, values=values, time=time,
+                          _columns=_reduce(layout, pattern, values[None]))
 
     @classmethod
     def from_entries(cls, layout, rows, cols, values, time=0.0):
@@ -161,15 +169,11 @@ class RotorState(Frozen):
         mat.setflags(write=False)
         return mat
 
-    @cached_property
-    def _columns(self):
-        return _reduce(self.layout, self.pattern, self.values[None])
-
     def purity(self):
         return float(self._columns["purity"][0])
 
     def min_eigenvalue(self):
-        return float(self.pattern.min_eigenvalues(self.values[None])[0])
+        return float(self._columns["min_eig"][0])
 
     def block_populations(self):
         return dict(zip(self.layout.js, self._columns["populations"][0].tolist()))
@@ -320,12 +324,12 @@ class DissipatorSet:
 
 def _chain_action(dset, pattern, values):
     """(N,) values of the dissipator dset applied to the matrix with entry
-    values (N,) on pattern, each chain of pattern.chains multiplied by its
-    generator (_chain_generators)."""
+    values (N,) on pattern, each group of chains of pattern.groups, read as
+    its span of values, multiplied by its generators (_chain_generators)."""
     out = np.zeros(len(values), dtype=np.result_type(values, dset.diagonals, 1j))
-    for rows, cols in pattern.chains:
-        at = pattern.locate(rows, cols)
-        out[at] = (_chain_generators(dset, rows, cols) @ values[at][..., None])[..., 0]
+    for rows, cols, span in pattern.groups:
+        chain = values[span].reshape(rows.shape)
+        out[span] = (_chain_generators(dset, rows, cols) @ chain[..., None]).ravel()
     return out
 
 
@@ -476,20 +480,16 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     _chain_flow), and of the final frame.  dt sets only the output grid, but
     it must still resolve the fastest coherent frequency: a coarser grid
     would alias the coherences it samples, so StepSizeViolation is raised
-    when dt * max|Delta| > 0.1.  The diagnostic recorded_spacing_max_delta,
-    record_every * dt * max|Delta|, tells whether the recorded frames alias.
-    Only the recorded steps are evaluated, FRAME_CHUNK at a time and checked
-    in time order, so the first frame that fails is the one reported: no
-    frame feeds another, so a step that is not recorded changes no output.
-    Every evaluated frame is checked on its entries by the density-matrix
-    rule (_EntryPattern.check), and one that fails raises
-    NumericalDriftError; so does one whose smallest eigenvalue falls below
-    EIG_FLOOR.  A run that would record more than MAX_EVALUATED_FRAMES
-    frames raises ValueError.
+    when dt * max|Delta| > STEP_GUARD.  The diagnostic
+    recorded_spacing_max_delta, record_every * dt * max|Delta|, tells whether
+    the recorded frames alias.  Only the recorded steps are evaluated,
+    FRAME_CHUNK at a time and reduced in time order (_reduce), so the first
+    frame that fails the density-matrix rule (_EntryPattern.check) is the
+    one reported, as NumericalDriftError: no frame feeds another, so a step
+    that is not recorded changes no output.  A run that would record more
+    than MAX_EVALUATED_FRAMES frames raises ValueError.
     """
     layout = rho0.layout
-    if dset is None:
-        dset = DissipatorSet.empty(layout)
     if dset.layout != layout:
         raise ValueError("state layout does not match dissipator layout")
     if not (math.isfinite(t_final) and math.isfinite(dt)):
@@ -505,9 +505,9 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     spread = _frequency_spread(layout, levels, residual)
     n_steps = max(1, int(round(t_final / dt)))
     dt = t_final / n_steps
-    if dt * spread > 0.1 + 1e-12:
+    if dt * spread > STEP_GUARD + 1e-12:
         raise StepSizeViolation(
-            "step-size violation: dt*max|Delta| = %.3g exceeds 0.1" % (dt * spread)
+            "step-size violation: dt*max|Delta| = %.3g exceeds %g" % (dt * spread, STEP_GUARD)
         )
     if record_every is None:
         record_every = max(1, n_steps // 200)
@@ -526,49 +526,30 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     flow, decomposition = _chain_flow(rho0, dset, levels, residual)
     pattern = rho0.pattern
     times = rho0.time + np.concatenate([[0.0], steps * dt])
-    recorded = [dict(rho0._columns, min_eig=pattern.min_eigenvalues(rho0.values[None]))]
-    worst_trace = worst_herm = 0.0
-    lowest = math.inf
+    recorded = [rho0._columns]
     for start in range(0, len(steps), FRAME_CHUNK):
-        chunk = slice(start, start + FRAME_CHUNK)
-        taus = steps[chunk] * dt
+        taus = steps[start : start + FRAME_CHUNK] * dt
         frames = flow(taus)
-        columns = _reduce(layout, pattern, frames)
-        failure, checked = None, []
-        for frame, trace, t in zip(frames, columns["trace"], rho0.time + taus):
-            try:
-                checked.append(pattern.check(frame, trace))
-            except ValueError as exc:
-                failure = NumericalDriftError("%s at t=%.6g" % (exc, t))
-                break
-        # the frames before a failed check are finite; the first negative
-        # eigenvalue among them comes earlier in time
-        columns["min_eig"] = pattern.min_eigenvalues(frames[: len(checked)])
-        lows = columns["min_eig"].tolist()
-        for low, t in zip(lows, rho0.time + taus):
-            if not low >= EIG_FLOOR:
-                raise NumericalDriftError("negative eigenvalue %.3g at t=%.6g" % (low, t))
-        if failure is not None:
-            raise failure
-        lowest = min([lowest] + lows)
-        worst_trace = max([worst_trace] + [dev for dev, _ in checked])
-        worst_herm = max([worst_herm] + [herm for _, herm in checked])
-        recorded.append(columns)
+        try:
+            recorded.append(_reduce(layout, pattern, frames))
+        except _DensityRuleError as exc:
+            raise NumericalDriftError("%s at t=%.6g" % (exc, rho0.time + taus[exc.frame]))
     # the last evaluated frame is the last step, n_steps
     final = RotorState(layout, pattern, frames[-1], float(rho0.time + taus[-1]))
     columns = {name: np.concatenate([c[name] for c in recorded]) for name in recorded[0]}
     for col in columns.values():
         col.setflags(write=False)
+    # the worst values over the evaluated frames, past rho0's row
     diagnostics = {
         "steps": n_steps,
         "dt_max_delta": dt * spread,
         "recorded_spacing_max_delta": record_every * (dt * spread),
-        "max_trace_deviation": worst_trace,
-        "max_hermiticity_deviation": worst_herm,
-        "min_eigenvalue": lowest,
-        "chains": sum(len(rows) for rows, _ in pattern.chains),
+        "max_trace_deviation": float(np.max(columns["trace_dev"][1:])),
+        "max_hermiticity_deviation": float(np.max(columns["herm_dev"][1:])),
+        "min_eigenvalue": float(np.min(columns["min_eig"][1:])),
+        "chains": sum(len(rows) for rows, _, _ in pattern.groups),
         "entries": len(pattern.rows),
-        "largest_chain": max(rows.shape[1] for rows, _ in pattern.chains),
+        "largest_chain": max(rows.shape[1] for rows, _, _ in pattern.groups),
         **decomposition,
     }
     return Trajectory(layout, times, columns, final, diagnostics)
@@ -578,12 +559,12 @@ class Trajectory(Frozen):
     """The columns of one propagate run's recorded frames and its final
     state, without the other frames.
 
-    columns holds the reduction (_reduce) and smallest eigenvalue
-    ("min_eig") of frame k, at times[k]; len counts the frames.  final is
-    the last frame, the checked RotorState whose reduction is the last row
-    of columns, on the pattern of the chains the run occupied.  diagnostics
-    holds what propagate saw: the worst deviations and the lowest smallest
-    eigenvalue over the evaluated frames, and the chains.
+    columns holds the reduction (_reduce) of frame k, at times[k]; len
+    counts the frames.  final is the last frame, the checked RotorState
+    whose reduction is the last row of columns, on the pattern of the chains
+    the run occupied.  diagnostics holds what propagate saw: the worst
+    deviations and the lowest smallest eigenvalue over the evaluated frames,
+    and the chains.
     """
 
     def __init__(self, layout, times, columns, final, diagnostics=None):
@@ -622,23 +603,26 @@ class Trajectory(Frozen):
 
 
 def _reduce(layout, pattern, values):
-    """The columns of the F matrices with entry values (F, N) on pattern,
-    each with the arithmetic of a single matrix: trace (complex), purity,
-    block populations (F, B) and corners (F, B, B), <jj| rho |j'j'> for
-    blocks j, j' in layout.js order.  The smallest eigenvalue, an eigvalsh,
-    is pattern.min_eigenvalues.
+    """The columns of the F matrices with entry values (F, N) on pattern
+    (of_chains on layout), each with the arithmetic of a single matrix:
+    trace (complex), purity, block populations (F, B), corners (F, B, B),
+    <jj| rho |j'j'> for blocks j, j' in layout.js order, and the columns of
+    the density-matrix rule (pattern.check): trace_dev, herm_dev and
+    min_eig.  Raises _DensityRuleError, a ValueError, for the earliest frame
+    that fails the rule.
     """
     diag = np.zeros((len(values), pattern.dim), dtype=values.dtype)
     diag[:, pattern.rows[pattern.diag]] = values[:, pattern.diag]
-    stretched = np.cumsum(layout.block_sizes) - 1  # |jj>, the last row of block j
-    at = pattern.locate(stretched[:, None], stretched[None, :])
+    at = pattern.corners
     corners = np.zeros(values.shape[:1] + at.shape, dtype=values.dtype)
     corners[:, at >= 0] = values[:, at[at >= 0]]
+    trace = diag.sum(axis=-1)
     return {
-        "trace": diag.sum(axis=-1),
+        "trace": trace,
         "purity": np.sum(np.abs(values) ** 2, axis=-1),
         "populations": np.stack([diag[:, sl].sum(axis=-1).real for _, sl in layout.blocks()], -1),
         "corners": corners,
+        **pattern.check(values, trace),
     }
 
 
@@ -681,7 +665,7 @@ def _chain_flow(rho0, dset, levels, residual):
     block = np.repeat(np.arange(len(levels)), dset.layout.block_sizes)
     parts = []
     diagnostics = {"reconstruction_miss": 0.0, "chains_eigh": 0, "chains_eig": 0}
-    for rows, cols in rho0.pattern.chains:
+    for rows, cols, span in rho0.pattern.groups:
         gen = _chain_generators(dset, rows, cols)
         if coherent:
             steps = np.arange(rows.shape[1])
@@ -708,15 +692,13 @@ def _chain_flow(rho0, dset, levels, residual):
                 "chain generator eigendecomposition misses it by %.3g of its scale" % miss
             )
         diagnostics["reconstruction_miss"] = max(diagnostics["reconstruction_miss"], miss)
-        chain0 = rho0.values[rho0.pattern.locate(rows, cols)]
-        coef = np.einsum("cij,cj->ci", inv, chain0)
-        parts.append((lam, vec, coef, block[rows[:, 0]], block[cols[:, 0]]))
+        coef = np.einsum("cij,cj->ci", inv, rho0.values[span].reshape(rows.shape))
+        parts.append((lam, vec, coef, block[rows[:, 0]], block[cols[:, 0]], span))
 
     def flow(taus):
         out = np.empty((len(taus), len(rho0.values)), dtype=complex)
         p = np.exp((-1j / HBAR) * np.multiply.outer(taus, levels))  # (F, blocks)
-        start = 0
-        for lam, vec, coef, bj, bk in parts:
+        for lam, vec, coef, bj, bk, span in parts:
             # (chains, length, F) amplitudes, then every frame of every chain
             # of this length in one product.  Real eigenvectors (the
             # linearized family, the one that reaches large j) multiply the
@@ -729,8 +711,7 @@ def _chain_flow(rho0, dset, levels, residual):
             else:
                 chains = np.einsum("cij,cjf->cif", vec, amp)
             chains *= (p[:, bj] * p[:, bk].conj()).T[:, None, :]
-            out[:, start : start + coef.size] = chains.reshape(coef.size, -1).T
-            start += coef.size
+            out[:, span] = chains.reshape(coef.size, -1).T
         return out
 
     return flow, diagnostics
@@ -804,27 +785,37 @@ class _EntryPattern:
     _reduce and check read it through the entries on the main diagonal
     (diag), the transposed partner of every entry (partner) for hermiticity
     and the connected components of the rows (components) for the smallest
-    eigenvalue, each found once per pattern.  chains lists the (rows, cols)
-    groups of _occupied_chains when the pattern holds their entries, chain
-    after chain (of_chains).
+    eigenvalue, each found once per pattern.  A pattern of chains
+    (of_chains) holds the entries of the (rows, cols) groups of
+    _occupied_chains, group after group and chain after chain: groups lists
+    them with the span of their values, and corners (B, B) is the entry of
+    each stretched corner <jj| rho |j'j'> of the layout's blocks, -1 where
+    the pattern lacks it.
     """
 
     def __init__(self, dim, rows, cols, chains=()):
-        self.dim, self.rows, self.cols, self.chains = dim, rows, cols, chains
+        self.dim, self.rows, self.cols = dim, rows, cols
         self.diag = np.flatnonzero(rows == cols)
         keys = rows * dim + cols
         self._order = np.argsort(keys)
         self._keys = keys[self._order]
         self.partner = self.locate(cols, rows)
+        # each entry with its partner once, for check: |a - b^*| = |b - a^*| bit for bit
+        self._pairs = np.flatnonzero(self.partner >= np.arange(len(rows)))
+        ends = np.cumsum([r.size for r, _ in chains], dtype=int).tolist()
+        self.groups = [(r, c, slice(end - r.size, end)) for (r, c), end in zip(chains, ends)]
 
     @classmethod
     def of_chains(cls, layout, rows, cols):
         """Pattern of the chains that hold the entries (rows, cols)
-        (_occupied_chains), their entries chain after chain."""
+        (_occupied_chains) on layout."""
         chains = _occupied_chains(layout, rows, cols)
         flat = [np.concatenate([c[k].ravel() for c in chains] or [np.zeros(0, int)])
                 for k in (0, 1)]
-        return cls(layout.dim, *flat, chains)
+        pattern = cls(layout.dim, *flat, chains)
+        stretched = np.cumsum(layout.block_sizes) - 1  # |jj>, the last row of block j
+        pattern.corners = pattern.locate(stretched[:, None], stretched[None, :])
+        return pattern
 
     def locate(self, rows, cols):
         """Indices of the entries (rows, cols); -1 where the pattern lacks one."""
@@ -833,21 +824,46 @@ class _EntryPattern:
         return np.where(self._keys[at] == want, self._order[at], -1)
 
     def check(self, values, trace):
-        """The density-matrix rule on the matrix with entry values (N,) and
-        trace (_reduce): ValueError unless |trace - 1| <= TRACE_TOL and herm =
-        max|rho - rho^+| <= HERM_TOL * max(1, max|rho|), each written as
-        `not x <= tol` so that a NaN or inf entry fails.  Returns
-        (|trace - 1|, herm).
+        """The density-matrix rule on the F matrices with entry values (F, N)
+        and traces (F,) (_reduce): each must have |trace - 1| <= TRACE_TOL,
+        herm = max|rho - rho^+| <= HERM_TOL * max(1, max|rho|) and its
+        smallest eigenvalue (min_eigenvalues) >= EIG_FLOOR.  Returns the (F,)
+        columns trace_dev = |trace - 1|, herm_dev = herm and min_eig, the
+        smallest eigenvalue.
+
+        Otherwise raises _DensityRuleError, a ValueError, for the earliest
+        frame that fails, with its index: the eigenvalues are taken
+        only of the frames before the first that fails on trace or herm, as
+        they are finite, and a negative one among them comes earlier.  Each
+        test is written as `not x <= tol`, so a NaN or inf entry fails.
         """
-        trace_dev = float(abs(trace - 1.0))
-        if not trace_dev <= TRACE_TOL:
-            raise ValueError("trace drift %.3g exceeds %g" % (trace_dev, TRACE_TOL))
-        # an inf entry less its partner is NaN, which the comparison rejects
+        # hypot is the abs of one complex scalar bit for bit; np.abs of an
+        # array may round differently
+        trace_dev = np.hypot(trace.real - 1.0, trace.imag)
+        # rho - rho^+ in place, on one entry of each pair; an inf entry less
+        # its partner is NaN, which the comparison rejects
+        gap = values[:, self.partner[self._pairs]]
+        np.conjugate(gap, out=gap)
         with np.errstate(invalid="ignore"):
-            herm = float(np.max(np.abs(values - values[self.partner].conj()), initial=0.0))
-        if not herm <= HERM_TOL * max(1.0, float(np.max(np.abs(values), initial=0.0))):
-            raise ValueError("matrix is not hermitian: drift %.3g" % herm)
-        return trace_dev, herm
+            np.subtract(values[:, self._pairs], gap, out=gap)
+        herm = np.max(np.abs(gap), axis=-1, initial=0.0)
+        scale = np.fmax(1.0, np.max(np.abs(values), axis=-1, initial=0.0))
+        fails = ~((trace_dev <= TRACE_TOL) & (herm <= HERM_TOL * scale))
+        frame = int(np.argmax(fails)) if fails.any() else len(values)
+        min_eig = self.min_eigenvalues(values[:frame])
+        low = np.flatnonzero(~(min_eig >= EIG_FLOOR))
+        if low.size:
+            frame = int(low[0])
+            message = "negative eigenvalue %.3g" % min_eig[frame]
+        elif frame == len(values):
+            return {"trace_dev": trace_dev, "herm_dev": herm, "min_eig": min_eig}
+        elif not trace_dev[frame] <= TRACE_TOL:
+            message = "trace drift %.3g exceeds %g" % (trace_dev[frame], TRACE_TOL)
+        else:
+            message = "matrix is not hermitian: drift %.3g" % herm[frame]
+        exc = _DensityRuleError(message)
+        exc.frame = frame
+        raise exc
 
     @cached_property
     def components(self):

@@ -134,6 +134,52 @@ def test_rotor_state_validation():
         lb.RotorState.from_matrix(layout, np.eye(3, dtype=complex) / 3)
 
 
+# unit trace and hermitian, with the eigenvalue -0.1 three times
+NOT_POSITIVE = np.diag([1.3, -0.1, -0.1, -0.1]).astype(complex)
+
+
+def test_rotor_state_must_be_positive():
+    with pytest.raises(ValueError, match="negative eigenvalue -0.1$"):
+        lb.RotorState.from_matrix(lb.BasisLayout(0, 1), NOT_POSITIVE)
+
+
+def test_density_rule_reports_the_earliest_frame(monkeypatch):
+    layout = lb.BasisLayout(0, 1)
+    pattern = lb.RotorState.from_matrix(layout, np.diag([0.4, 0.2, 0.2, 0.2])).pattern
+    good = np.array([0.4, 0.2, 0.2, 0.2], dtype=complex)
+    negative = np.array([0.4, 0.2, 0.4 + 1e-6, -1e-6], dtype=complex)
+    seen = []
+
+    def eigvalsh(stack):
+        seen.append(stack.copy())
+        return np.linalg.eigh(stack)[0]
+
+    monkeypatch.setattr(lb.np.linalg, "eigvalsh", eigvalsh)
+    # a negative eigenvalue at frame 1 comes before the trace drift at 2
+    frames = np.array([good, negative, 2 * good])
+    with pytest.raises(ValueError, match="negative eigenvalue -1e-06$") as exc:
+        lb._reduce(layout, pattern, frames)
+    assert exc.value.frame == 1
+    # a trace drift at frame 1 comes before the negative eigenvalue at 2,
+    # and a NaN frame after it is never diagonalized
+    seen.clear()
+    frames = np.array([good, 2 * good, negative, np.full(4, np.nan)])
+    with pytest.raises(ValueError, match="trace drift 1 exceeds") as exc:
+        lb._reduce(layout, pattern, frames)
+    assert exc.value.frame == 1
+    assert sum(len(stack) for stack in seen) > 0
+    assert all(np.all(np.isfinite(stack)) for stack in seen)
+    seen.clear()
+    with pytest.raises(ValueError, match="trace drift nan") as exc:
+        lb._reduce(layout, pattern, np.array([good, np.full(4, np.nan)]))
+    assert exc.value.frame == 1 and not any(np.isnan(stack).any() for stack in seen)
+    # a batch that obeys the rule returns every frame's deviations
+    columns = lb._reduce(layout, pattern, np.array([good, good]))
+    np.testing.assert_array_equal(columns["min_eig"], [0.2, 0.2])
+    np.testing.assert_array_equal(columns["trace_dev"], [0.0, 0.0])
+    np.testing.assert_array_equal(columns["herm_dev"], [0.0, 0.0])
+
+
 def test_centrifuge_state_examples():
     layout = lb.BasisLayout(9, 13)
     pure = lb.centrifuge_state(layout, {10: 1.0})
@@ -360,21 +406,18 @@ def test_propagate_unitary_limit():
     spec = n1_spec()
     layout = lb.BasisLayout(2, 4)
     state = random_state(layout, seed=9)
-    final = lb.propagate(state, None, spec, 0.5, 0.005).final
+    final = lb.propagate(state, lb.DissipatorSet.empty(layout), spec, 0.5, 0.005).final
     assert final.purity() == pytest.approx(state.purity(), abs=1e-8)
     np.testing.assert_allclose(
         np.diag(final.matrix).real, np.diag(state.matrix).real, atol=1e-10
     )
-    empty = lb.DissipatorSet.empty(layout)
-    traj2 = lb.propagate(state, empty, spec, 0.5, 0.005)
-    np.testing.assert_allclose(traj2.final.matrix, final.matrix, atol=1e-12)
 
 
 def test_propagate_coherence_rotates_at_delta():
     spec = n1_spec()
     layout = lb.BasisLayout(2, 4)
     rho0 = lb.centrifuge_state(layout, {2: 2**-0.5, 4: 2**-0.5})
-    traj = lb.propagate(rho0, None, spec, 0.02, 0.001, record_every=1)
+    traj = lb.propagate(rho0, lb.DissipatorSet.empty(layout), spec, 0.02, 0.001, record_every=1)
     phases = np.unwrap(np.angle(traj.corner_coherence(4, 2)))
     slope = np.polyfit(traj.times, phases, 1)[0]
     mol = spec.molecule
@@ -439,22 +482,23 @@ def test_propagate_guards():
     spec = n1_spec()
     layout = lb.BasisLayout(2, 6)
     state = random_state(layout, seed=1)
-    spread = lb.coherent_frequency_spread(spec, lb.DissipatorSet.empty(layout))
+    empty = lb.DissipatorSet.empty(layout)
+    spread = lb.coherent_frequency_spread(spec, empty)
     with pytest.raises(lb.StepSizeViolation, match="step-size violation"):
-        lb.propagate(state, None, spec, 1.0, 0.5 / spread)
+        lb.propagate(state, empty, spec, 1.0, 0.5 / spread)
     with pytest.raises(ValueError, match="positive"):
-        lb.propagate(state, None, spec, -1.0, 0.01)
+        lb.propagate(state, empty, spec, -1.0, 0.01)
     for t_final, dt in (
         (math.inf, 0.01), (math.nan, 0.01), (1.0, math.nan), (1.0, math.inf), (1e300, 1e-300)
     ):
         with pytest.raises(ValueError, match="finite"):
-            lb.propagate(state, None, spec, t_final, dt)
+            lb.propagate(state, empty, spec, t_final, dt)
     other = lb.build_dissipator(spec, lb.BasisLayout(0, 1))
     with pytest.raises(ValueError, match="layout"):
         lb.propagate(state, other, spec, 0.1, 0.001)
     for record_every in (0, -3):
         with pytest.raises(ValueError, match="record_every"):
-            lb.propagate(state, None, spec, 0.1, 0.001, record_every=record_every)
+            lb.propagate(state, empty, spec, 0.1, 0.001, record_every=record_every)
 
 
 def test_spectral_gas_shift_follows_kappa():
@@ -503,15 +547,15 @@ def test_spectral_propagate_at_step_bound_matches_exact():
     # the block scalars E_j + s_iso rotate at the full coherent spread and
     # enter each chain's eigenvalues in closed form; the chain generators
     # carry the dissipator and the residual shift, so a mixed state sampled
-    # near the dt * max|Delta| = 0.1 bound still lands on the Liouvillian
-    # exponential
+    # near the dt * max|Delta| = STEP_GUARD bound still lands on the
+    # Liouvillian exponential
     spec = spectral_spec()
     layout = lb.BasisLayout(2, 4)
     dset = lb.build_dissipator(spec, layout, backend="spectral")
     coherent = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 3.0, 1.0))
     iso = lb.isotropic_state(layout, {j: 1.0 / 3.0 for j in layout.js})
     rho0 = lb.RotorState.from_matrix(layout, 0.5 * (coherent.matrix + iso.matrix))
-    dt = 0.099 / lb.coherent_frequency_spread(spec, dset)
+    dt = 0.99 * lb.STEP_GUARD / lb.coherent_frequency_spread(spec, dset)
     t_final = 200 * dt
     chain = lb.propagate(rho0, dset, spec, t_final, dt).final
     exact = evolve_exact(rho0, dset, spec, t_final)
@@ -951,22 +995,21 @@ def test_chunked_frames_match_every_step_run():
         np.testing.assert_allclose(col, every.columns[name][steps], rtol=0, atol=1e-14)
     np.testing.assert_allclose(sparse.final.values, every.final.values, rtol=0, atol=1e-14)
     # the sparse run checks exactly the steps it records, in chunks of
-    # FRAME_CHUNK frames, and takes the smallest eigenvalue of each
+    # FRAME_CHUNK frames, by the batch density-matrix rule
     evaluated = sorted(set(range(7, 201, 7)) | {200})
     assert len(evaluated) == len(sparse) - 1 > lb.FRAME_CHUNK
     pattern = rho0.pattern
-    checks, lows = [], []
+    checks = []
     for taus in np.split(every.times[evaluated], [lb.FRAME_CHUNK]):
         frames = np.array([f.values for f in frames_again(rho0, dset, spec, taus)])
         traces = lb._reduce(layout, pattern, frames)["trace"]
-        checks += [pattern.check(f, trace) for f, trace in zip(frames, traces)]
-        lows += pattern.min_eigenvalues(frames).tolist()
+        checks.append(pattern.check(frames, traces))
     assert sparse.diagnostics == dict(
         every.diagnostics,
         recorded_spacing_max_delta=7 * every.diagnostics["dt_max_delta"],
-        max_trace_deviation=max(dev for dev, _ in checks),
-        max_hermiticity_deviation=max(herm for _, herm in checks),
-        min_eigenvalue=min(lows),
+        max_trace_deviation=max(np.concatenate([c["trace_dev"] for c in checks])),
+        max_hermiticity_deviation=max(np.concatenate([c["herm_dev"] for c in checks])),
+        min_eigenvalue=min(np.concatenate([c["min_eig"] for c in checks])),
     )
     # a start at t0 != 0 evaluates each frame at the same elapsed time
     late_rho0 = lb.RotorState(rho0.layout, rho0.pattern, rho0.values, time=0.3)
@@ -1185,6 +1228,13 @@ def test_state_binary_failed_build_leaves_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_state_binary_rejects_a_state_that_is_not_positive(tmp_path):
+    path = tmp_path / "state.bin"
+    path.write_bytes(lb.STATE_HEADER.pack(4, 0, 1, 0.0) + NOT_POSITIVE.astype("<c16").tobytes())
+    with pytest.raises(ValueError, match="negative eigenvalue -0.1$"):
+        lb.read_state_binary(path)
+
+
 def test_state_binary_rejects_truncated_files(tmp_path):
     path = tmp_path / "state.bin"
     _atomic_write(str(path), *lb.state_dump(random_state(lb.BasisLayout(0, 1), seed=4)))
@@ -1261,7 +1311,7 @@ def test_negative_eigenvalue_on_a_recorded_step_raises(monkeypatch):
 
     monkeypatch.setattr(lb, "_chain_flow", lambda *args: (flow, {}))
     with pytest.raises(lb.NumericalDriftError, match="negative eigenvalue -1e-06 at t=0.03$"):
-        lb.propagate(rho0, None, spec, 1.0, 0.01, record_every=1)
+        lb.propagate(rho0, lb.DissipatorSet.empty(layout), spec, 1.0, 0.01, record_every=1)
 
 
 def test_non_finite_matrices_are_not_density_matrices(monkeypatch):
@@ -1285,4 +1335,4 @@ def test_non_finite_matrices_are_not_density_matrices(monkeypatch):
         lambda *args: (lambda taus: np.full((len(taus), 4), np.nan, dtype=complex), {}),
     )
     with pytest.raises(lb.NumericalDriftError, match="trace drift nan .* at t=0.01"):
-        lb.propagate(rho0, None, spec, 1.0, 0.01, record_every=1)
+        lb.propagate(rho0, lb.DissipatorSet.empty(layout), spec, 1.0, 0.01, record_every=1)
