@@ -7,8 +7,6 @@ the closed-form prediction.  Also tracks trace, purity, and the smallest
 eigenvalue to show the propagator keeps the state physical.
 """
 
-import math
-
 import numpy as np
 
 from superrotor.lindblad import (
@@ -26,9 +24,9 @@ def main():
     spec = load_config(builtin_config("n1"))
     j_hi, j_lo = 10, 8
 
-    amp = 1.0 / math.sqrt(2.0)
     layout = BasisLayout(j_lo - 2, j_hi + 2)
-    rho0 = centrifuge_state(layout, {j_hi: amp, j_lo: amp})
+    # centrifuge_state normalizes the equal weights
+    rho0 = centrifuge_state(layout, {j_hi: 1.0, j_lo: 1.0})
     # half-kappa coupling matches the closed form level by level
     dset = build_dissipator(spec, layout, kappa_mode="half")
 

@@ -188,12 +188,12 @@ def _read_state(arg, window_arg, j_max):
     the state's default window [min - 2, max] of its levels.
 
     In order: parse the state, fix the window, check it against the basis
-    limit j_max, normalize the parsed weights once (a Gaussian profile
-    normalizes itself) and build the state.  Every level is a distinct
-    integer >= 0 inside the window."""
-    # centrifuge amplitudes or isotropic populations by level; None for a
-    # Gaussian, and for the builtin isotropic state until the window gives
-    # its levels
+    limit j_max and build the state, whose constructor normalizes the
+    parsed weights (the builtin isotropic state weighs every level of the
+    window alike).  Every level is a distinct integer >= 0 inside the
+    window."""
+    # centrifuge amplitudes or isotropic populations by level, as parsed;
+    # None for a Gaussian and for the builtin isotropic state
     weights = None
     if arg.startswith("centrifuge:"):
         form = "--state takes 'centrifuge:j1,j2,...' with distinct integers j >= 0 (got %r)" % arg
@@ -251,17 +251,6 @@ def _read_state(arg, window_arg, j_max):
     if hi > j_max:
         raise ValueError("propagate: j=%d exceeds basis limit %d" % (hi, j_max))
 
-    if kind == "centrifuge":
-        total = math.fsum(abs(c) ** 2 for c in weights.values())
-        _check_total(total, "coefficients")
-        weights = {j: c / math.sqrt(total) for j, c in weights.items()}
-    elif kind == "isotropic":
-        if weights is None:
-            weights = dict.fromkeys(range(lo, hi + 1), 1.0)
-        total = math.fsum(weights.values())
-        _check_total(total, "populations")
-        weights = {j: p / total for j, p in weights.items()}
-
     # lindblad is imported here and in cmd_propagate only, so the rates and
     # sweep commands never load it
     from . import lindblad as lb
@@ -271,7 +260,7 @@ def _read_state(arg, window_arg, j_max):
         return lb.centrifuge_state(layout, lb.gaussian_profile(layout, center, width))
     if kind == "centrifuge":
         return lb.centrifuge_state(layout, weights)
-    return lb.isotropic_state(layout, weights)
+    return lb.isotropic_state(layout, weights or dict.fromkeys(layout.js, 1.0))
 
 
 def _state_field(doc, name, read):
@@ -313,13 +302,6 @@ def _as_real(v, name):
         return float(v)
     except (TypeError, ValueError):
         raise ValueError("state file field %r holds %r, not a number" % (name, v)) from None
-
-
-def _check_total(total, name):
-    """A state is normalized by the total of its field name; a total that is
-    not positive (all zero, or NaN) cannot be."""
-    if not total > 0:
-        raise ValueError("state field %r has total %g and cannot be normalized" % (name, total))
 
 
 def cmd_rates(args):

@@ -146,7 +146,7 @@ class RotorState(Frozen):
         """State with values at the entries (rows, cols), zero elsewhere."""
         values = np.asarray(values, dtype=complex)
         held = values != 0
-        rows, cols = np.asarray(rows)[held], np.asarray(cols)[held]
+        rows, cols = np.asarray(rows, dtype=int)[held], np.asarray(cols, dtype=int)[held]
         pattern = _EntryPattern.of_chains(layout, rows, cols)
         out = np.zeros(len(pattern.rows), dtype=complex)
         out[pattern.locate(rows, cols)] = values[held]
@@ -192,33 +192,47 @@ class RotorState(Frozen):
 
 
 def isotropic_state(layout, populations, time=0.0):
-    """Diagonal state with population p_j spread evenly over each block."""
-    total = math.fsum(float(p) for p in populations.values())
+    """Diagonal state with populations p_j, normalized by their total and
+    each spread evenly over its block."""
     if any(float(p) < 0 for p in populations.values()):
         raise ValueError("populations must be nonnegative")
-    if abs(total - 1.0) > TRACE_TOL:
-        raise ValueError("populations must sum to 1 within %g" % TRACE_TOL)
+    total = _weight_total((float(p) for p in populations.values()), "populations")
     diag = np.concatenate([np.r_[layout.block_slice(j)] for j in populations])
-    values = np.repeat([float(p) / (2 * j + 1) for j, p in populations.items()],
+    values = np.repeat([float(p) / total / (2 * j + 1) for j, p in populations.items()],
                        [2 * j + 1 for j in populations])
     return RotorState.from_entries(layout, diag, diag, values, time)
 
 
 def centrifuge_state(layout, coefficients, time=0.0):
-    """Pure superposition of stretched states |jj> with amplitudes c_j."""
-    norm = math.fsum(abs(complex(c)) ** 2 for c in coefficients.values())
-    if abs(norm - 1.0) > TRACE_TOL:
-        raise ValueError("coefficient norm deviates from 1 beyond %g" % TRACE_TOL)
+    """Pure superposition of stretched states |jj> with amplitudes c_j,
+    normalized by the sum of |c_j|^2."""
+    norm = math.sqrt(
+        _weight_total((abs(complex(c)) ** 2 for c in coefficients.values()), "coefficients"))
     idx = np.array([layout.index(j, j) for j in coefficients])
-    amp = np.array([complex(c) for c in coefficients.values()])
+    amp = np.array([complex(c) / norm for c in coefficients.values()])
     rows, cols = np.meshgrid(idx, idx, indexing="ij")
     return RotorState.from_entries(
         layout, rows.ravel(), cols.ravel(), np.outer(amp, amp.conj()).ravel(), time
     )
 
 
+def _weight_total(terms, name):
+    """math.fsum of terms, the total that normalizes the weights called name
+    (the argument, and the state-file field); ValueError unless it is finite
+    and positive.  A term or a partial sum that overflows counts as an
+    infinite total."""
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
+    if not 0.0 < total < math.inf:
+        raise ValueError("%s have total %g, which cannot be normalized" % (name, total))
+    return total
+
+
 def gaussian_profile(layout, center, width):
-    """Illustrative Gaussian-over-j amplitude profile for centrifuge_state.
+    """Illustrative Gaussian-over-j amplitude profile for centrifuge_state,
+    which normalizes it.
 
     Not derived from any collision model; it just provides a smooth default
     population of stretched-state coherences across the layout.
@@ -227,13 +241,11 @@ def gaussian_profile(layout, center, width):
         raise ValueError("width must be positive")
     js = np.array(list(layout.js), dtype=float)
     amp = np.exp(-((js - center) ** 2) / (4.0 * width**2))
-    norm = math.sqrt(float(np.sum(amp**2)))
-    if not norm > 0.0:
+    if not np.sum(amp**2) > 0.0:
         raise ValueError(
             "gaussian profile at center %g has no weight on j window [%d, %d]"
             % (center, layout.j_min, layout.j_max)
         )
-    amp /= norm
     return {j: complex(a) for j, a in zip(layout.js, amp)}
 
 
@@ -417,7 +429,8 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
     num = spec.numerics
     if num.quad_order_q < 24:
         raise ValueError("radial quadrature order below documented minimum 24")
-    n_sphere = len(make_rule("sphere", num.quad_order_sphere).weights)
+    # the sphere rule is its rings times twice as many azimuths as rings
+    n_sphere = 2 * len(make_rule("ring", num.quad_order_sphere)) ** 2
     if n_sphere < 26:
         raise ValueError("sphere quadrature below documented minimum of 26 nodes")
 
@@ -617,12 +630,18 @@ def _reduce(layout, pattern, values):
     corners = np.zeros(values.shape[:1] + at.shape, dtype=values.dtype)
     corners[:, at >= 0] = values[:, at[at >= 0]]
     trace = diag.sum(axis=-1)
+    # one |rho| per chunk, squared in place for the purity once the rule has
+    # its maxima, and freed before the rule's own temporaries are allocated
+    magnitude = np.abs(values)
+    largest = np.max(magnitude, axis=-1, initial=0.0)
+    purity = np.sum(np.square(magnitude, out=magnitude), axis=-1)
+    del magnitude
     return {
         "trace": trace,
-        "purity": np.sum(np.abs(values) ** 2, axis=-1),
+        "purity": purity,
         "populations": np.stack([diag[:, sl].sum(axis=-1).real for _, sl in layout.blocks()], -1),
         "corners": corners,
-        **pattern.check(values, trace),
+        **pattern.check(values, trace, largest),
     }
 
 
@@ -764,7 +783,9 @@ def _occupied_chains(layout, rows, cols):
     # distinct (bj, bk, diag) in lexicographic order
     keys = np.stack([bj, bk, diag])
     keys = keys[:, np.lexsort(keys[::-1])]
-    bj, bk, diag = keys[:, np.r_[True, np.any(keys[:, 1:] != keys[:, :-1], axis=0)]]
+    # cut to the number of keys, so no keys give an empty mask
+    first = np.r_[True, np.any(keys[:, 1:] != keys[:, :-1], axis=0)][: keys.shape[1]]
+    bj, bk, diag = keys[:, first]
     a = np.maximum(0, -diag)
     b = a + diag
     lengths = np.minimum(sizes[bj] - a, sizes[bk] - b)
@@ -820,13 +841,16 @@ class _EntryPattern:
     def locate(self, rows, cols):
         """Indices of the entries (rows, cols); -1 where the pattern lacks one."""
         want = np.asarray(rows) * self.dim + np.asarray(cols)
+        if not len(self._keys):
+            return np.full(want.shape, -1)
         at = np.minimum(np.searchsorted(self._keys, want), len(self._keys) - 1)
         return np.where(self._keys[at] == want, self._order[at], -1)
 
-    def check(self, values, trace):
-        """The density-matrix rule on the F matrices with entry values (F, N)
-        and traces (F,) (_reduce): each must have |trace - 1| <= TRACE_TOL,
-        herm = max|rho - rho^+| <= HERM_TOL * max(1, max|rho|) and its
+    def check(self, values, trace, largest):
+        """The density-matrix rule on the F matrices with entry values (F, N),
+        traces (F,) and largest entries max|rho| (F,) from _reduce: each
+        must have |trace - 1| <= TRACE_TOL, herm = max|rho - rho^+| <=
+        HERM_TOL * max(1, max|rho|) and its
         smallest eigenvalue (min_eigenvalues) >= EIG_FLOOR.  Returns the (F,)
         columns trace_dev = |trace - 1|, herm_dev = herm and min_eig, the
         smallest eigenvalue.
@@ -847,7 +871,7 @@ class _EntryPattern:
         with np.errstate(invalid="ignore"):
             np.subtract(values[:, self._pairs], gap, out=gap)
         herm = np.max(np.abs(gap), axis=-1, initial=0.0)
-        scale = np.fmax(1.0, np.max(np.abs(values), axis=-1, initial=0.0))
+        scale = np.fmax(1.0, largest)
         fails = ~((trace_dev <= TRACE_TOL) & (herm <= HERM_TOL * scale))
         frame = int(np.argmax(fails)) if fails.any() else len(values)
         min_eig = self.min_eigenvalues(values[:frame])

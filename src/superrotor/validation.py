@@ -189,9 +189,8 @@ def criterion_isotropic_stationarity(spec=None):
     spec = spec or _default_spec()
     layout = lb.BasisLayout(2, 8)
     dset = lb.build_dissipator(spec, layout)
-    uniform = {j: 1.0 / len(list(layout.js)) for j in layout.js}
     worst = 0.0
-    for pops in ({layout.j_min: 1.0}, {layout.j_max: 1.0}, uniform):
+    for pops in ({layout.j_min: 1.0}, {layout.j_max: 1.0}, dict.fromkeys(layout.js, 1.0)):
         iso = lb.isotropic_state(layout, pops)
         action = dset.apply(iso.matrix)
         worst = max(worst, float(np.max(np.abs(action))) / dset.jump_scale)
@@ -233,7 +232,7 @@ def criterion_block_population_conservation(spec=None):
 def _fit_pair(spec, j, j_prime):
     layout = lb.BasisLayout(j_prime, j)
     dset = lb.build_dissipator(spec, layout, kappa_mode="half")
-    rho0 = lb.centrifuge_state(layout, {j_prime: 2**-0.5, j: 2**-0.5})
+    rho0 = lb.centrifuge_state(layout, {j_prime: 1.0, j: 1.0})
     gamma = rates.gamma_closed_form(j, j_prime, spec).gamma
     window = 0.03 / gamma if gamma > 0 else 0.1
     traj = lb.propagate(rho0, dset, spec, window, window / 80, record_every=1)

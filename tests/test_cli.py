@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import stat
@@ -396,6 +397,30 @@ def test_propagate_state_file_nested_population(tmp_path, capsys):
     doc = {"type": "isotropic", "populations": {"2": [1, 2]}}
     assert run_state_file(tmp_path, doc) == 2
     assert "field 'populations' holds [1, 2]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, weights",
+    [("coefficients", {"8": 0, "10": [0.0, 0.0]}), ("coefficients", {"8": math.inf}),
+     ("coefficients", {"8": 1e200}), ("populations", {"8": 1e308, "10": 1e308}),
+     ("populations", {"8": math.inf})],
+    ids=["zero", "infinity", "square-overflows", "sum-overflows", "population-infinity"],
+)
+def test_propagate_weights_that_cannot_be_normalized(tmp_path, field, weights):
+    # an overflow is a config error naming the field, not an OverflowError
+    # traceback with exit code 1, and so is Infinity, not a trace drift
+    path = tmp_path / "state.json"
+    kind = "centrifuge" if field == "coefficients" else "isotropic"
+    path.write_text(json.dumps({"type": kind, field: weights}))
+    src = os.path.dirname(os.path.dirname(lb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "superrotor.cli", "propagate", "n1", "--state", str(path),
+         "--tfinal", "0.1", "--dt", "0.01", "--out", str(tmp_path / "t.csv")],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: %s have total" % field in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize(

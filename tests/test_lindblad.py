@@ -196,10 +196,44 @@ def test_centrifuge_state_examples():
     c /= np.linalg.norm(c)
     state = lb.centrifuge_state(layout, dict(zip(layout.js, c)))
     assert np.linalg.matrix_rank(state.matrix, tol=1e-10) == 1
-    with pytest.raises(ValueError, match="norm"):
-        lb.centrifuge_state(layout, {10: 0.5})
+    # the constructor normalizes its coefficients
+    half = lb.centrifuge_state(layout, {10: 0.5})
+    assert half.matrix[layout.index(10, 10), layout.index(10, 10)] == 1.0
+    with pytest.raises(ValueError, match="coefficients have total 0"):
+        lb.centrifuge_state(layout, {10: 0.0})
     with pytest.raises(ValueError):
         lb.centrifuge_state(layout, {2: 1.0})
+
+
+def test_centrifuge_state_normalizes_its_coefficients():
+    layout = lb.BasisLayout(9, 13)
+    raw = lb.centrifuge_state(layout, {10: 3, 12: 4j})
+    unit = lb.centrifuge_state(layout, {10: 0.6, 12: 0.8j})
+    np.testing.assert_allclose(raw.values, unit.values, rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize(
+    "weights, total",
+    [({10: math.nan}, "nan"), ({10: math.inf, 12: 1.0}, "inf"), ({10: 1e200}, "inf"),
+     ({10: complex(1e308, 1e308)}, "inf"), ({10: 1e154, 12: 1e154}, "inf")],
+    ids=["nan", "inf", "square-overflows", "abs-overflows", "sum-overflows"],
+)
+def test_centrifuge_state_rejects_totals_that_cannot_be_normalized(weights, total):
+    # an overflowing |c|^2 (1e200 ** 2, abs(1e308 + 1e308j)) or sum is an
+    # infinite total, and a NaN total fails the check too
+    with pytest.raises(ValueError, match="coefficients have total %s" % total):
+        lb.centrifuge_state(lb.BasisLayout(9, 13), weights)
+
+
+@pytest.mark.parametrize(
+    "weights, total",
+    [({5: math.nan}, "nan"), ({5: math.inf}, "inf"), ({5: 1e308, 6: 1e308}, "inf"),
+     ({5: 0.0, 6: 0.0}, "0")],
+    ids=["nan", "inf", "sum-overflows", "zero"],
+)
+def test_isotropic_state_rejects_totals_that_cannot_be_normalized(weights, total):
+    with pytest.raises(ValueError, match="populations have total %s" % total):
+        lb.isotropic_state(lb.BasisLayout(5, 6), weights)
 
 
 def test_isotropic_state_examples():
@@ -212,15 +246,22 @@ def test_isotropic_state_examples():
     np.testing.assert_allclose(np.diag(pair.matrix).real, [0.5, 1 / 6, 1 / 6, 1 / 6])
     with pytest.raises(ValueError, match="nonnegative"):
         lb.isotropic_state(layout, {5: -1.0})
-    with pytest.raises(ValueError, match="sum"):
-        lb.isotropic_state(layout, {5: 0.7})
+    # the constructor normalizes its populations
+    np.testing.assert_array_equal(lb.isotropic_state(layout, {5: 0.7}).values, iso.values)
+    scaled = lb.isotropic_state(lb.BasisLayout(0, 1), {0: 3.0, 1: 3.0})
+    np.testing.assert_array_equal(scaled.values, pair.values)
 
 
 def test_gaussian_profile():
     layout = lb.BasisLayout(4, 12)
     prof = lb.gaussian_profile(layout, 8.0, 1.5)
-    assert math.fsum(abs(c) ** 2 for c in prof.values()) == pytest.approx(1.0, abs=1e-12)
-    assert max(prof, key=lambda j: abs(prof[j])) == 8
+    # the unnormalized shape, 1 at the centre: centrifuge_state normalizes it
+    assert prof[8] == 1.0 and max(prof, key=lambda j: abs(prof[j])) == 8
+    for j, c in prof.items():
+        assert c == pytest.approx(math.exp(-((j - 8.0) ** 2) / 9.0), rel=1e-15)
+    total = math.fsum(abs(c) ** 2 for c in prof.values())
+    populations = lb.centrifuge_state(layout, prof).block_populations()
+    assert populations[8] == pytest.approx(1.0 / total, rel=1e-14)
     with pytest.raises(ValueError):
         lb.gaussian_profile(layout, 8.0, 0.0)
     with pytest.raises(ValueError, match=r"center 1000 .* window \[4, 12\]"):
@@ -240,6 +281,10 @@ def test_build_dissipator_guards():
     assert dset.converged
     n_literal = sum(1 for _ in literal_jumps(spec, layout, "linearized"))
     assert n_literal == spec.numerics.quad_order_q * dset.metadata["sphere_nodes"]
+    # the node count is read off the ring rule; the sphere rule stays the oracle
+    for order in (26, 30, 302, 500):
+        count = lb.build_dissipator(n1_spec(numerics={"quad_order_sphere": order}), layout)
+        assert count.metadata["sphere_nodes"] == len(make_rule("sphere", order).weights)
 
 
 def test_apply_matches_literal_jump_sum_linearized():
@@ -1002,8 +1047,7 @@ def test_chunked_frames_match_every_step_run():
     checks = []
     for taus in np.split(every.times[evaluated], [lb.FRAME_CHUNK]):
         frames = np.array([f.values for f in frames_again(rho0, dset, spec, taus)])
-        traces = lb._reduce(layout, pattern, frames)["trace"]
-        checks.append(pattern.check(frames, traces))
+        checks.append(lb._reduce(layout, pattern, frames))
     assert sparse.diagnostics == dict(
         every.diagnostics,
         recorded_spacing_max_delta=7 * every.diagnostics["dt_max_delta"],
@@ -1140,8 +1184,10 @@ def test_initial_state_memory_scales_with_chains():
     assert len(iso.values) == layout.dim
     # the dense matrix, built on demand, is the outer product of the amplitudes
     amp = np.zeros(layout.dim, dtype=complex)
-    for j, c in lb.gaussian_profile(layout, 30.0, 5.0).items():
-        amp[layout.index(j, j)] = c
+    prof = lb.gaussian_profile(layout, 30.0, 5.0)
+    norm = math.sqrt(math.fsum(abs(c) ** 2 for c in prof.values()))
+    for j, c in prof.items():
+        amp[layout.index(j, j)] = c / norm
     np.testing.assert_array_equal(rho0.matrix, np.outer(amp, amp.conj()))
     with pytest.raises(ValueError):
         rho0.matrix[0, 0] = 1.0
@@ -1233,6 +1279,30 @@ def test_state_binary_rejects_a_state_that_is_not_positive(tmp_path):
     path.write_bytes(lb.STATE_HEADER.pack(4, 0, 1, 0.0) + NOT_POSITIVE.astype("<c16").tobytes())
     with pytest.raises(ValueError, match="negative eigenvalue -0.1$"):
         lb.read_state_binary(path)
+
+
+@pytest.mark.parametrize("build", ["from_matrix", "from_entries", "read_state_binary"])
+def test_a_state_without_entries_fails_the_rule(tmp_path, build):
+    # an empty entry set reaches the rule, not an IndexError in
+    # _occupied_chains or _EntryPattern.locate
+    layout = lb.BasisLayout(0, 1)
+    path = tmp_path / "state.bin"
+    path.write_bytes(lb.STATE_HEADER.pack(4, 0, 1, 0.0) + bytes(16 * 16))
+    make = {
+        "from_matrix": lambda: lb.RotorState.from_matrix(layout, np.zeros((4, 4))),
+        "from_entries": lambda: lb.RotorState.from_entries(layout, [], [], []),
+        "read_state_binary": lambda: lb.read_state_binary(path),
+    }[build]
+    with pytest.raises(ValueError, match=r"^trace drift 1 exceeds 1e-10$"):
+        make()
+
+
+def test_apply_to_a_zero_matrix_is_zero():
+    dset = lb.build_dissipator(n1_spec(), lb.BasisLayout(0, 1))
+    out = dset.apply(np.zeros((4, 4)))
+    np.testing.assert_array_equal(out, np.zeros((4, 4)))
+    empty = lb._EntryPattern.of_chains(lb.BasisLayout(0, 1), np.zeros(0, int), np.zeros(0, int))
+    assert empty.groups == [] and empty.locate([0, 1], [0, 2]).tolist() == [-1, -1]
 
 
 def test_state_binary_rejects_truncated_files(tmp_path):
