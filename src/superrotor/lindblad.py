@@ -24,7 +24,8 @@ The dissipator's action is defined once, as the generators of its chains
 (_chain_generators): propagate exponentiates them, and _chain_action
 multiplies them into a matrix's entries, for the convergence probe of
 build_dissipator and for DissipatorSet.apply, which gathers and scatters the
-entries of a dense matrix.
+entries of a dense matrix.  Both jump families are real symmetric, and so is
+every chain generator but for the imaginary diagonal of a residual gas shift.
 
 propagate evaluates only the steps it records, FRAME_CHUNK at a time with
 one batched product per chain length, and reduces each chunk once, in time
@@ -62,9 +63,12 @@ HERM_TOL = 1e-12
 EIG_FLOOR = -1e-9
 # dt * max|Delta| above this is a step-size violation (propagate)
 STEP_GUARD = 0.1
-# a chain generator is propagated through V diag(lam) V^-1 only while that
+# a chain generator is propagated through V diag(lam) V^T only while that
 # product reproduces it to this fraction of its largest entry
 EIG_RECON_TOL = 1e-10
+# ring-node spectral shapes are real (their impact angles pair into conjugate
+# couplings); an imaginary part above this fraction of their scale is drift
+SHAPE_IMAG_TOL = 1e-12
 # header of a state dump: int64 D, int64 j_min, int64 j_max, float64 time
 STATE_HEADER = struct.Struct("<3qd")
 
@@ -257,24 +261,23 @@ class DissipatorSet:
         D rho = collision_weight * sum_k w_k (A_k rho A_k^+ - {A_k^+ A_k, rho}/2).
 
     Each jump of the quadrature-discretized (q, n') family is c(q) (I + A),
-    with A hermitian and q-independent, so its identity part cancels from the
-    generator exactly and the radial average collapses into
+    with A real symmetric and q-independent, so its identity part cancels
+    from the generator exactly and the radial average collapses into
     collision_weight; the A_k and w_k carry the direction average.  Every
     A_k lies on one diagonal m' - m = q, and the family is stored band by
     band: offsets (Q,) lists the distinct q in ascending order, and the n
     ops of band q = offsets[i] are their weights[i] (n,) and diagonals[i]
     (n, D), diagonals[i, k, r] = A_k[r, r + q], zero where r + q leaves the
-    j block of row r.  kmat is the diagonal of the anticommutator kernel
-    sum_k w_k A_k^+ A_k.
+    j block of row r.  kmat is the diagonal of sum_k w_k A_k^T A_k.
 
     aniso_mean is the diagonal of the sphere mean (1/4 pi) Int d^2n' A(n')
     of the anisotropy the family discretizes, which the azimuth average
     makes diagonal in m.  The gas shift is the isotropic shift times
     I + aniso_mean, so it shares the family's amplitude model and kappa.
 
-    (A rho A^+)[r, c] = a[r] rho[r + q, c + q] a[c]^*, so the ops of band q
+    (A rho A^T)[r, c] = a[r] rho[r + q, c + q] a[c], so the ops of band q
     carry rho[r + q, c + q] into [r, c] with the gain G_q[r, c] =
-    collision_weight * sum_{k in band q} w_k a_k[r] a_k[c]^*.  No gain is
+    collision_weight * sum_{k in band q} w_k a_k[r] a_k[c].  No gain is
     stored or formed densely: _chain_generators evaluates kmat and the G_q
     at the entries of the chains asked for, and both apply and _chain_flow
     act through it.
@@ -286,7 +289,7 @@ class DissipatorSet:
         self.collision_weight = collision_weight
         self.weights = weights  # (Q, n) real
         self.offsets = offsets  # (Q,) int, ascending
-        self.diagonals = diagonals  # (Q, n, D)
+        self.diagonals = diagonals  # (Q, n, D) real
         self.aniso_mean = aniso_mean  # (D,) real
         self.metadata = {} if metadata is None else metadata
         d = layout.dim
@@ -294,7 +297,7 @@ class DissipatorSet:
         for q, w, a in zip(offsets.tolist(), weights, diagonals):
             # row r of an op on band q holds its entry in column r + q
             lo, hi = max(0, -q), d - max(0, q)
-            self.kmat[lo + q : hi + q] += w @ np.abs(a[:, lo:hi]) ** 2
+            self.kmat[lo + q : hi + q] += w @ np.square(a[:, lo:hi])
 
     @property
     def converged(self):
@@ -360,14 +363,14 @@ def _jump_family(spec, layout, backend, kappa_mode):
     so the five templates, one op per band, with weights (2/5)^2 * moment
     reproduce the node sum exactly; every g_a has zero sphere mean, so
     aniso_mean is zero.
-    Spectral: the hermitized anisotropy S(n') - I of the fractional-power
+    Spectral: the symmetrized anisotropy S(n') - I of the fractional-power
     shape.  A rotation about z conjugates it, A(R_z(phi) n') =
     U_z(phi) A(n') U_z(phi)^+, so band q of A picks up exp(i q phi), and the
     exact azimuth average of A rho A^+ keeps sum_q A^(q) rho A^(q)^+ with
-    A^(q) band q of A at phi = 0.  The jumps are those bands on the rings
-    of the sphere rule, one op per ring in each of the 4 j_max + 1 bands,
-    weighted by its ring's 2 pi w_theta, and aniso_mean is the band-0
-    (diagonal) mean.
+    A^(q) band q of A at phi = 0, where S is real (NumericalDriftError past
+    SHAPE_IMAG_TOL).  The jumps are those bands on the rings of the sphere
+    rule, one op per ring in each of the 4 j_max + 1 bands, weighted by its
+    ring's 2 pi w_theta, and aniso_mean is the band-0 (diagonal) mean.
     """
     if backend == "linearized":
         offsets = np.array(sorted(TEMPLATE_OFFSETS))
@@ -377,7 +380,7 @@ def _jump_family(spec, layout, backend, kappa_mode):
             return [vectors[abs(q)][None] for q in offsets]
 
         weights = 0.16 * np.array([TEMPLATE_MOMENTS[abs(q)] for q in offsets])[:, None]
-        return weights, offsets, _band_diagonals(layout, offsets, bands), np.zeros(layout.dim)
+        return weights, offsets, _band_diagonals(layout, offsets, 1, bands), np.zeros(layout.dim)
     if backend != "spectral":
         raise ValueError("unknown backend %r" % backend)
     from . import scattering
@@ -387,30 +390,32 @@ def _jump_family(spec, layout, backend, kappa_mode):
     offsets = np.arange(-2 * layout.j_max, 2 * layout.j_max + 1)
 
     def bands(j):
-        aniso = scattering.spectral_shapes(j, ring.nodes, spec, kappa_mode) - np.eye(2 * j + 1)
-        aniso = 0.5 * (aniso + aniso.conj().transpose(0, 2, 1))
+        shapes = scattering.spectral_shapes(j, ring.nodes, spec, kappa_mode)
+        imag = float(np.max(np.abs(shapes.imag)) / np.max(np.abs(shapes)))
+        if not imag <= SHAPE_IMAG_TOL:
+            raise NumericalDriftError("ring-node shapes of j=%d are complex: %.3g" % (j, imag))
+        aniso = shapes.real - np.eye(2 * j + 1)
+        aniso = 0.5 * (aniso + aniso.transpose(0, 2, 1))
         return [np.diagonal(aniso, q, axis1=1, axis2=2) for q in offsets]
 
-    ops = _band_diagonals(layout, offsets, bands)
+    ops = _band_diagonals(layout, offsets, len(ring), bands)
     weights = np.broadcast_to(ring.weights, (len(offsets), len(ring)))
     # band 0 sits in the middle of the ascending offsets
-    aniso_mean = (ring.weights @ ops[2 * layout.j_max]).real / (4.0 * math.pi)
+    aniso_mean = ring.weights @ ops[2 * layout.j_max] / (4.0 * math.pi)
     return weights, offsets, ops, aniso_mean
 
 
-def _band_diagonals(layout, offsets, bands):
-    """(len(offsets), n, D) diagonals of the bands of n block matrices.
+def _band_diagonals(layout, offsets, n, bands):
+    """(len(offsets), n, D) diagonals of the bands of n real block matrices.
 
     bands(j) lists, for each q in offsets, the (n, 2j + 1 - |q|) band q of
     the n matrices of block j (empty where |q| > 2j).  Entry [i, k, r] is
     M_k[r, r + offsets[i]] of the block holding row r, and zero where the
     band leaves that block.
     """
-    out = None
+    out = np.zeros((len(offsets), n, layout.dim))
     for j, sl in layout.blocks():
         for i, (q, band) in enumerate(zip(offsets, bands(j))):
-            if out is None:
-                out = np.zeros((len(offsets), len(band), layout.dim), dtype=band.dtype)
             start = sl.start + max(0, -q)
             out[i, :, start : start + band.shape[1]] = band
     return out
@@ -654,16 +659,15 @@ def _chain_flow(rho0, dset, levels, residual):
     inside the same block rho_{jj'}: it keeps j, j' and Q = m - m', and each
     diagonal of each block is a chain of length <= 2 min(j, j') + 1 that
     evolves on its own.  Its generator is the dissipator's
-    (_chain_generators) plus the residual, which adds -i (R_r - R_c) / hbar
-    to its diagonal, so it is not hermitian in general.  Chains that rho0
-    leaves empty stay exactly zero and are not in its pattern; the occupied
-    ones are diagonalized by one stacked eigendecomposition per chain
-    length: eigh when the stack is real and equal to its transpose (every
-    linearized chain without a residual), whose orthonormal eigenvectors V
-    give the coefficients V^T x0, and otherwise eig, with the coefficients
-    V^-1 x0 (complex or non-symmetric stacks: the spectral family, a
-    residual).  The block scalars E_j + s_iso (levels) are constant along a
-    chain and commute with its generator, so they act as the unitary
+    (_chain_generators), real symmetric, plus the residual, which adds
+    -i (R_r - R_c) / hbar to its diagonal.  Chains that rho0 leaves empty
+    stay exactly zero and are not in its pattern; the occupied ones are
+    diagonalized by one stacked eigendecomposition per chain length, with
+    V^-1 = V^T and the coefficients V^T x0: eigh where the residual leaves
+    the stack real, and eig otherwise, whose eigenvectors of the complex
+    symmetric stack are orthogonal under x^T y and scaled to V^T V = I.  The
+    block scalars E_j + s_iso (levels) are constant along a chain and
+    commute with its generator, so they act as the unitary
     U = exp(-i levels tau / hbar) per block: flow forms
     p_j = exp(-i levels[j] tau / hbar) once per block and frame and
     multiplies chain (j, j') by p_j conj(p_j') after the dissipative
@@ -677,35 +681,33 @@ def _chain_flow(rho0, dset, levels, residual):
     chains_eigh and chains_eig.
 
     Raises NumericalDriftError when a chain generator is not finite, or when
-    V diag(lam) V^-1 misses it by more than EIG_RECON_TOL of its largest
-    entry: the eigenvectors are then too ill-conditioned to propagate with.
+    V diag(lam) V^T misses it by more than EIG_RECON_TOL of its largest
+    entry: the generator is then not symmetric, or defective.
     """
-    coherent = bool(np.any(residual))
     block = np.repeat(np.arange(len(levels)), dset.layout.block_sizes)
     parts = []
     diagnostics = {"reconstruction_miss": 0.0, "chains_eigh": 0, "chains_eig": 0}
     for rows, cols, span in rho0.pattern.groups:
         gen = _chain_generators(dset, rows, cols)
-        if coherent:
-            steps = np.arange(rows.shape[1])
-            gen = gen.astype(complex)
-            gen[:, steps, steps] += (-1j / HBAR) * (residual[rows] - residual[cols])
+        shift = residual[rows] - residual[cols]
+        if np.any(shift):
+            gen = gen + (-1j / HBAR) * shift[..., None] * np.eye(rows.shape[1])
         if not np.all(np.isfinite(gen)):
             raise NumericalDriftError("chain generator is not finite")
-        if _real_symmetric(gen):
-            lam, vec = np.linalg.eigh(gen)
+        real = gen.dtype.kind == "f"
+        lam, vec = (np.linalg.eigh if real else np.linalg.eig)(gen)
+        diagnostics["chains_eigh" if real else "chains_eig"] += len(gen)
+        # close eigenvalues leave eig's vectors orthogonal under x^T y only
+        # to roundoff over their gap: one Newton-Schulz step V (3 I - V^T V)
+        # / 2 restores V^T V = I.  A defective generator has an eigenvector
+        # with x^T x = 0; the NaN or inf of its scaling counts as a miss
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if not real:
+                vec /= np.sqrt(np.einsum("cij,cij->cj", vec, vec))[:, None, :]
+                vec = vec @ (1.5 * np.eye(rows.shape[1]) - 0.5 * vec.transpose(0, 2, 1) @ vec)
             inv = vec.transpose(0, 2, 1)
-            diagnostics["chains_eigh"] += len(gen)
-        else:
-            lam, vec = np.linalg.eig(gen)
-            try:
-                inv = np.linalg.inv(vec)
-            except np.linalg.LinAlgError:
-                raise NumericalDriftError("chain generator has no eigenbasis") from None
-            diagnostics["chains_eig"] += len(gen)
-        scale = max(float(np.max(np.abs(gen))), 1e-300)
-        miss = float(np.max(np.abs((vec * lam[:, None, :]) @ inv - gen))) / scale
-        # written so that a NaN from an overflowing inverse counts as a miss
+            scale = max(float(np.max(np.abs(gen))), 1e-300)
+            miss = float(np.max(np.abs((vec * lam[:, None, :]) @ inv - gen))) / scale
         if not miss <= EIG_RECON_TOL:
             raise NumericalDriftError(
                 "chain generator eigendecomposition misses it by %.3g of its scale" % miss
@@ -719,11 +721,11 @@ def _chain_flow(rho0, dset, levels, residual):
         p = np.exp((-1j / HBAR) * np.multiply.outer(taus, levels))  # (F, blocks)
         for lam, vec, coef, bj, bk, span in parts:
             # (chains, length, F) amplitudes, then every frame of every chain
-            # of this length in one product.  Real eigenvectors (the
-            # linearized family, the one that reaches large j) multiply the
-            # interleaved real and imaginary parts through BLAS; complex ones
-            # (spectral, small j) go through einsum, as fast at those sizes
-            # and summed in the order of a single frame
+            # of this length in one product.  Real eigenvectors (no residual:
+            # the linearized family, the one that reaches large j) multiply
+            # the interleaved real and imaginary parts through BLAS; complex
+            # ones (spectral, small j) go through einsum, as fast at those
+            # sizes and summed in the order of a single frame
             amp = np.exp(lam[..., None] * taus) * coef[..., None]
             if vec.dtype.kind == "f":
                 chains = (vec @ amp.view(float)).view(complex)
@@ -736,12 +738,6 @@ def _chain_flow(rho0, dset, levels, residual):
     return flow, diagnostics
 
 
-def _real_symmetric(gen):
-    """Whether the (n_chains, n, n) stack gen is real and bitwise equal to
-    its transpose, so that eigh diagonalizes it."""
-    return gen.dtype.kind == "f" and np.array_equal(gen, gen.transpose(0, 2, 1))
-
-
 def _chain_generators(dset, rows, cols):
     """(n_chains, n, n) generators of the dissipator dset on the chains of
     length n whose entries are (rows, cols) (_occupied_chains): the only
@@ -749,19 +745,19 @@ def _chain_generators(dset, rows, cols):
 
     Entry [i, i] is -collision_weight (kmat[r] + kmat[c]) / 2 at the chain's
     i-th entry (r, c), and entry [i, i + q] the gain G_q[r, c]
-    (DissipatorSet), which feeds rho[r + q, c + q] into [r, c].  Real for a
-    real family.
+    (DissipatorSet), which feeds rho[r + q, c + q] into [r, c].  Real, and
+    symmetric for a family with equal weights on bands q and -q.
     """
     cw = dset.collision_weight
     n = rows.shape[1]
     steps = np.arange(n)
-    gen = np.zeros(rows.shape + (n,), dtype=np.result_type(dset.diagonals, 0.0))
+    gen = np.zeros(rows.shape + (n,))
     gen[:, steps, steps] = (-0.5 * cw) * (dset.kmat[rows] + dset.kmat[cols])
     for q, w, a in zip(dset.offsets.tolist(), dset.weights, dset.diagonals):
         # a partner beyond the chain's end crosses a block edge, where a is 0
         s = steps[max(0, -q) : max(0, n - max(0, q))]
         r, c = rows[:, s], cols[:, s]
-        gen[:, s, s + q] += cw * (a[:, r] * w[:, None, None] * a[:, c].conj()).sum(axis=0)
+        gen[:, s, s + q] += cw * (a[:, r] * w[:, None, None] * a[:, c]).sum(axis=0)
     return gen
 
 

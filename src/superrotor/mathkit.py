@@ -57,8 +57,9 @@ def gauss_legendre(n):
     Newton's method on the three-term recurrence of P_n (Hale & Townsend,
     SIAM J. Sci. Comput. 35 (2013) A652), from Tricomi's first-order node
     estimate, one root per symmetric pair. Each weight is
-    2 / ((1 - x)(1 + x) P_n'(x)^2) at the converged node; the factored
-    1 - x^2 keeps the edge weights accurate to a few 1e-13.
+    2 / ((1 - x)(1 + x) P_n'(x)^2) at the converged node, P_n' from its last
+    Newton step; the factored 1 - x^2 keeps the edge weights accurate to a
+    few 1e-13.
     """
     n = int(n)
     if n < 1:
@@ -69,7 +70,7 @@ def gauss_legendre(n):
         # the k-th largest root, near cos(pi (k + 3/4) / (n + 1/2))
         x = (1.0 - (n - 1) / (8.0 * n**3)) * math.cos(math.pi * (k + 0.75) / (n + 0.5))
         for _ in range(100):
-            step = _legendre_newton(n, x)[0]
+            step, dp = _legendre_newton(n, x)
             x -= step
             if abs(step) <= 1e-15:
                 break
@@ -77,7 +78,10 @@ def gauss_legendre(n):
             raise ArithmeticError(f"gauss_legendre: Newton failed at n={n}")
         if 2 * k + 1 == n:
             x = 0.0
-        w = 2.0 / ((1.0 - x) * (1.0 + x) * _legendre_newton(n, x)[1] ** 2)
+        # P_n' at x + step, moved to x along P_n'' = 2x P_n' / (1 - x^2), the
+        # Legendre equation at a root
+        edge = (1.0 - x) * (1.0 + x)
+        w = 2.0 / (edge * (dp - step * 2.0 * x * dp / edge) ** 2)
         nodes[k], nodes[n - 1 - k] = -x, x
         weights[k] = weights[n - 1 - k] = w
     return tuple(nodes), tuple(weights)

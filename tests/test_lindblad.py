@@ -294,6 +294,7 @@ def test_apply_matches_literal_jump_sum_linearized():
     # each template is one op on its own band, the bands in ascending order
     assert dset.offsets.tolist() == sorted(lb.TEMPLATE_OFFSETS)
     assert dset.weights.shape == (5, 1) and dset.diagonals.shape == (5, 1, layout.dim)
+    assert dset.diagonals.dtype == dset.aniso_mean.dtype == np.float64
     state = random_state(layout, seed=7)
     fast = dset.apply(state.matrix)
     lit = literal_dissipator_action(spec, layout, "linearized", state.matrix)
@@ -309,6 +310,8 @@ def test_apply_matches_literal_jump_sum_spectral():
     assert dset.offsets.tolist() == list(range(-6, 7))
     assert dset.weights.shape == (13, n_rings)
     assert dset.diagonals.shape == (13, n_rings, layout.dim)
+    # the ring-node shapes are real, and so is the family
+    assert dset.diagonals.dtype == dset.aniso_mean.dtype == np.float64
     state = random_state(layout, seed=11)
     fast = dset.apply(state.matrix)
     # the literal family's shapes carry azimuthal charges up to 4 j_max, so
@@ -319,6 +322,30 @@ def test_apply_matches_literal_jump_sum_spectral():
     sphere = product_rule(spec, 4 * layout.j_max + 1)
     lit = literal_dissipator_action(spec, layout, "spectral", state.matrix, sphere)
     assert np.max(np.abs(fast - lit)) <= 1e-8 * np.max(np.abs(fast))
+
+
+@pytest.mark.parametrize("circle", [31, 32])
+def test_ring_node_shapes_are_real(circle):
+    # the circle rule pairs every impact angle with a complex-conjugate
+    # partner at the ring nodes (phi = 0), so their shapes are real; off
+    # the ring plane they are not
+    spec = n1_spec(set=[("molecule", "alpha_aniso", 0.06)],
+                   numerics={"quad_order_sphere": 30, "quad_order_circle": circle})
+    ring = make_rule("ring", spec.numerics.quad_order_sphere)
+    for kappa in ("exact", "half"):
+        for j in (2, 4):
+            shapes = scattering.spectral_shapes(j, ring.nodes, spec, kappa)
+            assert np.max(np.abs(shapes.imag)) <= 1e-15 * np.max(np.abs(shapes)), (kappa, j)
+        off = scattering.spectral_shapes(4, np.array([[0.48, 0.6, 0.64]]), spec, kappa)
+        assert np.max(np.abs(off.imag)) > 1e-6 * np.max(np.abs(off)), kappa
+
+
+def test_complex_ring_shapes_raise_drift(monkeypatch):
+    spec = spectral_spec()
+    shapes = scattering.spectral_shapes
+    monkeypatch.setattr(scattering, "spectral_shapes", lambda *a: shapes(*a) * np.exp(1e-9j))
+    with pytest.raises(lb.NumericalDriftError, match="j=2 are complex"):
+        lb.build_dissipator(spec, lb.BasisLayout(2, 4), backend="spectral")
 
 
 def test_spectral_apply_keeps_sectors():
@@ -768,25 +795,34 @@ def unequal_weights_family(spec, layout):
 
 
 def band_beyond_chain_family():
-    """One jump on band q = 3 of the j = 2 block: its chains of length 2
-    (the Q = +-3 diagonals) have no partner q steps along."""
-    diagonal = np.array([0.3, -0.2, 0.0, 0.0, 0.0])
+    """One real symmetric jump on the bands q = -3 and 3 of the j = 2 block:
+    its chains of length 2 (the Q = +-3 diagonals) have no partner q steps
+    along."""
+    diagonals = np.array([[[0.0, 0.0, 0.0, 0.3, -0.2]], [[0.3, -0.2, 0.0, 0.0, 0.0]]])
     layout = lb.BasisLayout(2, 2)
     return lb.DissipatorSet(
-        layout, 1.0, np.ones((1, 1)), np.array([3]), diagonal[None, None], np.zeros(5)
+        layout, 1.0, np.ones((2, 1)), np.array([-3, 3]), diagonals, np.zeros(5)
     )
 
 
-def test_non_hermitian_chain_generator_propagates_exactly():
-    # the chain path diagonalizes the non-symmetric generators by eig and
-    # still lands on the exact exponential
+def test_propagate_refuses_a_non_symmetric_family():
+    # unequal weights on bands -1 and +1 make the chain generators
+    # non-symmetric: V diag(lam) V^T cannot reproduce them, so propagate
+    # refuses the family, while its action on the chains stays exact
     spec = n1_spec()
     layout = lb.BasisLayout(2, 4)
     dset = unequal_weights_family(spec, layout)
     rho0 = lb.centrifuge_state(layout, {2: 0.6, 3: 0.5, 4: math.sqrt(1 - 0.61)})
-    exact = evolve_exact(rho0, dset, spec, 0.2)
-    chain = lb.propagate(rho0, dset, spec, 0.2, 0.002).final
-    assert np.max(np.abs(exact.matrix - chain.matrix)) <= 1e-10
+    with pytest.raises(lb.NumericalDriftError, match="misses it"):
+        lb.propagate(rho0, dset, spec, 0.2, 0.002)
+    oracle = dense_action(dset, rho0.matrix)
+    action = lb._chain_action(dset, rho0.pattern, rho0.values)
+    assert np.max(np.abs(action - oracle[rho0.pattern.rows, rho0.pattern.cols])) <= (
+        1e-14 * np.max(np.abs(oracle)))
+    # the chains hold every entry the oracle reaches
+    outside = np.ones(oracle.shape, dtype=bool)
+    outside[rho0.pattern.rows, rho0.pattern.cols] = False
+    assert np.all(oracle[outside] == 0)
 
 
 def test_band_beyond_chain_length():
@@ -801,65 +837,45 @@ def test_band_beyond_chain_length():
     assert np.max(np.abs(chain.matrix - rho0.matrix)) > 1e-3
 
 
-def twisted_family(dset, alpha):
-    """dset's jumps conjugated by exp(-i alpha J_z^2): band q gains the phase
-    exp(i alpha q (2m + q)) at row m.  Every op stays on its band and the
-    family stays hermitian, but its chain generators are complex.  A rotation
-    about z, exp(-i alpha J_z), would give each band only the constant phase
-    exp(i alpha q), which cancels from every gain."""
-    layout = dset.layout
-    m = np.concatenate([np.arange(-j, j + 1) for j in layout.js])
-    q = dset.offsets[:, None, None]
-    twisted = dset.diagonals * np.exp(1j * alpha * q * (2 * m + q))
-    return lb.DissipatorSet(
-        layout, dset.collision_weight, dset.weights, dset.offsets, twisted, dset.aniso_mean
-    )
-
-
 @pytest.mark.parametrize(
     "backend,window,aniso",
-    [("linearized", (2, 8), None), ("linearized", (20, 30), None), ("spectral", (2, 4), 1.0),
-     ("twisted", (2, 8), None)],
+    [("linearized", (2, 8), None), ("linearized", (20, 30), None), ("spectral", (2, 4), 1.0)],
 )
 def test_transposed_chain_generator_is_conjugate(backend, window, aniso):
     # the dissipator maps rho^+ to D(rho)^+, so the generator of the chain
-    # holding the transposed entries is the conjugate of the chain's own.
-    # The generators of the linearized and spectral families are real
-    # there; only the twisted family's complex ones tell the conjugate from
-    # the transpose
+    # holding the transposed entries is the conjugate of the chain's own;
+    # both families are real, so it is the same real matrix
     spec = n1_spec() if aniso is None else spectral_spec(set=[("molecule", "alpha_aniso", aniso)])
     layout = lb.BasisLayout(*window)
-    if backend == "twisted":
-        dset = twisted_family(lb.build_dissipator(spec, layout), 0.3)
-    else:
-        dset = lb.build_dissipator(spec, layout, backend=backend)
+    dset = lb.build_dissipator(spec, layout, backend=backend)
     rows, cols = np.indices((layout.dim, layout.dim)).reshape(2, -1)
-    imag = 0.0
     for chain_rows, chain_cols in lb._occupied_chains(layout, rows, cols):
         gen = lb._chain_generators(dset, chain_rows, chain_cols)
         transposed = lb._chain_generators(dset, chain_cols, chain_rows)
-        scale = np.max(np.abs(gen))
-        assert np.max(np.abs(transposed - gen.conj())) <= 1e-14 * scale
-        imag = max(imag, np.max(np.abs(gen.imag)) / scale)
-    if backend == "twisted":
-        assert imag > 0.1
+        assert gen.dtype == np.float64
+        assert np.max(np.abs(transposed - gen)) <= 1e-14 * np.max(np.abs(gen))
 
 
 def test_ill_conditioned_chain_generator_raises_drift():
-    # unit ops on bands +1 and -1 with weights 1 and delta, and no
-    # anticommutator, make the main-diagonal chain of the j = 1 block
-    # tridiag(delta, 0, 1): eigenvalues 0 and +-sqrt(2 delta), a Jordan block
-    # at delta = 0.  Its eigenvectors cannot carry the flow
-    spec = n1_spec()
+    # unit ops on bands +1 and -1 make the Q = +-1 chains of the j = 1 block
+    # the real [[a, b], [b, a]] with a = -3/2, b = 1.  A residual whose
+    # difference along the chain is 2 b (in units of hbar) adds -2 i b to
+    # one diagonal entry: the complex symmetric (a - i b) I + b [[-i, 1],
+    # [1, i]] has a nilpotent part, one eigenvector with x^T x = 0 and no
+    # eigenbasis V with V^-1 = V^T.  Half that residual leaves two distinct
+    # eigenvalues, and the flow
     layout = lb.BasisLayout(1, 1)
-    rho0 = lb.isotropic_state(layout, {1: 1.0})
     diagonals = np.array([[[0.0, 1.0, 1.0]], [[1.0, 1.0, 0.0]]])
-    for delta, message in ((0.0, "no eigenbasis"), (1e-20, "misses it")):
-        weights = np.array([[delta], [1.0]])
-        dset = lb.DissipatorSet(layout, 1.0, weights, np.array([-1, 1]), diagonals, np.zeros(3))
-        dset.kmat = np.zeros(3)
-        with pytest.raises(lb.NumericalDriftError, match=message):
-            lb.propagate(rho0, dset, spec, 0.1, 0.01)
+    dset = lb.DissipatorSet(layout, 1.0, np.ones((2, 1)), np.array([-1, 1]), diagonals,
+                            np.zeros(3))
+    rho0 = random_state(layout, seed=53)
+    rows, cols = lb._occupied_chains(layout, [0, 1], [1, 2])[0]
+    np.testing.assert_array_equal(lb._chain_generators(dset, rows, cols),
+                                  [[[-1.5, 1.0], [1.0, -1.5]]] * 2)
+    with pytest.raises(lb.NumericalDriftError, match="misses it"):
+        lb._chain_flow(rho0, dset, np.zeros(1), np.array([2.0 * HBAR, 0.0, 0.0]))
+    _, diag = lb._chain_flow(rho0, dset, np.zeros(1), np.array([HBAR, 0.0, 0.0]))
+    assert diag["chains_eig"] > 0 and diag["reconstruction_miss"] <= lb.EIG_RECON_TOL
 
 
 def test_min_eigenvalue_by_components():
@@ -1120,51 +1136,65 @@ def test_propagate_reports_chain_shape():
     assert (diag["chains_eigh"], diag["chains_eig"]) == (64, 0)
 
 
-def test_eigh_chains_match_eig_oracle(monkeypatch):
-    # the same run with every chain forced through eig and inv: the columns
-    # and the final state agree to 1e-14
-    spec = n1_spec()
-    layout = lb.BasisLayout(20, 30)
-    dset = lb.build_dissipator(spec, layout)
-    rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 25.0, 3.0))
-    traj = lb.propagate(rho0, dset, spec, 0.05, 0.0005)
-    monkeypatch.setattr(lb, "_real_symmetric", lambda gen: False)
-    oracle = lb.propagate(rho0, dset, spec, 0.05, 0.0005)
-    assert (traj.diagnostics["chains_eigh"], traj.diagnostics["chains_eig"]) == (121, 0)
-    assert (oracle.diagnostics["chains_eigh"], oracle.diagnostics["chains_eig"]) == (0, 121)
-    np.testing.assert_array_equal(traj.times, oracle.times)
-    for name, column in traj.columns.items():
-        assert np.max(np.abs(column - oracle.columns[name])) <= 1e-14, name
-    assert np.max(np.abs(traj.final.values - oracle.final.values)) <= 1e-14
-    assert traj.diagnostics["reconstruction_miss"] <= lb.EIG_RECON_TOL
+@pytest.mark.parametrize("backend", ["linearized", "spectral"])
+def test_chain_flow_matches_expm_oracle(backend):
+    # every chain against scipy's expm of its generator, residual included,
+    # times the block phases p_j conj(p_j') that flow applies, at a few
+    # times: the linearized chains take eigh, the spectral ones with a
+    # residual eig with V^T V = I
+    if backend == "linearized":
+        spec, layout, taus = n1_spec(), lb.BasisLayout(20, 30), np.array([0.0, 0.005, 0.05, 0.5])
+        rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 25.0, 3.0))
+    else:
+        spec, layout, taus = spectral_spec(), lb.BasisLayout(2, 4), np.array([0.0, 0.5, 5.0, 50.0])
+        rho0 = random_state(layout, seed=59)
+    dset = lb.build_dissipator(spec, layout, backend=backend)
+    levels, residual = lb._hamiltonian(spec, dset)
+    flow, diag = lb._chain_flow(rho0, dset, levels, residual)
+    assert diag["reconstruction_miss"] <= lb.EIG_RECON_TOL
+    if backend == "linearized":
+        assert not np.any(residual) and (diag["chains_eigh"], diag["chains_eig"]) == (121, 0)
+    else:
+        assert np.any(residual) and diag["chains_eig"] > 0
+    frames = flow(taus)
+    p = np.exp((-1j / HBAR) * np.multiply.outer(taus, levels))
+    block = np.repeat(np.arange(len(levels)), layout.block_sizes)
+    for rows, cols, span in rho0.pattern.groups:
+        start = rho0.values[span].reshape(rows.shape)
+        got = frames[:, span].reshape((len(taus),) + rows.shape)
+        gens = lb._chain_generators(dset, rows, cols).astype(complex)
+        steps = np.arange(rows.shape[1])
+        gens[:, steps, steps] += (-1j / HBAR) * (residual[rows] - residual[cols])
+        for k, gen in enumerate(gens):
+            phase = p[:, block[rows[k, 0]]] * p[:, block[cols[k, 0]]].conj()
+            for f, tau in enumerate(taus):
+                want = phase[f] * (scipy.linalg.expm(gen * tau) @ start[k])
+                assert np.max(np.abs(got[f, k] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_complex_or_non_symmetric_chains_take_eig():
-    # eigh takes only real stacks equal to their transpose: a family with
-    # unequal q = +-1 weights, a complex (twisted) family, a residual gas
-    # shift on the linearized family and the spectral family all take eig
-    spec = n1_spec()
+    # a stack takes eigh while it is real and eig once a residual gas shift
+    # makes it complex symmetric; a non-symmetric stack is refused.  The
+    # centrifuge chains have lengths 5 (five chains), 7 (three) and 9 (the
+    # Q = 0 chain of block (4, 4), where a residual cancels)
     layout = lb.BasisLayout(2, 4)
     rho0 = lb.centrifuge_state(layout, {2: 0.6, 3: 0.5, 4: math.sqrt(1 - 0.61)})
+    spec, spectral = n1_spec(), spectral_spec()
     linearized = lb.build_dissipator(spec, layout)
     levels = lb._hamiltonian(spec, linearized)[0]
-    residual = 1e-3 * np.arange(layout.dim)
     cases = [
-        (unequal_weights_family(spec, layout), np.zeros(layout.dim)),
-        (twisted_family(linearized, 0.3), np.zeros(layout.dim)),
-        (linearized, residual),
-        (linearized, np.zeros(layout.dim)),
+        (linearized, np.zeros(layout.dim), (9, 0)),
+        (linearized, 1e-3 * np.arange(layout.dim), (1, 8)),
+        (lb.build_dissipator(spectral, layout, backend="spectral"), None, (1, 8)),
     ]
-    counts = []
-    for dset, shift in cases:
-        _, diag = lb._chain_flow(rho0, dset, levels, shift)
+    for dset, residual, counts in cases:
+        if residual is None:
+            residual = lb._hamiltonian(spectral, dset)[1]
+        _, diag = lb._chain_flow(rho0, dset, levels, residual)
         assert diag["reconstruction_miss"] <= lb.EIG_RECON_TOL
-        counts.append((diag["chains_eigh"], diag["chains_eig"]))
-    assert counts == [(0, 9), (0, 9), (0, 9), (9, 0)]
-    spectral = spectral_spec()
-    dset = lb.build_dissipator(spectral, layout, backend="spectral")
-    diag = lb.propagate(rho0, dset, spectral, 0.5, 0.005).diagnostics
-    assert (diag["chains_eigh"], diag["chains_eig"]) == (0, 9)
+        assert (diag["chains_eigh"], diag["chains_eig"]) == counts
+    with pytest.raises(lb.NumericalDriftError, match="misses it"):
+        lb._chain_flow(rho0, unequal_weights_family(spec, layout), levels, np.zeros(layout.dim))
 
 
 def test_initial_state_memory_scales_with_chains():

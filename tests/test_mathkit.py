@@ -282,3 +282,15 @@ def test_order_doubling_sites_share_one_rule(monkeypatch, module, site):
     assert converged == flag == (drift <= ORDER_DOUBLING_TOL)
     if reported is not None:
         assert type(reported) is float and reported == drift
+
+
+def test_gauss_legendre_takes_each_weight_from_its_newton_steps(monkeypatch):
+    # P_n' comes from the last Newton evaluation of each root: no further
+    # recurrence per weight (82 and 154 evaluations with one)
+    calls = []
+    newton = mathkit._legendre_newton
+    monkeypatch.setattr(mathkit, "_legendre_newton", lambda n, x: calls.append(n) or newton(n, x))
+    for n, want in ((48, 58), (96, 106)):
+        calls.clear()
+        gauss_legendre.__wrapped__(n)
+        assert len(calls) == want, n
