@@ -26,12 +26,15 @@ multiplies them into a matrix's entries, for the convergence probe of
 build_dissipator and for DissipatorSet.apply, which gathers and scatters the
 entries of a dense matrix.  Both jump families are real symmetric, and so is
 every chain generator but for the imaginary diagonal of a residual gas shift.
+The radial factor of both families (rates.collision_weight) and the sphere
+moments of the linearized one (rates.TEMPLATE_MOMENTS) are those of the rates.
 
-propagate evaluates only the steps it records, FRAME_CHUNK at a time with
-one batched product per chain length, and reduces each chunk once, in time
-order: _reduce gives every column (trace, purity, block populations,
-stretched corners) and applies the density-matrix rule, hermitian with unit
-trace and no eigenvalue below EIG_FLOOR, to the whole chunk at once
+propagate evaluates only the steps it records, a byte-bounded chunk of
+frames (_frames_per_chunk) at a time with one batched product per chain
+length, into one reused array, and reduces each chunk once, in time order:
+_reduce gives every column (trace, purity, block populations, stretched
+corners) and applies the density-matrix rule, hermitian with unit trace and
+no eigenvalue below EIG_FLOOR, to the whole chunk at once
 (_EntryPattern.check).  A RotorState is a chunk of one frame and takes the
 same reduction and rule.  A Trajectory keeps the columns and the last frame,
 as a RotorState, and frees the flow and every other frame.
@@ -45,16 +48,13 @@ import numpy as np
 
 from .mathkit import make_rule, order_doubling_drift
 from .params import HBAR, Frozen, record
-from .rates import TEMPLATE_OFFSETS, energy_shift_matrix, template_bands, thermal_q_integral
+from .rates import (TEMPLATE_MOMENTS, TEMPLATE_OFFSETS, collision_weight, energy_shift_matrix,
+                    template_bands)
 
-# angular second moments of the coupling geometry factor of band q, by |q|:
-# P2(n_z), n_z n_+-, n_+-^2 paired with their conjugates.  Cross moments
-# vanish by azimuthal charge, so the circle-averaged coupling contributes
-# one Lindblad channel per template.
-TEMPLATE_MOMENTS = (4.0 * math.pi / 5.0, 8.0 * math.pi / 15.0, 32.0 * math.pi / 15.0)
-
-# frames evaluated, checked or reduced at once
+# frames evaluated, checked or reduced at once: FRAME_CHUNK, or fewer (at
+# least 1) where one (F, N) complex chunk would pass CHUNK_BYTES (_frames_per_chunk)
 FRAME_CHUNK = 16
+CHUNK_BYTES = 16 * 2**20
 # a propagate run evaluates, and records, at most this many frames
 MAX_EVALUATED_FRAMES = 10**6
 # tolerances of the density-matrix rule (_EntryPattern.check)
@@ -348,21 +348,15 @@ def _chain_action(dset, pattern, values):
     return out
 
 
-def _collision_weight(spec):
-    """2 pi (n_g/mu) Int dq q^3 nu_th(q) |c(q)|^2 on the radial rule."""
-    radial = thermal_q_integral(spec, spec.numerics.quad_order_q, 3, lambda c: abs(c) ** 2)
-    return 2.0 * math.pi * spec.gas.density / spec.reduced_mass * radial
-
-
 def _jump_family(spec, layout, backend, kappa_mode):
     """(weights, offsets, diagonals, aniso_mean) of the direction-averaged
     jump family, grouped by band as DissipatorSet stores it.
 
     Linearized: A(n') = (2/5) sum_a g_a(n') T_a.  The sphere moments of
-    g_a g_b^* vanish for a != b and equal TEMPLATE_MOMENTS[|q_a|] for a = b,
-    so the five templates, one op per band, with weights (2/5)^2 * moment
-    reproduce the node sum exactly; every g_a has zero sphere mean, so
-    aniso_mean is zero.
+    g_a g_b^* vanish for a != b and equal rates.TEMPLATE_MOMENTS[|q_a|], the
+    moments of the rate bracket, for a = b, so the five templates, one op
+    per band, with weights (2/5)^2 * moment reproduce the node sum exactly;
+    every g_a has zero sphere mean, so aniso_mean is zero.
     Spectral: the symmetrized anisotropy S(n') - I of the fractional-power
     shape.  A rotation about z conjugates it, A(R_z(phi) n') =
     U_z(phi) A(n') U_z(phi)^+, so band q of A picks up exp(i q phi), and the
@@ -443,7 +437,8 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
         quad_order_q=2 * num.quad_order_q, quad_order_sphere=2 * num.quad_order_sphere
     )
     dset, fine = (
-        DissipatorSet(layout, _collision_weight(s), *_jump_family(s, layout, backend, kappa_mode))
+        DissipatorSet(layout, collision_weight(s, s.numerics.quad_order_q),
+                      *_jump_family(s, layout, backend, kappa_mode))
         for s in (spec, spec._replace(numerics=fine_num))
     )
     probe = centrifuge_state(
@@ -500,10 +495,10 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     would alias the coherences it samples, so StepSizeViolation is raised
     when dt * max|Delta| > STEP_GUARD.  The diagnostic
     recorded_spacing_max_delta, record_every * dt * max|Delta|, tells whether
-    the recorded frames alias.  Only the recorded steps are evaluated,
-    FRAME_CHUNK at a time and reduced in time order (_reduce), so the first
-    frame that fails the density-matrix rule (_EntryPattern.check) is the
-    one reported, as NumericalDriftError: no frame feeds another, so a step
+    the recorded frames alias.  Only the recorded steps are evaluated, in
+    chunks of _frames_per_chunk and reduced in time order (_reduce), so the
+    first frame that fails the density-matrix rule (_EntryPattern.check) is
+    the one reported, as NumericalDriftError: no frame feeds another, so a step
     that is not recorded changes no output.  A run that would record more
     than MAX_EVALUATED_FRAMES frames raises ValueError.
     """
@@ -545,9 +540,10 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
     pattern = rho0.pattern
     times = rho0.time + np.concatenate([[0.0], steps * dt])
     recorded = [rho0._columns]
-    for start in range(0, len(steps), FRAME_CHUNK):
-        taus = steps[start : start + FRAME_CHUNK] * dt
-        frames = flow(taus)
+    buffer = np.empty((_frames_per_chunk(len(pattern.rows)), len(pattern.rows)), dtype=complex)
+    for start in range(0, len(steps), len(buffer)):
+        taus = steps[start : start + len(buffer)] * dt
+        frames = flow(taus, buffer[: len(taus)])
         try:
             recorded.append(_reduce(layout, pattern, frames))
         except _DensityRuleError as exc:
@@ -571,6 +567,10 @@ def propagate(rho0, dset, spec, t_final, dt, record_every=None):
         **decomposition,
     }
     return Trajectory(layout, times, columns, final, diagnostics)
+
+
+def _frames_per_chunk(n_entries):
+    return min(FRAME_CHUNK, max(1, CHUNK_BYTES // (16 * n_entries)))
 
 
 class Trajectory(Frozen):
@@ -655,9 +655,8 @@ def _chain_flow(rho0, dset, levels, residual):
     entries of the chains rho0 occupies (rho0.pattern).
 
     Every jump lies on one diagonal q and the residual gas shift is
-    diagonal, so the generator moves rho[r, c] only to rho[r + q, c + q]
-    inside the same block rho_{jj'}: it keeps j, j' and Q = m - m', and each
-    diagonal of each block is a chain of length <= 2 min(j, j') + 1 that
+    diagonal, so the generator keeps j, j' and Q = m - m': each diagonal of
+    each block rho_{jj'} is a chain of length <= 2 min(j, j') + 1 that
     evolves on its own.  Its generator is the dissipator's
     (_chain_generators), real symmetric, plus the residual, which adds
     -i (R_r - R_c) / hbar to its diagonal.  Chains that rho0 leaves empty
@@ -666,18 +665,18 @@ def _chain_flow(rho0, dset, levels, residual):
     V^-1 = V^T and the coefficients V^T x0: eigh where the residual leaves
     the stack real, and eig otherwise, whose eigenvectors of the complex
     symmetric stack are orthogonal under x^T y and scaled to V^T V = I.  The
-    block scalars E_j + s_iso (levels) are constant along a chain and
-    commute with its generator, so they act as the unitary
-    U = exp(-i levels tau / hbar) per block: flow forms
-    p_j = exp(-i levels[j] tau / hbar) once per block and frame and
-    multiplies chain (j, j') by p_j conj(p_j') after the dissipative
-    exponential.  A phase factor of modulus one keeps the spectrum of each
-    frame, however large levels * tau / hbar grows.
+    block scalars E_j + s_iso (levels) commute with every chain generator
+    and act as the unitary exp(-i levels tau / hbar) per block: flow
+    multiplies chain (j, j') by p_j conj(p_j'), p_j = exp(-i levels[j] tau
+    / hbar), after the dissipative exponential, and a (j, j) chain by
+    exactly 1, which p_j conj(p_j) is only to rounding.  A phase factor of
+    modulus one keeps the spectrum of each frame, however large
+    levels * tau / hbar grows.
 
-    Returns flow(taus), the (F, N) values at rho0's pattern entries at the
-    F elapsed times taus with one batched product per chain length, and the
-    diagnostics of the decomposition: the worst reconstruction miss (below)
-    as reconstruction_miss, and the chains that took eigh and eig as
+    Returns flow(taus, out=None), the (F, N) values at rho0's pattern
+    entries at the F elapsed times taus, written into out when given, and
+    the diagnostics of the decomposition: the worst reconstruction miss
+    (below) as reconstruction_miss, and the chains that took eigh and eig as
     chains_eigh and chains_eig.
 
     Raises NumericalDriftError when a chain generator is not finite, or when
@@ -716,8 +715,8 @@ def _chain_flow(rho0, dset, levels, residual):
         coef = np.einsum("cij,cj->ci", inv, rho0.values[span].reshape(rows.shape))
         parts.append((lam, vec, coef, block[rows[:, 0]], block[cols[:, 0]], span))
 
-    def flow(taus):
-        out = np.empty((len(taus), len(rho0.values)), dtype=complex)
+    def flow(taus, out=None):
+        out = np.empty((len(taus), len(rho0.values)), dtype=complex) if out is None else out
         p = np.exp((-1j / HBAR) * np.multiply.outer(taus, levels))  # (F, blocks)
         for lam, vec, coef, bj, bk, span in parts:
             # (chains, length, F) amplitudes, then every frame of every chain
@@ -731,7 +730,7 @@ def _chain_flow(rho0, dset, levels, residual):
                 chains = (vec @ amp.view(float)).view(complex)
             else:
                 chains = np.einsum("cij,cjf->cif", vec, amp)
-            chains *= (p[:, bj] * p[:, bk].conj()).T[:, None, :]
+            chains *= np.where(bj == bk, 1.0, p[:, bj] * p[:, bk].conj()).T[:, None, :]
             out[:, span] = chains.reshape(coef.size, -1).T
         return out
 

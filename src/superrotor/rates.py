@@ -12,10 +12,12 @@ commands run without numpy on the closed form and on the linearized
 quadrature route: that route reads the quadrature rules of mathkit as
 Python floats and evaluates the isotropic forward amplitude (forward_scalar)
 and the templates' top-corner band values (template_band) here, beside the
-degree-2 Legendre family they are built from. scattering re-exports these
-scalar pieces. The spectral backend imports numpy and scattering when
-called, template_bands and energy_shift_matrix numpy; the quadrature route
-looks mathkit's helpers up on that module at each call.
+degree-2 Legendre family they are built from, and both factors of the
+linearized rate, collision_weight and TEMPLATE_MOMENTS, which lindblad's
+jump family reads too. scattering re-exports the scalar pieces. The spectral
+backend imports numpy and scattering when called, template_bands and
+energy_shift_matrix numpy; the quadrature route looks mathkit's helpers up
+on that module at each call.
 """
 
 import math
@@ -139,6 +141,12 @@ def template_band(k, j, m, mol, kappa_mode="exact"):
 # template_bands
 TEMPLATE_OFFSETS = (0, 1, -1, 2, -2)
 
+# sphere moments Int d^2n' |g|^2 of the coupling geometry factor g of band
+# q, by |q|: P2(n_z), n_z n_+- and n_+-^2.  Cross moments vanish by
+# azimuthal charge, so the circle-averaged coupling contributes one Lindblad
+# channel per template and the linearized rate bracket one term per band.
+TEMPLATE_MOMENTS = (4.0 * math.pi / 5.0, 8.0 * math.pi / 15.0, 32.0 * math.pi / 15.0)
+
 
 def template_bands(j, mol, kappa_mode="exact"):
     """The three band vectors of block j's coupling templates.
@@ -255,26 +263,15 @@ def _corner_coefficients(j, spec, kappa_mode):
 def _corner_integrand_linearized(j, j_prime, spec, kappa_mode):
     # The forward amplitude is c(q) * (identity + (2/5) averaged coupling),
     # and the rate integrand touches only the top-corner column of each
-    # block, so three template coefficients per block suffice. Returns the
-    # direction integral 2 pi sum_i w_i bracket(n_i) on a given rule, read
-    # from the rule's floats.
+    # block, so three template coefficients per block suffice. The squared
+    # band-k terms carry the geometry factor of band k, whose sphere moment
+    # is TEMPLATE_MOMENTS[k]: the direction integral 2 pi Int d^2n' bracket
+    # is exact and ignores the rule.
     t0j, b1j, b2j = _corner_coefficients(j, spec, kappa_mode)
     t0p, b1p, b2p = _corner_coefficients(j_prime, spec, kappa_mode)
-    diag = (t0j - t0p) ** 2
-    band1 = b1j**2 + b1p**2
-    band2 = b2j**2 + b2p**2
-
-    def angular(rule):
-        total = 0.0
-        for w, (x, y, z) in zip(rule.weight_floats, rule.node_floats):
-            n_plus_sq = x * x + y * y
-            p2 = assoc_legendre2(0, z)
-            total += w * (
-                0.16 * (diag * p2 * p2 + band1 * z * z * n_plus_sq + band2 * n_plus_sq * n_plus_sq)
-            )
-        return 2.0 * math.pi * total
-
-    return angular
+    squares = ((t0j - t0p) ** 2, b1j**2 + b1p**2, b2j**2 + b2p**2)
+    angular = 2.0 * math.pi * 0.16 * sum(m * s for m, s in zip(TEMPLATE_MOMENTS, squares))
+    return lambda rule: angular
 
 
 def _corner_integrand_spectral(j, j_prime, spec, kappa_mode):
@@ -301,8 +298,8 @@ def thermal_q_integral(spec, order, power, fn):
     order with q = q_th x: (q_th / pi^1.5) sum_i w_i x_i^power fn(c(q_th x_i)).
 
     Every thermal average here factorizes into this radial integral times
-    a q-independent direction integral: the rates and the jump weights take
-    fn = |c|^2 at power 3, the gas shift fn = Re c at power 2.  fn maps one
+    a q-independent direction integral: collision_weight takes fn = |c|^2
+    at power 3, the gas shift fn = Re c at power 2.  fn maps one
     complex value; the sum runs over the rule's floats.
     """
     from . import mathkit
@@ -315,11 +312,19 @@ def thermal_q_integral(spec, order, power, fn):
     return float(q_th / math.pi**1.5 * total)
 
 
+def collision_weight(spec, order):
+    """2 pi (n_g/mu) Int dq q^3 nu_th(q) |c(q)|^2 on the half-line rule of
+    the given order: the radial factor of the dissipator and of every rate,
+    gamma = collision_weight A / 4 pi with A the direction integral."""
+    radial = thermal_q_integral(spec, order, 3, lambda c: abs(c) ** 2)
+    return 2.0 * math.pi * spec.gas.density / spec.reduced_mass * radial
+
+
 def _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode):
-    # RateResult rows for (j, j') pairs. The radial brackets R(n_q), R(2 n_q)
-    # and the ring rules do not depend on the pair and are evaluated once;
-    # each pair adds its ring integrals A(n_s), A(2 n_s) and its own
-    # order-doubling drift.
+    # RateResult rows for (j, j') pairs, gamma = collision_weight A / 4 pi.
+    # The radial factors at n_q and 2 n_q and the ring rules do not depend
+    # on the pair and are evaluated once; each pair adds its direction
+    # integrals A(n_s), A(2 n_s) and its own order-doubling drift.
     integrand = {
         "linearized": _corner_integrand_linearized,
         "spectral": _corner_integrand_spectral,
@@ -330,19 +335,14 @@ def _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode):
 
     nq = spec.numerics.quad_order_q
     ns = spec.numerics.quad_order_sphere
-    pref = spec.gas.density / (2.0 * spec.reduced_mass)
-    r, r_fine = (
-        thermal_q_integral(spec, order, 3, lambda c: abs(c) ** 2) for order in (nq, 2 * nq)
-    )
+    r, r_fine = (collision_weight(spec, order) / (4.0 * math.pi) for order in (nq, 2 * nq))
     rings = mathkit.make_rule("ring", ns), mathkit.make_rule("ring", 2 * ns)
     rows = []
     for j, j_prime in pairs:
         angular = integrand(j, j_prime, spec, kappa_mode)
         a, a_fine = (angular(ring) for ring in rings)
-        base = pref * r * a
-        drift, converged = mathkit.order_doubling_drift(
-            base, pref * r_fine * a, pref * r * a_fine
-        )
+        base = r * a
+        drift, converged = mathkit.order_doubling_drift(base, r_fine * a, r * a_fine)
         meta = {
             "converged": converged,
             "order_q": nq,
@@ -363,11 +363,12 @@ def gamma_numeric(j, j_prime, spec, amplitude_backend="linearized", kappa_mode="
     differences of the forward amplitudes].
 
     The integrand factorizes into |c(q)|^2 times a q-independent sphere
-    bracket, so the rate is (n_g/2mu) R(n_q) A(n_s) with one radial and one
-    sphere quadrature. Both brackets are invariant under rotations about z
-    (the linearized one reads only n_z and n_x^2 + n_y^2, the spectral one
-    the moduli of a column that such a rotation rephases), so the sphere
-    quadrature sums them on the rings of the sphere rule only. The
+    bracket, so the rate is collision_weight(n_q) A / 4 pi with one radial
+    quadrature. The linearized bracket is a sum of band terms whose sphere
+    moments are TEMPLATE_MOMENTS, so its A is exact and quad_order_sphere
+    does not change it. The spectral bracket is invariant under rotations
+    about z (it reads the moduli of a column that such a rotation
+    rephases), so its A(n_s) is summed on the rings of the sphere rule. The
     convergence flag in the metadata reports whether doubling either
     quadrature order moves the value by at most 0.1%
     (mathkit.order_doubling_drift). This is the one-pair case of the

@@ -1052,16 +1052,19 @@ def test_chunked_frames_match_every_step_run():
     sparse = lb.propagate(rho0, dset, spec, 0.04, 0.0002, record_every=7)
     steps = np.r_[0:201:7, 200]
     np.testing.assert_array_equal(sparse.times, every.times[steps])
+    # the diagonal lies on (j, j) chains, which are real and take no phase
+    assert not np.any(every.columns["trace"].imag)
     for name, col in sparse.columns.items():
         np.testing.assert_allclose(col, every.columns[name][steps], rtol=0, atol=1e-14)
     np.testing.assert_allclose(sparse.final.values, every.final.values, rtol=0, atol=1e-14)
     # the sparse run checks exactly the steps it records, in chunks of
-    # FRAME_CHUNK frames, by the batch density-matrix rule
+    # _frames_per_chunk frames, by the batch density-matrix rule
     evaluated = sorted(set(range(7, 201, 7)) | {200})
-    assert len(evaluated) == len(sparse) - 1 > lb.FRAME_CHUNK
     pattern = rho0.pattern
+    chunk = lb._frames_per_chunk(len(pattern.rows))
+    assert len(evaluated) == len(sparse) - 1 > chunk
     checks = []
-    for taus in np.split(every.times[evaluated], [lb.FRAME_CHUNK]):
+    for taus in np.split(every.times[evaluated], [chunk]):
         frames = np.array([f.values for f in frames_again(rho0, dset, spec, taus)])
         checks.append(lb._reduce(layout, pattern, frames))
     assert sparse.diagnostics == dict(
@@ -1079,6 +1082,56 @@ def test_chunked_frames_match_every_step_run():
     for name, col in late.columns.items():
         np.testing.assert_allclose(col, sparse.columns[name], rtol=0, atol=1e-14)
     np.testing.assert_allclose(late.final.values, sparse.final.values, rtol=0, atol=1e-14)
+
+
+def test_frames_per_chunk_bounds_the_chunk_bytes():
+    # 16 frames while 16 of them fit CHUNK_BYTES as complex values, 4 on the
+    # j in [60, 100] window of gaussian:80,8 (247 681 entries), never below 1
+    assert lb.CHUNK_BYTES == 16 * 2**20
+    assert [lb._frames_per_chunk(n) for n in (1, 1368, 22_000, 65_536)] == [16] * 4
+    assert lb._frames_per_chunk(247_681) == 4
+    assert lb._frames_per_chunk(524_288) == 2
+    assert [lb._frames_per_chunk(n) for n in (524_289, 10**7, 10**12)] == [1] * 3
+
+
+def test_byte_bounded_chunks_match_full_chunks(monkeypatch):
+    # 29 evaluated frames in chunks of 3 reuse one (3, N) array, the last
+    # chunk its first 2 rows; the columns and the final state are those of
+    # 16-frame chunks
+    spec = n1_spec()
+    layout = lb.BasisLayout(8, 15)
+    dset = lb.build_dissipator(spec, layout)
+    rho0 = lb.centrifuge_state(layout, lb.gaussian_profile(layout, 11.5, 2.0))
+    full = lb.propagate(rho0, dset, spec, 0.04, 0.0002, record_every=7)
+    n = len(rho0.pattern.rows)
+    monkeypatch.setattr(lb, "CHUNK_BYTES", 3 * 16 * n)
+    assert lb._frames_per_chunk(n) == 3
+    small = lb.propagate(rho0, dset, spec, 0.04, 0.0002, record_every=7)
+    assert len(small) == len(full) == 30
+    for name, col in small.columns.items():
+        np.testing.assert_allclose(col, full.columns[name], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(small.final.values, full.final.values, rtol=0, atol=1e-14)
+    assert small.final.time == full.final.time
+
+
+@pytest.mark.parametrize("window", [(3, 6), (0, 0)])
+def test_isotropic_state_without_jumps_is_kept_bitwise(window):
+    # a (j, j) chain takes no block phase: p_j conj(p_j) is 1 only to
+    # rounding, and multiplying by it would move the state's bits
+    spec = n1_spec()
+    layout = lb.BasisLayout(*window)
+    dset = lb.DissipatorSet.empty(layout)
+    rho0 = lb.isotropic_state(layout, {j: j + 1.0 for j in layout.js})
+    taus = 0.05 * np.arange(101)
+    flow = lb._chain_flow(rho0, dset, *lb._hamiltonian(spec, dset))[0]
+    np.testing.assert_array_equal(flow(taus), np.tile(rho0.values, (101, 1)))
+    traj = lb.propagate(rho0, dset, spec, 5.0, 0.05, record_every=1)
+    assert len(traj) == 101
+    assert not np.any(traj.columns["trace"].imag)
+    for name in ("trace", "populations"):
+        col = traj.columns[name]
+        np.testing.assert_array_equal(col, np.broadcast_to(col[0], col.shape))
+    np.testing.assert_array_equal(traj.final.values, rho0.values)
 
 
 def test_block_phases_keep_the_spectrum_at_large_phase():
@@ -1404,8 +1457,8 @@ def test_negative_eigenvalue_on_a_recorded_step_raises(monkeypatch):
     rho0 = lb.RotorState.from_matrix(layout, np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex))
     bad = np.array([0.4, 0.2, 0.4 + 1e-6, -1e-6], dtype=complex)
 
-    def flow(taus):
-        out = np.tile(rho0.values, (len(taus), 1))
+    def flow(taus, out):
+        out[:] = rho0.values
         out[np.isclose(taus, 0.03)] = bad
         return out
 
@@ -1432,7 +1485,7 @@ def test_non_finite_matrices_are_not_density_matrices(monkeypatch):
     np.testing.assert_array_equal(rho0.pattern.cols, np.arange(4))
     monkeypatch.setattr(
         lb, "_chain_flow",
-        lambda *args: (lambda taus: np.full((len(taus), 4), np.nan, dtype=complex), {}),
+        lambda *args: (lambda taus, out: np.full((len(taus), 4), np.nan, dtype=complex), {}),
     )
     with pytest.raises(lb.NumericalDriftError, match="trace drift nan .* at t=0.01"):
         lb.propagate(rho0, lb.DissipatorSet.empty(layout), spec, 1.0, 0.01, record_every=1)

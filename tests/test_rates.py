@@ -123,22 +123,50 @@ def test_gamma_numeric_spectral_backend_small_anisotropy():
     assert spc == pytest.approx(lin, rel=5e-3)
 
 
+def sphere_bracket(j, jp, spec, backend, kappa, nodes):
+    """The rate bracket of the pair (j, jp) at the directions nodes (n, 3):
+    the squared corner-column differences of the q-independent amplitude
+    shapes, the linearized corner read off the full (5, d, d) templates."""
+    if backend == "spectral":
+        mj, mp = (spectral_shapes(jv, nodes, spec, kappa) for jv in (j, jp))
+        return (
+            np.abs(mj[:, -1, -1] - mp[:, -1, -1]) ** 2
+            + np.sum(np.abs(mj[:, :-1, -1]) ** 2, axis=1)
+            + np.sum(np.abs(mp[:, :-1, -1]) ** 2, axis=1)
+        )
+
+    def corner(jv):
+        t = coupling_templates(jv, spec.molecule, kappa)
+        top = 2 * jv
+        if jv == 0:
+            return t[0][0, 0], 0.0, 0.0
+        return t[0][top, top], t[1][top - 1, top], t[3][top - 2, top]
+
+    (t0j, b1j, b2j), (t0p, b1p, b2p) = corner(j), corner(jp)
+    nz = nodes[:, 2]
+    n_plus_sq = nodes[:, 0] ** 2 + nodes[:, 1] ** 2
+    p2 = 1.5 * nz**2 - 0.5
+    return 0.16 * (
+        (t0j - t0p) ** 2 * p2**2
+        + (b1j**2 + b1p**2) * nz**2 * n_plus_sq
+        + (b2j**2 + b2p**2) * n_plus_sq**2
+    )
+
+
 @pytest.mark.parametrize("kappa", ["exact", "half"])
 @pytest.mark.parametrize("backend", ["linearized", "spectral"])
 def test_gamma_numeric_rings_match_sphere_rule(backend, kappa):
-    # oracle: the bracket summed over every node of the sphere rule; the
-    # rings carry the same integral because both brackets are invariant
-    # under rotations about z
+    # oracle: the bracket summed over every node of the sphere rule.  The
+    # spectral rings carry the same integral because its bracket is
+    # invariant under rotations about z; the linearized rate reads the
+    # bracket's sphere moments, which this rule integrates exactly
     doc = json.loads(builtin_config("n1"))
     doc["molecule"]["alpha_aniso"] = 0.06
     doc["numerics"] = {"quad_order_sphere": 30, "quad_order_circle": 32}
     spec = load_config(json.dumps(doc))
-    integrand = {
-        "linearized": rates._corner_integrand_linearized,
-        "spectral": rates._corner_integrand_spectral,
-    }[backend]
     sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
-    angular = integrand(4, 2, spec, kappa)(sphere)
+    bracket = sphere_bracket(4, 2, spec, backend, kappa, sphere.nodes)
+    angular = 2.0 * math.pi * np.sum(sphere.weights * bracket)
     radial = rates.thermal_q_integral(
         spec, spec.numerics.quad_order_q, 3, lambda c: np.abs(c) ** 2
     )
@@ -147,41 +175,30 @@ def test_gamma_numeric_rings_match_sphere_rule(backend, kappa):
     assert abs(got - oracle) <= 1e-12 * oracle
 
 
+@pytest.mark.parametrize("kappa", ["exact", "half"])
+def test_linearized_gamma_ignores_the_sphere_order(kappa):
+    # the linearized bracket's sphere moments are exact, so no sphere order
+    # moves a linearized rate or flags it, not even two Gauss nodes (order 4)
+    for j in (2, 3, 10, 40, 100):
+        rows = [
+            gamma_numeric(j, j - 2, n1_spec(quad_order_sphere=order), kappa_mode=kappa)
+            for order in (4, 8, 30, 302)
+        ]
+        for row in rows:
+            assert abs(row.gamma - rows[-1].gamma) <= 1e-15 * rows[-1].gamma
+            assert row.converged
+
+
 def per_pair_oracle(j, jp, spec, backend, kappa):
     # the per-pair quadrature the shared sweep route replaces: both radial
-    # brackets and both ring sums recomputed for this pair alone, the
-    # linearized corner read off the full (5, d, d) templates
-    def corner(jv):
-        t = coupling_templates(jv, spec.molecule, kappa)
-        top = 2 * jv
-        if jv == 0:
-            return t[0][0, 0], 0.0, 0.0
-        return t[0][top, top], t[1][top - 1, top], t[3][top - 2, top]
-
-    def bracket(nodes):
-        if backend == "spectral":
-            mj, mp = (spectral_shapes(jv, nodes, spec, kappa) for jv in (j, jp))
-            return (
-                np.abs(mj[:, -1, -1] - mp[:, -1, -1]) ** 2
-                + np.sum(np.abs(mj[:, :-1, -1]) ** 2, axis=1)
-                + np.sum(np.abs(mp[:, :-1, -1]) ** 2, axis=1)
-            )
-        (t0j, b1j, b2j), (t0p, b1p, b2p) = corner(j), corner(jp)
-        nz = nodes[:, 2]
-        n_plus_sq = nodes[:, 0] ** 2 + nodes[:, 1] ** 2
-        p2 = 1.5 * nz**2 - 0.5
-        return 0.16 * (
-            (t0j - t0p) ** 2 * p2**2
-            + (b1j**2 + b1p**2) * nz**2 * n_plus_sq
-            + (b2j**2 + b2p**2) * n_plus_sq**2
-        )
-
+    # brackets and both ring sums recomputed for this pair alone
     def radial(order):
         return rates.thermal_q_integral(spec, order, 3, lambda c: np.abs(c) ** 2)
 
     def angular(order):
         ring = make_rule("ring", order)
-        return 2.0 * math.pi * np.sum(ring.weights * bracket(ring.nodes))
+        bracket = sphere_bracket(j, jp, spec, backend, kappa, ring.nodes)
+        return 2.0 * math.pi * np.sum(ring.weights * bracket)
 
     nq, ns = spec.numerics.quad_order_q, spec.numerics.quad_order_sphere
     pref = spec.gas.density / (2.0 * spec.reduced_mass)
