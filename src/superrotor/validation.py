@@ -1,7 +1,8 @@
 """Self-contained acceptance checks for the rate and propagation pipeline.
 
-Each criterion returns a CriterionResult; run_acceptance executes the full
-list against a SystemSpec (the builtin normalized benchmark by default).  The
+Each criterion returns (passed, summary, detail); run_acceptance runs the
+list CRITERIA, which names each, against a SystemSpec (the builtin normalized
+benchmark by default) and records every verdict as a CriterionResult.  The
 checks pair every closed-form claim with an independent numerical route, so a
 regression in either route surfaces as a disagreement rather than a silently
 shifted value.
@@ -16,40 +17,26 @@ import numpy as np
 from . import lindblad as lb
 from . import rates, scattering
 from .mathkit import make_rule
-from .params import builtin_config, load_config
+from .params import builtin_config, load_config, record
 
 SINE_HALF_PERIODS = 48
 
 
-class CriterionResult:
-    def __init__(self, name, passed, summary, runtime=0.0, detail=None):
-        self.name = name
-        self.passed = passed
-        self.summary = summary
-        self.runtime = runtime
-        self.detail = {} if detail is None else detail
+class CriterionResult(record("CriterionResult", "name passed summary runtime detail")):
+    """One criterion's verdict as run_acceptance records it: its name, pass or
+    fail, a one-line summary, its runtime in seconds and the measured values
+    behind the verdict (detail, a dict of JSON values)."""
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
+    __slots__ = ()
 
     def as_dict(self):
         return {
             "name": self.name,
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "summary": self.summary,
             "runtime_s": round(self.runtime, 3),
-            "detail": {k: _plain(v) for k, v in self.detail.items()},
+            "detail": self.detail,
         }
-
-
-def _plain(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
-    return v
 
 
 def _default_spec():
@@ -123,11 +110,10 @@ def criterion_closed_form_prefactor(spec=None):
     res = rates.gamma_closed_form(10, 8, base)
     measured = res.gamma / res.a_coefficient
     err = abs(measured - expected)
-    return CriterionResult(
-        name="closed-form prefactor",
-        passed=err <= 1e-9,
-        summary="gamma/A = %.12f vs %.12f (err %.2e)" % (measured, expected, err),
-        detail={"measured": measured, "expected": expected, "error": err},
+    return (
+        err <= 1e-9,
+        "gamma/A = %.12f vs %.12f (err %.2e)" % (measured, expected, err),
+        {"measured": measured, "expected": expected, "error": err},
     )
 
 
@@ -145,11 +131,10 @@ def criterion_quadrature_vs_closed_form(spec=None):
         rel = abs(quad - closed) / closed if closed > 0 else abs(quad)
         devs["j=%d" % j] = rel
         worst = max(worst, rel)
-    return CriterionResult(
-        name="quadrature vs closed form",
-        passed=worst <= 5e-3,
-        summary="max relative deviation %.2e over j in {4,6,10,14,20}" % worst,
-        detail=devs,
+    return (
+        worst <= 5e-3,
+        "max relative deviation %.2e over j in {4,6,10,14,20}" % worst,
+        devs,
     )
 
 
@@ -163,11 +148,10 @@ def criterion_large_j_asymptote(spec=None):
     )
     slope = float(np.polyfit(np.log(js), np.log(signals), 1)[0])
     passed = 0.99 <= ratio <= 1.01 and abs(slope + 1.0) <= 0.05
-    return CriterionResult(
-        name="large-j asymptote",
-        passed=passed,
-        summary="500 A(500,498)/6 = %.6f, log-log slope %.4f" % (ratio, slope),
-        detail={"ratio_at_500": ratio, "slope": slope},
+    return (
+        passed,
+        "500 A(500,498)/6 = %.6f, log-log slope %.4f" % (ratio, slope),
+        {"ratio_at_500": ratio, "slope": slope},
     )
 
 
@@ -176,11 +160,10 @@ def criterion_small_j_guards(spec=None):
     a00 = rates.a_coefficient(0, 0)
     a20 = rates.a_coefficient(2, 0)
     err = abs(a20 - 1.5318)
-    return CriterionResult(
-        name="small-j guard values",
-        passed=(a00 == 0.0) and err <= 1e-5,
-        summary="A(0,0) = %g, A(2,0) = %.7f (err %.2e)" % (a00, a20, err),
-        detail={"a00": a00, "a20": a20, "a20_error": err},
+    return (
+        (a00 == 0.0) and err <= 1e-5,
+        "A(0,0) = %g, A(2,0) = %.7f (err %.2e)" % (a00, a20, err),
+        {"a00": a00, "a20": a20, "a20_error": err},
     )
 
 
@@ -194,11 +177,10 @@ def criterion_isotropic_stationarity(spec=None):
         iso = lb.isotropic_state(layout, pops)
         action = dset.apply(iso.matrix)
         worst = max(worst, float(np.max(np.abs(action))) / dset.jump_scale)
-    return CriterionResult(
-        name="isotropic stationarity",
-        passed=worst <= 1e-10,
-        summary="max |D rho| / jump scale = %.2e over 3 isotropic states" % worst,
-        detail={"worst_relative_action": worst},
+    return (
+        worst <= 1e-10,
+        "max |D rho| / jump scale = %.2e over 3 isotropic states" % worst,
+        {"worst_relative_action": worst},
     )
 
 
@@ -220,12 +202,10 @@ def criterion_block_population_conservation(spec=None):
     dt = 0.99 * lb.STEP_GUARD / spread if spread > 0 else t_final / 100
     pops = lb.propagate(rho0, dset, spec, t_final, dt, record_every=10**9).block_populations()
     drift = float(np.max(np.abs(pops[-1] - pops[0])))
-    return CriterionResult(
-        name="block-population conservation",
-        passed=drift <= 1e-8,
-        summary="max population drift %.2e over t = %.2f (D = %d)"
-        % (drift, t_final, layout.dim),
-        detail={"drift": drift, "t_final": t_final, "dimension": layout.dim},
+    return (
+        drift <= 1e-8,
+        "max population drift %.2e over t = %.2f (D = %d)" % (drift, t_final, layout.dim),
+        {"drift": drift, "t_final": t_final, "dimension": layout.dim},
     )
 
 
@@ -252,16 +232,16 @@ def criterion_propagator_rate_consistency(spec=None):
         gamma, fit, err, fit_sig, err_sig = _fit_pair(spec, j, j_prime)
         detail["pair_%d_%d" % (j, j_prime)] = [gamma, fit, err, fit_sig, err_sig]
         worst = max(worst, err, err_sig)
-    return CriterionResult(
-        name="propagator rate consistency",
-        passed=worst <= 0.02,
-        summary="max fit deviation %.2e over pairs (10,8), (12,10)" % worst,
-        detail=detail,
+    return (
+        worst <= 0.02,
+        "max fit deviation %.2e over pairs (10,8), (12,10)" % worst,
+        detail,
     )
 
 
 def criterion_optical_theorem(spec=None):
-    """Isotropic full amplitude: optical theorem and forward closed form."""
+    """Isotropic full amplitude: 4 pi Im f(0) / q is the elastic cross
+    section, and Im f(0) the forward closed form."""
     spec = _zero_aniso(spec or _default_spec())
     q = spec.thermal_momentum
     ez = np.array([0.0, 0.0, 1.0])
@@ -273,11 +253,10 @@ def criterion_optical_theorem(spec=None):
     closed_im = scattering.forward_scalar(q, spec).imag
     fwd_err = abs(f0.imag - closed_im) / abs(closed_im)
     passed = opt_err <= 0.02 and fwd_err <= 0.01 and converged
-    return CriterionResult(
-        name="optical theorem",
-        passed=passed,
-        summary="optical-theorem error %.2e, forward Im error %.2e" % (opt_err, fwd_err),
-        detail={
+    return (
+        passed,
+        "optical-theorem error %.2e, forward Im error %.2e" % (opt_err, fwd_err),
+        {
             "sigma_total": sigma_tot,
             "sigma_elastic": sigma_el,
             "optical_error": opt_err,
@@ -302,11 +281,10 @@ def criterion_linearization_scaling(spec=None):
 
     ratio = gap(0.04) / gap(0.02)
     passed = abs(ratio - 4.0) <= 0.8
-    return CriterionResult(
-        name="linearization error scaling",
-        passed=passed,
-        summary="gap ratio %.4f for eps 0.02 -> 0.04 (target 4 +- 20%%)" % ratio,
-        detail={"ratio": ratio},
+    return (
+        passed,
+        "gap ratio %.4f for eps 0.02 -> 0.04 (target 4 +- 20%%)" % ratio,
+        {"ratio": ratio},
     )
 
 
@@ -319,11 +297,10 @@ def criterion_radial_integral_table(spec=None):
     v2 = sine_sq_integral_b(1.0)
     err1 = abs(v1 - ref1)
     err2 = abs(v2 - ref2)
-    return CriterionResult(
-        name="radial integral table",
-        passed=err1 <= 1e-6 and err2 <= 1e-6,
-        summary="sine integral err %.2e, sine-squared err %.2e" % (err1, err2),
-        detail={"i1": v1, "i1_ref": ref1, "i2": v2, "i2_ref": ref2},
+    return (
+        err1 <= 1e-6 and err2 <= 1e-6,
+        "sine integral err %.2e, sine-squared err %.2e" % (err1, err2),
+        {"i1": v1, "i1_ref": ref1, "i2": v2, "i2_ref": ref2},
     )
 
 
@@ -356,12 +333,11 @@ def criterion_zero_anisotropy_null(spec=None):
         and action <= 1e-14 * dset.jump_scale
         and aniso <= 1e-14
     )
-    return CriterionResult(
-        name="zero-anisotropy null",
-        passed=passed,
-        summary="rates (%g, %g), dissipator %.1e, amplitude anisotropy %.1e"
+    return (
+        passed,
+        "rates (%g, %g), dissipator %.1e, amplitude anisotropy %.1e"
         % (closed, quad, action, aniso),
-        detail={
+        {
             "gamma_closed": closed,
             "gamma_quadrature": quad,
             "dissipator_action": action,
@@ -386,16 +362,20 @@ CRITERIA = (
 
 
 def run_acceptance(spec=None, names=None):
-    """Run the acceptance criteria, timing each into its runtime; names
-    optionally filters by criterion name."""
+    """CriterionResult records of the criteria in CRITERIA order, each timed
+    into its runtime; names, when given, selects criteria by name.  Raises
+    ValueError listing the names CRITERIA lacks before any criterion runs."""
+    unknown = [n for n in names or () if n not in dict(CRITERIA)]
+    if unknown:
+        raise ValueError("unknown criteria: %s" % ", ".join(unknown))
     results = []
-    for name, fn in CRITERIA:
-        if names is not None and name not in names:
-            continue
-        t0 = time.perf_counter()
-        res = fn(spec)
-        res.runtime = time.perf_counter() - t0
-        results.append(res)
+    for name, check in CRITERIA:
+        if names is None or name in names:
+            t0 = time.perf_counter()
+            passed, summary, detail = check(spec)
+            results.append(
+                CriterionResult(name, bool(passed), summary, time.perf_counter() - t0, detail)
+            )
     return results
 
 

@@ -694,11 +694,30 @@ def test_validate_only_names_no_criterion(capsys):
 
 
 def test_validate_negative_control(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(rates_mod, "_PREFACTOR_SCALE", 1.0 + 5e-9)
+    # on n1 the eikonal strength a(q_th) is 1, so raising it by 1e-8 moves
+    # gamma/A by 0.8e-8 of its 0.563, past the criterion's 1e-9 bound
+    strength = rates_mod.eikonal_strength
+    monkeypatch.setattr(rates_mod, "eikonal_strength",
+                        lambda q, spec: (1.0 + 1e-8) * strength(q, spec))
     code = run_cli(["validate", "--only", "closed-form prefactor"])
     captured = capsys.readouterr().out
     assert code == 1
     assert "[FAIL] closed-form prefactor" in captured
+
+
+def test_validate_manifest_records_criteria(tmp_path, capsys):
+    # the manifest's diagnostics hold each criterion's verdict and runtime,
+    # in the order they ran, as the report prints them
+    man = tmp_path / "v.json"
+    only = ["closed-form prefactor", "small-j guard values"]
+    assert run_cli(["validate", "--only", ",".join(only), "--manifest", str(man)]) == 0
+    doc = json.loads(man.read_text())
+    criteria = doc["diagnostics"]["criteria"]
+    assert list(criteria) == only and doc["flags"] == []
+    out = capsys.readouterr().out
+    for name, rec in criteria.items():
+        assert rec["passed"] is True and 0.0 <= rec["runtime_s"] < math.inf
+        assert "[PASS] %-32s" % name in out and "(%.2fs)" % rec["runtime_s"] in out
 
 
 def test_module_entry_point(tmp_path):

@@ -3,12 +3,10 @@ import math
 
 import pytest
 
+from superrotor import validation
 from superrotor.validation import (
     CRITERIA,
     CriterionResult,
-    criterion_linearization_scaling,
-    criterion_radial_integral_table,
-    criterion_small_j_guards,
     report_json,
     report_text,
     run_acceptance,
@@ -52,10 +50,20 @@ def test_run_acceptance_name_filter():
     assert results[0].passed
 
 
+def test_run_acceptance_unknown_name_raises_before_running(monkeypatch):
+    ran = []
+    probe = ("probe", lambda spec: ran.append(spec) or (True, "ran", {}))
+    monkeypatch.setattr(validation, "CRITERIA", (probe,))
+    with pytest.raises(ValueError, match="^unknown criteria: no-such, other$"):
+        run_acceptance(names=["probe", "no-such", "other"])
+    assert ran == []
+
+
 def test_fast_criteria_pass_standalone():
-    for fn in (criterion_small_j_guards, criterion_radial_integral_table,
-               criterion_linearization_scaling):
-        res = fn()
+    names = ["radial integral table", "small-j guard values", "linearization error scaling"]
+    results = run_acceptance(names=names)
+    assert [r.name for r in results] == [n for n, _ in CRITERIA if n in names]
+    for res in results:
         assert res.passed, res.summary
         assert res.runtime >= 0.0
 
@@ -65,6 +73,8 @@ def test_report_rendering():
         CriterionResult("alpha", True, "fine", 0.1, {"x": 1.0}),
         CriterionResult("beta", False, "broken", 0.2, {"y": 2}),
     ]
+    with pytest.raises(AttributeError):
+        results[0].runtime = 0.3
     text = report_text(results)
     assert "[PASS] alpha" in text
     assert "[FAIL] beta" in text
