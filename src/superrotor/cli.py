@@ -1,7 +1,8 @@
 """Command-line front end: rates, sweeps, propagation runs, acceptance suite.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or config error,
-3 numerical non-convergence (quadrature flag or drift abort).  Output files
+Exit codes: 0 success, 1 validation failure, 2 usage or config error
+(a step-size violation too), 3 numerical non-convergence (quadrature flag,
+or a NumericalDriftError of any command; main maps both errors).  Output files
 are written atomically (temp + rename) and are byte-stable for identical
 inputs; an output path that cannot be written is a usage error, found before
 any computation where the path is empty, names the same file as another
@@ -23,7 +24,8 @@ import sys
 import time
 
 from . import rates
-from .params import builtin_config, load_config, normalized_document
+from .params import (NumericalDriftError, StepSizeViolation, builtin_config, load_config,
+                     normalized_document)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -382,17 +384,7 @@ def cmd_propagate(args):
     flags = []
     if not dset.converged:
         flags.append("dissipator quadrature not converged")
-    try:
-        traj = lb.propagate(
-            rho0, dset, spec, args.tfinal, args.dt, record_every=args.record_every
-        )
-    except lb.StepSizeViolation as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except lb.NumericalDriftError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NONCONVERGED
-
+    traj = lb.propagate(rho0, dset, spec, args.tfinal, args.dt, record_every=args.record_every)
     _atomic_write(args.out, lb.trajectory_csv(traj, signal_js=signal_js))
     outputs = [args.out]
     print("wrote %s (%d frames, D = %d)" % (args.out, len(traj), layout.dim))
@@ -418,7 +410,8 @@ def cmd_propagate(args):
         _atomic_write(args.dump, *lb.state_dump(traj.final))
         outputs.append(args.dump)
         print("wrote %s" % args.dump)
-    return _finish(args, spec, outputs, t0, flags, traj.diagnostics)
+    dissipator = {k: dset.metadata[k] for k in ("order_doubling_drift", "converged")}
+    return _finish(args, spec, outputs, t0, flags, dict(traj.diagnostics, dissipator=dissipator))
 
 
 def cmd_validate(args):
@@ -511,6 +504,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # StepSizeViolation is a ValueError, reported as a run error, not a config one
+    except StepSizeViolation as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except NumericalDriftError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_NONCONVERGED
     except ValueError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .mathkit import make_rule, order_doubling_drift
-from .params import HBAR, Frozen, record
+from .params import HBAR, Frozen, NumericalDriftError, StepSizeViolation, record
 from .rates import (TEMPLATE_MOMENTS, TEMPLATE_OFFSETS, collision_weight, energy_shift_matrix,
                     template_bands)
 
@@ -71,14 +71,6 @@ EIG_RECON_TOL = 1e-10
 SHAPE_IMAG_TOL = 1e-12
 # header of a state dump: int64 D, int64 j_min, int64 j_max, float64 time
 STATE_HEADER = struct.Struct("<3qd")
-
-
-class StepSizeViolation(ValueError):
-    """dt does not resolve the fastest coherent frequency."""
-
-
-class NumericalDriftError(RuntimeError):
-    """Trace, hermiticity, or positivity drifted past tolerance mid-run."""
 
 
 class _DensityRuleError(ValueError):
@@ -420,33 +412,37 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
 
     backend "linearized" reduces the sphere average to five real coupling
     templates (angular moments exact); "spectral" keeps the fractional-power
-    amplitude on every ring (polar node) of the sphere rule and averages the
-    azimuth exactly.  The convergence flag compares the induced map against
-    the family rebuilt at doubled radial and sphere orders on a probe state,
-    acting on the entries of the chains the probe occupies (_chain_action).
+    amplitude on every ring (polar node) of quad_order_sphere and averages the
+    azimuth exactly.  The convergence flag doubles each order on its own, as
+    the rates do, on a probe state, acting on the entries of the chains the
+    probe occupies (_chain_action): the generator is linear in the collision
+    weight, so the radial doubling scales the action by the weights' ratio,
+    and the ring doubling rebuilds the family at twice quad_order_sphere.
+    The probe is a Gaussian centrifuge state at the window's centre, cut to
+    the levels whose amplitude is at least eps of its peak: a dropped entry
+    could not move the max-normalized drift.
     """
     num = spec.numerics
     if num.quad_order_q < 24:
         raise ValueError("radial quadrature order below documented minimum 24")
-    # the sphere rule is its rings times twice as many azimuths as rings
+    # the product sphere rule the rings span has twice as many azimuths as rings
     n_sphere = 2 * len(make_rule("ring", num.quad_order_sphere)) ** 2
     if n_sphere < 26:
         raise ValueError("sphere quadrature below documented minimum of 26 nodes")
 
-    fine_num = num._replace(
-        quad_order_q=2 * num.quad_order_q, quad_order_sphere=2 * num.quad_order_sphere
-    )
-    dset, fine = (
-        DissipatorSet(layout, collision_weight(s, s.numerics.quad_order_q),
-                      *_jump_family(s, layout, backend, kappa_mode))
-        for s in (spec, spec._replace(numerics=fine_num))
-    )
+    weight = collision_weight(spec, num.quad_order_q)
+    # the action at twice the radial order over the action; a weight that
+    # underflows to 0 leaves no generator to scale
+    radial = collision_weight(spec, 2 * num.quad_order_q) / weight if weight else 1.0
+    ring_spec = spec._replace(numerics=num._replace(quad_order_sphere=2 * num.quad_order_sphere))
+    dset, ring = (DissipatorSet(layout, weight, *_jump_family(s, layout, backend, kappa_mode))
+                  for s in (spec, ring_spec))
+    profile = gaussian_profile(layout, 0.5 * (layout.j_min + layout.j_max), 2.0)
+    peak = max(abs(a) for a in profile.values())
     probe = centrifuge_state(
-        layout, gaussian_profile(layout, 0.5 * (layout.j_min + layout.j_max), 2.0)
-    )
-    drift, converged = order_doubling_drift(
-        *(_chain_action(d, probe.pattern, probe.values) for d in (dset, fine))
-    )
+        layout, {j: a for j, a in profile.items() if abs(a) >= np.finfo(float).eps * peak})
+    action, ring_action = (_chain_action(d, probe.pattern, probe.values) for d in (dset, ring))
+    drift, converged = order_doubling_drift(action, radial * action, ring_action)
     dset.metadata = {
         "backend": backend,
         "kappa_mode": kappa_mode,

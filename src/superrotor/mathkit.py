@@ -5,6 +5,9 @@ process as Python floats (gauss_legendre and the domain builders), which
 the scalar quadrature route of rates reads directly; array callers read the
 same floats as read-only numpy arrays, built on first access.
 
+Direction averages take the ring rule: the rates and the dissipator average
+the azimuth exactly, so the package builds no product sphere rule.
+
 The degree-2 Legendre family the anisotropy algebra needs lives in rates
 (rates.assoc_legendre2), beside the closed form that must load without
 numpy.
@@ -22,9 +25,6 @@ HALFLINE_CUT = 7.0
 # a quadrature value is converged while doubling its order moves it by at
 # most this fraction of the largest magnitude among the values compared
 ORDER_DOUBLING_TOL = 1e-3
-
-_DOMAINS = ("interval", "half_line", "circle", "sphere", "ring")
-
 
 def _peak(value):
     # largest magnitude of a scalar or of an array's entries
@@ -100,9 +100,8 @@ class QuadratureRule(Frozen):
     """Nodes and weights bound to a semantic domain.
 
     node_floats and weight_floats hold the rule as tuples of Python floats
-    (a node of the sphere or the ring is an (x, y, z) tuple); nodes and
-    weights are the same values as read-only numpy arrays, built on first
-    access.
+    (a node of the ring is an (x, y, z) tuple); nodes and weights are the
+    same values as read-only numpy arrays, built on first access.
 
     domain:
       interval   -- Gauss-Legendre on [-1, 1]; weights sum to 2
@@ -110,11 +109,9 @@ class QuadratureRule(Frozen):
                     the exponential weight is folded into the weights
       circle     -- uniform trapezoid in the angle on [0, 2*pi); exact for
                     trigonometric polynomials of degree < node count
-      sphere     -- product Gauss(cos theta) x uniform(phi) rule; nodes are
-                    unit vectors of shape (N, 3); weights sum to 4*pi
-      ring       -- the sphere rule's Gauss(cos theta) nodes at phi = 0,
-                    weights 2*pi*w_theta summing to 4*pi; exact on the sphere
-                    for integrands invariant under rotations about z
+      ring       -- Gauss(cos theta) nodes at phi = 0, unit vectors of shape
+                    (N, 3), weights 2*pi*w_theta summing to 4*pi; exact on the
+                    sphere for integrands invariant under rotations about z
     """
 
     def __init__(self, domain, node_floats, weight_floats):
@@ -157,41 +154,38 @@ def _circle_rule(order):
 
 
 def _ring_rule(order):
-    # The polar half of the sphere rule of the same order: its n_theta Gauss
-    # nodes in cos(theta), placed at phi = 0, each weighted by the full
-    # azimuth 2*pi*w_theta. Integrands invariant under rotations about z
-    # (or made so by an exact azimuth average) need nothing more.
+    # order is a target node count of the product sphere rule these rings
+    # span with 2*n_theta uniform azimuths: n_theta Gauss nodes in
+    # cos(theta), placed at phi = 0, each weighted by the full azimuth
+    # 2*pi*w_theta. Integrands invariant under rotations about z (or made
+    # so by an exact azimuth average, as in the rates and the dissipator)
+    # need no azimuths. Order 302 gives 13 rings (a 13 x 26 = 338-node
+    # sphere).
     n_theta = math.ceil(math.sqrt(order / 2.0))
     ct, wt = gauss_legendre(n_theta)
     nodes = [(math.sqrt(1.0 - c * c), 0.0, c) for c in ct]
     return nodes, [2.0 * math.pi * w for w in wt]
 
 
-def _sphere_rule(order):
-    # order is a target node count. The rings of _ring_rule times 2*n_theta
-    # uniform azimuths: exact for polynomials of degree 2*n_theta - 1 in
-    # cos(theta) and for azimuthal charges below 2*n_theta. Spectral shapes
-    # carry charges up to 4j, so this rule aliases them once
-    # 4*j_max >= 2*n_theta; the dissipator and the rates average the
-    # azimuth exactly on the rings instead and do not depend on it.
-    # Requesting 302 nodes yields the 13 x 26 = 338-node rule.
-    ring, ring_w = _ring_rule(order)
-    n_phi = 2 * len(ring_w)
-    phi = [2.0 * math.pi * k / n_phi for k in range(n_phi)]
-    nodes = [(st * math.cos(p), st * math.sin(p), ct) for st, _, ct in ring for p in phi]
-    return nodes, [w / n_phi for w in ring_w for _ in phi]
+# the rule builder of each domain: order -> (nodes, weights)
+_BUILDERS = {
+    "interval": gauss_legendre,
+    "half_line": _half_line_rule,
+    "circle": _circle_rule,
+    "ring": _ring_rule,
+}
 
 
 def make_rule(domain, order):
-    """Return the QuadratureRule of one of the supported domains.
+    """Return the QuadratureRule of one of the domains interval, half_line,
+    circle and ring.
 
-    order must be >= 4. For the sphere the order is interpreted as a
-    minimum total node count (see _sphere_rule); the ring rule of an order
-    holds the polar nodes of the sphere rule of that order. Each (domain,
-    order) rule is built once per process and shared: its floats are
-    tuples and its arrays read-only.
+    order must be >= 4. For the ring the order is a minimum node count of
+    the product sphere rule that the rings span (see _ring_rule). Each
+    (domain, order) rule is built once per process and shared: its floats
+    are tuples and its arrays read-only.
     """
-    if domain not in _DOMAINS:
+    if domain not in _BUILDERS:
         raise ValueError(f"make_rule: unknown domain tag {domain!r}")
     order = int(order)
     if order < 4:
@@ -201,12 +195,5 @@ def make_rule(domain, order):
 
 @functools.cache
 def _shared_rule(domain, order):
-    builder = {
-        "interval": gauss_legendre,
-        "half_line": _half_line_rule,
-        "circle": _circle_rule,
-        "sphere": _sphere_rule,
-        "ring": _ring_rule,
-    }[domain]
-    nodes, weights = builder(order)
+    nodes, weights = _BUILDERS[domain](order)
     return QuadratureRule(domain, tuple(nodes), tuple(weights))

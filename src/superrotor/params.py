@@ -41,6 +41,17 @@ class Frozen:
         raise AttributeError("cannot delete field %r of %s" % (name, type(self).__name__))
 
 
+# Errors of a run that the CLI maps to exit codes (cli.main); lindblad
+# raises them, and they live here so that the CLI can name them without
+# loading numpy.
+class StepSizeViolation(ValueError):
+    """dt does not resolve the fastest coherent frequency."""
+
+
+class NumericalDriftError(RuntimeError):
+    """Trace, hermiticity, or positivity drifted past tolerance mid-run."""
+
+
 class MoleculeSpec(record("MoleculeSpec", "mass moment_of_inertia alpha_mean alpha_aniso")):
     """Linear-rotor molecule, stored in internal units.
 

@@ -362,7 +362,7 @@ def gamma_numeric(j, j_prime, spec, amplitude_backend="linearized", kappa_mode="
     moments are TEMPLATE_MOMENTS, so its A is exact and quad_order_sphere
     does not change it. The spectral bracket is invariant under rotations
     about z (it reads the moduli of a column that such a rotation
-    rephases), so its A(n_s) is summed on the rings of the sphere rule. The
+    rephases), so its A(n_s) is summed on the ring rule of n_s. The
     convergence flag in the metadata reports whether doubling either
     quadrature order moves the value by at most 0.1%
     (mathkit.order_doubling_drift). This is the one-pair case of the

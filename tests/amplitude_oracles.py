@@ -1,4 +1,4 @@
-"""Oracles of the coupling matrix and its circle average.
+"""Oracles of the coupling matrix, its circle average and the sphere rule.
 
 The package assembles the coupling matrix and the linearized forward
 amplitude from the three band vectors of rates.template_bands. These helpers
@@ -11,10 +11,16 @@ keep independent forms of the same quantities:
 test_scattering checks coupling_matrix against the explicit form to 1e-14
 and the contraction against a circle quadrature of coupling_matrix to
 1e-12; the rate and energy-shift oracles of test_rates read the templates.
+
+The package averages directions on rings (mathkit's ring rule) and builds
+no azimuths; product_rule gives the oracles the full product sphere rule.
 """
+
+import math
 
 import numpy as np
 
+from superrotor.mathkit import make_rule
 from superrotor.rates import _kappa_for_mode, assoc_legendre2, template_bands
 from superrotor.scattering import geometry_factors
 
@@ -81,3 +87,18 @@ def averaged_coupling(j, n_prime, mol, kappa_mode="exact"):
     g = geometry_factors(n_prime)
     t = coupling_templates(j, mol, kappa_mode)
     return np.tensordot(g, t, axes=(0, 0))
+
+
+def product_rule(order, n_phi=None):
+    """(nodes (N, 3), weights (N,)) of the rings of make_rule("ring", order)
+    times n_phi uniform azimuths, ring after ring; by default twice as many
+    azimuths as rings, the product sphere rule of that order: exact for
+    polynomials of degree 2 n_rings - 1 in cos(theta) and for azimuthal
+    charges below n_phi, with weights summing to 4 pi."""
+    ring = make_rule("ring", order)
+    if n_phi is None:
+        n_phi = 2 * len(ring)
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    st, ct = ring.nodes[:, 0:1], ring.nodes[:, 2:3]
+    nodes = np.stack([st * np.cos(phi), st * np.sin(phi), ct + 0.0 * phi], axis=-1)
+    return nodes.reshape(-1, 3), np.repeat(ring.weights / n_phi, n_phi)

@@ -199,7 +199,9 @@ def test_propagate_step_size_violation(tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert "step-size violation" in capsys.readouterr().err
+    # a run error, mapped before the ValueError it subclasses
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "step-size violation" in err
 
 
 def test_propagate_record_every_guard(tmp_path, capsys):
@@ -320,6 +322,28 @@ def test_huge_anisotropy_is_a_config_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_overflowing_collision_weight_exits_nonconverged(tmp_path):
+    # a finite density whose collision weight overflows passes the schema;
+    # the chain generators it makes are not finite, which every command
+    # reports as numerical drift (exit 3) in one line.  validate used to die
+    # with a traceback and exit 1, the code of a failed criterion
+    doc = json.loads(_n1_text())
+    doc["gas"]["density"] = 1e308
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(doc))
+    for argv in (
+        ["validate", str(cfg)],
+        ["propagate", str(cfg), "--state", "centrifuge:2,4", "--tfinal", "0.05",
+         "--dt", "0.001", "--out", str(tmp_path / "t.csv")],
+    ):
+        proc = run_module(argv, tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: chain generator is not finite"]
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_propagate_manifest_diagnostics(tmp_path, capsys):
     # the worst deviations propagate saw over its checked frames, and the
     # shape of the chains it propagated, reach the run manifest
@@ -344,6 +368,9 @@ def test_propagate_manifest_diagnostics(tmp_path, capsys):
     assert 0.0 <= diag["reconstruction_miss"] <= lb.EIG_RECON_TOL
     # the linearized chain generators are real and symmetric: each takes eigh
     assert (diag["chains_eigh"], diag["chains_eig"]) == (4, 0)
+    # the dissipator's order-doubling drift, the radial one of n1
+    assert diag["dissipator"]["converged"] is True
+    assert 0.0 < diag["dissipator"]["order_doubling_drift"] <= 1e-12
 
 
 def run_state_file(tmp_path, doc):

@@ -8,12 +8,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from amplitude_oracles import product_rule
 from superrotor import lindblad as lb
 from superrotor import scattering
 from superrotor.cli import _atomic_write
 from superrotor.mathkit import make_rule
 from superrotor.params import HBAR, builtin_config, load_config
-from superrotor.rates import energy_shift_matrix, gamma_closed_form, gamma_numeric
+from superrotor.rates import (collision_weight, energy_shift_matrix, gamma_closed_form,
+                             gamma_numeric)
 
 
 def n1_spec(**changes):
@@ -52,16 +54,6 @@ def random_state(layout, seed=0):
     return lb.RotorState.from_matrix(layout, m / np.trace(m).real)
 
 
-def product_rule(spec, n_phi):
-    """(nodes, weights) of the rings of the spec's sphere rule times n_phi
-    uniform azimuths."""
-    ring = make_rule("ring", spec.numerics.quad_order_sphere)
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    st, ct = ring.nodes[:, 0:1], ring.nodes[:, 2:3]
-    nodes = np.stack([st * np.cos(phi), st * np.sin(phi), ct + 0.0 * phi], axis=-1)
-    return nodes.reshape(-1, 3), np.repeat(ring.weights / n_phi, n_phi)
-
-
 def literal_jumps(spec, layout, backend, sphere=None):
     """Literal (weight, jump) pairs of the quadrature-discretized (q, n') family.
 
@@ -80,8 +72,7 @@ def literal_jumps(spec, layout, backend, sphere=None):
     c_ref = scattering.forward_scalar(q_th, spec)
     radial = make_rule("half_line", spec.numerics.quad_order_q)
     if sphere is None:
-        rule = make_rule("sphere", spec.numerics.quad_order_sphere)
-        sphere = rule.nodes, rule.weights
+        sphere = product_rule(spec.numerics.quad_order_sphere)
     pref = 2.0 * math.pi * spec.gas.density / spec.reduced_mass * q_th / math.pi**1.5
     for n, w_n in zip(*sphere):
         shape = scipy.linalg.block_diag(
@@ -284,7 +275,65 @@ def test_build_dissipator_guards():
     # the node count is read off the ring rule; the sphere rule stays the oracle
     for order in (26, 30, 302, 500):
         count = lb.build_dissipator(n1_spec(numerics={"quad_order_sphere": order}), layout)
-        assert count.metadata["sphere_nodes"] == len(make_rule("sphere", order).weights)
+        assert count.metadata["sphere_nodes"] == len(product_rule(order)[1])
+
+
+@pytest.mark.parametrize("kappa", ["exact", "half"])
+def test_linearized_dissipator_drift_is_the_radial_one(kappa):
+    # each order is doubled on its own; the linearized family ignores the
+    # sphere order, so its drift is that of the collision weight, whose
+    # ratio r at 2 n_q and n_q scales the action.  Rounding r a - a moves a
+    # 1e-13 drift by up to about eps, so the match is to 2 eps, not relative
+    spec = n1_spec()
+    n_q = spec.numerics.quad_order_q
+    r = collision_weight(spec, 2 * n_q) / collision_weight(spec, n_q)
+    expected = abs(r - 1.0) / max(1.0, r)
+    for lo, hi in ((0, 2), (8, 15), (20, 40)):
+        dset = lb.build_dissipator(spec, lb.BasisLayout(lo, hi), kappa_mode=kappa)
+        assert abs(dset.metadata["order_doubling_drift"] - expected) <= 2 * np.finfo(float).eps
+        assert dset.converged
+    # a positive density whose collision weight underflows to 0 builds no
+    # generator, and nothing drifts
+    tiny = n1_spec(set=[("gas", "density", 5e-324)])
+    dset = lb.build_dissipator(tiny, lb.BasisLayout(0, 2), kappa_mode=kappa)
+    assert dset.collision_weight == 0.0 and dset.metadata["order_doubling_drift"] == 0.0
+
+
+def test_spectral_dissipator_drift_stays_unconverged():
+    # on the benchmark's spectral config at j in [6, 10] doubling the ring
+    # order moves the action by 1.5e-3: a check that let a radial drift
+    # cancel a ring drift, or probed fewer chains, could pass it
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = load_config((root / "perfbench" / "spectral_chain.json").read_text())
+    dset = lb.build_dissipator(spec, lb.BasisLayout(6, 10), backend="spectral")
+    assert dset.metadata["order_doubling_drift"] >= 1e-3
+    assert not dset.converged
+
+
+def test_dissipator_probe_keeps_the_levels_it_weighs(monkeypatch):
+    # the probe's Gaussian amplitude falls below eps of its peak 25 levels
+    # from the window's centre, and those levels are left out: a wide window
+    # probes the chains of the 49 levels around its centre, and the drift is
+    # one rule over the action, its radial scaling and its ring doubling
+    sizes, drift_values = [], []
+    drift = lb.order_doubling_drift
+
+    def spy_action(dset, pattern, values):
+        sizes.append(len(pattern.rows))
+        return np.zeros(len(values))
+
+    def spy_drift(*values):
+        drift_values.append(len(values))
+        return drift(*values)
+
+    monkeypatch.setattr(lb, "_chain_action", spy_action)
+    monkeypatch.setattr(lb, "order_doubling_drift", spy_drift)
+    counts = []
+    for lo, hi in ((0, 250), (101, 149)):
+        lb.build_dissipator(n1_spec(), lb.BasisLayout(lo, hi))
+        counts.append(sizes[-2:])
+    assert counts[0] == counts[1] == [counts[1][0]] * 2
+    assert drift_values == [3, 3]
 
 
 def test_apply_matches_literal_jump_sum_linearized():
@@ -319,7 +368,7 @@ def test_apply_matches_literal_jump_sum_spectral():
     # average them exactly.  The literal route carries the uncancelled
     # identity part of every jump, so its roundoff floor sits well above
     # the reduced path's
-    sphere = product_rule(spec, 4 * layout.j_max + 1)
+    sphere = product_rule(spec.numerics.quad_order_sphere, 4 * layout.j_max + 1)
     lit = literal_dissipator_action(spec, layout, "spectral", state.matrix, sphere)
     assert np.max(np.abs(fast - lit)) <= 1e-8 * np.max(np.abs(fast))
 
@@ -582,13 +631,13 @@ def test_spectral_gas_shift_follows_kappa():
     dset = lb.build_dissipator(spec, layout, backend="spectral", kappa_mode="half")
     q_th = spec.thermal_momentum
     c_th = scattering.forward_scalar(q_th, spec)
-    sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
+    sphere = product_rule(spec.numerics.quad_order_sphere)
     levels, residual = lb._hamiltonian(spec, dset)
     for level, (j, sl) in zip(levels, layout.blocks()):
         h = level * np.eye(2 * j + 1) + np.diag(residual[sl])
         geom = sum(
             w * scattering.forward_amplitude_spectral(j, q_th, n, spec, "half") / c_th
-            for n, w in zip(sphere.nodes, sphere.weights)
+            for n, w in zip(*sphere)
         )
         oracle = energy_shift_matrix(j, spec)[0, 0] / (4.0 * math.pi) * geom
         shift = h - spec.molecule.rotational_energy(j) * np.eye(2 * j + 1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
+from amplitude_oracles import product_rule
 from superrotor import lindblad, mathkit, rates, scattering
 from superrotor.mathkit import (
     ORDER_DOUBLING_TOL,
@@ -112,8 +113,7 @@ def test_one_gauss_legendre_rule_in_src():
 
 def test_rule_arrays_are_its_floats():
     # array callers and the scalar rate route read the same values
-    for domain, order in (("interval", 8), ("half_line", 48), ("ring", 302), ("sphere", 30),
-                          ("circle", 16)):
+    for domain, order in (("interval", 8), ("half_line", 48), ("ring", 302), ("circle", 16)):
         rule = make_rule(domain, order)
         assert rule.nodes.tolist() == [list(n) if isinstance(n, tuple) else n
                                        for n in rule.node_floats]
@@ -159,30 +159,26 @@ def test_circle_rule():
         assert abs(np.sum(w * np.exp(1j * k * phi))) < 1e-12
 
 
-def test_sphere_rule():
-    rule = make_rule("sphere", 302)
-    n, w = rule.nodes, rule.weights
-    assert len(rule) >= 302
-    assert n.shape == (len(w), 3)
+def test_ring_rule():
+    # the polar nodes of the product sphere rule of the same order (the
+    # oracle of the direction averages), at phi = 0, each carrying its full
+    # azimuth
+    n, w = product_rule(302)
+    assert len(w) >= 302 and n.shape == (len(w), 3)
     np.testing.assert_allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-14)
     assert np.sum(w) == pytest.approx(4 * math.pi, rel=1e-13)
     assert np.sum(w * n[:, 2] ** 2) == pytest.approx(4 * math.pi / 3, rel=1e-12)
-    p2 = assoc_legendre2(0, n[:, 2])
-    assert np.sum(w * p2**2) == pytest.approx(4 * math.pi / 5, rel=1e-12)
+    assert np.sum(w * assoc_legendre2(0, n[:, 2]) ** 2) == pytest.approx(4 * math.pi / 5,
+                                                                         rel=1e-12)
     # odd integrands vanish by symmetry of the product rule
     assert abs(np.sum(w * n[:, 0] * n[:, 2])) < 1e-13
-
-
-def test_ring_rule():
-    # the polar nodes of the sphere rule of the same order, at phi = 0, each
-    # carrying its full azimuth
     for order in (30, 302):
-        ring, sphere = make_rule("ring", order), make_rule("sphere", order)
+        ring, (nodes, weights) = make_rule("ring", order), product_rule(order)
         n_phi = 2 * len(ring)
-        assert len(sphere) == len(ring) * n_phi
-        np.testing.assert_allclose(ring.nodes, sphere.nodes[::n_phi], atol=1e-15)
+        assert len(weights) == len(ring) * n_phi
+        np.testing.assert_allclose(ring.nodes, nodes[::n_phi], atol=1e-15)
         np.testing.assert_allclose(
-            ring.weights, sphere.weights.reshape(len(ring), n_phi).sum(axis=1), rtol=1e-13
+            ring.weights, weights.reshape(len(ring), n_phi).sum(axis=1), rtol=1e-13
         )
     n, w = ring.nodes, ring.weights
     assert np.all(n[:, 1] == 0.0)
@@ -201,7 +197,7 @@ def test_rule_validation():
 def test_make_rule_shared_read_only():
     # one rule per (domain, order), shared by every caller: its arrays must
     # be read-only so that no caller can corrupt another's quadrature
-    for domain, order in (("half_line", 48), ("ring", 302), ("sphere", 30), ("circle", 16)):
+    for domain, order in (("half_line", 48), ("ring", 302), ("circle", 16)):
         first, again = make_rule(domain, order), make_rule(domain, float(order))
         np.testing.assert_array_equal(first.nodes, again.nodes)
         np.testing.assert_array_equal(first.weights, again.weights)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amplitude_oracles import coupling_templates
+from amplitude_oracles import coupling_templates, product_rule
 from superrotor import rates
 from superrotor.mathkit import make_rule
 from superrotor.params import HBAR, builtin_config, load_config, normalized_document
@@ -164,9 +164,9 @@ def test_gamma_numeric_rings_match_sphere_rule(backend, kappa):
     doc["molecule"]["alpha_aniso"] = 0.06
     doc["numerics"] = {"quad_order_sphere": 30, "quad_order_circle": 32}
     spec = load_config(json.dumps(doc))
-    sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
-    bracket = sphere_bracket(4, 2, spec, backend, kappa, sphere.nodes)
-    angular = 2.0 * math.pi * np.sum(sphere.weights * bracket)
+    nodes, weights = product_rule(spec.numerics.quad_order_sphere)
+    bracket = sphere_bracket(4, 2, spec, backend, kappa, nodes)
+    angular = 2.0 * math.pi * np.sum(weights * bracket)
     radial = rates.thermal_q_integral(
         spec, spec.numerics.quad_order_q, 3, lambda c: np.abs(c) ** 2
     )
@@ -322,13 +322,13 @@ def test_energy_shift_linearized_matches_sphere_quadrature():
     x = q_rule.nodes
     re_c = np.array([forward_scalar(spec.thermal_momentum * xv, spec).real for xv in x])
     weight_q = spec.thermal_momentum / math.pi**1.5 * np.sum(q_rule.weights * x**2 * re_c)
-    sphere = make_rule("sphere", spec.numerics.quad_order_sphere)
+    sphere = product_rule(spec.numerics.quad_order_sphere)
     for j in (0, 3, 10):
         d = 2 * j + 1
         t = coupling_templates(j, spec.molecule)
         geom = sum(
             w * (np.eye(d) + 0.4 * np.tensordot(geometry_factors(n), t, axes=(0, 0)))
-            for n, w in zip(sphere.nodes, sphere.weights)
+            for n, w in zip(*sphere)
         )
         pref = -2.0 * math.pi * HBAR**2 * spec.gas.density / spec.reduced_mass
         oracle = pref * weight_q * geom
