@@ -159,19 +159,24 @@ def test_circle_rule():
         assert abs(np.sum(w * np.exp(1j * k * phi))) < 1e-12
 
 
-def test_ring_rule():
-    # the polar nodes of the product sphere rule of the same order (the
-    # oracle of the direction averages), at phi = 0, each carrying its full
-    # azimuth
+def test_sphere_rule():
+    # the product sphere rule of the test oracle, against which the direction
+    # averages are checked
     n, w = product_rule(302)
-    assert len(w) >= 302 and n.shape == (len(w), 3)
+    assert len(w) >= 302
+    assert n.shape == (len(w), 3)
     np.testing.assert_allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-14)
     assert np.sum(w) == pytest.approx(4 * math.pi, rel=1e-13)
     assert np.sum(w * n[:, 2] ** 2) == pytest.approx(4 * math.pi / 3, rel=1e-12)
-    assert np.sum(w * assoc_legendre2(0, n[:, 2]) ** 2) == pytest.approx(4 * math.pi / 5,
-                                                                         rel=1e-12)
+    p2 = assoc_legendre2(0, n[:, 2])
+    assert np.sum(w * p2**2) == pytest.approx(4 * math.pi / 5, rel=1e-12)
     # odd integrands vanish by symmetry of the product rule
     assert abs(np.sum(w * n[:, 0] * n[:, 2])) < 1e-13
+
+
+def test_ring_rule():
+    # the polar nodes of the product sphere rule of the same order, at
+    # phi = 0, each carrying its full azimuth
     for order in (30, 302):
         ring, (nodes, weights) = make_rule("ring", order), product_rule(order)
         n_phi = 2 * len(ring)
