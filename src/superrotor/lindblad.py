@@ -22,10 +22,11 @@ and DissipatorSet.apply build a D x D matrix.
 
 The dissipator's action is defined once, as the generators of its chains
 (_chain_generators): propagate exponentiates them, and _chain_action
-multiplies them into a matrix's entries, for the convergence probe of
-build_dissipator and for DissipatorSet.apply, which gathers and scatters the
-entries of a dense matrix.  Both jump families are real symmetric, and so is
-every chain generator but for the imaginary diagonal of a residual gas shift.
+multiplies them into a matrix's entries, for the convergence probe of a
+spectral build_dissipator and for DissipatorSet.apply, which gathers and
+scatters the entries of a dense matrix.  Both jump families are real
+symmetric, and so is every chain generator but for the imaginary diagonal of
+a residual gas shift.
 The radial factor of both families (rates.collision_weight) and the sphere
 moments of the linearized one (rates.TEMPLATE_MOMENTS) are those of the rates.
 
@@ -414,13 +415,14 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
     templates (angular moments exact); "spectral" keeps the fractional-power
     amplitude on every ring (polar node) of quad_order_sphere and averages the
     azimuth exactly.  The convergence flag doubles each order on its own, as
-    the rates do, on a probe state, acting on the entries of the chains the
-    probe occupies (_chain_action): the generator is linear in the collision
-    weight, so the radial doubling scales the action by the weights' ratio,
-    and the ring doubling rebuilds the family at twice quad_order_sphere.
-    The probe is a Gaussian centrifuge state at the window's centre, cut to
-    the levels whose amplitude is at least eps of its peak: a dropped entry
-    could not move the max-normalized drift.
+    the rates do.  The generator is linear in the collision weight, so the
+    radial doubling scales it by the weights' ratio, and that ratio's drift
+    is the whole drift of the linearized family, whose sphere moments are
+    exact.  The spectral family reads quad_order_sphere, so it is rebuilt at
+    twice that order, and both families act on a probe state, a Gaussian
+    centrifuge state at the window's centre, on the entries of the chains it
+    occupies (_chain_action).  A collision weight that is not finite is a
+    NumericalDriftError, raised before any family is built.
     """
     num = spec.numerics
     if num.quad_order_q < 24:
@@ -431,17 +433,21 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
         raise ValueError("sphere quadrature below documented minimum of 26 nodes")
 
     weight = collision_weight(spec, num.quad_order_q)
-    # the action at twice the radial order over the action; a weight that
-    # underflows to 0 leaves no generator to scale
+    if not math.isfinite(weight):
+        raise NumericalDriftError("collision weight %g is not finite" % weight)
+    # the generator at twice the radial order over the generator; a weight
+    # that underflows to 0 leaves no generator to scale
     radial = collision_weight(spec, 2 * num.quad_order_q) / weight if weight else 1.0
-    ring_spec = spec._replace(numerics=num._replace(quad_order_sphere=2 * num.quad_order_sphere))
-    dset, ring = (DissipatorSet(layout, weight, *_jump_family(s, layout, backend, kappa_mode))
-                  for s in (spec, ring_spec))
-    profile = gaussian_profile(layout, 0.5 * (layout.j_min + layout.j_max), 2.0)
-    peak = max(abs(a) for a in profile.values())
-    probe = centrifuge_state(
-        layout, {j: a for j, a in profile.items() if abs(a) >= np.finfo(float).eps * peak})
-    action, ring_action = (_chain_action(d, probe.pattern, probe.values) for d in (dset, ring))
+    dset = DissipatorSet(layout, weight, *_jump_family(spec, layout, backend, kappa_mode))
+    # the linearized sphere moments are exact: doubling the ring order leaves
+    # the generator, here a unit action, as it is
+    action = ring_action = 1.0
+    if backend == "spectral":
+        twice = spec._replace(numerics=num._replace(quad_order_sphere=2 * num.quad_order_sphere))
+        ring = DissipatorSet(layout, weight, *_jump_family(twice, layout, backend, kappa_mode))
+        profile = gaussian_profile(layout, 0.5 * (layout.j_min + layout.j_max), 2.0)
+        probe = centrifuge_state(layout, profile)
+        action, ring_action = (_chain_action(d, probe.pattern, probe.values) for d in (dset, ring))
     drift, converged = order_doubling_drift(action, radial * action, ring_action)
     dset.metadata = {
         "backend": backend,
@@ -464,7 +470,7 @@ def _hamiltonian(spec, dset):
     """
     layout = dset.layout
     # s_iso is the same in every block
-    s_iso = energy_shift_matrix(layout.j_min, spec)[0, 0]
+    s_iso = energy_shift_matrix(0, spec)[0, 0]
     levels = s_iso + np.array([spec.molecule.rotational_energy(j) for j in layout.js])
     return levels, s_iso * dset.aniso_mean
 

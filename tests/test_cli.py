@@ -324,9 +324,10 @@ def test_huge_anisotropy_is_a_config_error(tmp_path, capsys):
 
 def test_overflowing_collision_weight_exits_nonconverged(tmp_path):
     # a finite density whose collision weight overflows passes the schema;
-    # the chain generators it makes are not finite, which every command
-    # reports as numerical drift (exit 3) in one line.  validate used to die
-    # with a traceback and exit 1, the code of a failed criterion
+    # build_dissipator refuses that weight before any numpy work, which
+    # every command reports as numerical drift (exit 3) in one line, with
+    # no warning ahead of it.  validate used to die with a traceback and
+    # exit 1, the code of a failed criterion
     doc = json.loads(_n1_text())
     doc["gas"]["density"] = 1e308
     cfg = tmp_path / "overflow.json"
@@ -339,8 +340,9 @@ def test_overflowing_collision_weight_exits_nonconverged(tmp_path):
         proc = run_module(argv, tmp_path)
         assert proc.returncode == 3, proc.stderr
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-        assert errors == ["error: chain generator is not finite"]
-        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert errors == ["error: collision weight inf is not finite"]
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert proc.stdout == ""
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -282,16 +282,19 @@ def test_build_dissipator_guards():
 def test_linearized_dissipator_drift_is_the_radial_one(kappa):
     # each order is doubled on its own; the linearized family ignores the
     # sphere order, so its drift is that of the collision weight, whose
-    # ratio r at 2 n_q and n_q scales the action.  Rounding r a - a moves a
-    # 1e-13 drift by up to about eps, so the match is to 2 eps, not relative
+    # ratio r at 2 n_q and n_q scales the generator: one float on every
+    # window, |r - 1| / max(1, r) to 2 eps
     spec = n1_spec()
     n_q = spec.numerics.quad_order_q
     r = collision_weight(spec, 2 * n_q) / collision_weight(spec, n_q)
     expected = abs(r - 1.0) / max(1.0, r)
-    for lo, hi in ((0, 2), (8, 15), (20, 40)):
+    drifts = set()
+    for lo, hi in ((0, 2), (8, 15), (20, 40), (996, 1000)):
         dset = lb.build_dissipator(spec, lb.BasisLayout(lo, hi), kappa_mode=kappa)
-        assert abs(dset.metadata["order_doubling_drift"] - expected) <= 2 * np.finfo(float).eps
+        drifts.add(dset.metadata["order_doubling_drift"])
         assert dset.converged
+    assert len(drifts) == 1
+    assert abs(drifts.pop() - expected) <= 2 * np.finfo(float).eps
     # a positive density whose collision weight underflows to 0 builds no
     # generator, and nothing drifts
     tiny = n1_spec(set=[("gas", "density", 5e-324)])
@@ -310,30 +313,41 @@ def test_spectral_dissipator_drift_stays_unconverged():
     assert not dset.converged
 
 
-def test_dissipator_probe_keeps_the_levels_it_weighs(monkeypatch):
-    # the probe's Gaussian amplitude falls below eps of its peak 25 levels
-    # from the window's centre, and those levels are left out: a wide window
-    # probes the chains of the 49 levels around its centre, and the drift is
-    # one rule over the action, its radial scaling and its ring doubling
-    sizes, drift_values = [], []
-    drift = lb.order_doubling_drift
+def test_only_the_spectral_dissipator_builds_a_probe(monkeypatch):
+    # the spectral family alone reads quad_order_sphere, so it alone is
+    # rebuilt at twice that order and acts on a probe; every drift rule
+    # takes the action, its radial scaling and its ring doubling
+    calls = []
 
-    def spy_action(dset, pattern, values):
-        sizes.append(len(pattern.rows))
-        return np.zeros(len(values))
+    def spy(name):
+        original = getattr(lb, name)
 
-    def spy_drift(*values):
-        drift_values.append(len(values))
-        return drift(*values)
+        def wrapped(*args):
+            calls.append((name, len(args)))
+            return original(*args)
 
-    monkeypatch.setattr(lb, "_chain_action", spy_action)
-    monkeypatch.setattr(lb, "order_doubling_drift", spy_drift)
-    counts = []
-    for lo, hi in ((0, 250), (101, 149)):
-        lb.build_dissipator(n1_spec(), lb.BasisLayout(lo, hi))
-        counts.append(sizes[-2:])
-    assert counts[0] == counts[1] == [counts[1][0]] * 2
-    assert drift_values == [3, 3]
+        monkeypatch.setattr(lb, name, wrapped)
+
+    for name in ("_chain_action", "_jump_family", "order_doubling_drift"):
+        spy(name)
+    lb.build_dissipator(n1_spec(), lb.BasisLayout(996, 1000))
+    assert sorted(calls) == [("_jump_family", 4), ("order_doubling_drift", 3)]
+    calls.clear()
+    lb.build_dissipator(spectral_spec(), lb.BasisLayout(2, 4), backend="spectral")
+    assert sorted(calls) == (
+        [("_chain_action", 3)] * 2 + [("_jump_family", 4)] * 2 + [("order_doubling_drift", 3)])
+
+
+def test_large_j_linearized_dissipator_stays_small():
+    # no dense chain stack is built: a probe of the n1 family on j in
+    # [996, 1000] would multiply dense generators of chains of about 2000
+    # entries (an 826 MiB peak)
+    spec = n1_spec()
+    lb.build_dissipator(spec, lb.BasisLayout(2, 3))  # builds the shared rules
+    dset, _, peak = built_and_retained(
+        lambda: lb.build_dissipator(spec, lb.BasisLayout(996, 1000)))
+    assert peak < 20 * 2**20
+    assert dset.converged
 
 
 def test_apply_matches_literal_jump_sum_linearized():
@@ -455,9 +469,8 @@ def built_and_retained(build):
 def test_dissipator_keeps_only_its_diagonals():
     # no gain matrix is stored: a linearized family on j in [20, 40]
     # (D = 1281) keeps its five diagonals (51 kB), not a D^2 gain per offset;
-    # the convergence probe acts on its own chains, so building the family
-    # stays below one dense complex D x D matrix (a dense probe peaked at
-    # 120 MB)
+    # a linearized build takes no probe, so building the family stays below
+    # one dense complex D x D matrix (a dense probe peaked at 120 MB)
     spec = n1_spec()
     lb.build_dissipator(spec, lb.BasisLayout(2, 3))  # builds the shared rules
     layout = lb.BasisLayout(20, 40)
