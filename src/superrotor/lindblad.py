@@ -130,7 +130,7 @@ class RotorState(Frozen):
     D x D array, is built on first use.
     """
 
-    def __init__(self, layout, pattern, values, time=0.0):
+    def __init__(self, layout, pattern, values, time):
         values = np.array(values, dtype=complex)  # (N,)
         if values.shape != pattern.rows.shape:
             raise ValueError("values shape %s does not match the pattern" % (values.shape,))
@@ -188,28 +188,28 @@ class RotorState(Frozen):
         return float(np.max(np.abs(self.values - other.values)))
 
 
-def isotropic_state(layout, populations, time=0.0):
-    """Diagonal state with populations p_j, normalized by their total and
-    each spread evenly over its block."""
+def isotropic_state(layout, populations):
+    """Diagonal state at time 0 with populations p_j, normalized by their
+    total and each spread evenly over its block."""
     if any(float(p) < 0 for p in populations.values()):
         raise ValueError("populations must be nonnegative")
     total = _weight_total((float(p) for p in populations.values()), "populations")
     diag = np.concatenate([np.r_[layout.block_slice(j)] for j in populations])
     values = np.repeat([float(p) / total / (2 * j + 1) for j, p in populations.items()],
                        [2 * j + 1 for j in populations])
-    return RotorState.from_entries(layout, diag, diag, values, time)
+    return RotorState.from_entries(layout, diag, diag, values)
 
 
-def centrifuge_state(layout, coefficients, time=0.0):
-    """Pure superposition of stretched states |jj> with amplitudes c_j,
-    normalized by the sum of |c_j|^2."""
+def centrifuge_state(layout, coefficients):
+    """Pure superposition at time 0 of stretched states |jj> with amplitudes
+    c_j, normalized by the sum of |c_j|^2."""
     norm = math.sqrt(
         _weight_total((abs(complex(c)) ** 2 for c in coefficients.values()), "coefficients"))
     idx = np.array([layout.index(j, j) for j in coefficients])
     amp = np.array([complex(c) / norm for c in coefficients.values()])
     rows, cols = np.meshgrid(idx, idx, indexing="ij")
     return RotorState.from_entries(
-        layout, rows.ravel(), cols.ravel(), np.outer(amp, amp.conj()).ravel(), time
+        layout, rows.ravel(), cols.ravel(), np.outer(amp, amp.conj()).ravel()
     )
 
 
@@ -300,20 +300,6 @@ class DissipatorSet:
     def jump_scale(self):
         """Total collision weight; normalizes stationarity and null checks."""
         return max(self.collision_weight, 1e-300)
-
-    @classmethod
-    def empty(cls, layout):
-        """No jumps; the gas energy shift is the isotropic one."""
-        d = layout.dim
-        return cls(
-            layout=layout,
-            collision_weight=0.0,
-            weights=np.zeros((0, 0)),
-            offsets=np.zeros(0, dtype=int),
-            diagonals=np.zeros((0, 0, d)),
-            aniso_mean=np.zeros(d),
-            metadata={"converged": True},
-        )
 
     def apply(self, rho):
         """Dissipator action on a dense D x D matrix: _chain_action on the
@@ -422,14 +408,17 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
     twice that order, and both families act on a probe state, a Gaussian
     centrifuge state at the window's centre, on the entries of the chains it
     occupies (_chain_action).  A collision weight that is not finite is a
-    NumericalDriftError, raised before any family is built.
+    NumericalDriftError, raised before any family is built.  The radial
+    order must be at least 24 for both families, and the spectral one needs
+    a sphere rule of at least 26 nodes.  Every jump comes from the
+    anisotropy, so the build at alpha_aniso = 0 is the jump-free dissipator.
     """
     num = spec.numerics
     if num.quad_order_q < 24:
         raise ValueError("radial quadrature order below documented minimum 24")
     # the product sphere rule the rings span has twice as many azimuths as rings
     n_sphere = 2 * len(make_rule("ring", num.quad_order_sphere)) ** 2
-    if n_sphere < 26:
+    if backend == "spectral" and n_sphere < 26:
         raise ValueError("sphere quadrature below documented minimum of 26 nodes")
 
     weight = collision_weight(spec, num.quad_order_q)
@@ -587,13 +576,13 @@ class Trajectory(Frozen):
     and the chains.
     """
 
-    def __init__(self, layout, times, columns, final, diagnostics=None):
+    def __init__(self, layout, times, columns, final, diagnostics):
         vars(self).update(
             layout=layout,
             times=times,  # (n,)
             columns=columns,  # name -> (n, ...) array, read-only
             final=final,  # RotorState at times[-1]
-            diagnostics={} if diagnostics is None else diagnostics,
+            diagnostics=diagnostics,
         )
 
     def __len__(self):

@@ -97,25 +97,15 @@ def _legendre_newton(n, x):
 
 
 class QuadratureRule(Frozen):
-    """Nodes and weights bound to a semantic domain.
+    """Nodes and weights of one make_rule domain.
 
     node_floats and weight_floats hold the rule as tuples of Python floats
     (a node of the ring is an (x, y, z) tuple); nodes and weights are the
     same values as read-only numpy arrays, built on first access.
-
-    domain:
-      interval   -- Gauss-Legendre on [-1, 1]; weights sum to 2
-      half_line  -- rule for integrals Int_0^inf f(q) exp(-q^2) dq;
-                    the exponential weight is folded into the weights
-      circle     -- uniform trapezoid in the angle on [0, 2*pi); exact for
-                    trigonometric polynomials of degree < node count
-      ring       -- Gauss(cos theta) nodes at phi = 0, unit vectors of shape
-                    (N, 3), weights 2*pi*w_theta summing to 4*pi; exact on the
-                    sphere for integrands invariant under rotations about z
     """
 
-    def __init__(self, domain, node_floats, weight_floats):
-        vars(self).update(domain=domain, node_floats=node_floats, weight_floats=weight_floats)
+    def __init__(self, node_floats, weight_floats):
+        vars(self).update(node_floats=node_floats, weight_floats=weight_floats)
 
     def __len__(self):
         return len(self.weight_floats)
@@ -177,8 +167,16 @@ _BUILDERS = {
 
 
 def make_rule(domain, order):
-    """Return the QuadratureRule of one of the domains interval, half_line,
-    circle and ring.
+    """Return the QuadratureRule of one of these domains:
+
+      interval   -- Gauss-Legendre on [-1, 1]; weights sum to 2
+      half_line  -- rule for integrals Int_0^inf f(q) exp(-q^2) dq;
+                    the exponential weight is folded into the weights
+      circle     -- uniform trapezoid in the angle on [0, 2*pi); exact for
+                    trigonometric polynomials of degree < node count
+      ring       -- Gauss(cos theta) nodes at phi = 0, unit vectors of shape
+                    (N, 3), weights 2*pi*w_theta summing to 4*pi; exact on the
+                    sphere for integrands invariant under rotations about z
 
     order must be >= 4. For the ring the order is a minimum node count of
     the product sphere rule that the rings span (see _ring_rule). Each
@@ -196,4 +194,4 @@ def make_rule(domain, order):
 @functools.cache
 def _shared_rule(domain, order):
     nodes, weights = _BUILDERS[domain](order)
-    return QuadratureRule(domain, tuple(nodes), tuple(weights))
+    return QuadratureRule(tuple(nodes), tuple(weights))

@@ -63,12 +63,11 @@ class MoleculeSpec(record("MoleculeSpec", "mass moment_of_inertia alpha_mean alp
     __slots__ = ()
 
     def __new__(cls, mass, moment_of_inertia, alpha_mean, alpha_aniso):
-        if mass <= 0.0:
-            raise ValueError("molecule.mass must be positive")
-        if moment_of_inertia <= 0.0:
-            raise ValueError("molecule.moment_of_inertia must be positive")
-        if alpha_mean <= 0.0:
-            raise ValueError("molecule.alpha_mean must be positive")
+        self = super().__new__(cls, mass, moment_of_inertia, alpha_mean, alpha_aniso)
+        # a NaN fails every comparison, so each range is written as it must hold
+        for name, value in zip(self._fields[:3], self):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"molecule.{name} must be positive")
         ratio = alpha_aniso / alpha_mean
         if not math.isfinite(ratio):
             raise ValueError("molecule polarizability ratio must be finite")
@@ -79,7 +78,7 @@ class MoleculeSpec(record("MoleculeSpec", "mass moment_of_inertia alpha_mean alp
                 "molecule.alpha_aniso %g is too large: its squared ratio to "
                 "alpha_mean overflows" % alpha_aniso
             )
-        return super().__new__(cls, mass, moment_of_inertia, alpha_mean, alpha_aniso)
+        return self
 
     @property
     def epsilon(self):
@@ -100,7 +99,7 @@ class GasSpec(record("GasSpec", "mass thermal_energy density c6")):
     def __new__(cls, mass, thermal_energy, density, c6):
         self = super().__new__(cls, mass, thermal_energy, density, c6)
         for name, value in zip(self._fields, self):
-            if value <= 0.0:
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"gas.{name} must be positive")
         return self
 
@@ -135,7 +134,7 @@ class NumericsSpec(
         for name in ("quad_order_q", "quad_order_sphere", "quad_order_circle", "b_nodes"):
             if getattr(self, name) < 4:
                 raise ValueError(f"numerics.{name} must be >= 4")
-        if self.b_max <= 0.0:
+        if not 0.0 < self.b_max < math.inf:
             raise ValueError("numerics.b_max must be positive")
         return self
 
@@ -232,10 +231,13 @@ def load_config(text):
     hbar = HBAR_SI if system == "SI" else 1.0
     kb = KB_SI if system == "SI" else 1.0
 
-    # molecule, still in input units
+    # molecule, still in input units; json reads NaN, Infinity and 1e999
+    # (inf), which every range check below rejects
     mol_mass = float(_need(mol_doc, "molecule", "mass"))
     alpha_mean = float(_need(mol_doc, "molecule", "alpha_mean"))
     alpha_aniso = float(_need(mol_doc, "molecule", "alpha_aniso"))
+    if not math.isfinite(alpha_aniso):
+        raise ValueError("molecule.alpha_aniso must be finite")
     has_inertia = "moment_of_inertia" in mol_doc
     has_rot = "rotational_constant" in mol_doc
     if has_inertia == has_rot:
@@ -246,7 +248,7 @@ def load_config(text):
         inertia = float(mol_doc["moment_of_inertia"])
     else:
         b_rot = float(mol_doc["rotational_constant"])
-        if b_rot <= 0.0:
+        if not 0.0 < b_rot < math.inf:
             raise ValueError("molecule.rotational_constant must be positive")
         inertia = hbar**2 / (2.0 * b_rot)
 
@@ -254,27 +256,27 @@ def load_config(text):
     gas_mass = float(_need(gas_doc, "gas", "mass"))
     temperature = float(_need(gas_doc, "gas", "temperature"))
     c6 = float(_need(gas_doc, "gas", "c6"))
-    if temperature <= 0.0:
-        raise ValueError("gas.temperature must be positive")
     kbt = kb * temperature
+    # k_B T has the sign and finiteness of the temperature, but an SI
+    # temperature below about 1.8e-301 K underflows it to 0
+    if not 0.0 < kbt < math.inf:
+        raise ValueError("gas.temperature must be positive")
     has_n = "density" in gas_doc
     has_p = "pressure" in gas_doc
     if not has_n and not has_p:
         raise ValueError("missing mandatory field 'gas.density' or 'gas.pressure'")
-    if has_n:
-        density = float(gas_doc["density"])
-    else:
-        density = float(gas_doc["pressure"]) / kbt
-    if has_n and has_p:
+    if has_p:
         pressure = float(gas_doc["pressure"])
-        if pressure <= 0.0 or abs(pressure - density * kbt) > 1e-6 * abs(pressure):
-            raise ValueError("inconsistent gas state: pressure != density * k_B * T")
+        if not 0.0 < pressure < math.inf:
+            raise ValueError("gas.pressure must be positive")
+    density = float(gas_doc["density"]) if has_n else pressure / kbt
+    if has_n and has_p and abs(pressure - density * kbt) > 1e-6 * pressure:
+        raise ValueError("inconsistent gas state: pressure != density * k_B * T")
 
-    if gas_mass <= 0.0 or mol_mass <= 0.0:
-        raise ValueError("masses must be positive")
+    for label, mass in (("molecule.mass", mol_mass), ("gas.mass", gas_mass)):
+        if not 0.0 < mass < math.inf:
+            raise ValueError(f"{label} must be positive")
     mu_raw = gas_mass * mol_mass / (gas_mass + mol_mass)
-    if kbt <= 0.0:
-        raise ValueError("thermal energy must be positive")
     qth_raw = math.sqrt(2.0 * mu_raw * kbt)
 
     if system == "SI":
@@ -298,6 +300,8 @@ def load_config(text):
     )
     kwargs = {}
     for key, value in num_doc.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"numerics.{key} must be finite")
         kwargs[key] = int(value) if key in _NUMERICS_INT else float(value)
     numerics = NumericsSpec(**kwargs)
     return SystemSpec(molecule, gas, numerics, scales, system)

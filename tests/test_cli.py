@@ -322,6 +322,36 @@ def test_huge_anisotropy_is_a_config_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "section, key, raw, command",
+    [
+        ("gas", "density", "NaN", ["rates", "--j", "4", "--jprime", "2"]),
+        ("gas", "density", "NaN", ["propagate", "--state", "centrifuge:2,4", "--tfinal", "0.05",
+                                   "--dt", "0.001"]),
+        ("gas", "c6", "Infinity", ["rates", "--j", "4", "--jprime", "2"]),
+        ("molecule", "alpha_mean", "Infinity", ["rates", "--j", "4", "--jprime", "2"]),
+        ("molecule", "moment_of_inertia", "NaN", ["propagate", "--state", "centrifuge:2,4",
+                                                  "--tfinal", "0.05", "--dt", "0.001"]),
+        ("numerics", "b_max", "NaN", ["validate", "--only", "optical theorem"]),
+        ("numerics", "j_max", "1e999", ["sweep", "--jmax", "10"]),
+    ],
+)
+def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, monkeypatch, section, key,
+                                                    raw, command):
+    # these used to print gamma = nan or inf, a silent zero anisotropy, a
+    # drift error (exit 3), a failed criterion (exit 1) or a traceback
+    doc = json.loads(_n1_text())
+    doc.setdefault(section, {})[key] = "@"
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc).replace('"@"', raw))
+    argv = command[:1] + [str(cfg)] + command[1:]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}.{key} ") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_overflowing_collision_weight_exits_nonconverged(tmp_path):
     # a finite density whose collision weight overflows passes the schema;
     # build_dissipator refuses that weight before any numpy work, which

@@ -45,6 +45,11 @@ def backend_cases(**changes):
     return [("linearized", n1_spec(**changes)), ("spectral", spectral_spec(**changes))]
 
 
+def jump_free(layout):
+    # every jump comes from the anisotropy: at alpha_aniso = 0 each is zero
+    return lb.build_dissipator(n1_spec(set=[("molecule", "alpha_aniso", 0.0)]), layout)
+
+
 def random_state(layout, seed=0):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(
@@ -265,7 +270,8 @@ def test_build_dissipator_guards():
     with pytest.raises(ValueError, match="minimum 24"):
         lb.build_dissipator(n1_spec(numerics={"quad_order_q": 16}), layout)
     with pytest.raises(ValueError, match="26 nodes"):
-        lb.build_dissipator(n1_spec(numerics={"quad_order_sphere": 8}), layout)
+        lb.build_dissipator(n1_spec(numerics={"quad_order_sphere": 8}), layout,
+                            backend="spectral")
     with pytest.raises(ValueError, match="backend"):
         lb.build_dissipator(spec, layout, backend="exactish")
     dset = lb.build_dissipator(spec, layout)
@@ -276,6 +282,18 @@ def test_build_dissipator_guards():
     for order in (26, 30, 302, 500):
         count = lb.build_dissipator(n1_spec(numerics={"quad_order_sphere": order}), layout)
         assert count.metadata["sphere_nodes"] == len(product_rule(order)[1])
+
+
+def test_linearized_dissipator_ignores_the_sphere_order():
+    # the linearized sphere moments are exact, so a sphere rule below the
+    # spectral minimum (order 8: two rings, 8 nodes) builds the same family
+    layout = lb.BasisLayout(8, 15)
+    low, default = (lb.build_dissipator(n1_spec(numerics={"quad_order_sphere": order}), layout)
+                    for order in (8, 302))
+    assert low.metadata["sphere_nodes"] == 8 and low.converged
+    for name in ("kmat", "diagonals", "weights", "offsets", "aniso_mean"):
+        np.testing.assert_array_equal(getattr(low, name), getattr(default, name))
+    assert low.metadata["order_doubling_drift"] == default.metadata["order_doubling_drift"]
 
 
 @pytest.mark.parametrize("kappa", ["exact", "half"])
@@ -540,7 +558,7 @@ def test_propagate_unitary_limit():
     spec = n1_spec()
     layout = lb.BasisLayout(2, 4)
     state = random_state(layout, seed=9)
-    final = lb.propagate(state, lb.DissipatorSet.empty(layout), spec, 0.5, 0.005).final
+    final = lb.propagate(state, jump_free(layout), spec, 0.5, 0.005).final
     assert final.purity() == pytest.approx(state.purity(), abs=1e-8)
     np.testing.assert_allclose(
         np.diag(final.matrix).real, np.diag(state.matrix).real, atol=1e-10
@@ -551,7 +569,7 @@ def test_propagate_coherence_rotates_at_delta():
     spec = n1_spec()
     layout = lb.BasisLayout(2, 4)
     rho0 = lb.centrifuge_state(layout, {2: 2**-0.5, 4: 2**-0.5})
-    traj = lb.propagate(rho0, lb.DissipatorSet.empty(layout), spec, 0.02, 0.001, record_every=1)
+    traj = lb.propagate(rho0, jump_free(layout), spec, 0.02, 0.001, record_every=1)
     phases = np.unwrap(np.angle(traj.corner_coherence(4, 2)))
     slope = np.polyfit(traj.times, phases, 1)[0]
     mol = spec.molecule
@@ -616,23 +634,23 @@ def test_propagate_guards():
     spec = n1_spec()
     layout = lb.BasisLayout(2, 6)
     state = random_state(layout, seed=1)
-    empty = lb.DissipatorSet.empty(layout)
-    spread = lb.coherent_frequency_spread(spec, empty)
+    free = jump_free(layout)
+    spread = lb.coherent_frequency_spread(spec, free)
     with pytest.raises(lb.StepSizeViolation, match="step-size violation"):
-        lb.propagate(state, empty, spec, 1.0, 0.5 / spread)
+        lb.propagate(state, free, spec, 1.0, 0.5 / spread)
     with pytest.raises(ValueError, match="positive"):
-        lb.propagate(state, empty, spec, -1.0, 0.01)
+        lb.propagate(state, free, spec, -1.0, 0.01)
     for t_final, dt in (
         (math.inf, 0.01), (math.nan, 0.01), (1.0, math.nan), (1.0, math.inf), (1e300, 1e-300)
     ):
         with pytest.raises(ValueError, match="finite"):
-            lb.propagate(state, empty, spec, t_final, dt)
+            lb.propagate(state, free, spec, t_final, dt)
     other = lb.build_dissipator(spec, lb.BasisLayout(0, 1))
     with pytest.raises(ValueError, match="layout"):
         lb.propagate(state, other, spec, 0.1, 0.001)
     for record_every in (0, -3):
         with pytest.raises(ValueError, match="record_every"):
-            lb.propagate(state, empty, spec, 0.1, 0.001, record_every=record_every)
+            lb.propagate(state, free, spec, 0.1, 0.001, record_every=record_every)
 
 
 def test_spectral_gas_shift_follows_kappa():
@@ -1182,7 +1200,7 @@ def test_isotropic_state_without_jumps_is_kept_bitwise(window):
     # rounding, and multiplying by it would move the state's bits
     spec = n1_spec()
     layout = lb.BasisLayout(*window)
-    dset = lb.DissipatorSet.empty(layout)
+    dset = jump_free(layout)
     rho0 = lb.isotropic_state(layout, {j: j + 1.0 for j in layout.js})
     taus = 0.05 * np.arange(101)
     flow = lb._chain_flow(rho0, dset, *lb._hamiltonian(spec, dset))[0]
@@ -1527,7 +1545,7 @@ def test_negative_eigenvalue_on_a_recorded_step_raises(monkeypatch):
 
     monkeypatch.setattr(lb, "_chain_flow", lambda *args: (flow, {}))
     with pytest.raises(lb.NumericalDriftError, match="negative eigenvalue -1e-06 at t=0.03$"):
-        lb.propagate(rho0, lb.DissipatorSet.empty(layout), spec, 1.0, 0.01, record_every=1)
+        lb.propagate(rho0, jump_free(layout), spec, 1.0, 0.01, record_every=1)
 
 
 def test_non_finite_matrices_are_not_density_matrices(monkeypatch):
@@ -1551,4 +1569,4 @@ def test_non_finite_matrices_are_not_density_matrices(monkeypatch):
         lambda *args: (lambda taus, out: np.full((len(taus), 4), np.nan, dtype=complex), {}),
     )
     with pytest.raises(lb.NumericalDriftError, match="trace drift nan .* at t=0.01"):
-        lb.propagate(rho0, lb.DissipatorSet.empty(layout), spec, 1.0, 0.01, record_every=1)
+        lb.propagate(rho0, jump_free(layout), spec, 1.0, 0.01, record_every=1)

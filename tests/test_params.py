@@ -208,6 +208,39 @@ def test_nonpositive_quantities_rejected():
         load_config(doc(gas={"mass": 2.0, "temperature": 0.5, "density": 1.0, "c6": 0.0}))
 
 
+_SWAPS = {"moment_of_inertia": "rotational_constant", "rotational_constant": "moment_of_inertia",
+          "density": "pressure", "pressure": "density"}
+
+
+@pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("system", ["normalized", "SI"])
+@pytest.mark.parametrize(
+    "section, key",
+    [("molecule", key) for key in ("mass", "moment_of_inertia", "rotational_constant",
+                                   "alpha_mean", "alpha_aniso")]
+    + [("gas", key) for key in ("mass", "temperature", "density", "pressure", "c6")]
+    + [("numerics", key) for key in sorted(NumericsSpec._fields)],
+)
+def test_non_finite_config_numbers_are_rejected(section, key, system, raw):
+    # json reads NaN, Infinity and 1e999 (inf); a NaN passes a range check
+    # written x <= 0, so each must be refused by name
+    base = json.loads(si_doc() if system == "SI" else doc())
+    fields = base.setdefault(section, {})
+    fields.pop(_SWAPS.get(key), None)
+    fields[key] = "@"
+    with pytest.raises(ValueError, match=re.escape(f"{section}.{key} ")):
+        load_config(json.dumps(base).replace('"@"', raw))
+
+
+def test_si_temperature_whose_thermal_energy_underflows_is_rejected():
+    # k_B T of 1e-302 K rounds to 0.0: the pressure route used to divide by
+    # it (ZeroDivisionError), the density route refused it by another name
+    for state in ({"pressure": 10.0}, {"density": 1e20}):
+        gas = {"mass": 6.65e-27, "temperature": 1e-302, "c6": 9.6e-79, **state}
+        with pytest.raises(ValueError, match="^gas.temperature must be positive$"):
+            load_config(json.dumps(dict(json.loads(si_doc()), gas=gas)))
+
+
 def test_inertia_and_rotational_constant_exclusive():
     mol = {"mass": 2.0, "moment_of_inertia": 10.0, "rotational_constant": 0.05,
            "alpha_mean": 1.0, "alpha_aniso": 0.1}
