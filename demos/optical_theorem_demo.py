@@ -8,9 +8,12 @@ independent routes to the same physics have to agree:
   3. the optical theorem (4 pi / q) Im f(0) with f(0) from the full
      two-dimensional impact-parameter quadrature.
 
-Route 3 exercises completely different code (matrix exponential against a
-transverse plane wave) than routes 1 and 2, so agreement at the percent
-level is a real check, not a tautology.
+Route 3 exercises different code (matrix exponential against a transverse
+plane wave) than routes 1 and 2, so agreement is a real check, not a
+tautology.  Routes 2 and 3 share the radial rule of the core, where the
+phase a/b^5 passes scattering.PHASE_CAP: an exact rule in u = b^-5.  Their
+agreement with route 1 therefore tests that rule, while their agreement
+with each other tests the rest of route 3.
 """
 
 import json

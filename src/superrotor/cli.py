@@ -65,11 +65,12 @@ def _check_outputs(*paths):
             raise OutputError(path, "no directory %s" % parent)
 
 
-def _atomic_write(path, *chunks):
-    """Write chunks to path, the package's only file writer: str chunks as
-    UTF-8, any other through the buffer protocol, so an array is not copied.
-    The file is written under a temporary name and renamed into place, so
-    readers never see a partial file; any failure removes the temporary, and
+def _atomic_write(path, chunks):
+    """Write the iterable chunks to path, the package's only file writer,
+    taking one chunk at a time: str chunks as UTF-8, any other through the
+    buffer protocol, so an array is not copied.  The file is written under a
+    temporary name and renamed into place, so readers never see a partial
+    file; any failure, also one raised by chunks, removes the temporary, and
     an OSError is an OutputError."""
     tmp = "%s.tmp-%d" % (path, os.getpid())
     try:
@@ -114,7 +115,7 @@ def _write_manifest(path, command, spec_echo, outputs, t0, flags, diagnostics=No
         "flags": list(flags),
         "diagnostics": dict(diagnostics or {}),
     }
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+    _atomic_write(path, [json.dumps(doc, indent=2) + "\n"])
 
 
 def _finish(args, spec, outputs, t0, flags, diagnostics=None):
@@ -325,7 +326,7 @@ def cmd_rates(args):
     print("method = %s" % res.method)
     if spec.unit_system == "SI":
         print("units = 1/s")
-    _atomic_write(args.out, rates.rate_table_csv([res], rate_scale=scale))
+    _atomic_write(args.out, [rates.rate_table_csv([res], rate_scale=scale)])
     print("wrote %s" % args.out)
     return _finish(args, spec, [args.out], t0, flags)
 
@@ -342,12 +343,12 @@ def cmd_sweep(args):
     if args.method == "quadrature" and not all(r.converged for r in rows):
         flags.append("quadrature not converged")
     scale = spec.scales.rate
-    _atomic_write(args.out, rates.rate_table_csv(rows, rate_scale=scale))
+    _atomic_write(args.out, [rates.rate_table_csv(rows, rate_scale=scale)])
     outputs = [args.out]
     print("wrote %s (%d rows)" % (args.out, len(rows)))
     if args.plot:
         svg = rate_plot_svg(js, [r.gamma_signal * scale for r in rows])
-        _atomic_write(args.plot, svg)
+        _atomic_write(args.plot, [svg])
         outputs.append(args.plot)
         print("wrote %s" % args.plot)
     return _finish(args, spec, outputs, t0, flags)
@@ -385,7 +386,7 @@ def cmd_propagate(args):
     if not dset.converged:
         flags.append("dissipator quadrature not converged")
     traj = lb.propagate(rho0, dset, spec, args.tfinal, args.dt, record_every=args.record_every)
-    _atomic_write(args.out, lb.trajectory_csv(traj, signal_js=signal_js))
+    _atomic_write(args.out, [lb.trajectory_csv(traj, signal_js=signal_js)])
     outputs = [args.out]
     print("wrote %s (%d frames, D = %d)" % (args.out, len(traj), layout.dim))
 
@@ -407,7 +408,7 @@ def cmd_propagate(args):
     print("max |rho(t_final) - rho(0)| = %.3g" % traj.final.max_deviation(rho0))
 
     if args.dump:
-        _atomic_write(args.dump, *lb.state_dump(traj.final))
+        _atomic_write(args.dump, lb.state_dump(traj.final))
         outputs.append(args.dump)
         print("wrote %s" % args.dump)
     dissipator = {k: dset.metadata[k] for k in ("order_doubling_drift", "converged")}
@@ -429,7 +430,7 @@ def cmd_validate(args):
     sys.stdout.write(validation.report_text(results))
     outputs = []
     if args.json:
-        _atomic_write(args.json, validation.report_json(results) + "\n")
+        _atomic_write(args.json, [validation.report_json(results) + "\n"])
         outputs.append(args.json)
         print("wrote %s" % args.json)
     if args.manifest:

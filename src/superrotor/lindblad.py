@@ -17,8 +17,8 @@ A density matrix on a BasisLayout (D = layout.dim) is kept as its values on
 the chains it occupies, with their entry pattern (_EntryPattern): a
 RotorState is one such vector.  propagate exponentiates the chains of its
 initial state exactly, block scalars included; the others stay exactly zero.
-Only RotorState.matrix (as for the --dump of the CLI, through state_dump)
-and DissipatorSet.apply build a D x D matrix.
+Only RotorState.matrix and DissipatorSet.apply build a D x D matrix;
+state_dump streams the dump of the CLI's --dump in blocks of rows.
 
 The dissipator's action is defined once, as the generators of its chains
 (_chain_generators): propagate exponentiates them, and _chain_action
@@ -987,13 +987,21 @@ def trajectory_csv(trajectory, signal_js=()):
 
 
 def state_dump(state):
-    """The little-endian binary dump of a state as (header bytes, payload
-    array), both built before any file is opened: int64 D, int64 j_min,
-    int64 j_max, float64 time, then the D*D complex128 entries row-major.
-    The payload is the state's matrix itself, not a copy."""
-    layout = state.layout
-    header = STATE_HEADER.pack(layout.dim, layout.j_min, layout.j_max, state.time)
-    return header, np.ascontiguousarray(state.matrix, dtype="<c16")
+    """The little-endian binary dump of a state as chunks: the header bytes
+    int64 D, int64 j_min, int64 j_max, float64 time, then the D*D complex128
+    entries row-major, in blocks of whole rows of at most CHUNK_BYTES (one
+    row at least).  Each block is scattered from the state's entries, whose
+    sorted keys row * D + col are row-major, so no D x D matrix is built."""
+    layout, pattern = state.layout, state.pattern
+    dim = layout.dim
+    yield STATE_HEADER.pack(dim, layout.j_min, layout.j_max, state.time)
+    rows = max(1, CHUNK_BYTES // (16 * dim))
+    for start in range(0, dim * dim, rows * dim):
+        stop = min(start + rows * dim, dim * dim)
+        lo, hi = np.searchsorted(pattern._keys, [start, stop])
+        block = np.zeros(stop - start, dtype="<c16")
+        block[pattern._keys[lo:hi] - start] = state.values[pattern._order[lo:hi]]
+        yield block
 
 
 def read_state_binary(path):

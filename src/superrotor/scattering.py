@@ -12,6 +12,11 @@ Each amplitude is a plain (2j + 1, 2j + 1) complex array indexed by (m, m')
 with m running -j..j, in internal length units (multiply by
 UnitScales.length for SI).
 
+The full amplitude and the b-space cross section share one radial rule:
+Gauss panels in b from the core radius, where the phase a/b^5 reaches
+PHASE_CAP, out to b_max, and inside the core an exact rule in u = b^-5
+(_core_integral) that resolves the oscillation rather than averaging it out.
+
 Everything runs in internal units with hbar = 1. The pieces the numpy-free
 rate route shares with this module (kappa, eikonal_strength, forward_scalar
 and the template bands) are defined in rates and re-exported here.
@@ -32,9 +37,15 @@ from .rates import (
     template_bands,
 )
 
-# beyond this accumulated eikonal phase the unimodular exponential is treated
-# as averaging to zero (unitarity-saturated core of the collision)
+# where the accumulated eikonal phase |a|/b^5 reaches this, the radial panels
+# in b hand over to the core's rule in u = b^-5 (_core_integral)
 PHASE_CAP = 50.0
+# the core's rule: half-periods pi/|a| in u, Gauss nodes on each, and the
+# binomial weights of 30 rounds of pairwise averaging of the partial sums,
+# which fall on the last 31 of them
+_CORE_HALF_PERIODS = 48
+_CORE_NODES = 12
+_CORE_AVERAGING = np.array([math.comb(30, k) for k in range(31)]) / 2.0**30
 
 _EXY = np.array([1.0, 1j, 0.0])  # e_x + i e_y
 
@@ -48,15 +59,9 @@ def _check_unit(v, name, ndim=1):
     return v
 
 
-def circle_basis(n_prime):
-    """Orthonormal pair (u, v) spanning the plane perpendicular to n_prime."""
-    u, v = _circle_bases(_check_unit(n_prime, "n_prime")[None])
-    return u[0], v[0]
-
-
 def _circle_bases(nodes):
-    """(n, 3) stacks (u, v): circle_basis of each row of the (n, 3) stack
-    of unit vectors nodes."""
+    """(n, 3) stacks (u, v): for each row of the (n, 3) stack of unit vectors
+    nodes, an orthonormal pair spanning the plane perpendicular to it."""
     helper = np.where(np.abs(nodes[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     u = np.cross(nodes, helper)
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
@@ -207,13 +212,30 @@ def _phase_panels(rule, b, b_max, mag, slope=0.0):
         b += db
 
 
+def _core_integral(a_phase, c_transverse):
+    """Int_0^b_min db b e^{-icb} e^{ia/b^5} over the core b_min = (|a| /
+    PHASE_CAP)^(1/5), integrated exactly in u = b^-5 as
+    Int_{u0}^inf du u^(-7/5)/5 e^{i(au - c u^(-1/5))}, u0 = PHASE_CAP/|a|:
+    _CORE_HALF_PERIODS half-periods pi/|a| of _CORE_NODES Gauss nodes each,
+    whose alternating partial sums _CORE_AVERAGING combines."""
+    rule = make_rule("interval", _CORE_NODES)
+    half = math.pi / abs(a_phase)
+    u = PHASE_CAP / abs(a_phase) + half * (
+        np.arange(_CORE_HALF_PERIODS)[:, None] + 0.5 * (rule.nodes + 1.0)
+    )
+    f = u**-1.4 * np.exp(1j * (a_phase * u - c_transverse * u**-0.2))
+    partial = np.cumsum(f @ (0.1 * half * rule.weights))
+    return _CORE_AVERAGING @ partial[-len(_CORE_AVERAGING):]
+
+
 def _radial_jump_integral(a_phase, c_transverse, pts, bmax_factor):
     """Int_0^inf db b e^{-i c b} (e^{i a/b^5} - 1) for one eigenchannel.
 
-    Inside b_min (accumulated phase beyond PHASE_CAP) the unimodular
-    exponential averages to zero, leaving -b e^{-icb}. The oscillatory zone
-    is covered by panels holding the combined phase advance below pi each;
-    the far tail uses e^{i a/b^5} - 1 ~ i a/b^5.
+    Inside b_min (accumulated phase PHASE_CAP) the core takes e^{ia/b^5}
+    from _core_integral and -b e^{-icb} on one panel of pts nodes. The
+    oscillatory zone out to b_max = bmax_factor |a|^(1/5) is covered by
+    panels holding the combined phase advance below pi each; the far tail
+    uses e^{i a/b^5} - 1 ~ i a/b^5.
     """
     if a_phase == 0.0:
         return 0.0 + 0.0j
@@ -223,7 +245,8 @@ def _radial_jump_integral(a_phase, c_transverse, pts, bmax_factor):
     rule = make_rule("interval", pts)
     xs = 0.5 * (rule.nodes + 1.0) * b_min
     ws = 0.5 * b_min * rule.weights
-    total = np.sum(ws * (-xs) * np.exp(-1j * c_transverse * xs))
+    total = _core_integral(a_phase, c_transverse)
+    total -= np.sum(ws * xs * np.exp(-1j * c_transverse * xs))
     for xs, ws in _phase_panels(rule, b_min, b_max, mag, abs(c_transverse)):
         total += np.sum(
             ws * xs * np.exp(-1j * c_transverse * xs) * (np.exp(1j * a_phase / xs**5) - 1.0)
@@ -259,10 +282,11 @@ def schiff_amplitude_full(j, q, n_out, n_in, spec):
     against the transverse plane-wave factor. Returns (entries, converged):
     the (2j + 1, 2j + 1) array at the doubled radial node count, and whether
     doubling moved the result by at most 0.1% (mathkit.order_doubling_drift);
-    intended for small j at desk scale.  The flag doubles b_nodes alone, so
-    it cannot see the floor of the saturated core inside PHASE_CAP: on n1
-    (a = 1) the isotropic forward Im f sits 4.0e-4 relative off its closed
-    form.
+    intended for small j at desk scale.  The core is integrated exactly
+    (_core_integral), so the flag sees the panels' error: on n1 (a = 1) the
+    isotropic forward Im f meets its closed form to 2.4e-10 relative.  It
+    doubles b_nodes but not b_max, so off forward it cannot see the
+    truncation of the far tail at b_max (7.9e-5 at a = 1, c = 0.5).
     """
     j = int(j)
     if j < 0 or q <= 0.0:
@@ -288,16 +312,16 @@ def scalar_cross_section_bspace(q, spec):
     This equals the scattered-wave norm Int d^2n |f|^2 of the eikonal
     amplitude, so comparing against (4 pi hbar / q) Im f(forward) tests the
     optical theorem without an angular grid (whose slowly decaying large-angle
-    tail is not capturable at desk scale).  It takes the same saturated core
-    inside PHASE_CAP and the same b_nodes panels as schiff_amplitude_full,
-    so the two routes agree to far better than either meets the closed form:
-    on n1 this reads 7.572903 against the closed form's 7.569868.
+    tail is not capturable at desk scale).  It takes the core from
+    _core_integral and b_nodes panels outside it, the radial rule of
+    schiff_amplitude_full: on n1 this reads 7.569866 against the closed
+    form's 7.569868 (2.3e-7 relative, the panels' error at 8 nodes).
     """
     a_q = eikonal_strength(q, spec)
     b_min = (a_q / PHASE_CAP) ** 0.2
     b_max = spec.numerics.b_max * a_q**0.2
-    # unitarity-saturated core: |e^{iPhi} - 1|^2 averages to 2
-    total = b_min**2
+    # core: Int_0^b_min b (2 - 2 cos(a/b^5)) db
+    total = b_min**2 - 2.0 * _core_integral(a_q, 0.0).real
     for xs, ws in _phase_panels(make_rule("interval", spec.numerics.b_nodes), b_min, b_max, a_q):
         total += np.sum(ws * xs * (2.0 - 2.0 * np.cos(a_q / xs**5)))
     # tail: 2 - 2 cos(a/b^5) ~ a^2/b^10

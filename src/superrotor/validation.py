@@ -5,7 +5,8 @@ list CRITERIA, which names each, against a SystemSpec (the builtin normalized
 benchmark by default) and records every verdict as a CriterionResult.  The
 checks pair every closed-form claim with an independent numerical route, so a
 regression in either route surfaces as a disagreement rather than a silently
-shifted value.
+shifted value.  The radial integral table checks the radial integral of
+scattering, the one the full Schiff amplitude is built from.
 """
 
 import json
@@ -16,7 +17,6 @@ import numpy as np
 
 from . import lindblad as lb
 from . import rates, scattering
-from .mathkit import make_rule
 from .params import builtin_config, load_config, record
 
 
@@ -43,59 +43,6 @@ def _default_spec():
 
 def _zero_aniso(spec):
     return spec._replace(molecule=spec.molecule._replace(alpha_aniso=0.0))
-
-
-# -- oscillatory radial integrals ------------------------------------------
-#
-# int_0^inf b sin(a/b^5) db and int_0^inf b sin^2(a/(2 b^5)) db via u = 1/b^5.
-# The head [0, pi/a] integrates u^(-7/5) trig(au) exactly in the s = u^(3/5)
-# variable on 64 Gauss nodes; the alternating tail, 48 half-periods of 12
-# nodes each, is accelerated by 30 rounds of averaging its partial sums.
-
-
-def _head_piece(a, trig):
-    s_max = (math.pi / a) ** 0.6
-    rule = make_rule("interval", 64)
-    x, w = rule.nodes, rule.weights
-    s = 0.5 * (x + 1.0) * s_max
-    ws = 0.5 * s_max * w
-    u = s ** (5.0 / 3.0)
-    with np.errstate(divide="ignore"):
-        frac = np.where(s > 0, s ** (-5.0 / 3.0), 0.0)
-    return float(np.sum(ws * (5.0 / 3.0) * frac * trig(a * u)))
-
-
-def _tail_piece(a, trig):
-    rule = make_rule("interval", 12)
-    x, w = rule.nodes, rule.weights
-    terms = []
-    for k in range(1, 49):
-        u0 = k * math.pi / a
-        u1 = (k + 1) * math.pi / a
-        u = 0.5 * (x + 1.0) * (u1 - u0) + u0
-        wu = 0.5 * (u1 - u0) * w
-        terms.append(float(np.sum(wu * u ** (-1.4) * trig(a * u))))
-    partial = np.cumsum(terms)
-    for _ in range(30):
-        partial = 0.5 * (partial[:-1] + partial[1:])
-    return float(partial[-1])
-
-
-def sine_integral_b(a):
-    """int_0^inf b sin(a / b^5) db for a > 0."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    return 0.2 * (_head_piece(a, np.sin) + _tail_piece(a, np.sin))
-
-
-def sine_sq_integral_b(a):
-    """int_0^inf b sin^2(a / (2 b^5)) db for a > 0."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    head = _head_piece(a, lambda x: 1.0 - np.cos(x))
-    tail_const = 2.5 * (math.pi / a) ** (-0.4)
-    tail_cos = _tail_piece(a, np.cos)
-    return 0.1 * (head + tail_const - tail_cos)
 
 
 # -- criteria ----------------------------------------------------------------
@@ -287,12 +234,17 @@ def criterion_linearization_scaling(spec=None):
 
 
 def criterion_radial_integral_table(spec=None):
-    """Oscillatory quadrature reproduces both radial sine integrals at a = 1."""
+    """The radial integral I = Int_0^inf db b (e^{ia/b^5} - 1) of scattering
+    at a = 1, with n1's numerics at the doubled node count that
+    schiff_amplitude_full returns, reproduces both radial sine integrals:
+    Im I = Int b sin(1/b^5) db and -Re I / 2 = Int b sin^2(1/(2 b^5)) db."""
+    numerics = _default_spec().numerics
     g35 = math.gamma(0.6)
     ref1 = 0.5 * g35 * math.cos(0.3 * math.pi)
     ref2 = 0.25 * g35 * math.sin(0.3 * math.pi)
-    v1 = sine_integral_b(1.0)
-    v2 = sine_sq_integral_b(1.0)
+    total = scattering._radial_jump_integral(1.0, 0.0, 2 * numerics.b_nodes, numerics.b_max)
+    v1 = float(total.imag)
+    v2 = float(-0.5 * total.real)
     err1 = abs(v1 - ref1)
     err2 = abs(v2 - ref2)
     return (

@@ -6,7 +6,9 @@ keep independent forms of the same quantities:
 - coupling_matrix_explicit writes each band of B_j out from P_2^k of the
   scaled projection, with its own divisors and geometry contractions;
 - coupling_templates and averaged_coupling are the dense five-template form
-  sum_a g_a(n') T_a with scattering.geometry_factors.
+  sum_a g_a(n') T_a with scattering.geometry_factors;
+- circle_basis spans the impact plane of one incoming direction, for the
+  tests that build impact directions one by one.
 
 test_scattering checks coupling_matrix against the explicit form to 1e-14
 and the contraction against a circle quadrature of coupling_matrix to
@@ -22,9 +24,16 @@ import numpy as np
 
 from superrotor.mathkit import make_rule
 from superrotor.rates import _kappa_for_mode, assoc_legendre2, template_bands
-from superrotor.scattering import geometry_factors
+from superrotor.scattering import _check_unit, _circle_bases, geometry_factors
 
 _EXY = np.array([1.0, 1j, 0.0])  # e_x + i e_y
+
+
+def circle_basis(n_prime):
+    """Orthonormal pair (u, v) spanning the plane perpendicular to n_prime:
+    the package's _circle_bases of the one direction."""
+    u, v = _circle_bases(_check_unit(n_prime, "n_prime")[None])
+    return u[0], v[0]
 
 
 def coupling_matrix_explicit(j, n_prime, e_b, mol, kappa_mode="exact"):

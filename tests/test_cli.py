@@ -597,12 +597,12 @@ def test_failed_write_leaves_no_temporary(tmp_path):
     target = tmp_path / "dirout"
     target.mkdir()
     with pytest.raises(OutputError, match="cannot write"):
-        _atomic_write(str(target), "text")
+        _atomic_write(str(target), ["text"])
     rho = lb.isotropic_state(lb.BasisLayout(0, 1), {0: 0.5, 1: 0.5})
     with pytest.raises(OutputError, match="cannot write"):
-        _atomic_write(str(target), *lb.state_dump(rho))
+        _atomic_write(str(target), lb.state_dump(rho))
     with pytest.raises(TypeError):
-        _atomic_write(str(tmp_path / "t.csv"), "text", None)
+        _atomic_write(str(tmp_path / "t.csv"), ["text", None])
     assert [p.name for p in tmp_path.iterdir()] == ["dirout"]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -1410,10 +1411,9 @@ def test_state_binary_round_trip(tmp_path):
     layout = lb.BasisLayout(3, 5)
     state = random_state(layout, seed=21)
     path = tmp_path / "state.bin"
-    header, payload = lb.state_dump(state)
-    # the payload is the state's own matrix, not a copy
-    assert np.shares_memory(payload, state.matrix)
-    _atomic_write(str(path), header, payload)
+    _atomic_write(str(path), lb.state_dump(state))
+    # the dump is scattered from the state's entries, not from its matrix
+    assert "matrix" not in vars(state)
     back = lb.read_state_binary(path)
     assert back.layout == layout
     assert back.time == state.time
@@ -1425,16 +1425,34 @@ def test_state_binary_round_trip(tmp_path):
     assert list(header) == [layout.dim, 3, 5]
 
 
+def test_state_dump_streams_blocks_of_rows(monkeypatch):
+    # blocks of 5 rows of the D = 57 matrix: the header and 12 blocks, the
+    # last of 2 rows, whose bytes are those of the dense matrix built after
+    spec = n1_spec()
+    layout = lb.BasisLayout(8, 10)
+    dset = lb.build_dissipator(spec, layout)
+    rho0 = lb.centrifuge_state(layout, {8: 0.6, 10: 0.8j})
+    state = lb.propagate(rho0, dset, spec, 0.02, 0.001, record_every=20).final
+    monkeypatch.setattr(lb, "CHUNK_BYTES", 5 * 16 * layout.dim + 15)
+    header, *blocks = lb.state_dump(state)
+    assert "matrix" not in vars(state)
+    assert header == lb.STATE_HEADER.pack(57, 8, 10, state.time)
+    assert [len(b) for b in blocks] == [5 * 57] * 11 + [2 * 57]
+    assert b"".join(b.tobytes() for b in blocks) == state.matrix.tobytes()
+
+
 def test_state_binary_failed_build_leaves_no_file(tmp_path, monkeypatch):
-    # the dense payload is built before the writer opens any file
+    # a dump that fails after its first blocks are written leaves neither
+    # the file nor its temporary
     state = random_state(lb.BasisLayout(0, 1), seed=4)
+    monkeypatch.setattr(lb, "CHUNK_BYTES", 16 * 4)
 
-    def fail(self):
-        raise MemoryError("no room for the dense matrix")
+    def failing():
+        yield from itertools.islice(lb.state_dump(state), 3)
+        raise MemoryError("no room for the next block")
 
-    monkeypatch.setattr(lb.RotorState, "matrix", property(fail))
     with pytest.raises(MemoryError):
-        _atomic_write(str(tmp_path / "state.bin"), *lb.state_dump(state))
+        _atomic_write(str(tmp_path / "state.bin"), failing())
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1471,7 +1489,7 @@ def test_apply_to_a_zero_matrix_is_zero():
 
 def test_state_binary_rejects_truncated_files(tmp_path):
     path = tmp_path / "state.bin"
-    _atomic_write(str(path), *lb.state_dump(random_state(lb.BasisLayout(0, 1), seed=4)))
+    _atomic_write(str(path), lb.state_dump(random_state(lb.BasisLayout(0, 1), seed=4)))
     # written under a temporary name and renamed: nothing else is left behind
     assert [p.name for p in tmp_path.iterdir()] == ["state.bin"]
     raw = path.read_bytes()

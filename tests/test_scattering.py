@@ -1,16 +1,20 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from amplitude_oracles import averaged_coupling, coupling_matrix_explicit, coupling_templates
+from amplitude_oracles import (averaged_coupling, circle_basis, coupling_matrix_explicit,
+                               coupling_templates)
 from superrotor.mathkit import make_rule
 from superrotor.params import builtin_config, load_config
 from superrotor.scattering import (
+    PHASE_CAP,
     _collision_factors,
-    circle_basis,
+    _core_integral,
+    _radial_jump_integral,
     coupling_matrix,
     eikonal_strength,
     forward_amplitude_linearized,
@@ -83,8 +87,6 @@ def test_coupling_zero_anisotropy():
 
 
 def _basis_vec(n):
-    from superrotor.scattering import circle_basis
-
     u, _ = circle_basis(n)
     return (u,)
 
@@ -104,8 +106,6 @@ def test_coupling_hermitian_and_banded():
     rng = np.random.default_rng(7)
     for j in (1, 2, 4, 9):
         n = random_direction(rng)
-        from superrotor.scattering import circle_basis
-
         u, v = circle_basis(n)
         phi = rng.uniform(0, 2 * math.pi)
         e_b = math.cos(phi) * u + math.sin(phi) * v
@@ -383,3 +383,40 @@ def test_schiff_matches_spectral_forward():
     fwd = forward_amplitude_spectral(2, 1.0, N_DIAG, spec)
     scale = np.max(np.abs(fwd))
     assert np.max(np.abs(full - fwd)) <= 0.01 * scale
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 2.7, -1.0])
+def test_sine_integral_matches_closed_form(a):
+    # Im of the radial integral at c = 0 is Int_0^inf b sin(a/b^5) db
+    ref = math.copysign(0.5 * abs(a) ** 0.4 * math.gamma(0.6) * math.cos(0.3 * math.pi), a)
+    assert _radial_jump_integral(a, 0.0, 16, 12).imag == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 2.7, -1.0])
+def test_sine_sq_integral_matches_closed_form(a):
+    # -Re / 2 of the radial integral at c = 0 is Int_0^inf b sin^2(a/(2 b^5)) db
+    ref = 0.25 * abs(a) ** 0.4 * math.gamma(0.6) * math.sin(0.3 * math.pi)
+    assert -0.5 * _radial_jump_integral(a, 0.0, 16, 12).real == pytest.approx(ref, abs=1e-9)
+
+
+def test_radial_integral_of_the_opposite_phase_is_the_conjugate():
+    total = _radial_jump_integral(1.0, 0.0, 16, 12)
+    assert _radial_jump_integral(-1.0, 0.0, 16, 12) == total.conjugate()
+
+
+@pytest.mark.parametrize("a, c", [(1.0, 0.5), (1.0, 2.0), (-2.0, 1.0)])
+def test_core_integral_matches_mpmath(a, c):
+    # the core Int_{u0}^inf du u^(-7/5)/5 e^{i(au - c u^(-1/5))}, u0 = PHASE_CAP/|a|,
+    # with the plane-wave factor of an off-forward amplitude
+    ref = complex(mpmath.quadosc(lambda u: u**-1.4 * mpmath.expj(a * u - c * u**-0.2) / 5,
+                                 [PHASE_CAP / abs(a), mpmath.inf], omega=abs(a)))
+    assert abs(_core_integral(a, c) - ref) <= 1e-12
+
+
+def test_bspace_cross_section_matches_closed_form():
+    # the core is integrated, not taken as saturated: the b-space norm
+    # integral meets the closed form to its panel error
+    spec = eps_spec(0.0)
+    q = spec.thermal_momentum
+    sigma_b = scalar_cross_section_bspace(q, spec)
+    assert sigma_b == pytest.approx(scalar_cross_section_closed_form(q, spec), rel=1e-6)

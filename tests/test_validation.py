@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 
@@ -10,30 +9,7 @@ from superrotor.validation import (
     report_json,
     report_text,
     run_acceptance,
-    sine_integral_b,
-    sine_sq_integral_b,
 )
-
-
-@pytest.mark.parametrize("a", [0.3, 1.0, 2.7])
-def test_sine_integral_matches_closed_form(a):
-    g35 = math.gamma(0.6)
-    ref = 0.5 * a**0.4 * g35 * math.cos(0.3 * math.pi)
-    assert sine_integral_b(a) == pytest.approx(ref, abs=1e-9)
-
-
-@pytest.mark.parametrize("a", [0.3, 1.0, 2.7])
-def test_sine_sq_integral_matches_closed_form(a):
-    g35 = math.gamma(0.6)
-    ref = 0.25 * a**0.4 * g35 * math.sin(0.3 * math.pi)
-    assert sine_sq_integral_b(a) == pytest.approx(ref, abs=1e-9)
-
-
-def test_sine_integral_guards():
-    with pytest.raises(ValueError):
-        sine_integral_b(0.0)
-    with pytest.raises(ValueError):
-        sine_sq_integral_b(-1.0)
 
 
 def test_criterion_names_unique_and_stable():
