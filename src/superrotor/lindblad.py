@@ -7,11 +7,12 @@ block diagonal over j, so block populations are conserved exactly and the
 dynamics factorizes into (j, j') sectors.
 
 Every jump operator lies on one diagonal m' - m = q and is stored only as
-that diagonal, in the group of its band q (DissipatorSet): the linearized
-templates each occupy one band, and the spectral family is split into the
-bands of its azimuthal rings, which an exact azimuth average leaves
-uncoupled.  The generator then keeps Q = m - m' inside each block as well:
-every diagonal of a block rho_{jj'} is a chain that evolves on its own.
+that diagonal, in the group of its band q >= 0 (DissipatorSet); the jumps of
+band -q are the transposes of those of band q.  The linearized templates
+each occupy one band, and the spectral family is split into the bands of
+its azimuthal rings, which an exact azimuth average leaves uncoupled.  The
+generator then keeps Q = m - m' inside each block as well: every diagonal
+of a block rho_{jj'} is a chain that evolves on its own.
 
 A density matrix on a BasisLayout (D = layout.dim) is kept as its values on
 the chains it occupies, with their entry pattern (_EntryPattern): a
@@ -25,8 +26,8 @@ The dissipator's action is defined once, as the generators of its chains
 multiplies them into a matrix's entries, for the convergence probe of a
 spectral build_dissipator and for DissipatorSet.apply, which gathers and
 scatters the entries of a dense matrix.  Both jump families are real
-symmetric, and so is every chain generator but for the imaginary diagonal of
-a residual gas shift.
+symmetric, and so is every chain generator, by construction, but for the
+imaginary diagonal of a residual gas shift.
 The radial factor of both families (rates.collision_weight) and the sphere
 moments of the linearized one (rates.TEMPLATE_MOMENTS) are those of the rates.
 
@@ -49,8 +50,7 @@ import numpy as np
 
 from .mathkit import make_rule, order_doubling_drift
 from .params import HBAR, Frozen, NumericalDriftError, StepSizeViolation, record
-from .rates import (TEMPLATE_MOMENTS, TEMPLATE_OFFSETS, collision_weight, energy_shift_matrix,
-                    template_bands)
+from .rates import TEMPLATE_MOMENTS, collision_weight, energy_shift_matrix, template_bands
 
 # frames evaluated, checked or reduced at once: FRAME_CHUNK, or fewer (at
 # least 1) where one (F, N) complex chunk would pass CHUNK_BYTES (_frames_per_chunk)
@@ -247,50 +247,53 @@ def gaussian_profile(layout, center, width):
 
 
 class DissipatorSet:
-    """Weighted family of single-band, block-diagonal Lindblad operators.
+    """Family of single-band, block-diagonal Lindblad operators B_k.
 
     The generator is
 
-        D rho = collision_weight * sum_k w_k (A_k rho A_k^+ - {A_k^+ A_k, rho}/2).
+        D rho = collision_weight * sum_k (B_k rho B_k^T - {B_k^T B_k, rho}/2).
 
     Each jump of the quadrature-discretized (q, n') family is c(q) (I + A),
     with A real symmetric and q-independent, so its identity part cancels
     from the generator exactly and the radial average collapses into
-    collision_weight; the A_k and w_k carry the direction average.  Every
-    A_k lies on one diagonal m' - m = q, and the family is stored band by
-    band: offsets (Q,) lists the distinct q in ascending order, and the n
-    ops of band q = offsets[i] are their weights[i] (n,) and diagonals[i]
-    (n, D), diagonals[i, k, r] = A_k[r, r + q], zero where r + q leaves the
-    j block of row r.  kmat is the diagonal of sum_k w_k A_k^T A_k.
+    collision_weight; B_k = sqrt(w_k) A_k carry the direction average with
+    their quadrature weights folded in.  Every B_k lies on one diagonal
+    m' - m = q, and A symmetric makes the ops of band -q the transposes of
+    those of band q, so only the bands q >= 0 are stored: offsets (Q,)
+    lists them in ascending order, and the n ops of band q = offsets[i] are
+    diagonals[i] (n, D), diagonals[i, k, r] = B_k[r, r + q], zero where
+    r + q leaves the j block of row r.  An op of a band q > 0 stands for
+    itself and its transpose.  kmat is the diagonal of sum B^T B over all
+    of them.
 
     aniso_mean is the diagonal of the sphere mean (1/4 pi) Int d^2n' A(n')
     of the anisotropy the family discretizes, which the azimuth average
     makes diagonal in m.  The gas shift is the isotropic shift times
     I + aniso_mean, so it shares the family's amplitude model and kappa.
 
-    (A rho A^T)[r, c] = a[r] rho[r + q, c + q] a[c], so the ops of band q
-    carry rho[r + q, c + q] into [r, c] with the gain G_q[r, c] =
-    collision_weight * sum_{k in band q} w_k a_k[r] a_k[c].  No gain is
-    stored or formed densely: _chain_generators evaluates kmat and the G_q
-    at the entries of the chains asked for, and both apply and _chain_flow
-    act through it.
+    (B rho B^T)[r, c] = b[r] rho[r + q, c + q] b[c], and the transpose
+    carries rho[r, c] into [r + q, c + q] with the same factor, so band q
+    couples the entries [r, c] and [r + q, c + q] both ways with the gain
+    G_q[r, c] = collision_weight * sum_k b_k[r] b_k[c].  No gain is stored
+    or formed densely: _chain_generators evaluates kmat and the G_q at the
+    entries of the chains asked for, and both apply and _chain_flow act
+    through it.
     """
 
-    def __init__(self, layout, collision_weight, weights, offsets, diagonals, aniso_mean,
-                 metadata=None):
+    def __init__(self, layout, collision_weight, offsets, diagonals, aniso_mean, metadata=None):
         self.layout = layout
         self.collision_weight = collision_weight
-        self.weights = weights  # (Q, n) real
-        self.offsets = offsets  # (Q,) int, ascending
+        self.offsets = offsets  # (Q,) int, ascending from 0
         self.diagonals = diagonals  # (Q, n, D) real
         self.aniso_mean = aniso_mean  # (D,) real
         self.metadata = {} if metadata is None else metadata
-        d = layout.dim
-        self.kmat = np.zeros(d)  # (D,) real
-        for q, w, a in zip(offsets.tolist(), weights, diagonals):
-            # row r of an op on band q holds its entry in column r + q
-            lo, hi = max(0, -q), d - max(0, q)
-            self.kmat[lo + q : hi + q] += w @ np.square(a[:, lo:hi])
+        self.kmat = np.zeros(layout.dim)  # (D,) real
+        for q, b in zip(offsets.tolist(), diagonals):
+            # B^T B holds b[r]^2 at r + q, and the transpose's B B^T at r
+            square = np.square(b).sum(axis=0)
+            self.kmat[q:] += square[: layout.dim - q]
+            if q:
+                self.kmat += square
 
     @property
     def converged(self):
@@ -328,39 +331,40 @@ def _chain_action(dset, pattern, values):
 
 
 def _jump_family(spec, layout, backend, kappa_mode):
-    """(weights, offsets, diagonals, aniso_mean) of the direction-averaged
-    jump family, grouped by band as DissipatorSet stores it.
+    """(offsets, diagonals, aniso_mean) of the direction-averaged jump family,
+    its bands q >= 0 with the weights folded in, as DissipatorSet stores it.
 
     Linearized: A(n') = (2/5) sum_a g_a(n') T_a.  The sphere moments of
     g_a g_b^* vanish for a != b and equal rates.TEMPLATE_MOMENTS[|q_a|], the
     moments of the rate bracket, for a = b, so the five templates, one op
-    per band, with weights (2/5)^2 * moment reproduce the node sum exactly;
-    every g_a has zero sphere mean, so aniso_mean is zero.
+    per band, weighted by (2/5)^2 * moment reproduce the node sum exactly:
+    band q = 0, 1, 2 holds template_bands' vector q times
+    (2/5) sqrt(TEMPLATE_MOMENTS[q]), and the templates of bands -1 and -2
+    are the transposes of those of 1 and 2.  Every g_a has zero sphere
+    mean, so aniso_mean is zero.
     Spectral: the symmetrized anisotropy S(n') - I of the fractional-power
     shape.  A rotation about z conjugates it, A(R_z(phi) n') =
     U_z(phi) A(n') U_z(phi)^+, so band q of A picks up exp(i q phi), and the
     exact azimuth average of A rho A^+ keeps sum_q A^(q) rho A^(q)^+ with
     A^(q) band q of A at phi = 0, where S is real (NumericalDriftError past
     SHAPE_IMAG_TOL).  The jumps are those bands on the rings of the sphere
-    rule, one op per ring in each of the 4 j_max + 1 bands, weighted by its
-    ring's 2 pi w_theta, and aniso_mean is the band-0 (diagonal) mean.
+    rule, one op per ring in each of the 2 j_max + 1 bands q >= 0 (band -q
+    is the transpose), scaled by the square root of its ring's 2 pi
+    w_theta, and aniso_mean is the band-0 (diagonal) mean.
     """
     if backend == "linearized":
-        offsets = np.array(sorted(TEMPLATE_OFFSETS))
-
-        def bands(j):
-            vectors = template_bands(j, spec.molecule, kappa_mode)
-            return [vectors[abs(q)][None] for q in offsets]
-
-        weights = 0.16 * np.array([TEMPLATE_MOMENTS[abs(q)] for q in offsets])[:, None]
-        return weights, offsets, _band_diagonals(layout, offsets, 1, bands), np.zeros(layout.dim)
+        offsets = np.arange(3)
+        ops = _band_diagonals(layout, offsets, 1, lambda j: [
+            v[None] for v in template_bands(j, spec.molecule, kappa_mode)])
+        ops *= 0.4 * np.sqrt(TEMPLATE_MOMENTS)[:, None, None]
+        return offsets, ops, np.zeros(layout.dim)
     if backend != "spectral":
         raise ValueError("unknown backend %r" % backend)
     from . import scattering
 
     ring = make_rule("ring", spec.numerics.quad_order_sphere)
-
-    offsets = np.arange(-2 * layout.j_max, 2 * layout.j_max + 1)
+    offsets = np.arange(2 * layout.j_max + 1)
+    root = np.sqrt(ring.weights)[:, None]
 
     def bands(j):
         shapes = scattering.spectral_shapes(j, ring.nodes, spec, kappa_mode)
@@ -369,28 +373,25 @@ def _jump_family(spec, layout, backend, kappa_mode):
             raise NumericalDriftError("ring-node shapes of j=%d are complex: %.3g" % (j, imag))
         aniso = shapes.real - np.eye(2 * j + 1)
         aniso = 0.5 * (aniso + aniso.transpose(0, 2, 1))
-        return [np.diagonal(aniso, q, axis1=1, axis2=2) for q in offsets]
+        return [root * np.diagonal(aniso, q, axis1=1, axis2=2) for q in offsets]
 
     ops = _band_diagonals(layout, offsets, len(ring), bands)
-    weights = np.broadcast_to(ring.weights, (len(offsets), len(ring)))
-    # band 0 sits in the middle of the ascending offsets
-    aniso_mean = ring.weights @ ops[2 * layout.j_max] / (4.0 * math.pi)
-    return weights, offsets, ops, aniso_mean
+    return offsets, ops, root[:, 0] @ ops[0] / (4.0 * math.pi)
 
 
 def _band_diagonals(layout, offsets, n, bands):
-    """(len(offsets), n, D) diagonals of the bands of n real block matrices.
+    """(len(offsets), n, D) diagonals of the bands q >= 0 of n real block
+    matrices.
 
-    bands(j) lists, for each q in offsets, the (n, 2j + 1 - |q|) band q of
-    the n matrices of block j (empty where |q| > 2j).  Entry [i, k, r] is
+    bands(j) lists, for each q in offsets, the (n, 2j + 1 - q) band q of
+    the n matrices of block j (empty where q > 2j).  Entry [i, k, r] is
     M_k[r, r + offsets[i]] of the block holding row r, and zero where the
     band leaves that block.
     """
     out = np.zeros((len(offsets), n, layout.dim))
     for j, sl in layout.blocks():
-        for i, (q, band) in enumerate(zip(offsets, bands(j))):
-            start = sl.start + max(0, -q)
-            out[i, :, start : start + band.shape[1]] = band
+        for i, band in enumerate(bands(j)):
+            out[i, :, sl.start : sl.start + band.shape[1]] = band
     return out
 
 
@@ -673,7 +674,7 @@ def _chain_flow(rho0, dset, levels, residual):
 
     Raises NumericalDriftError when a chain generator is not finite, or when
     V diag(lam) V^T misses it by more than EIG_RECON_TOL of its largest
-    entry: the generator is then not symmetric, or defective.
+    entry: the complex symmetric generator is then defective.
     """
     block = np.repeat(np.arange(len(levels)), dset.layout.block_sizes)
     parts = []
@@ -743,20 +744,22 @@ def _chain_generators(dset, rows, cols):
     definition of the dissipator's action in the package.
 
     Entry [i, i] is -collision_weight (kmat[r] + kmat[c]) / 2 at the chain's
-    i-th entry (r, c), and entry [i, i + q] the gain G_q[r, c]
-    (DissipatorSet), which feeds rho[r + q, c + q] into [r, c].  Real, and
-    symmetric for a family with equal weights on bands q and -q.
+    i-th entry (r, c), plus the gain G_0[r, c], and entries [i, i + q] and
+    [i + q, i] are the one gain G_q[r, c] (DissipatorSet) with which band q
+    and its transpose exchange rho[r + q, c + q] and rho[r, c].  Real and
+    symmetric by construction, and bit for bit the same for a chain and its
+    transpose.
     """
     cw = dset.collision_weight
     n = rows.shape[1]
     steps = np.arange(n)
     gen = np.zeros(rows.shape + (n,))
     gen[:, steps, steps] = (-0.5 * cw) * (dset.kmat[rows] + dset.kmat[cols])
-    for q, w, a in zip(dset.offsets.tolist(), dset.weights, dset.diagonals):
-        # a partner beyond the chain's end crosses a block edge, where a is 0
-        s = steps[max(0, -q) : max(0, n - max(0, q))]
-        r, c = rows[:, s], cols[:, s]
-        gen[:, s, s + q] += cw * (a[:, r] * w[:, None, None] * a[:, c]).sum(axis=0)
+    for q, b in zip(dset.offsets.tolist(), dset.diagonals):
+        # a partner beyond the chain's end crosses a block edge, where b is 0
+        s = steps[: max(0, n - q)]
+        gen[:, s, s + q] += cw * (b[:, rows[:, s]] * b[:, cols[:, s]]).sum(axis=0)
+        gen[:, s + q, s] = gen[:, s, s + q]
     return gen
 
 

@@ -197,10 +197,23 @@ def _check_section(label, section, allowed):
         raise ValueError(f"unknown key(s) in '{label}': {sorted(unknown)}")
 
 
-def _need(section, label, key):
+def _number(section, label, key, positive=False):
+    """section[key] as a float; ValueError naming label.key unless it is
+    there and a JSON number (a boolean is not one), and, when positive, a
+    finite number above 0.  An integer past the float range reads as inf."""
     if key not in section:
         raise ValueError(f"missing mandatory field '{label}.{key}'")
-    return section[key]
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{label}.{key} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    # a NaN fails the comparison
+    if positive and not 0.0 < value < math.inf:
+        raise ValueError(f"{label}.{key} must be positive")
+    return value
 
 
 def load_config(text):
@@ -233,9 +246,9 @@ def load_config(text):
 
     # molecule, still in input units; json reads NaN, Infinity and 1e999
     # (inf), which every range check below rejects
-    mol_mass = float(_need(mol_doc, "molecule", "mass"))
-    alpha_mean = float(_need(mol_doc, "molecule", "alpha_mean"))
-    alpha_aniso = float(_need(mol_doc, "molecule", "alpha_aniso"))
+    mol_mass = _number(mol_doc, "molecule", "mass", positive=True)
+    alpha_mean = _number(mol_doc, "molecule", "alpha_mean")
+    alpha_aniso = _number(mol_doc, "molecule", "alpha_aniso")
     if not math.isfinite(alpha_aniso):
         raise ValueError("molecule.alpha_aniso must be finite")
     has_inertia = "moment_of_inertia" in mol_doc
@@ -245,17 +258,15 @@ def load_config(text):
             "molecule: give exactly one of moment_of_inertia or rotational_constant"
         )
     if has_inertia:
-        inertia = float(mol_doc["moment_of_inertia"])
+        inertia = _number(mol_doc, "molecule", "moment_of_inertia")
     else:
-        b_rot = float(mol_doc["rotational_constant"])
-        if not 0.0 < b_rot < math.inf:
-            raise ValueError("molecule.rotational_constant must be positive")
+        b_rot = _number(mol_doc, "molecule", "rotational_constant", positive=True)
         inertia = hbar**2 / (2.0 * b_rot)
 
     # gas, still in input units
-    gas_mass = float(_need(gas_doc, "gas", "mass"))
-    temperature = float(_need(gas_doc, "gas", "temperature"))
-    c6 = float(_need(gas_doc, "gas", "c6"))
+    gas_mass = _number(gas_doc, "gas", "mass", positive=True)
+    temperature = _number(gas_doc, "gas", "temperature")
+    c6 = _number(gas_doc, "gas", "c6")
     kbt = kb * temperature
     # k_B T has the sign and finiteness of the temperature, but an SI
     # temperature below about 1.8e-301 K underflows it to 0
@@ -266,16 +277,11 @@ def load_config(text):
     if not has_n and not has_p:
         raise ValueError("missing mandatory field 'gas.density' or 'gas.pressure'")
     if has_p:
-        pressure = float(gas_doc["pressure"])
-        if not 0.0 < pressure < math.inf:
-            raise ValueError("gas.pressure must be positive")
-    density = float(gas_doc["density"]) if has_n else pressure / kbt
+        pressure = _number(gas_doc, "gas", "pressure", positive=True)
+    density = _number(gas_doc, "gas", "density") if has_n else pressure / kbt
     if has_n and has_p and abs(pressure - density * kbt) > 1e-6 * pressure:
         raise ValueError("inconsistent gas state: pressure != density * k_B * T")
 
-    for label, mass in (("molecule.mass", mol_mass), ("gas.mass", gas_mass)):
-        if not 0.0 < mass < math.inf:
-            raise ValueError(f"{label} must be positive")
     mu_raw = gas_mass * mol_mass / (gas_mass + mol_mass)
     qth_raw = math.sqrt(2.0 * mu_raw * kbt)
 
@@ -299,10 +305,13 @@ def load_config(text):
         c6=c6 / (energy0 * length0**6),
     )
     kwargs = {}
-    for key, value in num_doc.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"numerics.{key} must be finite")
-        kwargs[key] = int(value) if key in _NUMERICS_INT else float(value)
+    for key in num_doc:
+        value = _number(num_doc, "numerics", key)
+        # is_integer is False for NaN and inf; NumericsSpec refuses a
+        # non-finite b_max
+        if key in _NUMERICS_INT and not value.is_integer():
+            raise ValueError(f"numerics.{key} must be an integer, got {value!r}")
+        kwargs[key] = int(value) if key in _NUMERICS_INT else value
     numerics = NumericsSpec(**kwargs)
     return SystemSpec(molecule, gas, numerics, scales, system)
 

@@ -334,12 +334,15 @@ def test_huge_anisotropy_is_a_config_error(tmp_path, capsys):
                                                   "--tfinal", "0.05", "--dt", "0.001"]),
         ("numerics", "b_max", "NaN", ["validate", "--only", "optical theorem"]),
         ("numerics", "j_max", "1e999", ["sweep", "--jmax", "10"]),
+        ("numerics", "quad_order_q", "47.9", ["rates", "--j", "4", "--jprime", "2"]),
+        ("molecule", "mass", "true", ["rates", "--j", "4", "--jprime", "2"]),
     ],
 )
 def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, monkeypatch, section, key,
                                                     raw, command):
     # these used to print gamma = nan or inf, a silent zero anisotropy, a
-    # drift error (exit 3), a failed criterion (exit 1) or a traceback
+    # drift error (exit 3), a failed criterion (exit 1) or a traceback; a
+    # fractional order ran at order 47, and true loaded as the mass 1
     doc = json.loads(_n1_text())
     doc.setdefault(section, {})[key] = "@"
     cfg = tmp_path / "bad.json"

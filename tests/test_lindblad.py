@@ -292,7 +292,7 @@ def test_linearized_dissipator_ignores_the_sphere_order():
     low, default = (lb.build_dissipator(n1_spec(numerics={"quad_order_sphere": order}), layout)
                     for order in (8, 302))
     assert low.metadata["sphere_nodes"] == 8 and low.converged
-    for name in ("kmat", "diagonals", "weights", "offsets", "aniso_mean"):
+    for name in ("kmat", "diagonals", "offsets", "aniso_mean"):
         np.testing.assert_array_equal(getattr(low, name), getattr(default, name))
     assert low.metadata["order_doubling_drift"] == default.metadata["order_doubling_drift"]
 
@@ -373,9 +373,10 @@ def test_apply_matches_literal_jump_sum_linearized():
     spec = n1_spec()
     layout = lb.BasisLayout(0, 3)
     dset = lb.build_dissipator(spec, layout)
-    # each template is one op on its own band, the bands in ascending order
-    assert dset.offsets.tolist() == sorted(lb.TEMPLATE_OFFSETS)
-    assert dset.weights.shape == (5, 1) and dset.diagonals.shape == (5, 1, layout.dim)
+    # each template is one op on its own band; the bands q >= 0 are stored
+    # in ascending order, and those of -1 and -2 are their transposes
+    assert dset.offsets.tolist() == [0, 1, 2]
+    assert dset.diagonals.shape == (3, 1, layout.dim)
     assert dset.diagonals.dtype == dset.aniso_mean.dtype == np.float64
     state = random_state(layout, seed=7)
     fast = dset.apply(state.matrix)
@@ -387,11 +388,10 @@ def test_apply_matches_literal_jump_sum_spectral():
     spec = spectral_spec()
     layout = lb.BasisLayout(1, 3)
     dset = lb.build_dissipator(spec, layout, backend="spectral")
-    # one op per ring in each band q in [-2 j_max, 2 j_max]
+    # one op per ring in each band q in [0, 2 j_max]; band -q is the transpose
     n_rings = len(make_rule("ring", spec.numerics.quad_order_sphere))
-    assert dset.offsets.tolist() == list(range(-6, 7))
-    assert dset.weights.shape == (13, n_rings)
-    assert dset.diagonals.shape == (13, n_rings, layout.dim)
+    assert dset.offsets.tolist() == list(range(7))
+    assert dset.diagonals.shape == (7, n_rings, layout.dim)
     # the ring-node shapes are real, and so is the family
     assert dset.diagonals.dtype == dset.aniso_mean.dtype == np.float64
     state = random_state(layout, seed=11)
@@ -461,14 +461,12 @@ def test_apply_matches_dense_oracle():
     noise = rng.normal(size=jj.shape) + 1j * rng.normal(size=jj.shape)
     sector = np.where((jj == 4) & (jp == 2) & (qq == 1), noise, 0)
     band3 = band_beyond_chain_family()
-    unequal = unequal_weights_family(spec, lb.BasisLayout(2, 4))
     cases = [
         (lb.build_dissipator(spec, full), random_state(full, seed=41).matrix),
         (spectral, random_state(spectral.layout, seed=43).matrix),
         (lb.build_dissipator(spec, probe_layout), probe.matrix),
         (spectral, sector),
         (band3, random_state(band3.layout, seed=29).matrix),
-        (unequal, random_state(unequal.layout, seed=47).matrix),
     ]
     for k, (dset, rho) in enumerate(cases):
         oracle = dense_action(dset, rho)
@@ -763,19 +761,22 @@ def test_chain_flow_properties(j_min, n_blocks, seed, rank, support, t):
 
 
 def dense_jumps(dset):
-    """(collision_weight * w_k, A_k) with A_k the dense D x D jump."""
+    """(collision_weight, B) for every dense D x D jump B of dset: each
+    stored op of band q, and its transpose on band -q where q > 0."""
     d = dset.layout.dim
-    for q, band_weights, band in zip(dset.offsets.tolist(), dset.weights, dset.diagonals):
-        for w, a in zip(band_weights, band):
+    rows = np.arange(d)
+    for q, band in zip(dset.offsets.tolist(), dset.diagonals):
+        for b in band:
             op = np.zeros((d, d), dtype=complex)
-            rows = np.arange(max(0, -q), d - max(0, q))
-            op[rows, rows + q] = a[rows]
-            yield dset.collision_weight * w, op
+            op[rows[: d - q], rows[q:]] = b[: d - q]
+            yield dset.collision_weight, op
+            if q:
+                yield dset.collision_weight, op.T
 
 
 def dense_action(dset, rho):
     """Oracle of DissipatorSet.apply:
-    sum_k cw w_k (A_k rho A_k^+ - {A_k^+ A_k, rho}/2) on the dense jumps."""
+    sum_k cw (B_k rho B_k^+ - {B_k^+ B_k, rho}/2) on the dense jumps."""
     out = np.zeros(rho.shape, dtype=complex)
     for w, op in dense_jumps(dset):
         k = op.conj().T @ op
@@ -864,46 +865,13 @@ def test_chain_flow_matches_dense_rk4():
             assert np.max(np.abs(a.matrix - b)) <= 1e-12
 
 
-def unequal_weights_family(spec, layout):
-    """The linearized family with unequal weights on its q = -1 and q = +1
-    templates: every op stays on one band, but the chain generators are not
-    symmetric."""
-    base = lb.build_dissipator(spec, layout)
-    weights = base.weights * np.array([1.0, 0.5, 1.0, 1.5, 1.0])[:, None]
-    return lb.DissipatorSet(
-        layout, base.collision_weight, weights, base.offsets, base.diagonals, base.aniso_mean
-    )
-
-
 def band_beyond_chain_family():
-    """One real symmetric jump on the bands q = -3 and 3 of the j = 2 block:
-    its chains of length 2 (the Q = +-3 diagonals) have no partner q steps
-    along."""
-    diagonals = np.array([[[0.0, 0.0, 0.0, 0.3, -0.2]], [[0.3, -0.2, 0.0, 0.0, 0.0]]])
+    """One jump on the band q = 3 of the j = 2 block, and its transpose on
+    q = -3: its chains of length 2 (the Q = +-3 diagonals) have no partner
+    q steps along."""
     layout = lb.BasisLayout(2, 2)
-    return lb.DissipatorSet(
-        layout, 1.0, np.ones((2, 1)), np.array([-3, 3]), diagonals, np.zeros(5)
-    )
-
-
-def test_propagate_refuses_a_non_symmetric_family():
-    # unequal weights on bands -1 and +1 make the chain generators
-    # non-symmetric: V diag(lam) V^T cannot reproduce them, so propagate
-    # refuses the family, while its action on the chains stays exact
-    spec = n1_spec()
-    layout = lb.BasisLayout(2, 4)
-    dset = unequal_weights_family(spec, layout)
-    rho0 = lb.centrifuge_state(layout, {2: 0.6, 3: 0.5, 4: math.sqrt(1 - 0.61)})
-    with pytest.raises(lb.NumericalDriftError, match="misses it"):
-        lb.propagate(rho0, dset, spec, 0.2, 0.002)
-    oracle = dense_action(dset, rho0.matrix)
-    action = lb._chain_action(dset, rho0.pattern, rho0.values)
-    assert np.max(np.abs(action - oracle[rho0.pattern.rows, rho0.pattern.cols])) <= (
-        1e-14 * np.max(np.abs(oracle)))
-    # the chains hold every entry the oracle reaches
-    outside = np.ones(oracle.shape, dtype=bool)
-    outside[rho0.pattern.rows, rho0.pattern.cols] = False
-    assert np.all(oracle[outside] == 0)
+    return lb.DissipatorSet(layout, 1.0, np.array([3]), np.array([[[0.3, -0.2, 0.0, 0.0, 0.0]]]),
+                            np.zeros(5))
 
 
 def test_band_beyond_chain_length():
@@ -925,30 +893,31 @@ def test_band_beyond_chain_length():
 def test_transposed_chain_generator_is_conjugate(backend, window, aniso):
     # the dissipator maps rho^+ to D(rho)^+, so the generator of the chain
     # holding the transposed entries is the conjugate of the chain's own;
-    # both families are real, so it is the same real matrix
+    # both families are real, so it is the same real matrix.  Each band's
+    # gain is one product written on both sides of the diagonal, so the
+    # generators are symmetric and equal for a chain and its transpose, bit
+    # for bit
     spec = n1_spec() if aniso is None else spectral_spec(set=[("molecule", "alpha_aniso", aniso)])
     layout = lb.BasisLayout(*window)
     dset = lb.build_dissipator(spec, layout, backend=backend)
     rows, cols = np.indices((layout.dim, layout.dim)).reshape(2, -1)
     for chain_rows, chain_cols in lb._occupied_chains(layout, rows, cols):
         gen = lb._chain_generators(dset, chain_rows, chain_cols)
-        transposed = lb._chain_generators(dset, chain_cols, chain_rows)
         assert gen.dtype == np.float64
-        assert np.max(np.abs(transposed - gen)) <= 1e-14 * np.max(np.abs(gen))
+        np.testing.assert_array_equal(gen, gen.transpose(0, 2, 1))
+        np.testing.assert_array_equal(lb._chain_generators(dset, chain_cols, chain_rows), gen)
 
 
 def test_ill_conditioned_chain_generator_raises_drift():
-    # unit ops on bands +1 and -1 make the Q = +-1 chains of the j = 1 block
-    # the real [[a, b], [b, a]] with a = -3/2, b = 1.  A residual whose
+    # a unit op on band 1 and its transpose make the Q = +-1 chains of the
+    # j = 1 block the real [[a, b], [b, a]] with a = -3/2, b = 1.  A residual whose
     # difference along the chain is 2 b (in units of hbar) adds -2 i b to
     # one diagonal entry: the complex symmetric (a - i b) I + b [[-i, 1],
     # [1, i]] has a nilpotent part, one eigenvector with x^T x = 0 and no
     # eigenbasis V with V^-1 = V^T.  Half that residual leaves two distinct
     # eigenvalues, and the flow
     layout = lb.BasisLayout(1, 1)
-    diagonals = np.array([[[0.0, 1.0, 1.0]], [[1.0, 1.0, 0.0]]])
-    dset = lb.DissipatorSet(layout, 1.0, np.ones((2, 1)), np.array([-1, 1]), diagonals,
-                            np.zeros(3))
+    dset = lb.DissipatorSet(layout, 1.0, np.array([1]), np.array([[[1.0, 1.0, 0.0]]]), np.zeros(3))
     rho0 = random_state(layout, seed=53)
     rows, cols = lb._occupied_chains(layout, [0, 1], [1, 2])[0]
     np.testing.assert_array_equal(lb._chain_generators(dset, rows, cols),
@@ -1306,9 +1275,9 @@ def test_chain_flow_matches_expm_oracle(backend):
                 assert np.max(np.abs(got[f, k] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_complex_or_non_symmetric_chains_take_eig():
+def test_complex_chains_take_eig():
     # a chain takes eigh while it is real and eig once a residual gas shift
-    # makes it complex symmetric; a non-symmetric stack is refused.  The
+    # makes it complex symmetric.  The
     # centrifuge chains have lengths 5 (five chains), 7 (three) and 9 (the
     # Q = 0 chain of block (4, 4)); a residual cancels on the Q = 0 chains
     # of blocks (2, 2), (3, 3) and (4, 4), which keep eigh beside the
@@ -1329,8 +1298,6 @@ def test_complex_or_non_symmetric_chains_take_eig():
         _, diag = lb._chain_flow(rho0, dset, levels, residual)
         assert diag["reconstruction_miss"] <= lb.EIG_RECON_TOL
         assert (diag["chains_eigh"], diag["chains_eig"]) == counts
-    with pytest.raises(lb.NumericalDriftError, match="misses it"):
-        lb._chain_flow(rho0, unequal_weights_family(spec, layout), levels, np.zeros(layout.dim))
 
 
 def test_initial_state_memory_scales_with_chains():
@@ -1526,9 +1493,7 @@ def test_drift_monitor_shares_state_tolerances():
     layout = lb.BasisLayout(2, 2)
     rho0 = lb.isotropic_state(layout, {2: 1.0})
     d = layout.dim
-    leaky = lb.DissipatorSet(
-        layout, 1.0, np.zeros((0, 0)), np.zeros(0, dtype=int), np.zeros((0, 0, d)), np.zeros(d)
-    )
+    leaky = lb.DissipatorSet(layout, 1.0, np.zeros(0, dtype=int), np.zeros((0, 0, d)), np.zeros(d))
     leaky.kmat = np.full(layout.dim, -5e-9)
     # the first checked frame past TRACE_TOL: every step, or the only
     # recorded step, the last one at t = 1

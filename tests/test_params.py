@@ -232,6 +232,35 @@ def test_non_finite_config_numbers_are_rejected(section, key, system, raw):
         load_config(json.dumps(base).replace('"@"', raw))
 
 
+@pytest.mark.parametrize(
+    "section, key, raw",
+    [
+        ("numerics", "quad_order_q", "47.9"),
+        ("numerics", "b_nodes", "8.5"),
+        ("numerics", "j_max", "true"),
+        ("numerics", "quad_order_q", '"48"'),
+        ("numerics", "b_max", '"12"'),
+        ("molecule", "alpha_aniso", '"30"'),
+        ("molecule", "mass", "true"),
+        pytest.param("gas", "density", "1" + "0" * 400, id="gas-density-1e400-integer"),
+    ],
+)
+def test_config_numbers_are_json_numbers(section, key, raw):
+    # a string or a boolean used to load as its float or int, an integer
+    # numeric with a fraction was truncated (47.9 ran at order 47), and an
+    # integer past the float range raised OverflowError
+    base = json.loads(doc())
+    base.setdefault(section, {})[key] = "@"
+    with pytest.raises(ValueError, match=re.escape(f"{section}.{key} ")):
+        load_config(json.dumps(base).replace('"@"', raw))
+
+
+def test_integral_floats_load_as_integer_numerics():
+    spec = load_config(doc(numerics={"quad_order_q": 48.0, "j_max": 30.0, "b_max": 12}))
+    assert spec.numerics == NumericsSpec(j_max=30, quad_order_q=48, b_max=12.0)
+    assert type(spec.numerics.quad_order_q) is int and type(spec.numerics.b_max) is float
+
+
 def test_si_temperature_whose_thermal_energy_underflows_is_rejected():
     # k_B T of 1e-302 K rounds to 0.0: the pressure route used to divide by
     # it (ZeroDivisionError), the density route refused it by another name
