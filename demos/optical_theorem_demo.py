@@ -8,12 +8,11 @@ independent routes to the same physics have to agree:
   3. the optical theorem (4 pi / q) Im f(0) with f(0) from the full
      two-dimensional impact-parameter quadrature.
 
-Route 3 exercises different code (matrix exponential against a transverse
-plane wave) than routes 1 and 2, so agreement is a real check, not a
-tautology.  Routes 2 and 3 share the radial rule of the core, where the
-phase a/b^5 passes scattering.PHASE_CAP: an exact rule in u = b^-5.  Their
-agreement with route 1 therefore tests that rule, while their agreement
-with each other tests the rest of route 3.
+Routes 2 and 3 are -4 pi Re of one radial integral
+(scattering._radial_jump_integral), route 3 at twice the nodes and twice
+b_max, so their agreement measures that integral's node doubling, not the
+optical theorem.  Their agreement with route 1, and the forward amplitude
+against its closed form below, test the integral itself.
 """
 
 import json

@@ -259,12 +259,11 @@ class DissipatorSet:
     collision_weight; B_k = sqrt(w_k) A_k carry the direction average with
     their quadrature weights folded in.  Every B_k lies on one diagonal
     m' - m = q, and A symmetric makes the ops of band -q the transposes of
-    those of band q, so only the bands q >= 0 are stored: offsets (Q,)
-    lists them in ascending order, and the n ops of band q = offsets[i] are
-    diagonals[i] (n, D), diagonals[i, k, r] = B_k[r, r + q], zero where
-    r + q leaves the j block of row r.  An op of a band q > 0 stands for
-    itself and its transpose.  kmat is the diagonal of sum B^T B over all
-    of them.
+    those of band q, so only the bands q = 0 .. Q - 1 are stored: the n ops
+    of band q are diagonals[q] (n, D), diagonals[q, k, r] = B_k[r, r + q],
+    zero where r + q leaves the j block of row r.  An op of a band q > 0
+    stands for itself and its transpose.  kmat is the diagonal of sum B^T B
+    over all of them.
 
     aniso_mean is the diagonal of the sphere mean (1/4 pi) Int d^2n' A(n')
     of the anisotropy the family discretizes, which the azimuth average
@@ -280,15 +279,14 @@ class DissipatorSet:
     through it.
     """
 
-    def __init__(self, layout, collision_weight, offsets, diagonals, aniso_mean, metadata=None):
+    def __init__(self, layout, collision_weight, diagonals, aniso_mean, metadata=None):
         self.layout = layout
         self.collision_weight = collision_weight
-        self.offsets = offsets  # (Q,) int, ascending from 0
-        self.diagonals = diagonals  # (Q, n, D) real
+        self.diagonals = diagonals  # (Q, n, D) real, band q at index q
         self.aniso_mean = aniso_mean  # (D,) real
         self.metadata = {} if metadata is None else metadata
         self.kmat = np.zeros(layout.dim)  # (D,) real
-        for q, b in zip(offsets.tolist(), diagonals):
+        for q, b in enumerate(diagonals):
             # B^T B holds b[r]^2 at r + q, and the transpose's B B^T at r
             square = np.square(b).sum(axis=0)
             self.kmat[q:] += square[: layout.dim - q]
@@ -331,8 +329,9 @@ def _chain_action(dset, pattern, values):
 
 
 def _jump_family(spec, layout, backend, kappa_mode):
-    """(offsets, diagonals, aniso_mean) of the direction-averaged jump family,
-    its bands q >= 0 with the weights folded in, as DissipatorSet stores it.
+    """(diagonals, aniso_mean) of the direction-averaged jump family, its
+    bands q >= 0 with the weights folded in, band q at diagonals[q], as
+    DissipatorSet stores it.
 
     Linearized: A(n') = (2/5) sum_a g_a(n') T_a.  The sphere moments of
     g_a g_b^* vanish for a != b and equal rates.TEMPLATE_MOMENTS[|q_a|], the
@@ -353,17 +352,15 @@ def _jump_family(spec, layout, backend, kappa_mode):
     w_theta, and aniso_mean is the band-0 (diagonal) mean.
     """
     if backend == "linearized":
-        offsets = np.arange(3)
-        ops = _band_diagonals(layout, offsets, 1, lambda j: [
+        ops = _band_diagonals(layout, 1, lambda j: [
             v[None] for v in template_bands(j, spec.molecule, kappa_mode)])
         ops *= 0.4 * np.sqrt(TEMPLATE_MOMENTS)[:, None, None]
-        return offsets, ops, np.zeros(layout.dim)
+        return ops, np.zeros(layout.dim)
     if backend != "spectral":
         raise ValueError("unknown backend %r" % backend)
     from . import scattering
 
     ring = make_rule("ring", spec.numerics.quad_order_sphere)
-    offsets = np.arange(2 * layout.j_max + 1)
     root = np.sqrt(ring.weights)[:, None]
 
     def bands(j):
@@ -373,25 +370,26 @@ def _jump_family(spec, layout, backend, kappa_mode):
             raise NumericalDriftError("ring-node shapes of j=%d are complex: %.3g" % (j, imag))
         aniso = shapes.real - np.eye(2 * j + 1)
         aniso = 0.5 * (aniso + aniso.transpose(0, 2, 1))
-        return [root * np.diagonal(aniso, q, axis1=1, axis2=2) for q in offsets]
+        return [root * np.diagonal(aniso, q, axis1=1, axis2=2) for q in range(2 * j + 1)]
 
-    ops = _band_diagonals(layout, offsets, len(ring), bands)
-    return offsets, ops, root[:, 0] @ ops[0] / (4.0 * math.pi)
+    ops = _band_diagonals(layout, len(ring), bands)
+    return ops, root[:, 0] @ ops[0] / (4.0 * math.pi)
 
 
-def _band_diagonals(layout, offsets, n, bands):
-    """(len(offsets), n, D) diagonals of the bands q >= 0 of n real block
+def _band_diagonals(layout, n, bands):
+    """(Q, n, D) diagonals of the bands q = 0 .. Q - 1 of n real block
     matrices.
 
-    bands(j) lists, for each q in offsets, the (n, 2j + 1 - q) band q of
-    the n matrices of block j (empty where q > 2j).  Entry [i, k, r] is
-    M_k[r, r + offsets[i]] of the block holding row r, and zero where the
-    band leaves that block.
+    bands(j) lists the (n, 2j + 1 - q) bands q = 0, 1, ... of the n
+    matrices of block j, and Q is the longest of those lists.  Entry
+    [q, k, r] is M_k[r, r + q] of the block holding row r, and zero where
+    the band leaves that block or its block lists no band q.
     """
-    out = np.zeros((len(offsets), n, layout.dim))
-    for j, sl in layout.blocks():
-        for i, band in enumerate(bands(j)):
-            out[i, :, sl.start : sl.start + band.shape[1]] = band
+    blocks = [(sl, bands(j)) for j, sl in layout.blocks()]
+    out = np.zeros((max(len(listed) for _, listed in blocks), n, layout.dim))
+    for sl, listed in blocks:
+        for q, band in enumerate(listed):
+            out[q, :, sl.start : sl.start + band.shape[1]] = band
     return out
 
 
@@ -440,9 +438,6 @@ def build_dissipator(spec, layout, backend="linearized", kappa_mode="exact"):
         action, ring_action = (_chain_action(d, probe.pattern, probe.values) for d in (dset, ring))
     drift, converged = order_doubling_drift(action, radial * action, ring_action)
     dset.metadata = {
-        "backend": backend,
-        "kappa_mode": kappa_mode,
-        "quad_order_q": num.quad_order_q,
         "sphere_nodes": n_sphere,
         "order_doubling_drift": drift,
         "converged": converged,
@@ -746,18 +741,19 @@ def _chain_generators(dset, rows, cols):
     Entry [i, i] is -collision_weight (kmat[r] + kmat[c]) / 2 at the chain's
     i-th entry (r, c), plus the gain G_0[r, c], and entries [i, i + q] and
     [i + q, i] are the one gain G_q[r, c] (DissipatorSet) with which band q
-    and its transpose exchange rho[r + q, c + q] and rho[r, c].  Real and
-    symmetric by construction, and bit for bit the same for a chain and its
-    transpose.
+    and its transpose exchange rho[r + q, c + q] and rho[r, c].  Only the
+    bands diagonals[:n] enter: a band q >= n would pair an entry with one
+    past the chain's end, across a block edge, where its diagonal is 0.
+    Real and symmetric by construction, and bit for bit the same for a
+    chain and its transpose.
     """
     cw = dset.collision_weight
     n = rows.shape[1]
     steps = np.arange(n)
     gen = np.zeros(rows.shape + (n,))
     gen[:, steps, steps] = (-0.5 * cw) * (dset.kmat[rows] + dset.kmat[cols])
-    for q, b in zip(dset.offsets.tolist(), dset.diagonals):
-        # a partner beyond the chain's end crosses a block edge, where b is 0
-        s = steps[: max(0, n - q)]
+    for q, b in enumerate(dset.diagonals[:n]):
+        s = steps[: n - q]
         gen[:, s, s + q] += cw * (b[:, rows[:, s]] * b[:, cols[:, s]]).sum(axis=0)
         gen[:, s + q, s] = gen[:, s, s + q]
     return gen

@@ -118,14 +118,16 @@ class NumericsSpec(
 
     j_max bounds the j range of sweeps and of propagate layouts. b_max is
     the outer cutoff of impact-parameter integrals in units of the eikonal
-    phase length a(q)^(1/5); b_nodes is the Gauss node count per adaptive
-    radial panel.
+    phase length a(q)^(1/5), 48 by default: the radial panels keep the far
+    tail resolved out to it, and at a = 1 the forward radial integral meets
+    its closed form to 1e-14; b_nodes is the Gauss node count per adaptive
+    radial panel.  schiff_amplitude_full doubles both.
     """
 
     __slots__ = ()
 
     def __new__(cls, j_max=1000, quad_order_q=48, quad_order_sphere=302,
-                quad_order_circle=64, b_max=12.0, b_nodes=8):
+                quad_order_circle=64, b_max=48.0, b_nodes=8):
         self = super().__new__(
             cls, j_max, quad_order_q, quad_order_sphere, quad_order_circle, b_max, b_nodes
         )

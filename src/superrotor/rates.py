@@ -339,11 +339,7 @@ def _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode):
         drift, converged = mathkit.order_doubling_drift(base, r_fine * a, r * a_fine)
         meta = {
             "converged": converged,
-            "order_q": nq,
-            "order_sphere": ns,
             "order_doubling_drift": drift,
-            "backend": amplitude_backend,
-            "kappa_mode": kappa_mode,
         }
         rows.append(
             RateResult(j, j_prime, base, "quadrature", a_coefficient(j, j_prime), meta)

@@ -12,10 +12,11 @@ Each amplitude is a plain (2j + 1, 2j + 1) complex array indexed by (m, m')
 with m running -j..j, in internal length units (multiply by
 UnitScales.length for SI).
 
-The full amplitude and the b-space cross section share one radial rule:
-Gauss panels in b from the core radius, where the phase a/b^5 reaches
-PHASE_CAP, out to b_max, and inside the core an exact rule in u = b^-5
-(_core_integral) that resolves the oscillation rather than averaging it out.
+The full amplitude and the b-space cross section share one radial integral
+(_radial_jump_integral): Gauss panels in b from the core radius, where the
+phase a/b^5 reaches PHASE_CAP, out to b_max, and inside the core an exact
+rule in u = b^-5 (_core_integral) that resolves the oscillation rather than
+averaging it out.
 
 Everything runs in internal units with hbar = 1. The pieces the numpy-free
 rate route shares with this module (kappa, eikonal_strength, forward_scalar
@@ -201,13 +202,15 @@ def forward_amplitude_spectral(j, q, n_prime, spec, kappa_mode="exact"):
     return forward_scalar(q, spec) * spectral_shapes(j, n_prime[None], spec, kappa_mode)[0]
 
 
-def _phase_panels(rule, b, b_max, mag, slope=0.0):
+def _phase_panels(rule, b, b_max, mag, slope):
     """(nodes, weights) of the interval rule mapped onto each panel of
     [b, b_max]. A panel starting at b is pi / (5 mag / b^6 + slope) wide,
-    cut at b_max, so the phase a/b^5 of strength |a| = mag plus a plane-wave
-    phase of the given slope advance by at most pi across it."""
+    so the phase a/b^5 of strength |a| = mag plus a plane-wave phase of the
+    given slope advance by at most pi across it, but no wider than b itself
+    (where the phase has died out, that width would grow as b^6) and cut at
+    b_max."""
     while b < b_max:
-        db = min(math.pi / (5.0 * mag / b**6 + slope), b_max - b)
+        db = min(math.pi / (5.0 * mag / b**6 + slope), b, b_max - b)
         yield 0.5 * (rule.nodes + 1.0) * db + b, 0.5 * db * rule.weights
         b += db
 
@@ -234,8 +237,9 @@ def _radial_jump_integral(a_phase, c_transverse, pts, bmax_factor):
     Inside b_min (accumulated phase PHASE_CAP) the core takes e^{ia/b^5}
     from _core_integral and -b e^{-icb} on one panel of pts nodes. The
     oscillatory zone out to b_max = bmax_factor |a|^(1/5) is covered by
-    panels holding the combined phase advance below pi each; the far tail
-    uses e^{i a/b^5} - 1 ~ i a/b^5.
+    panels holding the combined phase advance below pi each, none wider
+    than its start radius (_phase_panels); the far tail uses
+    e^{i a/b^5} - 1 ~ i a/b^5.
     """
     if a_phase == 0.0:
         return 0.0 + 0.0j
@@ -258,18 +262,17 @@ def _radial_jump_integral(a_phase, c_transverse, pts, bmax_factor):
     return total
 
 
-def _schiff_entries(j, q, n_out, n_in, spec, pts):
+def _schiff_entries(j, q, n_out, n_in, spec, pts, bmax_factor):
     rule = make_rule("circle", spec.numerics.quad_order_circle)
     e_b = _circle_directions(n_in[None], rule.nodes)[0]
     d = 2 * int(j) + 1
     a_q = eikonal_strength(q, spec)
     transfer = (q / HBAR) * (np.asarray(n_out, dtype=float) - np.asarray(n_in, dtype=float))
-    coup = _place_bands(_collision_factors(n_in, e_b), template_bands(j, spec.molecule))
-    lams, vecs = np.linalg.eigh(np.eye(d) + coup)
+    lams, vecs = np.linalg.eigh(np.eye(d) + coupling_matrix(j, n_in, e_b, spec.molecule))
     acc = np.zeros((d, d), dtype=complex)
     for w, lam, vec, c_t in zip(rule.weights, lams, vecs, e_b @ transfer):
         radial = np.array(
-            [_radial_jump_integral(a_q * lv, c_t, pts, spec.numerics.b_max) for lv in lam]
+            [_radial_jump_integral(a_q * lv, c_t, pts, bmax_factor) for lv in lam]
         )
         acc += w * ((vec * radial) @ vec.conj().T)
     return -(1j * q / (2.0 * math.pi * HBAR)) * acc
@@ -280,21 +283,23 @@ def schiff_amplitude_full(j, q, n_out, n_in, spec):
 
     Integrates the matrix exponential of the phase (via eigendecomposition)
     against the transverse plane-wave factor. Returns (entries, converged):
-    the (2j + 1, 2j + 1) array at the doubled radial node count, and whether
-    doubling moved the result by at most 0.1% (mathkit.order_doubling_drift);
-    intended for small j at desk scale.  The core is integrated exactly
-    (_core_integral), so the flag sees the panels' error: on n1 (a = 1) the
-    isotropic forward Im f meets its closed form to 2.4e-10 relative.  It
-    doubles b_nodes but not b_max, so off forward it cannot see the
-    truncation of the far tail at b_max (7.9e-5 at a = 1, c = 0.5).
+    the (2j + 1, 2j + 1) array at twice b_nodes and twice b_max, and
+    whether doubling both moved the result by at most 0.1%
+    (mathkit.order_doubling_drift); intended for small j at desk scale.  The
+    core is integrated exactly (_core_integral) and the far tail resolved
+    out to b_max, so the flag sees both the panels' error and the
+    truncation: on n1 (a = 1) the isotropic forward Im f meets its closed
+    form to 1.3e-14 relative, and at b_max = 2 an off-forward amplitude
+    1.3e-2 off the b_max = 400 one reports not converged.
     """
     j = int(j)
     if j < 0 or q <= 0.0:
         raise ValueError("schiff_amplitude_full: need j >= 0 and q > 0")
     n_in = _check_unit(n_in, "n_in")
     n_out = _check_unit(n_out, "n_out")
-    base = _schiff_entries(j, q, n_out, n_in, spec, spec.numerics.b_nodes)
-    fine = _schiff_entries(j, q, n_out, n_in, spec, 2 * spec.numerics.b_nodes)
+    num = spec.numerics
+    base = _schiff_entries(j, q, n_out, n_in, spec, num.b_nodes, num.b_max)
+    fine = _schiff_entries(j, q, n_out, n_in, spec, 2 * num.b_nodes, 2.0 * num.b_max)
     _, converged = order_doubling_drift(base, fine)
     return fine, converged
 
@@ -312,18 +317,16 @@ def scalar_cross_section_bspace(q, spec):
     This equals the scattered-wave norm Int d^2n |f|^2 of the eikonal
     amplitude, so comparing against (4 pi hbar / q) Im f(forward) tests the
     optical theorem without an angular grid (whose slowly decaying large-angle
-    tail is not capturable at desk scale).  It takes the core from
-    _core_integral and b_nodes panels outside it, the radial rule of
-    schiff_amplitude_full: on n1 this reads 7.569866 against the closed
-    form's 7.569868 (2.3e-7 relative, the panels' error at 8 nodes).
+    tail is not capturable at desk scale).  |e^{i a/b^5} - 1|^2 is
+    -2 Re(e^{i a/b^5} - 1), so this is -4 pi Re of the forward
+    _radial_jump_integral at b_nodes, the radial integral of
+    schiff_amplitude_full, plus the second-order tail a^2/(8 b_max^8) that
+    the integral's first-order tail term, imaginary, leaves out.  On n1 it
+    reads 7.56986765 against the closed form's 7.56986754 (1.5e-8 relative,
+    the panels' error at 8 nodes).
     """
     a_q = eikonal_strength(q, spec)
-    b_min = (a_q / PHASE_CAP) ** 0.2
     b_max = spec.numerics.b_max * a_q**0.2
-    # core: Int_0^b_min b (2 - 2 cos(a/b^5)) db
-    total = b_min**2 - 2.0 * _core_integral(a_q, 0.0).real
-    for xs, ws in _phase_panels(make_rule("interval", spec.numerics.b_nodes), b_min, b_max, a_q):
-        total += np.sum(ws * xs * (2.0 - 2.0 * np.cos(a_q / xs**5)))
+    jump = _radial_jump_integral(a_q, 0.0, spec.numerics.b_nodes, spec.numerics.b_max)
     # tail: 2 - 2 cos(a/b^5) ~ a^2/b^10
-    total += a_q**2 / (8.0 * b_max**8)
-    return 2.0 * math.pi * total
+    return 2.0 * math.pi * (-2.0 * jump.real + a_q**2 / (8.0 * b_max**8))

@@ -292,7 +292,7 @@ def test_linearized_dissipator_ignores_the_sphere_order():
     low, default = (lb.build_dissipator(n1_spec(numerics={"quad_order_sphere": order}), layout)
                     for order in (8, 302))
     assert low.metadata["sphere_nodes"] == 8 and low.converged
-    for name in ("kmat", "diagonals", "offsets", "aniso_mean"):
+    for name in ("kmat", "diagonals", "aniso_mean"):
         np.testing.assert_array_equal(getattr(low, name), getattr(default, name))
     assert low.metadata["order_doubling_drift"] == default.metadata["order_doubling_drift"]
 
@@ -373,9 +373,8 @@ def test_apply_matches_literal_jump_sum_linearized():
     spec = n1_spec()
     layout = lb.BasisLayout(0, 3)
     dset = lb.build_dissipator(spec, layout)
-    # each template is one op on its own band; the bands q >= 0 are stored
-    # in ascending order, and those of -1 and -2 are their transposes
-    assert dset.offsets.tolist() == [0, 1, 2]
+    # each template is one op on its own band; band q >= 0 is stored at
+    # index q, and the bands -1 and -2 are the transposes of 1 and 2
     assert dset.diagonals.shape == (3, 1, layout.dim)
     assert dset.diagonals.dtype == dset.aniso_mean.dtype == np.float64
     state = random_state(layout, seed=7)
@@ -388,9 +387,9 @@ def test_apply_matches_literal_jump_sum_spectral():
     spec = spectral_spec()
     layout = lb.BasisLayout(1, 3)
     dset = lb.build_dissipator(spec, layout, backend="spectral")
-    # one op per ring in each band q in [0, 2 j_max]; band -q is the transpose
+    # one op per ring in each band q in [0, 2 j_max], at index q; band -q
+    # is the transpose
     n_rings = len(make_rule("ring", spec.numerics.quad_order_sphere))
-    assert dset.offsets.tolist() == list(range(7))
     assert dset.diagonals.shape == (7, n_rings, layout.dim)
     # the ring-node shapes are real, and so is the family
     assert dset.diagonals.dtype == dset.aniso_mean.dtype == np.float64
@@ -765,7 +764,7 @@ def dense_jumps(dset):
     stored op of band q, and its transpose on band -q where q > 0."""
     d = dset.layout.dim
     rows = np.arange(d)
-    for q, band in zip(dset.offsets.tolist(), dset.diagonals):
+    for q, band in enumerate(dset.diagonals):
         for b in band:
             op = np.zeros((d, d), dtype=complex)
             op[rows[: d - q], rows[q:]] = b[: d - q]
@@ -866,12 +865,13 @@ def test_chain_flow_matches_dense_rk4():
 
 
 def band_beyond_chain_family():
-    """One jump on the band q = 3 of the j = 2 block, and its transpose on
-    q = -3: its chains of length 2 (the Q = +-3 diagonals) have no partner
-    q steps along."""
+    """One jump on the band q = 3 of the j = 2 block (zero bands 0 to 2),
+    and its transpose on q = -3: its chains of length 2 (the Q = +-3
+    diagonals) have no partner q steps along."""
     layout = lb.BasisLayout(2, 2)
-    return lb.DissipatorSet(layout, 1.0, np.array([3]), np.array([[[0.3, -0.2, 0.0, 0.0, 0.0]]]),
-                            np.zeros(5))
+    bands = np.zeros((4, 1, 5))
+    bands[3, 0, :2] = [0.3, -0.2]
+    return lb.DissipatorSet(layout, 1.0, bands, np.zeros(5))
 
 
 def test_band_beyond_chain_length():
@@ -909,15 +909,16 @@ def test_transposed_chain_generator_is_conjugate(backend, window, aniso):
 
 
 def test_ill_conditioned_chain_generator_raises_drift():
-    # a unit op on band 1 and its transpose make the Q = +-1 chains of the
-    # j = 1 block the real [[a, b], [b, a]] with a = -3/2, b = 1.  A residual whose
-    # difference along the chain is 2 b (in units of hbar) adds -2 i b to
-    # one diagonal entry: the complex symmetric (a - i b) I + b [[-i, 1],
+    # a zero band 0, and a unit op on band 1 and its transpose, make the
+    # Q = +-1 chains of the j = 1 block the real [[a, b], [b, a]] with
+    # a = -3/2, b = 1.  A residual whose difference along the chain is 2 b
+    # (in units of hbar) adds -2 i b to one diagonal entry: the complex symmetric (a - i b) I + b [[-i, 1],
     # [1, i]] has a nilpotent part, one eigenvector with x^T x = 0 and no
     # eigenbasis V with V^-1 = V^T.  Half that residual leaves two distinct
     # eigenvalues, and the flow
     layout = lb.BasisLayout(1, 1)
-    dset = lb.DissipatorSet(layout, 1.0, np.array([1]), np.array([[[1.0, 1.0, 0.0]]]), np.zeros(3))
+    dset = lb.DissipatorSet(layout, 1.0, np.array([[[0.0, 0.0, 0.0]], [[1.0, 1.0, 0.0]]]),
+                            np.zeros(3))
     rho0 = random_state(layout, seed=53)
     rows, cols = lb._occupied_chains(layout, [0, 1], [1, 2])[0]
     np.testing.assert_array_equal(lb._chain_generators(dset, rows, cols),
@@ -1493,7 +1494,7 @@ def test_drift_monitor_shares_state_tolerances():
     layout = lb.BasisLayout(2, 2)
     rho0 = lb.isotropic_state(layout, {2: 1.0})
     d = layout.dim
-    leaky = lb.DissipatorSet(layout, 1.0, np.zeros(0, dtype=int), np.zeros((0, 0, d)), np.zeros(d))
+    leaky = lb.DissipatorSet(layout, 1.0, np.zeros((0, 0, d)), np.zeros(d))
     leaky.kmat = np.full(layout.dim, -5e-9)
     # the first checked frame past TRACE_TOL: every step, or the only
     # recorded step, the last one at t = 1

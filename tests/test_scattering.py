@@ -420,3 +420,44 @@ def test_bspace_cross_section_matches_closed_form():
     q = spec.thermal_momentum
     sigma_b = scalar_cross_section_bspace(q, spec)
     assert sigma_b == pytest.approx(scalar_cross_section_closed_form(q, spec), rel=1e-6)
+
+
+def test_forward_radial_integral_reaches_its_closed_form():
+    # Int b (e^{i/b^5} - 1) db = Gamma(3/5)/2 (i cos(3pi/10) - sin(3pi/10)):
+    # panels no wider than their start radius keep the far tail resolved out
+    # to the default b_max
+    g35 = math.gamma(0.6)
+    ref = 0.5 * g35 * complex(-math.sin(0.3 * math.pi), math.cos(0.3 * math.pi))
+    total = _radial_jump_integral(1.0, 0.0, 16, n1_spec().numerics.b_max)
+    assert abs(total - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("c, tol", [(0.02, 5e-6), (0.5, 1e-6), (2.0, 5e-7)])
+def test_off_forward_radial_integral_matches_mpmath(c, tol):
+    # Int b e^{-icb} (e^{i/b^5} - 1) db: mpmath on [b_min, 3] and, oscillating
+    # at c, beyond; inside b_min the core rule (checked on its own above)
+    # minus the plane wave's Int b e^{-icb} db
+    b_min = (1.0 / PHASE_CAP) ** 0.2
+
+    def integrand(b):
+        return b * mpmath.expj(-c * b) * (mpmath.expj(b**-5) - 1)
+
+    with mpmath.workdps(20):
+        outer = mpmath.quad(integrand, mpmath.linspace(b_min, 3, 40))
+        outer += mpmath.quadosc(integrand, [3, mpmath.inf], omega=c)
+        plane = mpmath.quad(lambda b: b * mpmath.expj(-c * b), [0, b_min])
+    ref = complex(outer) + _core_integral(1.0, c) - complex(plane)
+    total = _radial_jump_integral(1.0, c, 16, n1_spec().numerics.b_max)
+    assert abs(total - ref) <= tol
+
+
+def test_schiff_flag_sees_the_radial_truncation():
+    # at b_max = 2 the off-forward amplitude misses the b_max = 400 one by
+    # 1.3e-2; doubling b_max with b_nodes lets the flag see it
+    doc = json.loads(builtin_config("n1"))
+    doc["numerics"] = {"b_max": 2.0}
+    tilt = np.array([math.sin(0.5), 0.0, math.cos(0.5)])
+    _, converged = schiff_amplitude_full(0, 1.0, tilt, EZ, load_config(json.dumps(doc)))
+    assert not converged
+    _, converged = schiff_amplitude_full(0, 1.0, tilt, EZ, n1_spec())
+    assert converged
