@@ -46,7 +46,7 @@ def main():
         q = factor * q_th
         sigma_closed = scalar_cross_section_closed_form(q, spec)
         sigma_b = scalar_cross_section_bspace(q, spec)
-        full, converged = schiff_amplitude_full(0, q, Z, Z, spec)
+        full, converged = schiff_amplitude_full(0, q, Z, spec)
         f0 = complex(full[0, 0])
         sigma_opt = 4.0 * math.pi / q * f0.imag
         print("%8.2f %12.6f %12.6f %12.6f %10.5f %10s" %
@@ -55,7 +55,7 @@ def main():
 
     # the forward amplitude itself: 2D quadrature against the exact scalar
     q = q_th
-    full, _ = schiff_amplitude_full(0, q, Z, Z, spec)
+    full, _ = schiff_amplitude_full(0, q, Z, spec)
     f0 = complex(full[0, 0])
     ref = forward_scalar(q, spec)
     print()

@@ -11,10 +11,12 @@ This module imports only the standard library, so the rates and sweep
 commands run without numpy on the closed form and on the linearized
 quadrature route: that route reads the quadrature rules of mathkit as
 Python floats and evaluates the isotropic forward amplitude (forward_scalar)
-and the templates' top-corner band values (template_band) here, beside the
-degree-2 Legendre family they are built from, and both factors of the
-linearized rate, collision_weight and TEMPLATE_MOMENTS, which lindblad's
-jump family reads too. scattering re-exports the scalar pieces. The spectral
+here, and the rows of the linearized chain generator (chain_row) from the
+template band values (template_band), beside the degree-2 Legendre family
+they are built from. The linearized rate is the radial factor
+collision_weight times the top corner of its chain; collision_weight and
+the sphere moments TEMPLATE_MOMENTS are read by lindblad's jump family too.
+scattering re-exports the scalar pieces. The spectral
 backend imports numpy and scattering when called, template_bands and
 energy_shift_matrix numpy; the quadrature route looks mathkit's helpers up
 on that module at each call.
@@ -242,29 +244,47 @@ def gamma_closed_form(j, j_prime, spec):
     return _closed_form_rates([(int(j), int(j_prime))], spec)[0]
 
 
-def _corner_coefficients(j, spec, kappa_mode):
-    # the top-corner column of block j's templates: the diagonal corner
-    # (row j), the first-band (row j - 1) and the second-band (row j - 2)
-    # neighbor; the j = 0 block has no band partners (empty m-sums)
-    mol = spec.molecule
-    corner = template_band(0, j, float(j), mol, kappa_mode)
-    if j == 0:
-        return corner, 0.0, 0.0
-    return (corner, template_band(1, j, j - 1.0, mol, kappa_mode),
-            template_band(2, j, j - 2.0, mol, kappa_mode))
+def chain_row(j, j_prime, Q, m, mol, kappa_mode="exact"):
+    """(diagonal, band 1, band 2) of the linearized generator at row m of
+    chain (j, j', Q), in units of collision_weight: the entries [i, i],
+    [i, i + 1] and [i, i + 2] of the chain whose i-th entry is (m, m - Q)
+    of block (j, j').
+
+    With f_q = 0.16 TEMPLATE_MOMENTS[q] and t_q(j, m) = template_band(q, j,
+    m), zero where m or m + q leaves -j .. j, band q couples (m, m - Q) and
+    (m + q, m - Q + q) with the gain f_q t_q(j, m) t_q(j', m - Q), and the
+    diagonal is that gain at q = 0 minus the mean of k(j, m) and
+    k(j', m - Q), where k(j, m) = f_0 t_0(j, m)^2 + sum_{q=1,2} f_q
+    (t_q(j, m - q)^2 + t_q(j, m)^2).  Standard library only; the numpy
+    route of both jump families, lindblad._chain_generators, is its oracle
+    in the tests.
+    """
+    def band(q, block, row):
+        if -block <= row and row + q <= block:
+            return template_band(q, block, row, mol, kappa_mode)
+        return 0.0
+
+    f0, f1, f2 = (0.16 * moment for moment in TEMPLATE_MOMENTS)
+
+    def loss(block, row):
+        # the band q >= 1 terms of k(block, row)
+        return sum(f * (band(q, block, row - q) ** 2 + band(q, block, row) ** 2)
+                   for q, f in ((1, f1), (2, f2)))
+
+    row = m - Q
+    # k(j, m) + k(j', m - Q) - 2 f_0 t_0 t_0' with its f_0 terms as one
+    # square: summed apart, they cancel and lose digits at large j
+    diag = -0.5 * (f0 * (band(0, j, m) - band(0, j_prime, row)) ** 2
+                   + loss(j, m) + loss(j_prime, row))
+    return (diag, f1 * band(1, j, m) * band(1, j_prime, row),
+            f2 * band(2, j, m) * band(2, j_prime, row))
 
 
 def _corner_integrand_linearized(j, j_prime, spec, kappa_mode):
-    # The forward amplitude is c(q) * (identity + (2/5) averaged coupling),
-    # and the rate integrand touches only the top-corner column of each
-    # block, so three template coefficients per block suffice. The squared
-    # band-k terms carry the geometry factor of band k, whose sphere moment
-    # is TEMPLATE_MOMENTS[k]: the direction integral 2 pi Int d^2n' bracket
-    # is exact and ignores the rule.
-    t0j, b1j, b2j = _corner_coefficients(j, spec, kappa_mode)
-    t0p, b1p, b2p = _corner_coefficients(j_prime, spec, kappa_mode)
-    squares = ((t0j - t0p) ** 2, b1j**2 + b1p**2, b2j**2 + b2p**2)
-    angular = 2.0 * math.pi * 0.16 * sum(m * s for m, s in zip(TEMPLATE_MOMENTS, squares))
+    # The linearized bracket is exact and ignores the rule: A is -4 pi times
+    # the top diagonal entry of chain (j, j', j - j')
+    corner = chain_row(j, j_prime, j - j_prime, j, spec.molecule, kappa_mode)[0]
+    angular = -4.0 * math.pi * corner
     return lambda rule: angular
 
 
@@ -356,7 +376,9 @@ def gamma_numeric(j, j_prime, spec, amplitude_backend="linearized", kappa_mode="
     bracket, so the rate is collision_weight(n_q) A / 4 pi with one radial
     quadrature. The linearized bracket is a sum of band terms whose sphere
     moments are TEMPLATE_MOMENTS, so its A is exact and quad_order_sphere
-    does not change it. The spectral bracket is invariant under rotations
+    does not change it: A is -4 pi times the top diagonal entry of chain
+    (j, j', j - j') of the linearized generator (chain_row), so gamma is
+    minus that entry of the dissipator's generator. The spectral bracket is invariant under rotations
     about z (it reads the moduli of a column that such a rotation
     rephases), so its A(n_s) is summed on the ring rule of n_s. The
     convergence flag in the metadata reports whether doubling either

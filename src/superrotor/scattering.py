@@ -5,14 +5,15 @@ Waals potential whose orientation dependence couples magnetic sublevels with
 |m - m'| <= 2 inside a fixed j block. This module builds those banded
 coupling matrices, B_j = sum_a h_a(n', e_b) T_a over the templates T_a of
 rates.template_bands, and evaluates the matrix-valued eikonal amplitudes
-three ways: a linearized forward closed form (the circle average of h_a is
-geometry_factors(n')), a spectral (fractional matrix power) forward
-evaluation, and the full angle-resolved impact-parameter integral.
+three ways, all forward: a linearized closed form (the circle average of
+h_a is geometry_factors(n')), a spectral (fractional matrix power)
+evaluation, and the impact-parameter integral of the Schiff route
+(schiff_amplitude_full), the spectral one's quadrature partner.
 Each amplitude is a plain (2j + 1, 2j + 1) complex array indexed by (m, m')
 with m running -j..j, in internal length units (multiply by
 UnitScales.length for SI).
 
-The full amplitude and the b-space cross section share one radial integral
+The Schiff amplitude and the b-space cross section share one radial integral
 (_radial_jump_integral): Gauss panels in b from the core radius, where the
 phase a/b^5 reaches PHASE_CAP, out to b_max, and inside the core an exact
 rule in u = b^-5 (_core_integral) that resolves the oscillation rather than
@@ -202,23 +203,22 @@ def forward_amplitude_spectral(j, q, n_prime, spec, kappa_mode="exact"):
     return forward_scalar(q, spec) * spectral_shapes(j, n_prime[None], spec, kappa_mode)[0]
 
 
-def _phase_panels(rule, b, b_max, mag, slope):
+def _phase_panels(rule, b, b_max, mag):
     """(nodes, weights) of the interval rule mapped onto each panel of
-    [b, b_max]. A panel starting at b is pi / (5 mag / b^6 + slope) wide,
-    so the phase a/b^5 of strength |a| = mag plus a plane-wave phase of the
-    given slope advance by at most pi across it, but no wider than b itself
-    (where the phase has died out, that width would grow as b^6) and cut at
-    b_max."""
+    [b, b_max]. A panel starting at b is pi / (5 mag / b^6) wide, so the
+    phase a/b^5 of strength |a| = mag advances by at most pi across it, but
+    no wider than b itself (where the phase has died out, that width would
+    grow as b^6) and cut at b_max."""
     while b < b_max:
-        db = min(math.pi / (5.0 * mag / b**6 + slope), b, b_max - b)
+        db = min(math.pi / (5.0 * mag / b**6), b, b_max - b)
         yield 0.5 * (rule.nodes + 1.0) * db + b, 0.5 * db * rule.weights
         b += db
 
 
-def _core_integral(a_phase, c_transverse):
-    """Int_0^b_min db b e^{-icb} e^{ia/b^5} over the core b_min = (|a| /
+def _core_integral(a_phase):
+    """Int_0^b_min db b e^{ia/b^5} over the core b_min = (|a| /
     PHASE_CAP)^(1/5), integrated exactly in u = b^-5 as
-    Int_{u0}^inf du u^(-7/5)/5 e^{i(au - c u^(-1/5))}, u0 = PHASE_CAP/|a|:
+    Int_{u0}^inf du u^(-7/5)/5 e^{iau}, u0 = PHASE_CAP/|a|:
     _CORE_HALF_PERIODS half-periods pi/|a| of _CORE_NODES Gauss nodes each,
     whose alternating partial sums _CORE_AVERAGING combines."""
     rule = make_rule("interval", _CORE_NODES)
@@ -226,19 +226,19 @@ def _core_integral(a_phase, c_transverse):
     u = PHASE_CAP / abs(a_phase) + half * (
         np.arange(_CORE_HALF_PERIODS)[:, None] + 0.5 * (rule.nodes + 1.0)
     )
-    f = u**-1.4 * np.exp(1j * (a_phase * u - c_transverse * u**-0.2))
+    f = u**-1.4 * np.exp(1j * a_phase * u)
     partial = np.cumsum(f @ (0.1 * half * rule.weights))
     return _CORE_AVERAGING @ partial[-len(_CORE_AVERAGING):]
 
 
-def _radial_jump_integral(a_phase, c_transverse, pts, bmax_factor):
-    """Int_0^inf db b e^{-i c b} (e^{i a/b^5} - 1) for one eigenchannel.
+def _radial_jump_integral(a_phase, pts, bmax_factor):
+    """Int_0^inf db b (e^{i a/b^5} - 1) for one eigenchannel.
 
     Inside b_min (accumulated phase PHASE_CAP) the core takes e^{ia/b^5}
-    from _core_integral and -b e^{-icb} on one panel of pts nodes. The
-    oscillatory zone out to b_max = bmax_factor |a|^(1/5) is covered by
-    panels holding the combined phase advance below pi each, none wider
-    than its start radius (_phase_panels); the far tail uses
+    from _core_integral and -b on one panel of pts nodes. The oscillatory
+    zone out to b_max = bmax_factor |a|^(1/5) is covered by panels holding
+    the phase advance below pi each, none wider than their start radius
+    (_phase_panels); the far tail adds the leading term i a/(3 b_max^3) of
     e^{i a/b^5} - 1 ~ i a/b^5.
     """
     if a_phase == 0.0:
@@ -249,57 +249,51 @@ def _radial_jump_integral(a_phase, c_transverse, pts, bmax_factor):
     rule = make_rule("interval", pts)
     xs = 0.5 * (rule.nodes + 1.0) * b_min
     ws = 0.5 * b_min * rule.weights
-    total = _core_integral(a_phase, c_transverse)
-    total -= np.sum(ws * xs * np.exp(-1j * c_transverse * xs))
-    for xs, ws in _phase_panels(rule, b_min, b_max, mag, abs(c_transverse)):
-        total += np.sum(
-            ws * xs * np.exp(-1j * c_transverse * xs) * (np.exp(1j * a_phase / xs**5) - 1.0)
-        )
-    if abs(c_transverse) * b_max < 0.5:
-        # leading tail of the phase expansion; only meaningful while the
-        # plane-wave factor is still slow out at b_max
-        total += 1j * a_phase / (3.0 * b_max**3)
-    return total
+    total = _core_integral(a_phase)
+    # summed as complex numbers: numpy pairs the terms of a real sum in
+    # another order, which would move the forward amplitudes by an ulp
+    total -= np.sum(ws * xs, dtype=complex)
+    for xs, ws in _phase_panels(rule, b_min, b_max, mag):
+        total += np.sum(ws * xs * (np.exp(1j * a_phase / xs**5) - 1.0))
+    return total + 1j * a_phase / (3.0 * b_max**3)
 
 
-def _schiff_entries(j, q, n_out, n_in, spec, pts, bmax_factor):
+def _schiff_entries(j, q, n_in, spec, pts, bmax_factor):
     rule = make_rule("circle", spec.numerics.quad_order_circle)
     e_b = _circle_directions(n_in[None], rule.nodes)[0]
     d = 2 * int(j) + 1
     a_q = eikonal_strength(q, spec)
-    transfer = (q / HBAR) * (np.asarray(n_out, dtype=float) - np.asarray(n_in, dtype=float))
     lams, vecs = np.linalg.eigh(np.eye(d) + coupling_matrix(j, n_in, e_b, spec.molecule))
     acc = np.zeros((d, d), dtype=complex)
-    for w, lam, vec, c_t in zip(rule.weights, lams, vecs, e_b @ transfer):
-        radial = np.array(
-            [_radial_jump_integral(a_q * lv, c_t, pts, bmax_factor) for lv in lam]
-        )
+    for w, lam, vec in zip(rule.weights, lams, vecs):
+        radial = np.array([_radial_jump_integral(a_q * lv, pts, bmax_factor) for lv in lam])
         acc += w * ((vec * radial) @ vec.conj().T)
     return -(1j * q / (2.0 * math.pi * HBAR)) * acc
 
 
-def schiff_amplitude_full(j, q, n_out, n_in, spec):
-    """Full angle-resolved eikonal amplitude by 2D impact-parameter quadrature.
+def schiff_amplitude_full(j, q, n_in, spec):
+    """Forward eikonal amplitude in direction n_in by 2D impact-parameter
+    quadrature.
 
     Integrates the matrix exponential of the phase (via eigendecomposition)
-    against the transverse plane-wave factor. Returns (entries, converged):
-    the (2j + 1, 2j + 1) array at twice b_nodes and twice b_max, and
-    whether doubling both moved the result by at most 0.1%
+    over the impact plane perpendicular to n_in. Returns (entries,
+    converged): the (2j + 1, 2j + 1) array at twice b_nodes and twice
+    b_max, and whether doubling both moved the result by at most 0.1%
     (mathkit.order_doubling_drift); intended for small j at desk scale.  The
     core is integrated exactly (_core_integral) and the far tail resolved
     out to b_max, so the flag sees both the panels' error and the
     truncation: on n1 (a = 1) the isotropic forward Im f meets its closed
-    form to 1.3e-14 relative, and at b_max = 2 an off-forward amplitude
-    1.3e-2 off the b_max = 400 one reports not converged.
+    form to 1.3e-14 relative, and at j = 0 with b_max = 1 the amplitude,
+    8.2e-2 off its doubled b_max, reports not converged.  At j >= 1 it is
+    the quadrature partner of forward_amplitude_spectral.
     """
     j = int(j)
     if j < 0 or q <= 0.0:
         raise ValueError("schiff_amplitude_full: need j >= 0 and q > 0")
     n_in = _check_unit(n_in, "n_in")
-    n_out = _check_unit(n_out, "n_out")
     num = spec.numerics
-    base = _schiff_entries(j, q, n_out, n_in, spec, num.b_nodes, num.b_max)
-    fine = _schiff_entries(j, q, n_out, n_in, spec, 2 * num.b_nodes, 2.0 * num.b_max)
+    base = _schiff_entries(j, q, n_in, spec, num.b_nodes, num.b_max)
+    fine = _schiff_entries(j, q, n_in, spec, 2 * num.b_nodes, 2.0 * num.b_max)
     _, converged = order_doubling_drift(base, fine)
     return fine, converged
 
@@ -327,6 +321,6 @@ def scalar_cross_section_bspace(q, spec):
     """
     a_q = eikonal_strength(q, spec)
     b_max = spec.numerics.b_max * a_q**0.2
-    jump = _radial_jump_integral(a_q, 0.0, spec.numerics.b_nodes, spec.numerics.b_max)
+    jump = _radial_jump_integral(a_q, spec.numerics.b_nodes, spec.numerics.b_max)
     # tail: 2 - 2 cos(a/b^5) ~ a^2/b^10
     return 2.0 * math.pi * (-2.0 * jump.real + a_q**2 / (8.0 * b_max**8))

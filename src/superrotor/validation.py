@@ -190,7 +190,7 @@ def criterion_optical_theorem(spec=None):
     spec = _zero_aniso(spec or _default_spec())
     q = spec.thermal_momentum
     ez = np.array([0.0, 0.0, 1.0])
-    amp, converged = scattering.schiff_amplitude_full(0, q, ez, ez, spec)
+    amp, converged = scattering.schiff_amplitude_full(0, q, ez, spec)
     f0 = complex(amp[0, 0])
     sigma_tot = 4.0 * math.pi / q * f0.imag
     sigma_el = scattering.scalar_cross_section_bspace(q, spec)
@@ -242,7 +242,7 @@ def criterion_radial_integral_table(spec=None):
     g35 = math.gamma(0.6)
     ref1 = 0.5 * g35 * math.cos(0.3 * math.pi)
     ref2 = 0.25 * g35 * math.sin(0.3 * math.pi)
-    total = scattering._radial_jump_integral(1.0, 0.0, 2 * numerics.b_nodes, numerics.b_max)
+    total = scattering._radial_jump_integral(1.0, 2 * numerics.b_nodes, numerics.b_max)
     v1 = float(total.imag)
     v2 = float(-0.5 * total.real)
     err1 = abs(v1 - ref1)

@@ -15,8 +15,8 @@ from superrotor import scattering
 from superrotor.cli import _atomic_write
 from superrotor.mathkit import make_rule
 from superrotor.params import HBAR, builtin_config, load_config
-from superrotor.rates import (collision_weight, energy_shift_matrix, gamma_closed_form,
-                             gamma_numeric)
+from superrotor.rates import (chain_row, collision_weight, energy_shift_matrix,
+                             gamma_closed_form, gamma_numeric)
 
 
 def n1_spec(**changes):
@@ -549,7 +549,35 @@ def test_corner_decay_matches_rate_module():
             idx = (layout.index(j, j), layout.index(j - 2, j - 2))
             rate = -(action[idx] / rho.corner_coherence(j, j - 2)).real
             oracle = gamma_numeric(j, j - 2, spec, kappa_mode=mode).gamma
-            assert rate == pytest.approx(oracle, rel=1e-10), (j, mode)
+            assert rate == pytest.approx(oracle, rel=1e-13), (j, mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    j=st.integers(0, 24),
+    j_prime=st.integers(0, 24),
+    kappa_mode=st.sampled_from(["exact", "half"]),
+    data=st.data(),
+)
+def test_chain_row_matches_chain_generators(j, j_prime, kappa_mode, data):
+    # rates.chain_row, row by row, is the linearized generator of chain
+    # (j, j', Q) over its collision weight, zero past the chain's end
+    reach = min(min(j, j_prime) + 2, j + j_prime)
+    shift = data.draw(st.integers(-reach, reach))
+    spec = n1_spec()
+    layout = lb.BasisLayout(min(j, j_prime), max(j, j_prime))
+    dset = lb.build_dissipator(spec, layout, kappa_mode=kappa_mode)
+    ms = range(max(-j, shift - j_prime), min(j, j_prime + shift) + 1)
+    rows = np.array([[layout.index(j, m) for m in ms]])
+    cols = np.array([[layout.index(j_prime, m - shift) for m in ms]])
+    gen = lb._chain_generators(dset, rows, cols)[0] / dset.collision_weight
+    n = len(ms)
+    row = np.zeros((n, n + 2))
+    for i, m in enumerate(ms):
+        row[i, i : i + 3] = chain_row(j, j_prime, shift, m, spec.molecule, kappa_mode)
+    expected = np.triu(row[:, :n]) + np.triu(row[:, :n], 1).T
+    assert np.max(np.abs(gen - expected)) <= 1e-15 * np.max(np.abs(gen))
+    assert not np.any(row[:, n:])
 
 
 def test_propagate_unitary_limit():

@@ -254,7 +254,7 @@ def _dissipator_site():
 
 def _schiff_site():
     ez = np.array([0.0, 0.0, 1.0])
-    _, converged = scattering.schiff_amplitude_full(0, 1.0, ez, ez, _n1(alpha_aniso=0.0))
+    _, converged = scattering.schiff_amplitude_full(0, 1.0, ez, _n1(alpha_aniso=0.0))
     return converged, None
 
 

@@ -82,7 +82,9 @@ def test_gamma_closed_form_n1():
 def test_gamma_zero_anisotropy():
     spec = modified_n1(set=[("molecule", "alpha_aniso", 0.0)])
     assert gamma_closed_form(10, 8, spec).gamma == 0.0
-    assert gamma_numeric(10, 8, spec).gamma == 0.0
+    gamma = gamma_numeric(10, 8, spec).gamma
+    # +0.0: a -0.0 would print as "-0" in validate and as -0.0e+00 in a CSV
+    assert gamma == 0.0 and math.copysign(1.0, gamma) == 1.0
 
 
 def test_gamma_scaling_laws():
