@@ -191,6 +191,38 @@ def test_linearized_gamma_ignores_the_sphere_order(kappa):
             assert row.converged
 
 
+@pytest.mark.parametrize("kappa", ["exact", "half"])
+def test_chain_row_population_chain_conserves_population(kappa):
+    # on the population chain (j, j, 0) the generator is symmetric, so each
+    # column sums as its row: diagonal, both bands and the bands of the rows
+    # above; the dissipator moves population within block j and loses none
+    mol = n1_spec().molecule
+    none = (0.0, 0.0, 0.0)
+    for j in (0, 1, 2, 5, 40, 200):
+        rows = {m: rates.chain_row(j, j, 0, m, mol, kappa) for m in range(-j, j + 1)}
+        scale = max(abs(row[0]) for row in rows.values())
+        for m, (diag, band1, band2) in rows.items():
+            above = rows.get(m - 1, none)[1] + rows.get(m - 2, none)[2]
+            assert abs(diag + band1 + band2 + above) <= 1e-14 * scale, (j, m)
+        # no band reaches past the chain's end
+        assert rows[j][1:] == (0.0, 0.0)
+        assert j == 0 or rows[j - 1][2] == 0.0
+
+
+@pytest.mark.parametrize("kappa", ["exact", "half"])
+def test_chain_row_of_the_conjugate_chain_is_the_same_row(kappa):
+    # coherence (m', m) of block (j', j) is the conjugate of (m, m') of
+    # (j, j'): row m of chain (j, j', Q) is row m - Q of chain (j', j, -Q)
+    mol = n1_spec().molecule
+    for j, jp, shifts in ((10, 8, range(-10, 11)), (3, 0, range(-5, 6)),
+                          (40, 37, range(-39, 40)), (1000, 998, (-1000, -3, 0, 2, 1000))):
+        for shift in shifts:
+            for m in range(max(-j, shift - jp), min(j, jp + shift) + 1):
+                row = rates.chain_row(j, jp, shift, m, mol, kappa)
+                swapped = rates.chain_row(jp, j, -shift, m - shift, mol, kappa)
+                assert swapped == pytest.approx(row, rel=1e-15, abs=0.0), (j, jp, shift, m)
+
+
 def per_pair_oracle(j, jp, spec, backend, kappa):
     # the per-pair quadrature the shared sweep route replaces: both radial
     # brackets and both ring sums recomputed for this pair alone
