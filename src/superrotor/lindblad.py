@@ -263,7 +263,9 @@ class DissipatorSet:
     of band q are diagonals[q] (n, D), diagonals[q, k, r] = B_k[r, r + q],
     zero where r + q leaves the j block of row r.  An op of a band q > 0
     stands for itself and its transpose.  kmat is the diagonal of sum B^T B
-    over all of them.
+    over the ops of the bands q >= 1, transposes included; band 0 enters
+    each chain generator's diagonal as one square with its gain
+    (_chain_generators).
 
     aniso_mean is the diagonal of the sphere mean (1/4 pi) Int d^2n' A(n')
     of the anisotropy the family discretizes, which the azimuth average
@@ -286,12 +288,11 @@ class DissipatorSet:
         self.aniso_mean = aniso_mean  # (D,) real
         self.metadata = {} if metadata is None else metadata
         self.kmat = np.zeros(layout.dim)  # (D,) real
-        for q, b in enumerate(diagonals):
+        for q, b in enumerate(diagonals[1:], 1):
             # B^T B holds b[r]^2 at r + q, and the transpose's B B^T at r
             square = np.square(b).sum(axis=0)
             self.kmat[q:] += square[: layout.dim - q]
-            if q:
-                self.kmat += square
+            self.kmat += square
 
     @property
     def converged(self):
@@ -738,24 +739,33 @@ def _chain_generators(dset, rows, cols):
     length n whose entries are (rows, cols) (_occupied_chains): the only
     definition of the dissipator's action in the package.
 
-    Entry [i, i] is -collision_weight (kmat[r] + kmat[c]) / 2 at the chain's
-    i-th entry (r, c), plus the gain G_0[r, c], and entries [i, i + q] and
-    [i + q, i] are the one gain G_q[r, c] (DissipatorSet) with which band q
-    and its transpose exchange rho[r + q, c + q] and rho[r, c].  Only the
-    bands diagonals[:n] enter: a band q >= n would pair an entry with one
-    past the chain's end, across a block edge, where its diagonal is 0.
-    Real and symmetric by construction, and bit for bit the same for a
-    chain and its transpose.
+    At the chain's i-th entry (r, c), entry [i, i] is -collision_weight / 2
+    times sum_k (b_k[r] - b_k[c])^2 over the ops b_k of band 0 plus
+    (kmat[r] + kmat[c]): band 0's loss less its gain G_0[r, c], as one
+    square, the form of rates.chain_row (summed apart, the two cancel and
+    lose digits at large j), and the loss of the bands q >= 1.  Entries
+    [i, i + q] and [i + q, i] are the one gain G_q[r, c] (DissipatorSet)
+    with which band q and its transpose exchange rho[r + q, c + q] and
+    rho[r, c].  Only the bands diagonals[:n] enter: a band q >= n would
+    pair an entry with one past the chain's end, across a block edge, where
+    its diagonal is 0.  Real and symmetric by construction, and bit for bit
+    the same for a chain and its transpose.
     """
     cw = dset.collision_weight
     n = rows.shape[1]
     steps = np.arange(n)
+    b = dset.diagonals[:n]
+    square = np.square(b[:1, :, rows] - b[:1, :, cols]).sum(axis=(0, 1))
     gen = np.zeros(rows.shape + (n,))
-    gen[:, steps, steps] = (-0.5 * cw) * (dset.kmat[rows] + dset.kmat[cols])
-    for q, b in enumerate(dset.diagonals[:n]):
+    # kmat[r] + kmat[c] is grouped so that the transposed chain, (c, r),
+    # rounds its diagonal the same way
+    gen[:, steps, steps] = (-0.5 * cw) * (square + (dset.kmat[rows] + dset.kmat[cols]))
+    # gains[q - 1, :, s] couples the entries s and s + q; for s >= n - q one
+    # factor's band leaves its block, where it is stored as 0, and is dropped
+    gains = cw * (b[1:, :, rows] * b[1:, :, cols]).sum(axis=1)
+    for q, gain in enumerate(gains, 1):
         s = steps[: n - q]
-        gen[:, s, s + q] += cw * (b[:, rows[:, s]] * b[:, cols[:, s]]).sum(axis=0)
-        gen[:, s + q, s] = gen[:, s, s + q]
+        gen[:, s, s + q] = gen[:, s + q, s] = gain[:, : n - q]
     return gen
 
 

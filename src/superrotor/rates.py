@@ -13,10 +13,15 @@ quadrature route: that route reads the quadrature rules of mathkit as
 Python floats and evaluates the isotropic forward amplitude (forward_scalar)
 here, and the rows of the linearized chain generator (chain_row) from the
 template band values (template_band), beside the degree-2 Legendre family
-they are built from. The linearized rate is the radial factor
-collision_weight times the top corner of its chain; collision_weight and
-the sphere moments TEMPLATE_MOMENTS are read by lindblad's jump family too.
-scattering re-exports the scalar pieces. The spectral
+they are built from. The linearized rate is minus collision_weight times
+the top corner of its chain, read from chain_row; lindblad's chain
+generators write every entry in chain_row's form, band 0 as one square,
+so the rate is minus the dissipator's corner to rounding at any j.
+collision_weight and the sphere moments TEMPLATE_MOMENTS are read by
+lindblad's jump family too. scattering re-exports the scalar pieces. The
+spectral rate sums its own bracket of the ring shapes (_spectral_bracket)
+rather than build lindblad's spectral family, which spans every block
+from j' to j; the tests pin it to that family's corner. The spectral
 backend imports numpy and scattering when called, template_bands and
 energy_shift_matrix numpy; the quadrature route looks mathkit's helpers up
 on that module at each call.
@@ -280,30 +285,20 @@ def chain_row(j, j_prime, Q, m, mol, kappa_mode="exact"):
             f2 * band(2, j, m) * band(2, j_prime, row))
 
 
-def _corner_integrand_linearized(j, j_prime, spec, kappa_mode):
-    # The linearized bracket is exact and ignores the rule: A is -4 pi times
-    # the top diagonal entry of chain (j, j', j - j')
-    corner = chain_row(j, j_prime, j - j_prime, j, spec.molecule, kappa_mode)[0]
-    angular = -4.0 * math.pi * corner
-    return lambda rule: angular
-
-
-def _corner_integrand_spectral(j, j_prime, spec, kappa_mode):
-    # the forward amplitude is c(q) S(n'); the bracket needs the top-corner
-    # columns of the q-independent shapes S at the rule's nodes
+def _spectral_bracket(j, j_prime, spec, kappa_mode, rule):
+    # A of the spectral backend on a ring rule: the forward amplitude is
+    # c(q) S(n'), and the bracket reads the top-corner columns of the
+    # q-independent shapes S at the rule's nodes
     from . import scattering
 
-    def angular(rule):
-        mj = scattering.spectral_shapes(j, rule.nodes, spec, kappa_mode)
-        mp = scattering.spectral_shapes(j_prime, rule.nodes, spec, kappa_mode)
-        bracket = (
-            abs(mj[:, -1, -1] - mp[:, -1, -1]) ** 2
-            + (abs(mj[:, :-1, -1]) ** 2).sum(axis=1)
-            + (abs(mp[:, :-1, -1]) ** 2).sum(axis=1)
-        )
-        return 2.0 * math.pi * float((rule.weights * bracket).sum())
-
-    return angular
+    mj = scattering.spectral_shapes(j, rule.nodes, spec, kappa_mode)
+    mp = scattering.spectral_shapes(j_prime, rule.nodes, spec, kappa_mode)
+    bracket = (
+        abs(mj[:, -1, -1] - mp[:, -1, -1]) ** 2
+        + (abs(mj[:, :-1, -1]) ** 2).sum(axis=1)
+        + (abs(mp[:, :-1, -1]) ** 2).sum(axis=1)
+    )
+    return 2.0 * math.pi * float((rule.weights * bracket).sum())
 
 
 def thermal_q_integral(spec, order, power, fn):
@@ -338,12 +333,10 @@ def _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode):
     # RateResult rows for (j, j') pairs, gamma = collision_weight A / 4 pi.
     # The radial factors at n_q and 2 n_q and the ring rules do not depend
     # on the pair and are evaluated once; each pair adds its direction
-    # integrals A(n_s), A(2 n_s) and its own order-doubling drift.
-    integrand = {
-        "linearized": _corner_integrand_linearized,
-        "spectral": _corner_integrand_spectral,
-    }.get(amplitude_backend)
-    if integrand is None:
+    # integrals A(n_s), A(2 n_s) and its own order-doubling drift: the
+    # linearized A is one chain_row corner at both sphere orders, the
+    # spectral A a _spectral_bracket on each ring rule.
+    if amplitude_backend not in ("linearized", "spectral"):
         raise ValueError(f"unknown amplitude_backend {amplitude_backend!r}")
     from . import mathkit
 
@@ -353,8 +346,13 @@ def _quadrature_rates(pairs, spec, amplitude_backend, kappa_mode):
     rings = mathkit.make_rule("ring", ns), mathkit.make_rule("ring", 2 * ns)
     rows = []
     for j, j_prime in pairs:
-        angular = integrand(j, j_prime, spec, kappa_mode)
-        a, a_fine = (angular(ring) for ring in rings)
+        if amplitude_backend == "linearized":
+            # exact at every sphere order: -4 pi times the top diagonal entry
+            # of chain (j, j', j - j')
+            a = a_fine = -4.0 * math.pi * chain_row(
+                j, j_prime, j - j_prime, j, spec.molecule, kappa_mode)[0]
+        else:
+            a, a_fine = (_spectral_bracket(j, j_prime, spec, kappa_mode, ring) for ring in rings)
         base = r * a
         drift, converged = mathkit.order_doubling_drift(base, r_fine * a, r * a_fine)
         meta = {
@@ -378,9 +376,12 @@ def gamma_numeric(j, j_prime, spec, amplitude_backend="linearized", kappa_mode="
     moments are TEMPLATE_MOMENTS, so its A is exact and quad_order_sphere
     does not change it: A is -4 pi times the top diagonal entry of chain
     (j, j', j - j') of the linearized generator (chain_row), so gamma is
-    minus that entry of the dissipator's generator. The spectral bracket is invariant under rotations
-    about z (it reads the moduli of a column that such a rotation
-    rephases), so its A(n_s) is summed on the ring rule of n_s. The
+    minus that entry of the dissipator's generator, which
+    lindblad._chain_generators writes in the same form. The spectral
+    bracket is invariant under rotations about z (it reads the moduli of a
+    column that such a rotation rephases), so its A(n_s) is summed on the
+    ring rule of n_s, and gamma is minus the spectral generator's corner
+    up to the ring shapes' rounding. The
     convergence flag in the metadata reports whether doubling either
     quadrature order moves the value by at most 0.1%
     (mathkit.order_doubling_drift). This is the one-pair case of the

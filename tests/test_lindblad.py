@@ -538,18 +538,68 @@ def test_isotropic_states_stationary():
 
 def test_corner_decay_matches_rate_module():
     # the stretched corner's generator diagonal is -gamma(j, j - 2) of the
-    # rate module, from small j up to superrotor j
+    # rate module, from small j up to superrotor j: both read band 0 as one
+    # square, so they agree to rounding
     spec = n1_spec()
-    for j in (4, 10, 40, 100):
+    for j in (4, 10, 40, 100, 400, 1000):
         layout = lb.BasisLayout(j - 2, j)
         rho = lb.centrifuge_state(layout, {j - 2: 2**-0.5, j: 2**-0.5})
+        corner = rho.pattern.corners[2, 0]
         for mode in ("half", "exact"):
             dset = lb.build_dissipator(spec, layout, kappa_mode=mode)
-            action = dset.apply(rho.matrix)
-            idx = (layout.index(j, j), layout.index(j - 2, j - 2))
-            rate = -(action[idx] / rho.corner_coherence(j, j - 2)).real
+            action = lb._chain_action(dset, rho.pattern, rho.values)
+            rate = -(action[corner] / rho.values[corner]).real
             oracle = gamma_numeric(j, j - 2, spec, kappa_mode=mode).gamma
-            assert rate == pytest.approx(oracle, rel=1e-13), (j, mode)
+            assert rate == pytest.approx(oracle, rel=1e-15, abs=0.0), (j, mode)
+
+
+def chain_against_rows(j, j_prime, shift, kappa_mode):
+    """The linearized generator of chain (j, j', shift) over its collision
+    weight, the same matrix from rates.chain_row's rows, and the rows'
+    bands past the chain's end."""
+    spec = n1_spec()
+    layout = lb.BasisLayout(min(j, j_prime), max(j, j_prime))
+    dset = lb.build_dissipator(spec, layout, kappa_mode=kappa_mode)
+    ms = range(max(-j, shift - j_prime), min(j, j_prime + shift) + 1)
+    rows = np.array([[layout.index(j, m) for m in ms]])
+    cols = np.array([[layout.index(j_prime, m - shift) for m in ms]])
+    gen = lb._chain_generators(dset, rows, cols)[0] / dset.collision_weight
+    n = len(ms)
+    row = np.zeros((n, n + 2))
+    for i, m in enumerate(ms):
+        row[i, i : i + 3] = chain_row(j, j_prime, shift, m, spec.molecule, kappa_mode)
+    return gen, np.triu(row[:, :n]) + np.triu(row[:, :n], 1).T, row[:, n:]
+
+
+@pytest.mark.parametrize("kappa_mode", ["exact", "half"])
+def test_chain_generators_match_chain_row_at_superrotor_j(kappa_mode):
+    # chain_row is the generator's stdlib oracle at large j too: band 0's
+    # loss and gain, summed apart, would cancel and miss it by up to 4e-14.
+    # Every nonzero entry within 2e-15 of chain_row's, every other one 0
+    for chain in ((400, 398, 2), (1000, 998, 2), (1000, 1000, 0)):
+        gen, expected, _ = chain_against_rows(*chain, kappa_mode)
+        assert np.all(np.abs(gen - expected) <= 2e-15 * np.abs(expected)), chain
+
+
+@pytest.mark.parametrize("kappa_mode", ["exact", "half"])
+def test_spectral_corner_decay_matches_rate_module(kappa_mode):
+    # the spectral rate and the spectral generator's stretched corner are
+    # two readings of one bracket, the rate's on the column of the ring
+    # shapes S = I + A and the generator's on their symmetrized bands.  S
+    # rounds to its identity's eps, so the pair differs by that eps over
+    # the size of A: under 2e-15 at the SI anisotropy (alpha_aniso /
+    # alpha_mean = 0.4) or at 1.0, up to 1.6e-14 at 0.06
+    cases = [(si_spec(), 1e-14), (spectral_spec(set=[("molecule", "alpha_aniso", 1.0)]), 1e-14),
+             (spectral_spec(), 4e-14)]
+    for spec, rel in cases:
+        for j in (2, 4, 10):
+            layout = lb.BasisLayout(j - 2, j)
+            dset = lb.build_dissipator(spec, layout, backend="spectral", kappa_mode=kappa_mode)
+            corner = np.array([[layout.index(j, j)]]), np.array([[layout.index(j - 2, j - 2)]])
+            rate = -lb._chain_generators(dset, *corner)[0, 0, 0]
+            oracle = gamma_numeric(j, j - 2, spec, amplitude_backend="spectral",
+                                   kappa_mode=kappa_mode).gamma
+            assert rate == pytest.approx(oracle, rel=rel, abs=0.0), j
 
 
 @settings(max_examples=150, deadline=None)
@@ -564,20 +614,9 @@ def test_chain_row_matches_chain_generators(j, j_prime, kappa_mode, data):
     # (j, j', Q) over its collision weight, zero past the chain's end
     reach = min(min(j, j_prime) + 2, j + j_prime)
     shift = data.draw(st.integers(-reach, reach))
-    spec = n1_spec()
-    layout = lb.BasisLayout(min(j, j_prime), max(j, j_prime))
-    dset = lb.build_dissipator(spec, layout, kappa_mode=kappa_mode)
-    ms = range(max(-j, shift - j_prime), min(j, j_prime + shift) + 1)
-    rows = np.array([[layout.index(j, m) for m in ms]])
-    cols = np.array([[layout.index(j_prime, m - shift) for m in ms]])
-    gen = lb._chain_generators(dset, rows, cols)[0] / dset.collision_weight
-    n = len(ms)
-    row = np.zeros((n, n + 2))
-    for i, m in enumerate(ms):
-        row[i, i : i + 3] = chain_row(j, j_prime, shift, m, spec.molecule, kappa_mode)
-    expected = np.triu(row[:, :n]) + np.triu(row[:, :n], 1).T
+    gen, expected, past_end = chain_against_rows(j, j_prime, shift, kappa_mode)
     assert np.max(np.abs(gen - expected)) <= 1e-15 * np.max(np.abs(gen))
-    assert not np.any(row[:, n:])
+    assert not np.any(past_end)
 
 
 def test_propagate_unitary_limit():
